@@ -128,8 +128,7 @@ void PipelinedSwitch::arbitrate_and_initiate(Cycle t) {
 bool PipelinedSwitch::try_grant_read(Cycle t) {
   if (!resv_.progression_free(t, S_, m_)) return false;
   const int o = rr_read_.pick([&](unsigned out) {
-    return next_read_ok_[out] <= t && !oq_.empty(out) &&
-           (!output_gate_ || output_gate_(out));
+    return next_read_ok_[out] <= t && !oq_.empty(out);
   });
   if (o < 0) return false;
 
@@ -182,8 +181,7 @@ bool PipelinedSwitch::try_grant_write(Cycle t) {
   // nothing queued ahead of this cell, co-initiate the snooping read on the
   // very same slots.
   const unsigned dest = p.dest;
-  if (cfg_.cut_through && next_read_ok_[dest] <= t && oq_.empty(dest) &&
-      (!output_gate_ || output_gate_(dest))) {
+  if (cfg_.cut_through && next_read_ok_[dest] <= t && oq_.empty(dest)) {
     resv_.attach_snoop_reads(t, S_, addrs, dest);
     next_read_ok_[dest] = t + static_cast<Cycle>(m_) * S_;
     ++stats_.read_grants;

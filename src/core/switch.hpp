@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -123,16 +122,6 @@ class PipelinedSwitch : public Component {
   /// null and the hot path is unaffected.
   void register_metrics(obs::MetricsRegistry& m, const std::string& prefix = "switch");
 
-  /// Flow-control gate: when set, a packet transmission (read wave or
-  /// cut-through snoop) toward `output` may only START in cycles where the
-  /// gate returns true -- e.g. when a credit bridge (net/credit_bridge.hpp)
-  /// still holds downstream buffer credits. Queued cells simply wait; this
-  /// is how the Telegraphos outgoing-link logic applies credit-based flow
-  /// control (section 4.2) without touching the buffer organization.
-  void set_output_gate(std::function<bool(unsigned output)> gate) {
-    output_gate_ = std::move(gate);
-  }
-
   // Component interface.
   void eval(Cycle t) override;
   void commit(Cycle t) override;
@@ -222,7 +211,6 @@ class PipelinedSwitch : public Component {
   obs::Counter* m_wave_init_ = nullptr;
   obs::Counter* m_cut_through_ = nullptr;
   obs::Counter* m_read_stall_ = nullptr;
-  std::function<bool(unsigned)> output_gate_;
 };
 
 }  // namespace pmsb

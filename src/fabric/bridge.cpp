@@ -131,4 +131,64 @@ void PortBridge::commit(Cycle) {
   }
 }
 
+CellNode::CellNode(const SwitchConfig& cfg, bool use_fast) {
+  if (use_fast)
+    fast = std::make_unique<FastSwitch>(cfg);
+  else
+    sw = std::make_unique<PipelinedSwitch>(cfg);
+  SwitchEvents ev;
+  ev.on_drop = [this](unsigned, Cycle, DropReason why) {
+    switch (why) {
+      case DropReason::kNoAddress: ++drop_no_addr; break;
+      case DropReason::kNoSlot: ++drop_no_slot; break;
+      case DropReason::kOutputLimit: ++drop_out_limit; break;
+    }
+  };
+  drop_sub_ = events().subscribe(std::move(ev));
+}
+
+void CellNode::attach(Engine& eng) {
+  eng.add(sw ? static_cast<Component*>(sw.get()) : static_cast<Component*>(fast.get()));
+  for (const auto& b : bridges) eng.add(b.get());
+  for (const auto& t : taps) eng.add(t.get());
+  // Structural invariant checking only exists for the cycle-accurate
+  // switch; fast nodes are covered by the differential harness instead.
+  if (check::env_enabled() && sw) {
+    checker = std::make_unique<check::InvariantChecker>();
+    checker->attach(*sw, eng);
+  }
+}
+
+NodeCounts CellNode::counts() const {
+  NodeCounts c;
+  c.generated = injector.generated;
+  c.backlog = injector.backlog.size();
+  c.delivered = ejector.delivered;
+  c.dropped = drop_no_addr + drop_no_slot + drop_out_limit;
+  c.lat_sum = ejector.lat_sum;
+  for (const auto& b : bridges) c.relayed += b->relayed();
+  return c;
+}
+
+void CellNode::fold(FabricStats& st) const {
+  st.payload_errors += ejector.payload_errors;
+  st.dropped_no_addr += drop_no_addr;
+  st.dropped_no_slot += drop_no_slot;
+  st.dropped_out_limit += drop_out_limit;
+  st.uid_digest = mix64(st.uid_digest ^ ejector.digest);
+  st.latency.merge(ejector.lat_hist);
+  if (ejector.delivered) {
+    // st.delivered still excludes this node: zero means no earlier extremes.
+    if (st.delivered == 0 || ejector.lat_min < st.min_latency) st.min_latency = ejector.lat_min;
+    if (st.delivered == 0 || ejector.lat_max > st.max_latency) st.max_latency = ejector.lat_max;
+  }
+  st.delivered += ejector.delivered;
+  for (std::size_t h = st.by_hops.size(); h < ejector.by_hops.size(); ++h)
+    st.by_hops.push_back(FabricStats::HopRow{static_cast<unsigned>(h), 0, 0});
+  for (std::size_t h = 0; h < ejector.by_hops.size(); ++h) {
+    st.by_hops[h].cells += ejector.by_hops[h].cells;
+    st.by_hops[h].mean_latency += static_cast<double>(ejector.by_hops[h].lat_sum);
+  }
+}
+
 }  // namespace pmsb::fabric

@@ -1,6 +1,7 @@
-// Fabric <-> switch glue: per-link components that move cells between the
-// channel rings (src/fabric/channel.hpp) and a node's cycle-accurate
-// PipelinedSwitch, plus the per-node traffic endpoints.
+// The cell transport of the direct-topology fabrics: per-link components
+// that move cells between the channel rings (src/fabric/channel.hpp) and a
+// node's switch, the per-node traffic endpoints, and CellNode, which bundles
+// them into one fabric node (src/fabric/node.hpp).
 //
 // Each directed inter-node link gets two components:
 //
@@ -32,14 +33,20 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "common/cell.hpp"
 #include "common/rng.hpp"
 #include "common/util.hpp"
+#include "core/fast_switch.hpp"
+#include "core/switch.hpp"
 #include "fabric/channel.hpp"
+#include "fabric/node.hpp"
 #include "net/topology.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
 #include "stats/hdr_histogram.hpp"
@@ -233,6 +240,44 @@ class PortBridge : public Component {
   std::vector<Word> tx_words_;
 
   std::uint64_t relayed_ = 0;  ///< Transit cells accepted for relay.
+};
+
+/// One node of a cell fabric: a cycle-accurate PipelinedSwitch or a
+/// behavioural FastSwitch, its Injector/Ejector endpoints and drop counters,
+/// one PortBridge per incoming link and one TxTap per outgoing link, plus an
+/// optional flight recorder and (under PMSB_CHECK, cycle-accurate switches
+/// only) a structural invariant checker.
+class CellNode final : public FabricNode {
+ public:
+  /// Builds the switch (`fast` picks the FastSwitch model) and subscribes
+  /// the node's own drop counting to its event hub, which leaves room for
+  /// checkers, scoreboards and user taps on the same switch.
+  CellNode(const SwitchConfig& cfg, bool fast);
+
+  EventHub& events() { return sw ? sw->events() : fast->events(); }
+  WireLink& in_link(unsigned port) { return sw ? sw->in_link(port) : fast->in_link(port); }
+  WireLink& out_link(unsigned port) { return sw ? sw->out_link(port) : fast->out_link(port); }
+
+  /// Switch, bridges, taps; then the checker as a cycle observer.
+  void attach(Engine& eng) override;
+  NodeCounts counts() const override;
+  void fold(FabricStats& st) const override;
+
+  std::unique_ptr<PipelinedSwitch> sw;  ///< Exactly one of sw / fast is set.
+  std::unique_ptr<FastSwitch> fast;
+  Injector injector;
+  Ejector ejector;
+  std::uint64_t drop_no_addr = 0;
+  std::uint64_t drop_no_slot = 0;
+  std::uint64_t drop_out_limit = 0;
+  std::unique_ptr<check::InvariantChecker> checker;
+  /// Per-stage latency breakdown (FabricConfig::flight_recorder).
+  std::unique_ptr<obs::FlightRecorder> flight;
+  std::vector<std::unique_ptr<PortBridge>> bridges;  ///< The first one injects.
+  std::vector<std::unique_ptr<TxTap>> taps;
+
+ private:
+  Subscription drop_sub_;
 };
 
 }  // namespace pmsb::fabric

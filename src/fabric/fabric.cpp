@@ -43,11 +43,25 @@ const char* to_string(FabricEngine e) {
 ConfigValidation FabricConfig::check() const {
   // Multistage (wormhole) fabrics have no per-node switch; their geometry
   // and transport parameters are validated here instead of node.check().
-  if (topo.multistage()) {
-    ConfigValidation v;
-    auto issue = [&v](ConfigIssue::Code c, std::string msg) {
-      v.issues.push_back(ConfigIssue{c, std::move(msg)});
-    };
+  const bool worm = topo.multistage();
+  ConfigValidation v = worm ? ConfigValidation{} : node.check();
+  auto issue = [&v](ConfigIssue::Code c, std::string msg) {
+    v.issues.push_back(ConfigIssue{c, std::move(msg)});
+  };
+  if (link_pipe_stages < 1)
+    issue(ConfigIssue::Code::kBadLinkStages, "fabric links need >= 1 register stage");
+  if (!(load >= 0.0 && load <= 1.0))
+    issue(ConfigIssue::Code::kBadLoad, "offered load must be in [0, 1]");
+  try {
+    const auto spec = traffic::GeneratorSpec::parse(traffic);
+    if (!worm && spec.kind != traffic::GeneratorSpec::Kind::kUniform)
+      issue(ConfigIssue::Code::kBadLoad,
+            "cell fabrics support uniform traffic only (got \"" + traffic + "\")");
+  } catch (const std::invalid_argument& e) {
+    issue(ConfigIssue::Code::kBadLoad, e.what());
+  }
+
+  if (worm) {
     if (topo.kind == net::TopologyKind::kClos) {
       if (topo.radix < 2)
         issue(ConfigIssue::Code::kBadTopology, "a Clos network needs radix >= 2");
@@ -65,17 +79,6 @@ ConfigValidation FabricConfig::check() const {
             "buffer_flits must be a positive multiple of lanes");
     if (message_flits < 1)
       issue(ConfigIssue::Code::kBadCellWords, "wormhole messages need >= 1 flit");
-    if (link_pipe_stages < 1)
-      issue(ConfigIssue::Code::kBadLinkStages, "inter-stage links need >= 1 register stage");
-    if (!(load >= 0.0) || load > 1.0)
-      issue(ConfigIssue::Code::kBadLoad, "offered load must be in [0, 1]");
-    if (tasks_per_worker < 1)
-      issue(ConfigIssue::Code::kBadTopology, "tasks_per_worker must be >= 1");
-    try {
-      (void)traffic::GeneratorSpec::parse(traffic);
-    } catch (const std::invalid_argument& e) {
-      issue(ConfigIssue::Code::kBadLoad, e.what());
-    }
     if (fast_node)
       issue(ConfigIssue::Code::kBadTopology, "fast_node applies to cell fabrics only");
     if (flight_recorder)
@@ -84,18 +87,6 @@ ConfigValidation FabricConfig::check() const {
     return v;
   }
 
-  ConfigValidation v = node.check();
-  auto issue = [&v](ConfigIssue::Code c, std::string msg) {
-    v.issues.push_back(ConfigIssue{c, std::move(msg)});
-  };
-  try {
-    const auto spec = traffic::GeneratorSpec::parse(traffic);
-    if (spec.kind != traffic::GeneratorSpec::Kind::kUniform)
-      issue(ConfigIssue::Code::kBadLoad,
-            "cell fabrics support uniform traffic only (got \"" + traffic + "\")");
-  } catch (const std::invalid_argument& e) {
-    issue(ConfigIssue::Code::kBadLoad, e.what());
-  }
   if (topo.nodes() < 2) issue(ConfigIssue::Code::kBadTopology, "fabric needs at least two nodes");
   if (topo.kind == net::TopologyKind::kRing) {
     if (topo.height != 1 || topo.width < 2)
@@ -114,12 +105,6 @@ ConfigValidation FabricConfig::check() const {
     issue(ConfigIssue::Code::kBadCellWords, "fabric wire format needs cells of >= 4 words");
   else if (bits_for(topo.nodes()) > node.cell_format().tag_bits())
     issue(ConfigIssue::Code::kHeadTooNarrow, "head tag too narrow for a node id");
-  if (link_pipe_stages < 1)
-    issue(ConfigIssue::Code::kBadLinkStages, "inter-node links need >= 1 register stage");
-  if (!(load >= 0.0) || load > 1.0)
-    issue(ConfigIssue::Code::kBadLoad, "offered load must be in [0, 1]");
-  if (tasks_per_worker < 1)
-    issue(ConfigIssue::Code::kBadTopology, "tasks_per_worker must be >= 1");
   return v;
 }
 
@@ -154,18 +139,16 @@ void FabricConfig::validate() const {
 struct Fabric::Dataflow {
   struct NodeRt {
     Engine engine;  ///< This node's private two-phase kernel.
-    std::vector<std::unique_ptr<PortBridge>> bridges;
-    std::vector<std::unique_ptr<TxTap>> taps;
     /// Cycles fully executed (== engine.now() between chunks). The only
     /// cross-thread-written word of the node; everything else is owned by
     /// whichever worker holds the node's task.
     std::atomic<Cycle> done{0};
     struct In {
-      unsigned node;    ///< Upstream neighbor (in the dependency graph).
-      ChannelBase* ch;  ///< The ring it writes and this node reads.
+      unsigned node;    ///< Producer of an edge this node consumes.
+      ChannelBase* ch;  ///< That edge's ring.
     };
     std::vector<In> ins;
-    std::vector<unsigned> out_nodes;  ///< Downstream neighbors.
+    std::vector<unsigned> out_nodes;  ///< Consumers of this node's edges.
     std::vector<ChannelBase*> out_chs;
     Cycle credit = 0;  ///< min over out_chs of capacity() - D.
   };
@@ -214,11 +197,35 @@ struct Fabric::Dataflow {
   struct FrameSlot {
     std::atomic<Cycle> boundary{-1};  ///< Boundary index armed, -1 inactive.
     std::atomic<unsigned> remaining{0};
-    std::atomic<std::uint64_t> injected{0};
+    std::atomic<std::uint64_t> generated{0};
+    std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::uint64_t> delivered{0};
     std::atomic<std::uint64_t> dropped{0};
-    std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::uint64_t> lat_sum{0};
+
+    /// Zero the sums and arm the slot for boundary `k` (-1: inactive).
+    void arm(Cycle k, unsigned contributors) {
+      for (auto* sum : {&generated, &backlog, &delivered, &dropped, &lat_sum})
+        sum->store(0, std::memory_order_relaxed);
+      remaining.store(contributors, std::memory_order_relaxed);
+      boundary.store(k, std::memory_order_release);
+    }
+    void add(const NodeCounts& c) {
+      generated.fetch_add(c.generated, std::memory_order_relaxed);
+      backlog.fetch_add(c.backlog, std::memory_order_relaxed);
+      delivered.fetch_add(c.delivered, std::memory_order_relaxed);
+      dropped.fetch_add(c.dropped, std::memory_order_relaxed);
+      lat_sum.fetch_add(c.lat_sum, std::memory_order_relaxed);
+    }
+    NodeCounts sum() const {
+      NodeCounts c;
+      c.generated = generated.load(std::memory_order_relaxed);
+      c.backlog = backlog.load(std::memory_order_relaxed);
+      c.delivered = delivered.load(std::memory_order_relaxed);
+      c.dropped = dropped.load(std::memory_order_relaxed);
+      c.lat_sum = lat_sum.load(std::memory_order_relaxed);
+      return c;
+    }
   };
 
   std::vector<std::unique_ptr<NodeRt>> nodes;
@@ -275,69 +282,100 @@ std::unique_ptr<Fabric> Fabric::build(const net::Topology& topo, const FabricCon
 Fabric::Fabric(const FabricConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
   worm_ = cfg_.topo.multistage();
-  if (!worm_) codec_ = CellCodec{cfg_.node.cell_format(), bits_for(cfg_.topo.nodes())};
-  ports_ = cfg_.topo.required_ports();
-  build();
+  const unsigned n = cfg_.topo.nodes();
+  const unsigned workers = cfg_.threads ? cfg_.threads : exp::thread_count();
+  workers_ = std::min(std::max(workers, 1u), n);
+  idle_skip_on_ = cfg_.idle_skip < 0 ? Engine::idle_skip_env_default() : cfg_.idle_skip != 0;
+  // The sampling-frame ring holds every boundary that two nodes' clocks can
+  // straddle, plus slack.
+  const unsigned skew_rounds = worm_ ? build_worm() : build_cells();
+  if (cfg_.engine == FabricEngine::kDataflow) {
+    build_tasks(skew_rounds + 4);
+    return;
+  }
+  // kBarrier: contiguous node blocks per shard (cache locality; any fixed
+  // partition yields identical results).
+  shards_.reserve(workers_);
+  for (unsigned s = 0; s < workers_; ++s) {
+    auto shard = std::make_unique<Shard>();
+    // Engine-local skipping stays off inside shards: a shard cannot see
+    // other shards' in-flight flits or its own channels' contents, so only
+    // the fabric-level planner (maybe_skip) may skip, at round granularity.
+    shard->engine.set_idle_skip(false);
+    for (unsigned v = s * n / workers_; v < (s + 1) * n / workers_; ++v) {
+      shard->node_ids.push_back(v);
+      nodes_[v]->attach(shard->engine);
+    }
+    shards_.push_back(std::move(shard));
+  }
 }
 
 Fabric::~Fabric() = default;
 
-void Fabric::wire_node(unsigned v, Engine& eng,
-                       std::vector<std::unique_ptr<PortBridge>>& bridges,
-                       std::vector<std::unique_ptr<TxTap>>& taps) {
-  const net::Topology& topo = cfg_.topo;
-  Node& node = *nodes_[v];
-  eng.add(node.sw ? static_cast<Component*>(node.sw.get())
-                  : static_cast<Component*>(node.fast.get()));
-  auto in_link = [&node](unsigned q) -> WireLink* {
-    return node.sw ? &node.sw->in_link(q) : &node.fast->in_link(q);
-  };
-  auto out_link = [&node](unsigned p) -> WireLink* {
-    return node.sw ? &node.sw->out_link(p) : &node.fast->out_link(p);
-  };
-  // The first connected port doubles as the node's injection point.
-  bool designated = false;
-  for (unsigned q = 0; q < ports_; ++q) {
-    const net::Port port = static_cast<net::Port>(q);
-    const int u = topo.neighbor(v, port);
-    if (u < 0) continue;
-    Channel* rx = channels_[static_cast<unsigned>(u) * ports_ + net::opposite(port)].get();
-    PMSB_CHECK(rx != nullptr, "fabric link without a channel");
-    Injector* inj = designated ? nullptr : &node.injector;
-    designated = true;
-    bridges.push_back(std::make_unique<PortBridge>(&cfg_.topo, &codec_, v, port, rx,
-                                                   in_link(q), inj, &node.ejector));
-    eng.add(bridges.back().get());
-  }
-  PMSB_CHECK(designated, "fabric node with no links");
-  for (unsigned p = 0; p < ports_; ++p) {
-    Channel* ch = channels_[v * ports_ + p].get();
-    if (!ch) continue;
-    taps.push_back(std::make_unique<TxTap>(out_link(p), ch));
-    eng.add(taps.back().get());
-  }
-  // Structural invariant checking only exists for the cycle-accurate
-  // switch; fast nodes are covered by the differential harness instead.
-  if (check::env_enabled() && node.sw) {
-    node.checker = std::make_unique<check::InvariantChecker>();
-    node.checker->attach(*node.sw, eng);
-  }
-}
-
-void Fabric::build() {
-  const unsigned n = cfg_.topo.nodes();
-  unsigned workers = cfg_.threads ? cfg_.threads : exp::thread_count();
-  workers_ = std::min(std::max(workers, 1u), n);
-  idle_skip_on_ = cfg_.idle_skip < 0 ? Engine::idle_skip_env_default() : cfg_.idle_skip != 0;
-  if (worm_)
-    build_worm();
-  else
-    build_cells();
-}
-
-void Fabric::build_worm() {
+unsigned Fabric::build_cells() {
   const net::Topology& topo = cfg_.topo;
   const unsigned n = topo.nodes();
+  const unsigned ports = topo.required_ports();
+  codec_ = CellCodec{cfg_.node.cell_format(), bits_for(n)};
+  // A "uniform:LOAD" spec overrides cfg_.load, same as the worm fabrics.
+  const double load = traffic::GeneratorSpec::parse(cfg_.traffic).load_or(cfg_.load);
+
+  // Identical wiring at every thread count AND engine: each directed link
+  // (u, out port p) gets a ring even when both endpoints share a shard.
+  std::vector<Channel*> tx(static_cast<std::size_t>(n) * ports, nullptr);
+  edges_.reserve(tx.size());
+  for (unsigned u = 0; u < n; ++u) {
+    for (unsigned p = 0; p < ports; ++p) {
+      const int v = topo.neighbor(u, static_cast<net::Port>(p));
+      if (v < 0) continue;
+      auto ring = std::make_unique<Channel>(cfg_.link_pipe_stages);
+      tx[u * ports + p] = ring.get();
+      edges_.push_back(Edge{u, static_cast<unsigned>(v), std::move(ring)});
+    }
+  }
+
+  nodes_.reserve(n);
+  for (unsigned v = 0; v < n; ++v) {
+    auto node = std::make_unique<CellNode>(cfg_.node, cfg_.fast_node && cfg_.fast_node(v));
+    node->injector.rng = Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (v + 1)));
+    node->injector.cells_per_cycle = load / cfg_.node.cell_words;
+    node->injector.self = v;
+    node->injector.n_nodes = n;
+    if (cfg_.flight_recorder) {
+      obs::FlightRecorderConfig fr;
+      fr.warmup = cfg_.flight_warmup;
+      node->flight = std::make_unique<obs::FlightRecorder>(cfg_.node.n_ports,
+                                                           cfg_.node.cell_words, fr);
+      node->flight->attach(node->events());
+    }
+    // One bridge per incoming link; the first doubles as the node's
+    // injection point.
+    node->bridges.reserve(ports);
+    node->taps.reserve(ports);
+    for (unsigned q = 0; q < ports; ++q) {
+      const net::Port port = static_cast<net::Port>(q);
+      const int u = topo.neighbor(v, port);
+      if (u < 0) continue;
+      Channel* rx = tx[static_cast<unsigned>(u) * ports + net::opposite(port)];
+      PMSB_CHECK(rx != nullptr, "fabric link without a channel");
+      Injector* inj = node->bridges.empty() ? &node->injector : nullptr;
+      node->bridges.push_back(std::make_unique<PortBridge>(
+          &cfg_.topo, &codec_, v, port, rx, &node->in_link(q), inj, &node->ejector));
+    }
+    PMSB_CHECK(!node->bridges.empty(), "fabric node with no links");
+    for (unsigned p = 0; p < ports; ++p)
+      if (Channel* ch = tx[v * ports + p])
+        node->taps.push_back(std::make_unique<TxTap>(&node->out_link(p), ch));
+    nodes_.push_back(std::move(node));
+  }
+  // Each hop adds at most D cycles (one round) of skew.
+  return topo.diameter();
+}
+
+unsigned Fabric::build_worm() {
+  const net::Topology& topo = cfg_.topo;
+  const unsigned n = topo.nodes();
+  const unsigned ports = topo.required_ports();
   const auto spec = traffic::GeneratorSpec::parse(cfg_.traffic);
 
   // One shared destination pattern: pick() is stateless (each caller passes
@@ -351,28 +389,31 @@ void Fabric::build_worm() {
   wp.lane_depth = cfg_.buffer_flits / cfg_.lanes;
   wp.message_flits = cfg_.message_flits;
   wp.messages_per_cycle = spec.load_or(cfg_.load) / cfg_.message_flits;
-  wp.alloc = cfg_.alloc;
 
-  wrouters_.reserve(n);
-  for (unsigned v = 0; v < n; ++v)
-    wrouters_.push_back(std::make_unique<WormRouter>(&cfg_.topo, v, wp, wdests_.get()));
+  std::vector<WormRouter*> routers;
+  nodes_.reserve(n);
+  for (unsigned v = 0; v < n; ++v) {
+    auto r = std::make_unique<WormRouter>(&cfg_.topo, v, wp, wdests_.get());
+    routers.push_back(r.get());
+    nodes_.push_back(std::move(r));
+  }
 
-  // Inter-stage links: a forward flit ring u->v plus a reverse credit ring
-  // v->u per link, identical wiring at every thread count and engine.
-  wdata_.resize(static_cast<std::size_t>(n) * ports_);
-  wcredit_.resize(static_cast<std::size_t>(n) * ports_);
+  // Inter-stage links (u, out p) -> (v, in q): a forward flit ring u -> v
+  // plus a reverse credit ring v -> u per link, identical wiring at every
+  // thread count and engine.
+  edges_.reserve(2 * static_cast<std::size_t>(n) * ports);
   for (unsigned u = 0; u < n; ++u) {
-    for (unsigned p = 0; p < ports_; ++p) {
-      const int v = topo.neighbor(u, p);
-      if (v < 0) continue;
+    for (unsigned p = 0; p < ports; ++p) {
+      const int vi = topo.neighbor(u, p);
+      if (vi < 0) continue;
+      const unsigned v = static_cast<unsigned>(vi);
       const unsigned q = topo.peer_in_port(u, p);
-      auto& data = wdata_[u * ports_ + p];
-      auto& credit = wcredit_[static_cast<unsigned>(v) * ports_ + q];
-      data = std::make_unique<WormChannel>(cfg_.link_pipe_stages);
-      credit = std::make_unique<CreditChannel>(cfg_.link_pipe_stages);
-      wrouters_[u]->connect_out(p, data.get(), credit.get());
-      wrouters_[static_cast<unsigned>(v)]->connect_in(q, data.get(), credit.get());
-      wlinks_.push_back(WormLink{u, p, static_cast<unsigned>(v), q});
+      auto data = std::make_unique<WormChannel>(cfg_.link_pipe_stages);
+      auto credit = std::make_unique<CreditChannel>(cfg_.link_pipe_stages);
+      routers[u]->connect_out(p, data.get(), credit.get());
+      routers[v]->connect_in(q, data.get(), credit.get());
+      edges_.push_back(Edge{u, v, std::move(data)});
+      edges_.push_back(Edge{v, u, std::move(credit)});
     }
   }
 
@@ -381,212 +422,62 @@ void Fabric::build_worm() {
   // outputs.
   for (unsigned e = 0; e < topo.endpoints(); ++e) {
     const auto [v, q] = topo.ingress_of(e);
-    wrouters_[v]->add_source(q, e, Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1))));
+    routers[v]->add_source(q, e, Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1))));
   }
   for (unsigned el = 0; el < topo.elements_per_stage(); ++el) {
     const unsigned v = topo.node_id(topo.stages() - 1, el);
-    for (unsigned p = 0; p < ports_; ++p)
-      wrouters_[v]->add_sink(p, topo.egress_endpoint(v, p));
+    for (unsigned p = 0; p < ports; ++p) routers[v]->add_sink(p, topo.egress_endpoint(v, p));
   }
-
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    build_worm_dataflow(workers_);
-    return;
-  }
-
-  shards_.reserve(workers_);
-  for (unsigned s = 0; s < workers_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    const unsigned lo = s * n / workers_;
-    const unsigned hi = (s + 1) * n / workers_;
-    shard->engine.set_idle_skip(false);  // only maybe_skip may skip (rounds)
-    for (unsigned v = lo; v < hi; ++v) {
-      shard->node_ids.push_back(v);
-      shard->engine.add(wrouters_[v].get());
-    }
-    shards_.push_back(std::move(shard));
-  }
+  // Credits flow upstream, so the dependency graph is bidirectional along
+  // every link and the skew bound is the *undirected* stage distance: at
+  // most 2 * (stages - 1) rounds between the clocks of any two routers.
+  return 2 * topo.stages();
 }
 
-void Fabric::build_cells() {
-  const net::Topology& topo = cfg_.topo;
-  const unsigned n = topo.nodes();
-
-  // A "uniform:LOAD" spec overrides cfg_.load, same as the worm fabrics.
-  const double load = traffic::GeneratorSpec::parse(cfg_.traffic).load_or(cfg_.load);
-
-  nodes_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    auto node = std::make_unique<Node>();
-    if (cfg_.fast_node && cfg_.fast_node(i)) {
-      node->fast = std::make_unique<FastSwitch>(cfg_.node);
-    } else {
-      node->sw = std::make_unique<PipelinedSwitch>(cfg_.node);
-    }
-    node->injector.rng = Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (i + 1)));
-    node->injector.cells_per_cycle = load / cfg_.node.cell_words;
-    node->injector.self = i;
-    node->injector.n_nodes = n;
-    // The fabric's own accounting rides the multi-subscriber hub, leaving
-    // room for checkers, scoreboards, and user taps on the same switch.
-    SwitchEvents ev;
-    Node* np = node.get();
-    ev.on_drop = [np](unsigned, Cycle, DropReason why) {
-      switch (why) {
-        case DropReason::kNoAddress: ++np->drop_no_addr; break;
-        case DropReason::kNoSlot: ++np->drop_no_slot; break;
-        case DropReason::kOutputLimit: ++np->drop_out_limit; break;
-      }
-    };
-    EventHub& hub = node->sw ? node->sw->events() : node->fast->events();
-    node->drop_sub = hub.subscribe(std::move(ev));
-    if (cfg_.flight_recorder) {
-      obs::FlightRecorderConfig fr;
-      fr.warmup = cfg_.flight_warmup;
-      node->flight = std::make_unique<obs::FlightRecorder>(cfg_.node.n_ports,
-                                                           cfg_.node.cell_words, fr);
-      node->flight->attach(hub);
-    }
-    nodes_.push_back(std::move(node));
-  }
-
-  // Identical wiring at every thread count AND engine: each directed link
-  // gets a channel even when both endpoints share a shard.
-  channels_.resize(static_cast<std::size_t>(n) * ports_);
-  for (unsigned u = 0; u < n; ++u) {
-    for (unsigned p = 0; p < ports_; ++p) {
-      if (topo.neighbor(u, static_cast<net::Port>(p)) >= 0)
-        channels_[u * ports_ + p] = std::make_unique<Channel>(cfg_.link_pipe_stages);
-    }
-  }
-
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    build_dataflow(workers_);
-    return;
-  }
-
-  // kBarrier: contiguous node blocks per shard (cache locality; any fixed
-  // partition yields identical results).
-  shards_.reserve(workers_);
-  for (unsigned s = 0; s < workers_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    const unsigned lo = s * n / workers_;
-    const unsigned hi = (s + 1) * n / workers_;
-    // Engine-local skipping stays off inside shards: a shard cannot see
-    // other shards' in-flight flits or its own channels' contents, so only
-    // the fabric-level planner (maybe_skip) may skip, at round granularity.
-    shard->engine.set_idle_skip(false);
-    for (unsigned v = lo; v < hi; ++v) {
-      shard->node_ids.push_back(v);
-      wire_node(v, shard->engine, shard->bridges, shard->taps);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void Fabric::build_dataflow(unsigned workers) {
+void Fabric::build_tasks(unsigned frame_ring) {
   df_ = std::make_unique<Dataflow>();
   Dataflow& df = *df_;
   const unsigned n = nodes();
   const Cycle stages = cfg_.link_pipe_stages;
 
-  df.scheduler = std::make_unique<Scheduler>(workers);
+  df.scheduler = std::make_unique<Scheduler>(workers_);
   df.nodes.reserve(n);
   for (unsigned v = 0; v < n; ++v) {
     auto nd = std::make_unique<Dataflow::NodeRt>();
-    // Engine-local skipping off: the node's engine cannot see its channels,
-    // so only df_advance_node may skip, with the channel-idle check.
+    // Engine-local skipping off: the node's engine cannot see its rings, so
+    // only df_advance_node may skip, with the ring-idle check.
     nd->engine.set_idle_skip(false);
-    wire_node(v, nd->engine, nd->bridges, nd->taps);
-    for (unsigned q = 0; q < ports_; ++q) {
-      const net::Port port = static_cast<net::Port>(q);
-      const int u = cfg_.topo.neighbor(v, port);
-      if (u < 0) continue;
-      Channel* rx = channels_[static_cast<unsigned>(u) * ports_ + net::opposite(port)].get();
-      nd->ins.push_back(Dataflow::NodeRt::In{static_cast<unsigned>(u), rx});
-    }
-    Cycle credit = kNeverWake;
-    for (unsigned p = 0; p < ports_; ++p) {
-      Channel* ch = channels_[v * ports_ + p].get();
-      if (!ch) continue;
-      nd->out_nodes.push_back(
-          static_cast<unsigned>(cfg_.topo.neighbor(v, static_cast<net::Port>(p))));
-      nd->out_chs.push_back(ch);
-      const Cycle c = static_cast<Cycle>(ch->capacity()) - stages;
-      if (c < credit) credit = c;
-    }
-    PMSB_CHECK(credit > 0, "channel ring smaller than its own delay");
-    nd->credit = credit;
+    nodes_[v]->attach(nd->engine);
     df.nodes.push_back(std::move(nd));
   }
-
-  // Sampling-frame ring: clock skew between any two nodes is bounded by
-  // diameter * D (each hop adds at most D), i.e. `diameter` boundaries, so
-  // diameter + 4 in-flight boundary accumulators can never collide.
-  df_finish_build(workers, cfg_.topo.diameter() + 4);
-}
-
-void Fabric::build_worm_dataflow(unsigned workers) {
-  df_ = std::make_unique<Dataflow>();
-  Dataflow& df = *df_;
-  const unsigned n = nodes();
-  const Cycle stages = cfg_.link_pipe_stages;
-
-  df.scheduler = std::make_unique<Scheduler>(workers);
-  df.nodes.reserve(n);
-  for (unsigned v = 0; v < n; ++v) {
-    auto nd = std::make_unique<Dataflow::NodeRt>();
-    nd->engine.set_idle_skip(false);  // only df_advance_node may skip
-    nd->engine.add(wrouters_[v].get());
-    df.nodes.push_back(std::move(nd));
-  }
-  // Dependency edges from the link list: the forward flit ring makes v a
-  // downstream of u, and the reverse credit ring makes u a downstream of v
-  // -- same input/credit bounds, pointing both ways along every link.
-  for (const WormLink& l : wlinks_) {
-    WormChannel* data = wdata_[l.u * ports_ + l.p].get();
-    CreditChannel* credit = wcredit_[l.v * ports_ + l.q].get();
-    df.nodes[l.v]->ins.push_back(Dataflow::NodeRt::In{l.u, data});
-    df.nodes[l.u]->out_nodes.push_back(l.v);
-    df.nodes[l.u]->out_chs.push_back(data);
-    df.nodes[l.u]->ins.push_back(Dataflow::NodeRt::In{l.v, credit});
-    df.nodes[l.v]->out_nodes.push_back(l.u);
-    df.nodes[l.v]->out_chs.push_back(credit);
+  // Every edge makes its consumer wait for the producer's progress (input
+  // bound) and the producer wait for the consumer's (write credit). A
+  // wormhole link's credit edge points the other way, so its two routers
+  // bound each other in both directions.
+  for (const Edge& e : edges_) {
+    df.nodes[e.consumer]->ins.push_back(Dataflow::NodeRt::In{e.producer, e.ring.get()});
+    df.nodes[e.producer]->out_nodes.push_back(e.consumer);
+    df.nodes[e.producer]->out_chs.push_back(e.ring.get());
   }
   for (auto& nd : df.nodes) {
     Cycle credit = kNeverWake;
-    for (ChannelBase* ch : nd->out_chs) {
-      const Cycle c = static_cast<Cycle>(ch->capacity()) - stages;
-      if (c < credit) credit = c;
-    }
-    if (credit == kNeverWake) credit = 1;  // isolated node (cannot happen)
+    for (ChannelBase* ch : nd->out_chs)
+      credit = std::min(credit, static_cast<Cycle>(ch->capacity()) - stages);
     PMSB_CHECK(credit > 0, "channel ring smaller than its own delay");
     nd->credit = credit;
   }
 
-  // The dependency graph is bidirectional along every link (credits flow
-  // upstream), so the skew bound is the *undirected* stage distance: at
-  // most 2 * (stages - 1) boundaries between the clocks of any two routers.
-  df_finish_build(workers, 2 * cfg_.topo.stages() + 4);
-}
-
-void Fabric::df_finish_build(unsigned workers, unsigned frame_ring) {
-  Dataflow& df = *df_;
-  const unsigned n = nodes();
   df.frames.reserve(frame_ring);
   for (unsigned j = 0; j < frame_ring; ++j)
     df.frames.push_back(std::make_unique<Dataflow::FrameSlot>());
 
-  // Initial partition: contiguous blocks, tasks_per_worker tasks per worker
-  // so stealing and rebalancing have slack to move load around.
-  unsigned ntasks = workers * cfg_.tasks_per_worker;
-  ntasks = std::min(std::max(ntasks, workers), n);
+  // Initial partition: contiguous blocks, several tasks per worker so
+  // stealing and rebalancing have slack to move load around.
+  constexpr unsigned kTasksPerWorker = 4;
+  const unsigned ntasks = std::min(workers_ * kTasksPerWorker, n);
   std::vector<std::vector<unsigned>> parts(ntasks);
-  for (unsigned t = 0; t < ntasks; ++t) {
-    const unsigned lo = t * n / ntasks;
-    const unsigned hi = (t + 1) * n / ntasks;
-    for (unsigned v = lo; v < hi; ++v) parts[t].push_back(v);
-  }
+  for (unsigned t = 0; t < ntasks; ++t)
+    for (unsigned v = t * n / ntasks; v < (t + 1) * n / ntasks; ++v) parts[t].push_back(v);
   df_apply_partition(parts);
 }
 
@@ -626,36 +517,32 @@ void Fabric::df_apply_partition(const std::vector<std::vector<unsigned>>& parts)
   }
 }
 
+NodeCounts Fabric::live_counts() const {
+  NodeCounts c;
+  for (const auto& node : nodes_) c += node->counts();
+  return c;
+}
+
 void Fabric::register_metrics(obs::MetricsRegistry* m) {
   metrics_ = m;
   if (!m) return;
   // Under the dataflow engine the gauges fire inside a boundary-frame
   // publication (df_contribute_sample) while other nodes keep advancing, so
-  // they read the assembled SampleFrame; the barrier engine samples with
-  // every worker parked and reads live state. Values are identical.
-  m->add_gauge("fabric.injected", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->injected : sum_injected());
+  // they read the assembled frame; the barrier engine samples with every
+  // worker parked and reads live state. Values are identical.
+  auto frame = [this] { return sample_frame_ ? *sample_frame_ : live_counts(); };
+  m->add_gauge("fabric.injected", [frame] { return static_cast<double>(frame().generated); });
+  m->add_gauge("fabric.delivered", [frame] { return static_cast<double>(frame().delivered); });
+  m->add_gauge("fabric.dropped", [frame] { return static_cast<double>(frame().dropped); });
+  m->add_gauge("fabric.backlog", [frame] { return static_cast<double>(frame().backlog); });
+  m->add_gauge("fabric.in_network", [frame] {
+    const NodeCounts c = frame();
+    return static_cast<double>(c.generated - c.backlog - c.delivered - c.dropped);
   });
-  m->add_gauge("fabric.delivered", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->delivered : sum_delivered());
-  });
-  m->add_gauge("fabric.dropped", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->dropped : sum_dropped());
-  });
-  m->add_gauge("fabric.backlog", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->backlog : sum_backlog());
-  });
-  m->add_gauge("fabric.in_network", [this] {
-    if (sample_frame_)
-      return static_cast<double>(sample_frame_->injected - sample_frame_->backlog -
-                                 sample_frame_->delivered - sample_frame_->dropped);
-    return static_cast<double>(sum_injected() - sum_backlog() - sum_delivered() -
-                               sum_dropped());
-  });
-  m->add_gauge("fabric.latency.mean", [this] {
-    const std::uint64_t d = sample_frame_ ? sample_frame_->delivered : sum_delivered();
-    const std::uint64_t lat = sample_frame_ ? sample_frame_->lat_sum : sum_lat();
-    return d ? static_cast<double>(lat) / static_cast<double>(d) : 0.0;
+  m->add_gauge("fabric.latency.mean", [frame] {
+    const NodeCounts c = frame();
+    return c.delivered ? static_cast<double>(c.lat_sum) / static_cast<double>(c.delivered)
+                       : 0.0;
   });
 }
 
@@ -745,16 +632,9 @@ void Fabric::run_dataflow(Cycle cycles) {
   if (metrics_ != nullptr) {
     df.n_boundaries = (cycles + df.round - 1) / df.round;
     df.sample_turn.store(0, std::memory_order_relaxed);
-    const Cycle rsize = static_cast<Cycle>(df.frames.size());
-    for (Cycle j = 0; j < rsize; ++j) {
-      Dataflow::FrameSlot& slot = *df.frames[static_cast<std::size_t>(j)];
-      slot.injected.store(0, std::memory_order_relaxed);
-      slot.delivered.store(0, std::memory_order_relaxed);
-      slot.dropped.store(0, std::memory_order_relaxed);
-      slot.backlog.store(0, std::memory_order_relaxed);
-      slot.lat_sum.store(0, std::memory_order_relaxed);
-      slot.remaining.store(nodes(), std::memory_order_relaxed);
-      slot.boundary.store(j < df.n_boundaries ? j : -1, std::memory_order_release);
+    for (std::size_t j = 0; j < df.frames.size(); ++j) {
+      const Cycle k = static_cast<Cycle>(j);
+      df.frames[j]->arm(k < df.n_boundaries ? k : -1, nodes());
     }
   } else {
     df.n_boundaries = 0;
@@ -780,7 +660,7 @@ void Fabric::run_dataflow(Cycle cycles) {
   if (metrics_ != nullptr)
     PMSB_CHECK(df.sample_turn.load(std::memory_order_relaxed) == df.n_boundaries,
                "dataflow run finished with unpublished samples");
-  if (cfg_.rebalance) df_plan_rebalance();
+  df_plan_rebalance();
 }
 
 Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
@@ -863,67 +743,25 @@ void Fabric::df_contribute_sample(unsigned v, Cycle k) {
   Dataflow::FrameSlot& slot =
       *df.frames[static_cast<std::size_t>(k % static_cast<Cycle>(df.frames.size()))];
   // The slot serving boundary k is re-armed by the completer of boundary
-  // k - R. The skew bound (frames comment in build_dataflow) guarantees
+  // k - R. The skew bound (the transport constructors' return) guarantees
   // that boundary has all contributions by now, so this wait only covers
   // an in-flight completion call.
   while (slot.boundary.load(std::memory_order_acquire) != k) std::this_thread::yield();
-  // This worker holds node v exactly at the boundary cycle, so these reads
-  // see the same per-node state the parked barrier engine would.
-  if (worm_) {
-    const WormRouter& r = *wrouters_[v];
-    std::uint64_t inj = 0, bkl = 0, del = 0, lat = 0;
-    for (unsigned p = 0; p < ports_; ++p) {
-      if (r.has_source(p)) {
-        const auto ss = r.source_stats(p);
-        inj += ss.generated;
-        bkl += ss.backlog;
-      }
-      if (r.has_sink(p)) {
-        const auto ks = r.sink_stats(p);
-        del += ks.delivered;
-        lat += ks.lat_sum;
-      }
-    }
-    slot.injected.fetch_add(inj, std::memory_order_relaxed);
-    slot.backlog.fetch_add(bkl, std::memory_order_relaxed);
-    slot.delivered.fetch_add(del, std::memory_order_relaxed);
-    slot.lat_sum.fetch_add(lat, std::memory_order_relaxed);
-  } else {
-    const Node& n = *nodes_[v];
-    slot.injected.fetch_add(n.injector.generated, std::memory_order_relaxed);
-    slot.backlog.fetch_add(n.injector.backlog.size(), std::memory_order_relaxed);
-    slot.delivered.fetch_add(n.ejector.delivered, std::memory_order_relaxed);
-    slot.dropped.fetch_add(n.drop_no_addr + n.drop_no_slot + n.drop_out_limit,
-                           std::memory_order_relaxed);
-    slot.lat_sum.fetch_add(n.ejector.lat_sum, std::memory_order_relaxed);
-  }
+  // This worker holds node v exactly at the boundary cycle, so this read
+  // sees the same per-node state the parked barrier engine would.
+  slot.add(nodes_[v]->counts());
   if (slot.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
   // Last contributor publishes, strictly in boundary order (sample_turn is
   // the baton; the registry's time series relies on monotonic sample calls).
   while (df.sample_turn.load(std::memory_order_acquire) != k) std::this_thread::yield();
-  SampleFrame f;
-  f.injected = slot.injected.load(std::memory_order_relaxed);
-  f.delivered = slot.delivered.load(std::memory_order_relaxed);
-  f.dropped = slot.dropped.load(std::memory_order_relaxed);
-  f.backlog = slot.backlog.load(std::memory_order_relaxed);
-  f.lat_sum = slot.lat_sum.load(std::memory_order_relaxed);
+  const NodeCounts f = slot.sum();
   sample_frame_ = &f;
   metrics_->sample(df.boundary_cycle(k));
   sample_frame_ = nullptr;
   // Re-arm this slot for boundary k + R before passing the baton.
   const Cycle next = k + static_cast<Cycle>(df.frames.size());
-  if (next < df.n_boundaries) {
-    slot.injected.store(0, std::memory_order_relaxed);
-    slot.delivered.store(0, std::memory_order_relaxed);
-    slot.dropped.store(0, std::memory_order_relaxed);
-    slot.backlog.store(0, std::memory_order_relaxed);
-    slot.lat_sum.store(0, std::memory_order_relaxed);
-    slot.remaining.store(nodes(), std::memory_order_relaxed);
-    slot.boundary.store(next, std::memory_order_release);
-  } else {
-    slot.boundary.store(-1, std::memory_order_release);
-  }
+  slot.arm(next < df.n_boundaries ? next : -1, nodes());
   df.sample_turn.store(k + 1, std::memory_order_release);
 }
 
@@ -1009,11 +847,8 @@ void Fabric::maybe_skip() {
     if (!sp->engine.quiescent_at(cycles_run_, &w)) return;
     if (w < wake) wake = w;
   }
-  bool rings_idle = true;
-  for_each_ring([&](ChannelBase& ch) {
-    if (!ch.idle_at(cycles_run_)) rings_idle = false;
-  });
-  if (!rings_idle) return;
+  for (const Edge& e : edges_)
+    if (!e.ring->idle_at(cycles_run_)) return;
   // Advance whole rounds while they end at or before the earliest wake
   // (components must execute the wake cycle itself), keeping the metrics
   // cadence of stepped rounds.
@@ -1030,140 +865,25 @@ void Fabric::maybe_skip() {
   // Skipping suppressed the producers' per-cycle ring writes; drop the stale
   // entries so they cannot resurface after a jump past the ring size. All
   // channels are empty here, so nothing live is lost.
-  if (skipped) for_each_ring([](ChannelBase& ch) { ch.clear_for_skip(); });
-}
-
-std::uint64_t Fabric::sum_injected() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_source(p)) s += r->source_stats(p).generated;
-    return s;
-  }
-  for (const auto& n : nodes_) s += n->injector.generated;
-  return s;
-}
-
-std::uint64_t Fabric::sum_delivered() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_sink(p)) s += r->sink_stats(p).delivered;
-    return s;
-  }
-  for (const auto& n : nodes_) s += n->ejector.delivered;
-  return s;
-}
-
-std::uint64_t Fabric::sum_dropped() const {
-  if (worm_) return 0;  // wormhole transport is lossless (credit-backpressured)
-  std::uint64_t s = 0;
-  for (const auto& n : nodes_) s += n->drop_no_addr + n->drop_no_slot + n->drop_out_limit;
-  return s;
-}
-
-std::uint64_t Fabric::sum_backlog() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_source(p)) s += r->source_stats(p).backlog;
-    return s;
-  }
-  for (const auto& n : nodes_) s += n->injector.backlog.size();
-  return s;
-}
-
-std::uint64_t Fabric::sum_lat() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_sink(p)) s += r->sink_stats(p).lat_sum;
-    return s;
-  }
-  for (const auto& n : nodes_) s += n->ejector.lat_sum;
-  return s;
+  if (skipped)
+    for (const Edge& e : edges_) e.ring->clear_for_skip();
 }
 
 FabricStats Fabric::stats() const {
   FabricStats st;
   st.cycles = cycles_run_;
-  bool have_lat = false;
-  if (worm_) {
-    // Merge sinks in (node, port) order -- a fixed order, so the digest and
-    // histogram are identical at any thread count and under either engine.
-    std::uint64_t lat_sum = 0;
-    for (const auto& rp : wrouters_) {
-      for (unsigned p = 0; p < ports_; ++p) {
-        if (rp->has_source(p)) {
-          const auto ss = rp->source_stats(p);
-          st.injected += ss.generated;
-          st.backlog += ss.backlog;
-        }
-        if (!rp->has_sink(p)) continue;
-        const auto ks = rp->sink_stats(p);
-        st.delivered += ks.delivered;
-        st.flits_delivered += ks.flits;
-        st.payload_errors += ks.payload_errors;
-        st.uid_digest = mix64(st.uid_digest ^ ks.digest);
-        st.latency.merge(*ks.lat_hist);
-        lat_sum += ks.lat_sum;
-        if (ks.delivered) {
-          const Cycle lo = static_cast<Cycle>(ks.lat_hist->min());
-          const Cycle hi = static_cast<Cycle>(ks.lat_hist->max());
-          if (!have_lat || lo < st.min_latency) st.min_latency = lo;
-          if (!have_lat || hi > st.max_latency) st.max_latency = hi;
-          have_lat = true;
-        }
-      }
-    }
-    st.mean_latency = st.delivered
-                          ? static_cast<double>(lat_sum) / static_cast<double>(st.delivered)
-                          : 0.0;
-    // Every endpoint pair crosses all stages() - 1 inter-stage links.
-    if (st.delivered)
-      st.by_hops.push_back(
-          FabricStats::HopRow{cfg_.topo.stages() - 1, st.delivered, st.mean_latency});
-    const auto accounted = st.backlog + st.delivered;
-    PMSB_CHECK(st.injected >= accounted, "worm fabric conservation violated");
-    st.in_network = st.injected - accounted;
-    return st;
+  std::uint64_t lat_sum = 0;
+  for (const auto& node : nodes_) {
+    const NodeCounts c = node->counts();
+    st.injected += c.generated;
+    st.backlog += c.backlog;
+    lat_sum += c.lat_sum;
+    node->fold(st);
   }
-  for (const auto& np : nodes_) {
-    const Node& n = *np;
-    st.injected += n.injector.generated;
-    st.backlog += n.injector.backlog.size();
-    st.delivered += n.ejector.delivered;
-    st.payload_errors += n.ejector.payload_errors;
-    st.dropped_no_addr += n.drop_no_addr;
-    st.dropped_no_slot += n.drop_no_slot;
-    st.dropped_out_limit += n.drop_out_limit;
-    st.uid_digest = mix64(st.uid_digest ^ n.ejector.digest);
-    st.latency.merge(n.ejector.lat_hist);
-    if (n.ejector.delivered) {
-      if (!have_lat || n.ejector.lat_min < st.min_latency) st.min_latency = n.ejector.lat_min;
-      if (!have_lat || n.ejector.lat_max > st.max_latency) st.max_latency = n.ejector.lat_max;
-      have_lat = true;
-    }
-    if (st.by_hops.size() < n.ejector.by_hops.size())
-      st.by_hops.resize(n.ejector.by_hops.size(), FabricStats::HopRow{0, 0, 0});
-    for (std::size_t h = 0; h < n.ejector.by_hops.size(); ++h) {
-      st.by_hops[h].cells += n.ejector.by_hops[h].cells;
-      // mean_latency temporarily accumulates the sum; divided below.
-      st.by_hops[h].mean_latency += static_cast<double>(n.ejector.by_hops[h].lat_sum);
-    }
-  }
-  const std::uint64_t lat_sum = sum_lat();
   st.mean_latency =
       st.delivered ? static_cast<double>(lat_sum) / static_cast<double>(st.delivered) : 0.0;
-  for (std::size_t h = 0; h < st.by_hops.size(); ++h) {
-    st.by_hops[h].hops = static_cast<unsigned>(h);
-    if (st.by_hops[h].cells)
-      st.by_hops[h].mean_latency /= static_cast<double>(st.by_hops[h].cells);
-  }
+  for (FabricStats::HopRow& row : st.by_hops)
+    if (row.cells) row.mean_latency /= static_cast<double>(row.cells);
   const auto accounted = st.backlog + st.delivered + st.dropped();
   PMSB_CHECK(st.injected >= accounted, "fabric conservation violated");
   st.in_network = st.injected - accounted;
@@ -1175,11 +895,16 @@ obs::FlightRecorder Fabric::merged_flight() const {
   obs::FlightRecorderConfig fr;
   fr.warmup = cfg_.flight_warmup;
   obs::FlightRecorder merged(cfg_.node.n_ports, cfg_.node.cell_words, fr);
-  for (const auto& n : nodes_) merged.merge(*n->flight);
+  for (unsigned i = 0; i < nodes(); ++i) merged.merge(*cell(i).flight);
   return merged;
 }
 
 std::vector<ShardTelemetry> Fabric::shard_telemetry() const {
+  auto relayed = [this](const std::vector<unsigned>& node_ids) {
+    std::uint64_t r = 0;
+    for (unsigned v : node_ids) r += nodes_[v]->counts().relayed;
+    return r;
+  };
   std::vector<ShardTelemetry> out;
   if (cfg_.engine == FabricEngine::kDataflow) {
     const Dataflow& df = *df_;
@@ -1194,13 +919,7 @@ std::vector<ShardTelemetry> Fabric::shard_telemetry() const {
       t.blocked_on_full_ns = task.blocked_on_full_ns.load(std::memory_order_relaxed);
       t.steals = task.steals.load(std::memory_order_relaxed);
       t.rounds = task.rounds.load(std::memory_order_relaxed);
-      for (unsigned v : task.node_ids) {
-        if (worm_) {
-          t.cells_relayed += wrouters_[v]->flits_forwarded();
-        } else {
-          for (const auto& b : df.nodes[v]->bridges) t.cells_relayed += b->relayed();
-        }
-      }
+      t.cells_relayed = relayed(task.node_ids);
       out.push_back(t);
     }
     return out;
@@ -1214,11 +933,7 @@ std::vector<ShardTelemetry> Fabric::shard_telemetry() const {
     t.active_ns = sh.active_ns;
     t.barrier_wait_ns = sh.barrier_wait_ns;
     t.rounds = sh.rounds;
-    if (worm_) {
-      for (unsigned v : sh.node_ids) t.cells_relayed += wrouters_[v]->flits_forwarded();
-    } else {
-      for (const auto& b : sh.bridges) t.cells_relayed += b->relayed();
-    }
+    t.cells_relayed = relayed(sh.node_ids);
     out.push_back(t);
   }
   return out;

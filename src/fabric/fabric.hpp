@@ -1,17 +1,18 @@
-// Sharded multi-switch fabric engine: a whole net::Topology of
-// cycle-accurate PipelinedSwitch nodes, partitioned across worker threads,
-// with a hard determinism contract -- delivered cells, drops, latencies and
-// every published metric are bit-identical at any thread count AND under
-// either execution engine.
+// Sharded multi-switch fabric engine: a whole net::Topology of nodes,
+// partitioned across worker threads, with a hard determinism contract --
+// delivered cells, drops, latencies and every published metric are
+// bit-identical at any thread count AND under either execution engine.
 //
-// Structure per node: one PipelinedSwitch, one PortBridge per incoming link
-// (ejection, next-hop head rewrite, transit/injection mux -- see
-// src/fabric/bridge.hpp), one TxTap per outgoing link, and per-node
-// Injector/Ejector endpoints. ALL inter-node links -- including those whose
-// endpoints land in the same shard -- go through the same Channel rings, so
-// the simulated wiring does not depend on the partition.
-//
-// Two engines share that structure (FabricConfig::engine):
+// One core serves both transports. A transport constructor builds one
+// FabricNode per topology vertex (src/fabric/node.hpp) -- a CellNode on
+// direct topologies (a switch with its PortBridges, TxTaps and endpoints,
+// src/fabric/bridge.hpp), a flit-level WormRouter on multistage ones
+// (src/fabric/worm.hpp) -- and one (producer, consumer, ring) edge per
+// channel ring: one per directed cell link, or a data edge u -> v plus a
+// credit edge v -> u per wormhole link. ALL inter-node traffic -- including
+// between nodes in the same shard -- goes through those rings, so the
+// simulated wiring does not depend on the partition. The engines see only
+// nodes and edges, never cells or flits:
 //
 //  * kBarrier -- conservative lockstep: inter-node links have
 //    `link_pipe_stages` (D >= 1) register stages, i.e. a word leaving a node
@@ -23,10 +24,10 @@
 //
 //  * kDataflow -- credit-backpressured tasks: every node is its own Engine,
 //    grouped into SchedTasks run by a work-stealing Scheduler. A node whose
-//    neighbors have executed through cycle u may run to u + D (its inputs
-//    for those cycles are already in the channel rings) and to
-//    consumer_done + capacity - D on the output side (write credit); a task
-//    blocks only when every owned node hits one of those bounds, and is
+//    upstream edges' producers have executed through cycle u may run to
+//    u + D (its inputs for those cycles are already in the rings) and to
+//    consumer_done + capacity - D on each downstream edge (write credit); a
+//    task blocks only when every owned node hits one of those bounds, and is
 //    woken by the neighbor that moves it. Slow nodes no longer stall the
 //    whole fabric -- only their neighborhood, transitively. Metric samples
 //    are assembled per round boundary from per-node contributions (each
@@ -43,20 +44,18 @@
 #include <string>
 #include <vector>
 
-#include "check/invariants.hpp"
 #include "core/config.hpp"
-#include "core/event_hub.hpp"
 #include "core/fast_switch.hpp"
 #include "core/switch.hpp"
 #include "exp/thread_pool.hpp"
 #include "fabric/bridge.hpp"
 #include "fabric/channel.hpp"
+#include "fabric/node.hpp"
 #include "fabric/worm.hpp"
 #include "net/topology.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "stats/hdr_histogram.hpp"
 
 namespace pmsb::obs {
 class PerfettoTrace;
@@ -102,16 +101,10 @@ struct FabricConfig {
   /// Clamped to the node count.
   unsigned threads = 0;
   /// Execution engine (see FabricEngine). Default from PMSB_FABRIC_ENGINE.
+  /// kDataflow starts from four tasks per worker and repartitions between
+  /// run() calls (split tasks that dominated the last run's active_ns, merge
+  /// starved ones); placement never changes results.
   FabricEngine engine = fabric_engine_env_default();
-  /// kDataflow initial partition grain: tasks ~= threads * tasks_per_worker
-  /// (clamped to [threads, nodes]). More tasks = finer stealing and
-  /// rebalancing, more scheduling overhead.
-  unsigned tasks_per_worker = 4;
-  /// kDataflow load-aware repartitioning between run() calls: split tasks
-  /// that dominated the last run's active_ns, merge starved ones. Never
-  /// changes results, only placement (the partition is invisible to the
-  /// simulation).
-  bool rebalance = true;
   /// Idle-cycle skipping: when a region of the fabric is quiescent and its
   /// channels are empty, jump to the next scheduled injection instead of
   /// stepping. Round-granular and global under kBarrier; per-node under
@@ -141,8 +134,6 @@ struct FabricConfig {
   unsigned buffer_flits = 16;
   /// Flits per message (head..tail).
   unsigned message_flits = 8;
-  /// Lane allocation / switch arbitration policy.
-  WormAlloc alloc = WormAlloc::kRoundRobin;
   /// Workload spec (traffic::GeneratorSpec grammar, e.g. "uniform:0.8",
   /// "hotspot:0.25"). Multistage fabrics honor every destination kind;
   /// direct (cell) fabrics support "uniform" only. A spec-embedded load
@@ -168,7 +159,9 @@ struct ShardTelemetry {
   std::uint64_t blocked_on_full_ns = 0;   ///< kDataflow: out of downstream credit.
   std::uint64_t steals = 0;     ///< kDataflow: times this task ran on a thief.
   std::uint64_t rounds = 0;     ///< Rounds/chunks stepped (skipped excluded).
-  std::uint64_t cells_relayed = 0;  ///< Transit cells relayed by this shard's bridges.
+  /// Transit cells relayed (cell fabrics) or flits forwarded onto
+  /// inter-stage links (wormhole fabrics) by this shard's nodes.
+  std::uint64_t cells_relayed = 0;
 };
 
 /// Scheduling-layer accounting for the run so far (BENCH JSON
@@ -190,40 +183,6 @@ struct FabricSchedulerStats {
   std::vector<Worker> per_worker;
   /// Human-readable rebalance decisions, in order ("split task 3 ...").
   std::vector<std::string> rebalance_log;
-};
-
-/// Aggregated end-of-run accounting, merged over nodes in index order.
-/// Cell fabrics count cells; wormhole fabrics count messages (and report
-/// flits_delivered besides).
-struct FabricStats {
-  Cycle cycles = 0;
-  std::uint64_t injected = 0;   ///< Cells/messages generated (incl. still queued).
-  std::uint64_t delivered = 0;
-  std::uint64_t flits_delivered = 0;  ///< Wormhole fabrics only.
-  std::uint64_t payload_errors = 0;
-  std::uint64_t dropped_no_addr = 0;
-  std::uint64_t dropped_no_slot = 0;
-  std::uint64_t dropped_out_limit = 0;
-  std::uint64_t backlog = 0;     ///< Generated but not yet on the wire.
-  std::uint64_t in_network = 0;  ///< On the wire or buffered in a switch/bridge.
-  std::uint64_t uid_digest = 0;  ///< Node-order mix of per-node delivery digests.
-  double mean_latency = 0;       ///< Injection -> ejection, delivered cells.
-  Cycle min_latency = 0;
-  Cycle max_latency = 0;
-  /// Full latency distribution (merged per-node HDR histograms, node order):
-  /// exact p50/p90/p99/p99.9 at any thread count.
-  HdrHistogram latency;
-
-  struct HopRow {
-    unsigned hops;
-    std::uint64_t cells;
-    double mean_latency;
-  };
-  std::vector<HopRow> by_hops;
-
-  std::uint64_t dropped() const {
-    return dropped_no_addr + dropped_no_slot + dropped_out_limit;
-  }
 };
 
 class Fabric {
@@ -248,23 +207,18 @@ class Fabric {
   /// True when this fabric runs flit-level wormhole transport (multistage
   /// topology); the node_*switch accessors below are cell-fabric-only.
   bool wormhole() const { return worm_; }
-  bool node_is_fast(unsigned i) const {
-    PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
-    return nodes_[i]->fast != nullptr;
-  }
+  bool node_is_fast(unsigned i) const { return cell(i).fast != nullptr; }
   const PipelinedSwitch& node_switch(unsigned i) const {
-    PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
-    PMSB_CHECK(nodes_[i]->sw != nullptr, "node runs the fast model (see node_is_fast)");
-    return *nodes_[i]->sw;
+    PMSB_CHECK(cell(i).sw != nullptr, "node runs the fast model (see node_is_fast)");
+    return *cell(i).sw;
   }
   const FastSwitch& node_fast_switch(unsigned i) const {
-    PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
-    PMSB_CHECK(nodes_[i]->fast != nullptr, "node runs the cycle-accurate switch");
-    return *nodes_[i]->fast;
+    PMSB_CHECK(cell(i).fast != nullptr, "node runs the cycle-accurate switch");
+    return *cell(i).fast;
   }
   const WormRouter& node_router(unsigned i) const {
     PMSB_CHECK(worm_, "cell fabrics have no wormhole routers");
-    return *wrouters_[i];
+    return static_cast<const WormRouter&>(*nodes_[i]);
   }
 
   /// Register live gauges (fabric.injected/delivered/dropped/backlog/
@@ -282,7 +236,7 @@ class Fabric {
 
   /// Per-node flight recorder (null unless FabricConfig::flight_recorder).
   const obs::FlightRecorder* node_flight(unsigned i) const {
-    return nodes_[i]->flight.get();
+    return worm_ ? nullptr : cell(i).flight.get();
   }
   /// All nodes' recorders folded in node order -- deterministic at any
   /// thread count. Requires FabricConfig::flight_recorder.
@@ -307,27 +261,23 @@ class Fabric {
  private:
   explicit Fabric(const FabricConfig& cfg);
 
-  struct Node {
-    std::unique_ptr<PipelinedSwitch> sw;  ///< Exactly one of sw / fast is set.
-    std::unique_ptr<FastSwitch> fast;
-    Injector injector;
-    Ejector ejector;
-    std::uint64_t drop_no_addr = 0;
-    std::uint64_t drop_no_slot = 0;
-    std::uint64_t drop_out_limit = 0;
-    Subscription drop_sub;  ///< Fabric's own EventHub subscription.
-    /// Structural checking per node under PMSB_CHECK (coexists with the
-    /// drop subscription on the same hub).
-    std::unique_ptr<check::InvariantChecker> checker;
-    /// Per-stage latency breakdown (FabricConfig::flight_recorder).
-    std::unique_ptr<obs::FlightRecorder> flight;
+  const CellNode& cell(unsigned i) const {
+    PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
+    return static_cast<const CellNode&>(*nodes_[i]);
+  }
+
+  /// One channel ring: written by `producer`'s components, read by
+  /// `consumer`'s. Drives the barrier planner's ring checks and the
+  /// dataflow engine's input/credit bounds alike.
+  struct Edge {
+    unsigned producer;
+    unsigned consumer;
+    std::unique_ptr<ChannelBase> ring;
   };
 
   struct Shard {
     Engine engine;
     std::vector<unsigned> node_ids;
-    std::vector<std::unique_ptr<PortBridge>> bridges;
-    std::vector<std::unique_ptr<TxTap>> taps;
     // Telemetry, written only by the thread running this shard (the pool's
     // wait_idle orders the writes before the main thread reads them).
     std::uint64_t active_ns = 0;
@@ -335,34 +285,13 @@ class Fabric {
     std::uint64_t rounds = 0;
   };
 
-  /// One consistent snapshot of the fabric-wide gauge inputs at a round
-  /// boundary; assembled from per-node contributions by the dataflow
-  /// engine (the barrier engine reads live state instead -- everyone is
-  /// parked there).
-  struct SampleFrame {
-    std::uint64_t injected = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t backlog = 0;
-    std::uint64_t lat_sum = 0;
-  };
-
-  void build();
-  void build_cells();
-  void build_worm();
-  void wire_node(unsigned v, Engine& eng, std::vector<std::unique_ptr<PortBridge>>& bridges,
-                 std::vector<std::unique_ptr<TxTap>>& taps);
-  /// Every channel ring of either transport (cell link rings, or worm data
-  /// + reverse credit rings).
-  template <typename Fn>
-  void for_each_ring(Fn&& fn) const {
-    for (const auto& ch : channels_)
-      if (ch) fn(*ch);
-    for (const auto& ch : wdata_)
-      if (ch) fn(*ch);
-    for (const auto& ch : wcredit_)
-      if (ch) fn(*ch);
-  }
+  /// Transport constructors: fill nodes_ and edges_, and return the bound,
+  /// in rounds, on the clock skew between any two nodes under kDataflow
+  /// (sizes its sample-frame ring).
+  unsigned build_cells();
+  unsigned build_worm();
+  /// Sum of every node's counts(): the live gauge inputs.
+  NodeCounts live_counts() const;
   void end_of_round();
   /// Round-granularity idle skip, run inside the barrier completion while
   /// every worker is parked: if all shards are quiescent and all channels
@@ -371,11 +300,6 @@ class Fabric {
   /// injection, then clear the channel rings. Workers notice the jump after
   /// the barrier and skip_to() their shard engines.
   void maybe_skip();
-  std::uint64_t sum_injected() const;
-  std::uint64_t sum_delivered() const;
-  std::uint64_t sum_dropped() const;
-  std::uint64_t sum_backlog() const;
-  std::uint64_t sum_lat() const;
 
   // --- Dataflow engine (implementation in fabric.cpp) ---------------------
   struct Dataflow;
@@ -387,11 +311,9 @@ class Fabric {
     kCreditBlocked,  ///< Downstream ring out of credit.
     kNodeDone,       ///< Reached the run target.
   };
-  void build_dataflow(unsigned workers);
-  void build_worm_dataflow(unsigned workers);
-  /// Common dataflow tail: sampling-frame ring of `frame_ring` slots plus
-  /// the initial contiguous task partition.
-  void df_finish_build(unsigned workers, unsigned frame_ring);
+  /// Per-node engines and dependency edges, a sampling-frame ring of
+  /// `frame_ring` slots, and the initial contiguous task partition.
+  void build_tasks(unsigned frame_ring);
   void run_dataflow(Cycle cycles);
   NodeAdvance df_advance_node(unsigned v);
   bool df_node_ready(unsigned v) const;
@@ -402,33 +324,22 @@ class Fabric {
   void df_apply_partition(const std::vector<std::vector<unsigned>>& parts);
 
   FabricConfig cfg_;
-  CellCodec codec_;
-  unsigned ports_ = 0;    ///< Router ports in use (topology degree).
+  CellCodec codec_;       ///< Cell fabrics' wire format.
   unsigned workers_ = 1;  ///< Resolved worker-thread count.
   bool worm_ = false;     ///< Wormhole transport (multistage topology).
-  std::vector<std::unique_ptr<Node>> nodes_;        ///< Cell fabrics only.
-  std::vector<std::unique_ptr<Channel>> channels_;  ///< [node * ports_ + out_port]
-
-  // --- Wormhole transport state (worm_ == true) ---------------------------
-  /// Shared destination pattern (stateless per pick; see traffic/spec.hpp).
+  /// Shared destination pattern of the worm sources (stateless per pick;
+  /// see traffic/spec.hpp).
   std::unique_ptr<DestPattern> wdests_;
-  std::vector<std::unique_ptr<WormRouter>> wrouters_;    ///< [node]
-  std::vector<std::unique_ptr<WormChannel>> wdata_;      ///< [u * ports_ + out_port]
-  std::vector<std::unique_ptr<CreditChannel>> wcredit_;  ///< [v * ports_ + in_port]
-  /// Directed inter-stage links (u, out p) -> (v, in q); drives both the
-  /// ring wiring and the dataflow dependency edges (data u->v, credit v->u).
-  struct WormLink {
-    unsigned u, p, v, q;
-  };
-  std::vector<WormLink> wlinks_;
-  std::vector<std::unique_ptr<Shard>> shards_;      ///< kBarrier only.
-  std::unique_ptr<Dataflow> df_;                    ///< kDataflow only.
+  std::vector<std::unique_ptr<FabricNode>> nodes_;  ///< [node]
+  std::vector<Edge> edges_;
+  std::vector<std::unique_ptr<Shard>> shards_;  ///< kBarrier only.
+  std::unique_ptr<Dataflow> df_;                ///< kDataflow only.
   std::unique_ptr<exp::ThreadPool> pool_;  ///< Lazily built when needed.
   obs::MetricsRegistry* metrics_ = nullptr;
   /// Non-null only while the dataflow engine is inside a metrics_->sample()
   /// call; gauge callbacks then read this boundary snapshot instead of the
   /// (concurrently advancing) live node state.
-  const SampleFrame* sample_frame_ = nullptr;
+  const NodeCounts* sample_frame_ = nullptr;
   Cycle cycles_run_ = 0;
   Cycle run_target_ = 0;
   bool idle_skip_on_ = true;  ///< Resolved from FabricConfig::idle_skip.

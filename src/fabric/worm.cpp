@@ -101,15 +101,13 @@ void WormRouter::source_step(Source& s, Cycle t) {
     ++s.generated;
     source_prime(s, t + 1);
   }
-  // Start pending messages on idle lanes, by the configured policy. Each
+  // Start pending messages on idle lanes, round-robin. Each
   // lane streams one message head..tail at a time, so the per-lane
   // contiguity invariant holds by construction.
   while (!s.backlog.empty()) {
     unsigned pick = params_.lanes;
     for (unsigned i = 0; i < params_.lanes; ++i) {
-      const unsigned l = params_.alloc == WormAlloc::kRoundRobin
-                             ? (src_rr_[s.in_port] + i) % params_.lanes
-                             : i;
+      const unsigned l = (src_rr_[s.in_port] + i) % params_.lanes;
       if (!s.worms[l].active) {
         pick = l;
         break;
@@ -124,9 +122,7 @@ void WormRouter::source_step(Source& s, Cycle t) {
   // Emit at most one flit this cycle (the injection link rate), rotating
   // across lanes whose worm is active and whose FIFO has room.
   for (unsigned i = 0; i < params_.lanes; ++i) {
-    const unsigned l = params_.alloc == WormAlloc::kRoundRobin
-                           ? (s.emit_rr + i) % params_.lanes
-                           : i;
+    const unsigned l = (s.emit_rr + i) % params_.lanes;
     Source::Worm& w = s.worms[l];
     if (!w.active || fifo_[li(s.in_port, l)].size() >= params_.lane_depth) continue;
     WormFlit f;
@@ -155,17 +151,15 @@ void WormRouter::alloc_lane(unsigned out, Cycle t) {
   // Find the first (input, lane) whose queued head flit wants this output
   // and is not yet bound, rotating priority across eval cycles.
   for (unsigned i = 0; i < pl; ++i) {
-    const unsigned idx = params_.alloc == WormAlloc::kRoundRobin ? (rr_alloc_[out] + i) % pl : i;
+    const unsigned idx = (rr_alloc_[out] + i) % pl;
     const auto& q = fifo_[idx];
     if (q.empty() || !q.front().head || in_state_[idx].active) continue;
     const unsigned in = idx / params_.lanes;
     if (topo_->route_stage(node_, in, q.front().dest) != out) continue;
-    // Grant a free output lane by the same policy.
+    // Grant a free output lane, also round-robin.
     unsigned grant = params_.lanes;
     for (unsigned j = 0; j < params_.lanes; ++j) {
-      const unsigned ol = params_.alloc == WormAlloc::kRoundRobin
-                              ? (rr_lane_[out] + j) % params_.lanes
-                              : j;
+      const unsigned ol = (rr_lane_[out] + j) % params_.lanes;
       if (!out_lane_[li(out, ol)].owned) {
         grant = ol;
         break;
@@ -187,9 +181,7 @@ void WormRouter::arbitrate(unsigned out, Cycle t) {
   const bool egress = tx_[out] == nullptr;
   WormFlit sent;  // invalid unless a lane wins
   for (unsigned j = 0; j < params_.lanes; ++j) {
-    const unsigned ol_idx = params_.alloc == WormAlloc::kRoundRobin
-                                ? (rr_sw_[out] + j) % params_.lanes
-                                : j;
+    const unsigned ol_idx = (rr_sw_[out] + j) % params_.lanes;
     OutLane& ol = out_lane_[li(out, ol_idx)];
     if (!ol.owned) continue;
     if (!egress && ol.credits == 0) continue;
@@ -331,6 +323,46 @@ WormRouter::SinkStats WormRouter::sink_stats(unsigned out_port) const {
   st.lat_sum = k.lat_sum;
   st.lat_hist = &k.lat_hist;
   return st;
+}
+
+NodeCounts WormRouter::counts() const {
+  NodeCounts c;
+  for (unsigned p = 0; p < ports_; ++p) {
+    if (has_source(p)) {
+      const SourceStats ss = source_stats(p);
+      c.generated += ss.generated;
+      c.backlog += ss.backlog;
+    }
+    if (sinks_[p] != nullptr) {
+      c.delivered += sinks_[p]->delivered;
+      c.lat_sum += sinks_[p]->lat_sum;
+    }
+  }
+  c.relayed = flits_forwarded_;  // lossless: dropped stays 0
+  return c;
+}
+
+void WormRouter::fold(FabricStats& st) const {
+  for (unsigned p = 0; p < ports_; ++p) {
+    if (sinks_[p] == nullptr) continue;
+    const Sink& k = *sinks_[p];
+    if (k.delivered) {
+      // st.delivered still excludes this sink: zero means no earlier extremes.
+      const Cycle lo = static_cast<Cycle>(k.lat_hist.min());
+      const Cycle hi = static_cast<Cycle>(k.lat_hist.max());
+      if (st.delivered == 0 || lo < st.min_latency) st.min_latency = lo;
+      if (st.delivered == 0 || hi > st.max_latency) st.max_latency = hi;
+      if (st.by_hops.empty())
+        st.by_hops.push_back(FabricStats::HopRow{topo_->stages() - 1, 0, 0});
+      st.by_hops[0].cells += k.delivered;
+      st.by_hops[0].mean_latency += static_cast<double>(k.lat_sum);
+    }
+    st.delivered += k.delivered;
+    st.flits_delivered += k.flits;
+    st.payload_errors += k.payload_errors;
+    st.uid_digest = mix64(st.uid_digest ^ k.digest);
+    st.latency.merge(k.lat_hist);
+  }
 }
 
 std::uint64_t WormRouter::flits_held() const {

@@ -19,8 +19,8 @@
 //  * Each output has `lanes` outgoing virtual channels. VC allocation binds
 //    an (input, lane) holding a head flit to a free output lane, at most one
 //    new binding per output per cycle; switch arbitration then picks at most
-//    one flit per output per cycle among its bound lanes (both round-robin
-//    for fairness, or lowest-index for a deterministic worst case).
+//    one flit per output per cycle among its bound lanes (both with
+//    rotating round-robin priority, for fairness).
 //  * Flow control is credit-based and lossless: an output lane starts with
 //    `lane_depth` credits (the downstream FIFO's capacity), spends one per
 //    flit sent, and regains one when the downstream router pops that flit
@@ -42,8 +42,9 @@
 // (per-lane
 // reassembly, end-to-end payload verification, an order-sensitive delivery
 // digest and an HDR latency histogram). Everything a router touches is
-// either private or a single-writer ring, so the barrier and dataflow
-// engines shard routers exactly like cell-fabric nodes.
+// either private or a single-writer ring, so a router is a fabric node in
+// its own right (src/fabric/node.hpp), and the barrier and dataflow engines
+// shard routers exactly like cell-fabric nodes.
 
 #pragma once
 
@@ -57,6 +58,7 @@
 #include "common/rng.hpp"
 #include "common/util.hpp"
 #include "fabric/channel.hpp"
+#include "fabric/node.hpp"
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "stats/hdr_histogram.hpp"
@@ -92,12 +94,6 @@ struct CreditPulse {
 using WormChannel = Ring<WormFlit>;
 using CreditChannel = Ring<CreditPulse>;
 
-/// Lane selection policy for VC allocation (and the switch arbiter).
-enum class WormAlloc {
-  kRoundRobin,   ///< Rotating priority per output -- fair under contention.
-  kLowestIndex,  ///< Fixed priority -- simplest hardware, starvation-prone.
-};
-
 /// Deterministic payload word for flit `seq` of message `msg`; the sink
 /// recomputes it for end-to-end verification.
 inline Word worm_payload(std::uint64_t msg, std::uint32_t seq) {
@@ -109,11 +105,10 @@ struct WormParams {
   unsigned lane_depth = 16;    ///< Flits of buffering per lane (= credits).
   unsigned message_flits = 8;  ///< Flits per message (head..tail).
   double messages_per_cycle = 0.0;  ///< Bernoulli arrival rate per endpoint.
-  WormAlloc alloc = WormAlloc::kRoundRobin;
 };
 
 /// One switching element of a multistage network (see file comment).
-class WormRouter : public Component {
+class WormRouter : public Component, public FabricNode {
  public:
   WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
              DestPattern* dests);
@@ -137,6 +132,13 @@ class WormRouter : public Component {
   bool is_quiescent(Cycle t) const override;
   Cycle next_wake(Cycle t) const override;
   std::string name() const override;
+
+  // --- Fabric node ------------------------------------------------------
+  void attach(Engine& eng) override { eng.add(this); }
+  NodeCounts counts() const override;
+  /// Sinks merge in port order; the single by_hops row counts every
+  /// delivery at stages() - 1 inter-stage links.
+  void fold(FabricStats& st) const override;
 
   // --- Accounting (read at barriers / after the run) ---------------------
   struct SourceStats {

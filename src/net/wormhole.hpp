@@ -1,12 +1,14 @@
-// DEPRECATED -- compatibility shim, kept for one release.
+// DEPRECATED -- compatibility shim.
 //
 // WormholeNetwork is superseded by the unified construction path
 // fabric::Fabric::build(net::Topology, fabric::FabricConfig) with a
 // multistage topology kind (kBanyan / kOmega / kClos), which runs the same
 // flit-level virtual-channel wormhole transport (src/fabric/worm.*) under
 // both the barrier and dataflow engines, deterministically at any thread
-// count. New code must build through fabric::Fabric::build; this header
-// will be removed in the release after next.
+// count. New code must build through fabric::Fabric::build. This header
+// stays until fabric wormhole transport runs on direct topologies (mesh /
+// torus / ring with dimension-order routing) and bench_e2_bursty_wormhole,
+// its last production user, moves over to fabric::Fabric::build.
 //
 // WormholeNetwork: a full network of single-lane wormhole routers with
 // credit flow control, used to reproduce the paper's bursty-traffic citation
@@ -43,7 +45,8 @@ struct WormholeConfig {
 
 class [[deprecated(
     "use fabric::Fabric::build with a multistage net::Topology "
-    "(kBanyan/kOmega/kClos); this shim is removed next release")]] WormholeNetwork {
+    "(kBanyan/kOmega/kClos); this shim stays only until fabric wormhole "
+    "transport runs on direct topologies and E2 moves over")]] WormholeNetwork {
  public:
   explicit WormholeNetwork(const WormholeConfig& cfg);
 

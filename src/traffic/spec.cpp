@@ -1,5 +1,6 @@
 #include "traffic/spec.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -23,6 +24,10 @@ std::vector<double> parse_args(const std::string& text, const std::string& rest,
     char* end = nullptr;
     const double v = std::strtod(tok.c_str(), &end);
     if (end == tok.c_str() || *end != '\0') bad(text, "not a number: \"" + tok + "\"");
+    // strtod accepts "nan" and "inf", which every range check below would
+    // have to remember to reject; no argument of any kind is meant to be
+    // non-finite.
+    if (!std::isfinite(v)) bad(text, "not a finite number: \"" + tok + "\"");
     out.push_back(v);
   }
   if (out.size() > max_args) bad(text, "too many arguments");
@@ -30,7 +35,7 @@ std::vector<double> parse_args(const std::string& text, const std::string& rest,
 }
 
 double checked_load(const std::string& text, double v) {
-  if (v < 0.0 || v > 1.0) bad(text, "load must be in [0, 1]");
+  if (!(v >= 0.0 && v <= 1.0)) bad(text, "load must be in [0, 1]");
   return v;
 }
 

@@ -1,19 +1,14 @@
 // Tests of the multistage networks behind the unified construction path:
 // exact wiring/routing of the kBanyan / kOmega / kClos topology kinds, and
 // flit-level wormhole fabrics built through fabric::Fabric::build.
-//
-// One legacy test keeps the deprecated cell-level net::BanyanNetwork shim
-// covered until its removal next release.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "fabric/fabric.hpp"
-#include "net/banyan.hpp"
 #include "net/topology.hpp"
 
 namespace pmsb::net {
@@ -178,60 +173,41 @@ TEST(WormFabric, RebuildReproducesDigest) {
   EXPECT_EQ(a->stats().delivered, b->stats().delivered);
 }
 
-// ---------------------------------------------------------------------------
-// Legacy cell-level shim (net::BanyanNetwork) -- kept until removal
-// ---------------------------------------------------------------------------
-
-/// One word of the cell `uid` -> endpoint `dest`; the head's VC field
-/// carries the destination, the dest_bits field starts as zero (the first
-/// stage's translator overwrites it).
-Word banyan_word(const BanyanNetwork& net, std::uint64_t uid, unsigned dest, unsigned k) {
-  const CellFormat fmt = net.cell_format();
-  Word w = cell_word(uid, 0, k, fmt);
-  if (k == 0) w = make_translated_head(w, fmt, net.vc_bits(), 0, dest);
-  return w;
-}
-
-TEST(BanyanShim, Routes16x16EveryPairRadix4) {
-  BanyanConfig cfg;
-  cfg.radix = 4;
-  cfg.stages = 2;
-  BanyanNetwork net(cfg);
-  Engine eng;
-  net.attach(eng);
-  const unsigned n = net.endpoints();
-  const CellFormat fmt = net.cell_format();
-  std::uint64_t uid = 1;
-  for (unsigned i = 0; i < n; ++i) {
-    for (unsigned d = 0; d < n; ++d) {
-      const std::uint64_t this_uid = uid++;
-      const int settle = 12 * static_cast<int>(cfg.stages * cfg.radix);
-      std::map<unsigned, unsigned> sop_seen;
-      for (int k = 0; k < static_cast<int>(fmt.length_words) + settle; ++k) {
-        if (k < static_cast<int>(fmt.length_words))
-          net.in_link(i).drive_next(Flit{true, k == 0, banyan_word(net, this_uid, d, k)});
-        eng.step();
-        for (unsigned o = 0; o < n; ++o)
-          if (net.out_link(o).now().sop) ++sop_seen[o];
-      }
-      ASSERT_EQ(sop_seen.size(), 1u) << "in " << i << " -> " << d;
-      ASSERT_TRUE(sop_seen.count(d)) << "in " << i << " -> " << d;
-      ASSERT_TRUE(net.drained());
-    }
-  }
-  EXPECT_EQ(net.total_drops(), 0u);
-}
-
-TEST(BanyanShim, InvalidGeometriesThrow) {
-  BanyanConfig cfg;
-  cfg.radix = 1;
-  EXPECT_THROW(BanyanNetwork{cfg}, std::invalid_argument);
-  cfg.radix = 4;
-  cfg.stages = 0;
-  EXPECT_THROW(BanyanNetwork{cfg}, std::invalid_argument);
-  cfg.stages = 4;
-  cfg.word_bits = 8;  // 256 endpoints need 8 VC bits > the 6-bit tag.
-  EXPECT_THROW(BanyanNetwork{cfg}, std::invalid_argument);
+/// FabricConfig::check() validates multistage fabrics without a per-node
+/// switch: topology shape, lane/buffer/message geometry, the shared link and
+/// load checks, the traffic spec, and the cell-only options.
+TEST(WormFabric, ConfigCheckRejectsBadSettings) {
+  using Code = ConfigIssue::Code;
+  auto base = [] {
+    fabric::FabricConfig cfg;
+    cfg.topo = Topology{TopologyKind::kBanyan, 16, 1};
+    cfg.link_pipe_stages = 1;
+    cfg.lanes = 4;
+    cfg.buffer_flits = 16;
+    cfg.traffic = "hotsenders:0.25,0.95";
+    return cfg;
+  };
+  EXPECT_TRUE(base().check().ok());
+  auto rejects = [&](Code code, auto&& mutate) {
+    fabric::FabricConfig cfg = base();
+    mutate(cfg);
+    const ConfigValidation v = cfg.check();
+    EXPECT_TRUE(v.has(code)) << v.summary();
+    EXPECT_THROW(fabric::Fabric::build(cfg.topo, cfg), std::invalid_argument);
+  };
+  rejects(Code::kBadTopology,
+          [](auto& c) { c.topo = Topology{TopologyKind::kBanyan, 12, 1}; });
+  rejects(Code::kBadTopology,
+          [](auto& c) { c.topo = Topology{TopologyKind::kClos, 12, 1, 4}; });
+  rejects(Code::kBadPorts, [](auto& c) { c.lanes = 33; });
+  rejects(Code::kBadCapacity, [](auto& c) { c.buffer_flits = 18; });
+  rejects(Code::kBadCellWords, [](auto& c) { c.message_flits = 0; });
+  rejects(Code::kBadLinkStages, [](auto& c) { c.link_pipe_stages = 0; });
+  rejects(Code::kBadLoad, [](auto& c) { c.load = 1.5; });
+  rejects(Code::kBadLoad, [](auto& c) { c.traffic = "uniform:nan"; });
+  rejects(Code::kBadLoad, [](auto& c) { c.traffic = "hotspot:nan,0.5"; });
+  rejects(Code::kBadTopology, [](auto& c) { c.fast_node = [](unsigned) { return true; }; });
+  rejects(Code::kBadTopology, [](auto& c) { c.flight_recorder = true; });
 }
 
 }  // namespace

@@ -81,14 +81,18 @@ TEST(ThreadPool, OnWorkerStartRunsOncePerWorkerBeforeTasks) {
     std::lock_guard<std::mutex> lock(mu);
     started.push_back(worker);
   };
-  exp::ThreadPool pool(3, std::move(opts));
-  for (int i = 0; i < 12; ++i)
-    pool.submit([&] {
-      // Any task's worker ran its hook first (hooks precede the task loop).
-      std::lock_guard<std::mutex> lock(mu);
-      if (started.size() >= 1) tasks_seen_all_hooks.fetch_add(1);
-    });
-  pool.wait_idle();
+  {
+    exp::ThreadPool pool(3, std::move(opts));
+    for (int i = 0; i < 12; ++i)
+      pool.submit([&] {
+        // Any task's worker ran its hook first (hooks precede the task loop).
+        std::lock_guard<std::mutex> lock(mu);
+        if (started.size() >= 1) tasks_seen_all_hooks.fetch_add(1);
+      });
+    pool.wait_idle();
+    // A worker that took no task may still be starting when wait_idle
+    // returns; the destructor joins every worker, hook included.
+  }
   EXPECT_EQ(tasks_seen_all_hooks.load(), 12);
   std::lock_guard<std::mutex> lock(mu);
   std::sort(started.begin(), started.end());

@@ -220,6 +220,13 @@ TEST(FabricConfigCheck, RejectsBadGeometry) {
   cfg.load = 1.5;
   EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadLoad));
 
+  // Cell fabrics take uniform traffic only, with a finite embedded load.
+  for (const char* traffic : {"hotspot:0.5", "uniform:nan", "pareto:nan,1.4,16"}) {
+    cfg = small_torus(1);
+    cfg.traffic = traffic;
+    EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadLoad)) << traffic;
+  }
+
   cfg = small_torus(1);
   cfg.topo = net::Topology{net::TopologyKind::kRing, 8, 2};
   EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadTopology));
@@ -696,25 +703,51 @@ TEST(FabricDataflow, MatchesBarrierAcrossThreadCounts) {
   }
 }
 
+fabric::FabricConfig worm_banyan(fabric::FabricEngine engine, unsigned threads,
+                                 unsigned lanes, const char* traffic = "uniform:0.6") {
+  fabric::FabricConfig cfg;
+  cfg.topo = net::Topology{net::TopologyKind::kBanyan, 16, 1};
+  cfg.link_pipe_stages = 1;
+  cfg.seed = 11;
+  cfg.engine = engine;
+  cfg.threads = threads;
+  cfg.lanes = lanes;
+  cfg.buffer_flits = 16;
+  cfg.message_flits = 8;
+  cfg.traffic = traffic;
+  return cfg;
+}
+
+// The dataflow engine assembles each round's gauge sample from per-node
+// contributions; the barrier engine reads live state with every worker
+// parked. Both transports must give the same six series.
 TEST(FabricDataflow, MetricsSamplingMatchesBarrier) {
-  obs::MetricsRegistry mb, md;
-  const auto fb = make_fabric(with_engine(small_torus(1), fabric::FabricEngine::kBarrier, 1));
-  const auto fd = make_fabric(with_engine(small_torus(1), fabric::FabricEngine::kDataflow, 4));
-  fb->register_metrics(&mb);
-  fd->register_metrics(&md);
-  fb->run(1200);
-  fd->run(1200);
-  for (const char* g : {"fabric.injected", "fabric.delivered", "fabric.dropped",
-                        "fabric.backlog", "fabric.in_network", "fabric.latency.mean"}) {
-    const obs::GaugeStats* a = mb.find_gauge(g);
-    const obs::GaugeStats* b = md.find_gauge(g);
-    ASSERT_NE(a, nullptr) << g;
-    ASSERT_NE(b, nullptr) << g;
-    EXPECT_EQ(a->samples, b->samples) << g;
-    EXPECT_DOUBLE_EQ(a->last, b->last) << g;
-    EXPECT_DOUBLE_EQ(a->min, b->min) << g;
-    EXPECT_DOUBLE_EQ(a->max, b->max) << g;
-    EXPECT_DOUBLE_EQ(a->sum, b->sum) << g;
+  const fabric::FabricConfig inputs[] = {
+      small_torus(1),
+      worm_banyan(fabric::FabricEngine::kBarrier, 1, 4, "hotsenders:0.25,0.95"),
+  };
+  for (const fabric::FabricConfig& cfg : inputs) {
+    const std::string what = cfg.topo.describe();
+    obs::MetricsRegistry mb, md;
+    const auto fb = make_fabric(with_engine(cfg, fabric::FabricEngine::kBarrier, 1));
+    const auto fd = make_fabric(with_engine(cfg, fabric::FabricEngine::kDataflow, 4));
+    fb->register_metrics(&mb);
+    fd->register_metrics(&md);
+    fb->run(1200);
+    fd->run(1200);
+    EXPECT_GT(fb->stats().delivered, 0u) << what;
+    for (const char* g : {"fabric.injected", "fabric.delivered", "fabric.dropped",
+                          "fabric.backlog", "fabric.in_network", "fabric.latency.mean"}) {
+      const obs::GaugeStats* a = mb.find_gauge(g);
+      const obs::GaugeStats* b = md.find_gauge(g);
+      ASSERT_NE(a, nullptr) << what << " " << g;
+      ASSERT_NE(b, nullptr) << what << " " << g;
+      EXPECT_EQ(a->samples, b->samples) << what << " " << g;
+      EXPECT_EQ(a->last, b->last) << what << " " << g;
+      EXPECT_EQ(a->min, b->min) << what << " " << g;
+      EXPECT_EQ(a->max, b->max) << what << " " << g;
+      EXPECT_EQ(a->sum, b->sum) << what << " " << g;
+    }
   }
 }
 
@@ -722,8 +755,8 @@ TEST(FabricDataflow, MetricsSamplingMatchesBarrier) {
 // runs start from a rebalanced partition (plan from the previous run),
 // which must be invisible in the results.
 TEST(FabricDataflow, SplitRunMatchesSingleRunWithRebalance) {
-  fabric::FabricConfig cfg = with_engine(small_torus(1), fabric::FabricEngine::kDataflow, 4);
-  cfg.rebalance = true;
+  const fabric::FabricConfig cfg =
+      with_engine(small_torus(1), fabric::FabricEngine::kDataflow, 4);
   const auto whole = make_fabric(cfg);
   const auto split = make_fabric(cfg);
   whole->run(1400);
@@ -787,18 +820,14 @@ TEST(FabricDataflow, DeterministicWhenOversubscribed) {
 }
 
 TEST(FabricDataflow, RebalanceNeverChangesResults) {
-  fabric::FabricConfig on = with_engine(small_torus(1), fabric::FabricEngine::kDataflow, 2);
-  on.rebalance = true;
-  fabric::FabricConfig off = on;
-  off.rebalance = false;
-  const auto fon = make_fabric(on);
-  const auto foff = make_fabric(off);
+  const auto fdf = make_fabric(with_engine(small_torus(1), fabric::FabricEngine::kDataflow, 2));
+  const auto fb = make_fabric(with_engine(small_torus(1), fabric::FabricEngine::kBarrier, 2));
   // Several runs so rebalance plans actually get applied in between.
   for (int r = 0; r < 4; ++r) {
-    fon->run(600);
-    foff->run(600);
+    fdf->run(600);
+    fb->run(600);
   }
-  expect_same_stats(fon->stats(), foff->stats());
+  expect_same_stats(fb->stats(), fdf->stats());
 }
 
 TEST(FabricDataflow, SchedulerStatsAndTelemetryShape) {
@@ -854,21 +883,6 @@ TEST(FabricDataflow, BarrierSchedulerStatsShape) {
 // ---------------------------------------------------------------------------
 // Wormhole fabrics: the same determinism contract at flit granularity --
 // thread counts x engines x lane counts, run splits, and idle skipping.
-
-fabric::FabricConfig worm_banyan(fabric::FabricEngine engine, unsigned threads,
-                                 unsigned lanes, const char* traffic = "uniform:0.6") {
-  fabric::FabricConfig cfg;
-  cfg.topo = net::Topology{net::TopologyKind::kBanyan, 16, 1};
-  cfg.link_pipe_stages = 1;
-  cfg.seed = 11;
-  cfg.engine = engine;
-  cfg.threads = threads;
-  cfg.lanes = lanes;
-  cfg.buffer_flits = 16;
-  cfg.message_flits = 8;
-  cfg.traffic = traffic;
-  return cfg;
-}
 
 void expect_same_worm_stats(const fabric::FabricStats& a, const fabric::FabricStats& b) {
   expect_same_stats(a, b);

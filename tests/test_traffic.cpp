@@ -289,7 +289,8 @@ TEST(GeneratorSpec, RejectsMalformedSpecs) {
        {"", "nonsense", "uniform:", "uniform:1.5", "uniform:x", "hotspot",
         "hotspot:0", "hotspot:1.5", "hotsenders", "hotsenders:0",
         "incast:0.5", "incast", "bursty", "bursty:0.5,0.2", "pareto",
-        "pareto:0.5,0.9", "uniform:0.5,0.6"}) {
+        "pareto:0.5,0.9", "uniform:0.5,0.6", "uniform:nan", "pareto:nan,1.4,16",
+        "hotspot:nan,0.5", "uniform:inf", "bursty:0.5,inf", "hotspot:0.5,-nan"}) {
     EXPECT_THROW(GeneratorSpec::parse(text), std::invalid_argument) << text;
   }
 }
