@@ -4,15 +4,4 @@ namespace pmsb {
 
 RoundRobin::RoundRobin(unsigned n) : n_(n) { PMSB_CHECK(n > 0, "round-robin over zero links"); }
 
-int RoundRobin::pick(const std::function<bool(unsigned)>& eligible) {
-  for (unsigned k = 0; k < n_; ++k) {
-    const unsigned idx = (ptr_ + k) % n_;
-    if (eligible(idx)) {
-      ptr_ = (idx + 1) % n_;
-      return static_cast<int>(idx);
-    }
-  }
-  return -1;
-}
-
 }  // namespace pmsb

@@ -9,8 +9,6 @@
 
 #pragma once
 
-#include <functional>
-
 #include "common/util.hpp"
 
 namespace pmsb {
@@ -21,7 +19,19 @@ class RoundRobin {
 
   /// Scan from the pointer; return the first index for which `eligible`
   /// holds and advance the pointer past it, or -1 if none is eligible.
-  int pick(const std::function<bool(unsigned)>& eligible);
+  /// `eligible` is any callable taking an index and returning bool; it is a
+  /// template parameter so the per-cycle arbitration loops inline it.
+  template <typename Eligible>
+  int pick(Eligible&& eligible) {
+    for (unsigned k = 0; k < n_; ++k) {
+      const unsigned idx = (ptr_ + k) % n_;
+      if (eligible(idx)) {
+        ptr_ = (idx + 1) % n_;
+        return static_cast<int>(idx);
+      }
+    }
+    return -1;
+  }
 
   unsigned size() const { return n_; }
   unsigned pointer() const { return ptr_; }

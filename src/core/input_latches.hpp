@@ -10,6 +10,13 @@
 // value has passed (enforced by an expiry stamp set when a write wave is
 // scheduled). Any arbitration bug that would need the wide-memory-style
 // second register row trips the check.
+//
+// Each incoming link loads one word per cycle, so a cycle writes at most n
+// of the n*S latches. latch() appends the latch it loads to a staged list
+// and tick() commits exactly that list, so the clock edge costs O(loads)
+// instead of a walk over the whole array. A latch may be loaded at most
+// once per cycle, like any other register, which also keeps the list free
+// of duplicates.
 
 #pragma once
 
@@ -27,7 +34,7 @@ class InputLatches {
   unsigned stages() const { return stages_; }
 
   /// Committed latch content (for the stage-s write this cycle).
-  Word read(unsigned input, unsigned s) const;
+  Word read(unsigned input, unsigned s) const { return latches_[index(input, s)].q; }
 
   /// Stage a latch load at the end of the current cycle `t`.
   void latch(unsigned input, unsigned s, Word data, Cycle t);
@@ -41,7 +48,7 @@ class InputLatches {
   /// avoids only by double buffering).
   void protect_for_wave(unsigned input, Cycle t0, Cycle a0);
 
-  /// Clock edge at the end of cycle t.
+  /// Clock edge at the end of cycle t: commit the latches loaded during t.
   void tick(Cycle t);
 
  private:
@@ -56,10 +63,13 @@ class InputLatches {
     Cycle needed_until = -1;     ///< Consumption cycle of the protected value.
     Cycle expected_commit = -1;  ///< Arrival commit the protection expects.
   };
-  std::vector<Latch> latches_;  ///< [input * stages_ + s]
+  std::vector<Latch> latches_;         ///< [input * stages_ + s]
+  std::vector<std::size_t> staged_;    ///< Latches loaded this cycle.
 
-  Latch& at(unsigned input, unsigned s);
-  const Latch& at(unsigned input, unsigned s) const;
+  std::size_t index(unsigned input, unsigned s) const {
+    PMSB_CHECK(input < n_inputs_ && s < stages_, "latch index out of range");
+    return static_cast<std::size_t>(input) * stages_ + s;
+  }
 };
 
 }  // namespace pmsb

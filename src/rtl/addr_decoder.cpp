@@ -50,6 +50,7 @@ long AddressPath::active_addr(unsigned s, std::uint32_t ctrl_addr, bool stage_ac
     ++decode_ops_;
     PMSB_CHECK(ctrl_addr < words_, "decode address out of range");
     const unsigned p = phys(0);  // Cleared by the previous tick().
+    if (!valid_[p]) ++valid_count_;
     valid_[p] = 1;
     bits_[p * blocks_ + ctrl_addr / 64] |= std::uint64_t{1} << (ctrl_addr % 64);
     return static_cast<long>(ctrl_addr);
@@ -78,21 +79,22 @@ long AddressPath::active_addr(unsigned s, std::uint32_t ctrl_addr, bool stage_ac
 void AddressPath::tick() {
   if (mode_ != AddrPathMode::kDecodedPipeline) return;
   // Register transfers this edge: the staged decoder output entering the
-  // pipe, plus every inter-stage register that forwards into its successor.
-  // The last register's contents retire (its stage already fired) and are
-  // not transferred anywhere.
-  if (stages_ >= 2) {
-    if (valid_[phys(0)]) ++one_hot_transfers_;
-    for (unsigned s = 1; s + 1 < stages_; ++s) {
-      if (valid_[phys(s)]) ++one_hot_transfers_;
-    }
-  }
+  // pipe, plus every inter-stage register that forwards into its successor,
+  // i.e. every valid slot but the last. The last register's contents retire
+  // (its stage already fired) and are not transferred anywhere; with one
+  // stage, the staging slot is the last slot and nothing transfers.
+  const unsigned last = phys(stages_ - 1);
+  const unsigned retiring = valid_[last];
+  one_hot_transfers_ += valid_count_ - retiring;
   // Rotate the ring: old phys(s-1) becomes new phys(s). The retiring last
-  // slot becomes the new staging slot and is wiped for the next decode.
-  head_ = (head_ + stages_ - 1) % stages_;
-  const unsigned p0 = phys(0);
-  valid_[p0] = 0;
-  std::fill_n(bits_.begin() + static_cast<std::ptrdiff_t>(p0 * blocks_), blocks_, 0);
+  // slot becomes the new staging slot and is wiped for the next decode (an
+  // invalid slot has no line set).
+  head_ = last;
+  if (retiring) {
+    --valid_count_;
+    valid_[last] = 0;
+    std::fill_n(bits_.begin() + static_cast<std::ptrdiff_t>(last * blocks_), blocks_, 0);
+  }
 }
 
 }  // namespace pmsb

@@ -20,7 +20,8 @@
 // (genuine one-hot bits, checked on every read) at a fraction of the
 // simulation cost. This path sits inside the per-cycle kernel loop of every
 // cycle-accurate experiment, so it dominated bench_sim_speed before the
-// block rewrite.
+// block rewrite. A running count of valid slots keeps the register-transfer
+// count exact without a per-stage loop at the clock edge.
 
 #pragma once
 
@@ -67,7 +68,10 @@ class AddressPath {
   /// the stage-0 decoder output for the next shift; slots phys(1..stages-1)
   /// are the registers between stages. tick() rotates head_ so that the old
   /// phys(s-1) becomes the new phys(s) without moving any bits.
-  unsigned phys(unsigned s) const { return (head_ + s) % stages_; }
+  unsigned phys(unsigned s) const {
+    const unsigned p = head_ + s;
+    return p < stages_ ? p : p - stages_;
+  }
 
   unsigned stages_;
   std::size_t words_;
@@ -76,6 +80,7 @@ class AddressPath {
   std::size_t blocks_;                ///< 64-line blocks per register.
   std::vector<std::uint64_t> bits_;   ///< stages_ x blocks_ ring of word lines.
   std::vector<std::uint8_t> valid_;   ///< Per-slot valid flag.
+  unsigned valid_count_ = 0;          ///< Set flags in valid_.
   unsigned head_ = 0;
 
   std::uint64_t decode_ops_ = 0;

@@ -12,41 +12,28 @@ const char* to_string(StageOp op) {
   return "?";
 }
 
-CtrlPipeline::CtrlPipeline(unsigned stages) : stages_(stages), regs_(stages > 0 ? stages - 1 : 0) {
+CtrlPipeline::CtrlPipeline(unsigned stages) : stages_(stages), ring_(stages) {
   PMSB_CHECK(stages >= 1, "control pipeline needs at least one stage");
-}
-
-const StageCtrl& CtrlPipeline::at(unsigned s) const {
-  PMSB_CHECK(s < stages_, "stage index out of range");
-  if (s == 0) return inject_;
-  return regs_[s - 1];
 }
 
 void CtrlPipeline::initiate(const StageCtrl& c) {
   PMSB_CHECK(!injected_this_cycle_, "two wave initiations in one cycle (M0 is single-ported)");
-  inject_ = c;
+  ring_[phys(0)] = c;  // Idle: cleared by the previous tick().
+  if (!c.idle()) ++active_;
   injected_this_cycle_ = true;
 }
 
 void CtrlPipeline::tick() {
-  for (unsigned s = static_cast<unsigned>(regs_.size()); s-- > 1;) {
-    if (!regs_[s - 1].idle()) ++ctrl_reg_transfers_;
-    regs_[s] = regs_[s - 1];
-  }
-  if (!regs_.empty()) {
-    if (!inject_.idle()) ++ctrl_reg_transfers_;
-    regs_[0] = inject_;
-  }
-  inject_ = StageCtrl{};
+  // Every non-idle stage but the last moves into its pipeline register; the
+  // last stage's control retires (its stage already executed).
+  StageCtrl& last = ring_[phys(stages_ - 1)];
+  const unsigned retiring = last.idle() ? 0 : 1;
+  ctrl_reg_transfers_ += active_ - retiring;
+  active_ -= retiring;
+  last = StageCtrl{};
+  // Rotate: the cleared slot becomes stage 0's input for the next cycle.
+  head_ = phys(stages_ - 1);
   injected_this_cycle_ = false;
-}
-
-bool CtrlPipeline::busy() const {
-  if (!inject_.idle()) return true;
-  for (const auto& r : regs_) {
-    if (!r.idle()) return true;
-  }
-  return false;
 }
 
 }  // namespace pmsb

@@ -15,6 +15,13 @@
 //     executed -- the arbiter is combinational logic feeding M0's control).
 //   * at(s) for s >= 1 during cycle t is whatever stage s-1 executed during
 //     cycle t-1, held in pipeline register s-1.
+//
+// Representation: the stage-0 input and the S-1 pipeline registers are one
+// ring of S StageCtrl slots with a rotating head (the idiom AddressPath uses
+// for the word-line registers). A clock edge retires the last stage's slot,
+// which becomes the next cycle's empty stage-0 slot, and rotates the head,
+// instead of copying S-1 bundles. A running count of non-idle slots makes
+// busy() and the transfer count O(1) per cycle.
 
 #pragma once
 
@@ -55,7 +62,10 @@ class CtrlPipeline {
   unsigned stages() const { return stages_; }
 
   /// Control presented to stage s during the current cycle.
-  const StageCtrl& at(unsigned s) const;
+  const StageCtrl& at(unsigned s) const {
+    PMSB_CHECK(s < stages_, "stage index out of range");
+    return ring_[phys(s)];
+  }
 
   /// Initiate a wave into stage 0 for the current cycle. At most once per
   /// cycle (the arbiter grants at most one wave -- M0 is single-ported).
@@ -65,16 +75,24 @@ class CtrlPipeline {
   void tick();
 
   /// True if any stage is executing a non-idle operation this cycle.
-  bool busy() const;
+  bool busy() const { return active_ != 0; }
 
   /// Lifetime count of pipeline-register transfers of non-idle control
   /// (for the figure-7 decoded-address ablation).
   std::uint64_t ctrl_reg_transfers() const { return ctrl_reg_transfers_; }
 
  private:
+  /// Ring slot holding stage s's control. tick() steps head_ back by one,
+  /// so the old phys(s-1) becomes the new phys(s) without moving any data.
+  unsigned phys(unsigned s) const {
+    const unsigned p = head_ + s;
+    return p < stages_ ? p : p - stages_;
+  }
+
   unsigned stages_;
-  std::vector<StageCtrl> regs_;  ///< regs_[s-1] feeds stage s (s >= 1).
-  StageCtrl inject_;             ///< Stage 0's control for the current cycle.
+  std::vector<StageCtrl> ring_;  ///< ring_[phys(s)] feeds stage s.
+  unsigned head_ = 0;
+  unsigned active_ = 0;          ///< Non-idle slots in ring_.
   bool injected_this_cycle_ = false;
   std::uint64_t ctrl_reg_transfers_ = 0;
 };

@@ -8,43 +8,6 @@ SramBank::SramBank(std::size_t words, unsigned word_bits)
   PMSB_CHECK(word_bits >= 1 && word_bits <= 64, "SRAM word width out of range");
 }
 
-void SramBank::claim_port() {
-  PMSB_CHECK(!port_used_,
-             "single-ported SRAM bank accessed twice in one cycle "
-             "(arbitration must initiate at most one wave per cycle)");
-  port_used_ = true;
-}
-
-Word SramBank::read(std::size_t addr) {
-  PMSB_CHECK(addr < array_.size(), "SRAM read address out of range");
-  claim_port();
-  ++total_reads_;
-  return array_[addr];
-}
-
-void SramBank::write(std::size_t addr, Word data) {
-  PMSB_CHECK(addr < array_.size(), "SRAM write address out of range");
-  PMSB_CHECK((data & ~mask_) == 0, "SRAM write data wider than the bank");
-  claim_port();
-  ++total_writes_;
-  write_pending_ = true;
-  pend_addr_ = addr;
-  pend_data_ = data;
-}
-
-Word SramBank::write_snoop(std::size_t addr, Word data) {
-  write(addr, data);
-  return data;  // The snooper sees the bus, not the array.
-}
-
-void SramBank::tick() {
-  if (write_pending_) {
-    array_[pend_addr_] = pend_data_;
-    write_pending_ = false;
-  }
-  port_used_ = false;
-}
-
 Word SramBank::debug_peek(std::size_t addr) const {
   PMSB_CHECK(addr < array_.size(), "debug_peek address out of range");
   return array_[addr];

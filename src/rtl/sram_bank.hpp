@@ -12,6 +12,9 @@
 // row captures the write-bus data while M0 is being written) is modelled by
 // `write_snoop()`, which performs the single physical write access and also
 // returns the bus data for the snooper.
+//
+// The access functions are defined here so the per-stage loop of
+// PipelinedMemory::exec_cycle inlines them, port check included.
 
 #pragma once
 
@@ -31,17 +34,39 @@ class SramBank {
   unsigned word_bits() const { return word_bits_; }
 
   /// Single-port read access for this cycle.
-  Word read(std::size_t addr);
+  Word read(std::size_t addr) {
+    PMSB_CHECK(addr < array_.size(), "SRAM read address out of range");
+    claim_port();
+    ++total_reads_;
+    return array_[addr];
+  }
 
   /// Single-port write access for this cycle; commits at tick().
-  void write(std::size_t addr, Word data);
+  void write(std::size_t addr, Word data) {
+    PMSB_CHECK(addr < array_.size(), "SRAM write address out of range");
+    PMSB_CHECK((data & ~mask_) == 0, "SRAM write data wider than the bank");
+    claim_port();
+    ++total_writes_;
+    write_pending_ = true;
+    pend_addr_ = addr;
+    pend_data_ = data;
+  }
 
   /// Write access whose bus data is also captured by the output register row
   /// (automatic cut-through, section 3.3). One physical access.
-  Word write_snoop(std::size_t addr, Word data);
+  Word write_snoop(std::size_t addr, Word data) {
+    write(addr, data);
+    return data;  // The snooper sees the bus, not the array.
+  }
 
   /// Clock edge: commit a staged write, reopen the port.
-  void tick();
+  void tick() {
+    if (write_pending_) {
+      array_[pend_addr_] = pend_data_;
+      write_pending_ = false;
+    }
+    port_used_ = false;
+  }
 
   /// Lifetime access statistics (for the ablation benches).
   std::uint64_t total_reads() const { return total_reads_; }
@@ -51,7 +76,12 @@ class SramBank {
   Word debug_peek(std::size_t addr) const;
 
  private:
-  void claim_port();
+  void claim_port() {
+    PMSB_CHECK(!port_used_,
+               "single-ported SRAM bank accessed twice in one cycle "
+               "(arbitration must initiate at most one wave per cycle)");
+    port_used_ = true;
+  }
 
   std::vector<Word> array_;
   unsigned word_bits_;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/arbiter.hpp"
 #include "core/free_list.hpp"
 #include "core/input_latches.hpp"
@@ -168,6 +170,48 @@ TEST(InputLatches, BoundaryOverwriteExactlyAtConsumption) {
   EXPECT_EQ(ir.read(0, 2), 0x11u);  // During cycle 5 the old value reads.
   ir.tick(5);
   EXPECT_EQ(ir.read(0, 2), 0x22u);
+}
+
+TEST(InputLatches, CommitsEveryLatchLoadedInOneCycle) {
+  // Several inputs and stages load in the same cycle: each commits at the
+  // edge, and every latch not loaded keeps its value.
+  InputLatches ir(3, 4, 8);
+  ir.latch(0, 1, 0x01, 0);
+  ir.latch(1, 3, 0x13, 0);
+  ir.latch(2, 0, 0x20, 0);
+  ir.latch(0, 2, 0x02, 0);
+  for (unsigned i = 0; i < 3; ++i)
+    for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(ir.read(i, s), 0u) << i << "," << s;
+  ir.tick(0);
+  const auto expect_row = [&](unsigned i, std::vector<Word> want) {
+    for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(ir.read(i, s), want[s]) << i << "," << s;
+  };
+  expect_row(0, {0, 0x01, 0x02, 0});
+  expect_row(1, {0, 0, 0, 0x13});
+  expect_row(2, {0x20, 0, 0, 0});
+
+  // Ticks with nothing staged change nothing.
+  for (Cycle t = 1; t < 50; ++t) ir.tick(t);
+  expect_row(0, {0, 0x01, 0x02, 0});
+  expect_row(1, {0, 0, 0, 0x13});
+  expect_row(2, {0x20, 0, 0, 0});
+
+  // A later load commits only its own latch; the same latch may load again
+  // in the next cycle.
+  ir.latch(1, 3, 0x33, 50);
+  ir.tick(50);
+  ir.latch(1, 3, 0x34, 51);
+  ir.latch(2, 1, 0x21, 51);
+  ir.tick(51);
+  expect_row(0, {0, 0x01, 0x02, 0});
+  expect_row(1, {0, 0, 0, 0x34});
+  expect_row(2, {0x20, 0x21, 0, 0});
+}
+
+TEST(InputLatchesDeath, LoadedTwiceInOneCycle) {
+  InputLatches ir(2, 4, 8);
+  ir.latch(1, 2, 0x11, 0);
+  EXPECT_DEATH(ir.latch(1, 2, 0x22, 0), "loaded twice in one cycle");
 }
 
 // --- OutputRow ---------------------------------------------------------------

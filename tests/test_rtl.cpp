@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "rtl/addr_decoder.hpp"
 #include "rtl/ctrl_pipeline.hpp"
 #include "rtl/reg.hpp"
@@ -249,6 +254,115 @@ TEST(AddressPath, DecodeOpCounts) {
   EXPECT_EQ(dec_b, 10u);            // One decode per wave.
   EXPECT_EQ(xfer_b, 10u * (kStages - 1));
 }
+
+// The ring-buffer CtrlPipeline and AddressPath keep running counts instead of
+// walking their stages. Check every observable against a plain shift-register
+// model -- S registers, copied one stage right on every edge, counted by a
+// full scan -- under random initiation patterns: back-to-back waves, idle
+// gaps, explicitly idle initiations, and every cycle in between.
+struct ShiftRegisterModel {
+  explicit ShiftRegisterModel(unsigned stages) : regs(stages) {}
+
+  bool busy() const {
+    for (const auto& r : regs)
+      if (!r.idle()) return true;
+    return false;
+  }
+  void tick(bool decoded_pipeline) {
+    // Stages 0..S-2 forward into a register; stage S-1 retires.
+    for (unsigned s = 0; s + 1 < regs.size(); ++s) {
+      if (regs[s].idle()) continue;
+      ++ctrl_transfers;
+      if (decoded_pipeline) ++one_hot_transfers;
+    }
+    for (unsigned s = static_cast<unsigned>(regs.size()); s-- > 1;) regs[s] = regs[s - 1];
+    regs[0] = StageCtrl{};
+  }
+
+  std::vector<StageCtrl> regs;  ///< regs[s]: control entering stage s.
+  std::uint64_t ctrl_transfers = 0;
+  std::uint64_t one_hot_transfers = 0;
+  std::uint64_t decode_ops = 0;
+};
+
+class PipelineVsShiftModel
+    : public ::testing::TestWithParam<std::tuple<unsigned, AddrPathMode>> {};
+
+TEST_P(PipelineVsShiftModel, CountsAndBusyMatchEveryCycle) {
+  const auto [stages, mode] = GetParam();
+  const std::size_t kWords = 130;  // Three 64-line blocks, the last partial.
+  CtrlPipeline cp(stages);
+  AddressPath ap(stages, kWords, mode);
+  ShiftRegisterModel ref(stages);
+  const bool decoded = mode == AddrPathMode::kDecodedPipeline;
+
+  std::mt19937 rng(stages * 7919u + static_cast<unsigned>(mode));
+  // Phases of random length: saturating (a wave every cycle), silent (idle
+  // gap), or a coin flip per cycle.
+  double p_wave = 0.5;
+  unsigned phase_left = 0;
+  unsigned busy_cycles = 0;
+  for (unsigned cycle = 0; cycle < 4000; ++cycle) {
+    if (phase_left == 0) {
+      const double kRates[] = {1.0, 0.0, 0.5, 0.2};
+      p_wave = kRates[rng() % 4];
+      phase_left = 1 + rng() % (3 * stages + 4);
+    }
+    --phase_left;
+
+    if (std::uniform_real_distribution<double>(0, 1)(rng) < p_wave) {
+      StageCtrl c;
+      const StageOp kOps[] = {StageOp::kWrite, StageOp::kRead, StageOp::kWriteSnoop};
+      c.op = kOps[rng() % 3];
+      c.addr = static_cast<std::uint32_t>(rng() % kWords);
+      c.in_link = static_cast<std::uint16_t>(rng() % 16);
+      c.out_link = static_cast<std::uint16_t>(rng() % 16);
+      c.head = (rng() & 1) != 0;
+      cp.initiate(c);
+      ref.regs[0] = c;
+    } else if (rng() % 8 == 0) {
+      cp.initiate(StageCtrl{});  // An explicitly idle stage-0 slot.
+    }
+
+    ASSERT_EQ(cp.busy(), ref.busy()) << "cycle " << cycle;
+    if (ref.busy()) ++busy_cycles;
+    for (unsigned s = 0; s < stages; ++s) {
+      const StageCtrl& got = cp.at(s);
+      const StageCtrl& want = ref.regs[s];
+      ASSERT_EQ(got.op, want.op) << "stage " << s << " cycle " << cycle;
+      if (!want.idle()) {
+        ASSERT_EQ(got.addr, want.addr) << "stage " << s << " cycle " << cycle;
+        ASSERT_EQ(got.in_link, want.in_link);
+        ASSERT_EQ(got.out_link, want.out_link);
+        ASSERT_EQ(got.head, want.head);
+        if (!decoded || s == 0) ++ref.decode_ops;
+      }
+      const long a = ap.active_addr(s, got.addr, !got.idle());
+      ASSERT_EQ(a, want.idle() ? -1L : static_cast<long>(want.addr))
+          << "stage " << s << " cycle " << cycle;
+    }
+    cp.tick();
+    ap.tick();
+    ref.tick(decoded);
+    ASSERT_EQ(cp.ctrl_reg_transfers(), ref.ctrl_transfers) << "cycle " << cycle;
+    ASSERT_EQ(ap.one_hot_reg_transfers(), ref.one_hot_transfers) << "cycle " << cycle;
+    ASSERT_EQ(ap.decode_ops(), ref.decode_ops) << "cycle " << cycle;
+  }
+  // The run must have seen both a busy and a drained pipeline.
+  EXPECT_GT(busy_cycles, 0u);
+  EXPECT_LT(busy_cycles, 4000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StagesAndModes, PipelineVsShiftModel,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u, 32u),
+                       ::testing::Values(AddrPathMode::kPerStageDecoders,
+                                         AddrPathMode::kDecodedPipeline)),
+    [](const auto& param_info) {
+      const bool decoded = std::get<1>(param_info.param) == AddrPathMode::kDecodedPipeline;
+      return "S" + std::to_string(std::get<0>(param_info.param)) +
+             (decoded ? "_DecodedPipeline" : "_PerStageDecoders");
+    });
 
 }  // namespace
 }  // namespace pmsb
