@@ -72,6 +72,11 @@ ConfigValidation FabricConfig::check() const {
       issue(ConfigIssue::Code::kBadTopology,
             "banyan/omega networks need a power-of-two width >= 4");
     }
+    if (topo.endpoints() > kMaxWormEndpoints)
+      issue(ConfigIssue::Code::kBadTopology,
+            "wormhole fabrics address at most " + std::to_string(kMaxWormEndpoints) +
+                " endpoints (16-bit flit destination); got " +
+                std::to_string(topo.endpoints()));
     if (lanes < 1 || lanes > 32)
       issue(ConfigIssue::Code::kBadPorts, "wormhole lanes must be in [1, 32]");
     else if (buffer_flits < lanes || buffer_flits % lanes != 0)

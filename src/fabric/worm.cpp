@@ -1,10 +1,37 @@
 #include "fabric/worm.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/invariants.hpp"
 
 namespace pmsb::fabric {
+
+namespace {
+
+/// First set bit of `mask` in rotating order from bit `start` (the lowest
+/// set bit at or above `start`, else the lowest overall): the winner of a
+/// round-robin scan that starts at `start`. `mask` must be non-zero.
+unsigned first_from(std::uint32_t mask, unsigned start) {
+  const std::uint32_t upper = mask & (~0u << start);
+  return static_cast<unsigned>(std::countr_zero(upper != 0 ? upper : mask));
+}
+
+/// Visits the set bits of `mask` in rotating order from bit `start` until
+/// `visit` returns true.
+template <class Visit>
+void scan_from(std::uint32_t mask, unsigned start, Visit&& visit) {
+  const std::uint32_t upper = ~0u << start;
+  for (std::uint32_t m = mask & upper; m != 0; m &= m - 1)
+    if (visit(static_cast<unsigned>(std::countr_zero(m)))) return;
+  for (std::uint32_t m = mask & ~upper; m != 0; m &= m - 1)
+    if (visit(static_cast<unsigned>(std::countr_zero(m)))) return;
+}
+
+/// i + 1 modulo n, for i < n.
+unsigned next_mod(unsigned i, unsigned n) { return i + 1 == n ? 0 : i + 1; }
+
+}  // namespace
 
 WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
                        DestPattern* dests)
@@ -15,21 +42,21 @@ WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParam
   PMSB_CHECK(params.message_flits >= 1, "worm message_flits must be >= 1");
   ports_ = topo->required_ports();
   last_stage_ = topo->stage_of(node) + 1 == topo->stages();
+  lane_bits_ = params_.lanes == 32 ? ~0u : (1u << params_.lanes) - 1;
+  const unsigned ring = std::bit_ceil(params_.lane_depth);
+  ring_shift_ = static_cast<unsigned>(std::countr_zero(ring));
+  ring_mask_ = ring - 1;
   const std::size_t pl = static_cast<std::size_t>(ports_) * params_.lanes;
   rx_.resize(ports_, nullptr);
   credit_tx_.resize(ports_, nullptr);
   tx_.resize(ports_, nullptr);
   credit_rx_.resize(ports_, nullptr);
-  fifo_.resize(pl);
-  in_state_.resize(pl);
+  slots_.resize(pl << ring_shift_);
+  lanes_.resize(pl);
   out_lane_.resize(pl);
   for (OutLane& ol : out_lane_) ol.credits = params_.lane_depth;
-  rr_alloc_.resize(ports_, 0);
-  rr_lane_.resize(ports_, 0);
-  rr_sw_.resize(ports_, 0);
-  src_rr_.resize(ports_, 0);
-  popped_.resize(pl, false);
-  credit_mask_.resize(ports_, 0);
+  out_.resize(ports_);
+  popped_.resize(ports_, 0);
   sources_.resize(ports_);
   sinks_.resize(ports_);
   if (check::env_enabled())
@@ -71,13 +98,23 @@ void WormRouter::add_sink(unsigned out_port, unsigned endpoint) {
   sinks_[out_port] = std::move(k);
 }
 
+void WormRouter::route_front(unsigned in, std::size_t idx) {
+  const unsigned out = topo_->route_stage(node_, in, front(idx).dest);
+  lanes_[idx].want = out;
+  ++out_[out].wanting;
+}
+
 void WormRouter::push_flit(unsigned in_port, const WormFlit& f) {
-  auto& q = fifo_[li(in_port, f.lane)];
-  q.push_back(f);
+  const std::size_t idx = li(in_port, f.lane);
+  Lane& lane = lanes_[idx];
+  PMSB_CHECK(lane.size < params_.lane_depth, "worm lane overflow (credit protocol broken)");
+  slot(idx, lane.size) = f;
+  ++lane.size;
   ++flits_in_total_;
-  PMSB_CHECK(q.size() <= params_.lane_depth, "worm lane overflow (credit protocol broken)");
+  ++flits_held_;
+  if (lane.size == 1 && f.head) route_front(in_port, idx);
   if (auditor_ != nullptr)
-    auditor_->on_push(in_port, f.lane, f.head, f.tail, f.msg, f.seq, q.size());
+    auditor_->on_push(in_port, f.lane, f.head, f.tail, f.msg, f.seq, lane.size);
 }
 
 void WormRouter::source_prime(Source& s, Cycle from) {
@@ -104,27 +141,19 @@ void WormRouter::source_step(Source& s, Cycle t) {
   // Start pending messages on idle lanes, round-robin. Each
   // lane streams one message head..tail at a time, so the per-lane
   // contiguity invariant holds by construction.
-  while (!s.backlog.empty()) {
-    unsigned pick = params_.lanes;
-    for (unsigned i = 0; i < params_.lanes; ++i) {
-      const unsigned l = (src_rr_[s.in_port] + i) % params_.lanes;
-      if (!s.worms[l].active) {
-        pick = l;
-        break;
-      }
-    }
-    if (pick == params_.lanes) break;  // every lane mid-message
-    src_rr_[s.in_port] = (pick + 1) % params_.lanes;
+  while (!s.backlog.empty() && s.active != lane_bits_) {
+    const unsigned pick = first_from(lane_bits_ & ~s.active, s.start_rr);
+    s.start_rr = next_mod(pick, params_.lanes);
     const Source::Pending& p = s.backlog.front();
-    s.worms[pick] = Source::Worm{true, 0, p.dest, p.msg, p.created};
+    s.worms[pick] = Source::Worm{0, p.dest, p.msg, p.created};
+    s.active |= 1u << pick;
     s.backlog.pop_front();
   }
   // Emit at most one flit this cycle (the injection link rate), rotating
   // across lanes whose worm is active and whose FIFO has room.
-  for (unsigned i = 0; i < params_.lanes; ++i) {
-    const unsigned l = (s.emit_rr + i) % params_.lanes;
+  scan_from(s.active, s.emit_rr, [&](unsigned l) {
+    if (lanes_[li(s.in_port, l)].size >= params_.lane_depth) return false;
     Source::Worm& w = s.worms[l];
-    if (!w.active || fifo_[li(s.in_port, l)].size() >= params_.lane_depth) continue;
     WormFlit f;
     f.valid = true;
     f.head = w.seq == 0;
@@ -137,68 +166,68 @@ void WormRouter::source_step(Source& s, Cycle t) {
     f.data = worm_payload(w.msg, w.seq);
     push_flit(s.in_port, f);
     if (f.tail)
-      w.active = false;
+      s.active &= ~(1u << l);
     else
       ++w.seq;
-    s.emit_rr = (l + 1) % params_.lanes;
-    break;
-  }
+    s.emit_rr = next_mod(l, params_.lanes);
+    return true;
+  });
 }
 
-void WormRouter::alloc_lane(unsigned out, Cycle t) {
-  (void)t;
+void WormRouter::alloc_lane(unsigned out) {
+  Out& o = out_[out];
+  // No unbound head wants this output, or every output lane is taken.
+  if (o.wanting == 0 || o.owned == lane_bits_) return;
+  // Bind the first (input, lane) whose unbound front head is routed here,
+  // rotating priority across eval cycles, to the first free output lane,
+  // also round-robin: at most one binding per output per cycle.
   const unsigned pl = ports_ * params_.lanes;
-  // Find the first (input, lane) whose queued head flit wants this output
-  // and is not yet bound, rotating priority across eval cycles.
-  for (unsigned i = 0; i < pl; ++i) {
-    const unsigned idx = (rr_alloc_[out] + i) % pl;
-    const auto& q = fifo_[idx];
-    if (q.empty() || !q.front().head || in_state_[idx].active) continue;
+  unsigned idx = o.rr_alloc;
+  for (unsigned i = 0; i < pl; ++i, idx = next_mod(idx, pl)) {
+    Lane& lane = lanes_[idx];
+    if (lane.want != out) continue;
+    const unsigned grant = first_from(lane_bits_ & ~o.owned, o.rr_lane);
     const unsigned in = idx / params_.lanes;
-    if (topo_->route_stage(node_, in, q.front().dest) != out) continue;
-    // Grant a free output lane, also round-robin.
-    unsigned grant = params_.lanes;
-    for (unsigned j = 0; j < params_.lanes; ++j) {
-      const unsigned ol = (rr_lane_[out] + j) % params_.lanes;
-      if (!out_lane_[li(out, ol)].owned) {
-        grant = ol;
-        break;
-      }
-    }
-    if (grant == params_.lanes) return;  // no free output lane this cycle
     OutLane& ol = out_lane_[li(out, grant)];
-    ol.owned = true;
     ol.in = in;
-    ol.in_lane = idx % params_.lanes;
-    in_state_[idx] = InState{true, out, grant};
-    rr_alloc_[out] = (idx + 1) % pl;
-    rr_lane_[out] = (grant + 1) % params_.lanes;
-    return;  // at most one binding per output per cycle
+    ol.in_lane = idx - in * params_.lanes;
+    o.owned |= 1u << grant;
+    --o.wanting;
+    lane.want = kNoOut;
+    lane.bound = true;
+    lane.out = out;
+    lane.out_lane = grant;
+    o.rr_alloc = next_mod(idx, pl);
+    o.rr_lane = next_mod(grant, params_.lanes);
+    return;
   }
 }
 
 void WormRouter::arbitrate(unsigned out, Cycle t) {
+  Out& o = out_[out];
   const bool egress = tx_[out] == nullptr;
   WormFlit sent;  // invalid unless a lane wins
-  for (unsigned j = 0; j < params_.lanes; ++j) {
-    const unsigned ol_idx = (rr_sw_[out] + j) % params_.lanes;
-    OutLane& ol = out_lane_[li(out, ol_idx)];
-    if (!ol.owned) continue;
-    if (!egress && ol.credits == 0) continue;
+  scan_from(o.owned, o.rr_sw, [&](unsigned l) {
+    OutLane& ol = out_lane_[li(out, l)];
+    if (!egress && ol.credits == 0) return false;
+    const std::uint32_t bit = 1u << ol.in_lane;
     const std::size_t src = li(ol.in, ol.in_lane);
-    auto& q = fifo_[src];
-    if (q.empty() || popped_[src]) continue;
-    WormFlit f = q.front();
-    q.pop_front();
-    popped_[src] = true;
-    if (credit_tx_[ol.in] != nullptr) credit_mask_[ol.in] |= 1u << ol.in_lane;
-    f.lane = static_cast<std::uint8_t>(ol_idx);
+    Lane& lane = lanes_[src];
+    if (lane.size == 0 || (popped_[ol.in] & bit) != 0) return false;
+    WormFlit f = front(src);
+    lane.head = (lane.head + 1) & ring_mask_;
+    --lane.size;
+    --flits_held_;
+    popped_[ol.in] |= bit;
+    f.lane = static_cast<std::uint8_t>(l);
     if (!egress) --ol.credits;
     if (f.tail) {
-      in_state_[src] = InState{};
-      ol.owned = false;
+      lane.bound = false;
+      o.owned &= ~(1u << l);
+      // The next message's head, if buffered, reaches the front now.
+      if (lane.size != 0 && front(src).head) route_front(ol.in, src);
     }
-    rr_sw_[out] = (ol_idx + 1) % params_.lanes;
+    o.rr_sw = next_mod(l, params_.lanes);
     ++flits_out_total_;
     if (egress) {
       deliver(*sinks_[out], f, t);
@@ -206,8 +235,8 @@ void WormRouter::arbitrate(unsigned out, Cycle t) {
       sent = f;
       ++flits_forwarded_;
     }
-    break;  // one flit per output per cycle
-  }
+    return true;  // one flit per output per cycle
+  });
   if (!egress) tx_[out]->write(t, sent);
 }
 
@@ -238,7 +267,6 @@ void WormRouter::deliver(Sink& sink, const WormFlit& f, Cycle t) {
 }
 
 void WormRouter::eval(Cycle t) {
-  std::fill(popped_.begin(), popped_.end(), false);
   // 1. Accept at most one flit per inter-stage input.
   for (unsigned in = 0; in < ports_; ++in) {
     if (rx_[in] == nullptr) continue;
@@ -250,8 +278,8 @@ void WormRouter::eval(Cycle t) {
     if (credit_rx_[out] == nullptr) continue;
     const CreditPulse& p = credit_rx_[out]->read(t);
     if (!p.valid) continue;
-    for (unsigned l = 0; l < params_.lanes; ++l) {
-      if ((p.mask & (1u << l)) == 0) continue;
+    for (std::uint32_t m = p.mask & lane_bits_; m != 0; m &= m - 1) {
+      const auto l = static_cast<unsigned>(std::countr_zero(m));
       OutLane& ol = out_lane_[li(out, l)];
       ++ol.credits;
       PMSB_CHECK(ol.credits <= params_.lane_depth, "worm credit overflow");
@@ -265,30 +293,60 @@ void WormRouter::eval(Cycle t) {
   // written every cycle (invalid when no lane wins), like the cell fabrics'
   // TxTap, so skipped stretches are compensated by ring clears alone.
   for (unsigned out = 0; out < ports_; ++out) {
-    alloc_lane(out, t);
+    alloc_lane(out);
     arbitrate(out, t);
   }
   // 5. Return credits upstream, one aggregated pulse per input per cycle.
   for (unsigned in = 0; in < ports_; ++in) {
-    if (credit_tx_[in] == nullptr) continue;
-    credit_tx_[in]->write(t, CreditPulse{credit_mask_[in] != 0, credit_mask_[in]});
-    credit_mask_[in] = 0;
+    if (credit_tx_[in] != nullptr)
+      credit_tx_[in]->write(t, CreditPulse{popped_[in] != 0, popped_[in]});
+    popped_[in] = 0;
   }
-  if (auditor_ != nullptr)
-    auditor_->on_cycle_end(flits_in_total_, flits_out_total_, flits_held());
+  if (auditor_ != nullptr) {
+    audit_counts();
+    auditor_->on_cycle_end(flits_in_total_, flits_out_total_, flits_held_);
+  }
+}
+
+void WormRouter::audit_counts() const {
+  std::vector<unsigned> wanting(ports_, 0);
+  std::vector<std::uint32_t> owned(ports_, 0);
+  std::uint64_t held = 0;
+  for (unsigned in = 0; in < ports_; ++in) {
+    for (unsigned l = 0; l < params_.lanes; ++l) {
+      const std::size_t idx = li(in, l);
+      const Lane& lane = lanes_[idx];
+      held += lane.size;
+      unsigned want = kNoOut;
+      if (lane.size != 0 && front(idx).head && !lane.bound) {
+        want = topo_->route_stage(node_, in, front(idx).dest);
+        ++wanting[want];
+      }
+      PMSB_CHECK(lane.want == want, "worm lane's cached route disagrees with its front flit");
+      if (!lane.bound) continue;
+      const OutLane& ol = out_lane_[li(lane.out, lane.out_lane)];
+      PMSB_CHECK(ol.in == in && ol.in_lane == l,
+                 "worm lane binding is not mirrored by its output lane");
+      owned[lane.out] |= 1u << lane.out_lane;
+    }
+  }
+  for (unsigned out = 0; out < ports_; ++out) {
+    PMSB_CHECK(out_[out].wanting == wanting[out],
+               "worm running count of unbound front heads diverged (output " +
+                   std::to_string(out) + ")");
+    PMSB_CHECK(out_[out].owned == owned[out],
+               "worm running mask of granted output lanes diverged (output " +
+                   std::to_string(out) + ")");
+  }
+  PMSB_CHECK(flits_held_ == held, "worm running count of buffered flits diverged");
 }
 
 bool WormRouter::is_quiescent(Cycle) const {
-  for (const auto& q : fifo_)
-    if (!q.empty()) return false;
-  for (const OutLane& ol : out_lane_)
-    if (ol.owned) return false;
-  for (const auto& s : sources_) {
-    if (s == nullptr) continue;
-    if (!s->backlog.empty()) return false;
-    for (const Source::Worm& w : s->worms)
-      if (w.active) return false;
-  }
+  if (flits_held_ != 0) return false;
+  for (const Out& o : out_)
+    if (o.owned != 0) return false;
+  for (const auto& s : sources_)
+    if (s != nullptr && (!s->backlog.empty() || s->active != 0)) return false;
   return true;
 }
 
@@ -307,9 +365,8 @@ std::string WormRouter::name() const {
 WormRouter::SourceStats WormRouter::source_stats(unsigned in_port) const {
   PMSB_CHECK(sources_[in_port] != nullptr, "no worm source on this input");
   const Source& s = *sources_[in_port];
-  std::size_t streaming = 0;
-  for (const Source::Worm& w : s.worms) streaming += w.active ? 1 : 0;
-  return SourceStats{s.generated, s.backlog.size() + streaming};
+  return SourceStats{s.generated,
+                     s.backlog.size() + static_cast<std::size_t>(std::popcount(s.active))};
 }
 
 WormRouter::SinkStats WormRouter::sink_stats(unsigned out_port) const {
@@ -363,12 +420,6 @@ void WormRouter::fold(FabricStats& st) const {
     st.uid_digest = mix64(st.uid_digest ^ k.digest);
     st.latency.merge(k.lat_hist);
   }
-}
-
-std::uint64_t WormRouter::flits_held() const {
-  std::uint64_t held = 0;
-  for (const auto& q : fifo_) held += q.size();
-  return held;
 }
 
 }  // namespace pmsb::fabric

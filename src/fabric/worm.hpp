@@ -33,23 +33,38 @@
 //    arise; lanes here buy throughput under head-of-line blocking, not
 //    deadlock freedom.
 //
+// Router datapath. Every (input, lane) FIFO is a power-of-two ring (capacity
+// the smallest power of two >= lane_depth) in one contiguous per-router slot
+// array, indexed by a masked head and size. A head flit is routed once, when
+// it reaches the front of its lane (a push into an empty lane, or a tail pop
+// that leaves the lane non-empty), and the output is cached with the lane.
+// Each output keeps a running count of unbound front heads routed to it and
+// a mask of the output lanes it has granted, so VC allocation returns at once
+// when no head wants the output (or every output lane is taken), and switch
+// arbitration visits only granted lanes. An output with no granted lane still
+// writes an invalid flit to its tx ring every cycle: the skip planners clear
+// ring slots on the contract that every slot of a stepped cycle was written.
+// Round-robin scans walk lane masks from the rotating start bit, so the
+// grant order is the plain rotating round-robin order. Under PMSB_CHECK=1 the
+// running counts are recounted from the lane state at the end of every eval.
+//
 // First-stage inputs own a Source (Bernoulli message arrivals at
 // `messages_per_cycle`, destination from a shared traffic::DestPattern,
 // backlog queued losslessly). Injection is per lane, as in [Dally90]: the
 // source streams one active message per lane and interleaves their flits
 // round-robin at the 1-flit/cycle link rate, so a stalled message blocks
 // only its own lane -- never the source. Last-stage outputs own a Sink
-// (per-lane
-// reassembly, end-to-end payload verification, an order-sensitive delivery
-// digest and an HDR latency histogram). Everything a router touches is
-// either private or a single-writer ring, so a router is a fabric node in
-// its own right (src/fabric/node.hpp), and the barrier and dataflow engines
-// shard routers exactly like cell-fabric nodes.
+// (per-lane reassembly, end-to-end payload verification, an order-sensitive
+// delivery digest and an HDR latency histogram). Everything a router
+// touches is either private or a single-writer ring, so a router is a
+// fabric node in its own right (src/fabric/node.hpp), and the barrier and
+// dataflow engines shard routers exactly like cell-fabric nodes.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,6 +96,11 @@ struct WormFlit {
   Cycle created = 0;
   Word data = 0;
 };
+
+/// Endpoints a wormhole fabric can address: WormFlit::dest is 16 bits, so
+/// FabricConfig::check() rejects larger networks instead of wrapping.
+inline constexpr unsigned kMaxWormEndpoints =
+    std::numeric_limits<decltype(WormFlit::dest)>::max() + 1u;
 
 /// Reverse-direction credit return: bit l set = one credit for lane l of the
 /// paired forward link. One pulse aggregates every lane the downstream
@@ -162,9 +182,13 @@ class WormRouter : public Component, public FabricNode {
   /// Flits relayed onto inter-stage links (the telemetry work measure).
   std::uint64_t flits_forwarded() const { return flits_forwarded_; }
   /// Flits currently buffered across all lane FIFOs.
-  std::uint64_t flits_held() const;
+  std::uint64_t flits_held() const { return flits_held_; }
 
  private:
+  friend struct WormRouterPeer;  ///< Test access (corrupts counters in death tests).
+
+  static constexpr unsigned kNoOut = ~0u;
+
   struct Source {
     unsigned in_port = 0;
     unsigned endpoint = 0;
@@ -189,14 +213,15 @@ class WormRouter : public Component, public FabricNode {
     // let one stalled hot-destined message head-of-line-block the whole
     // source, and extra lanes could never raise hotspot throughput.
     struct Worm {
-      bool active = false;
       std::uint32_t seq = 0;
       unsigned dest = 0;
       std::uint64_t msg = 0;
       Cycle created = 0;
     };
-    std::vector<Worm> worms;  ///< [lane]
-    unsigned emit_rr = 0;     ///< Rotating emission start lane.
+    std::vector<Worm> worms;   ///< [lane]
+    std::uint32_t active = 0;  ///< Lanes with a message streaming (bit per lane).
+    unsigned start_rr = 0;     ///< Rotating lane-pick start for new messages.
+    unsigned emit_rr = 0;      ///< Rotating emission start lane.
   };
 
   struct Sink {
@@ -217,30 +242,53 @@ class WormRouter : public Component, public FabricNode {
     HdrHistogram lat_hist;
   };
 
-  /// Binding of an (input, lane) to the output it is streaming through.
-  struct InState {
-    bool active = false;
+  /// One input virtual channel: its ring indices, the cached route of an
+  /// unbound head at its front, and its binding to an output lane.
+  struct Lane {
+    std::uint32_t head = 0;  ///< Ring index of the front flit.
+    std::uint32_t size = 0;  ///< Flits buffered.
+    unsigned want = kNoOut;  ///< Output of the unbound head at the front, else kNoOut.
+    bool bound = false;      ///< Streaming through (out, out_lane).
     unsigned out = 0;
     unsigned out_lane = 0;
   };
 
   /// One outgoing virtual channel of an output port.
   struct OutLane {
-    bool owned = false;
     unsigned in = 0;
     unsigned in_lane = 0;
     unsigned credits = 0;
   };
 
+  /// Per-output running counts and round-robin scan starts.
+  struct Out {
+    std::uint32_t owned = 0;  ///< Output lanes granted (bit per lane).
+    unsigned wanting = 0;     ///< Unbound front heads routed here.
+    unsigned rr_alloc = 0;    ///< VC-allocation scan start, over li().
+    unsigned rr_lane = 0;     ///< Free-lane grant start.
+    unsigned rr_sw = 0;       ///< Switch-arbiter scan start.
+  };
+
   std::size_t li(unsigned port, unsigned lane) const {
     return static_cast<std::size_t>(port) * params_.lanes + lane;
   }
+  WormFlit& slot(std::size_t idx, std::uint32_t k) {
+    return slots_[(idx << ring_shift_) + ((lanes_[idx].head + k) & ring_mask_)];
+  }
+  const WormFlit& front(std::size_t idx) const {
+    return slots_[(idx << ring_shift_) + lanes_[idx].head];
+  }
+  /// Route the head now at the front of lane `idx` of input `in` (the lane
+  /// must be non-empty and unbound).
+  void route_front(unsigned in, std::size_t idx);
   void push_flit(unsigned in_port, const WormFlit& f);
   void source_step(Source& s, Cycle t);
   void source_prime(Source& s, Cycle from);
-  void alloc_lane(unsigned out, Cycle t);
+  void alloc_lane(unsigned out);
   void arbitrate(unsigned out, Cycle t);
   void deliver(Sink& sink, const WormFlit& f, Cycle t);
+  /// PMSB_CHECK=1 only: recount the running counts from the lane state.
+  void audit_counts() const;
 
   const net::Topology* topo_;
   unsigned node_;
@@ -248,27 +296,26 @@ class WormRouter : public Component, public FabricNode {
   DestPattern* dests_;
   unsigned ports_;
   bool last_stage_;
+  std::uint32_t lane_bits_;  ///< One bit per lane.
+  unsigned ring_shift_;      ///< log2 of the per-lane ring capacity.
+  std::uint32_t ring_mask_;  ///< Ring capacity - 1.
 
   std::vector<const WormChannel*> rx_;      ///< [in_port], null at ingress.
   std::vector<CreditChannel*> credit_tx_;   ///< [in_port], null at ingress.
   std::vector<WormChannel*> tx_;            ///< [out_port], null at egress.
   std::vector<const CreditChannel*> credit_rx_;  ///< [out_port], null at egress.
 
-  std::vector<std::deque<WormFlit>> fifo_;  ///< [li(in, lane)]
-  std::vector<InState> in_state_;           ///< [li(in, lane)]
-  std::vector<OutLane> out_lane_;           ///< [li(out, lane)]
-  std::vector<unsigned> rr_alloc_;  ///< Per-output VC-allocation scan start.
-  std::vector<unsigned> rr_lane_;   ///< Per-output free-lane grant start.
-  std::vector<unsigned> rr_sw_;     ///< Per-output switch-arbiter scan start.
-  std::vector<unsigned> src_rr_;    ///< Per-input source lane-pick start.
+  std::vector<WormFlit> slots_;     ///< [li(in, lane) << ring_shift_ | ring index]
+  std::vector<Lane> lanes_;         ///< [li(in, lane)]
+  std::vector<OutLane> out_lane_;   ///< [li(out, lane)]
+  std::vector<Out> out_;            ///< [out_port]
 
-  /// Lanes popped during the current eval: blocks a second pop from the
-  /// same lane (one flit per lane per cycle) and keeps the OR-ed credit
-  /// mask exact -- without it, a tail popped at one output and the next
-  /// message's head popped at another output in the same cycle would merge
-  /// into a single credit bit and leak a credit.
-  std::vector<bool> popped_;                ///< [li(in, lane)], eval scratch.
-  std::vector<std::uint32_t> credit_mask_;  ///< [in_port], eval scratch.
+  /// Lanes popped during the current eval, per input: blocks a second pop
+  /// from the same lane (one flit per lane per cycle) and is the credit mask
+  /// returned upstream -- one bit per popped lane, so a tail popped at one
+  /// output and the next message's head popped at another output in the
+  /// same cycle can never merge into a single credit bit.
+  std::vector<std::uint32_t> popped_;  ///< [in_port], eval scratch.
 
   std::vector<std::unique_ptr<Source>> sources_;  ///< [in_port]
   std::vector<std::unique_ptr<Sink>> sinks_;      ///< [out_port]
@@ -276,6 +323,7 @@ class WormRouter : public Component, public FabricNode {
   std::uint64_t flits_in_total_ = 0;   ///< Accepted off links + injected.
   std::uint64_t flits_out_total_ = 0;  ///< Forwarded + delivered.
   std::uint64_t flits_forwarded_ = 0;  ///< Forwarded onto inter-stage links.
+  std::uint64_t flits_held_ = 0;       ///< Buffered across all lanes.
 
   std::unique_ptr<check::WormAuditor> auditor_;  ///< Non-null under PMSB_CHECK=1.
 };

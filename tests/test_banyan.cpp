@@ -4,12 +4,26 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "fabric/fabric.hpp"
+#include "fabric/worm.hpp"
 #include "net/topology.hpp"
+#include "sim/engine.hpp"
+#include "traffic/spec.hpp"
+
+namespace pmsb::fabric {
+
+/// Test access to a WormRouter's running counts, to corrupt them.
+struct WormRouterPeer {
+  static void bump_wanting(WormRouter& r, unsigned out) { ++r.out_[out].wanting; }
+  static void bump_held(WormRouter& r) { ++r.flits_held_; }
+};
+
+}  // namespace pmsb::fabric
 
 namespace pmsb::net {
 namespace {
@@ -173,6 +187,100 @@ TEST(WormFabric, RebuildReproducesDigest) {
   EXPECT_EQ(a->stats().delivered, b->stats().delivered);
 }
 
+/// Golden outputs of the wormhole router across lane geometries: one lane,
+/// single-flit messages (head == tail), a lane depth that is not a power of
+/// two, 32 lanes, every topology kind, and a near-idle load at which idle
+/// skipping fires. Unlike RebuildReproducesDigest, which compares two builds
+/// of the same code, these values were captured once and pin the router's
+/// allocation and arbitration order across rewrites of its datapath.
+TEST(WormFabric, PinnedDigestsAcrossLaneGeometries) {
+  struct Pin {
+    const char* what;
+    Topology topo;
+    unsigned lanes, buffer_flits, message_flits;
+    const char* traffic;
+    std::uint64_t injected, delivered, flits_delivered, uid_digest;
+    Cycle max_latency;
+    std::uint64_t rounds_skipped;
+  };
+  const std::vector<Pin> pins = {
+      // clang-format off
+      {"banyan16 1 lane", Topology{TopologyKind::kBanyan, 16, 1}, 1, 3, 4, "uniform:0.5",
+       40136, 36148, 144601, 0x9a9bb980bdbff50dULL, 2481, 0},
+      {"banyan16 4 lanes depth 3 1-flit", Topology{TopologyKind::kBanyan, 16, 1}, 4, 12, 1,
+       "hotsenders:0.25,0.95", 303902, 218745, 218745, 0xef3d1823f17125ccULL, 15949, 0},
+      {"omega32 32 lanes", Topology{TopologyKind::kOmega, 32, 1}, 32, 64, 8,
+       "hotsenders:0.25,0.95", 75821, 57317, 460521, 0xefb9c2f434c44963ULL, 18105, 0},
+      {"clos16 3 lanes 5-flit", Topology{TopologyKind::kClos, 16, 1, 4}, 3, 9, 5, "uniform:0.7",
+       44949, 44408, 222101, 0x803906c3eda6fae4ULL, 670, 0},
+      {"clos16 8 lanes hotspot", Topology{TopologyKind::kClos, 16, 1, 4}, 8, 48, 8,
+       "hotspot:0.5,0.3", 12018, 4842, 38760, 0x29e152d4ca546ea4ULL, 13571, 0},
+      {"banyan32 near idle", Topology{TopologyKind::kBanyan, 32, 1}, 4, 16, 8, "uniform:0.002",
+       146, 146, 1168, 0xf205d58e8944fd71ULL, 11, 18177},
+      // clang-format on
+  };
+  for (const Pin& pin : pins) {
+    fabric::FabricConfig cfg;
+    cfg.topo = pin.topo;
+    cfg.link_pipe_stages = 1;
+    cfg.seed = 11;
+    cfg.threads = 2;
+    cfg.engine = fabric::FabricEngine::kBarrier;
+    cfg.idle_skip = 1;
+    cfg.lanes = pin.lanes;
+    cfg.buffer_flits = pin.buffer_flits;
+    cfg.message_flits = pin.message_flits;
+    cfg.traffic = pin.traffic;
+    const auto fab = fabric::Fabric::build(pin.topo, cfg);
+    fab->run(20000);
+    const fabric::FabricStats st = fab->stats();
+    SCOPED_TRACE(pin.what);
+    EXPECT_EQ(st.payload_errors, 0u);
+    EXPECT_EQ(st.injected, pin.injected);
+    EXPECT_EQ(st.delivered, pin.delivered);
+    EXPECT_EQ(st.flits_delivered, pin.flits_delivered);
+    EXPECT_EQ(st.uid_digest, pin.uid_digest);
+    EXPECT_EQ(st.max_latency, pin.max_latency);
+    EXPECT_EQ(fab->rounds_skipped(), pin.rounds_skipped);
+  }
+}
+
+/// Runs one 2x2 router under PMSB_CHECK=1 (set in this process) for 500
+/// busy cycles, applies `corrupt`, runs one more cycle and exits 0.
+template <class Corrupt>
+void run_checked_router(Corrupt&& corrupt) {
+  setenv("PMSB_CHECK", "1", 1);
+  const Topology topo{TopologyKind::kBanyan, 2, 1};
+  Rng drng(1);
+  const auto dests = traffic::GeneratorSpec::parse("uniform").make_dest(2, drng);
+  fabric::WormParams wp;
+  wp.lanes = 4;
+  wp.lane_depth = 3;
+  wp.message_flits = 4;
+  wp.messages_per_cycle = 0.2;
+  fabric::WormRouter router(&topo, 0, wp, dests.get());
+  for (unsigned e = 0; e < 2; ++e) router.add_source(topo.ingress_of(e).second, e, Rng(e + 1));
+  for (unsigned p = 0; p < 2; ++p) router.add_sink(p, topo.egress_endpoint(0, p));
+  Engine eng;
+  eng.add(&router);
+  eng.run(500);
+  corrupt(router);
+  eng.run(1);
+  std::exit(0);
+}
+
+/// Under PMSB_CHECK=1 the router recounts its running counts from the lane
+/// state after every eval: an honest run passes, a corrupted count aborts.
+TEST(WormFabric, CheckedModeRecountsRunningCounts) {
+  EXPECT_EXIT(run_checked_router([](fabric::WormRouter&) {}), testing::ExitedWithCode(0), "");
+  EXPECT_DEATH(run_checked_router(
+                   [](fabric::WormRouter& r) { fabric::WormRouterPeer::bump_wanting(r, 0); }),
+               "unbound front heads");
+  EXPECT_DEATH(
+      run_checked_router([](fabric::WormRouter& r) { fabric::WormRouterPeer::bump_held(r); }),
+      "buffered flits");
+}
+
 /// FabricConfig::check() validates multistage fabrics without a per-node
 /// switch: topology shape, lane/buffer/message geometry, the shared link and
 /// load checks, the traffic spec, and the cell-only options.
@@ -188,6 +296,13 @@ TEST(WormFabric, ConfigCheckRejectsBadSettings) {
     return cfg;
   };
   EXPECT_TRUE(base().check().ok());
+  auto accepts = [&](const Topology& topo) {
+    fabric::FabricConfig cfg = base();
+    cfg.topo = topo;
+    EXPECT_TRUE(cfg.check().ok()) << cfg.check().summary();
+  };
+  accepts(Topology{TopologyKind::kBanyan, 1u << 16, 1});  // 2^16 endpoints: the limit.
+  accepts(Topology{TopologyKind::kClos, 256 * 256, 1, 256});
   auto rejects = [&](Code code, auto&& mutate) {
     fabric::FabricConfig cfg = base();
     mutate(cfg);
@@ -199,6 +314,12 @@ TEST(WormFabric, ConfigCheckRejectsBadSettings) {
           [](auto& c) { c.topo = Topology{TopologyKind::kBanyan, 12, 1}; });
   rejects(Code::kBadTopology,
           [](auto& c) { c.topo = Topology{TopologyKind::kClos, 12, 1, 4}; });
+  // WormFlit::dest is 16 bits: 2^17 banyan endpoints or a radix-257 Clos
+  // (66049 endpoints) would wrap destinations.
+  rejects(Code::kBadTopology,
+          [](auto& c) { c.topo = Topology{TopologyKind::kBanyan, 1u << 17, 1}; });
+  rejects(Code::kBadTopology,
+          [](auto& c) { c.topo = Topology{TopologyKind::kClos, 257 * 257, 1, 257}; });
   rejects(Code::kBadPorts, [](auto& c) { c.lanes = 33; });
   rejects(Code::kBadCapacity, [](auto& c) { c.buffer_flits = 18; });
   rejects(Code::kBadCellWords, [](auto& c) { c.message_flits = 0; });

@@ -133,13 +133,17 @@ TEST(EventHub, SubscribersSeeIdenticalStreamsFromLiveSwitch) {
 
   Recorder first, second, ephemeral;
   PipelinedTestbench tb(cfg, cfg.n_ports, cfg.cell_format(), spec, false);
+  // Counted relative to the testbench's own subscribers (an InvariantChecker
+  // under PMSB_CHECK=1), so the test means the same in every build mode.
+  const std::size_t before = tb.dut().events().subscriber_count();
   const Subscription sa = tb.dut().events().subscribe(first.events());
   Subscription se = tb.dut().events().subscribe(ephemeral.events());
   const Subscription sb = tb.dut().events().subscribe(second.events());
-  EXPECT_EQ(tb.dut().events().subscriber_count(), 3u);
+  EXPECT_EQ(tb.dut().events().subscriber_count(), before + 3);
 
   tb.run(300);
   se.reset();  // Dropping the middle subscriber must not disturb the others.
+  EXPECT_EQ(tb.dut().events().subscriber_count(), before + 2);
   tb.run(300);
 
   ASSERT_FALSE(first.log.empty());
