@@ -6,47 +6,64 @@
 // Regenerates the latency-vs-accepted-traffic curve on an 8x8 mesh of
 // single-lane wormhole routers with credit flow control, plus a buffer-depth
 // ablation showing the "bursts larger than the buffers" regime is what
-// hurts.
+// hurts. Every point is one wormhole fabric built through
+// fabric::Fabric::build (XY-routed WormRouters, src/fabric/worm.hpp), so the
+// tables obey the fabric determinism contract: identical at any thread
+// count, under either engine and with idle skipping on or off.
 
-// WormholeNetwork is a deprecated shim (superseded by
-// fabric::Fabric::build); this bench stays on it until the shim's removal
-// so the E2 curve keeps its exact historical baseline.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
+#include <cmath>
 #include <cstdio>
 #include <functional>
 
 #include "bench_util.hpp"
-#include "net/wormhole.hpp"
+#include "fabric/fabric.hpp"
+#include "net/topology.hpp"
 #include "stats/table.hpp"
 
 using namespace pmsb;
 using namespace pmsb::bench;
-using namespace pmsb::net;
 
 namespace {
 
+constexpr Cycle kWarmup = 5000;
+constexpr Cycle kMeasure = 20000;
+
 struct Point {
   double offered;
-  double accepted;
-  double latency;
-  std::uint64_t backlog;
+  double accepted;  ///< Flits / node / cycle over the measured window.
+  double latency;   ///< Mean arrival -> tail delivery of window deliveries.
+  std::uint64_t backlog;  ///< Messages queued at the sources at the end.
+  std::uint64_t payload_errors;
 };
 
 Point run_point(double rate, unsigned buffer_flits, unsigned message_flits,
                 std::uint64_t seed, unsigned lanes = 1) {
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 8, 8};
+  const net::Topology mesh{net::TopologyKind::kMesh2D, 8, 8};
+  fabric::FabricConfig cfg;
+  cfg.link_pipe_stages = 1;
+  cfg.threads = 1;  // the sweep runs points in parallel instead
+  cfg.seed = seed;
+  cfg.load = rate;
+  cfg.lanes = lanes;
   cfg.buffer_flits = buffer_flits;
   cfg.message_flits = message_flits;
-  cfg.injection_rate = rate;
-  cfg.lanes = lanes;
-  cfg.seed = seed;
-  WormholeNetwork net(cfg);
-  net.run(25000, 5000);
-  add_simulated_units(25000);
-  return Point{rate, net.accepted_throughput(), net.latency().mean(),
-               net.source_backlog_flits()};
+  const auto fab = fabric::Fabric::build(mesh, cfg);
+  fab->run(kWarmup);
+  const fabric::FabricStats warm = fab->stats();
+  fab->run(kMeasure);
+  const fabric::FabricStats st = fab->stats();
+  add_simulated_units(static_cast<std::uint64_t>(kWarmup + kMeasure));
+  const auto lat_sum = [](const fabric::FabricStats& s) {
+    return std::llround(s.mean_latency * static_cast<double>(s.delivered));
+  };
+  const std::uint64_t window = st.delivered - warm.delivered;
+  return Point{rate,
+               static_cast<double>(st.flits_delivered - warm.flits_delivered) /
+                   (static_cast<double>(mesh.nodes()) * static_cast<double>(kMeasure)),
+               window ? static_cast<double>(lat_sum(st) - lat_sum(warm)) /
+                            static_cast<double>(window)
+                      : 0.0,
+               st.backlog, st.payload_errors};
 }
 
 }  // namespace
@@ -57,8 +74,8 @@ int main(int argc, char** argv) {
       [](pmsb::bench::BenchContext& ctx) {
         BenchJson& bj = ctx.json;
     // All three sweeps (rate series, buffer/message ablation, lane count) are
-    // independent network instances: submit the whole grid at once and print
-    // the tables from the ordered results.
+    // independent fabrics: submit the whole grid at once and print the
+    // tables from the ordered results.
     const std::vector<double> rates = {0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.40, 0.60, 0.90};
     const std::vector<std::pair<unsigned, unsigned>> ablation = {
         {20u, 4u}, {20u, 16u}, {20u, 64u}, {8u, 4u}, {8u, 16u}, {8u, 64u}};
@@ -72,14 +89,22 @@ int main(int argc, char** argv) {
       points.push_back([l] { return run_point(0.9, 16, 20, 10, l); });
     exp::SweepRunner runner;
     const std::vector<Point> results = runner.run(std::move(points));
+    for (const Point& p : results) {
+      if (p.payload_errors != 0) {
+        std::fprintf(stderr, "FAIL: offered %.2f delivered %llu corrupted flit payloads\n",
+                     p.offered, static_cast<unsigned long long>(p.payload_errors));
+        return 1;
+      }
+    }
 
     std::printf(
         "\n8x8 mesh, single-lane wormhole routers, 20-flit messages, 16-flit\n"
-        "input buffers, uniform destinations. Latency is head-injection to\n"
-        "tail-ejection; saturation shows as accepted << offered + exploding\n"
-        "backlog. Paper citation: saturation at ~25%% of link capacity.\n\n");
+        "input buffers, uniform destinations (self included). Latency is message\n"
+        "arrival to tail delivery; saturation shows as accepted << offered +\n"
+        "exploding backlog. Paper citation: saturation at ~25%% of link capacity.\n\n");
 
-    Table t({"offered (flits/node/cy)", "accepted", "mean latency (cy)", "source backlog"});
+    Table t({"offered (flits/node/cy)", "accepted", "mean latency (cy)",
+             "source backlog (msgs)"});
     double saturation = 0;
     double light_latency = 0;
     std::uint64_t peak_backlog = 0;

@@ -1,4 +1,4 @@
-// The cell transport of the direct-topology fabrics: per-link components
+// The cell transport of the torus and ring fabrics: per-link components
 // that move cells between the channel rings (src/fabric/channel.hpp) and a
 // node's switch, the per-node traffic endpoints, and CellNode, which bundles
 // them into one fabric node (src/fabric/node.hpp).

@@ -11,7 +11,7 @@
 // the role of the last pipeline register.
 //
 // The ring is generic over its payload (Ring<T>): the cell fabrics carry
-// whole-cell words (Channel = Ring<Flit>), the multistage wormhole fabrics
+// whole-cell words (Channel = Ring<Flit>), the wormhole fabrics
 // carry single flits with lane tags (Ring<WormFlit>) and, in the *reverse*
 // direction of every data link, per-lane credit pulses (Ring<CreditPulse>).
 // T needs a `valid` flag and a value-initialized state meaning "idle". The

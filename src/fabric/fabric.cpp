@@ -19,6 +19,13 @@ namespace pmsb::fabric {
 namespace {
 bool g_engine_overridden = false;
 FabricEngine g_engine_override = FabricEngine::kBarrier;
+
+/// The transport follows the topology kind: wormhole where its routing is
+/// deadlock-free (feed-forward multistage stages, XY on a mesh), cells on
+/// the wrap-around torus and ring.
+bool wormhole_kind(const net::Topology& topo) {
+  return topo.multistage() || topo.kind == net::TopologyKind::kMesh2D;
+}
 }  // namespace
 
 void set_fabric_engine_override(FabricEngine e) {
@@ -41,9 +48,9 @@ const char* to_string(FabricEngine e) {
 }
 
 ConfigValidation FabricConfig::check() const {
-  // Multistage (wormhole) fabrics have no per-node switch; their geometry
-  // and transport parameters are validated here instead of node.check().
-  const bool worm = topo.multistage();
+  // Wormhole fabrics have no per-node switch; their geometry and transport
+  // parameters are validated here instead of node.check().
+  const bool worm = wormhole_kind(topo);
   ConfigValidation v = worm ? ConfigValidation{} : node.check();
   auto issue = [&v](ConfigIssue::Code c, std::string msg) {
     v.issues.push_back(ConfigIssue{c, std::move(msg)});
@@ -62,7 +69,10 @@ ConfigValidation FabricConfig::check() const {
   }
 
   if (worm) {
-    if (topo.kind == net::TopologyKind::kClos) {
+    if (topo.kind == net::TopologyKind::kMesh2D) {
+      if (topo.nodes() < 2)
+        issue(ConfigIssue::Code::kBadTopology, "fabric needs at least two nodes");
+    } else if (topo.kind == net::TopologyKind::kClos) {
       if (topo.radix < 2)
         issue(ConfigIssue::Code::kBadTopology, "a Clos network needs radix >= 2");
       else if (topo.width != topo.radix * topo.radix)
@@ -286,16 +296,19 @@ std::unique_ptr<Fabric> Fabric::build(const net::Topology& topo, const FabricCon
 
 Fabric::Fabric(const FabricConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
-  worm_ = cfg_.topo.multistage();
+  worm_ = wormhole_kind(cfg_.topo);
   const unsigned n = cfg_.topo.nodes();
   const unsigned workers = cfg_.threads ? cfg_.threads : exp::thread_count();
   workers_ = std::min(std::max(workers, 1u), n);
   idle_skip_on_ = cfg_.idle_skip < 0 ? Engine::idle_skip_env_default() : cfg_.idle_skip != 0;
-  // The sampling-frame ring holds every boundary that two nodes' clocks can
-  // straddle, plus slack.
-  const unsigned skew_rounds = worm_ ? build_worm() : build_cells();
+  if (worm_)
+    build_worm();
+  else
+    build_cells();
   if (cfg_.engine == FabricEngine::kDataflow) {
-    build_tasks(skew_rounds + 4);
+    // The sampling-frame ring holds every boundary that two nodes' clocks
+    // can straddle, plus slack.
+    build_tasks(link_diameter() + 4);
     return;
   }
   // kBarrier: contiguous node blocks per shard (cache locality; any fixed
@@ -317,7 +330,39 @@ Fabric::Fabric(const FabricConfig& cfg) : cfg_(cfg) {
 
 Fabric::~Fabric() = default;
 
-unsigned Fabric::build_cells() {
+unsigned Fabric::link_diameter() const {
+  // Every link carries edges both ways (a cell link each direction, or a
+  // wormhole data ring plus its credit ring), so each hop bounds the two
+  // clocks within one round of each other in both directions.
+  const unsigned n = nodes();
+  std::vector<std::vector<unsigned>> adj(n);
+  for (const Edge& e : edges_) {
+    adj[e.producer].push_back(e.consumer);
+    adj[e.consumer].push_back(e.producer);
+  }
+  constexpr unsigned kUnseen = ~0u;
+  unsigned widest = 0;
+  std::vector<unsigned> dist(n);
+  std::vector<unsigned> queue;
+  queue.reserve(n);
+  for (unsigned src = 0; src < n; ++src) {
+    dist.assign(n, kUnseen);
+    dist[src] = 0;
+    queue.assign(1, src);
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      const unsigned u = queue[i];
+      for (unsigned v : adj[u]) {
+        if (dist[v] != kUnseen) continue;
+        dist[v] = dist[u] + 1;
+        widest = std::max(widest, dist[v]);
+        queue.push_back(v);
+      }
+    }
+  }
+  return widest;
+}
+
+void Fabric::build_cells() {
   const net::Topology& topo = cfg_.topo;
   const unsigned n = topo.nodes();
   const unsigned ports = topo.required_ports();
@@ -326,16 +371,16 @@ unsigned Fabric::build_cells() {
   const double load = traffic::GeneratorSpec::parse(cfg_.traffic).load_or(cfg_.load);
 
   // Identical wiring at every thread count AND engine: each directed link
-  // (u, out port p) gets a ring even when both endpoints share a shard.
+  // (u, out port p) gets a ring even when both endpoints share a shard. The
+  // torus and ring wrap, so every port has a neighbor.
   std::vector<Channel*> tx(static_cast<std::size_t>(n) * ports, nullptr);
   edges_.reserve(tx.size());
   for (unsigned u = 0; u < n; ++u) {
     for (unsigned p = 0; p < ports; ++p) {
-      const int v = topo.neighbor(u, static_cast<net::Port>(p));
-      if (v < 0) continue;
+      const auto v = static_cast<unsigned>(topo.neighbor(u, static_cast<net::Port>(p)));
       auto ring = std::make_unique<Channel>(cfg_.link_pipe_stages);
       tx[u * ports + p] = ring.get();
-      edges_.push_back(Edge{u, static_cast<unsigned>(v), std::move(ring)});
+      edges_.push_back(Edge{u, v, std::move(ring)});
     }
   }
 
@@ -359,25 +404,19 @@ unsigned Fabric::build_cells() {
     node->taps.reserve(ports);
     for (unsigned q = 0; q < ports; ++q) {
       const net::Port port = static_cast<net::Port>(q);
-      const int u = topo.neighbor(v, port);
-      if (u < 0) continue;
-      Channel* rx = tx[static_cast<unsigned>(u) * ports + net::opposite(port)];
-      PMSB_CHECK(rx != nullptr, "fabric link without a channel");
-      Injector* inj = node->bridges.empty() ? &node->injector : nullptr;
+      const auto u = static_cast<unsigned>(topo.neighbor(v, port));
+      Channel* rx = tx[u * ports + net::opposite(port)];
+      Injector* inj = q == 0 ? &node->injector : nullptr;
       node->bridges.push_back(std::make_unique<PortBridge>(
           &cfg_.topo, &codec_, v, port, rx, &node->in_link(q), inj, &node->ejector));
     }
-    PMSB_CHECK(!node->bridges.empty(), "fabric node with no links");
     for (unsigned p = 0; p < ports; ++p)
-      if (Channel* ch = tx[v * ports + p])
-        node->taps.push_back(std::make_unique<TxTap>(&node->out_link(p), ch));
+      node->taps.push_back(std::make_unique<TxTap>(&node->out_link(p), tx[v * ports + p]));
     nodes_.push_back(std::move(node));
   }
-  // Each hop adds at most D cycles (one round) of skew.
-  return topo.diameter();
 }
 
-unsigned Fabric::build_worm() {
+void Fabric::build_worm() {
   const net::Topology& topo = cfg_.topo;
   const unsigned n = topo.nodes();
   const unsigned ports = topo.required_ports();
@@ -403,16 +442,17 @@ unsigned Fabric::build_worm() {
     nodes_.push_back(std::move(r));
   }
 
-  // Inter-stage links (u, out p) -> (v, in q): a forward flit ring u -> v
-  // plus a reverse credit ring v -> u per link, identical wiring at every
-  // thread count and engine.
+  // Links (u, out p) -> (v, in q): a forward flit ring u -> v plus a
+  // reverse credit ring v -> u per link, identical wiring at every thread
+  // count and engine. Mesh edges and last-stage outputs have no neighbor.
   edges_.reserve(2 * static_cast<std::size_t>(n) * ports);
   for (unsigned u = 0; u < n; ++u) {
     for (unsigned p = 0; p < ports; ++p) {
       const int vi = topo.neighbor(u, p);
       if (vi < 0) continue;
-      const unsigned v = static_cast<unsigned>(vi);
-      const unsigned q = topo.peer_in_port(u, p);
+      const auto v = static_cast<unsigned>(vi);
+      const unsigned q = topo.multistage() ? topo.peer_in_port(u, p)
+                                           : net::opposite(static_cast<net::Port>(p));
       auto data = std::make_unique<WormChannel>(cfg_.link_pipe_stages);
       auto credit = std::make_unique<CreditChannel>(cfg_.link_pipe_stages);
       routers[u]->connect_out(p, data.get(), credit.get());
@@ -422,21 +462,28 @@ unsigned Fabric::build_worm() {
     }
   }
 
-  // Endpoints: sources on the first stage's inputs (per-endpoint RNG split
-  // from the seed, like the cell Injectors), sinks on the last stage's
-  // outputs.
+  // Endpoints (per-endpoint RNG split from the seed, like the cell
+  // Injectors): on a mesh, endpoint v is router v's kLocal port both ways;
+  // on a multistage network, sources sit on the first stage's inputs and
+  // sinks on the last stage's outputs.
+  auto endpoint_rng = [this](unsigned e) {
+    return Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1)));
+  };
+  if (!topo.multistage()) {
+    for (unsigned v = 0; v < n; ++v) {
+      routers[v]->add_source(net::kLocal, v, endpoint_rng(v));
+      routers[v]->add_sink(net::kLocal, v);
+    }
+    return;
+  }
   for (unsigned e = 0; e < topo.endpoints(); ++e) {
     const auto [v, q] = topo.ingress_of(e);
-    routers[v]->add_source(q, e, Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1))));
+    routers[v]->add_source(q, e, endpoint_rng(e));
   }
   for (unsigned el = 0; el < topo.elements_per_stage(); ++el) {
     const unsigned v = topo.node_id(topo.stages() - 1, el);
     for (unsigned p = 0; p < ports; ++p) routers[v]->add_sink(p, topo.egress_endpoint(v, p));
   }
-  // Credits flow upstream, so the dependency graph is bidirectional along
-  // every link and the skew bound is the *undirected* stage distance: at
-  // most 2 * (stages - 1) rounds between the clocks of any two routers.
-  return 2 * topo.stages();
 }
 
 void Fabric::build_tasks(unsigned frame_ring) {
@@ -748,9 +795,9 @@ void Fabric::df_contribute_sample(unsigned v, Cycle k) {
   Dataflow::FrameSlot& slot =
       *df.frames[static_cast<std::size_t>(k % static_cast<Cycle>(df.frames.size()))];
   // The slot serving boundary k is re-armed by the completer of boundary
-  // k - R. The skew bound (the transport constructors' return) guarantees
-  // that boundary has all contributions by now, so this wait only covers
-  // an in-flight completion call.
+  // k - R. The skew bound (link_diameter()) guarantees that boundary has
+  // all contributions by now, so this wait only covers an in-flight
+  // completion call.
   while (slot.boundary.load(std::memory_order_acquire) != k) std::this_thread::yield();
   // This worker holds node v exactly at the boundary cycle, so this read
   // sees the same per-node state the parked barrier engine would.

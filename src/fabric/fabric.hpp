@@ -4,15 +4,15 @@
 // bit-identical at any thread count AND under either execution engine.
 //
 // One core serves both transports. A transport constructor builds one
-// FabricNode per topology vertex (src/fabric/node.hpp) -- a CellNode on
-// direct topologies (a switch with its PortBridges, TxTaps and endpoints,
-// src/fabric/bridge.hpp), a flit-level WormRouter on multistage ones
-// (src/fabric/worm.hpp) -- and one (producer, consumer, ring) edge per
-// channel ring: one per directed cell link, or a data edge u -> v plus a
-// credit edge v -> u per wormhole link. ALL inter-node traffic -- including
-// between nodes in the same shard -- goes through those rings, so the
-// simulated wiring does not depend on the partition. The engines see only
-// nodes and edges, never cells or flits:
+// FabricNode per topology vertex (src/fabric/node.hpp) -- a CellNode on the
+// torus and ring (a switch with its PortBridges, TxTaps and endpoints,
+// src/fabric/bridge.hpp), a flit-level WormRouter on the mesh and the
+// multistage kinds (src/fabric/worm.hpp) -- and one (producer, consumer,
+// ring) edge per channel ring: one per directed cell link, or a data edge
+// u -> v plus a credit edge v -> u per wormhole link. ALL inter-node
+// traffic -- including between nodes in the same shard -- goes through
+// those rings, so the simulated wiring does not depend on the partition.
+// The engines see only nodes and edges, never cells or flits:
 //
 //  * kBarrier -- conservative lockstep: inter-node links have
 //    `link_pipe_stages` (D >= 1) register stages, i.e. a word leaving a node
@@ -85,10 +85,10 @@ const char* to_string(FabricEngine e);
 
 struct FabricConfig {
   net::Topology topo;
-  /// Per-node switch geometry (direct topologies only; multistage kinds run
-  /// flit-level WormRouters and ignore this). Needs n_ports >=
-  /// topo.required_ports(), word_bits >= 16 and cell_words >= 4 (fabric wire
-  /// format), and a head tag wide enough for a node id.
+  /// Per-node switch geometry (torus and ring only; the mesh and the
+  /// multistage kinds run flit-level WormRouters and ignore this). Needs
+  /// n_ports >= topo.required_ports(), word_bits >= 16 and cell_words >= 4
+  /// (fabric wire format), and a head tag wide enough for a node id.
   /// SwitchConfig::for_ports() qualifies.
   SwitchConfig node = SwitchConfig::for_ports(4);
   /// D: register stages on every inter-node link (latency D + 1 cycles).
@@ -125,7 +125,7 @@ struct FabricConfig {
   /// flight recorders.
   Cycle flight_warmup = 0;
 
-  // --- Wormhole transport (multistage topologies only) --------------------
+  // --- Wormhole transport (mesh and multistage topologies only) -----------
   /// Virtual channels (lanes) per router port, 1..32; must divide
   /// buffer_flits.
   unsigned lanes = 1;
@@ -135,9 +135,8 @@ struct FabricConfig {
   /// Flits per message (head..tail).
   unsigned message_flits = 8;
   /// Workload spec (traffic::GeneratorSpec grammar, e.g. "uniform:0.8",
-  /// "hotspot:0.25"). Multistage fabrics honor every destination kind;
-  /// direct (cell) fabrics support "uniform" only. A spec-embedded load
-  /// overrides `load`.
+  /// "hotspot:0.25"). Wormhole fabrics honor every destination kind; cell
+  /// fabrics support "uniform" only. A spec-embedded load overrides `load`.
   std::string traffic = "uniform";
 
   ConfigValidation check() const;
@@ -160,7 +159,7 @@ struct ShardTelemetry {
   std::uint64_t steals = 0;     ///< kDataflow: times this task ran on a thief.
   std::uint64_t rounds = 0;     ///< Rounds/chunks stepped (skipped excluded).
   /// Transit cells relayed (cell fabrics) or flits forwarded onto
-  /// inter-stage links (wormhole fabrics) by this shard's nodes.
+  /// links (wormhole fabrics) by this shard's nodes.
   std::uint64_t cells_relayed = 0;
 };
 
@@ -188,10 +187,11 @@ struct FabricSchedulerStats {
 class Fabric {
  public:
   /// THE construction path: build a fabric of `topo`'s shape with the given
-  /// configuration (cfg.topo is overridden by `topo`). Direct topologies
-  /// (mesh/torus/ring) get cell-granular PipelinedSwitch nodes; multistage
-  /// topologies (banyan/omega/clos) get flit-level wormhole routers. Throws
-  /// std::invalid_argument on an invalid configuration.
+  /// configuration (cfg.topo is overridden by `topo`). The transport
+  /// follows the topology kind: the torus and ring get cell-granular
+  /// PipelinedSwitch nodes; the mesh (XY-routed, 5-port routers) and the
+  /// multistage kinds (banyan/omega/clos) get flit-level wormhole routers.
+  /// Throws std::invalid_argument on an invalid configuration.
   static std::unique_ptr<Fabric> build(const net::Topology& topo, const FabricConfig& cfg);
 
   ~Fabric();
@@ -204,8 +204,9 @@ class Fabric {
   FabricEngine engine() const { return cfg_.engine; }
   Cycle now() const { return cycles_run_; }
   const FabricConfig& config() const { return cfg_; }
-  /// True when this fabric runs flit-level wormhole transport (multistage
-  /// topology); the node_*switch accessors below are cell-fabric-only.
+  /// True when this fabric runs flit-level wormhole transport (mesh or
+  /// multistage topology); the node_*switch accessors below are
+  /// cell-fabric-only.
   bool wormhole() const { return worm_; }
   bool node_is_fast(unsigned i) const { return cell(i).fast != nullptr; }
   const PipelinedSwitch& node_switch(unsigned i) const {
@@ -233,6 +234,12 @@ class Fabric {
   /// Deterministic aggregate accounting (identical at any thread count and
   /// under either engine).
   FabricStats stats() const;
+
+  /// Largest undirected hop distance between two nodes over the channel
+  /// edge list (data and credit rings alike). Bounds, in rounds, the clock
+  /// skew between any two nodes under kDataflow, which sizes its
+  /// sampling-frame ring.
+  unsigned link_diameter() const;
 
   /// Per-node flight recorder (null unless FabricConfig::flight_recorder).
   const obs::FlightRecorder* node_flight(unsigned i) const {
@@ -285,11 +292,9 @@ class Fabric {
     std::uint64_t rounds = 0;
   };
 
-  /// Transport constructors: fill nodes_ and edges_, and return the bound,
-  /// in rounds, on the clock skew between any two nodes under kDataflow
-  /// (sizes its sample-frame ring).
-  unsigned build_cells();
-  unsigned build_worm();
+  /// Transport constructors: fill nodes_ and edges_.
+  void build_cells();
+  void build_worm();
   /// Sum of every node's counts(): the live gauge inputs.
   NodeCounts live_counts() const;
   void end_of_round();
@@ -326,7 +331,7 @@ class Fabric {
   FabricConfig cfg_;
   CellCodec codec_;       ///< Cell fabrics' wire format.
   unsigned workers_ = 1;  ///< Resolved worker-thread count.
-  bool worm_ = false;     ///< Wormhole transport (multistage topology).
+  bool worm_ = false;     ///< Wormhole transport (mesh or multistage topology).
   /// Shared destination pattern of the worm sources (stateless per pick;
   /// see traffic/spec.hpp).
   std::unique_ptr<DestPattern> wdests_;

@@ -47,7 +47,7 @@ struct FabricStats {
     std::uint64_t cells;
     double mean_latency;
   };
-  std::vector<HopRow> by_hops;
+  std::vector<HopRow> by_hops;  ///< Cell fabrics only: deliveries by route length.
 
   std::uint64_t dropped() const {
     return dropped_no_addr + dropped_no_slot + dropped_out_limit;

@@ -36,12 +36,13 @@ unsigned next_mod(unsigned i, unsigned n) { return i + 1 == n ? 0 : i + 1; }
 WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
                        DestPattern* dests)
     : topo_(topo), node_(node), params_(params), dests_(dests) {
-  PMSB_CHECK(topo->multistage(), "WormRouter requires a multistage topology");
+  mesh_ = topo->kind == net::TopologyKind::kMesh2D;
+  PMSB_CHECK(topo->multistage() || mesh_, "WormRouter requires a multistage or mesh topology");
   PMSB_CHECK(params.lanes >= 1 && params.lanes <= 32, "worm lanes must be in [1, 32]");
   PMSB_CHECK(params.lane_depth >= 1, "worm lane_depth must be >= 1");
   PMSB_CHECK(params.message_flits >= 1, "worm message_flits must be >= 1");
-  ports_ = topo->required_ports();
-  last_stage_ = topo->stage_of(node) + 1 == topo->stages();
+  // A mesh router adds the kLocal port (its source and sink) to its four links.
+  ports_ = mesh_ ? net::kNumPorts : topo->required_ports();
   lane_bits_ = params_.lanes == 32 ? ~0u : (1u << params_.lanes) - 1;
   const unsigned ring = std::bit_ceil(params_.lane_depth);
   ring_shift_ = static_cast<unsigned>(std::countr_zero(ring));
@@ -88,7 +89,8 @@ void WormRouter::add_source(unsigned in_port, unsigned endpoint, Rng rng) {
 }
 
 void WormRouter::add_sink(unsigned out_port, unsigned endpoint) {
-  PMSB_CHECK(last_stage_, "worm sinks attach to last-stage outputs only");
+  PMSB_CHECK(mesh_ ? out_port == net::kLocal : topo_->stage_of(node_) + 1 == topo_->stages(),
+             "worm sinks attach to last-stage outputs or a mesh router's local port");
   PMSB_CHECK(out_port < ports_ && tx_[out_port] == nullptr && sinks_[out_port] == nullptr,
              "worm sink conflicts with an existing output");
   auto k = std::make_unique<Sink>();
@@ -98,8 +100,12 @@ void WormRouter::add_sink(unsigned out_port, unsigned endpoint) {
   sinks_[out_port] = std::move(k);
 }
 
+unsigned WormRouter::route(unsigned in, unsigned dest) const {
+  return mesh_ ? topo_->route_xy(node_, dest) : topo_->route_stage(node_, in, dest);
+}
+
 void WormRouter::route_front(unsigned in, std::size_t idx) {
-  const unsigned out = topo_->route_stage(node_, in, front(idx).dest);
+  const unsigned out = route(in, front(idx).dest);
   lanes_[idx].want = out;
   ++out_[out].wanting;
 }
@@ -267,7 +273,7 @@ void WormRouter::deliver(Sink& sink, const WormFlit& f, Cycle t) {
 }
 
 void WormRouter::eval(Cycle t) {
-  // 1. Accept at most one flit per inter-stage input.
+  // 1. Accept at most one flit per link input.
   for (unsigned in = 0; in < ports_; ++in) {
     if (rx_[in] == nullptr) continue;
     const WormFlit& f = rx_[in]->read(t);
@@ -286,7 +292,7 @@ void WormRouter::eval(Cycle t) {
       if (auditor_ != nullptr) auditor_->on_credit(out, l, ol.credits);
     }
   }
-  // 3. Inject (first stage only): arrivals plus one streamed flit per source.
+  // 3. Inject (ingress routers only): arrivals plus one streamed flit per source.
   for (unsigned in = 0; in < ports_; ++in)
     if (sources_[in] != nullptr) source_step(*sources_[in], t);
   // 4. Per output: one VC allocation, then one switch grant; the tx ring is
@@ -319,7 +325,7 @@ void WormRouter::audit_counts() const {
       held += lane.size;
       unsigned want = kNoOut;
       if (lane.size != 0 && front(idx).head && !lane.bound) {
-        want = topo_->route_stage(node_, in, front(idx).dest);
+        want = route(in, front(idx).dest);
         ++wanting[want];
       }
       PMSB_CHECK(lane.want == want, "worm lane's cached route disagrees with its front flit");
@@ -358,6 +364,9 @@ Cycle WormRouter::next_wake(Cycle) const {
 }
 
 std::string WormRouter::name() const {
+  if (mesh_)
+    return "worm_router_x" + std::to_string(topo_->x_of(node_)) + "y" +
+           std::to_string(topo_->y_of(node_));
   return "worm_router_s" + std::to_string(topo_->stage_of(node_)) + "e" +
          std::to_string(topo_->element_of(node_));
 }
@@ -409,10 +418,6 @@ void WormRouter::fold(FabricStats& st) const {
       const Cycle hi = static_cast<Cycle>(k.lat_hist.max());
       if (st.delivered == 0 || lo < st.min_latency) st.min_latency = lo;
       if (st.delivered == 0 || hi > st.max_latency) st.max_latency = hi;
-      if (st.by_hops.empty())
-        st.by_hops.push_back(FabricStats::HopRow{topo_->stages() - 1, 0, 0});
-      st.by_hops[0].cells += k.delivered;
-      st.by_hops[0].mean_latency += static_cast<double>(k.lat_sum);
     }
     st.delivered += k.delivered;
     st.flits_delivered += k.flits;

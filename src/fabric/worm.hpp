@@ -1,21 +1,21 @@
-// Flit-level wormhole transport for the multistage fabrics (banyan / omega /
-// Clos): one WormRouter per switching element, connected by the same channel
-// rings the cell fabrics use -- a Ring<WormFlit> per inter-stage link in the
-// forward direction and a Ring<CreditPulse> per link in the *reverse*
-// direction.
+// Flit-level wormhole transport for the fabrics that route without a
+// wrap-around: the multistage networks (banyan / omega / Clos) and the 2-D
+// mesh. One WormRouter per topology node, connected by the same channel
+// rings the cell fabrics use -- a Ring<WormFlit> per link in the forward
+// direction and a Ring<CreditPulse> per link in the *reverse* direction.
 //
-// Transport model (the classic virtual-channel wormhole router [Dally90],
-// specialised to a feed-forward multistage network):
+// Transport model (the classic virtual-channel wormhole router [Dally90]):
 //
 //  * A message of `message_flits` flits streams head -> body -> tail. Only
-//    the head carries routing state (the destination endpoint); every stage
-//    computes its output with net::Topology::route_stage -- a single
-//    destination-digit test, no tables.
+//    the head carries routing state (the destination endpoint); every
+//    router computes its output from it with no tables: on a multistage
+//    network net::Topology::route_stage (a single destination-digit test),
+//    on a mesh net::Topology::route_xy (dimension order, X then Y).
 //  * Each input port buffers flits in `lanes` virtual-channel FIFOs of
 //    `lane_depth` flits each. A lane holds flits of at most one message at a
 //    time from head to tail (per-lane contiguity), so a blocked message
 //    stalls only its own lane while other lanes overtake it -- the whole
-//    point of virtual channels on a blocking banyan.
+//    point of virtual channels on a blocking network.
 //  * Each output has `lanes` outgoing virtual channels. VC allocation binds
 //    an (input, lane) holding a head flit to a free output lane, at most one
 //    new binding per output per cycle; switch arbitration then picks at most
@@ -28,10 +28,13 @@
 //    is 2 * (delay + 1) cycles, so full-throughput streaming on one lane
 //    needs lane_depth >= 2 * (delay + 1) -- worm fabrics default to
 //    link_pipe_stages = 1 for that reason.
-//  * The network is feed-forward (stage s only ever sends to stage s + 1),
-//    so the channel-dependency graph is acyclic and wormhole deadlock cannot
-//    arise; lanes here buy throughput under head-of-line blocking, not
-//    deadlock freedom.
+//  * Routing is deadlock-free without lanes, so lanes buy throughput under
+//    head-of-line blocking, not deadlock freedom. A multistage network is
+//    feed-forward (stage s only ever sends to stage s + 1), and XY routing
+//    on a mesh never turns from Y back to X; either way the channel-
+//    dependency graph is acyclic. (Dimension-order routing around a torus
+//    or ring wrap is not: it would need dateline lanes, so those kinds run
+//    the cell transport instead.)
 //
 // Router datapath. Every (input, lane) FIFO is a power-of-two ring (capacity
 // the smallest power of two >= lane_depth) in one contiguous per-router slot
@@ -48,17 +51,18 @@
 // grant order is the plain rotating round-robin order. Under PMSB_CHECK=1 the
 // running counts are recounted from the lane state at the end of every eval.
 //
-// First-stage inputs own a Source (Bernoulli message arrivals at
-// `messages_per_cycle`, destination from a shared traffic::DestPattern,
-// backlog queued losslessly). Injection is per lane, as in [Dally90]: the
-// source streams one active message per lane and interleaves their flits
-// round-robin at the 1-flit/cycle link rate, so a stalled message blocks
-// only its own lane -- never the source. Last-stage outputs own a Sink
-// (per-lane reassembly, end-to-end payload verification, an order-sensitive
-// delivery digest and an HDR latency histogram). Everything a router
-// touches is either private or a single-writer ring, so a router is a
-// fabric node in its own right (src/fabric/node.hpp), and the barrier and
-// dataflow engines shard routers exactly like cell-fabric nodes.
+// Ingress inputs (first-stage inputs; a mesh router's kLocal input) own a
+// Source (Bernoulli message arrivals at `messages_per_cycle`, destination
+// from a shared traffic::DestPattern, backlog queued losslessly). Injection
+// is per lane, as in [Dally90]: the source streams one active message per
+// lane and interleaves their flits round-robin at the 1-flit/cycle link
+// rate, so a stalled message blocks only its own lane -- never the source.
+// Egress outputs (last-stage outputs; a mesh router's kLocal output) own a
+// Sink (per-lane reassembly, end-to-end payload verification, an
+// order-sensitive delivery digest and an HDR latency histogram). Everything
+// a router touches is either private or a single-writer ring, so a router
+// is a fabric node in its own right (src/fabric/node.hpp), and the barrier
+// and dataflow engines shard routers exactly like cell-fabric nodes.
 
 #pragma once
 
@@ -81,7 +85,7 @@
 
 namespace pmsb::fabric {
 
-/// One flit on an inter-stage link. `lane` is the virtual channel the flit
+/// One flit on a link. `lane` is the virtual channel the flit
 /// occupies on *this* link (rewritten per hop); `dest` is the destination
 /// endpoint; `msg`/`seq` identify the flit within its message; `created` is
 /// the message's arrival cycle at the source (for end-to-end latency).
@@ -127,20 +131,22 @@ struct WormParams {
   double messages_per_cycle = 0.0;  ///< Bernoulli arrival rate per endpoint.
 };
 
-/// One switching element of a multistage network (see file comment).
+/// One router of a wormhole fabric: a multistage switching element or a
+/// 5-port mesh router (see file comment).
 class WormRouter : public Component, public FabricNode {
  public:
   WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
              DestPattern* dests);
 
   // --- Wiring (fabric build time) ----------------------------------------
-  /// Inter-stage input: flits arrive on `rx`, credits return on `credit_tx`.
+  /// Link input: flits arrive on `rx`, credits return on `credit_tx`.
   void connect_in(unsigned in_port, const WormChannel* rx, CreditChannel* credit_tx);
-  /// Inter-stage output: flits leave on `tx`, credits arrive on `credit_rx`.
+  /// Link output: flits leave on `tx`, credits arrive on `credit_rx`.
   void connect_out(unsigned out_port, WormChannel* tx, const CreditChannel* credit_rx);
-  /// First-stage only: endpoint `endpoint` injects into `in_port`.
+  /// Ingress input only: endpoint `endpoint` injects into `in_port`.
   void add_source(unsigned in_port, unsigned endpoint, Rng rng);
-  /// Last-stage only: output `out_port` delivers to endpoint `endpoint`.
+  /// Egress output only (a last-stage output, or a mesh router's kLocal):
+  /// output `out_port` delivers to endpoint `endpoint`.
   void add_sink(unsigned out_port, unsigned endpoint);
 
   void eval(Cycle t) override;
@@ -156,8 +162,7 @@ class WormRouter : public Component, public FabricNode {
   // --- Fabric node ------------------------------------------------------
   void attach(Engine& eng) override { eng.add(this); }
   NodeCounts counts() const override;
-  /// Sinks merge in port order; the single by_hops row counts every
-  /// delivery at stages() - 1 inter-stage links.
+  /// Sinks merge in port order. Adds no by_hops rows.
   void fold(FabricStats& st) const override;
 
   // --- Accounting (read at barriers / after the run) ---------------------
@@ -179,7 +184,7 @@ class WormRouter : public Component, public FabricNode {
   SourceStats source_stats(unsigned in_port) const;
   SinkStats sink_stats(unsigned out_port) const;
 
-  /// Flits relayed onto inter-stage links (the telemetry work measure).
+  /// Flits relayed onto links (the telemetry work measure).
   std::uint64_t flits_forwarded() const { return flits_forwarded_; }
   /// Flits currently buffered across all lane FIFOs.
   std::uint64_t flits_held() const { return flits_held_; }
@@ -278,6 +283,8 @@ class WormRouter : public Component, public FabricNode {
   const WormFlit& front(std::size_t idx) const {
     return slots_[(idx << ring_shift_) + lanes_[idx].head];
   }
+  /// Output toward endpoint `dest` for a head that arrived on input `in`.
+  unsigned route(unsigned in, unsigned dest) const;
   /// Route the head now at the front of lane `idx` of input `in` (the lane
   /// must be non-empty and unbound).
   void route_front(unsigned in, std::size_t idx);
@@ -295,15 +302,15 @@ class WormRouter : public Component, public FabricNode {
   WormParams params_;
   DestPattern* dests_;
   unsigned ports_;
-  bool last_stage_;
+  bool mesh_;                ///< XY-routed mesh router (else multistage element).
   std::uint32_t lane_bits_;  ///< One bit per lane.
   unsigned ring_shift_;      ///< log2 of the per-lane ring capacity.
   std::uint32_t ring_mask_;  ///< Ring capacity - 1.
 
-  std::vector<const WormChannel*> rx_;      ///< [in_port], null at ingress.
-  std::vector<CreditChannel*> credit_tx_;   ///< [in_port], null at ingress.
-  std::vector<WormChannel*> tx_;            ///< [out_port], null at egress.
-  std::vector<const CreditChannel*> credit_rx_;  ///< [out_port], null at egress.
+  std::vector<const WormChannel*> rx_;      ///< [in_port], null without a link.
+  std::vector<CreditChannel*> credit_tx_;   ///< [in_port], null without a link.
+  std::vector<WormChannel*> tx_;            ///< [out_port], null without a link.
+  std::vector<const CreditChannel*> credit_rx_;  ///< [out_port], null without a link.
 
   std::vector<WormFlit> slots_;     ///< [li(in, lane) << ring_shift_ | ring index]
   std::vector<Lane> lanes_;         ///< [li(in, lane)]
@@ -322,7 +329,7 @@ class WormRouter : public Component, public FabricNode {
 
   std::uint64_t flits_in_total_ = 0;   ///< Accepted off links + injected.
   std::uint64_t flits_out_total_ = 0;  ///< Forwarded + delivered.
-  std::uint64_t flits_forwarded_ = 0;  ///< Forwarded onto inter-stage links.
+  std::uint64_t flits_forwarded_ = 0;  ///< Forwarded onto links.
   std::uint64_t flits_held_ = 0;       ///< Buffered across all lanes.
 
   std::unique_ptr<check::WormAuditor> auditor_;  ///< Non-null under PMSB_CHECK=1.

@@ -74,8 +74,15 @@ struct Topology {
   unsigned nodes() const {
     return multistage() ? stages() * elements_per_stage() : width * height;
   }
-  unsigned stage_of(unsigned node) const { return node / elements_per_stage(); }
-  unsigned element_of(unsigned node) const { return node % elements_per_stage(); }
+  /// Multistage only (direct kinds have no stages to divide by).
+  unsigned stage_of(unsigned node) const {
+    PMSB_CHECK(multistage(), "stage_of is for multistage kinds");
+    return node / elements_per_stage();
+  }
+  unsigned element_of(unsigned node) const {
+    PMSB_CHECK(multistage(), "element_of is for multistage kinds");
+    return node % elements_per_stage();
+  }
   unsigned node_id(unsigned stage, unsigned element) const {
     return stage * elements_per_stage() + element;
   }
@@ -133,11 +140,9 @@ struct Topology {
   /// traverses the whole network; there is no local bypass).
   unsigned hops(unsigned a, unsigned b) const;
 
-  /// Maximum hops() over all node pairs. Bounds how far apart two nodes'
-  /// local clocks can drift in the dataflow fabric engine (skew <=
-  /// diameter * link lookahead), which sizes its sampling-frame ring. For
-  /// multistage kinds the *dependency* graph also carries reverse credit
-  /// links, so the fabric sizes that ring from stages() instead.
+  /// Maximum hops() over all node pairs. (The dataflow fabric engine sizes
+  /// its sampling-frame ring from its own link edge list instead, which also
+  /// carries the wormhole fabrics' reverse credit links.)
   unsigned diameter() const;
 
   /// Human-readable form for banners and tables, e.g. "torus2d 8x8",

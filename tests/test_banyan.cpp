@@ -162,6 +162,7 @@ TEST(WormFabric, AllKindsDeliverLosslessly) {
       Topology{TopologyKind::kBanyan, 16, 1},
       Topology{TopologyKind::kOmega, 16, 1},
       Topology{TopologyKind::kClos, 16, 1, 4},
+      Topology{TopologyKind::kMesh2D, 4, 4},
   };
   for (const Topology& topo : kinds) {
     const auto fab = make_worm(topo, "uniform:0.4", 2);
@@ -217,6 +218,8 @@ TEST(WormFabric, PinnedDigestsAcrossLaneGeometries) {
        "hotspot:0.5,0.3", 12018, 4842, 38760, 0x29e152d4ca546ea4ULL, 13571, 0},
       {"banyan32 near idle", Topology{TopologyKind::kBanyan, 32, 1}, 4, 16, 8, "uniform:0.002",
        146, 146, 1168, 0xf205d58e8944fd71ULL, 11, 18177},
+      {"mesh8x8 2 lanes", Topology{TopologyKind::kMesh2D, 8, 8}, 2, 16, 8, "uniform:0.5",
+       79703, 64828, 518804, 0xf98d5116adfa902aULL, 9355, 0},
       // clang-format on
   };
   for (const Pin& pin : pins) {
@@ -329,6 +332,20 @@ TEST(WormFabric, ConfigCheckRejectsBadSettings) {
   rejects(Code::kBadLoad, [](auto& c) { c.traffic = "hotspot:nan,0.5"; });
   rejects(Code::kBadTopology, [](auto& c) { c.fast_node = [](unsigned) { return true; }; });
   rejects(Code::kBadTopology, [](auto& c) { c.flight_recorder = true; });
+  // The mesh runs the wormhole transport too: same cell-only options, and
+  // at least two routers.
+  const Topology mesh{TopologyKind::kMesh2D, 4, 4};
+  accepts(mesh);
+  rejects(Code::kBadTopology, [&](auto& c) {
+    c.topo = mesh;
+    c.fast_node = [](unsigned) { return true; };
+  });
+  rejects(Code::kBadTopology, [&](auto& c) {
+    c.topo = mesh;
+    c.flight_recorder = true;
+  });
+  rejects(Code::kBadTopology,
+          [](auto& c) { c.topo = Topology{TopologyKind::kMesh2D, 1, 1}; });
 }
 
 }  // namespace

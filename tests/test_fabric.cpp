@@ -36,7 +36,7 @@ std::unique_ptr<fabric::Fabric> make_fabric(const fabric::FabricConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// EventHub: ordering, RAII, and the deprecated shim.
+// EventHub: ordering and RAII.
 
 TEST(EventHub, FanOutInSubscriptionOrder) {
   EventHub hub;
@@ -729,6 +729,11 @@ TEST(FabricDataflow, MetricsSamplingMatchesBarrier) {
   const fabric::FabricConfig inputs[] = {
       small_torus(1),
       worm_banyan(fabric::FabricEngine::kBarrier, 1, 4, "hotsenders:0.25,0.95"),
+      [] {
+        fabric::FabricConfig mesh = worm_banyan(fabric::FabricEngine::kBarrier, 1, 2);
+        mesh.topo = net::Topology{net::TopologyKind::kMesh2D, 4, 4};
+        return mesh;
+      }(),
   };
   for (const fabric::FabricConfig& cfg : inputs) {
     const std::string what = cfg.topo.describe();
@@ -752,6 +757,30 @@ TEST(FabricDataflow, MetricsSamplingMatchesBarrier) {
       EXPECT_EQ(a->max, b->max) << what << " " << g;
       EXPECT_EQ(a->sum, b->sum) << what << " " << g;
     }
+  }
+}
+
+// The dataflow engine sizes its sampling-frame ring from the largest
+// undirected hop distance over the edge list: the topology diameter on the
+// direct kinds, and at most twice the stage distance on the multistage ones
+// (two routers of one stage meet through a common later stage).
+TEST(FabricDataflow, LinkDiameterComesFromTheEdgeList) {
+  using net::Topology;
+  using net::TopologyKind;
+  auto link_diameter = [](const Topology& topo) {
+    fabric::FabricConfig cfg = small_torus(1);
+    cfg.topo = topo;
+    return make_fabric(cfg)->link_diameter();
+  };
+  for (const Topology& topo :
+       {Topology{TopologyKind::kTorus2D, 4, 4}, Topology{TopologyKind::kTorus2D, 8, 8},
+        Topology{TopologyKind::kRing, 8, 1}, Topology{TopologyKind::kMesh2D, 8, 8}})
+    EXPECT_EQ(link_diameter(topo), topo.diameter()) << topo.describe();
+  for (const Topology& topo :
+       {Topology{TopologyKind::kBanyan, 16, 1}, Topology{TopologyKind::kOmega, 16, 1},
+        Topology{TopologyKind::kClos, 16, 1, 4}}) {
+    EXPECT_GE(link_diameter(topo), topo.stages() - 1) << topo.describe();
+    EXPECT_LE(link_diameter(topo), 2 * (topo.stages() - 1)) << topo.describe();
   }
 }
 

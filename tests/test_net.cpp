@@ -1,19 +1,14 @@
-// Tests of the multi-switch wormhole substrate: topology arithmetic, router
-// invariants, delivery, flow control, deadlock freedom, and the qualitative
-// saturation behaviour the paper cites from [Dally90].
-//
-// WormholeNetwork is a deprecated shim (superseded by fabric::Fabric::build);
-// this file keeps it covered until fabric wormhole transport runs on direct
-// topologies and bench_e2_bursty_wormhole moves over.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// Tests of the multi-switch network substrate: topology arithmetic, and the
+// behaviour the paper cites from [Dally90] on the mesh wormhole fabric --
+// delivery, latency, saturation, lanes and deadlock freedom.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
-#include "net/node.hpp"
+#include "fabric/fabric.hpp"
 #include "net/topology.hpp"
-#include "net/wormhole.hpp"
 
 namespace pmsb::net {
 namespace {
@@ -139,84 +134,58 @@ TEST(Topology, DescribeAndRequiredPorts) {
   EXPECT_EQ((Topology{TopologyKind::kRing, 6, 1}.required_ports()), 2u);
 }
 
-TEST(Router, OwnershipHoldsUntilTail) {
-  Topology t{TopologyKind::kMesh2D, 2, 1};
-  WormholeRouter r(0, t, 4);
-  // Two-flit message from local port to the east.
-  NetFlit head;
-  head.valid = true;
-  head.head = true;
-  head.dest = 1;
-  NetFlit tail = head;
-  tail.head = false;
-  tail.tail = true;
-  r.accept(kLocal, head);
-  auto all_ok = [](unsigned, unsigned) { return true; };
-  std::vector<WormholeRouter::Move> moves;
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  EXPECT_EQ(moves[kEast].in_port, static_cast<unsigned>(kLocal));
-  (void)r.pop_for(kEast, moves[kEast]);
-  r.accept(kLocal, tail);
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  const NetFlit f = r.pop_for(kEast, moves[kEast]);
-  EXPECT_TRUE(f.tail);
-  EXPECT_TRUE(r.idle());
+TEST(Topology, StageArithmeticIsMultistageOnly) {
+  // Direct kinds have no stages: elements_per_stage() is 0, so stage_of and
+  // element_of would divide by zero.
+  const Topology mesh{TopologyKind::kMesh2D, 4, 4};
+  EXPECT_EQ(mesh.elements_per_stage(), 0u);
+  EXPECT_DEATH((void)mesh.stage_of(5), "multistage");
+  EXPECT_DEATH((void)mesh.element_of(5), "multistage");
+  const Topology banyan{TopologyKind::kBanyan, 8, 1};
+  EXPECT_EQ(banyan.stage_of(5), 1u);
+  EXPECT_EQ(banyan.element_of(5), 1u);
 }
 
-TEST(Router, BlockedByCredits) {
-  Topology t{TopologyKind::kMesh2D, 2, 1};
-  WormholeRouter r(0, t, 4);
-  NetFlit head;
-  head.valid = true;
-  head.head = true;
-  head.dest = 1;
-  r.accept(kLocal, head);
-  std::vector<WormholeRouter::Move> moves;
-  r.decide([](unsigned out, unsigned) { return out != kEast; }, moves);
-  EXPECT_FALSE(moves[kEast].valid);
-}
+// ---------------------------------------------------------------------------
+// Wormhole transport on the mesh: single-lane XY routers with credit flow
+// control, the [Dally90] setting of the paper's section 2.1 citation.
 
-TEST(Router, LanesSerializeIndependentMessages) {
-  // Two messages from different inputs to the same output: with 2 lanes,
-  // both acquire a lane and their flits interleave on the physical link.
-  Topology t{TopologyKind::kMesh2D, 2, 1};
-  WormholeRouter r(0, t, 8, /*lanes=*/2);
-  auto mk = [](bool head, bool tail, std::uint64_t id, std::uint32_t lane) {
-    NetFlit f;
-    f.valid = true;
-    f.head = head;
-    f.tail = tail;
-    f.dest = 1;
-    f.msg_id = id;
-    f.lane = lane;
-    return f;
-  };
-  r.accept(kLocal, mk(true, false, 1, 0));
-  r.accept(kNorth, mk(true, false, 2, 0));
-  auto all_ok = [](unsigned, unsigned) { return true; };
-  std::vector<WormholeRouter::Move> moves;
-  // Cycle 1: one head allocates a lane.
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  const NetFlit f1 = r.pop_for(kEast, moves[kEast]);
-  // Cycle 2: the second head gets the other lane.
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  const NetFlit f2 = r.pop_for(kEast, moves[kEast]);
-  EXPECT_NE(f1.msg_id, f2.msg_id);
-  EXPECT_NE(f1.lane, f2.lane);  // Distinct downstream lanes.
-  // Tails release the lanes.
-  r.accept(kLocal, mk(false, true, 1, 0));
-  r.accept(kNorth, mk(false, true, 2, 0));
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  (void)r.pop_for(kEast, moves[kEast]);
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  (void)r.pop_for(kEast, moves[kEast]);
-  EXPECT_TRUE(r.idle());
+/// One mesh wormhole fabric, run for `warmup` then `measure` cycles.
+struct MeshRun {
+  fabric::FabricStats warm;
+  fabric::FabricStats end;
+  Cycle measure = 0;
+  unsigned nodes = 0;
+
+  /// Accepted throughput in flits/node/cycle over the measured window.
+  double accepted() const {
+    return static_cast<double>(end.flits_delivered - warm.flits_delivered) /
+           (static_cast<double>(nodes) * static_cast<double>(measure));
+  }
+};
+
+MeshRun run_mesh(unsigned side, double load, unsigned message_flits, unsigned lanes,
+                 std::uint64_t seed, Cycle warmup, Cycle measure) {
+  const Topology mesh{TopologyKind::kMesh2D, side, side};
+  fabric::FabricConfig cfg;
+  cfg.link_pipe_stages = 1;
+  cfg.threads = 1;
+  cfg.seed = seed;
+  cfg.load = load;
+  cfg.lanes = lanes;
+  cfg.buffer_flits = 16;
+  cfg.message_flits = message_flits;
+  const auto fab = fabric::Fabric::build(mesh, cfg);
+  EXPECT_TRUE(fab->wormhole());
+  MeshRun r;
+  r.measure = measure;
+  r.nodes = mesh.nodes();
+  fab->run(warmup);
+  r.warm = fab->stats();
+  fab->run(measure);
+  r.end = fab->stats();
+  EXPECT_EQ(r.end.payload_errors, 0u);
+  return r;
 }
 
 TEST(Wormhole, LanesRaiseSaturationAtConstantStorage) {
@@ -224,48 +193,27 @@ TEST(Wormhole, LanesRaiseSaturationAtConstantStorage) {
   // citation: splitting the same 16 flits of buffering into 2 or 4 lanes
   // raises the saturation throughput substantially.
   auto accepted_at = [](unsigned lanes) {
-    WormholeConfig cfg;
-    cfg.topo = Topology{TopologyKind::kMesh2D, 8, 8};
-    cfg.injection_rate = 0.9;
-    cfg.message_flits = 20;
-    cfg.buffer_flits = 16;
-    cfg.lanes = lanes;
-    cfg.seed = 11;
-    WormholeNetwork net(cfg);
-    net.run(25000, 5000);
-    return net.accepted_throughput();
+    return run_mesh(8, 0.9, 20, lanes, 11, 5000, 20000).accepted();
   };
   const double one = accepted_at(1);
   const double two = accepted_at(2);
   const double four = accepted_at(4);
   EXPECT_GT(two, one * 1.15);
+  EXPECT_GT(four, two);
   EXPECT_GT(four, one * 1.25);
 }
 
 TEST(Wormhole, DeliversEverythingAtLightLoad) {
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-  cfg.injection_rate = 0.05;
-  cfg.message_flits = 20;
-  cfg.buffer_flits = 16;
-  cfg.seed = 3;
-  WormholeNetwork net(cfg);
-  net.run(20000, 1000);
-  EXPECT_GT(net.messages_delivered(), 0u);
-  // Light load: deliveries keep pace with injections (no growing backlog).
-  EXPECT_LT(net.source_backlog_flits(), 200u);
-  EXPECT_NEAR(net.accepted_throughput(), 0.05, 0.01);
+  const MeshRun r = run_mesh(4, 0.05, 20, 1, 3, 1000, 19000);
+  EXPECT_GT(r.end.delivered, 0u);
+  // Light load: deliveries keep pace with arrivals (no growing backlog).
+  EXPECT_LT(r.end.backlog, 10u);
+  EXPECT_NEAR(r.accepted(), 0.05, 0.01);
 }
 
 TEST(Wormhole, LatencyGrowsWithLoad) {
-  auto mean_latency_at = [](double rate) {
-    WormholeConfig cfg;
-    cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-    cfg.injection_rate = rate;
-    cfg.seed = 4;
-    WormholeNetwork net(cfg);
-    net.run(30000, 3000);
-    return net.latency().mean();
+  auto mean_latency_at = [](double load) {
+    return run_mesh(4, load, 20, 1, 4, 0, 30000).end.mean_latency;
   };
   const double lo = mean_latency_at(0.02);
   const double hi = mean_latency_at(0.15);
@@ -276,67 +224,27 @@ TEST(Wormhole, LatencyGrowsWithLoad) {
 TEST(Wormhole, SaturatesWellBelowCapacity) {
   // The [Dally90, 1 lane] phenomenon (section 2.1): with 20-flit messages
   // and 16-flit buffers, accepted throughput plateaus far below link rate.
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 8, 8};
-  cfg.injection_rate = 0.9;  // Offered far beyond saturation.
-  cfg.message_flits = 20;
-  cfg.buffer_flits = 16;
-  cfg.seed = 5;
-  WormholeNetwork net(cfg);
-  net.run(30000, 5000);
-  const double accepted = net.accepted_throughput();
-  EXPECT_LT(accepted, 0.45);
-  EXPECT_GT(accepted, 0.05);
-  EXPECT_GT(net.source_backlog_flits(), 1000u);  // Clearly saturated.
+  const MeshRun r = run_mesh(8, 0.9, 20, 1, 5, 5000, 25000);
+  EXPECT_LT(r.accepted(), 0.45);
+  EXPECT_GT(r.accepted(), 0.05);
+  EXPECT_GT(r.end.backlog, 50u);  // Clearly saturated.
 }
 
 TEST(Wormhole, NoDeadlockUnderSustainedOverload) {
   // XY dimension-order routing on a mesh is deadlock-free even single-lane:
   // deliveries must keep happening arbitrarily late into an overloaded run.
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-  cfg.injection_rate = 1.0;
-  cfg.seed = 6;
-  WormholeNetwork net(cfg);
-  net.run(10000);
-  const std::uint64_t early = net.messages_delivered();
-  net.run(10000);
-  EXPECT_GT(net.messages_delivered(), early + 50);
+  const MeshRun r = run_mesh(8, 1.0, 20, 1, 6, 10000, 10000);
+  EXPECT_GT(r.end.delivered, r.warm.delivered + 50);
+  EXPECT_GT(r.end.backlog, r.warm.backlog);  // Offered stays above accepted.
 }
 
 TEST(Wormhole, MessagesArriveIntact) {
-  // Latency of every delivered message is at least hops + flits - 1; the
-  // tail-accounting would fail (and credit checks abort) on flit loss.
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-  cfg.injection_rate = 0.08;
-  cfg.message_flits = 10;
-  cfg.seed = 7;
-  WormholeNetwork net(cfg);
-  net.run(20000, 100);
-  ASSERT_GT(net.latency().samples(), 100u);
-  EXPECT_GE(net.latency().min(), cfg.message_flits - 1);
-  EXPECT_EQ(net.flits_delivered() % 1, 0u);
-}
-
-TEST(CreditCounter, ConsumeRestore) {
-  CreditCounter c(2);
-  c.consume();
-  c.consume();
-  EXPECT_FALSE(c.available());
-  c.restore(2);
-  EXPECT_TRUE(c.available());
-}
-
-TEST(CreditCounterDeath, Overdraw) {
-  CreditCounter c(1);
-  c.consume();
-  EXPECT_DEATH(c.consume(), "credit");
-}
-
-TEST(CreditCounterDeath, OverRestore) {
-  CreditCounter c(2);
-  EXPECT_DEATH(c.restore(2), "overflow");
+  // Every message streams its flits in sequence (the sinks abort on a gap),
+  // carries verified payloads, and takes at least its serialization time.
+  const MeshRun r = run_mesh(4, 0.08, 10, 1, 7, 0, 20000);
+  ASSERT_GT(r.end.delivered, 100u);
+  EXPECT_GE(r.end.min_latency, 10 - 1);
+  EXPECT_GE(r.end.flits_delivered, r.end.delivered * 10);
 }
 
 }  // namespace
