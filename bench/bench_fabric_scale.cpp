@@ -74,12 +74,11 @@ FlightP99 flight_p99_of(const obs::FlightRecorder& fr) {
 }
 
 // Fill a runtime.<name> block from the fabric's scheduling-layer telemetry:
-// engine, steal/rebalance totals, per-worker wall-clock slices, and per-task
+// steal/rebalance totals, per-worker wall-clock slices, and per-task
 // stall composition. All timing-derived -> runtime object only.
 void scheduler_block(BenchJson& bj, const std::string& name, const fabric::Fabric& fab) {
   const fabric::FabricSchedulerStats s = fab.scheduler_stats();
   BenchJson::RuntimeBlock& b = bj.runtime_block(name);
-  b.set("engine", std::string(s.engine));
   b.set("workers", static_cast<double>(s.workers));
   b.set("tasks", static_cast<double>(s.tasks));
   b.set("steals", static_cast<double>(s.steals));
@@ -273,10 +272,9 @@ int main(int argc, char** argv) {
         ctx.json.runtime_metric("rounds_skipped",
                                 static_cast<double>(big->rounds_skipped()));
         scheduler_block(ctx.json, "scheduler", *big);
-        std::printf("\nShard telemetry for the instrumented %s run (engine: %s; "
-                    "wall clock; runtime object only):\n\n",
-                    topos.back().describe().c_str(),
-                    fabric::to_string(big->engine()));
+        std::printf("\nShard telemetry for the instrumented %s run (one row per "
+                    "task; wall clock; runtime object only):\n\n",
+                    topos.back().describe().c_str());
         shard_t.print();
 
         {
@@ -381,22 +379,21 @@ int main(int argc, char** argv) {
           ctx.json.metric("mixed mean latency", a.mean_latency);
         }
 
-        // --- Imbalanced load: barrier vs dataflow -----------------------
+        // --- Imbalanced load ---------------------------------------------
         // An 8x8 torus where only the top-left 4x4 quadrant runs the
-        // cycle-accurate switch (the rest use the fast model) is the
-        // barrier engine's worst case: every round, 3/4 of the fabric waits
-        // for the expensive quadrant. The dataflow engine lets cheap nodes
-        // run ahead up to the channel credit and steals the hot tasks
-        // across workers, so it should win wall-clock -- while every
-        // published stat stays bit-identical across engines AND thread
-        // counts (the bench FAILS otherwise; CI also asserts the speedup).
+        // cycle-accurate switch (the rest use the fast model): a round
+        // barrier's worst case, as every round 3/4 of the fabric would wait
+        // for the expensive quadrant. Tasks wait only for their neighbors,
+        // so cheap nodes run ahead up to the channel credit, and the
+        // rebalancer splits hot tasks between runs. Every published stat
+        // stays bit-identical across thread counts (the bench FAILS
+        // otherwise); the wall times go to the runtime object.
         {
           const net::Topology topo{net::TopologyKind::kTorus2D, 8, 8};
           const Cycle hot_cycles = 4000;
-          auto hot_cfg = [&](fabric::FabricEngine engine, unsigned threads) {
+          auto hot_cfg = [&](unsigned threads) {
             fabric::FabricConfig cfg = make_config(topo, ctx.seed, threads);
             cfg.flight_recorder = false;
-            cfg.engine = engine;
             // Hot quadrant: x < 4 && y < 4 cycle-accurate, the rest fast.
             cfg.fast_node = [](unsigned node) {
               return !(node % 8 < 4 && node / 8 < 4);
@@ -404,21 +401,16 @@ int main(int argc, char** argv) {
             return cfg;
           };
           struct HotRun {
-            const char* label;
-            fabric::FabricEngine engine;
-            unsigned threads;
+            std::string label;
             double wall_seconds = 0;
             fabric::FabricStats stats;
           };
-          std::vector<HotRun> hot_runs = {
-              {"barrier t1", fabric::FabricEngine::kBarrier, 1},
-              {"barrier t4", fabric::FabricEngine::kBarrier, 4},
-              {"dataflow t4", fabric::FabricEngine::kDataflow, 4},
-          };
+          std::vector<HotRun> hot_runs;
           Table hot_t({"run", "wall s", "delivered", "digest", "blocked/wait ms"});
-          double wall_barrier4 = 0, wall_dataflow4 = 0;
-          for (HotRun& r : hot_runs) {
-            const auto fab = make_fabric(hot_cfg(r.engine, r.threads));
+          for (const unsigned threads : {1u, 4u}) {
+            HotRun& r = hot_runs.emplace_back();
+            r.label = "t" + std::to_string(threads);
+            const auto fab = make_fabric(hot_cfg(threads));
             const exp::WallTimer timer;
             fab->run(hot_cycles);
             r.wall_seconds = timer.seconds();
@@ -435,17 +427,9 @@ int main(int argc, char** argv) {
             hot_t.add_row({r.label, Table::num(r.wall_seconds, 3),
                            Table::integer(static_cast<long long>(r.stats.delivered)),
                            digest, Table::num(stall_ms, 1)});
-            const std::string tag = std::string("hotspot ") + r.label;
-            ctx.json.runtime_metric(tag + " wall_s", r.wall_seconds);
-            ctx.json.runtime_metric(tag + " stall_ms", stall_ms);
-            if (r.engine == fabric::FabricEngine::kBarrier && r.threads == 4) {
-              wall_barrier4 = r.wall_seconds;
-              scheduler_block(ctx.json, "scheduler_barrier", *fab);
-            }
-            if (r.engine == fabric::FabricEngine::kDataflow && r.threads == 4) {
-              wall_dataflow4 = r.wall_seconds;
-              scheduler_block(ctx.json, "scheduler_dataflow", *fab);
-            }
+            ctx.json.runtime_metric("hotspot " + r.label + " wall_s", r.wall_seconds);
+            ctx.json.runtime_metric("hotspot " + r.label + " stall_ms", stall_ms);
+            if (threads == 4) scheduler_block(ctx.json, "scheduler_hotspot", *fab);
           }
           const fabric::FabricStats& ref = hot_runs.front().stats;
           for (const HotRun& r : hot_runs) {
@@ -456,19 +440,14 @@ int main(int argc, char** argv) {
               std::fprintf(stderr,
                            "FAIL: hotspot fabric diverged on %s "
                            "(digest %016llx vs %016llx)\n",
-                           r.label, static_cast<unsigned long long>(r.stats.uid_digest),
+                           r.label.c_str(), static_cast<unsigned long long>(r.stats.uid_digest),
                            static_cast<unsigned long long>(ref.uid_digest));
               deterministic = false;
             }
           }
-          const double ratio =
-              wall_dataflow4 > 0 ? wall_barrier4 / wall_dataflow4 : 0.0;
-          ctx.json.runtime_metric("hotspot dataflow_vs_barrier_speedup", ratio);
           std::printf("\nImbalanced load (%s, hot 4x4 quadrant cycle-accurate, rest "
                       "fast):\n\n", topo.describe().c_str());
           hot_t.print();
-          std::printf("\nDataflow vs barrier at 4 threads: %.2fx "
-                      "(timing-dependent; CI asserts >= 1.5x on real cores)\n", ratio);
           ctx.json.metric("hotspot delivered", static_cast<double>(ref.delivered));
           ctx.json.metric("hotspot dropped", static_cast<double>(ref.dropped()));
           ctx.json.metric("hotspot mean latency", ref.mean_latency);
@@ -478,7 +457,7 @@ int main(int argc, char** argv) {
 
         if (!deterministic) return 1;
         std::printf("\nDeterminism: delivered-cell digests identical across "
-                    "{1, 2, 4} threads, both engines, on every topology.\n");
+                    "{1, 2, 4} threads on every topology.\n");
         return 0;
       });
 }

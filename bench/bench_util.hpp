@@ -23,7 +23,6 @@
 #include "core/switch.hpp"
 #include "core/testbench.hpp"
 #include "exp/sweep.hpp"
-#include "fabric/fabric.hpp"
 #include "sim/engine.hpp"
 #include "obs/build_info.hpp"
 #include "obs/json_writer.hpp"
@@ -463,7 +462,7 @@ class BenchJson {
 };
 
 /// Everything a bench body gets from Main: the artifact under construction,
-/// the resolved seed, the resolved engine/skip/topology knobs, and the argv
+/// the resolved seed, the resolved skip/topology knobs, and the argv
 /// remainder (common flags consumed).
 struct BenchContext {
   BenchJson json;
@@ -471,11 +470,6 @@ struct BenchContext {
   int argc = 0;
   char** argv = nullptr;
 
-  /// Resolved fabric engine name ("barrier"/"dataflow"): --engine flag,
-  /// else PMSB_FABRIC_ENGINE, else barrier. Main has already installed it
-  /// process-wide (set_fabric_engine_override), so FabricConfigs built by
-  /// the bench body pick it up automatically.
-  std::string engine;
   /// Resolved idle-skip switch (0/1): --idle-skip flag, else
   /// PMSB_IDLE_SKIP, else on. Installed process-wide before the body runs.
   int idle_skip = 1;
@@ -516,7 +510,7 @@ inline int Main(int argc, char** argv, const BenchSpec& spec,
                 const std::function<int(BenchContext&)>& body) {
   const exp::WallTimer timer;
   BenchContext ctx{BenchJson(spec.json_name), spec.default_seed, 0, nullptr,
-                   /*engine=*/{}, /*idle_skip=*/1, /*fast_nodes=*/-1, /*lanes=*/0};
+                   /*idle_skip=*/1, /*fast_nodes=*/-1, /*lanes=*/0};
 
   std::vector<char*> rest;
   if (argc > 0) rest.push_back(argv[0]);
@@ -556,15 +550,6 @@ inline int Main(int argc, char** argv, const BenchSpec& spec,
         const unsigned long long s = std::strtoull(val, &end, 10);
         if (end != val && *end == '\0') ctx.seed = s;
       }
-    } else if (match("--engine")) {
-      if (val != nullptr && std::strcmp(val, "barrier") == 0) {
-        fabric::set_fabric_engine_override(fabric::FabricEngine::kBarrier);
-      } else if (val != nullptr && std::strcmp(val, "dataflow") == 0) {
-        fabric::set_fabric_engine_override(fabric::FabricEngine::kDataflow);
-      } else {
-        std::fprintf(stderr, "warning: --engine wants barrier|dataflow, got \"%s\"\n",
-                     val == nullptr ? "" : val);
-      }
     } else if (match("--idle-skip")) {
       if (parse_long(0, 1, &v)) Engine::set_idle_skip_override(static_cast<int>(v));
     } else if (match("--fast-nodes")) {
@@ -597,12 +582,10 @@ inline int Main(int argc, char** argv, const BenchSpec& spec,
   // Resolve (flag beats env beats default) and echo the effective config.
   // STDERR, not stdout: the determinism CI diffs stdout across thread
   // counts, and --threads would otherwise perturb the byte stream.
-  ctx.engine = fabric::to_string(fabric::fabric_engine_env_default());
   ctx.idle_skip = Engine::idle_skip_env_default() ? 1 : 0;
   std::fprintf(stderr,
-               "[bench-config] engine=%s threads=%u idle_skip=%d fast_nodes=%d "
-               "lanes=%u seed=%llu\n",
-               ctx.engine.c_str(), exp::thread_count(), ctx.idle_skip, ctx.fast_nodes,
+               "[bench-config] threads=%u idle_skip=%d fast_nodes=%d lanes=%u seed=%llu\n",
+               exp::thread_count(), ctx.idle_skip, ctx.fast_nodes,
                ctx.lanes, static_cast<unsigned long long>(ctx.seed));
 
   print_banner(spec.banner_id, spec.banner_title);

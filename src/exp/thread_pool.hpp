@@ -69,7 +69,7 @@ class ThreadPool {
 /// Pin the calling thread to CPU `cpu % hardware_concurrency`. Returns false
 /// (and changes nothing) on platforms without an affinity API or when the
 /// kernel rejects the mask. Topology-aware placement for long-lived workers:
-/// the fabric pins worker i to CPU i so neighboring shards keep their cache
+/// the fabric pins worker i to CPU i so neighboring tasks keep their cache
 /// affinity across rounds.
 bool pin_current_thread(unsigned cpu);
 

@@ -5,9 +5,9 @@
 //
 // Each directed inter-node link gets two components:
 //
-//   TxTap      (producer shard)  copies the upstream switch's out-wire into
+//   TxTap      (producer task)   copies the upstream switch's out-wire into
 //                                the channel ring, one flit per cycle.
-//   PortBridge (consumer shard)  reassembles arriving cells from the
+//   PortBridge (consumer task)   reassembles arriving cells from the
 //                                channel, ejects the ones addressed to this
 //                                node, rewrites the head word of transit
 //                                cells for their next hop (dimension-order
@@ -85,7 +85,7 @@ struct CellCodec {
 /// injection right; arrivals are Bernoulli per cycle and queue here until
 /// that bridge has an idle cell slot. All randomness is per-node (split from
 /// the fabric seed by node index), so the arrival process is identical under
-/// any sharding.
+/// any partition.
 struct Injector {
   struct Pending {
     unsigned dest_node;
@@ -139,7 +139,7 @@ struct Injector {
 };
 
 /// Per-node traffic sink: end-to-end delivery accounting. Written only by
-/// this node's bridges (all in one shard), read at round barriers and after
+/// this node's bridges (all in one task), read at round boundaries and after
 /// the run.
 struct Ejector {
   std::uint64_t delivered = 0;
@@ -162,7 +162,7 @@ struct Ejector {
 };
 
 /// Copies the upstream switch's out-wire into the channel, making the word
-/// visible to the consumer shard `delay` cycles later.
+/// visible to the consumer task `delay` cycles later.
 class TxTap : public Component {
  public:
   TxTap(WireLink* from, Channel* ch) : from_(from), ch_(ch) {}
@@ -171,7 +171,7 @@ class TxTap : public Component {
   void commit(Cycle) override {}
   bool has_commit() const override { return false; }
   /// Skipping suppresses the per-cycle write of an invalid flit; the fabric
-  /// compensates by clearing the ring after a skip (Channel::clear_for_skip).
+  /// compensates by clearing the skipped window (Channel::clear_range).
   bool is_quiescent(Cycle) const override { return !from_->now().valid; }
   std::string name() const override { return "fabric_tx_tap"; }
 
@@ -191,9 +191,9 @@ class PortBridge : public Component {
   void commit(Cycle t) override;
   /// Quiescent when no cell is being reassembled, staged, queued, or
   /// transmitted and no injection is pending. The rx channel is NOT checked
-  /// here -- the fabric's round planner verifies every Channel::idle_at()
-  /// globally before skipping (engine-local skipping stays disabled inside
-  /// shards, so these hooks are only consulted by that planner).
+  /// here -- the owning fabric task verifies Channel::idle_at() on every
+  /// ring its nodes read before skipping (engine-local skipping stays
+  /// disabled in fabric nodes, so these hooks are only consulted there).
   bool is_quiescent(Cycle) const override {
     return !rx_active_ && !tx_active_ && !staged_valid_ && fifo_.empty() &&
            (injector_ == nullptr || injector_->backlog.empty());

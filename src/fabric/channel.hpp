@@ -1,6 +1,6 @@
 // One directed inter-node link of the fabric: a single-writer single-reader
 // ring that reproduces sim/link_pipeline.hpp's timing without sharing any
-// mutable simulation object between shards.
+// mutable simulation object between tasks.
 //
 // A LinkPipeline with S register stages delivers the word on the upstream
 // out-wire at cycle t onto the downstream in-wire at cycle t + S + 1. The
@@ -17,28 +17,26 @@
 // T needs a `valid` flag and a value-initialized state meaning "idle". The
 // timing/visibility contract is payload-independent:
 //
-//  * Barrier engine (conservative rounds): with lookahead k <= S cycles
-//    between barriers, every slot the reader touches in round r was written
-//    in round r-1 or earlier (t_read - S < r*k), and the writer stays at
-//    least size - (k + S) > 0 slots away from the oldest unread entry.
-//    Different threads therefore always address disjoint slots, and the
-//    barrier provides the happens-before edge for visibility.
+//  * Same task (lockstep chunks of k <= S cycles): every slot the reader
+//    touches in a chunk was written in an earlier chunk (t_read - S <
+//    chunk start), and the writer stays at least size - (k + S) > 0 slots
+//    away from the oldest unread entry.
 //
-//  * Dataflow engine (credit backpressure): producer and consumer publish
-//    per-node progress counters (cycles fully executed). The consumer reads
+//  * Across tasks (credit backpressure): producer and consumer tasks
+//    publish progress counters (cycles fully executed). The consumer reads
 //    slot t - S only after observing producer_done > t - S, so the write
 //    happens-before the read through the counter. The producer writes slot
 //    t mod size only while t < consumer_done + capacity() - S (its write
 //    credit), so the aliased slot t - capacity() was read strictly in the
-//    consumer's past. Same disjointness, point-to-point edges instead of a
-//    global barrier. Wormhole credit rings are ordinary rings here: a
-//    credit link v->u makes u a *downstream* of v in the dependency graph,
-//    so the same two bounds cover both directions. See
-//    src/fabric/fabric.cpp and DESIGN.md "Task-dataflow fabric" /
-//    "Multistage wormhole fabrics" for the full arguments.
+//    consumer's past. Different threads therefore always address disjoint
+//    slots. Wormhole credit rings are ordinary rings here: a credit link
+//    v->u makes u a *downstream* of v in the dependency graph, so the same
+//    two bounds cover both directions. See src/fabric/fabric.cpp and
+//    DESIGN.md "Fabric & parallel simulation" / "Multistage wormhole
+//    fabrics" for the full arguments.
 //
-// ChannelBase is the payload-erased face the fabric's skip planners use
-// (idle_at / clear_for_skip / clear_range apply to any payload type).
+// ChannelBase is the payload-erased face the fabric's idle skip uses
+// (idle_at / clear_range apply to any payload type).
 
 #pragma once
 
@@ -65,33 +63,25 @@ class ChannelBase {
 
   unsigned delay() const { return delay_; }
 
-  /// Ring slots. The dataflow engine's write credit is capacity() - delay()
+  /// Ring slots. Across tasks, the write credit is capacity() - delay()
   /// cycles of producer lead over the consumer.
   std::size_t capacity() const { return mask_ + 1; }
 
   /// True when nothing is in flight at cycle T: every valid entry ever
   /// written was already delivered (read cycle last_valid_ + delay < T).
-  /// Part of the fabric's global quiescence predicate (barrier engine) and
-  /// of the per-node skip predicate (dataflow engine).
+  /// Part of a fabric task's idle-skip predicate.
   bool idle_at(Cycle t) const {
     return last_valid_.load(std::memory_order_relaxed) + static_cast<Cycle>(delay_) < t;
   }
 
   /// Cycle of the newest valid entry written (-1 before the first). Only
   /// meaningful to a reader that has already synchronized with the
-  /// producer's progress (see idle_at / the dataflow skip predicate).
+  /// producer's progress (see idle_at / the task skip predicate).
   Cycle last_valid() const { return last_valid_.load(std::memory_order_relaxed); }
 
-  /// Invalidate all ring slots after the fabric skipped idle rounds. While
-  /// skipping, the producer's per-cycle write(t, invalid) calls do not
-  /// happen, so old entries at (t mod size) would otherwise resurface once
-  /// the skip distance exceeds the ring size. Only called while every shard
-  /// is parked (inside the barrier completion) and the channel is idle_at()
-  /// the skip origin, so no live entry is destroyed.
-  virtual void clear_for_skip() = 0;
-
-  /// Dataflow-engine skip compensation: stand in for the producer's
-  /// suppressed write(t, invalid) calls for every cycle in [from, to).
+  /// Idle-skip compensation: stand in for the producer's suppressed
+  /// write(t, invalid) calls for every cycle in [from, to), so old entries
+  /// at (t mod size) cannot resurface after the jump.
   /// Bounded by the ring size (a longer window laps the ring and would
   /// rewrite the same slots). The caller holds write credit for the whole
   /// window, so these stores target slots the consumer is provably past.
@@ -113,8 +103,8 @@ class Ring final : public ChannelBase {
   void write(Cycle t, const T& f) {
     ring_[static_cast<std::size_t>(t) & mask_] = f;
     // Monotonic high-water mark of valid traffic. Relaxed is enough: every
-    // cross-thread read piggybacks on a stronger edge (the barrier, or the
-    // producer's progress counter) that already orders this store.
+    // cross-thread read piggybacks on a stronger edge (the producer's
+    // progress counter) that already orders this store.
     if (f.valid) last_valid_.store(t, std::memory_order_relaxed);
   }
 
@@ -123,10 +113,6 @@ class Ring final : public ChannelBase {
   const T& read(Cycle t) const {
     if (t < static_cast<Cycle>(delay_)) return kIdle;
     return ring_[static_cast<std::size_t>(t - delay_) & mask_];
-  }
-
-  void clear_for_skip() override {
-    for (T& f : ring_) f = T{};
   }
 
   void clear_range(Cycle from, Cycle to) override {

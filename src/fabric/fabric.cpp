@@ -1,8 +1,6 @@
 #include "fabric/fabric.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -12,40 +10,43 @@
 #include "fabric/scheduler.hpp"
 #include "fabric/task.hpp"
 #include "obs/perfetto.hpp"
-#include "sim/barrier.hpp"
 #include "traffic/spec.hpp"
 
 namespace pmsb::fabric {
 namespace {
-bool g_engine_overridden = false;
-FabricEngine g_engine_override = FabricEngine::kBarrier;
-
 /// The transport follows the topology kind: wormhole where its routing is
 /// deadlock-free (feed-forward multistage stages, XY on a mesh), cells on
 /// the wrap-around torus and ring.
 bool wormhole_kind(const net::Topology& topo) {
   return topo.multistage() || topo.kind == net::TopologyKind::kMesh2D;
 }
+
+/// Largest hop distance between two connected vertices of the undirected
+/// graph `adj` (breadth-first search from every vertex).
+unsigned graph_diameter(const std::vector<std::vector<unsigned>>& adj) {
+  const auto n = static_cast<unsigned>(adj.size());
+  constexpr unsigned kUnseen = ~0u;
+  unsigned widest = 0;
+  std::vector<unsigned> dist(n);
+  std::vector<unsigned> queue;
+  queue.reserve(n);
+  for (unsigned src = 0; src < n; ++src) {
+    dist.assign(n, kUnseen);
+    dist[src] = 0;
+    queue.assign(1, src);
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      const unsigned u = queue[i];
+      for (unsigned v : adj[u]) {
+        if (dist[v] != kUnseen) continue;
+        dist[v] = dist[u] + 1;
+        widest = std::max(widest, dist[v]);
+        queue.push_back(v);
+      }
+    }
+  }
+  return widest;
+}
 }  // namespace
-
-void set_fabric_engine_override(FabricEngine e) {
-  g_engine_overridden = true;
-  g_engine_override = e;
-}
-
-FabricEngine fabric_engine_env_default() {
-  if (g_engine_overridden) return g_engine_override;
-  static const FabricEngine e = [] {
-    const char* v = std::getenv("PMSB_FABRIC_ENGINE");
-    if (v != nullptr && std::string(v) == "dataflow") return FabricEngine::kDataflow;
-    return FabricEngine::kBarrier;
-  }();
-  return e;
-}
-
-const char* to_string(FabricEngine e) {
-  return e == FabricEngine::kDataflow ? "dataflow" : "barrier";
-}
 
 ConfigValidation FabricConfig::check() const {
   // Wormhole fabrics have no per-node switch; their geometry and transport
@@ -129,85 +130,68 @@ void FabricConfig::validate() const {
 }
 
 // ---------------------------------------------------------------------------
-// Dataflow engine internals.
+// The engine.
 //
-// Correctness model (full argument in DESIGN.md "Task-dataflow fabric"):
-// every node publishes `done` -- the count of cycles it has fully executed.
-// Node X with upstream neighbors U and downstream neighbors Y may execute
-// cycle t when
+// Correctness model (full argument in DESIGN.md "Fabric & parallel
+// simulation"). A task owns a contiguous block of nodes and publishes
+// `done` -- the cycles every owned node has fully executed. It runs a chunk
+// [d, e) node after node, each node's engine from d to e, with e - d <= D.
+// A node reads at cycle t the ring slot its producer wrote at t - D < d,
+// i.e. in an earlier chunk, so no node reads a slot written in the same
+// chunk and the order of the nodes inside a chunk does not matter (nor is a
+// ring of >= 2D + 2 slots lapped inside one). Only the edges that cross
+// into another task need a bound:
 //
-//   t <  min_U(U.done) + D            (input bound: the channel slot X reads
-//                                      at t, written at t - D, exists once
-//                                      U.done > t - D)
-//   t <  min_Y(Y.done) + capacity - D (credit bound: X's write at t lands on
+//   e <= min_U(U.done) + D            (input bound: the channel slot a node
+//                                      reads at t, written at t - D, exists
+//                                      once U.done > t - D)
+//   e <= min_Y(Y.done) + capacity - D (credit bound: a write at t lands on
 //                                      the slot aliasing cycle t - capacity,
 //                                      which Y consumed strictly before its
 //                                      current cycle)
 //
 // Both loads are seq_cst and every `done` store is seq_cst, which (a) gives
-// the ring writes release/acquire visibility through the counter, replacing
-// the barrier's happens-before edge, and (b) pairs with the scheduler's
-// blocked/wake Dekker protocol (scheduler.hpp). The global minimum node is
-// always runnable (its bounds are strictly ahead of it), so the task graph
-// cannot deadlock.
+// the ring writes release/acquire visibility through the counter, and (b)
+// pairs with the scheduler's blocked/wake Dekker protocol (scheduler.hpp).
+// The task with the smallest `done` is always runnable (its bounds are
+// strictly ahead of it), so the task graph cannot deadlock.
 
-struct Fabric::Dataflow {
-  struct NodeRt {
-    Engine engine;  ///< This node's private two-phase kernel.
-    /// Cycles fully executed (== engine.now() between chunks). The only
-    /// cross-thread-written word of the node; everything else is owned by
-    /// whichever worker holds the node's task.
-    std::atomic<Cycle> done{0};
-    struct In {
-      unsigned node;    ///< Producer of an edge this node consumes.
-      ChannelBase* ch;  ///< That edge's ring.
-    };
-    std::vector<In> ins;
-    std::vector<unsigned> out_nodes;  ///< Consumers of this node's edges.
-    std::vector<ChannelBase*> out_chs;
-    Cycle credit = 0;  ///< min over out_chs of capacity() - D.
-  };
+class Fabric::Task final : public SchedTask {
+ public:
+  explicit Task(Fabric* fab) : fab_(fab) {}
 
-  class Task : public SchedTask {
-   public:
-    Fabric* fab = nullptr;
-    std::vector<unsigned> node_ids;
-    /// active_ns at the start of the current run (rebalance input).
-    std::uint64_t active_snapshot = 0;
+  Advance advance() override;
+  bool can_advance() const override;
 
-    Advance advance() override {
-      bool progressed = false;
-      bool any_blocked = false;
-      bool any_empty = false;
-      for (unsigned v : node_ids) {
-        switch (fab->df_advance_node(v)) {
-          case NodeAdvance::kStepped:
-            rounds.fetch_add(1, std::memory_order_relaxed);
-            progressed = true;
-            break;
-          case NodeAdvance::kSkipped: progressed = true; break;
-          case NodeAdvance::kInputBlocked:
-            any_blocked = true;
-            any_empty = true;
-            break;
-          case NodeAdvance::kCreditBlocked: any_blocked = true; break;
-          case NodeAdvance::kNodeDone: break;
-        }
-      }
-      if (progressed) return Advance::kProgress;
-      if (!any_blocked) return Advance::kFinished;
-      return any_empty ? Advance::kBlockedOnEmpty : Advance::kBlockedOnFull;
-    }
+  std::vector<unsigned> node_ids;
+  /// Cycles every owned node has fully executed: the only word of the task
+  /// that other tasks read.
+  std::atomic<Cycle> done{0};
+  /// `done` of every task feeding this one across a channel (input bound)
+  /// and of every task it feeds (credit bound, `credit` cycles of lead).
+  std::vector<const std::atomic<Cycle>*> ins;
+  std::vector<const std::atomic<Cycle>*> outs;
+  Cycle credit = kNeverWake;
+  std::vector<const ChannelBase*> rx;  ///< Every ring an owned node reads.
+  std::vector<ChannelBase*> tx;        ///< Every ring an owned node writes.
+  /// active_ns at the start of the current run (rebalance input).
+  std::uint64_t active_snapshot = 0;
 
-    bool can_advance() const override {
-      for (unsigned v : node_ids)
-        if (fab->df_node_ready(v)) return true;
-      return false;
-    }
-  };
+ private:
+  /// The end (exclusive) of the furthest chunk the cross-task bounds allow
+  /// from `d`; when that is no chunk at all, *blocked says which bound.
+  Cycle bound(Cycle d, Advance* blocked) const;
+  /// Idle skip: when every owned node is quiescent at `d` and nothing is in
+  /// flight on the rings they read, jump to the earliest wake within
+  /// `limit`. Returns the cycle reached (`d` when the task must step).
+  Cycle skip_idle(Cycle d, Cycle limit);
 
+  Fabric* fab_;
+};
+
+struct Fabric::Runtime {
   /// Accumulator for one in-flight round boundary's metric sample (see
-  /// df_contribute_sample). Reused round-robin: slot j serves boundaries
+  /// contribute_sample). Reused round-robin: slot j serves boundaries
   /// j, j + R, j + 2R, ... where R = frames.size().
   struct FrameSlot {
     std::atomic<Cycle> boundary{-1};  ///< Boundary index armed, -1 inactive.
@@ -243,11 +227,9 @@ struct Fabric::Dataflow {
     }
   };
 
-  std::vector<std::unique_ptr<NodeRt>> nodes;
   std::vector<std::unique_ptr<Task>> tasks;
-  std::vector<unsigned> task_of;  ///< node -> owning task index.
   std::vector<std::vector<unsigned>> wake_lists;
-  std::vector<unsigned> placement;
+  std::vector<unsigned> placement;  ///< Task -> home worker.
   std::unique_ptr<Scheduler> scheduler;
 
   // Current run window.
@@ -255,14 +237,16 @@ struct Fabric::Dataflow {
   Cycle target = 0;
   Cycle round = 1;         ///< Boundary spacing (= link_pipe_stages).
   Cycle n_boundaries = 0;  ///< Of the current run; 0 with metrics off.
+  /// Frame slots a sampled run needs: every round boundary two tasks'
+  /// clocks can straddle, plus slack. Allocated by the first sampled run.
+  unsigned frame_ring = 0;
   std::vector<std::unique_ptr<FrameSlot>> frames;
-  /// Next boundary index whose sample may be published (orders the
-  /// registry's sample() calls exactly like the barrier's rounds).
+  /// Next boundary index whose sample may be published (keeps the
+  /// registry's sample() calls in boundary order).
   std::atomic<Cycle> sample_turn{0};
 
   // Rebalancing (planned at run end, applied at next run start).
   std::vector<std::vector<unsigned>> pending_parts;
-  bool pending = false;
   std::uint64_t splits = 0;
   std::uint64_t merges = 0;
   std::vector<std::string> log;
@@ -288,6 +272,80 @@ struct Fabric::Dataflow {
   }
 };
 
+Cycle Fabric::Task::bound(Cycle d, Advance* blocked) const {
+  const Cycle stages = fab_->cfg_.link_pipe_stages;
+  // Input bound first: it is the tighter constraint under load, and its
+  // seq_cst loads double as the acquire of the upstream tasks' ring writes.
+  Cycle limit = fab_->rt_->target;
+  for (const std::atomic<Cycle>* in : ins)
+    limit = std::min(limit, in->load(std::memory_order_seq_cst) + stages);
+  if (limit <= d) {
+    *blocked = Advance::kBlockedOnEmpty;
+    return limit;
+  }
+  for (const std::atomic<Cycle>* out : outs)
+    limit = std::min(limit, out->load(std::memory_order_seq_cst) + credit);
+  if (limit <= d) *blocked = Advance::kBlockedOnFull;
+  return limit;
+}
+
+bool Fabric::Task::can_advance() const {
+  // Only the worker running this task calls this, so `done` is its own.
+  const Cycle d = done.load(std::memory_order_relaxed);
+  Advance blocked = Advance::kProgress;
+  return d < fab_->rt_->target && bound(d, &blocked) > d;
+}
+
+Advance Fabric::Task::advance() {
+  Fabric& fab = *fab_;
+  const Runtime& rt = *fab.rt_;
+  const Cycle d = done.load(std::memory_order_relaxed);
+  if (d >= rt.target) return Advance::kFinished;
+  Advance blocked = Advance::kProgress;
+  Cycle limit = bound(d, &blocked);
+  if (limit <= d) return blocked;
+  // Land on every round boundary so this task can add its share of the
+  // sample there.
+  if (fab.metrics_ != nullptr) limit = std::min(limit, rt.next_boundary(d));
+
+  Cycle end = fab.idle_skip_on_ ? skip_idle(d, limit) : d;
+  if (end == d) {
+    end = std::min<Cycle>(limit, d + fab.cfg_.link_pipe_stages);
+    for (unsigned v : node_ids) fab.engines_[v].run(end - d);
+    rounds.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Publish progress: the seq_cst store pairs with the neighbors' bound
+  // loads (ring visibility) and with the scheduler's block/recheck protocol.
+  done.store(end, std::memory_order_seq_cst);
+  if (fab.metrics_ != nullptr && rt.is_boundary(end))
+    fab.contribute_sample(*this, rt.boundary_index(end));
+  return Advance::kProgress;
+}
+
+Cycle Fabric::Task::skip_idle(Cycle d, Cycle limit) {
+  Fabric& fab = *fab_;
+  Cycle wake = limit;
+  for (unsigned v : node_ids) {
+    const Engine& eng = fab.engines_[v];
+    Cycle w = kNeverWake;
+    // A cycle observer (a node's invariant checker) pins it to stepping.
+    if (!eng.can_skip() || !eng.quiescent_at(d, &w)) return d;
+    wake = std::min(wake, w);
+  }
+  // The wake cycle itself must be stepped.
+  if (wake <= d) return d;
+  // Inside the task every producer is quiescent. A cross-task ring idle at
+  // d bounds its next arrival to cycles >= upstream done + D >= limit,
+  // outside the window.
+  for (const ChannelBase* ch : rx)
+    if (!ch->idle_at(d)) return d;
+  // Stand in for the suppressed per-cycle writes (Channel::clear_range).
+  for (ChannelBase* ch : tx) ch->clear_range(d, wake);
+  for (unsigned v : node_ids) fab.engines_[v].skip_to(wake);
+  fab.rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
+  return wake;
+}
+
 std::unique_ptr<Fabric> Fabric::build(const net::Topology& topo, const FabricConfig& cfg) {
   FabricConfig c = cfg;
   c.topo = topo;
@@ -305,61 +363,33 @@ Fabric::Fabric(const FabricConfig& cfg) : cfg_(cfg) {
     build_worm();
   else
     build_cells();
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    // The sampling-frame ring holds every boundary that two nodes' clocks
-    // can straddle, plus slack.
-    build_tasks(link_diameter() + 4);
-    return;
+  // Engine-local skipping stays off: a node's engine cannot see its rings,
+  // so only the owning task skips, with the ring-idle check.
+  engines_ = std::vector<Engine>(n);
+  for (unsigned v = 0; v < n; ++v) {
+    engines_[v].set_idle_skip(false);
+    nodes_[v]->attach(engines_[v]);
   }
-  // kBarrier: contiguous node blocks per shard (cache locality; any fixed
-  // partition yields identical results).
-  shards_.reserve(workers_);
-  for (unsigned s = 0; s < workers_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // Engine-local skipping stays off inside shards: a shard cannot see
-    // other shards' in-flight flits or its own channels' contents, so only
-    // the fabric-level planner (maybe_skip) may skip, at round granularity.
-    shard->engine.set_idle_skip(false);
-    for (unsigned v = s * n / workers_; v < (s + 1) * n / workers_; ++v) {
-      shard->node_ids.push_back(v);
-      nodes_[v]->attach(shard->engine);
-    }
-    shards_.push_back(std::move(shard));
-  }
+  rt_ = std::make_unique<Runtime>();
+  rt_->round = cfg_.link_pipe_stages;
+  rt_->scheduler = std::make_unique<Scheduler>(workers_);
+  // One contiguous node block per worker (cache locality; any partition
+  // yields identical results).
+  std::vector<std::vector<unsigned>> parts(workers_);
+  for (unsigned t = 0; t < workers_; ++t)
+    for (unsigned v = t * n / workers_; v < (t + 1) * n / workers_; ++v) parts[t].push_back(v);
+  apply_partition(parts);
 }
 
 Fabric::~Fabric() = default;
 
 unsigned Fabric::link_diameter() const {
-  // Every link carries edges both ways (a cell link each direction, or a
-  // wormhole data ring plus its credit ring), so each hop bounds the two
-  // clocks within one round of each other in both directions.
-  const unsigned n = nodes();
-  std::vector<std::vector<unsigned>> adj(n);
+  std::vector<std::vector<unsigned>> adj(nodes());
   for (const Edge& e : edges_) {
     adj[e.producer].push_back(e.consumer);
     adj[e.consumer].push_back(e.producer);
   }
-  constexpr unsigned kUnseen = ~0u;
-  unsigned widest = 0;
-  std::vector<unsigned> dist(n);
-  std::vector<unsigned> queue;
-  queue.reserve(n);
-  for (unsigned src = 0; src < n; ++src) {
-    dist.assign(n, kUnseen);
-    dist[src] = 0;
-    queue.assign(1, src);
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-      const unsigned u = queue[i];
-      for (unsigned v : adj[u]) {
-        if (dist[v] != kUnseen) continue;
-        dist[v] = dist[u] + 1;
-        widest = std::max(widest, dist[v]);
-        queue.push_back(v);
-      }
-    }
-  }
-  return widest;
+  return graph_diameter(adj);
 }
 
 void Fabric::build_cells() {
@@ -370,8 +400,8 @@ void Fabric::build_cells() {
   // A "uniform:LOAD" spec overrides cfg_.load, same as the worm fabrics.
   const double load = traffic::GeneratorSpec::parse(cfg_.traffic).load_or(cfg_.load);
 
-  // Identical wiring at every thread count AND engine: each directed link
-  // (u, out port p) gets a ring even when both endpoints share a shard. The
+  // Identical wiring under every partition: each directed link (u, out
+  // port p) gets a ring even when both endpoints share a task. The
   // torus and ring wrap, so every port has a neighbor.
   std::vector<Channel*> tx(static_cast<std::size_t>(n) * ports, nullptr);
   edges_.reserve(tx.size());
@@ -443,8 +473,8 @@ void Fabric::build_worm() {
   }
 
   // Links (u, out p) -> (v, in q): a forward flit ring u -> v plus a
-  // reverse credit ring v -> u per link, identical wiring at every thread
-  // count and engine. Mesh edges and last-stage outputs have no neighbor.
+  // reverse credit ring v -> u per link, identical wiring under every
+  // partition. Mesh edges and last-stage outputs have no neighbor.
   edges_.reserve(2 * static_cast<std::size_t>(n) * ports);
   for (unsigned u = 0; u < n; ++u) {
     for (unsigned p = 0; p < ports; ++p) {
@@ -486,87 +516,69 @@ void Fabric::build_worm() {
   }
 }
 
-void Fabric::build_tasks(unsigned frame_ring) {
-  df_ = std::make_unique<Dataflow>();
-  Dataflow& df = *df_;
+void Fabric::apply_partition(const std::vector<std::vector<unsigned>>& parts) {
+  Runtime& rt = *rt_;
   const unsigned n = nodes();
-  const Cycle stages = cfg_.link_pipe_stages;
-
-  df.scheduler = std::make_unique<Scheduler>(workers_);
-  df.nodes.reserve(n);
-  for (unsigned v = 0; v < n; ++v) {
-    auto nd = std::make_unique<Dataflow::NodeRt>();
-    // Engine-local skipping off: the node's engine cannot see its rings, so
-    // only df_advance_node may skip, with the ring-idle check.
-    nd->engine.set_idle_skip(false);
-    nodes_[v]->attach(nd->engine);
-    df.nodes.push_back(std::move(nd));
-  }
-  // Every edge makes its consumer wait for the producer's progress (input
-  // bound) and the producer wait for the consumer's (write credit). A
-  // wormhole link's credit edge points the other way, so its two routers
-  // bound each other in both directions.
-  for (const Edge& e : edges_) {
-    df.nodes[e.consumer]->ins.push_back(Dataflow::NodeRt::In{e.producer, e.ring.get()});
-    df.nodes[e.producer]->out_nodes.push_back(e.consumer);
-    df.nodes[e.producer]->out_chs.push_back(e.ring.get());
-  }
-  for (auto& nd : df.nodes) {
-    Cycle credit = kNeverWake;
-    for (ChannelBase* ch : nd->out_chs)
-      credit = std::min(credit, static_cast<Cycle>(ch->capacity()) - stages);
-    PMSB_CHECK(credit > 0, "channel ring smaller than its own delay");
-    nd->credit = credit;
-  }
-
-  df.frames.reserve(frame_ring);
-  for (unsigned j = 0; j < frame_ring; ++j)
-    df.frames.push_back(std::make_unique<Dataflow::FrameSlot>());
-
-  // Initial partition: contiguous blocks, several tasks per worker so
-  // stealing and rebalancing have slack to move load around.
-  constexpr unsigned kTasksPerWorker = 4;
-  const unsigned ntasks = std::min(workers_ * kTasksPerWorker, n);
-  std::vector<std::vector<unsigned>> parts(ntasks);
-  for (unsigned t = 0; t < ntasks; ++t)
-    for (unsigned v = t * n / ntasks; v < (t + 1) * n / ntasks; ++v) parts[t].push_back(v);
-  df_apply_partition(parts);
-}
-
-void Fabric::df_apply_partition(const std::vector<std::vector<unsigned>>& parts) {
-  Dataflow& df = *df_;
-  const unsigned n = nodes();
-  df.tasks.clear();
-  df.task_of.assign(n, 0);
-  for (std::size_t t = 0; t < parts.size(); ++t) {
+  const std::size_t ntasks = parts.size();
+  std::vector<unsigned> task_of(n, 0);
+  rt.tasks.clear();
+  for (std::size_t t = 0; t < ntasks; ++t) {
     PMSB_CHECK(!parts[t].empty(), "empty task in fabric partition");
-    auto task = std::make_unique<Dataflow::Task>();
-    task->fab = this;
+    auto task = std::make_unique<Task>(this);
     task->node_ids = parts[t];
-    for (unsigned v : parts[t]) df.task_of[v] = static_cast<unsigned>(t);
-    df.tasks.push_back(std::move(task));
+    task->done.store(cycles_run_, std::memory_order_relaxed);
+    for (unsigned v : parts[t]) task_of[v] = static_cast<unsigned>(t);
+    rt.tasks.push_back(std::move(task));
   }
-  // Wake lists: the tasks owning any channel neighbor of this task's nodes.
-  df.wake_lists.assign(parts.size(), {});
-  for (std::size_t t = 0; t < parts.size(); ++t) {
-    std::vector<unsigned>& nbrs = df.wake_lists[t];
-    for (unsigned v : parts[t]) {
-      for (const Dataflow::NodeRt::In& in : df.nodes[v]->ins)
-        nbrs.push_back(df.task_of[in.node]);
-      for (unsigned o : df.nodes[v]->out_nodes) nbrs.push_back(df.task_of[o]);
-    }
-    std::sort(nbrs.begin(), nbrs.end());
-    nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
-    nbrs.erase(std::remove(nbrs.begin(), nbrs.end(), static_cast<unsigned>(t)), nbrs.end());
+  // Every edge feeds its consumer's idle check and its producer's skip
+  // compensation. An edge between two tasks also makes the consumer wait
+  // for the producer's progress (input bound) and the producer for the
+  // consumer's (write credit). A wormhole link's credit edge points the
+  // other way, so its two tasks bound each other in both directions.
+  std::vector<std::vector<unsigned>> ups(ntasks), downs(ntasks);
+  for (const Edge& e : edges_) {
+    const unsigned tp = task_of[e.producer];
+    const unsigned tc = task_of[e.consumer];
+    rt.tasks[tc]->rx.push_back(e.ring.get());
+    rt.tasks[tp]->tx.push_back(e.ring.get());
+    if (tp == tc) continue;
+    ups[tc].push_back(tp);
+    downs[tp].push_back(tc);
+    Cycle& credit = rt.tasks[tp]->credit;
+    credit = std::min(credit, static_cast<Cycle>(e.ring->capacity()) -
+                                  static_cast<Cycle>(cfg_.link_pipe_stages));
+    PMSB_CHECK(credit > 0, "channel ring smaller than its own delay");
   }
-  // Initial placement follows the node index (neighboring tasks start on
-  // the same worker); stealing takes it from there.
-  df.placement.resize(parts.size());
-  for (std::size_t t = 0; t < parts.size(); ++t) {
+  auto dedupe = [](std::vector<unsigned>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
+  // Wake lists: the tasks on the other end of any of this task's channels.
+  rt.wake_lists.assign(ntasks, {});
+  for (std::size_t t = 0; t < ntasks; ++t) {
+    dedupe(ups[t]);
+    dedupe(downs[t]);
+    Task& task = *rt.tasks[t];
+    for (unsigned u : ups[t]) task.ins.push_back(&rt.tasks[u]->done);
+    for (unsigned y : downs[t]) task.outs.push_back(&rt.tasks[y]->done);
+    std::vector<unsigned>& nbrs = rt.wake_lists[t];
+    nbrs = ups[t];
+    nbrs.insert(nbrs.end(), downs[t].begin(), downs[t].end());
+    dedupe(nbrs);
+  }
+  // Home workers follow the node index (neighboring tasks share a worker);
+  // stealing takes it from there.
+  rt.placement.resize(ntasks);
+  for (std::size_t t = 0; t < ntasks; ++t) {
     const unsigned w = static_cast<unsigned>(
         static_cast<std::uint64_t>(parts[t].front()) * workers_ / n);
-    df.placement[t] = std::min(w, workers_ - 1);
+    rt.placement[t] = std::min(w, workers_ - 1);
   }
+  // Every link carries edges both ways (a cell link each direction, or a
+  // wormhole data ring plus its credit ring), so the input bounds keep two
+  // neighboring tasks' clocks within one round of each other, and two tasks
+  // within the task-graph diameter in rounds.
+  rt.frame_ring = graph_diameter(rt.wake_lists) + 4;
 }
 
 NodeCounts Fabric::live_counts() const {
@@ -578,10 +590,9 @@ NodeCounts Fabric::live_counts() const {
 void Fabric::register_metrics(obs::MetricsRegistry* m) {
   metrics_ = m;
   if (!m) return;
-  // Under the dataflow engine the gauges fire inside a boundary-frame
-  // publication (df_contribute_sample) while other nodes keep advancing, so
-  // they read the assembled frame; the barrier engine samples with every
-  // worker parked and reads live state. Values are identical.
+  // The gauges fire inside a boundary-frame publication (contribute_sample)
+  // while other tasks keep advancing, so they read the assembled frame;
+  // outside a run they read live state. Values are identical.
   auto frame = [this] { return sample_frame_ ? *sample_frame_ : live_counts(); };
   m->add_gauge("fabric.injected", [frame] { return static_cast<double>(frame().generated); });
   m->add_gauge("fabric.delivered", [frame] { return static_cast<double>(frame().delivered); });
@@ -600,231 +611,89 @@ void Fabric::register_metrics(obs::MetricsRegistry* m) {
 
 void Fabric::run(Cycle cycles) {
   if (cycles <= 0) return;
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    run_dataflow(cycles);
-    return;
+  Runtime& rt = *rt_;
+  if (!rt.pending_parts.empty()) {
+    apply_partition(rt.pending_parts);
+    rt.pending_parts.clear();
   }
-  run_target_ = cycles_run_ + cycles;
-  const Cycle lookahead = cfg_.link_pipe_stages;
-
-  using SteadyClock = std::chrono::steady_clock;
-  auto ns_between = [](SteadyClock::time_point a, SteadyClock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-
-  if (shards_.size() == 1) {
-    Shard& s = *shards_[0];
-    while (cycles_run_ < run_target_) {
-      const auto t0 = SteadyClock::now();
-      s.engine.run(std::min<Cycle>(lookahead, run_target_ - cycles_run_));
-      const auto t1 = SteadyClock::now();
-      end_of_round();
-      // With one shard the "barrier" cost is the round bookkeeping itself.
-      s.active_ns += ns_between(t0, t1);
-      s.barrier_wait_ns += ns_between(t1, SteadyClock::now());
-      ++s.rounds;
-      if (s.engine.now() < cycles_run_) s.engine.skip_to(cycles_run_);
-    }
-    return;
-  }
-
-  const unsigned workers = static_cast<unsigned>(shards_.size());
-  if (!pool_) {
-    exp::ThreadPoolOptions po;
-    if (exp::pin_threads_env())
-      po.on_worker_start = [](unsigned w) { exp::pin_current_thread(w); };
-    pool_ = std::make_unique<exp::ThreadPool>(workers, std::move(po));
-  }
-  // The last arriver of each round advances the global clock and samples
-  // the gauges while every other shard is parked (see sim/barrier.hpp).
-  SpinBarrier barrier(workers, [this] { end_of_round(); });
-  const Cycle start = cycles_run_;
-  const Cycle target = run_target_;
-  for (auto& sp : shards_) {
-    Shard* shard = sp.get();
-    pool_->submit([this, shard, start, target, lookahead, &barrier, ns_between] {
-      Cycle done = start;
-      while (done < target) {
-        const Cycle step = std::min<Cycle>(lookahead, target - done);
-        const auto t0 = SteadyClock::now();
-        shard->engine.run(step);
-        const auto t1 = SteadyClock::now();
-        done += step;
-        barrier.arrive_and_wait();
-        shard->active_ns += ns_between(t0, t1);
-        shard->barrier_wait_ns += ns_between(t1, SteadyClock::now());
-        ++shard->rounds;
-        // The planner may have skipped whole rounds inside the barrier
-        // (maybe_skip); every worker observes the same jump -- the barrier
-        // orders the cycles_run_ write before this read -- so all shards
-        // take identical trajectories.
-        if (done < cycles_run_ && cycles_run_ <= target) {
-          shard->engine.skip_to(cycles_run_);
-          done = cycles_run_;
-        }
-      }
-    });
-  }
-  pool_->wait_idle();
-  PMSB_CHECK(cycles_run_ == run_target_, "fabric rounds out of step");
-}
-
-void Fabric::run_dataflow(Cycle cycles) {
-  Dataflow& df = *df_;
-  if (df.pending) {
-    df_apply_partition(df.pending_parts);
-    df.pending_parts.clear();
-    df.pending = false;
-  }
-  df.run_start = cycles_run_;
-  df.target = cycles_run_ + cycles;
-  run_target_ = df.target;
-  df.round = cfg_.link_pipe_stages;
+  rt.run_start = cycles_run_;
+  rt.target = cycles_run_ + cycles;
+  rt.n_boundaries = 0;
   if (metrics_ != nullptr) {
-    df.n_boundaries = (cycles + df.round - 1) / df.round;
-    df.sample_turn.store(0, std::memory_order_relaxed);
-    for (std::size_t j = 0; j < df.frames.size(); ++j) {
+    rt.n_boundaries = (cycles + rt.round - 1) / rt.round;
+    rt.sample_turn.store(0, std::memory_order_relaxed);
+    rt.frames.resize(rt.frame_ring);
+    for (std::size_t j = 0; j < rt.frames.size(); ++j) {
+      if (!rt.frames[j]) rt.frames[j] = std::make_unique<Runtime::FrameSlot>();
       const Cycle k = static_cast<Cycle>(j);
-      df.frames[j]->arm(k < df.n_boundaries ? k : -1, nodes());
+      rt.frames[j]->arm(k < rt.n_boundaries ? k : -1, static_cast<unsigned>(rt.tasks.size()));
     }
-  } else {
-    df.n_boundaries = 0;
-  }
-  for (auto& t : df.tasks)
-    t->active_snapshot = t->active_ns.load(std::memory_order_relaxed);
-
-  if (!pool_) {
-    exp::ThreadPoolOptions po;
-    if (exp::pin_threads_env())
-      po.on_worker_start = [](unsigned w) { exp::pin_current_thread(w); };
-    pool_ = std::make_unique<exp::ThreadPool>(workers_, std::move(po));
   }
   std::vector<SchedTask*> tasks;
-  tasks.reserve(df.tasks.size());
-  for (auto& t : df.tasks) tasks.push_back(t.get());
-  df.scheduler->run(*pool_, tasks, df.wake_lists, df.placement);
-
-  cycles_run_ = df.target;
-  for (const auto& nd : df.nodes)
-    PMSB_CHECK(nd->done.load(std::memory_order_relaxed) == df.target,
-               "dataflow node stopped short of the run target");
-  if (metrics_ != nullptr)
-    PMSB_CHECK(df.sample_turn.load(std::memory_order_relaxed) == df.n_boundaries,
-               "dataflow run finished with unpublished samples");
-  df_plan_rebalance();
-}
-
-Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
-  Dataflow& df = *df_;
-  Dataflow::NodeRt& nd = *df.nodes[v];
-  const Cycle target = df.target;
-  const Cycle d = nd.engine.now();
-  if (d >= target) return NodeAdvance::kNodeDone;
-  const Cycle stages = cfg_.link_pipe_stages;
-
-  // Input bound first: it is the tighter constraint under load, and its
-  // seq_cst loads double as the acquire of the upstreams' ring writes.
-  Cycle limit = target;
-  for (const Dataflow::NodeRt::In& in : nd.ins) {
-    const Cycle b = df.nodes[in.node]->done.load(std::memory_order_seq_cst) + stages;
-    if (b < limit) limit = b;
+  tasks.reserve(rt.tasks.size());
+  for (auto& t : rt.tasks) {
+    t->active_snapshot = t->active_ns.load(std::memory_order_relaxed);
+    tasks.push_back(t.get());
   }
-  if (limit <= d) return NodeAdvance::kInputBlocked;
-  for (unsigned o : nd.out_nodes) {
-    const Cycle b = df.nodes[o]->done.load(std::memory_order_seq_cst) + nd.credit;
-    if (b < limit) limit = b;
-  }
-  if (limit <= d) return NodeAdvance::kCreditBlocked;
-  if (metrics_ != nullptr) {
-    // Land on every round boundary so this node can contribute its sample
-    // share there (the barrier engine samples at exactly these cycles).
-    const Cycle nb = df.next_boundary(d);
-    if (nb < limit) limit = nb;
-  }
-
-  bool stepped = true;
-  if (idle_skip_on_ && nd.engine.can_skip()) {
-    // Whole-chunk idle skip: every component quiescent through the chunk
-    // (wake >= limit keeps the wake cycle itself stepped) and no flit
-    // arriving on any input during [d, limit) -- idle_at(d) bounds arrivals
-    // to cycles >= upstream_done >= limit - D, outside the window.
-    Cycle wake = kNeverWake;
-    if (nd.engine.quiescent_at(d, &wake) && wake >= limit) {
-      bool rx_idle = true;
-      for (const Dataflow::NodeRt::In& in : nd.ins) {
-        if (!in.ch->idle_at(d)) {
-          rx_idle = false;
-          break;
-        }
-      }
-      if (rx_idle) {
-        // Stand in for the suppressed per-cycle writes (Channel::clear_range).
-        for (ChannelBase* ch : nd.out_chs) ch->clear_range(d, limit);
-        nd.engine.skip_to(limit);
-        rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
-        stepped = false;
-      }
+  if (workers_ == 1) {
+    rt.scheduler->run(tasks, rt.wake_lists, rt.placement);
+  } else {
+    if (!pool_) {
+      exp::ThreadPoolOptions po;
+      if (exp::pin_threads_env())
+        po.on_worker_start = [](unsigned w) { exp::pin_current_thread(w); };
+      pool_ = std::make_unique<exp::ThreadPool>(workers_, std::move(po));
     }
+    rt.scheduler->run(*pool_, tasks, rt.wake_lists, rt.placement);
   }
-  if (stepped) nd.engine.run(limit - d);
 
-  // Publish progress: seq_cst store pairs with neighbors' bound loads (ring
-  // visibility) and with the scheduler's block/recheck protocol.
-  nd.done.store(limit, std::memory_order_seq_cst);
-  if (metrics_ != nullptr && df.is_boundary(limit))
-    df_contribute_sample(v, df.boundary_index(limit));
-  return stepped ? NodeAdvance::kStepped : NodeAdvance::kSkipped;
+  cycles_run_ = rt.target;
+  for (const auto& t : rt.tasks)
+    PMSB_CHECK(t->done.load(std::memory_order_relaxed) == rt.target,
+               "fabric task stopped short of the run target");
+  if (metrics_ != nullptr)
+    PMSB_CHECK(rt.sample_turn.load(std::memory_order_relaxed) == rt.n_boundaries,
+               "fabric run finished with unpublished samples");
+  plan_rebalance();
 }
 
-bool Fabric::df_node_ready(unsigned v) const {
-  const Dataflow& df = *df_;
-  const Dataflow::NodeRt& nd = *df.nodes[v];
-  const Cycle d = nd.done.load(std::memory_order_seq_cst);
-  if (d >= df.target) return false;
-  const Cycle stages = cfg_.link_pipe_stages;
-  for (const Dataflow::NodeRt::In& in : nd.ins)
-    if (df.nodes[in.node]->done.load(std::memory_order_seq_cst) + stages <= d) return false;
-  for (unsigned o : nd.out_nodes)
-    if (df.nodes[o]->done.load(std::memory_order_seq_cst) + nd.credit <= d) return false;
-  return true;
-}
-
-void Fabric::df_contribute_sample(unsigned v, Cycle k) {
-  Dataflow& df = *df_;
-  Dataflow::FrameSlot& slot =
-      *df.frames[static_cast<std::size_t>(k % static_cast<Cycle>(df.frames.size()))];
+void Fabric::contribute_sample(const Task& task, Cycle k) {
+  Runtime& rt = *rt_;
+  Runtime::FrameSlot& slot =
+      *rt.frames[static_cast<std::size_t>(k % static_cast<Cycle>(rt.frames.size()))];
   // The slot serving boundary k is re-armed by the completer of boundary
-  // k - R. The skew bound (link_diameter()) guarantees that boundary has
-  // all contributions by now, so this wait only covers an in-flight
-  // completion call.
+  // k - R. The skew bound (the task-graph diameter) guarantees that
+  // boundary has all contributions by now, so this wait only covers an
+  // in-flight completion call.
   while (slot.boundary.load(std::memory_order_acquire) != k) std::this_thread::yield();
-  // This worker holds node v exactly at the boundary cycle, so this read
-  // sees the same per-node state the parked barrier engine would.
-  slot.add(nodes_[v]->counts());
+  // This worker holds the task's nodes exactly at the boundary cycle, so
+  // these reads see the state a stepped-to-the-boundary fabric would.
+  NodeCounts c;
+  for (unsigned v : task.node_ids) c += nodes_[v]->counts();
+  slot.add(c);
   if (slot.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
   // Last contributor publishes, strictly in boundary order (sample_turn is
   // the baton; the registry's time series relies on monotonic sample calls).
-  while (df.sample_turn.load(std::memory_order_acquire) != k) std::this_thread::yield();
+  while (rt.sample_turn.load(std::memory_order_acquire) != k) std::this_thread::yield();
   const NodeCounts f = slot.sum();
   sample_frame_ = &f;
-  metrics_->sample(df.boundary_cycle(k));
+  metrics_->sample(rt.boundary_cycle(k));
   sample_frame_ = nullptr;
   // Re-arm this slot for boundary k + R before passing the baton.
-  const Cycle next = k + static_cast<Cycle>(df.frames.size());
-  slot.arm(next < df.n_boundaries ? next : -1, nodes());
-  df.sample_turn.store(k + 1, std::memory_order_release);
+  const Cycle next = k + static_cast<Cycle>(rt.frames.size());
+  slot.arm(next < rt.n_boundaries ? next : -1, static_cast<unsigned>(rt.tasks.size()));
+  rt.sample_turn.store(k + 1, std::memory_order_release);
 }
 
-void Fabric::df_plan_rebalance() {
-  Dataflow& df = *df_;
-  const std::size_t ntasks = df.tasks.size();
+void Fabric::plan_rebalance() {
+  Runtime& rt = *rt_;
+  const std::size_t ntasks = rt.tasks.size();
   std::vector<std::uint64_t> delta(ntasks, 0);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < ntasks; ++i) {
-    delta[i] = df.tasks[i]->active_ns.load(std::memory_order_relaxed) -
-               df.tasks[i]->active_snapshot;
+    delta[i] = rt.tasks[i]->active_ns.load(std::memory_order_relaxed) -
+               rt.tasks[i]->active_snapshot;
     total += delta[i];
   }
   if (total == 0) return;
@@ -839,16 +708,16 @@ void Fabric::df_plan_rebalance() {
   std::vector<Part> parts;
   parts.reserve(ntasks + 4);
   for (std::size_t i = 0; i < ntasks; ++i) {
-    const auto& ids = df.tasks[i]->node_ids;
+    const auto& ids = rt.tasks[i]->node_ids;
     const double cost = static_cast<double>(delta[i]);
     if (cost > 1.6 * mean && ids.size() >= 2) {
       const std::size_t mid = ids.size() / 2;
       parts.push_back(Part{{ids.begin(), ids.begin() + static_cast<long>(mid)}, cost / 2});
       parts.push_back(Part{{ids.begin() + static_cast<long>(mid), ids.end()}, cost / 2});
-      df.log.push_back("split task " + std::to_string(i) + " (" +
+      rt.log.push_back("split task " + std::to_string(i) + " (" +
                        std::to_string(ids.size()) + " nodes, " +
                        std::to_string(cost / mean) + "x mean active_ns)");
-      ++df.splits;
+      ++rt.splits;
       changed = true;
     } else {
       parts.push_back(Part{ids, cost});
@@ -862,63 +731,21 @@ void Fabric::df_plan_rebalance() {
     const std::size_t projected = merged.size() + (parts.size() - i);
     if (!merged.empty() && projected - 1 >= workers_ && merged.back().cost < 0.4 * mean &&
         parts[i].cost < 0.4 * mean) {
-      df.log.push_back("merge tasks at node " + std::to_string(merged.back().ids.front()) +
+      rt.log.push_back("merge tasks at node " + std::to_string(merged.back().ids.front()) +
                        " + " + std::to_string(parts[i].ids.front()) + " (both < 0.4x mean)");
       merged.back().ids.insert(merged.back().ids.end(), parts[i].ids.begin(),
                                parts[i].ids.end());
       merged.back().cost += parts[i].cost;
-      ++df.merges;
+      ++rt.merges;
       changed = true;
     } else {
       merged.push_back(std::move(parts[i]));
     }
   }
   if (!changed) return;
-  df.pending_parts.clear();
-  df.pending_parts.reserve(merged.size());
-  for (Part& p : merged) df.pending_parts.push_back(std::move(p.ids));
-  df.pending = true;
-}
-
-void Fabric::end_of_round() {
-  cycles_run_ += std::min<Cycle>(cfg_.link_pipe_stages, run_target_ - cycles_run_);
-  if (metrics_) metrics_->sample(cycles_run_);
-  if (idle_skip_on_) maybe_skip();
-}
-
-void Fabric::maybe_skip() {
-  if (cycles_run_ >= run_target_) return;
-  // Global quiescence: every component of every shard idle (observers --
-  // the per-node invariant checkers -- pin a shard to stepping), and every
-  // channel ring drained. Any failure means at least one cell is somewhere
-  // in flight, and the next round must be stepped.
-  Cycle wake = kNeverWake;
-  for (const auto& sp : shards_) {
-    if (!sp->engine.can_skip()) return;
-    Cycle w = kNeverWake;
-    if (!sp->engine.quiescent_at(cycles_run_, &w)) return;
-    if (w < wake) wake = w;
-  }
-  for (const Edge& e : edges_)
-    if (!e.ring->idle_at(cycles_run_)) return;
-  // Advance whole rounds while they end at or before the earliest wake
-  // (components must execute the wake cycle itself), keeping the metrics
-  // cadence of stepped rounds.
-  bool skipped = false;
-  while (cycles_run_ < run_target_) {
-    const Cycle nb =
-        cycles_run_ + std::min<Cycle>(cfg_.link_pipe_stages, run_target_ - cycles_run_);
-    if (nb > wake) break;
-    cycles_run_ = nb;
-    if (metrics_) metrics_->sample(cycles_run_);
-    skipped = true;
-    rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Skipping suppressed the producers' per-cycle ring writes; drop the stale
-  // entries so they cannot resurface after a jump past the ring size. All
-  // channels are empty here, so nothing live is lost.
-  if (skipped)
-    for (const Edge& e : edges_) e.ring->clear_for_skip();
+  rt.pending_parts.clear();
+  rt.pending_parts.reserve(merged.size());
+  for (Part& p : merged) rt.pending_parts.push_back(std::move(p.ids));
 }
 
 FabricStats Fabric::stats() const {
@@ -952,107 +779,62 @@ obs::FlightRecorder Fabric::merged_flight() const {
 }
 
 std::vector<ShardTelemetry> Fabric::shard_telemetry() const {
-  auto relayed = [this](const std::vector<unsigned>& node_ids) {
-    std::uint64_t r = 0;
-    for (unsigned v : node_ids) r += nodes_[v]->counts().relayed;
-    return r;
-  };
   std::vector<ShardTelemetry> out;
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    const Dataflow& df = *df_;
-    out.reserve(df.tasks.size());
-    for (std::size_t i = 0; i < df.tasks.size(); ++i) {
-      const Dataflow::Task& task = *df.tasks[i];
-      ShardTelemetry t;
-      t.shard = static_cast<unsigned>(i);
-      t.nodes = static_cast<unsigned>(task.node_ids.size());
-      t.active_ns = task.active_ns.load(std::memory_order_relaxed);
-      t.blocked_on_empty_ns = task.blocked_on_empty_ns.load(std::memory_order_relaxed);
-      t.blocked_on_full_ns = task.blocked_on_full_ns.load(std::memory_order_relaxed);
-      t.steals = task.steals.load(std::memory_order_relaxed);
-      t.rounds = task.rounds.load(std::memory_order_relaxed);
-      t.cells_relayed = relayed(task.node_ids);
-      out.push_back(t);
-    }
-    return out;
-  }
-  out.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = *shards_[s];
+  out.reserve(rt_->tasks.size());
+  for (std::size_t i = 0; i < rt_->tasks.size(); ++i) {
+    const Task& task = *rt_->tasks[i];
     ShardTelemetry t;
-    t.shard = static_cast<unsigned>(s);
-    t.nodes = static_cast<unsigned>(sh.node_ids.size());
-    t.active_ns = sh.active_ns;
-    t.barrier_wait_ns = sh.barrier_wait_ns;
-    t.rounds = sh.rounds;
-    t.cells_relayed = relayed(sh.node_ids);
+    t.shard = static_cast<unsigned>(i);
+    t.nodes = static_cast<unsigned>(task.node_ids.size());
+    t.active_ns = task.active_ns.load(std::memory_order_relaxed);
+    t.barrier_wait_ns = task.wait_ns.load(std::memory_order_relaxed);
+    t.blocked_on_empty_ns = task.blocked_on_empty_ns.load(std::memory_order_relaxed);
+    t.blocked_on_full_ns = task.blocked_on_full_ns.load(std::memory_order_relaxed);
+    t.steals = task.steals.load(std::memory_order_relaxed);
+    t.rounds = task.rounds.load(std::memory_order_relaxed);
+    for (unsigned v : task.node_ids) t.cells_relayed += nodes_[v]->counts().relayed;
     out.push_back(t);
   }
   return out;
 }
 
 FabricSchedulerStats Fabric::scheduler_stats() const {
+  const Runtime& rt = *rt_;
   FabricSchedulerStats s;
-  s.engine = to_string(cfg_.engine);
   s.workers = workers_;
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    const Dataflow& df = *df_;
-    s.tasks = static_cast<unsigned>(df.tasks.size());
-    s.steals = df.scheduler->total_steals();
-    s.splits = df.splits;
-    s.merges = df.merges;
-    s.rebalance_log = df.log;
-    for (const Scheduler::WorkerStats& w : df.scheduler->worker_stats())
-      s.per_worker.push_back(FabricSchedulerStats::Worker{w.active_ns, w.idle_ns, w.steals,
-                                                          w.slices});
-    return s;
-  }
-  s.tasks = static_cast<unsigned>(shards_.size());
-  for (const auto& sp : shards_)
-    s.per_worker.push_back(
-        FabricSchedulerStats::Worker{sp->active_ns, sp->barrier_wait_ns, 0, sp->rounds});
+  s.tasks = static_cast<unsigned>(rt.tasks.size());
+  s.steals = rt.scheduler->total_steals();
+  s.splits = rt.splits;
+  s.merges = rt.merges;
+  s.rebalance_log = rt.log;
+  for (const Scheduler::WorkerStats& w : rt.scheduler->worker_stats())
+    s.per_worker.push_back(FabricSchedulerStats::Worker{w.active_ns, w.idle_ns, w.steals,
+                                                        w.slices});
   return s;
 }
 
 void Fabric::telemetry_to_perfetto(obs::PerfettoTrace& out) const {
   // Worker tracks start at tid 1000 so they never collide with the
   // component counter tracks of a TimeSeriesSampler sharing the trace; the
-  // shard-stall counter track sits above them at tid 1900.
+  // task-stall counter track sits above them at tid 1900.
   constexpr unsigned kWorkerTidBase = 1000;
   constexpr unsigned kStallTid = 1900;
-  const std::uint64_t skipped = rounds_skipped();
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    const FabricSchedulerStats sched = scheduler_stats();
-    for (std::size_t w = 0; w < sched.per_worker.size(); ++w) {
-      const auto& ws = sched.per_worker[w];
-      const unsigned tid = kWorkerTidBase + static_cast<unsigned>(w);
-      out.set_track_name(tid, "fabric worker " + std::to_string(w) + " (wall clock)");
-      const std::int64_t active_us = static_cast<std::int64_t>(ws.active_ns / 1000);
-      const std::int64_t idle_us = static_cast<std::int64_t>(ws.idle_ns / 1000);
-      out.complete(0, active_us, tid, "active",
-                   {{"slices", static_cast<double>(ws.slices)},
-                    {"steals", static_cast<double>(ws.steals)}});
-      out.complete(active_us, idle_us, tid, "scheduler_idle",
-                   {{"chunks_skipped", static_cast<double>(skipped)}});
-    }
-  } else {
-    for (const ShardTelemetry& t : shard_telemetry()) {
-      const unsigned tid = kWorkerTidBase + t.shard;
-      out.set_track_name(tid, "fabric worker " + std::to_string(t.shard) + " (wall clock)");
-      const std::int64_t active_us = static_cast<std::int64_t>(t.active_ns / 1000);
-      const std::int64_t wait_us = static_cast<std::int64_t>(t.barrier_wait_ns / 1000);
-      out.complete(0, active_us, tid, "active",
-                   {{"nodes", static_cast<double>(t.nodes)},
-                    {"rounds", static_cast<double>(t.rounds)},
-                    {"cells_relayed", static_cast<double>(t.cells_relayed)}});
-      out.complete(active_us, wait_us, tid, "barrier_wait",
-                   {{"rounds_skipped", static_cast<double>(skipped)}});
-    }
+  const FabricSchedulerStats sched = scheduler_stats();
+  for (std::size_t w = 0; w < sched.per_worker.size(); ++w) {
+    const auto& ws = sched.per_worker[w];
+    const unsigned tid = kWorkerTidBase + static_cast<unsigned>(w);
+    out.set_track_name(tid, "fabric worker " + std::to_string(w) + " (wall clock)");
+    const std::int64_t active_us = static_cast<std::int64_t>(ws.active_ns / 1000);
+    const std::int64_t idle_us = static_cast<std::int64_t>(ws.idle_ns / 1000);
+    out.complete(0, active_us, tid, "active",
+                 {{"slices", static_cast<double>(ws.slices)},
+                  {"steals", static_cast<double>(ws.steals)}});
+    out.complete(active_us, idle_us, tid, "scheduler_idle",
+                 {{"chunks_skipped", static_cast<double>(rounds_skipped())}});
   }
-  // One counter sample per shard/task (ts = shard index): stall composition
-  // in microseconds, directly comparable between the engines' traces.
-  out.set_track_name(kStallTid, std::string("fabric shard stalls (") +
-                                    to_string(cfg_.engine) + ", us by shard index)");
+  // One counter sample per task (ts = task index): stall composition in
+  // microseconds.
+  out.set_track_name(kStallTid, "fabric shard stalls (us by task index)");
   for (const ShardTelemetry& t : shard_telemetry()) {
     out.counter(static_cast<std::int64_t>(t.shard), kStallTid, "fabric.stall_us",
                 {{"barrier_wait", static_cast<double>(t.barrier_wait_ns / 1000)},

@@ -1,7 +1,7 @@
 // Sharded multi-switch fabric engine: a whole net::Topology of nodes,
 // partitioned across worker threads, with a hard determinism contract --
 // delivered cells, drops, latencies and every published metric are
-// bit-identical at any thread count AND under either execution engine.
+// bit-identical at any thread count and under any partition of the nodes.
 //
 // One core serves both transports. A transport constructor builds one
 // FabricNode per topology vertex (src/fabric/node.hpp) -- a CellNode on the
@@ -10,30 +10,28 @@
 // multistage kinds (src/fabric/worm.hpp) -- and one (producer, consumer,
 // ring) edge per channel ring: one per directed cell link, or a data edge
 // u -> v plus a credit edge v -> u per wormhole link. ALL inter-node
-// traffic -- including between nodes in the same shard -- goes through
+// traffic -- including between nodes of the same task -- goes through
 // those rings, so the simulated wiring does not depend on the partition.
-// The engines see only nodes and edges, never cells or flits:
+// The engine sees only nodes and edges, never cells or flits.
 //
-//  * kBarrier -- conservative lockstep: inter-node links have
-//    `link_pipe_stages` (D >= 1) register stages, i.e. a word leaving a node
-//    cannot be observed anywhere else for at least D + 1 cycles. Each shard
-//    runs its nodes locally for a round of up to D cycles, then all shards
-//    meet at a SpinBarrier; every channel slot a shard reads during round r
-//    was written in round r-1 or earlier, so no cross-shard event can ever
-//    be missed. The barrier's last arriver samples the metrics gauges.
-//
-//  * kDataflow -- credit-backpressured tasks: every node is its own Engine,
-//    grouped into SchedTasks run by a work-stealing Scheduler. A node whose
-//    upstream edges' producers have executed through cycle u may run to
-//    u + D (its inputs for those cycles are already in the rings) and to
-//    consumer_done + capacity - D on each downstream edge (write credit); a
-//    task blocks only when every owned node hits one of those bounds, and is
-//    woken by the neighbor that moves it. Slow nodes no longer stall the
-//    whole fabric -- only their neighborhood, transitively. Metric samples
-//    are assembled per round boundary from per-node contributions (each
-//    node passes every boundary exactly once), reproducing the barrier's
-//    sampling cadence and values bit-exactly. See DESIGN.md "Task-dataflow
-//    fabric" for the correctness argument.
+// Inter-node links have `link_pipe_stages` (D >= 1) register stages: a word
+// leaving a node cannot be observed anywhere else for at least D + 1
+// cycles. The nodes are partitioned into tasks (src/fabric/task.hpp), one
+// contiguous block per worker at the start, run by a work-stealing
+// Scheduler (src/fabric/scheduler.hpp). A task steps its nodes in lockstep,
+// node after node, in chunks of at most D cycles, so no node reads a ring
+// slot written in the same chunk. Only the edges that cross into another
+// task bound it: it may run to upstream_done + D (its inputs for those
+// cycles are already in the rings) and to downstream_done + capacity - D
+// (write credit). Blocked, a task waits briefly for its neighbors, then
+// hands its worker back and is woken by the neighbor that moves it. With
+// one task this is a plain lockstep loop; with one task per worker, a round
+// barrier with the global wait replaced by pairwise ones, so a slow node
+// stalls only its neighborhood. Metric samples are assembled at every round
+// boundary (each D cycles) from per-task contributions. Between run() calls
+// the partition is rebalanced from measured task costs; placement never
+// changes results. See DESIGN.md "Fabric & parallel simulation" for the
+// correctness argument.
 
 #pragma once
 
@@ -63,26 +61,6 @@ class PerfettoTrace;
 
 namespace pmsb::fabric {
 
-/// Execution engine for Fabric::run(). Results are bit-identical either way
-/// (CI-enforced); the choice only affects wall-clock and scheduling
-/// telemetry.
-enum class FabricEngine {
-  kBarrier,   ///< Lockstep rounds over a SpinBarrier (PR 5 engine).
-  kDataflow,  ///< Credit-backpressured tasks on a work-stealing scheduler.
-};
-
-/// Process-wide default engine: PMSB_FABRIC_ENGINE=dataflow|barrier (read
-/// once; barrier when unset). Lets CI run every fabric bench/test under
-/// both engines without touching configs.
-FabricEngine fabric_engine_env_default();
-
-/// Process-wide override for the default above (bench --engine flag). Only
-/// affects FabricConfigs constructed after the call; call from startup code
-/// before any simulation threads exist.
-void set_fabric_engine_override(FabricEngine e);
-
-const char* to_string(FabricEngine e);
-
 struct FabricConfig {
   net::Topology topo;
   /// Per-node switch geometry (torus and ring only; the mesh and the
@@ -98,18 +76,17 @@ struct FabricConfig {
   double load = 0.5;
   std::uint64_t seed = 1;
   /// Worker threads; 0 resolves via exp::thread_count() (PMSB_THREADS).
-  /// Clamped to the node count.
+  /// Clamped to the node count. The fabric starts with one task per worker
+  /// and repartitions between run() calls (splits tasks that dominated the
+  /// last run's active_ns, merges starved ones); the partition never
+  /// changes results.
   unsigned threads = 0;
-  /// Execution engine (see FabricEngine). Default from PMSB_FABRIC_ENGINE.
-  /// kDataflow starts from four tasks per worker and repartitions between
-  /// run() calls (split tasks that dominated the last run's active_ns, merge
-  /// starved ones); placement never changes results.
-  FabricEngine engine = fabric_engine_env_default();
-  /// Idle-cycle skipping: when a region of the fabric is quiescent and its
-  /// channels are empty, jump to the next scheduled injection instead of
-  /// stepping. Round-granular and global under kBarrier; per-node under
-  /// kDataflow. Results are bit-identical either way (CI-enforced).
-  /// -1 = environment default (PMSB_IDLE_SKIP), 0 = off, 1 = on.
+  /// Idle-cycle skipping: when a task's nodes are all quiescent and no flit
+  /// is in flight on the rings they read, the task jumps to its earliest
+  /// scheduled wake instead of stepping, as far as its neighbor tasks and
+  /// the metrics boundary allow. Results are bit-identical either way
+  /// (CI-enforced). -1 = environment default (PMSB_IDLE_SKIP), 0 = off,
+  /// 1 = on.
   int idle_skip = -1;
   /// Per-node model selection: nodes for which this returns true run the
   /// behavioural FastSwitch (core/fast_switch.hpp) instead of the
@@ -143,31 +120,30 @@ struct FabricConfig {
   void validate() const;
 };
 
-/// Wall-clock accounting for one shard (kBarrier: one per worker thread;
-/// kDataflow: one per scheduler task) of the run so far. Telemetry is
-/// timing-derived, so it belongs in the BENCH JSON "runtime" block only
-/// (the determinism diffs strip it); rounds and cells_relayed are
-/// deterministic per shard *given* a thread count and engine, but the
-/// partition itself changes with PMSB_THREADS and rebalancing.
+/// Wall-clock accounting for one scheduler task of the run so far.
+/// Telemetry is timing-derived, so it belongs in the BENCH JSON "runtime"
+/// block only (the determinism diffs strip it); nodes and cells_relayed are
+/// deterministic per task *given* a partition, but the partition itself
+/// changes with PMSB_THREADS and rebalancing.
 struct ShardTelemetry {
-  unsigned shard = 0;
-  unsigned nodes = 0;           ///< Nodes owned by this shard/task.
+  unsigned shard = 0;           ///< Task index.
+  unsigned nodes = 0;           ///< Nodes owned by this task.
   std::uint64_t active_ns = 0;  ///< Wall time advancing the simulation.
-  std::uint64_t barrier_wait_ns = 0;    ///< kBarrier: parked at the round barrier.
-  std::uint64_t blocked_on_empty_ns = 0;  ///< kDataflow: starved of upstream data.
-  std::uint64_t blocked_on_full_ns = 0;   ///< kDataflow: out of downstream credit.
-  std::uint64_t steals = 0;     ///< kDataflow: times this task ran on a thief.
-  std::uint64_t rounds = 0;     ///< Rounds/chunks stepped (skipped excluded).
+  /// Waiting inside a slice for a neighbor task to catch up: the pairwise
+  /// form of a round barrier's wait.
+  std::uint64_t barrier_wait_ns = 0;
+  std::uint64_t blocked_on_empty_ns = 0;  ///< Parked, starved of upstream data.
+  std::uint64_t blocked_on_full_ns = 0;   ///< Parked, out of downstream credit.
+  std::uint64_t steals = 0;     ///< Times this task ran on a thief.
+  std::uint64_t rounds = 0;     ///< Chunks stepped (skipped excluded).
   /// Transit cells relayed (cell fabrics) or flits forwarded onto
-  /// links (wormhole fabrics) by this shard's nodes.
+  /// links (wormhole fabrics) by this task's nodes.
   std::uint64_t cells_relayed = 0;
 };
 
 /// Scheduling-layer accounting for the run so far (BENCH JSON
-/// runtime.scheduler block). kBarrier reports its shards as degenerate
-/// pinned tasks so the block shape is engine-independent.
+/// runtime.scheduler block).
 struct FabricSchedulerStats {
-  const char* engine = "barrier";
   unsigned workers = 0;
   unsigned tasks = 0;
   std::uint64_t steals = 0;
@@ -175,7 +151,7 @@ struct FabricSchedulerStats {
   std::uint64_t merges = 0;   ///< Rebalance: cold task pairs merged.
   struct Worker {
     std::uint64_t active_ns = 0;
-    std::uint64_t idle_ns = 0;  ///< Barrier wait / steal hunt + parked.
+    std::uint64_t idle_ns = 0;  ///< Neighbor wait, steal hunt and parked.
     std::uint64_t steals = 0;
     std::uint64_t slices = 0;
   };
@@ -201,7 +177,6 @@ class Fabric {
 
   unsigned nodes() const { return cfg_.topo.nodes(); }
   unsigned threads() const { return workers_; }
-  FabricEngine engine() const { return cfg_.engine; }
   Cycle now() const { return cycles_run_; }
   const FabricConfig& config() const { return cfg_; }
   /// True when this fabric runs flit-level wormhole transport (mesh or
@@ -224,21 +199,23 @@ class Fabric {
 
   /// Register live gauges (fabric.injected/delivered/dropped/backlog/
   /// in_network/latency.mean) on `m` and sample them at every round
-  /// boundary of subsequent run() calls -- same cadence and values under
-  /// both engines. Call before run(); `m` must outlive the fabric's runs.
+  /// boundary (each link_pipe_stages cycles, and the run's end) of
+  /// subsequent run() calls -- the same values under any partition. Call
+  /// before run(); `m` must outlive the fabric's runs.
   void register_metrics(obs::MetricsRegistry* m);
 
   /// Advance the whole fabric by `cycles`. Callable repeatedly.
   void run(Cycle cycles);
 
   /// Deterministic aggregate accounting (identical at any thread count and
-  /// under either engine).
+  /// under any partition).
   FabricStats stats() const;
 
   /// Largest undirected hop distance between two nodes over the channel
-  /// edge list (data and credit rings alike). Bounds, in rounds, the clock
-  /// skew between any two nodes under kDataflow, which sizes its
-  /// sampling-frame ring.
+  /// edge list (data and credit rings alike): the task-graph diameter of
+  /// the one-node-per-task partition. The task-graph diameter bounds, in
+  /// rounds, the clock skew between two tasks and sizes the sampling-frame
+  /// ring.
   unsigned link_diameter() const;
 
   /// Per-node flight recorder (null unless FabricConfig::flight_recorder).
@@ -249,20 +226,17 @@ class Fabric {
   /// thread count. Requires FabricConfig::flight_recorder.
   obs::FlightRecorder merged_flight() const;
 
-  /// Wall-clock telemetry of the run so far: one entry per worker shard
-  /// (kBarrier) or per scheduler task (kDataflow).
+  /// Wall-clock telemetry of the run so far: one entry per scheduler task.
   std::vector<ShardTelemetry> shard_telemetry() const;
   /// Scheduling-layer telemetry of the run so far (see FabricSchedulerStats).
   FabricSchedulerStats scheduler_stats() const;
-  /// Idle jumps the planner took: whole-fabric rounds under kBarrier,
-  /// per-node chunks under kDataflow (0 with idle skipping off).
+  /// Idle jumps taken, one per task jump (0 with idle skipping off).
   std::uint64_t rounds_skipped() const {
     return rounds_skipped_.load(std::memory_order_relaxed);
   }
-  /// Render telemetry as Perfetto tracks: one worker track per shard/worker
-  /// (active / wait slices in wall-clock microseconds) plus a counter track
-  /// of per-shard stall totals, so barrier-vs-dataflow wait time is
-  /// directly comparable in one trace.
+  /// Render telemetry as Perfetto tracks: one track per worker (active and
+  /// idle slices in wall-clock microseconds) plus a counter track of
+  /// per-task stall totals.
   void telemetry_to_perfetto(obs::PerfettoTrace& out) const;
 
  private:
@@ -274,59 +248,32 @@ class Fabric {
   }
 
   /// One channel ring: written by `producer`'s components, read by
-  /// `consumer`'s. Drives the barrier planner's ring checks and the
-  /// dataflow engine's input/credit bounds alike.
+  /// `consumer`'s. Edges between tasks bound the tasks' progress; every
+  /// edge feeds the idle-skip ring checks.
   struct Edge {
     unsigned producer;
     unsigned consumer;
     std::unique_ptr<ChannelBase> ring;
   };
 
-  struct Shard {
-    Engine engine;
-    std::vector<unsigned> node_ids;
-    // Telemetry, written only by the thread running this shard (the pool's
-    // wait_idle orders the writes before the main thread reads them).
-    std::uint64_t active_ns = 0;
-    std::uint64_t barrier_wait_ns = 0;
-    std::uint64_t rounds = 0;
-  };
+  // Implementation in fabric.cpp.
+  class Task;
+  struct Runtime;
 
   /// Transport constructors: fill nodes_ and edges_.
   void build_cells();
   void build_worm();
   /// Sum of every node's counts(): the live gauge inputs.
   NodeCounts live_counts() const;
-  void end_of_round();
-  /// Round-granularity idle skip, run inside the barrier completion while
-  /// every worker is parked: if all shards are quiescent and all channels
-  /// empty, advance cycles_run_ by whole rounds (sampling metrics at each
-  /// boundary exactly as stepped rounds would) up to the earliest scheduled
-  /// injection, then clear the channel rings. Workers notice the jump after
-  /// the barrier and skip_to() their shard engines.
-  void maybe_skip();
-
-  // --- Dataflow engine (implementation in fabric.cpp) ---------------------
-  struct Dataflow;
-  /// Node-level outcome of one bounded chunk attempt.
-  enum class NodeAdvance : std::uint8_t {
-    kStepped,        ///< Executed a chunk cycle by cycle.
-    kSkipped,        ///< Jumped a quiescent chunk (idle skip).
-    kInputBlocked,   ///< Upstream lookahead exhausted.
-    kCreditBlocked,  ///< Downstream ring out of credit.
-    kNodeDone,       ///< Reached the run target.
-  };
-  /// Per-node engines and dependency edges, a sampling-frame ring of
-  /// `frame_ring` slots, and the initial contiguous task partition.
-  void build_tasks(unsigned frame_ring);
-  void run_dataflow(Cycle cycles);
-  NodeAdvance df_advance_node(unsigned v);
-  bool df_node_ready(unsigned v) const;
-  void df_contribute_sample(unsigned v, Cycle boundary_index);
+  /// Make `parts` (contiguous node blocks) the tasks: cross-task bounds,
+  /// wake lists, home workers and the sampling-frame ring size.
+  void apply_partition(const std::vector<std::vector<unsigned>>& parts);
+  /// Add `task`'s share to round boundary `k`'s metric sample; the last
+  /// contributor publishes it.
+  void contribute_sample(const Task& task, Cycle k);
   /// Recompute the task partition from the last run's per-task active_ns
-  /// (split hot, merge cold); applied lazily at the next run's start.
-  void df_plan_rebalance();
-  void df_apply_partition(const std::vector<std::vector<unsigned>>& parts);
+  /// (split hot, merge cold); applied at the next run's start.
+  void plan_rebalance();
 
   FabricConfig cfg_;
   CellCodec codec_;       ///< Cell fabrics' wire format.
@@ -336,17 +283,19 @@ class Fabric {
   /// see traffic/spec.hpp).
   std::unique_ptr<DestPattern> wdests_;
   std::vector<std::unique_ptr<FabricNode>> nodes_;  ///< [node]
+  /// [node] Each node's own Engine, attached once at build and stepped by
+  /// whichever task owns the node. Never resized: attach() hands out
+  /// references (the node's invariant checker keeps one).
+  std::vector<Engine> engines_;
   std::vector<Edge> edges_;
-  std::vector<std::unique_ptr<Shard>> shards_;  ///< kBarrier only.
-  std::unique_ptr<Dataflow> df_;                ///< kDataflow only.
-  std::unique_ptr<exp::ThreadPool> pool_;  ///< Lazily built when needed.
+  std::unique_ptr<Runtime> rt_;
+  std::unique_ptr<exp::ThreadPool> pool_;  ///< Built on the first multi-worker run.
   obs::MetricsRegistry* metrics_ = nullptr;
-  /// Non-null only while the dataflow engine is inside a metrics_->sample()
-  /// call; gauge callbacks then read this boundary snapshot instead of the
+  /// Non-null only while a task is inside a metrics_->sample() call; gauge
+  /// callbacks then read this boundary snapshot instead of the
   /// (concurrently advancing) live node state.
   const NodeCounts* sample_frame_ = nullptr;
   Cycle cycles_run_ = 0;
-  Cycle run_target_ = 0;
   bool idle_skip_on_ = true;  ///< Resolved from FabricConfig::idle_skip.
   std::atomic<std::uint64_t> rounds_skipped_{0};
 };

@@ -1,13 +1,13 @@
-// The one node interface both fabric engines schedule (src/fabric/fabric.cpp).
+// The one node interface the fabric engine schedules (src/fabric/fabric.cpp).
 //
 // A fabric node is whatever one topology vertex simulates: a cell node
 // (CellNode, src/fabric/bridge.hpp -- a switch with its link bridges and
 // traffic endpoints) or a flit-level WormRouter (src/fabric/worm.hpp). The
-// engines only attach a node's components to an Engine, read its counters at
-// round boundaries and fold its sinks into the end-of-run FabricStats; they
-// never see cells or flits. Links between nodes are not part of a node: each
+// engine only attaches a node's components to an Engine, reads its counters at
+// round boundaries and folds its sinks into the end-of-run FabricStats; it
+// never sees cells or flits. Links between nodes are not part of a node: each
 // transport constructor also emits one (producer, consumer, ring) edge per
-// channel ring, and both engines derive their wiring from that edge list.
+// channel ring, and the engine derives its wiring from that edge list.
 
 #pragma once
 
@@ -55,7 +55,7 @@ struct FabricStats {
 };
 
 /// A node's cumulative counters: its share of the fabric-wide gauges and of
-/// its shard's relay telemetry.
+/// its task's relay telemetry.
 struct NodeCounts {
   std::uint64_t generated = 0;  ///< Cells/messages created by this node's sources.
   std::uint64_t backlog = 0;    ///< Of those, not yet on the wire.
@@ -80,11 +80,11 @@ class FabricNode {
   virtual ~FabricNode() = default;
 
   /// Add this node's components (and any cycle observer) to `eng` in their
-  /// stepping order. Called once, by whichever engine owns the node.
+  /// stepping order. Called once, at build, on the node's own Engine.
   virtual void attach(Engine& eng) = 0;
 
-  /// Read by the thread holding the node at a round boundary, or with every
-  /// worker parked.
+  /// Read by the thread holding the node's task at a round boundary, or
+  /// between runs.
   virtual NodeCounts counts() const = 0;
 
   /// Add this node's sinks (and drop counters) into `st`. Called in node

@@ -1,11 +1,22 @@
-// Work-stealing task runtime for the dataflow fabric engine.
+// Work-stealing task runtime for the fabric engine.
 //
-// One deque of ready tasks per worker; a worker pops from its own deque,
-// steals from a neighbor when empty, and parks on a condvar (with a short
-// timeout) when the whole system looks idle. Tasks that return blocked are
-// NOT requeued -- they sit in SchedTask::kBlocked until a neighbor task
-// that shares a channel with them makes progress and wakes them through the
-// caller-supplied wake lists.
+// One deque of ready tasks per worker. A worker pops a task from its own
+// deque and runs it for a slice: advance() again and again while the task
+// progresses, waking its blocked neighbors after every step. When the task
+// blocks, the worker waits briefly for a neighbor to catch up (the pairwise
+// form of a round barrier) and hands the worker back only if none does.
+// A worker without work hunts the same way before it parks on its condvar.
+// That wait is one escalation, used for both: spin on a cheap poll, then
+// poll with a yield in between (the hunt also steals from other deques
+// here), then park. Parking is what keeps oversubscribed runs (more workers
+// than cores) from livelocking: yield() is a no-op when every runnable
+// thread is a poller, but a parked worker lets the straggler run.
+//
+// Tasks that hand the worker back blocked are NOT requeued -- they sit in
+// SchedTask::kBlocked until a neighbor task that shares a channel with them
+// makes progress and wakes them through the caller-supplied wake lists. A
+// woken task goes back on its home worker's deque (its placement entry),
+// not the waker's, so tasks do not migrate on every wake.
 //
 // Lost-wakeup protocol (the only delicate part): a task T observes "cannot
 // advance" from its neighbors' progress counters, then parks. A neighbor U
@@ -27,12 +38,13 @@
 //
 // Determinism: the scheduler decides only WHERE and WHEN tasks run, never
 // WHAT they compute -- simulation state is partitioned per node and every
-// cross-node read is bounded by the channel credit protocol, so results are
+// cross-task read is bounded by the channel credit protocol, so results are
 // bit-identical for any worker count, steal order, or rebalance decision
 // (CI-enforced).
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -53,7 +65,7 @@ class Scheduler {
   /// Per-worker wall-clock accounting, cumulative over run() calls.
   struct WorkerStats {
     std::uint64_t active_ns = 0;  ///< Inside SchedTask::advance().
-    std::uint64_t idle_ns = 0;    ///< Hunting for work or parked.
+    std::uint64_t idle_ns = 0;    ///< Waiting for a neighbor, hunting, parked.
     std::uint64_t steals = 0;     ///< Tasks taken from another worker's deque.
     std::uint64_t slices = 0;     ///< advance() calls executed.
   };
@@ -65,11 +77,16 @@ class Scheduler {
 
   /// Run every task to completion (SchedTask::kDone). `wake_lists[i]` holds
   /// the indices of tasks sharing a channel with task i -- the candidates to
-  /// wake after task i progresses. `placement[i]` is the worker whose deque
-  /// initially holds task i (stealing redistributes from there). The pool
-  /// must have at least workers() threads available; run() blocks until all
-  /// tasks finished.
+  /// wake after task i progresses. `placement[i]` is task i's home worker:
+  /// its deque holds the task at the start and whenever it is woken
+  /// (stealing redistributes from there). The pool must have at least
+  /// workers() threads available; run() blocks until all tasks finished.
   void run(exp::ThreadPool& pool, const std::vector<SchedTask*>& tasks,
+           const std::vector<std::vector<unsigned>>& wake_lists,
+           const std::vector<unsigned>& placement);
+
+  /// The same on the calling thread; needs workers() == 1.
+  void run(const std::vector<SchedTask*>& tasks,
            const std::vector<std::vector<unsigned>>& wake_lists,
            const std::vector<unsigned>& placement);
 
@@ -80,30 +97,45 @@ class Scheduler {
  private:
   struct Deque {
     std::mutex mu;
-    std::deque<unsigned> q;  ///< Ready task indices.
+    std::deque<unsigned> q;         ///< Ready task indices.
+    std::atomic<std::size_t> n{0};  ///< q.size(), for lock-free polling.
+  };
+  /// A worker's parking spot (guarded by idle_mu_).
+  struct Parker {
+    std::condition_variable cv;
+    bool parked = false;
   };
 
+  void start(const std::vector<SchedTask*>& tasks,
+             const std::vector<std::vector<unsigned>>& wake_lists,
+             const std::vector<unsigned>& placement);
   void worker_loop(unsigned w);
+  /// Run task `ti` on worker `w` until it finishes or hands the worker back.
+  void run_slice(unsigned w, unsigned ti);
   void push(unsigned w, unsigned task);
   bool pop(unsigned w, unsigned* task);
   bool steal(unsigned thief, unsigned* task);
+  void park(unsigned w);
   /// Wake every kBlocked neighbor of `task` (it just progressed/finished),
   /// attributing its blocked interval to the stall counters.
-  void wake_neighbors(unsigned w, unsigned task);
+  void wake_neighbors(unsigned task);
 
   const std::vector<SchedTask*>* tasks_ = nullptr;
   const std::vector<std::vector<unsigned>>* wake_ = nullptr;
+  const std::vector<unsigned>* home_ = nullptr;
   std::vector<std::unique_ptr<Deque>> deques_;
   std::vector<WorkerStats> stats_;
   std::atomic<unsigned> finished_{0};
   std::atomic<int> pending_{0};  ///< Tasks sitting in deques (approximate).
   unsigned n_tasks_ = 0;
 
-  // Idle parking: workers that find nothing to pop or steal wait here; every
-  // push and the final task completion notify.
+  // Idle parking: a worker that found nothing to pop or steal waits on its
+  // own Parker; a push notifies the task's home worker if it is parked (else
+  // any parked worker, which may steal the task), and the final task
+  // completion notifies every parked worker.
   std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  unsigned idle_waiters_ = 0;
+  std::vector<std::unique_ptr<Parker>> parkers_;
+  std::atomic<unsigned> idle_waiters_{0};
 };
 
 }  // namespace pmsb::fabric

@@ -1,25 +1,26 @@
-// Schedulable unit of the dataflow fabric engine (FabricEngine::kDataflow).
+// Schedulable unit of the fabric engine.
 //
-// A SchedTask owns a contiguous block of fabric nodes and advances them in
-// bounded chunks; it blocks only on its own channels -- upstream data
-// (input lookahead exhausted) or downstream credit (ring full) -- never on
-// a global barrier. The Scheduler (src/fabric/scheduler.hpp) runs tasks on
-// an exp::ThreadPool with work stealing and wakes a blocked task when one
-// of its channel neighbors makes progress.
+// A SchedTask owns a contiguous block of fabric nodes and steps them in
+// lockstep, one bounded chunk per advance() call; it blocks only on the
+// channels that cross into other tasks -- upstream data (input lookahead
+// exhausted) or downstream credit (ring full) -- never on a global barrier.
+// The Scheduler (src/fabric/scheduler.hpp) runs tasks on an exp::ThreadPool,
+// keeps a task stepping while its neighbors keep pace, and wakes a blocked
+// task when one of its channel neighbors makes progress.
 //
 // State machine (stored here so the scheduler stays task-type agnostic):
 //
 //            push            pop              advance() == progress
-//   kReady ----------> in a deque ----> kRunning ----> kReady (requeued)
+//   kReady ----------> in a deque ----> kRunning ----> kRunning (same slice)
 //     ^                                    |
-//     |  neighbor wake (CAS) /             | advance() == blocked
-//     |  self-recheck (CAS)                v
+//     |  neighbor wake (CAS) /             | advance() == blocked, and the
+//     |  self-recheck (CAS)                v neighbors stay behind
 //     +---------------------------- kBlocked ----> kDone (all nodes at target)
 //
 // Only the transition kBlocked -> kReady is contended (the owning worker's
 // post-block recheck races neighbor wakes); it is a compare-exchange so a
 // task is pushed by exactly one party. The blocked <-> wake handshake uses
-// seq_cst together with the nodes' progress counters (see the "lost wakeup"
+// seq_cst together with the tasks' progress counters (see the "lost wakeup"
 // note in scheduler.hpp).
 
 #pragma once
@@ -29,11 +30,11 @@
 
 namespace pmsb::fabric {
 
-/// Result of one SchedTask::advance() slice.
+/// Result of one SchedTask::advance() call.
 enum class Advance : std::uint8_t {
-  kProgress,        ///< At least one owned node moved forward.
-  kBlockedOnEmpty,  ///< Every runnable node waits for upstream data.
-  kBlockedOnFull,   ///< Every runnable node waits for downstream credit.
+  kProgress,        ///< The task moved forward.
+  kBlockedOnEmpty,  ///< It waits for upstream data from another task.
+  kBlockedOnFull,   ///< It waits for downstream credit from another task.
   kFinished,        ///< Every owned node reached the run target.
 };
 
@@ -41,14 +42,14 @@ class SchedTask {
  public:
   virtual ~SchedTask() = default;
 
-  /// Advance each owned node by at most one chunk (bounded by the fabric's
+  /// Advance the owned nodes by at most one chunk (bounded by the fabric's
   /// link lookahead). Must publish all progress (with the ordering the
   /// wake protocol requires) before returning.
   virtual Advance advance() = 0;
 
   /// Cheap conservative recheck: true when advance() would make progress
   /// right now. Used to close the block-vs-wake race; a false positive only
-  /// costs a wasted slice, a false negative would deadlock -- so err ready.
+  /// costs a wasted call, a false negative would deadlock -- so err ready.
   virtual bool can_advance() const = 0;
 
   enum State : std::uint8_t { kReady, kRunning, kBlocked, kDone };
@@ -64,6 +65,9 @@ class SchedTask {
   // Cumulative telemetry (relaxed; exact totals are read only after a run
   // completes, via the pool's join/wait_idle ordering).
   std::atomic<std::uint64_t> active_ns{0};
+  /// Waiting inside a slice for a neighbor to catch up (spin, then yield):
+  /// the pairwise form of a round barrier's wait.
+  std::atomic<std::uint64_t> wait_ns{0};
   std::atomic<std::uint64_t> blocked_on_empty_ns{0};
   std::atomic<std::uint64_t> blocked_on_full_ns{0};
   std::atomic<std::uint64_t> steals{0};   ///< Times this task ran on a thief.

@@ -61,8 +61,8 @@
 // Sink (per-lane reassembly, end-to-end payload verification, an
 // order-sensitive delivery digest and an HDR latency histogram). Everything
 // a router touches is either private or a single-writer ring, so a router
-// is a fabric node in its own right (src/fabric/node.hpp), and the barrier
-// and dataflow engines shard routers exactly like cell-fabric nodes.
+// is a fabric node in its own right (src/fabric/node.hpp), and the fabric
+// engine partitions routers into tasks exactly like cell-fabric nodes.
 
 #pragma once
 
@@ -165,7 +165,7 @@ class WormRouter : public Component, public FabricNode {
   /// Sinks merge in port order. Adds no by_hops rows.
   void fold(FabricStats& st) const override;
 
-  // --- Accounting (read at barriers / after the run) ---------------------
+  // --- Accounting (read at round boundaries / after the run) -------------
   struct SourceStats {
     std::uint64_t generated = 0;  ///< Messages created (arrival process).
     std::size_t backlog = 0;      ///< Messages queued, not yet streaming.

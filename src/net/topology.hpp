@@ -140,9 +140,10 @@ struct Topology {
   /// traverses the whole network; there is no local bypass).
   unsigned hops(unsigned a, unsigned b) const;
 
-  /// Maximum hops() over all node pairs. (The dataflow fabric engine sizes
-  /// its sampling-frame ring from its own link edge list instead, which also
-  /// carries the wormhole fabrics' reverse credit links.)
+  /// Maximum hops() over all node pairs. (The fabric engine sizes its
+  /// sampling-frame ring from its task graph instead, built from its own
+  /// link edge list, which also carries the wormhole fabrics' reverse
+  /// credit links.)
   unsigned diameter() const;
 
   /// Human-readable form for banners and tables, e.g. "torus2d 8x8",

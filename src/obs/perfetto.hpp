@@ -11,7 +11,7 @@
 //    component's series as the event args, so related counters stack in one
 //    chart.
 //  * Fabric workers render as "X" (complete) slices on their own tracks
-//    (active vs. barrier-wait spans).
+//    (active vs. idle spans).
 //
 // Timestamps are microseconds by convention in the trace-event format; we map
 // 1 simulated cycle -> 1 us for counter tracks (wall-clock-derived spans say

@@ -185,8 +185,8 @@ class Engine {
   /// Enable/disable quiescence-based skipping for this engine. The initial
   /// value comes from PMSB_IDLE_SKIP ("0" disables; default on). Skipping
   /// never changes results -- this switch exists for A/B validation and for
-  /// embedded engines (fabric shards) whose skipping is coordinated
-  /// externally at round granularity.
+  /// embedded engines (fabric nodes) whose skipping is coordinated
+  /// externally by the task that owns them.
   void set_idle_skip(bool on) { idle_skip_ = on; }
   bool idle_skip() const { return idle_skip_; }
 

@@ -217,7 +217,7 @@ TEST(WormFabric, PinnedDigestsAcrossLaneGeometries) {
       {"clos16 8 lanes hotspot", Topology{TopologyKind::kClos, 16, 1, 4}, 8, 48, 8,
        "hotspot:0.5,0.3", 12018, 4842, 38760, 0x29e152d4ca546ea4ULL, 13571, 0},
       {"banyan32 near idle", Topology{TopologyKind::kBanyan, 32, 1}, 4, 16, 8, "uniform:0.002",
-       146, 146, 1168, 0xf205d58e8944fd71ULL, 11, 18177},
+       146, 146, 1168, 0xf205d58e8944fd71ULL, 11, 131},
       {"mesh8x8 2 lanes", Topology{TopologyKind::kMesh2D, 8, 8}, 2, 16, 8, "uniform:0.5",
        79703, 64828, 518804, 0xf98d5116adfa902aULL, 9355, 0},
       // clang-format on
@@ -227,8 +227,11 @@ TEST(WormFabric, PinnedDigestsAcrossLaneGeometries) {
     cfg.topo = pin.topo;
     cfg.link_pipe_stages = 1;
     cfg.seed = 11;
-    cfg.threads = 2;
-    cfg.engine = fabric::FabricEngine::kBarrier;
+    // One task: its idle jumps are bounded by nothing but its own wakes, so
+    // rounds_skipped is deterministic. With several tasks a jump also stops
+    // at wherever the neighbor task has got to, which timing decides. The
+    // other columns are the same under any partition.
+    cfg.threads = 1;
     cfg.idle_skip = 1;
     cfg.lanes = pin.lanes;
     cfg.buffer_flits = pin.buffer_flits;
