@@ -58,6 +58,7 @@ void InvariantChecker::attach(PipelinedSwitch& sw, Engine& engine) {
   addr_refs_.assign(cfg.capacity_segments, 0);
   addr_marked_.assign(cfg.capacity_segments, 0);
   events_sub_ = sw.events().subscribe(make_events());
+  quiet_ = quiet_state();
 }
 
 void InvariantChecker::attach(DualPipelinedSwitch& sw, Engine& engine) {
@@ -66,6 +67,7 @@ void InvariantChecker::attach(DualPipelinedSwitch& sw, Engine& engine) {
               cfg.cut_through, engine);
   dsw_ = &sw;
   events_sub_ = sw.events().subscribe(make_events());
+  quiet_ = quiet_state();
 }
 
 void InvariantChecker::register_metrics(obs::MetricsRegistry& m, const std::string& prefix) {
@@ -323,6 +325,53 @@ void InvariantChecker::on_cycle_end(Cycle t) {
     check_initiation_rate(t, dsw_->stats());
     check_conservation(t, dsw_->stats(), dsw_->pending_cells(), dsw_->queued_cells());
   }
+  quiet_ = quiet_state();
+}
+
+InvariantChecker::QuietState InvariantChecker::quiet_state() const {
+  QuietState q;
+  const SwitchStats* s = psw_ ? &psw_->stats() : (dsw_ ? &dsw_->stats() : nullptr);
+  if (s == nullptr) return q;
+  q.heads = s->heads_seen;
+  q.accepted = s->accepted;
+  q.dropped = s->dropped();
+  q.read_grants = s->read_grants;
+  if (psw_) {
+    q.initiations = psw_->memory().initiations();
+    q.in_use = psw_->buffer_in_use();
+    q.available = psw_->free_list().available();
+    q.queued = psw_->queued_cells();
+    q.pending = psw_->pending_cells();
+  } else {
+    q.initiations = s->write_initiations + s->read_initiations + s->snoop_initiations;
+    q.in_use = dsw_->buffer_in_use();
+    q.queued = dsw_->queued_cells();
+    q.pending = dsw_->pending_cells();
+  }
+  return q;
+}
+
+void InvariantChecker::on_skip(Cycle from, Cycle to) {
+  const QuietState q = quiet_state();
+  auto span = [&] {
+    return " during the skipped interval [" + std::to_string(from) + ", " +
+           std::to_string(to) + ")";
+  };
+  if (q.initiations != quiet_.initiations) {
+    violate(to - 1, Invariant::kSingleInitiation,
+            std::to_string(q.initiations - quiet_.initiations) + " wave initiations" + span());
+  }
+  if (q.heads != quiet_.heads || q.accepted != quiet_.accepted ||
+      q.dropped != quiet_.dropped || q.read_grants != quiet_.read_grants) {
+    violate(to - 1, Invariant::kConservation,
+            "cells arrived, were granted or dropped" + span());
+  }
+  if (q.in_use != quiet_.in_use || q.available != quiet_.available ||
+      q.queued != quiet_.queued || q.pending != quiet_.pending) {
+    violate(to - 1, Invariant::kConservation,
+            "buffer occupancy, queues or free list changed" + span());
+  }
+  on_cycle_end(to - 1);
 }
 
 }  // namespace pmsb::check

@@ -15,6 +15,10 @@
 //     phase it can cross-reference the free list, reservation table, and
 //     output queues -- the only moment the cross-component conservation
 //     equations are meaningful.
+//   * it lets the engine skip idle stretches: across a skipped interval it
+//     asserts that nothing happened -- no heads, grants, drops or wave
+//     initiations, unchanged occupancy, queues and free list -- then runs
+//     the end-of-cycle checks once for the interval's last cycle.
 //
 // Violations are *recorded*, never aborted on: they increment per-invariant
 // obs::MetricsRegistry counters, push a kViolation TraceBuffer record carrying
@@ -98,10 +102,27 @@ class InvariantChecker : public CycleObserver {
   /// First 64 violations, in order of detection.
   const std::vector<Violation>& violations() const { return violations_; }
 
-  // CycleObserver: the per-cycle structural checks.
+  // CycleObserver: the per-cycle structural checks, and the quiescent-
+  // interval checks that let the engine skip idle stretches.
   void on_cycle_end(Cycle t) override;
+  bool skips_ok() const override { return true; }
+  void on_skip(Cycle from, Cycle to) override;
 
  private:
+  /// What a quiescent interval must leave unchanged.
+  struct QuietState {
+    std::uint64_t heads = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t dropped = 0;
+    std::uint64_t read_grants = 0;
+    std::uint64_t initiations = 0;  ///< Stage-0 wave initiations.
+    std::uint64_t in_use = 0;       ///< Buffer addresses occupied.
+    std::uint64_t available = 0;    ///< Free-list addresses allocatable (single switch).
+    std::uint64_t queued = 0;
+    std::uint64_t pending = 0;
+  };
+  QuietState quiet_state() const;
+
   void on_head(unsigned input, Cycle a0, unsigned dest);
   void on_accept(unsigned input, Cycle a0, Cycle t0);
   void on_drop(unsigned input, Cycle a0, DropReason why);
@@ -138,6 +159,9 @@ class InvariantChecker : public CycleObserver {
   std::vector<Cycle> last_read_grant_;     ///< Per output; -1 = never.
   Cycle last_grant_cycle_ = -1;
   unsigned grants_in_cycle_ = 0;
+
+  /// State at the end of the last observed (stepped or skipped) cycle.
+  QuietState quiet_;
 
   // Previous-cycle counter snapshots for rate checks.
   std::uint64_t prev_mem_inits_ = 0;

@@ -23,12 +23,13 @@ class RoundRobin {
   /// template parameter so the per-cycle arbitration loops inline it.
   template <typename Eligible>
   int pick(Eligible&& eligible) {
+    unsigned idx = ptr_;
     for (unsigned k = 0; k < n_; ++k) {
-      const unsigned idx = (ptr_ + k) % n_;
       if (eligible(idx)) {
-        ptr_ = (idx + 1) % n_;
+        ptr_ = idx + 1 == n_ ? 0 : idx + 1;
         return static_cast<int>(idx);
       }
+      if (++idx == n_) idx = 0;
     }
     return -1;
   }

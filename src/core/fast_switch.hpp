@@ -44,7 +44,7 @@
 
 namespace pmsb {
 
-class FastSwitch : public Component {
+class FastSwitch final : public Component {
  public:
   explicit FastSwitch(const SwitchConfig& cfg);
 

@@ -1,32 +1,31 @@
 #include "core/output_row.hpp"
 
+#include "check/invariants.hpp"
+
 namespace pmsb {
 
 OutputRow::OutputRow(unsigned stages, unsigned n_outputs, unsigned word_bits)
-    : stages_(stages), n_outputs_(n_outputs), mask_(low_mask(word_bits)), staged_(stages) {
+    : stages_(stages),
+      n_outputs_(n_outputs),
+      mask_(low_mask(word_bits)),
+      staged_(stages),
+      loaded_(stages),
+      audit_(check::env_enabled()) {
   PMSB_CHECK(stages > 0 && n_outputs > 0, "degenerate output row");
 }
 
-void OutputRow::load(unsigned s, Word data, unsigned out_link, bool sop) {
-  PMSB_CHECK(s < stages_, "output-row stage out of range");
-  PMSB_CHECK(out_link < n_outputs_, "output link out of range");
-  PMSB_CHECK((data & ~mask_) == 0, "output word wider than the link");
-  Slot& slot = staged_[s];
-  PMSB_CHECK(!slot.valid, "output register loaded twice in one cycle");
-  slot.valid = true;
-  slot.out_link = out_link;
-  slot.flit = Flit{true, sop, data};
-}
-
-void OutputRow::drive_links(std::vector<WireLink>& out_links) {
-  PMSB_CHECK(out_links.size() == n_outputs_, "output link count mismatch");
-  for (const auto& slot : staged_) {
-    if (slot.valid) out_links[slot.out_link].drive_next(slot.flit);
+void OutputRow::audit() const {
+  std::vector<char> unlisted(stages_, 0);
+  unsigned valid = 0;
+  for (unsigned s = 0; s < stages_; ++s) {
+    unlisted[s] = staged_[s].valid ? 1 : 0;
+    valid += staged_[s].valid ? 1 : 0;
   }
-}
-
-void OutputRow::tick() {
-  for (auto& slot : staged_) slot = Slot{};
+  PMSB_CHECK(valid == n_loaded_, "output row's loaded-register list diverged from its flags");
+  for (unsigned k = 0; k < n_loaded_; ++k) {
+    PMSB_CHECK(unlisted[loaded_[k]], "output row lists a register that was not loaded");
+    unlisted[loaded_[k]] = 0;
+  }
 }
 
 }  // namespace pmsb

@@ -11,6 +11,12 @@
 // asserts that sharing discipline (one load per stage per cycle; one
 // register driving a given link per cycle -- the latter via WireLink's
 // single-driver check).
+//
+// Only the registers loaded this cycle are listed, in load order, so
+// drive_links() and tick() cost one step per loaded register. A single
+// memory loads in ascending stage order (its active-stage walk), so the
+// links are driven in the order a full scan would use. Under PMSB_CHECK=1
+// drive_links() recounts the list against the registers' valid flags.
 
 #pragma once
 
@@ -29,17 +35,42 @@ class OutputRow {
 
   /// Stage s captures `data` this cycle, to drive `out_link` next cycle.
   /// `sop` marks the head word of a cell (stage 0 of the head segment).
-  void load(unsigned s, Word data, unsigned out_link, bool sop);
+  void load(unsigned s, Word data, unsigned out_link, bool sop) {
+    PMSB_CHECK(s < stages_, "output-row stage out of range");
+    PMSB_CHECK(out_link < n_outputs_, "output link out of range");
+    PMSB_CHECK((data & ~mask_) == 0, "output word wider than the link");
+    Slot& slot = staged_[s];
+    PMSB_CHECK(!slot.valid, "output register loaded twice in one cycle");
+    slot.valid = true;
+    slot.out_link = out_link;
+    slot.flit = Flit{true, sop, data};
+    loaded_[n_loaded_++] = s;
+  }
 
   /// Put every value loaded this cycle onto its outgoing link for the next
   /// cycle (the register -> link-driver path). Call once per eval, after the
   /// memory stages executed.
-  void drive_links(std::vector<WireLink>& out_links);
+  void drive_links(std::vector<WireLink>& out_links) {
+    PMSB_CHECK(out_links.size() == n_outputs_, "output link count mismatch");
+    if (audit_) audit();
+    for (unsigned k = 0; k < n_loaded_; ++k) {
+      const Slot& slot = staged_[loaded_[k]];
+      out_links[slot.out_link].drive_next(slot.flit);
+    }
+  }
 
   /// Clock edge.
-  void tick();
+  void tick() {
+    for (unsigned k = 0; k < n_loaded_; ++k) staged_[loaded_[k]] = Slot{};
+    n_loaded_ = 0;
+  }
 
  private:
+  friend struct OutputRowPeer;  ///< Test access (corrupts the list in death tests).
+
+  /// Checked mode: the loaded list must name exactly the valid registers.
+  void audit() const;
+
   unsigned stages_;
   unsigned n_outputs_;
   Word mask_;
@@ -49,7 +80,10 @@ class OutputRow {
     unsigned out_link = 0;
     Flit flit;
   };
-  std::vector<Slot> staged_;  ///< Loads performed this cycle.
+  std::vector<Slot> staged_;      ///< Loads performed this cycle.
+  std::vector<unsigned> loaded_;  ///< Stages loaded this cycle, first n_loaded_ entries.
+  unsigned n_loaded_ = 0;
+  bool audit_;                    ///< check::env_enabled() at construction.
 };
 
 }  // namespace pmsb

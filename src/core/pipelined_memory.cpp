@@ -1,45 +1,58 @@
 #include "core/pipelined_memory.hpp"
 
+#include "check/invariants.hpp"
+
 namespace pmsb {
 
 PipelinedMemory::PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits,
                                  AddrPathMode addr_mode)
-    : ctrl_(stages), addr_path_(stages, words_per_stage, addr_mode) {
+    : ctrl_(stages),
+      addr_path_(stages, words_per_stage, addr_mode),
+      audit_(check::env_enabled()) {
   PMSB_CHECK(stages >= 1, "pipelined memory needs at least one stage");
   banks_.reserve(stages);
   for (unsigned s = 0; s < stages; ++s) banks_.emplace_back(words_per_stage, word_bits);
 }
 
 void PipelinedMemory::exec_cycle(const InputLatches& ir, OutputRow& orow) {
-  for (unsigned s = 0; s < stages(); ++s) {
-    const StageCtrl& c = ctrl_.at(s);
-    // The address path runs every cycle (it checks 7a/7b equivalence even on
-    // idle stages in the decoded-pipeline mode).
-    const long addr = addr_path_.active_addr(s, c.addr, !c.idle());
+  if (audit_) audit();
+  ctrl_.for_each_active([&](unsigned s, const StageCtrl& c) {
+    const auto addr = static_cast<std::size_t>(addr_path_.active_addr(s, c.addr, true));
     switch (c.op) {
       case StageOp::kNone:
         break;
       case StageOp::kWrite:
-        banks_[s].write(static_cast<std::size_t>(addr), ir.read(c.in_link, s));
+        banks_[s].write(addr, ir.read(c.in_link, s));
         break;
       case StageOp::kRead:
-        orow.load(s, banks_[s].read(static_cast<std::size_t>(addr)), c.out_link,
+        orow.load(s, banks_[s].read(addr), c.out_link, c.head && s == 0);
+        break;
+      case StageOp::kWriteSnoop:
+        orow.load(s, banks_[s].write_snoop(addr, ir.read(c.in_link, s)), c.out_link,
                   c.head && s == 0);
         break;
-      case StageOp::kWriteSnoop: {
-        const Word bus =
-            banks_[s].write_snoop(static_cast<std::size_t>(addr), ir.read(c.in_link, s));
-        orow.load(s, bus, c.out_link, c.head && s == 0);
-        break;
-      }
     }
-  }
+  });
+  // Every active stage found a valid word line above; equal counts leave no
+  // valid word line on an idle stage (figure 7a/7b equivalence).
+  PMSB_CHECK(addr_path_.mode() != AddrPathMode::kDecodedPipeline ||
+                 addr_path_.valid_slots() == ctrl_.active(),
+             "word-line pipeline active but control pipeline idle");
 }
 
 void PipelinedMemory::tick() {
-  for (auto& b : banks_) b.tick();
+  ctrl_.for_each_active([&](unsigned s, const StageCtrl&) { banks_[s].tick(); });
   ctrl_.tick();
   addr_path_.tick();
+}
+
+void PipelinedMemory::audit() const {
+  ctrl_.audit();
+  addr_path_.audit();
+  // tick() clocked only the active stages' banks: any bank still holding a
+  // claimed port or a staged write was touched outside them.
+  for (const SramBank& b : banks_)
+    PMSB_CHECK(!b.touched(), "an SRAM bank touched outside the active stages was never ticked");
 }
 
 }  // namespace pmsb

@@ -5,6 +5,18 @@
 // One wave is initiated per cycle at stage 0; exec_cycle() then performs, at
 // every stage s, whatever the control pipeline presents to it -- which is by
 // construction the operation stage s-1 performed in the previous cycle.
+//
+// Activity-proportional cycle: a stage is busy only while a wave passes
+// through it, so exec_cycle() visits only the stages the control pipeline
+// lists as in flight (CtrlPipeline::for_each_active, ascending stage order)
+// and tick() clocks only the banks those stages accessed. An idle stage costs
+// nothing. The figure-7a/7b idle-stage check keeps its full strength as a
+// count: every visited stage must hold a valid word line (active is a subset
+// of valid), and after the walk the number of valid word-line registers must
+// equal the number of active stages, so the two sets are equal. Under
+// PMSB_CHECK=1 every cycle also starts by recounting the control ring and
+// the word-line flags from the underlying arrays and by checking that the
+// sparse tick left no bank touched.
 
 #pragma once
 
@@ -35,11 +47,13 @@ class PipelinedMemory {
   /// Lifetime count of stage-0 wave initiations (observability).
   std::uint64_t initiations() const { return initiations_; }
 
-  /// Execute all stages for the current cycle: writes take their data from
-  /// the input latches; reads (and write snoops) load the output row.
+  /// Execute every active stage for the current cycle: writes take their
+  /// data from the input latches; reads (and write snoops) load the output
+  /// row, in ascending stage order.
   void exec_cycle(const InputLatches& ir, OutputRow& orow);
 
-  /// Clock edge.
+  /// Clock edge: commit and reopen the banks this cycle's waves touched,
+  /// then shift the control and word-line pipelines.
   void tick();
 
   /// Any wave still travelling down the pipeline?
@@ -50,10 +64,17 @@ class PipelinedMemory {
   const AddressPath& addr_path() const { return addr_path_; }
 
  private:
+  friend struct PipelinedMemoryPeer;  ///< Test access (touches banks in death tests).
+
+  /// Checked mode, at the start of a cycle: recount the running state from
+  /// the underlying arrays; every bank must be untouched.
+  void audit() const;
+
   std::vector<SramBank> banks_;
   CtrlPipeline ctrl_;
   AddressPath addr_path_;
   std::uint64_t initiations_ = 0;
+  bool audit_;  ///< check::env_enabled() at construction.
 };
 
 }  // namespace pmsb

@@ -1,23 +1,12 @@
 #include "core/reservation.hpp"
 
+#include <bit>
+
 namespace pmsb {
 
-ReservationTable::ReservationTable(std::size_t horizon) : ring_(horizon) {
+ReservationTable::ReservationTable(std::size_t horizon)
+    : horizon_(horizon), ring_(std::bit_ceil(horizon)), mask_(ring_.size() - 1) {
   PMSB_CHECK(horizon >= 2, "reservation horizon too small");
-}
-
-bool ReservationTable::slot_free(Cycle t) const {
-  const Entry& e = at(t);
-  return e.cycle != t || e.op.empty();
-}
-
-bool ReservationTable::progression_free(Cycle t0, Cycle step, unsigned count) const {
-  PMSB_CHECK(static_cast<std::size_t>(step) * count < ring_.size() + static_cast<std::size_t>(step),
-             "reservation beyond the table horizon");
-  for (unsigned k = 0; k < count; ++k) {
-    if (!slot_free(t0 + static_cast<Cycle>(k) * step)) return false;
-  }
-  return true;
 }
 
 ReservationTable::Entry& ReservationTable::occupied_at(Cycle t) {
@@ -69,14 +58,6 @@ void ReservationTable::attach_snoop_reads(Cycle t0, Cycle step, AddrSpan addrs,
     e.op.out_link = static_cast<std::uint16_t>(out_link);
     e.op.r_head = (k == 0);
   }
-}
-
-SlotOp ReservationTable::take(Cycle t) {
-  Entry& e = at(t);
-  if (e.cycle != t) return SlotOp{};
-  SlotOp op = e.op;
-  e = Entry{};
-  return op;
 }
 
 }  // namespace pmsb

@@ -10,6 +10,10 @@
 // A slot carries at most one write and at most one read; when it carries
 // both they snoop the same address (same-cycle cut-through, section 3.3) and
 // cost one physical M0 access.
+//
+// The ring is the horizon rounded up to a power of two, so the per-cycle
+// lookups (slot_free, progression_free, take) index it with a mask instead
+// of a division; the horizon itself still bounds every reservation.
 
 #pragma once
 
@@ -38,17 +42,18 @@ struct AddrSpan {
   std::uint32_t operator[](std::size_t i) const { return ptr[i]; }
 };
 
-/// Per-segment operation scheduled at one stage-0 slot.
+/// Per-segment operation scheduled at one stage-0 slot. Fields are ordered
+/// by size so an entry packs into 24 bytes (the ring holds a power of two
+/// of them).
 struct SlotOp {
-  bool has_write = false;
+  Cycle w_a0 = 0;  ///< Arrival cycle of this segment's first word.
   std::uint32_t w_addr = 0;
-  std::uint16_t in_link = 0;
-  bool w_head = false;  ///< Segment 0 of its cell.
-  Cycle w_a0 = 0;       ///< Arrival cycle of this segment's first word.
-
-  bool has_read = false;
   std::uint32_t r_addr = 0;
+  std::uint16_t in_link = 0;
   std::uint16_t out_link = 0;
+  bool has_write = false;
+  bool w_head = false;  ///< Segment 0 of its cell.
+  bool has_read = false;
   bool r_head = false;
 
   bool empty() const { return !has_write && !has_read; }
@@ -60,10 +65,21 @@ class ReservationTable {
   explicit ReservationTable(std::size_t horizon);
 
   /// True if cycle t has no reservation at all.
-  bool slot_free(Cycle t) const;
+  bool slot_free(Cycle t) const {
+    const Entry& e = at(t);
+    return e.cycle != t || e.op.empty();
+  }
 
   /// True if every cycle {t0 + k*step : k < count} is free.
-  bool progression_free(Cycle t0, Cycle step, unsigned count) const;
+  bool progression_free(Cycle t0, Cycle step, unsigned count) const {
+    PMSB_CHECK(
+        static_cast<std::size_t>(step) * count < horizon_ + static_cast<std::size_t>(step),
+        "reservation beyond the table horizon");
+    for (unsigned k = 0; k < count; ++k) {
+      if (!slot_free(t0 + static_cast<Cycle>(k) * step)) return false;
+    }
+    return true;
+  }
 
   /// Reserve the write waves of a cell: segment k at t0 + k*step with
   /// address addrs[k]; the cell's head word arrived at the end of a0 (so
@@ -92,7 +108,13 @@ class ReservationTable {
   }
 
   /// Remove and return the operation scheduled at cycle t (empty if none).
-  SlotOp take(Cycle t);
+  SlotOp take(Cycle t) {
+    Entry& e = at(t);
+    if (e.cycle != t) return SlotOp{};
+    SlotOp op = e.op;
+    e = Entry{};
+    return op;
+  }
 
   /// Invoke fn(cycle, op) on every outstanding reservation. Verification
   /// only: the invariant checker cross-references reserved addresses against
@@ -109,10 +131,12 @@ class ReservationTable {
     Cycle cycle = -1;
     SlotOp op;
   };
-  std::vector<Entry> ring_;
+  std::size_t horizon_;
+  std::vector<Entry> ring_;  ///< bit_ceil(horizon_) entries.
+  std::size_t mask_;
 
-  Entry& at(Cycle t) { return ring_[static_cast<std::size_t>(t) % ring_.size()]; }
-  const Entry& at(Cycle t) const { return ring_[static_cast<std::size_t>(t) % ring_.size()]; }
+  Entry& at(Cycle t) { return ring_[static_cast<std::size_t>(t) & mask_]; }
+  const Entry& at(Cycle t) const { return ring_[static_cast<std::size_t>(t) & mask_]; }
   Entry& occupied_at(Cycle t);
 };
 

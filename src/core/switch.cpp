@@ -126,7 +126,8 @@ void PipelinedSwitch::arbitrate_and_initiate(Cycle t) {
 }
 
 bool PipelinedSwitch::try_grant_read(Cycle t) {
-  if (!resv_.progression_free(t, S_, m_)) return false;
+  // Nothing queued: no output can be eligible (the pick would find none).
+  if (oq_.total_size() == 0 || !resv_.progression_free(t, S_, m_)) return false;
   const int o = rr_read_.pick([&](unsigned out) {
     return next_read_ok_[out] <= t && !oq_.empty(out);
   });
@@ -156,7 +157,8 @@ bool PipelinedSwitch::try_grant_read(Cycle t) {
 }
 
 bool PipelinedSwitch::try_grant_write(Cycle t) {
-  if (!resv_.progression_free(t, S_, m_)) return false;
+  // No room for a cell: no input can be eligible (the pick would find none).
+  if (!free_.can_alloc(m_) || !resv_.progression_free(t, S_, m_)) return false;
   const int i = rr_write_.pick([&](unsigned in) {
     return pending_[in].valid && free_.can_alloc(m_);
   });

@@ -86,7 +86,7 @@ struct FaultPlan {
   bool none() const { return suppress_write_grant_period == 0; }
 };
 
-class PipelinedSwitch : public Component {
+class PipelinedSwitch final : public Component {
  public:
   explicit PipelinedSwitch(const SwitchConfig& cfg,
                            AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);

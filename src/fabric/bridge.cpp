@@ -1,18 +1,25 @@
 #include "fabric/bridge.hpp"
 
+#include <algorithm>
+
 namespace pmsb::fabric {
 
 std::vector<Word> CellCodec::build(unsigned out_port, unsigned dest_node,
                                    unsigned src_node, std::uint64_t seq,
                                    Cycle created) const {
   std::vector<Word> w(fmt.length_words);
+  fill(w.data(), out_port, dest_node, src_node, seq, created);
+  return w;
+}
+
+void CellCodec::fill(Word* w, unsigned out_port, unsigned dest_node, unsigned src_node,
+                     std::uint64_t seq, Cycle created) const {
   w[0] = head(out_port, dest_node);
   w[1] = static_cast<Word>(src_node) & word_mask();
   w[2] = static_cast<Word>(seq) & 0xFFFF;
   w[3] = static_cast<Word>(created) & 0xFFFF;
   const std::uint64_t id = uid(src_node, seq);
   for (unsigned k = 4; k < fmt.length_words; ++k) w[k] = payload(id, k);
-  return w;
 }
 
 void Ejector::deliver(std::uint64_t uid, Cycle latency, unsigned hops, bool payload_ok) {
@@ -39,8 +46,10 @@ PortBridge::PortBridge(const net::Topology* topo, const CellCodec* codec, unsign
       in_link_(in_link),
       injector_(injector),
       ejector_(ejector),
-      length_(codec->fmt.length_words) {
-  rx_words_.reserve(length_);
+      length_(codec->fmt.length_words),
+      audit_(check::env_enabled()),
+      pool_(static_cast<std::size_t>(kPoolCells) * length_) {
+  for (unsigned b = 0; b < kPoolCells; ++b) free_[b] = static_cast<std::uint8_t>(b);
 }
 
 std::string PortBridge::name() const {
@@ -48,6 +57,7 @@ std::string PortBridge::name() const {
 }
 
 void PortBridge::eval(Cycle t) {
+  if (audit_) audit();
   // Traffic generation first, so a cell created this cycle can board an idle
   // slot immediately (cycle-exact regardless of sharding: per-node rng, one
   // draw per cycle, performed by the node's single designated bridge).
@@ -60,11 +70,11 @@ void PortBridge::eval(Cycle t) {
       PMSB_CHECK(f.sop, "fabric link: body word arrived while expecting a head");
       rx_active_ = true;
       rx_phase_ = 0;
-      rx_words_.clear();
+      rx_buf_ = take_buffer();
     } else {
       PMSB_CHECK(!f.sop, "fabric link: head word arrived inside a cell");
     }
-    rx_words_.push_back(f.data);
+    cell(rx_buf_)[rx_phase_] = f.data;
     if (++rx_phase_ == length_) {
       rx_active_ = false;
       finish_cell(t);
@@ -75,60 +85,80 @@ void PortBridge::eval(Cycle t) {
 
   // ---- Output side: transit first, then local injection.
   if (!tx_active_) {
-    if (!fifo_.empty()) {
-      tx_words_ = std::move(fifo_.front());
-      fifo_.pop_front();
-      tx_active_ = true;
-      tx_phase_ = 0;
+    if (fifo_size_ != 0) {
+      tx_buf_ = fifo_[fifo_head_];
+      fifo_head_ = (fifo_head_ + 1) % kFifoCells;
+      --fifo_size_;
     } else if (injector_ && !injector_->backlog.empty()) {
       const Injector::Pending p = injector_->backlog.front();
       injector_->backlog.pop_front();
       const net::Port out = topo_->route_xy(node_, p.dest_node);
       PMSB_CHECK(out != net::kLocal, "injected cell addressed to its own node");
-      tx_words_ = codec_->build(out, p.dest_node, node_, p.seq, p.created);
-      tx_active_ = true;
-      tx_phase_ = 0;
+      tx_buf_ = take_buffer();
+      codec_->fill(cell(tx_buf_), out, p.dest_node, node_, p.seq, p.created);
+    } else {
+      return;  // Nothing to send.
     }
+    tx_active_ = true;
+    tx_phase_ = 0;
   }
-  if (tx_active_) {
-    in_link_->drive_next(Flit{true, tx_phase_ == 0, tx_words_[tx_phase_]});
-    if (++tx_phase_ == length_) tx_active_ = false;
+  in_link_->drive_next(Flit{true, tx_phase_ == 0, cell(tx_buf_)[tx_phase_]});
+  if (++tx_phase_ == length_) {
+    tx_active_ = false;
+    give_buffer(tx_buf_);
   }
 }
 
 void PortBridge::finish_cell(Cycle t) {
-  const unsigned dest_node = codec_->dest_node_of(rx_words_[0]);
+  Word* w = cell(rx_buf_);
+  const unsigned dest_node = codec_->dest_node_of(w[0]);
   PMSB_CHECK(dest_node < topo_->nodes(), "fabric cell with bad destination node");
   if (dest_node == node_) {
-    const auto src = static_cast<unsigned>(rx_words_[1]);
-    const std::uint64_t id = CellCodec::uid(src, rx_words_[2]);
+    const auto src = static_cast<unsigned>(w[1]);
+    const std::uint64_t id = CellCodec::uid(src, w[2]);
     const Cycle latency =
-        static_cast<Cycle>((static_cast<std::uint64_t>(t) - rx_words_[3]) & 0xFFFF);
+        static_cast<Cycle>((static_cast<std::uint64_t>(t) - w[3]) & 0xFFFF);
     bool ok = true;
-    for (unsigned k = 4; k < length_; ++k) ok &= rx_words_[k] == codec_->payload(id, k);
+    for (unsigned k = 4; k < length_; ++k) ok &= w[k] == codec_->payload(id, k);
     ejector_->deliver(id, latency, topo_->hops(src, node_), ok);
+    give_buffer(rx_buf_);
     return;
   }
   // Transit: rewrite the hop field for this node's switch, keep the rest.
   const net::Port out = topo_->route_xy(node_, dest_node);
   PMSB_CHECK(out != net::kLocal, "transit cell routed to kLocal");
-  rx_words_[0] = codec_->head(out, dest_node);
+  w[0] = codec_->head(out, dest_node);
   PMSB_CHECK(!staged_valid_, "two cells completed in one cycle on one bridge");
-  staged_ = std::move(rx_words_);
+  staged_buf_ = rx_buf_;
   staged_valid_ = true;
   ++relayed_;
-  rx_words_.clear();
-  rx_words_.reserve(length_);
 }
 
 void PortBridge::commit(Cycle) {
   if (staged_valid_) {
-    fifo_.push_back(std::move(staged_));
+    PMSB_CHECK(fifo_size_ < kFifoCells, "fabric transit queue grew beyond its bound");
+    fifo_[(fifo_head_ + fifo_size_++) % kFifoCells] = staged_buf_;
     staged_valid_ = false;
-    // Upstream output stagger bounds arrivals to one cell per L cycles and
-    // the mux drains one per L when backlogged, so the queue stays tiny.
-    PMSB_CHECK(fifo_.size() <= 4, "fabric transit queue grew beyond its bound");
   }
+}
+
+void PortBridge::audit() const {
+  unsigned owners[kPoolCells] = {};
+  for (unsigned k = 0; k < n_free_; ++k) ++owners[free_[k]];
+  unsigned in_use = 0;
+  auto held = [&](unsigned buf) {
+    PMSB_CHECK(buf < kPoolCells, "fabric bridge holds a buffer outside its pool");
+    ++owners[buf];
+    ++in_use;
+  };
+  if (rx_active_) held(rx_buf_);
+  if (staged_valid_) held(staged_buf_);
+  for (unsigned k = 0; k < fifo_size_; ++k) held(fifo_[(fifo_head_ + k) % kFifoCells]);
+  if (tx_active_) held(tx_buf_);
+  PMSB_CHECK(n_free_ + in_use == kPoolCells,
+             "fabric bridge cell pool accounting diverged (free + in use != pool)");
+  for (unsigned b = 0; b < kPoolCells; ++b)
+    PMSB_CHECK(owners[b] == 1, "fabric bridge cell buffer lost or shared");
 }
 
 CellNode::CellNode(const SwitchConfig& cfg, bool use_fast) {
@@ -148,15 +178,55 @@ CellNode::CellNode(const SwitchConfig& cfg, bool use_fast) {
 }
 
 void CellNode::attach(Engine& eng) {
-  eng.add(sw ? static_cast<Component*>(sw.get()) : static_cast<Component*>(fast.get()));
-  for (const auto& b : bridges) eng.add(b.get());
-  for (const auto& t : taps) eng.add(t.get());
+  eng.add(this);
   // Structural invariant checking only exists for the cycle-accurate
   // switch; fast nodes are covered by the differential harness instead.
   if (check::env_enabled() && sw) {
     checker = std::make_unique<check::InvariantChecker>();
     checker->attach(*sw, eng);
   }
+}
+
+void CellNode::eval(Cycle t) {
+  if (sw)
+    sw->eval(t);
+  else
+    fast->eval(t);
+  for (PortBridge& b : bridges) b.eval(t);
+  for (TxTap& tap : taps) tap.eval(t);
+}
+
+void CellNode::commit(Cycle t) {
+  if (sw)
+    sw->commit(t);
+  else
+    fast->commit(t);
+  for (PortBridge& b : bridges) b.commit(t);
+}
+
+bool CellNode::is_quiescent(Cycle t) const {
+  if (sw ? !sw->is_quiescent(t) : !fast->is_quiescent(t)) return false;
+  for (const PortBridge& b : bridges)
+    if (!b.is_quiescent(t)) return false;
+  for (const TxTap& tap : taps)
+    if (!tap.is_quiescent(t)) return false;
+  return true;
+}
+
+Cycle CellNode::next_wake(Cycle t) const {
+  Cycle w = sw ? sw->next_wake(t) : fast->next_wake(t);
+  for (const PortBridge& b : bridges) w = std::min(w, b.next_wake(t));
+  for (const TxTap& tap : taps) w = std::min(w, tap.next_wake(t));
+  return w;
+}
+
+void CellNode::skip(Cycle t, Cycle n) {
+  if (sw)
+    sw->skip(t, n);
+  else
+    fast->skip(t, n);
+  for (PortBridge& b : bridges) b.skip(t, n);
+  for (TxTap& tap : taps) tap.skip(t, n);
 }
 
 NodeCounts CellNode::counts() const {
@@ -166,7 +236,7 @@ NodeCounts CellNode::counts() const {
   c.delivered = ejector.delivered;
   c.dropped = drop_no_addr + drop_no_slot + drop_out_limit;
   c.lat_sum = ejector.lat_sum;
-  for (const auto& b : bridges) c.relayed += b->relayed();
+  for (const PortBridge& b : bridges) c.relayed += b.relayed();
   return c;
 }
 

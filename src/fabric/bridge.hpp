@@ -1,13 +1,13 @@
-// The cell transport of the torus and ring fabrics: per-link components
-// that move cells between the channel rings (src/fabric/channel.hpp) and a
-// node's switch, the per-node traffic endpoints, and CellNode, which bundles
-// them into one fabric node (src/fabric/node.hpp).
+// The cell transport of the torus and ring fabrics: per-link parts that
+// move cells between the channel rings (src/fabric/channel.hpp) and a node's
+// switch, the per-node traffic endpoints, and CellNode, which bundles them
+// into one fabric node (src/fabric/node.hpp).
 //
-// Each directed inter-node link gets two components:
+// Each directed inter-node link has two parts:
 //
-//   TxTap      (producer task)   copies the upstream switch's out-wire into
+//   TxTap      (producer node)   copies the upstream switch's out-wire into
 //                                the channel ring, one flit per cycle.
-//   PortBridge (consumer task)   reassembles arriving cells from the
+//   PortBridge (consumer node)   reassembles arriving cells from the
 //                                channel, ejects the ones addressed to this
 //                                node, rewrites the head word of transit
 //                                cells for their next hop (dimension-order
@@ -15,6 +15,12 @@
 //                                traffic with locally injected cells onto
 //                                the node's in-wire. Transit has priority;
 //                                injection only fills idle cell slots.
+//
+// Bridges and taps are parts of one engine component, not components of
+// their own: CellNode registers itself as the node's single Component and
+// steps its switch, then its bridges, then its taps (commit: the switch,
+// then the bridges), calling the final classes directly. Quiescence, wake
+// and skip are the AND / min / forward over the same parts.
 //
 // Fabric cell wire format (CellCodec), riding inside the node switches'
 // ordinary L-word cells:
@@ -79,6 +85,9 @@ struct CellCodec {
   /// All L words of a freshly injected cell.
   std::vector<Word> build(unsigned out_port, unsigned dest_node, unsigned src_node,
                           std::uint64_t seq, Cycle created) const;
+  /// build() into caller-owned storage of L words.
+  void fill(Word* w, unsigned out_port, unsigned dest_node, unsigned src_node,
+            std::uint64_t seq, Cycle created) const;
 };
 
 /// Per-node traffic source. One designated PortBridge per node owns the
@@ -163,7 +172,7 @@ struct Ejector {
 
 /// Copies the upstream switch's out-wire into the channel, making the word
 /// visible to the consumer task `delay` cycles later.
-class TxTap : public Component {
+class TxTap final : public Component {
  public:
   TxTap(WireLink* from, Channel* ch) : from_(from), ch_(ch) {}
 
@@ -181,7 +190,14 @@ class TxTap : public Component {
 };
 
 /// Consumer-side link endpoint (see file comment).
-class PortBridge : public Component {
+///
+/// Cells live in a fixed pool of kPoolCells L-word buffers owned by the
+/// bridge, so relaying or injecting a cell allocates nothing: a buffer is
+/// taken when a head arrives or an injection starts, and is handed from
+/// reassembly to the staged slot, the transit queue and the transmitter by
+/// index, returning to the pool once its cell is ejected or fully sent.
+/// Under PMSB_CHECK=1 every eval recounts the pool (free + in use = pool).
+class PortBridge final : public Component {
  public:
   PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
              net::Port port, const Channel* rx, WireLink* in_link, Injector* injector,
@@ -195,7 +211,7 @@ class PortBridge : public Component {
   /// ring its nodes read before skipping (engine-local skipping stays
   /// disabled in fabric nodes, so these hooks are only consulted there).
   bool is_quiescent(Cycle) const override {
-    return !rx_active_ && !tx_active_ && !staged_valid_ && fifo_.empty() &&
+    return !rx_active_ && !tx_active_ && !staged_valid_ && fifo_size_ == 0 &&
            (injector_ == nullptr || injector_->backlog.empty());
   }
   Cycle next_wake(Cycle) const override {
@@ -205,13 +221,30 @@ class PortBridge : public Component {
 
   /// Transit cells accepted but not yet re-transmitted (store-and-forward
   /// queue; bounded by the output stagger of the upstream switch).
-  std::size_t transit_depth() const { return fifo_.size() + (staged_valid_ ? 1 : 0); }
+  std::size_t transit_depth() const { return fifo_size_ + (staged_valid_ ? 1 : 0); }
 
   /// Transit cells this bridge relayed toward their next hop (total).
   std::uint64_t relayed() const { return relayed_; }
 
  private:
+  friend struct PortBridgePeer;  ///< Test access (corrupts the pool in death tests).
+
+  /// Transit queue bound: upstream output stagger delivers at most one cell
+  /// per L cycles and the mux drains one per L when backlogged.
+  static constexpr unsigned kFifoCells = 4;
+  /// The transit queue plus one buffer each for reassembly, the staged
+  /// cell and the transmitter.
+  static constexpr unsigned kPoolCells = kFifoCells + 3;
+
   void finish_cell(Cycle t);
+  Word* cell(unsigned buf) { return &pool_[buf * length_]; }
+  std::uint8_t take_buffer() {
+    PMSB_CHECK(n_free_ != 0, "fabric bridge cell pool exhausted");
+    return free_[--n_free_];
+  }
+  void give_buffer(std::uint8_t buf) { free_[n_free_++] = buf; }
+  /// Checked mode: every pool buffer is free or held by exactly one owner.
+  void audit() const;
 
   const net::Topology* topo_;
   const CellCodec* codec_;
@@ -222,22 +255,29 @@ class PortBridge : public Component {
   Injector* injector_;  ///< Non-null only on the node's designated bridge.
   Ejector* ejector_;
   unsigned length_;  ///< L, cached.
+  bool audit_;       ///< check::env_enabled() at construction.
+
+  std::vector<Word> pool_;                ///< kPoolCells cells of L words.
+  std::uint8_t free_[kPoolCells] = {};    ///< Free buffer stack, n_free_ entries.
+  unsigned n_free_ = kPoolCells;
 
   // Arrival reassembly.
   bool rx_active_ = false;
   unsigned rx_phase_ = 0;
-  std::vector<Word> rx_words_;
+  std::uint8_t rx_buf_ = 0;
 
   // Transit store-and-forward: a cell completed during eval is staged and
   // becomes eligible for retransmission only after the clock edge.
   bool staged_valid_ = false;
-  std::vector<Word> staged_;
-  std::deque<std::vector<Word>> fifo_;
+  std::uint8_t staged_buf_ = 0;
+  std::uint8_t fifo_[kFifoCells] = {};  ///< Ring of queued buffers, oldest at fifo_head_.
+  unsigned fifo_head_ = 0;
+  unsigned fifo_size_ = 0;
 
   // Transmission onto the node's in-wire.
   bool tx_active_ = false;
   unsigned tx_phase_ = 0;
-  std::vector<Word> tx_words_;
+  std::uint8_t tx_buf_ = 0;
 
   std::uint64_t relayed_ = 0;  ///< Transit cells accepted for relay.
 };
@@ -246,8 +286,9 @@ class PortBridge : public Component {
 /// behavioural FastSwitch, its Injector/Ejector endpoints and drop counters,
 /// one PortBridge per incoming link and one TxTap per outgoing link, plus an
 /// optional flight recorder and (under PMSB_CHECK, cycle-accurate switches
-/// only) a structural invariant checker.
-class CellNode final : public FabricNode {
+/// only) a structural invariant checker. The node is its engine's single
+/// component (see file comment).
+class CellNode final : public FabricNode, private Component {
  public:
   /// Builds the switch (`fast` picks the FastSwitch model) and subscribes
   /// the node's own drop counting to its event hub, which leaves room for
@@ -258,7 +299,7 @@ class CellNode final : public FabricNode {
   WireLink& in_link(unsigned port) { return sw ? sw->in_link(port) : fast->in_link(port); }
   WireLink& out_link(unsigned port) { return sw ? sw->out_link(port) : fast->out_link(port); }
 
-  /// Switch, bridges, taps; then the checker as a cycle observer.
+  /// The node as one component; then the checker as a cycle observer.
   void attach(Engine& eng) override;
   NodeCounts counts() const override;
   void fold(FabricStats& st) const override;
@@ -273,10 +314,18 @@ class CellNode final : public FabricNode {
   std::unique_ptr<check::InvariantChecker> checker;
   /// Per-stage latency breakdown (FabricConfig::flight_recorder).
   std::unique_ptr<obs::FlightRecorder> flight;
-  std::vector<std::unique_ptr<PortBridge>> bridges;  ///< The first one injects.
-  std::vector<std::unique_ptr<TxTap>> taps;
+  std::vector<PortBridge> bridges;  ///< The first one injects.
+  std::vector<TxTap> taps;
 
  private:
+  // Component: switch, then bridges, then taps.
+  void eval(Cycle t) override;
+  void commit(Cycle t) override;
+  bool is_quiescent(Cycle t) const override;
+  Cycle next_wake(Cycle t) const override;
+  void skip(Cycle t, Cycle n) override;
+  std::string name() const override { return "cell_node"; }
+
   Subscription drop_sub_;
 };
 

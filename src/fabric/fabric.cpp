@@ -437,11 +437,11 @@ void Fabric::build_cells() {
       const auto u = static_cast<unsigned>(topo.neighbor(v, port));
       Channel* rx = tx[u * ports + net::opposite(port)];
       Injector* inj = q == 0 ? &node->injector : nullptr;
-      node->bridges.push_back(std::make_unique<PortBridge>(
-          &cfg_.topo, &codec_, v, port, rx, &node->in_link(q), inj, &node->ejector));
+      node->bridges.emplace_back(&cfg_.topo, &codec_, v, port, rx, &node->in_link(q), inj,
+                                 &node->ejector);
     }
     for (unsigned p = 0; p < ports; ++p)
-      node->taps.push_back(std::make_unique<TxTap>(&node->out_link(p), tx[v * ports + p]));
+      node->taps.emplace_back(&node->out_link(p), tx[v * ports + p]);
     nodes_.push_back(std::move(node));
   }
 }

@@ -1,5 +1,7 @@
 #include "rtl/ctrl_pipeline.hpp"
 
+#include <bit>
+
 namespace pmsb {
 
 const char* to_string(StageOp op) {
@@ -12,28 +14,29 @@ const char* to_string(StageOp op) {
   return "?";
 }
 
-CtrlPipeline::CtrlPipeline(unsigned stages) : stages_(stages), ring_(stages) {
+CtrlPipeline::CtrlPipeline(unsigned stages)
+    : stages_(stages),
+      ring_(stages),
+      waves_(std::bit_ceil(stages)),
+      wave_mask_(std::bit_ceil(stages) - 1) {
   PMSB_CHECK(stages >= 1, "control pipeline needs at least one stage");
 }
 
-void CtrlPipeline::initiate(const StageCtrl& c) {
-  PMSB_CHECK(!injected_this_cycle_, "two wave initiations in one cycle (M0 is single-ported)");
-  ring_[phys(0)] = c;  // Idle: cleared by the previous tick().
-  if (!c.idle()) ++active_;
-  injected_this_cycle_ = true;
-}
-
-void CtrlPipeline::tick() {
-  // Every non-idle stage but the last moves into its pipeline register; the
-  // last stage's control retires (its stage already executed).
-  StageCtrl& last = ring_[phys(stages_ - 1)];
-  const unsigned retiring = last.idle() ? 0 : 1;
-  ctrl_reg_transfers_ += active_ - retiring;
-  active_ -= retiring;
-  last = StageCtrl{};
-  // Rotate: the cleared slot becomes stage 0's input for the next cycle.
-  head_ = phys(stages_ - 1);
-  injected_this_cycle_ = false;
+void CtrlPipeline::audit() const {
+  unsigned non_idle = 0;
+  for (const StageCtrl& c : ring_) non_idle += c.idle() ? 0 : 1;
+  PMSB_CHECK(non_idle == active_,
+             "control pipeline's running count of active stages diverged from its ring");
+  unsigned prev_stage = stages_;
+  for (unsigned k = 0; k < active_; ++k) {
+    const unsigned p = waves_[(wave_head_ + k) & wave_mask_];
+    PMSB_CHECK(p < stages_ && !ring_[p].idle(),
+               "control pipeline's in-flight wave list names an idle stage");
+    const unsigned s = p >= head_ ? p - head_ : p + stages_ - head_;
+    PMSB_CHECK(s < prev_stage,
+               "control pipeline's in-flight wave list is out of initiation order");
+    prev_stage = s;
+  }
 }
 
 }  // namespace pmsb

@@ -20,8 +20,14 @@
 // ring of S StageCtrl slots with a rotating head (the idiom AddressPath uses
 // for the word-line registers). A clock edge retires the last stage's slot,
 // which becomes the next cycle's empty stage-0 slot, and rotates the head,
-// instead of copying S-1 bundles. A running count of non-idle slots makes
-// busy() and the transfer count O(1) per cycle.
+// instead of copying S-1 bundles. A wave's bundle therefore never moves: it
+// sits in one physical slot from initiation to retirement, and its stage is
+// that slot's distance from the head. A second ring lists the physical slots
+// of the waves in flight, oldest first; since at most one wave starts per
+// cycle there are at most S of them, at strictly decreasing stages. So
+// for_each_active() visits only the stages a wave occupies, in ascending
+// stage order, and busy(), active() and the transfer count are O(1) per
+// cycle whatever S is.
 
 #pragma once
 
@@ -69,13 +75,52 @@ class CtrlPipeline {
 
   /// Initiate a wave into stage 0 for the current cycle. At most once per
   /// cycle (the arbiter grants at most one wave -- M0 is single-ported).
-  void initiate(const StageCtrl& c);
+  void initiate(const StageCtrl& c) {
+    PMSB_CHECK(!injected_this_cycle_,
+               "two wave initiations in one cycle (M0 is single-ported)");
+    const unsigned p = phys(0);
+    ring_[p] = c;  // Idle: cleared by the previous tick().
+    if (!c.idle()) waves_[(wave_head_ + active_++) & wave_mask_] = p;
+    injected_this_cycle_ = true;
+  }
 
   /// Clock edge: shift the pipeline one stage to the right.
-  void tick();
+  void tick() {
+    // Every non-idle stage but the last moves into its pipeline register;
+    // the last stage's control retires (its stage already executed), and it
+    // belongs to the oldest wave.
+    StageCtrl& last = ring_[phys(stages_ - 1)];
+    const unsigned retiring = last.idle() ? 0 : 1;
+    ctrl_reg_transfers_ += active_ - retiring;
+    active_ -= retiring;
+    wave_head_ = (wave_head_ + retiring) & wave_mask_;
+    last = StageCtrl{};
+    // Rotate: the cleared slot becomes stage 0's input for the next cycle.
+    head_ = phys(stages_ - 1);
+    injected_this_cycle_ = false;
+  }
 
   /// True if any stage is executing a non-idle operation this cycle.
   bool busy() const { return active_ != 0; }
+
+  /// Number of stages executing a non-idle operation this cycle.
+  unsigned active() const { return active_; }
+
+  /// Invoke fn(s, ctrl) on every non-idle stage s of the current cycle, in
+  /// ascending stage order (newest wave first).
+  template <typename Fn>
+  void for_each_active(Fn&& fn) const {
+    unsigned i = wave_head_ + active_;
+    for (unsigned k = 0; k < active_; ++k) {
+      const unsigned p = waves_[--i & wave_mask_];
+      fn(p >= head_ ? p - head_ : p + stages_ - head_, ring_[p]);
+    }
+  }
+
+  /// Recount the running state from the ring (checked mode): the in-flight
+  /// list must name exactly the non-idle slots, at strictly decreasing
+  /// stages. Aborts on a mismatch.
+  void audit() const;
 
   /// Lifetime count of pipeline-register transfers of non-idle control
   /// (for the figure-7 decoded-address ablation).
@@ -89,10 +134,17 @@ class CtrlPipeline {
     return p < stages_ ? p : p - stages_;
   }
 
+  friend struct CtrlPipelinePeer;  ///< Test access (corrupts counts in death tests).
+
   unsigned stages_;
   std::vector<StageCtrl> ring_;  ///< ring_[phys(s)] feeds stage s.
   unsigned head_ = 0;
-  unsigned active_ = 0;          ///< Non-idle slots in ring_.
+  unsigned active_ = 0;          ///< Non-idle slots in ring_ = waves in flight.
+  /// Physical ring_ slots of the waves in flight, oldest at wave_head_; a
+  /// power-of-two ring of at least S entries.
+  std::vector<std::uint32_t> waves_;
+  unsigned wave_mask_ = 0;
+  unsigned wave_head_ = 0;
   bool injected_this_cycle_ = false;
   std::uint64_t ctrl_reg_transfers_ = 0;
 };

@@ -68,6 +68,11 @@ class SramBank {
     port_used_ = false;
   }
 
+  /// True between an access and the next clock edge: the bank must be
+  /// ticked this cycle (PipelinedMemory ticks only the banks its waves
+  /// touched, and checks with this that it missed none).
+  bool touched() const { return port_used_ || write_pending_; }
+
   /// Lifetime access statistics (for the ablation benches).
   std::uint64_t total_reads() const { return total_reads_; }
   std::uint64_t total_writes() const { return total_writes_; }

@@ -30,25 +30,25 @@ bool Engine::quiescent_at(Cycle t, Cycle* wake) const {
 }
 
 void Engine::skip_to(Cycle target) {
-  PMSB_CHECK(observers_.empty(), "cannot skip cycles past a cycle observer");
+  PMSB_CHECK(can_skip(), "cannot skip cycles past a cycle observer");
   PMSB_CHECK(target > now_, "skip_to target must be ahead of now()");
+  const Cycle from = now_;
   Cycle n = target - now_;
   for (Component* c : components_) c->skip(now_, n);
-  if (metrics_ == nullptr) {
-    now_ = target;
-    return;
+  if (metrics_ != nullptr) {
+    // Replay every sample boundary the stepped loop would have hit: step()
+    // samples at the end of cycle t when the countdown reaches zero, with
+    // sample(t) receiving the just-finished cycle.
+    while (n >= sample_countdown_) {
+      now_ += sample_countdown_;
+      n -= sample_countdown_;
+      sample_countdown_ = sample_period_;
+      metrics_->sample(now_ - 1);
+    }
+    sample_countdown_ -= n;
   }
-  // Replay every sample boundary the stepped loop would have hit: step()
-  // samples at the end of cycle t when the countdown reaches zero, with
-  // sample(t) receiving the just-finished cycle.
-  while (n >= sample_countdown_) {
-    now_ += sample_countdown_;
-    n -= sample_countdown_;
-    sample_countdown_ = sample_period_;
-    metrics_->sample(now_ - 1);
-  }
-  now_ += n;
-  sample_countdown_ -= n;
+  now_ = target;
+  for (CycleObserver* o : observers_) o->on_skip(from, target);
 }
 
 void Engine::add(Component* c) {
@@ -60,6 +60,7 @@ void Engine::add(Component* c) {
 void Engine::add_cycle_observer(CycleObserver* o) {
   PMSB_CHECK(o != nullptr, "null cycle observer");
   observers_.push_back(o);
+  if (!o->skips_ok()) ++pinning_observers_;
 }
 
 void Engine::set_metrics(obs::MetricsRegistry* registry, Cycle period) {

@@ -96,10 +96,26 @@ class Component {
 /// state for cycle t+1 is visible -- the only point in the cycle where
 /// cross-component conservation invariants are meaningful. Observers never
 /// mutate simulation state.
+///
+/// An observer pins its engine to stepping unless it opts in to idle
+/// skipping with skips_ok(): the engine then may jump over quiescent
+/// stretches, and calls on_skip(from, to) instead of on_cycle_end for each
+/// cycle in [from, to). The observer checks there what must hold across a
+/// quiescent interval (nothing happened) rather than what holds per cycle.
 class CycleObserver {
  public:
   virtual ~CycleObserver() = default;
   virtual void on_cycle_end(Cycle t) = 0;
+
+  /// True if on_skip() stands in for the per-cycle calls (see above).
+  virtual bool skips_ok() const { return false; }
+
+  /// The engine jumped from cycle `from` to `to` without stepping; all
+  /// components were quiescent throughout. Called after their skip() hooks.
+  virtual void on_skip(Cycle from, Cycle to) {
+    (void)from;
+    (void)to;
+  }
 };
 
 /// Drives a set of components through clock cycles.
@@ -112,7 +128,8 @@ class Engine {
 
   /// Register a post-commit observer (not owned). With none registered the
   /// per-cycle cost is one empty-vector test, preserving the hot-path speed
-  /// of unchecked runs.
+  /// of unchecked runs. An observer that is not skips_ok() disables idle
+  /// skipping on this engine.
   void add_cycle_observer(CycleObserver* o);
 
   /// Advance exactly one cycle.
@@ -130,16 +147,15 @@ class Engine {
 
   /// Run `cycles` more cycles. Returns the cycle count after running.
   ///
-  /// When idle skipping is enabled and no cycle observers are attached
-  /// (observers inspect every cycle, so skipping would starve them), the
-  /// loop polls all-component quiescence and jumps straight to the earliest
-  /// next_wake(). Results are bit-identical to the stepped run by the
+  /// When idle skipping is enabled and can_skip() (no attached observer
+  /// needs every cycle), the loop polls all-component quiescence and jumps
+  /// straight to the earliest next_wake(). Results are bit-identical to the stepped run by the
   /// Component quiescence contract; the poll cadence (every cycle while
   /// skipping is productive, every kSkipPollPeriod cycles after a failed
   /// poll) only affects wall-clock, never outcomes.
   Cycle run(Cycle cycles) {
     const Cycle target = now_ + cycles;
-    if (!idle_skip_ || !observers_.empty()) {
+    if (!idle_skip_ || !can_skip()) {
       while (now_ < target) step();
       return now_;
     }
@@ -199,9 +215,9 @@ class Engine {
   /// from startup code before any simulation threads exist.
   static void set_idle_skip_override(int v);
 
-  /// True when skipping is structurally permitted: cycle observers see
-  /// every cycle, so any attached observer pins the engine to stepping.
-  bool can_skip() const { return observers_.empty(); }
+  /// True when skipping is structurally permitted: no attached observer
+  /// needs to see every cycle (each is skips_ok()).
+  bool can_skip() const { return pinning_observers_ == 0; }
 
   /// True when every component is quiescent at cycle t; on success *wake is
   /// the minimum next_wake() over all components (kNeverWake if none wakes).
@@ -209,8 +225,9 @@ class Engine {
 
   /// Jump the clock to `target` (> now()) without stepping. The caller
   /// guarantees every cycle in [now(), target) is quiescent for every
-  /// component. Calls each component's skip() hook, then advances now_ and
-  /// replays metrics sample boundaries exactly as stepping would have.
+  /// component. Calls each component's skip() hook, advances now_ and
+  /// replays metrics sample boundaries exactly as stepping would have, then
+  /// calls each observer's on_skip().
   void skip_to(Cycle target);
 
  private:
@@ -219,6 +236,7 @@ class Engine {
   std::vector<Component*> components_;
   std::vector<Component*> committers_;  ///< components_ minus empty clock edges.
   std::vector<CycleObserver*> observers_;
+  unsigned pinning_observers_ = 0;  ///< Observers that are not skips_ok().
   Cycle now_ = 0;  ///< Next cycle to execute.
   obs::MetricsRegistry* metrics_ = nullptr;
   Cycle sample_period_ = 1024;

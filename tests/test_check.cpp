@@ -207,6 +207,23 @@ TEST(Differential, MultiSegmentAndHalfQuantumSpecPasses) {
   EXPECT_TRUE(out.ok) << out.issues.front();
 }
 
+// Switches wider than 32 ports have more than 64 pipeline stages: the
+// active-stage walk must not assume its stage set fits one machine word.
+TEST(Differential, WideSwitchesBeyondSixtyFourStagesPass) {
+  for (unsigned n : {33u, 40u}) {
+    check::FuzzSpec spec;
+    spec.n = n;  // S = 66 and 80.
+    spec.capacity_cells = 24;
+    spec.load = 0.6;
+    spec.slots = 40;
+    spec.seed = 1000 + n;
+    const check::RunOutcome out = check::run(spec);
+    EXPECT_TRUE(out.ok) << "n=" << n << ": " << out.issues.front();
+    ASSERT_FALSE(out.summaries.empty());
+    EXPECT_GT(out.summaries[0].delivered, 0u) << n;
+  }
+}
+
 TEST(Differential, InjectedFaultFails) {
   check::FuzzSpec spec;
   spec.n = 4;

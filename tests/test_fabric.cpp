@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +28,14 @@
 #include "obs/perfetto.hpp"
 
 namespace pmsb {
+
+namespace fabric {
+// Test access to a bridge's cell pool (corrupts it in death tests).
+struct PortBridgePeer {
+  static void leak_buffer(PortBridge& b) { --b.n_free_; }
+};
+}  // namespace fabric
+
 namespace {
 
 /// All fabrics go through the one public construction path,
@@ -528,6 +537,50 @@ TEST(Fabric, LatencyHistogramMatchesScalarStats) {
   EXPECT_EQ(st.latency.max(), static_cast<std::uint64_t>(st.max_latency));
   EXPECT_NEAR(st.latency.mean(), st.mean_latency, 1e-9);
   EXPECT_GE(st.latency.p999(), st.latency.p50());
+}
+
+/// Runs one 4x4-torus port bridge under PMSB_CHECK=1 (set in this process
+/// before the bridge is built) for 600 cycles of transit cells at half the
+/// link rate plus local injections, applies `corrupt`, runs one more cycle
+/// and exits 0.
+template <class Corrupt>
+void run_checked_bridge(Corrupt&& corrupt) {
+  setenv("PMSB_CHECK", "1", 1);
+  const net::Topology topo{net::TopologyKind::kTorus2D, 4, 4};
+  const fabric::CellCodec codec{SwitchConfig::for_ports(4).cell_format(), bits_for(16)};
+  fabric::Channel rx{8};
+  WireLink link;
+  fabric::Injector injector;
+  injector.rng = Rng(5);
+  injector.cells_per_cycle = 0.02;
+  injector.n_nodes = 16;
+  fabric::Ejector ejector;
+  fabric::PortBridge bridge(&topo, &codec, 0, net::kWest, &rx, &link, &injector, &ejector);
+  // Transit cells for node 2 entering node 0 from the west, every 2L cycles.
+  const std::vector<Word> cell = codec.build(net::kEast, 2, 3, 1, 0);
+  const auto len = static_cast<Cycle>(cell.size());
+  auto step = [&](Cycle t) {
+    const Cycle k = t % (2 * len);
+    rx.write(t, k < len ? Flit{true, k == 0, cell[static_cast<std::size_t>(k)]} : Flit{});
+    bridge.eval(t);
+    bridge.commit(t);
+    link.tick();
+  };
+  for (Cycle t = 0; t < 600; ++t) step(t);
+  if (bridge.relayed() == 0 || injector.generated == 0) std::exit(1);  // Pool unexercised.
+  corrupt(bridge);
+  step(600);
+  std::exit(0);
+}
+
+/// Under PMSB_CHECK=1 a bridge recounts its cell pool every eval: an honest
+/// run passes, a lost buffer aborts.
+TEST(Fabric, CheckedModeRecountsBridgeCellPool) {
+  EXPECT_EXIT(run_checked_bridge([](fabric::PortBridge&) {}), testing::ExitedWithCode(0), "");
+  EXPECT_DEATH(run_checked_bridge([](fabric::PortBridge& b) {
+                 fabric::PortBridgePeer::leak_buffer(b);
+               }),
+               "free \\+ in use");
 }
 
 TEST(Fabric, ShardTelemetryAccountsRoundsAndRelays) {

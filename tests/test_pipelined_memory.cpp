@@ -4,12 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/input_latches.hpp"
 #include "core/output_row.hpp"
 #include "core/pipelined_memory.hpp"
 #include "sim/wire.hpp"
 
 namespace pmsb {
+
+// Test access to the running state that checked mode recounts.
+struct CtrlPipelinePeer {
+  static void forget_newest_wave(CtrlPipeline& p) { --p.active_; }
+};
+struct PipelinedMemoryPeer {
+  static CtrlPipeline& ctrl(PipelinedMemory& m) { return m.ctrl_; }
+  static void touch_bank(PipelinedMemory& m, unsigned s) { (void)m.banks_[s].read(0); }
+};
+struct OutputRowPeer {
+  static void phantom_load(OutputRow& r) { r.loaded_[r.n_loaded_++] = 0; }
+};
+
 namespace {
 
 constexpr unsigned kStages = 4;
@@ -143,6 +158,41 @@ TEST(PipelinedMemoryDeath, TwoInitiationsOneCycle) {
   const StageCtrl b = read_ctrl(1, 0);
   rig.mem.initiate(a);
   EXPECT_DEATH(rig.mem.initiate(b), "single-ported");
+}
+
+/// Runs a Rig under PMSB_CHECK=1 (set in this process before the memory is
+/// built) with a write wave and a snooping wave in flight, applies
+/// `corrupt`, runs one more cycle and exits 0.
+template <class Corrupt>
+void run_checked_memory(Corrupt&& corrupt) {
+  setenv("PMSB_CHECK", "1", 1);
+  Rig rig;
+  rig.preload(0, 0x10);
+  const StageCtrl w = write_ctrl(3, 0);
+  rig.cycle(&w);
+  StageCtrl snoop = write_ctrl(4, 0);
+  snoop.op = StageOp::kWriteSnoop;
+  snoop.out_link = 1;
+  rig.cycle(&snoop);
+  corrupt(rig);
+  rig.cycle();
+  std::exit(0);
+}
+
+/// Under PMSB_CHECK=1 the memory recounts its active stages and word lines
+/// and checks that no bank escaped the sparse tick, and the output row
+/// recounts its loaded registers: an honest run passes, a corrupted running
+/// state aborts.
+TEST(PipelinedMemoryDeath, CheckedModeRecountsRunningState) {
+  EXPECT_EXIT(run_checked_memory([](Rig&) {}), testing::ExitedWithCode(0), "");
+  EXPECT_DEATH(run_checked_memory([](Rig& r) {
+                 CtrlPipelinePeer::forget_newest_wave(PipelinedMemoryPeer::ctrl(r.mem));
+               }),
+               "running count of active stages");
+  EXPECT_DEATH(run_checked_memory([](Rig& r) { PipelinedMemoryPeer::touch_bank(r.mem, 3); }),
+               "never ticked");
+  EXPECT_DEATH(run_checked_memory([](Rig& r) { OutputRowPeer::phantom_load(r.orow); }),
+               "loaded-register list");
 }
 
 TEST(PipelinedMemory, BusyWhileAnyWaveInFlight) {

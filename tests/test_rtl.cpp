@@ -256,8 +256,9 @@ TEST(AddressPath, DecodeOpCounts) {
 }
 
 // The ring-buffer CtrlPipeline and AddressPath keep running counts instead of
-// walking their stages. Check every observable against a plain shift-register
-// model -- S registers, copied one stage right on every edge, counted by a
+// walking their stages, and CtrlPipeline lists its waves in flight. Check
+// every observable, the in-flight walk included, against a plain
+// shift-register model -- S registers, copied one stage right on every edge, counted by a
 // full scan -- under random initiation patterns: back-to-back waves, idle
 // gaps, explicitly idle initiations, and every cycle in between.
 struct ShiftRegisterModel {
@@ -326,6 +327,18 @@ TEST_P(PipelineVsShiftModel, CountsAndBusyMatchEveryCycle) {
 
     ASSERT_EQ(cp.busy(), ref.busy()) << "cycle " << cycle;
     if (ref.busy()) ++busy_cycles;
+    // The in-flight walk visits exactly the non-idle stages, ascending.
+    std::vector<unsigned> walked;
+    cp.for_each_active([&](unsigned s, const StageCtrl& c) {
+      EXPECT_EQ(&c, &cp.at(s));
+      walked.push_back(s);
+    });
+    std::vector<unsigned> want_walk;
+    for (unsigned s = 0; s < stages; ++s)
+      if (!ref.regs[s].idle()) want_walk.push_back(s);
+    ASSERT_EQ(walked, want_walk) << "cycle " << cycle;
+    ASSERT_EQ(cp.active(), want_walk.size());
+    cp.audit();
     for (unsigned s = 0; s < stages; ++s) {
       const StageCtrl& got = cp.at(s);
       const StageCtrl& want = ref.regs[s];
@@ -355,7 +368,7 @@ TEST_P(PipelineVsShiftModel, CountsAndBusyMatchEveryCycle) {
 
 INSTANTIATE_TEST_SUITE_P(
     StagesAndModes, PipelineVsShiftModel,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u, 32u),
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 8u, 32u, 80u),
                        ::testing::Values(AddrPathMode::kPerStageDecoders,
                                          AddrPathMode::kDecodedPipeline)),
     [](const auto& param_info) {

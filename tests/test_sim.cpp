@@ -238,6 +238,41 @@ TEST(EngineIdleSkip, CycleObserverPinsStepping) {
   EXPECT_EQ(obs.cycles, 300u);
 }
 
+// An observer that opts in (skips_ok) no longer pins the engine: it sees
+// every stepped cycle through on_cycle_end and every jump through on_skip,
+// and together they cover the run exactly once.
+TEST(EngineIdleSkip, SkipsOkObserverSeesEveryCycleOrSkip) {
+  struct SkipAwareObserver : CycleObserver {
+    Cycle next = 0;  ///< First cycle not yet covered.
+    std::uint64_t stepped = 0;
+    std::uint64_t skips = 0;
+    void on_cycle_end(Cycle t) override {
+      EXPECT_EQ(t, next);
+      next = t + 1;
+      ++stepped;
+    }
+    bool skips_ok() const override { return true; }
+    void on_skip(Cycle from, Cycle to) override {
+      EXPECT_EQ(from, next);
+      EXPECT_GT(to, from);
+      next = to;
+      ++skips;
+    }
+  };
+  PulsedSource p(100);
+  SkipAwareObserver obs;
+  Engine eng;
+  eng.add(&p);
+  eng.add_cycle_observer(&obs);
+  EXPECT_TRUE(eng.can_skip());
+  eng.set_idle_skip(true);
+  eng.run(1000);
+  EXPECT_EQ(obs.next, 1000);
+  EXPECT_EQ(obs.stepped, p.evals_);
+  EXPECT_GT(obs.skips, 0u);
+  EXPECT_EQ(p.evals_ + static_cast<std::uint64_t>(p.skipped_), 1000u);
+}
+
 TEST(EngineIdleSkip, RunUntilNeverSkips) {
   PulsedSource p(100);
   Engine eng;

@@ -144,5 +144,80 @@ TEST(SwitchAddrPath, PerStageDecodersEquivalent) {
   EXPECT_EQ(run(AddrPathMode::kDecodedPipeline), run(AddrPathMode::kPerStageDecoders));
 }
 
+// The figure-7 ablation counters and the switch's own statistics, pinned on
+// fixed schedules for both address paths. Values were captured before the
+// memory walked only its active stages; they prove the activity-proportional
+// cycle performs exactly the same decodes, register transfers and bank
+// accesses, including at 40 ports (S = 80, beyond one 64-bit stage word).
+TEST(SwitchAddrPath, PinnedAblationCountersAcrossSizes) {
+  struct Pin {
+    unsigned ports;
+    Cycle cycles;
+    std::uint64_t decodes_7a, decodes_7b, transfers;  // transfers: ctrl = one-hot (7b)
+    std::uint64_t reads, writes, bank_digest;
+    // SwitchStats.
+    std::uint64_t heads, accepted, read_grants, cut_through, snoop_cells;
+    std::uint64_t write_inits, read_inits, snoop_inits, idle, read_stalls;
+  };
+  const Pin pins[] = {
+      {4, 20000, 112725, 14094, 98637, 48803, 63922, 0xfb9b97df9315be46ULL,
+       7993, 7992, 7989, 3009, 1887, 6105, 6102, 1887, 5906, 13749},
+      {16, 6000, 135869, 4257, 131634, 59146, 76723, 0x68fe43bdbf6e97d4ULL,
+       2404, 2404, 2370, 998, 517, 1887, 1853, 517, 1743, 4141},
+      {40, 2500, 135589, 1727, 133918, 55290, 80299, 0x772cf26acb1748d3ULL,
+       1024, 1021, 970, 512, 264, 757, 706, 264, 773, 1780},
+  };
+  for (const Pin& pin : pins) {
+    for (AddrPathMode mode :
+         {AddrPathMode::kPerStageDecoders, AddrPathMode::kDecodedPipeline}) {
+      SCOPED_TRACE(testing::Message() << "p" << pin.ports << " mode "
+                                      << static_cast<int>(mode));
+      const SwitchConfig cfg = SwitchConfig::for_ports(pin.ports);
+      PipelinedSwitch sw(cfg, mode);
+      Engine eng;
+      UniformDest dests(pin.ports);
+      Rng seeder(pin.ports * 101 + 7);
+      std::vector<std::unique_ptr<CellSource>> sources;
+      for (unsigned i = 0; i < pin.ports; ++i) {
+        sources.push_back(std::make_unique<CellSource>(i, &sw.in_link(i), cfg.cell_format(),
+                                                       &dests, ArrivalKind::kGeometric, 0.8,
+                                                       seeder.split()));
+        eng.add(sources.back().get());
+      }
+      eng.add(&sw);
+      eng.run(pin.cycles);
+
+      const PipelinedMemory& mem = sw.memory();
+      const bool decoded = mode == AddrPathMode::kDecodedPipeline;
+      EXPECT_EQ(mem.addr_path().decode_ops(), decoded ? pin.decodes_7b : pin.decodes_7a);
+      EXPECT_EQ(mem.addr_path().one_hot_reg_transfers(), decoded ? pin.transfers : 0u);
+      EXPECT_EQ(mem.ctrl().ctrl_reg_transfers(), pin.transfers);
+      std::uint64_t reads = 0, writes = 0, digest = 0;
+      for (unsigned s = 0; s < mem.stages(); ++s) {
+        reads += mem.bank(s).total_reads();
+        writes += mem.bank(s).total_writes();
+        digest = mix64(digest ^ (mem.bank(s).total_reads() << 32 | mem.bank(s).total_writes()));
+      }
+      EXPECT_EQ(reads, pin.reads);
+      EXPECT_EQ(writes, pin.writes);
+      EXPECT_EQ(digest, pin.bank_digest);
+
+      const SwitchStats& st = sw.stats();
+      EXPECT_EQ(st.heads_seen, pin.heads);
+      EXPECT_EQ(st.accepted, pin.accepted);
+      EXPECT_EQ(st.dropped(), 0u);
+      EXPECT_EQ(st.read_grants, pin.read_grants);
+      EXPECT_EQ(st.cut_through_cells, pin.cut_through);
+      EXPECT_EQ(st.snoop_cells, pin.snoop_cells);
+      EXPECT_EQ(st.write_initiations, pin.write_inits);
+      EXPECT_EQ(st.read_initiations, pin.read_inits);
+      EXPECT_EQ(st.snoop_initiations, pin.snoop_inits);
+      EXPECT_EQ(st.idle_cycles, pin.idle);
+      EXPECT_EQ(st.read_stall_cycles, pin.read_stalls);
+      EXPECT_EQ(st.cycles, static_cast<std::uint64_t>(pin.cycles));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pmsb
