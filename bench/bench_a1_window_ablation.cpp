@@ -13,6 +13,7 @@
 #include "arch/wide/wide_switch.hpp"
 #include "bench_util.hpp"
 #include "core/testbench.hpp"
+#include "stats/hdr_histogram.hpp"
 
 using namespace pmsb;
 using namespace pmsb::bench;
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
 
     // --- pipelined: write-wave slack histogram -------------------------------
     PipelinedTestbench pipe(cfg, cfg.n_ports, cfg.cell_format(), spec, /*scoreboard=*/false);
-    Histogram slack(64);
+    HdrHistogram slack;
     SwitchEvents ev;
     ev.on_accept = [&](unsigned, Cycle a0, Cycle t0) {
       slack.add(static_cast<std::uint64_t>(t0 - a0));

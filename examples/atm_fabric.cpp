@@ -30,7 +30,7 @@ struct RunResult {
 RunResult run(const SwitchConfig& cfg, double load, bool bursty, std::uint64_t seed) {
   TrafficSpec spec;
   spec.load = load;
-  spec.bursty = bursty;
+  if (bursty) spec.arrivals = ArrivalKind::kBursty;
   spec.mean_burst_cells = 8.0;
   spec.seed = seed;
   PipelinedTestbench tb(cfg, cfg.n_ports, cfg.cell_format(), spec);

@@ -33,10 +33,9 @@ class Scoreboard {
 
   /// Hook everything up. Works for any switch exposing events() (an
   /// EventHub); the scoreboard subscribes additively, so other observers on
-  /// the same switch keep working. Sources may be CellSource or
-  /// BurstyCellSource (anything with set_on_inject).
-  template <typename SwitchT, typename SourceT>
-  void attach(SwitchT& sw, std::vector<std::unique_ptr<SourceT>>& sources,
+  /// the same switch keep working.
+  template <typename SwitchT>
+  void attach(SwitchT& sw, std::vector<std::unique_ptr<CellSource>>& sources,
               std::vector<std::unique_ptr<CellSink>>& sinks) {
     for (auto& src : sources)
       src->set_on_inject([this](const CellSource::Injection& inj) { on_inject(inj); });

@@ -15,7 +15,6 @@
 #include "core/switch.hpp"
 #include "sim/engine.hpp"
 #include "traffic/generators.hpp"
-#include "traffic/messages.hpp"
 
 namespace pmsb {
 
@@ -27,8 +26,7 @@ struct TrafficSpec {
   double load = 0.5;
   double hot_fraction = 0.5;  ///< For kHotspot (hot output = 0).
   std::uint64_t seed = 1;
-  bool bursty = false;        ///< Use BurstyCellSource instead.
-  double mean_burst_cells = 8.0;
+  double mean_burst_cells = 8.0;  ///< For ArrivalKind::kBursty.
 };
 
 /// Harness around any switch type with in_link()/out_link()/events().
@@ -52,28 +50,15 @@ class Testbench {
         dests_ = std::make_unique<HotspotDest>(n_ports, 0, spec.hot_fraction);
         break;
     }
-    for (unsigned i = 0; i < n_ports; ++i) {
-      if (spec.bursty) {
-        bursty_sources_.push_back(std::make_unique<BurstyCellSource>(
-            i, &sw_.in_link(i), fmt, dests_.get(), spec.load, spec.mean_burst_cells,
-            seeder.split()));
-      } else {
-        sources_.push_back(std::make_unique<CellSource>(i, &sw_.in_link(i), fmt, dests_.get(),
-                                                        spec.arrivals, spec.load,
-                                                        seeder.split()));
-      }
-    }
+    for (unsigned i = 0; i < n_ports; ++i)
+      sources_.push_back(std::make_unique<CellSource>(i, &sw_.in_link(i), fmt, dests_.get(),
+                                                      spec.arrivals, spec.load, seeder.split(),
+                                                      spec.mean_burst_cells));
     for (unsigned o = 0; o < n_ports; ++o)
       sinks_.push_back(std::make_unique<CellSink>(o, &sw_.out_link(o), fmt));
 
-    if (with_scoreboard) {
-      if (spec.bursty)
-        scoreboard_.attach(sw_, bursty_sources_, sinks_);
-      else
-        scoreboard_.attach(sw_, sources_, sinks_);
-    }
+    if (with_scoreboard) scoreboard_.attach(sw_, sources_, sinks_);
     for (auto& s : sources_) engine_.add(s.get());
-    for (auto& s : bursty_sources_) engine_.add(s.get());
     engine_.add(&sw_);
     for (auto& s : sinks_) engine_.add(s.get());
 
@@ -110,7 +95,6 @@ class Testbench {
   /// Returns true if fully drained.
   bool drain(Cycle max = 100000) {
     for (auto& s : sources_) s->set_enabled(false);
-    for (auto& s : bursty_sources_) s->set_enabled(false);
     const bool ok = engine_.run_until([&](Cycle) { return sw_.drained(); }, max);
     if (ok) engine_.run(4 * sw_.config().n_ports + 8);  // Flush trailing wires into sinks.
     return ok;
@@ -135,7 +119,6 @@ class Testbench {
   std::uint64_t injected() const {
     std::uint64_t total = 0;
     for (const auto& s : sources_) total += s->cells_injected();
-    for (const auto& s : bursty_sources_) total += s->cells_injected();
     return total;
   }
   std::uint64_t delivered() const {
@@ -152,7 +135,6 @@ class Testbench {
   bool enforce_checker_ = false;
   std::unique_ptr<DestPattern> dests_;
   std::vector<std::unique_ptr<CellSource>> sources_;
-  std::vector<std::unique_ptr<BurstyCellSource>> bursty_sources_;
   std::vector<std::unique_ptr<CellSink>> sinks_;
 };
 

@@ -37,14 +37,14 @@ void Ejector::deliver(std::uint64_t uid, Cycle latency, unsigned hops, bool payl
 
 PortBridge::PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
                        net::Port port, const Channel* rx, WireLink* in_link,
-                       Injector* injector, Ejector* ejector)
+                       traffic::Arrivals* arrivals, Ejector* ejector)
     : topo_(topo),
       codec_(codec),
       node_(node),
       port_(port),
       rx_(rx),
       in_link_(in_link),
-      injector_(injector),
+      arrivals_(arrivals),
       ejector_(ejector),
       length_(codec->fmt.length_words),
       audit_(check::env_enabled()),
@@ -60,8 +60,8 @@ void PortBridge::eval(Cycle t) {
   if (audit_) audit();
   // Traffic generation first, so a cell created this cycle can board an idle
   // slot immediately (cycle-exact regardless of sharding: per-node rng, one
-  // draw per cycle, performed by the node's single designated bridge).
-  if (injector_) injector_->step(t);
+  // trial per cycle, stepped by the node's single injecting bridge).
+  if (arrivals_) arrivals_->step(t);
 
   // ---- Arrival side: the virtual wire from the upstream TxTap.
   const Flit& f = rx_->read(t);
@@ -89,13 +89,13 @@ void PortBridge::eval(Cycle t) {
       tx_buf_ = fifo_[fifo_head_];
       fifo_head_ = (fifo_head_ + 1) % kFifoCells;
       --fifo_size_;
-    } else if (injector_ && !injector_->backlog.empty()) {
-      const Injector::Pending p = injector_->backlog.front();
-      injector_->backlog.pop_front();
-      const net::Port out = topo_->route_xy(node_, p.dest_node);
+    } else if (arrivals_ && !arrivals_->backlog.empty()) {
+      const traffic::Arrivals::Pending p = arrivals_->backlog.front();
+      arrivals_->backlog.pop_front();
+      const net::Port out = topo_->route_xy(node_, p.dest);
       PMSB_CHECK(out != net::kLocal, "injected cell addressed to its own node");
       tx_buf_ = take_buffer();
-      codec_->fill(cell(tx_buf_), out, p.dest_node, node_, p.seq, p.created);
+      codec_->fill(cell(tx_buf_), out, p.dest, node_, p.seq, p.created);
     } else {
       return;  // Nothing to send.
     }
@@ -231,8 +231,8 @@ void CellNode::skip(Cycle t, Cycle n) {
 
 NodeCounts CellNode::counts() const {
   NodeCounts c;
-  c.generated = injector.generated;
-  c.backlog = injector.backlog.size();
+  c.generated = arrivals.generated;
+  c.backlog = arrivals.backlog.size();
   c.delivered = ejector.delivered;
   c.dropped = drop_no_addr + drop_no_slot + drop_out_limit;
   c.lat_sum = ejector.lat_sum;

@@ -16,6 +16,11 @@
 //                                the node's in-wire. Transit has priority;
 //                                injection only fills idle cell slots.
 //
+// Each node's traffic source is a traffic::Arrivals (src/traffic/arrivals.hpp),
+// the arrival process the wormhole routers own too. The node's first bridge
+// steps it and alone injects. Its destinations never include the node
+// itself (SelfRule::kExcluded): a cell-fabric node has no local port.
+//
 // Bridges and taps are parts of one engine component, not components of
 // their own: CellNode registers itself as the node's single Component and
 // steps its switch, then its bridges, then its taps (commit: the switch,
@@ -38,7 +43,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +60,7 @@
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
 #include "stats/hdr_histogram.hpp"
+#include "traffic/arrivals.hpp"
 
 namespace pmsb::fabric {
 
@@ -88,63 +93,6 @@ struct CellCodec {
   /// build() into caller-owned storage of L words.
   void fill(Word* w, unsigned out_port, unsigned dest_node, unsigned src_node,
             std::uint64_t seq, Cycle created) const;
-};
-
-/// Per-node traffic source. One designated PortBridge per node owns the
-/// injection right; arrivals are Bernoulli per cycle and queue here until
-/// that bridge has an idle cell slot. All randomness is per-node (split from
-/// the fabric seed by node index), so the arrival process is identical under
-/// any partition.
-struct Injector {
-  struct Pending {
-    unsigned dest_node;
-    std::uint64_t seq;
-    Cycle created;
-  };
-
-  Rng rng;
-  double cells_per_cycle = 0;  ///< Bernoulli probability, = load / L.
-  unsigned self = 0;
-  unsigned n_nodes = 0;
-  std::uint64_t next_seq = 0;
-  std::uint64_t generated = 0;  ///< Cells created (delivered + dropped + queued + in flight).
-  std::deque<Pending> backlog;
-
-  /// Next arrival, computed ahead of time so idle cycles between arrivals
-  /// are skippable: the per-cycle Bernoulli draws are made in a batch when
-  /// the previous arrival fires, consuming the RNG stream in exactly the
-  /// order the historical one-draw-per-step() loop did. kNeverWake when
-  /// cells_per_cycle <= 0 (the old code drew nothing in that case either).
-  Cycle next_arrival = 0;
-  unsigned next_dest = 0;
-  bool primed = false;
-
-  /// Replay the per-cycle draws from `from` until one succeeds, then draw
-  /// the destination (uniform over the other nodes), exactly as the stepped
-  /// formulation would have.
-  void prime(Cycle from) {
-    primed = true;
-    if (cells_per_cycle <= 0) {
-      next_arrival = kNeverWake;
-      return;
-    }
-    Cycle a = from;
-    while (!rng.next_bool(cells_per_cycle)) ++a;
-    unsigned dest = static_cast<unsigned>(rng.next_below(n_nodes - 1));
-    if (dest >= self) ++dest;
-    next_arrival = a;
-    next_dest = dest;
-  }
-
-  /// Called once per fabric cycle by the node's designated bridge; enqueues
-  /// the precomputed arrival when its cycle comes up.
-  void step(Cycle t) {
-    if (!primed) prime(t);
-    if (t != next_arrival) return;
-    backlog.push_back(Pending{next_dest, next_seq++, t});
-    ++generated;
-    prime(t + 1);
-  }
 };
 
 /// Per-node traffic sink: end-to-end delivery accounting. Written only by
@@ -200,8 +148,8 @@ class TxTap final : public Component {
 class PortBridge final : public Component {
  public:
   PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
-             net::Port port, const Channel* rx, WireLink* in_link, Injector* injector,
-             Ejector* ejector);
+             net::Port port, const Channel* rx, WireLink* in_link,
+             traffic::Arrivals* arrivals, Ejector* ejector);
 
   void eval(Cycle t) override;
   void commit(Cycle t) override;
@@ -212,10 +160,10 @@ class PortBridge final : public Component {
   /// disabled in fabric nodes, so these hooks are only consulted there).
   bool is_quiescent(Cycle) const override {
     return !rx_active_ && !tx_active_ && !staged_valid_ && fifo_size_ == 0 &&
-           (injector_ == nullptr || injector_->backlog.empty());
+           (arrivals_ == nullptr || arrivals_->backlog.empty());
   }
   Cycle next_wake(Cycle) const override {
-    return injector_ != nullptr ? injector_->next_arrival : kNeverWake;
+    return arrivals_ != nullptr ? arrivals_->next_arrival : kNeverWake;
   }
   std::string name() const override;
 
@@ -252,7 +200,7 @@ class PortBridge final : public Component {
   net::Port port_;
   const Channel* rx_;
   WireLink* in_link_;
-  Injector* injector_;  ///< Non-null only on the node's designated bridge.
+  traffic::Arrivals* arrivals_;  ///< Non-null only on the node's injecting bridge.
   Ejector* ejector_;
   unsigned length_;  ///< L, cached.
   bool audit_;       ///< check::env_enabled() at construction.
@@ -283,7 +231,7 @@ class PortBridge final : public Component {
 };
 
 /// One node of a cell fabric: a cycle-accurate PipelinedSwitch or a
-/// behavioural FastSwitch, its Injector/Ejector endpoints and drop counters,
+/// behavioural FastSwitch, its Arrivals/Ejector endpoints and drop counters,
 /// one PortBridge per incoming link and one TxTap per outgoing link, plus an
 /// optional flight recorder and (under PMSB_CHECK, cycle-accurate switches
 /// only) a structural invariant checker. The node is its engine's single
@@ -306,7 +254,7 @@ class CellNode final : public FabricNode, private Component {
 
   std::unique_ptr<PipelinedSwitch> sw;  ///< Exactly one of sw / fast is set.
   std::unique_ptr<FastSwitch> fast;
-  Injector injector;
+  traffic::Arrivals arrivals;
   Ejector ejector;
   std::uint64_t drop_no_addr = 0;
   std::uint64_t drop_no_slot = 0;

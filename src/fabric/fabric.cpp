@@ -21,6 +21,21 @@ bool wormhole_kind(const net::Topology& topo) {
   return topo.multistage() || topo.kind == net::TopologyKind::kMesh2D;
 }
 
+/// The fabric's one destination pattern. pick() is stateless (each endpoint
+/// passes its own Rng), so nodes on different threads share it; `seed` only
+/// seeds the permutation draw.
+std::unique_ptr<DestPattern> fabric_dests(const traffic::GeneratorSpec& spec, unsigned n,
+                                          std::uint64_t seed, SelfRule self) {
+  Rng drng(mix64(seed ^ 0x517cc1b727220a95ULL));
+  return spec.make_dest(n, drng, self);
+}
+
+/// Endpoint `e`'s arrival randomness, split from the fabric seed by endpoint
+/// index, so it is the same under any partition.
+Rng endpoint_rng(std::uint64_t seed, unsigned e) {
+  return Rng(mix64(seed + 0x9e3779b97f4a7c15ULL * (e + 1)));
+}
+
 /// Largest hop distance between two connected vertices of the undirected
 /// graph `adj` (breadth-first search from every vertex).
 unsigned graph_diameter(const std::vector<std::vector<unsigned>>& adj) {
@@ -61,10 +76,12 @@ ConfigValidation FabricConfig::check() const {
   if (!(load >= 0.0 && load <= 1.0))
     issue(ConfigIssue::Code::kBadLoad, "offered load must be in [0, 1]");
   try {
-    const auto spec = traffic::GeneratorSpec::parse(traffic);
-    if (!worm && spec.kind != traffic::GeneratorSpec::Kind::kUniform)
+    using Kind = traffic::GeneratorSpec::Kind;
+    const Kind kind = traffic::GeneratorSpec::parse(traffic).kind;
+    if (kind == Kind::kBursty || kind == Kind::kPareto)
       issue(ConfigIssue::Code::kBadLoad,
-            "cell fabrics support uniform traffic only (got \"" + traffic + "\")");
+            "fabrics run Bernoulli arrivals; bursty and pareto shape slot-level "
+            "traffic only (got \"" + traffic + "\")");
   } catch (const std::invalid_argument& e) {
     issue(ConfigIssue::Code::kBadLoad, e.what());
   }
@@ -397,8 +414,9 @@ void Fabric::build_cells() {
   const unsigned n = topo.nodes();
   const unsigned ports = topo.required_ports();
   codec_ = CellCodec{cfg_.node.cell_format(), bits_for(n)};
-  // A "uniform:LOAD" spec overrides cfg_.load, same as the worm fabrics.
-  const double load = traffic::GeneratorSpec::parse(cfg_.traffic).load_or(cfg_.load);
+  const auto spec = traffic::GeneratorSpec::parse(cfg_.traffic);
+  dests_ = fabric_dests(spec, n, cfg_.seed, SelfRule::kExcluded);
+  const double cells_per_cycle = spec.load_or(cfg_.load) / cfg_.node.cell_words;
 
   // Identical wiring under every partition: each directed link (u, out
   // port p) gets a ring even when both endpoints share a task. The
@@ -417,10 +435,10 @@ void Fabric::build_cells() {
   nodes_.reserve(n);
   for (unsigned v = 0; v < n; ++v) {
     auto node = std::make_unique<CellNode>(cfg_.node, cfg_.fast_node && cfg_.fast_node(v));
-    node->injector.rng = Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (v + 1)));
-    node->injector.cells_per_cycle = load / cfg_.node.cell_words;
-    node->injector.self = v;
-    node->injector.n_nodes = n;
+    node->arrivals.per_cycle = cells_per_cycle;
+    node->arrivals.src = v;
+    node->arrivals.dests = dests_.get();
+    node->arrivals.rng = endpoint_rng(cfg_.seed, v);
     if (cfg_.flight_recorder) {
       obs::FlightRecorderConfig fr;
       fr.warmup = cfg_.flight_warmup;
@@ -436,9 +454,9 @@ void Fabric::build_cells() {
       const net::Port port = static_cast<net::Port>(q);
       const auto u = static_cast<unsigned>(topo.neighbor(v, port));
       Channel* rx = tx[u * ports + net::opposite(port)];
-      Injector* inj = q == 0 ? &node->injector : nullptr;
-      node->bridges.emplace_back(&cfg_.topo, &codec_, v, port, rx, &node->in_link(q), inj,
-                                 &node->ejector);
+      traffic::Arrivals* arrivals = q == 0 ? &node->arrivals : nullptr;
+      node->bridges.emplace_back(&cfg_.topo, &codec_, v, port, rx, &node->in_link(q),
+                                 arrivals, &node->ejector);
     }
     for (unsigned p = 0; p < ports; ++p)
       node->taps.emplace_back(&node->out_link(p), tx[v * ports + p]);
@@ -451,12 +469,7 @@ void Fabric::build_worm() {
   const unsigned n = topo.nodes();
   const unsigned ports = topo.required_ports();
   const auto spec = traffic::GeneratorSpec::parse(cfg_.traffic);
-
-  // One shared destination pattern: pick() is stateless (each caller passes
-  // its own Rng), so routers on different threads can share it. The rng here
-  // only seeds the permutation draw.
-  Rng drng(mix64(cfg_.seed ^ 0x517cc1b727220a95ULL));
-  wdests_ = spec.make_dest(topo.endpoints(), drng);
+  dests_ = fabric_dests(spec, topo.endpoints(), cfg_.seed, SelfRule::kAllowed);
 
   WormParams wp;
   wp.lanes = cfg_.lanes;
@@ -467,7 +480,7 @@ void Fabric::build_worm() {
   std::vector<WormRouter*> routers;
   nodes_.reserve(n);
   for (unsigned v = 0; v < n; ++v) {
-    auto r = std::make_unique<WormRouter>(&cfg_.topo, v, wp, wdests_.get());
+    auto r = std::make_unique<WormRouter>(&cfg_.topo, v, wp, dests_.get());
     routers.push_back(r.get());
     nodes_.push_back(std::move(r));
   }
@@ -492,23 +505,19 @@ void Fabric::build_worm() {
     }
   }
 
-  // Endpoints (per-endpoint RNG split from the seed, like the cell
-  // Injectors): on a mesh, endpoint v is router v's kLocal port both ways;
+  // Endpoints: on a mesh, endpoint v is router v's kLocal port both ways;
   // on a multistage network, sources sit on the first stage's inputs and
   // sinks on the last stage's outputs.
-  auto endpoint_rng = [this](unsigned e) {
-    return Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1)));
-  };
   if (!topo.multistage()) {
     for (unsigned v = 0; v < n; ++v) {
-      routers[v]->add_source(net::kLocal, v, endpoint_rng(v));
+      routers[v]->add_source(net::kLocal, v, endpoint_rng(cfg_.seed, v));
       routers[v]->add_sink(net::kLocal, v);
     }
     return;
   }
   for (unsigned e = 0; e < topo.endpoints(); ++e) {
     const auto [v, q] = topo.ingress_of(e);
-    routers[v]->add_source(q, e, endpoint_rng(e));
+    routers[v]->add_source(q, e, endpoint_rng(cfg_.seed, e));
   }
   for (unsigned el = 0; el < topo.elements_per_stage(); ++el) {
     const unsigned v = topo.node_id(topo.stages() - 1, el);

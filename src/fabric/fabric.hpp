@@ -112,8 +112,10 @@ struct FabricConfig {
   /// Flits per message (head..tail).
   unsigned message_flits = 8;
   /// Workload spec (traffic::GeneratorSpec grammar, e.g. "uniform:0.8",
-  /// "hotspot:0.25"). Wormhole fabrics honor every destination kind; cell
-  /// fabrics support "uniform" only. A spec-embedded load overrides `load`.
+  /// "hotspot:0.25"). Both transports run every destination kind through
+  /// Bernoulli arrivals; "bursty" and "pareto" are rejected (slot level
+  /// only). A cell fabric node never addresses itself (see traffic/spec.hpp
+  /// for the per-kind rule). A spec-embedded load overrides `load`.
   std::string traffic = "uniform";
 
   ConfigValidation check() const;
@@ -279,9 +281,9 @@ class Fabric {
   CellCodec codec_;       ///< Cell fabrics' wire format.
   unsigned workers_ = 1;  ///< Resolved worker-thread count.
   bool worm_ = false;     ///< Wormhole transport (mesh or multistage topology).
-  /// Shared destination pattern of the worm sources (stateless per pick;
-  /// see traffic/spec.hpp).
-  std::unique_ptr<DestPattern> wdests_;
+  /// Destination pattern shared by every node's arrivals (stateless per
+  /// pick; see traffic/spec.hpp).
+  std::unique_ptr<DestPattern> dests_;
   std::vector<std::unique_ptr<FabricNode>> nodes_;  ///< [node]
   /// [node] Each node's own Engine, attached once at build and stepped by
   /// whichever task owns the node. Never resized: attach() hands out

@@ -82,8 +82,10 @@ void WormRouter::add_source(unsigned in_port, unsigned endpoint, Rng rng) {
              "worm source conflicts with an existing input");
   auto s = std::make_unique<Source>();
   s->in_port = in_port;
-  s->endpoint = endpoint;
-  s->rng = rng;
+  s->arrivals.per_cycle = params_.messages_per_cycle;
+  s->arrivals.src = endpoint;
+  s->arrivals.dests = dests_;
+  s->arrivals.rng = rng;
   s->worms.resize(params_.lanes);
   sources_[in_port] = std::move(s);
 }
@@ -123,37 +125,19 @@ void WormRouter::push_flit(unsigned in_port, const WormFlit& f) {
     auditor_->on_push(in_port, f.lane, f.head, f.tail, f.msg, f.seq, lane.size);
 }
 
-void WormRouter::source_prime(Source& s, Cycle from) {
-  s.primed = true;
-  if (params_.messages_per_cycle <= 0) {
-    s.next_arrival = kNeverWake;
-    return;
-  }
-  Cycle a = from;
-  while (!s.rng.next_bool(params_.messages_per_cycle)) ++a;
-  s.next_arrival = a;
-  s.next_dest = dests_->pick(s.endpoint, s.rng);
-}
-
 void WormRouter::source_step(Source& s, Cycle t) {
-  if (!s.primed) source_prime(s, t);
-  if (t == s.next_arrival) {
-    const std::uint64_t msg =
-        (static_cast<std::uint64_t>(s.endpoint) << 32) | s.next_msg_seq++;
-    s.backlog.push_back(Source::Pending{s.next_dest, msg, t});
-    ++s.generated;
-    source_prime(s, t + 1);
-  }
+  s.arrivals.step(t);
   // Start pending messages on idle lanes, round-robin. Each
   // lane streams one message head..tail at a time, so the per-lane
   // contiguity invariant holds by construction.
-  while (!s.backlog.empty() && s.active != lane_bits_) {
+  while (!s.arrivals.backlog.empty() && s.active != lane_bits_) {
     const unsigned pick = first_from(lane_bits_ & ~s.active, s.start_rr);
     s.start_rr = next_mod(pick, params_.lanes);
-    const Source::Pending& p = s.backlog.front();
-    s.worms[pick] = Source::Worm{0, p.dest, p.msg, p.created};
+    const traffic::Arrivals::Pending& p = s.arrivals.backlog.front();
+    const std::uint64_t msg = (static_cast<std::uint64_t>(s.arrivals.src) << 32) | p.seq;
+    s.worms[pick] = Source::Worm{0, p.dest, msg, p.created};
     s.active |= 1u << pick;
-    s.backlog.pop_front();
+    s.arrivals.backlog.pop_front();
   }
   // Emit at most one flit this cycle (the injection link rate), rotating
   // across lanes whose worm is active and whose FIFO has room.
@@ -352,14 +336,14 @@ bool WormRouter::is_quiescent(Cycle) const {
   for (const Out& o : out_)
     if (o.owned != 0) return false;
   for (const auto& s : sources_)
-    if (s != nullptr && (!s->backlog.empty() || s->active != 0)) return false;
+    if (s != nullptr && (!s->arrivals.backlog.empty() || s->active != 0)) return false;
   return true;
 }
 
 Cycle WormRouter::next_wake(Cycle) const {
   Cycle wake = kNeverWake;
   for (const auto& s : sources_)
-    if (s != nullptr) wake = std::min(wake, s->primed ? s->next_arrival : Cycle{0});
+    if (s != nullptr) wake = std::min(wake, s->arrivals.next_arrival);
   return wake;
 }
 
@@ -374,8 +358,8 @@ std::string WormRouter::name() const {
 WormRouter::SourceStats WormRouter::source_stats(unsigned in_port) const {
   PMSB_CHECK(sources_[in_port] != nullptr, "no worm source on this input");
   const Source& s = *sources_[in_port];
-  return SourceStats{s.generated,
-                     s.backlog.size() + static_cast<std::size_t>(std::popcount(s.active))};
+  return SourceStats{s.arrivals.generated, s.arrivals.backlog.size() +
+                                               static_cast<std::size_t>(std::popcount(s.active))};
 }
 
 WormRouter::SinkStats WormRouter::sink_stats(unsigned out_port) const {

@@ -52,11 +52,14 @@
 // running counts are recounted from the lane state at the end of every eval.
 //
 // Ingress inputs (first-stage inputs; a mesh router's kLocal input) own a
-// Source (Bernoulli message arrivals at `messages_per_cycle`, destination
-// from a shared traffic::DestPattern, backlog queued losslessly). Injection
-// is per lane, as in [Dally90]: the source streams one active message per
-// lane and interleaves their flits round-robin at the 1-flit/cycle link
-// rate, so a stalled message blocks only its own lane -- never the source.
+// Source around a traffic::Arrivals (src/traffic/arrivals.hpp), the arrival
+// process the cell fabrics' nodes own too: Bernoulli message arrivals at
+// `messages_per_cycle`, destinations from the fabric's shared DestPattern
+// (SelfRule::kAllowed: an endpoint may send to itself), a lossless backlog.
+// Injection is per lane, as in [Dally90]: the source streams one active
+// message per lane and interleaves their flits round-robin at the
+// 1-flit/cycle link rate, so a stalled message blocks only its own lane --
+// never the source.
 // Egress outputs (last-stage outputs; a mesh router's kLocal output) own a
 // Sink (per-lane reassembly, end-to-end payload verification, an
 // order-sensitive delivery digest and an HDR latency histogram). Everything
@@ -67,7 +70,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -81,6 +83,7 @@
 #include "net/topology.hpp"
 #include "sim/engine.hpp"
 #include "stats/hdr_histogram.hpp"
+#include "traffic/arrivals.hpp"
 #include "traffic/generators.hpp"
 
 namespace pmsb::fabric {
@@ -194,24 +197,11 @@ class WormRouter : public Component, public FabricNode {
 
   static constexpr unsigned kNoOut = ~0u;
 
+  /// An ingress input: its arrival process (message ids are
+  /// endpoint << 32 | arrival seq) and the per-lane streaming state.
   struct Source {
     unsigned in_port = 0;
-    unsigned endpoint = 0;
-    Rng rng{0};
-    // Precomputed next arrival (same replay scheme as fabric::Injector, so
-    // idle stretches between arrivals are skippable without disturbing the
-    // RNG stream).
-    Cycle next_arrival = 0;
-    unsigned next_dest = 0;
-    bool primed = false;
-    std::uint64_t next_msg_seq = 0;
-    std::uint64_t generated = 0;
-    struct Pending {
-      unsigned dest;
-      std::uint64_t msg;
-      Cycle created;
-    };
-    std::deque<Pending> backlog;
+    traffic::Arrivals arrivals;  ///< src = the endpoint.
     // Streaming state: one active message per lane ([Dally90] per-lane
     // injection), flits interleaved round-robin at <= 1 flit per cycle
     // total (the injection link rate). A single shared worm here would
@@ -290,7 +280,6 @@ class WormRouter : public Component, public FabricNode {
   void route_front(unsigned in, std::size_t idx);
   void push_flit(unsigned in_port, const WormFlit& f);
   void source_step(Source& s, Cycle t);
-  void source_prime(Source& s, Cycle from);
   void alloc_lane(unsigned out);
   void arbitrate(unsigned out, Cycle t);
   void deliver(Sink& sink, const WormFlit& f, Cycle t);

@@ -17,19 +17,6 @@ void MetricsRegistry::add_gauge(const std::string& name, std::function<double()>
   gauges_.push_back(GaugeEntry{name, std::move(fn), GaugeStats{}});
 }
 
-Histogram* MetricsRegistry::histogram(const std::string& name, std::size_t max_value) {
-  if (!enabled_) return nullptr;
-  for (auto& e : hists_) {
-    if (e.name == name) {
-      PMSB_CHECK(e.max_value == max_value,
-                 "histogram re-requested with a different max_value");
-      return e.hist.get();
-    }
-  }
-  hists_.push_back(HistEntry{name, max_value, std::make_unique<Histogram>(max_value)});
-  return hists_.back().hist.get();
-}
-
 HdrHistogram* MetricsRegistry::hdr_histogram(const std::string& name,
                                              unsigned precision_bits) {
   if (!enabled_) return nullptr;
@@ -85,7 +72,6 @@ void MetricsRegistry::remove_sample_hook(std::uint64_t id) {
 void MetricsRegistry::reset() {
   for (auto& e : counters_) e.counter->reset();
   for (auto& g : gauges_) g.stats = GaugeStats{};
-  for (auto& e : hists_) e.hist->clear();
   for (auto& e : hdr_hists_) e.hist->clear();
   samples_taken_ = 0;
   last_sample_ = 0;
@@ -101,13 +87,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
 const GaugeStats* MetricsRegistry::find_gauge(const std::string& name) const {
   for (const auto& g : gauges_) {
     if (g.name == name) return &g.stats;
-  }
-  return nullptr;
-}
-
-const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
-  for (const auto& e : hists_) {
-    if (e.name == name) return e.hist.get();
   }
   return nullptr;
 }
@@ -130,13 +109,6 @@ std::vector<MetricsRegistry::GaugeView> MetricsRegistry::gauges() const {
   std::vector<GaugeView> out;
   out.reserve(gauges_.size());
   for (const auto& g : gauges_) out.push_back({g.name, g.stats});
-  return out;
-}
-
-std::vector<MetricsRegistry::HistogramView> MetricsRegistry::histograms() const {
-  std::vector<HistogramView> out;
-  out.reserve(hists_.size());
-  for (const auto& e : hists_) out.push_back({e.name, e.hist.get()});
   return out;
 }
 

@@ -22,7 +22,6 @@
 
 #include "common/util.hpp"
 #include "stats/hdr_histogram.hpp"
-#include "stats/histogram.hpp"
 
 namespace pmsb::obs {
 
@@ -57,7 +56,7 @@ class MetricsRegistry {
  public:
   explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
 
-  /// Disabling makes counter() return nullptr and add_gauge()/histogram()
+  /// Disabling makes counter() return nullptr and add_gauge()/hdr_histogram()
   /// no-ops, so instrumented components stay on their null-pointer fast
   /// path. Flip before registering components.
   void set_enabled(bool on) { enabled_ = on; }
@@ -68,12 +67,6 @@ class MetricsRegistry {
 
   /// Register a gauge sampled on every sample() call. No-op when disabled.
   void add_gauge(const std::string& name, std::function<double()> fn);
-
-  /// Create-or-get a histogram (values clamped to [0, max_value]).
-  /// Returns nullptr when disabled. Re-requesting an existing name with a
-  /// different max_value is a PMSB_CHECK failure -- the caller would get a
-  /// histogram with a different clamp than it asked for.
-  Histogram* histogram(const std::string& name, std::size_t max_value);
 
   /// Create-or-get a constant-memory log-bucketed histogram for unbounded
   /// (latency-like) values. Returns nullptr when disabled. Re-requesting an
@@ -102,7 +95,6 @@ class MetricsRegistry {
 
   const Counter* find_counter(const std::string& name) const;
   const GaugeStats* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
   const HdrHistogram* find_hdr_histogram(const std::string& name) const;
 
   // Index-based access in registration order: lets per-sample consumers
@@ -123,10 +115,6 @@ class MetricsRegistry {
     std::string name;
     GaugeStats stats;
   };
-  struct HistogramView {
-    std::string name;
-    const Histogram* hist;
-  };
   struct HdrHistogramView {
     std::string name;
     const HdrHistogram* hist;
@@ -134,7 +122,6 @@ class MetricsRegistry {
 
   std::vector<CounterView> counters() const;
   std::vector<GaugeView> gauges() const;
-  std::vector<HistogramView> histograms() const;
   std::vector<HdrHistogramView> hdr_histograms() const;
 
  private:
@@ -146,11 +133,6 @@ class MetricsRegistry {
   struct CounterEntry {
     std::string name;
     std::unique_ptr<Counter> counter;  ///< unique_ptr: pointer stability.
-  };
-  struct HistEntry {
-    std::string name;
-    std::size_t max_value;  ///< Remembered to reject mismatched re-requests.
-    std::unique_ptr<Histogram> hist;
   };
   struct HdrEntry {
     std::string name;
@@ -164,7 +146,6 @@ class MetricsRegistry {
   bool enabled_;
   std::vector<CounterEntry> counters_;
   std::vector<GaugeEntry> gauges_;
-  std::vector<HistEntry> hists_;
   std::vector<HdrEntry> hdr_hists_;
   std::vector<HookEntry> hooks_;
   std::uint64_t next_hook_id_ = 1;

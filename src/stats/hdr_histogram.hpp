@@ -1,9 +1,7 @@
 // Constant-memory log-bucketed histogram for latency distributions
-// (HdrHistogram-style). The dense stats/histogram.hpp Histogram allocates
-// max_value + 1 buckets and clamps everything above max_value into one
-// overflow bucket -- fine for slack distributions that are bounded by
-// construction, wrong for latency tails, where the clamp silently turns a
-// p99.9 of 20000 cycles into "4096".
+// (HdrHistogram-style), the repository's one histogram. Unlike a dense
+// histogram with an overflow bucket, it has no clamp that could silently
+// turn a p99.9 of 20000 cycles into "4096".
 //
 // Bucketing: values below 2^precision_bits are recorded exactly (one bucket
 // per value); above that, each power-of-two range is split into

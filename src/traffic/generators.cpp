@@ -9,27 +9,29 @@ namespace pmsb {
 // ---------------------------------------------------------------------------
 
 CellSource::CellSource(unsigned input, WireLink* link, const CellFormat& fmt, DestPattern* dests,
-                       ArrivalKind kind, double load, Rng rng)
+                       ArrivalKind kind, double load, Rng rng, double mean_burst_cells)
     : input_(input), link_(link), fmt_(fmt), dests_(dests), kind_(kind), load_(load),
-      rng_(rng) {
+      p_stop_(1.0 / mean_burst_cells), rng_(rng) {
   PMSB_CHECK(link != nullptr && dests != nullptr, "source needs a link and a pattern");
   PMSB_CHECK(load > 0.0 && load <= 1.0, "load must be in (0, 1]");
+  PMSB_CHECK(mean_burst_cells >= 1.0, "mean burst below one cell");
   PMSB_CHECK(fmt.length_words >= 2, "cells must be at least two words");
 }
 
-void CellSource::begin_gap() {
-  if (kind_ != ArrivalKind::kGeometric) {
+void CellSource::end_cell() {
+  sending_ = false;
+  if (kind_ == ArrivalKind::kBursty && !rng_.next_bool(p_stop_)) return;  // The burst goes on.
+  in_burst_ = false;
+  if ((kind_ != ArrivalKind::kGeometric && kind_ != ArrivalKind::kBursty) || load_ >= 1.0) {
     gap_left_ = 0;
     return;
   }
-  if (load_ >= 1.0) {
-    gap_left_ = 0;
-    return;
-  }
-  // Link load = L / (L + E[gap])  =>  E[gap] = L (1 - p) / p. A geometric
-  // gap with success probability q has mean (1-q)/q; solve for q.
-  const double mean_gap =
-      static_cast<double>(fmt_.length_words) * (1.0 - load_) / load_;
+  // Link load = on / (on + E[gap])  =>  E[gap] = on (1 - p) / p, where `on`
+  // is one cell (L cycles) or, for kBursty, a mean burst (L / p_stop). A
+  // geometric gap with success probability q has mean (1-q)/q; solve for q.
+  const double on = kind_ == ArrivalKind::kBursty ? fmt_.length_words / p_stop_
+                                                  : static_cast<double>(fmt_.length_words);
+  const double mean_gap = on * (1.0 - load_) / load_;
   const double q = 1.0 / (1.0 + mean_gap);
   gap_left_ = static_cast<Cycle>(rng_.next_geometric(q));
 }
@@ -38,17 +40,17 @@ void CellSource::eval(Cycle t) {
   if (sending_) {
     link_->drive_next(Flit{true, false, cell_word(uid_, dest_, word_idx_, fmt_)});
     ++word_idx_;
-    if (word_idx_ == fmt_.length_words) {
-      sending_ = false;
-      begin_gap();
-    }
+    if (word_idx_ == fmt_.length_words) end_cell();
     return;
   }
 
   bool start = false;
   switch (kind_) {
     case ArrivalKind::kGeometric:
-      if (gap_left_ > 0) {
+    case ArrivalKind::kBursty:
+      if (in_burst_) {
+        start = true;  // A burst runs to its end, enabled or not.
+      } else if (gap_left_ > 0) {
         --gap_left_;
       } else {
         start = enabled_;
@@ -64,17 +66,15 @@ void CellSource::eval(Cycle t) {
   if (!start) return;
 
   uid_ = (static_cast<std::uint64_t>(input_) << 40) | next_seq_++;
-  dest_ = dests_->pick(input_, rng_);
+  if (!in_burst_) dest_ = dests_->pick(input_, rng_);
+  in_burst_ = kind_ == ArrivalKind::kBursty;
   word_idx_ = 0;
   sending_ = true;
   ++cells_injected_;
   link_->drive_next(Flit{true, true, cell_word(uid_, dest_, 0, fmt_)});
   if (on_inject_) on_inject_(Injection{uid_, input_, dest_, t + 1});
   ++word_idx_;
-  if (word_idx_ == fmt_.length_words) {  // unreachable for L >= 2, kept for safety
-    sending_ = false;
-    begin_gap();
-  }
+  if (word_idx_ == fmt_.length_words) end_cell();  // unreachable for L >= 2, kept for safety
 }
 
 void CellSource::commit(Cycle) {}
@@ -83,14 +83,16 @@ void CellSource::commit(Cycle) {}
 // link nor consume RNG draws. kGeometric spends its pre-drawn gap with no
 // draws, so the whole gap is skippable; kSlotted draws at every slot
 // boundary while enabled, so its wake is the next boundary (never beyond);
-// kSaturated never idles while enabled. A disabled source of any kind only
+// kSaturated never idles while enabled. kBursty is kGeometric between
+// bursts and never idles inside one. A disabled source of any kind only
 // burns its gap counter down, which skip() compensates.
 
 bool CellSource::is_quiescent(Cycle t) const {
-  if (sending_) return false;
+  if (sending_ || in_burst_) return false;
   if (!enabled_) return true;
   switch (kind_) {
     case ArrivalKind::kGeometric:
+    case ArrivalKind::kBursty:
       return gap_left_ > 0;
     case ArrivalKind::kSlotted:
       return (t + 1) % fmt_.length_words != 0;
@@ -104,6 +106,7 @@ Cycle CellSource::next_wake(Cycle t) const {
   if (!enabled_) return kNeverWake;
   switch (kind_) {
     case ArrivalKind::kGeometric:
+    case ArrivalKind::kBursty:
       return t + gap_left_;
     case ArrivalKind::kSlotted: {
       // Earliest t' >= t with (t' + 1) % L == 0 and t' > t when t is itself
@@ -257,11 +260,14 @@ const std::vector<std::optional<SlotTraffic::Arrival>>& SlotTraffic::step() {
   return slot_;
 }
 
-std::vector<unsigned> random_permutation(unsigned n, Rng& rng) {
+std::vector<unsigned> random_permutation(unsigned n, Rng& rng, SelfRule self) {
+  // Fisher-Yates; with self excluded, Sattolo's variant: slot i - 1 never
+  // swaps with itself, which leaves one n-cycle.
+  const unsigned shrink = self == SelfRule::kExcluded ? 1 : 0;
   std::vector<unsigned> p(n);
   for (unsigned i = 0; i < n; ++i) p[i] = i;
   for (unsigned i = n; i > 1; --i) {
-    const auto j = static_cast<unsigned>(rng.next_below(i));
+    const auto j = static_cast<unsigned>(rng.next_below(i - shrink));
     std::swap(p[i - 1], p[j]);
   }
   return p;

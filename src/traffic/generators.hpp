@@ -37,14 +37,37 @@ class DestPattern {
   virtual unsigned pick(unsigned src, Rng& rng) = 0;
 };
 
-/// Uniformly random over all n outputs.
+/// Whether a pattern may address the sending endpoint itself. A multistage
+/// endpoint can send to itself; a cell-fabric node has no local port, so its
+/// patterns exclude the source (every kind then picks != src for n >= 2).
+enum class SelfRule { kAllowed, kExcluded };
+
+/// Uniform over {0..n-1} minus `a` and `b` (a == b excludes one value): one
+/// next_below draw over the values left, then a step past each excluded
+/// value in ascending order.
+inline unsigned uniform_except(Rng& rng, unsigned n, unsigned a, unsigned b) {
+  const unsigned lo = a < b ? a : b;
+  const unsigned hi = a < b ? b : a;
+  auto d = static_cast<unsigned>(rng.next_below(n - (lo == hi ? 1 : 2)));
+  if (d >= lo) ++d;
+  if (hi != lo && d >= hi) ++d;
+  return d;
+}
+
+/// Uniformly random over all n outputs, or over the n - 1 others than the
+/// source under SelfRule::kExcluded.
 class UniformDest : public DestPattern {
  public:
-  explicit UniformDest(unsigned n) : n_(n) {}
-  unsigned pick(unsigned, Rng& rng) override { return static_cast<unsigned>(rng.next_below(n_)); }
+  explicit UniformDest(unsigned n, SelfRule self = SelfRule::kAllowed)
+      : n_(n), exclude_self_(self == SelfRule::kExcluded) {}
+  unsigned pick(unsigned src, Rng& rng) override {
+    return exclude_self_ ? uniform_except(rng, n_, src, src)
+                         : static_cast<unsigned>(rng.next_below(n_));
+  }
 
  private:
   unsigned n_;
+  bool exclude_self_;
 };
 
 /// Fixed permutation: input i always sends to perm[i] (contention-free when
@@ -58,21 +81,39 @@ class PermutationDest : public DestPattern {
   std::vector<unsigned> perm_;
 };
 
-/// Hotspot: probability `hot_fraction` to the hot output, else uniform.
+/// Hotspot: probability `hot_fraction` to the hot output, else uniform
+/// (UniformDest's draw). Under SelfRule::kExcluded the hot output's own hits
+/// take the uniform draw too.
 class HotspotDest : public DestPattern {
  public:
-  HotspotDest(unsigned n, unsigned hot, double hot_fraction)
-      : n_(n), hot_(hot), frac_(hot_fraction) {}
-  unsigned pick(unsigned, Rng& rng) override {
-    if (rng.next_bool(frac_)) return hot_;
-    return static_cast<unsigned>(rng.next_below(n_));
+  HotspotDest(unsigned n, unsigned hot, double hot_fraction,
+              SelfRule self = SelfRule::kAllowed)
+      : uniform_(n, self), hot_(hot), frac_(hot_fraction),
+        exclude_self_(self == SelfRule::kExcluded) {}
+  unsigned pick(unsigned src, Rng& rng) override {
+    if (rng.next_bool(frac_) && !(exclude_self_ && src == hot_)) return hot_;
+    return uniform_.pick(src, rng);
   }
 
  private:
-  unsigned n_;
+  UniformDest uniform_;
   unsigned hot_;
   double frac_;
+  bool exclude_self_;
 };
+
+/// A fixed target plus uniform background: sources for which `to_target`
+/// holds send to `target`; the others draw uniformly over the outputs other
+/// than the target (and other than themselves under SelfRule::kExcluded,
+/// where the target's own traffic is background too). With no output left
+/// for the background, it goes to the target.
+inline unsigned target_or_background(Rng& rng, unsigned n, unsigned target, unsigned src,
+                                     bool to_target, bool exclude_self) {
+  if (to_target && !(exclude_self && src == target)) return target;
+  const unsigned other = exclude_self ? src : target;
+  if (n <= (other == target ? 1u : 2u)) return target;
+  return uniform_except(rng, n, target, other);
+}
 
 /// Hot senders (tree saturation, sender-resolved): a `frac` share of the
 /// inputs -- every round(1/frac)-th, never the hot output itself -- send
@@ -83,20 +124,20 @@ class HotspotDest : public DestPattern {
 /// saturated hot tree -- the quantity virtual channels rescue.
 class HotSendersDest : public DestPattern {
  public:
-  HotSendersDest(unsigned n, unsigned hot, double frac)
+  HotSendersDest(unsigned n, unsigned hot, double frac, SelfRule self = SelfRule::kAllowed)
       : n_(n), hot_(hot),
-        every_(frac >= 1.0 ? 1u : static_cast<unsigned>(1.0 / frac + 0.5)) {}
+        every_(frac >= 1.0 ? 1u : static_cast<unsigned>(1.0 / frac + 0.5)),
+        exclude_self_(self == SelfRule::kExcluded) {}
   unsigned pick(unsigned src, Rng& rng) override {
-    if (src % every_ == every_ - 1 || n_ <= 1) return hot_;
-    unsigned d = static_cast<unsigned>(rng.next_below(n_ - 1));
-    if (d >= hot_) ++d;  // background: uniform over the non-hot outputs
-    return d;
+    return target_or_background(rng, n_, hot_, src, src % every_ == every_ - 1,
+                                exclude_self_);
   }
 
  private:
   unsigned n_;
   unsigned hot_;
   unsigned every_;
+  bool exclude_self_;
 };
 
 /// Incast: inputs 0..fan_in-1 all converge on the `sink` output (the
@@ -104,19 +145,17 @@ class HotSendersDest : public DestPattern {
 /// over the other outputs.
 class IncastDest : public DestPattern {
  public:
-  IncastDest(unsigned n, unsigned sink, unsigned fan_in)
-      : n_(n), sink_(sink), fan_in_(fan_in) {}
+  IncastDest(unsigned n, unsigned sink, unsigned fan_in, SelfRule self = SelfRule::kAllowed)
+      : n_(n), sink_(sink), fan_in_(fan_in), exclude_self_(self == SelfRule::kExcluded) {}
   unsigned pick(unsigned src, Rng& rng) override {
-    if (src < fan_in_ || n_ <= 1) return sink_;
-    unsigned d = static_cast<unsigned>(rng.next_below(n_ - 1));
-    if (d >= sink_) ++d;  // uniform over outputs other than the sink
-    return d;
+    return target_or_background(rng, n_, sink_, src, src < fan_in_, exclude_self_);
   }
 
  private:
   unsigned n_;
   unsigned sink_;
   unsigned fan_in_;
+  bool exclude_self_;
 };
 
 // ---------------------------------------------------------------------------
@@ -130,6 +169,9 @@ enum class ArrivalKind {
   kSlotted,    ///< Cells may start only at multiples of the cell length; all
                ///< links share slot boundaries (maximal head collisions).
   kSaturated,  ///< Back-to-back cells, load 1.0.
+  kBursty,     ///< On/off trains of back-to-back cells to one destination
+               ///< (the "bursts larger than the buffers" regime of section
+               ///< 2.1): geometric burst lengths, off gaps sized for `load`.
 };
 
 /// Drives one input link of a cycle-accurate switch with framed cells.
@@ -142,13 +184,15 @@ class CellSource : public Component {
     Cycle head_on_wire;  ///< Cycle the head word occupies the link.
   };
 
+  /// `mean_burst_cells` (>= 1) applies to ArrivalKind::kBursty only.
   CellSource(unsigned input, WireLink* link, const CellFormat& fmt, DestPattern* dests,
-             ArrivalKind kind, double load, Rng rng);
+             ArrivalKind kind, double load, Rng rng, double mean_burst_cells = 8.0);
 
   /// Called at the moment a cell's head is driven (for scoreboards).
   void set_on_inject(std::function<void(const Injection&)> cb) { on_inject_ = std::move(cb); }
 
-  /// Stop starting new cells (a cell in progress still completes).
+  /// Stop starting new cells (a cell in progress, or a burst in progress
+  /// under kBursty, still completes).
   void set_enabled(bool on) { enabled_ = on; }
 
   std::uint64_t cells_injected() const { return cells_injected_; }
@@ -162,7 +206,8 @@ class CellSource : public Component {
   std::string name() const override { return "cell_source"; }
 
  private:
-  void begin_gap();
+  /// The cell on the wire is done: continue a burst, or draw the next gap.
+  void end_cell();
 
   unsigned input_;
   WireLink* link_;
@@ -170,11 +215,13 @@ class CellSource : public Component {
   DestPattern* dests_;
   ArrivalKind kind_;
   double load_;
+  double p_stop_;  ///< kBursty: probability the burst ends after each cell.
   Rng rng_;
   bool enabled_ = true;
 
   // Sender state.
   bool sending_ = false;
+  bool in_burst_ = false;  ///< kBursty: dest_ holds for the next cell too.
   unsigned word_idx_ = 0;
   std::uint64_t uid_ = 0;
   unsigned dest_ = 0;
@@ -292,7 +339,10 @@ class SlotTraffic {
   std::uint64_t arrivals_ = 0;
 };
 
-/// A bijective shuffle of {0..n-1} (for PermutationDest).
-std::vector<unsigned> random_permutation(unsigned n, Rng& rng);
+/// A bijective shuffle of {0..n-1} (for PermutationDest). Under
+/// SelfRule::kExcluded, a random single n-cycle (Sattolo's shuffle): a
+/// bijection without fixed points for n >= 2.
+std::vector<unsigned> random_permutation(unsigned n, Rng& rng,
+                                         SelfRule self = SelfRule::kAllowed);
 
 }  // namespace pmsb

@@ -122,24 +122,25 @@ std::string GeneratorSpec::describe() const {
   return s;
 }
 
-std::unique_ptr<DestPattern> GeneratorSpec::make_dest(unsigned n, Rng& rng) const {
+std::unique_ptr<DestPattern> GeneratorSpec::make_dest(unsigned n, Rng& rng,
+                                                     SelfRule self) const {
   switch (kind) {
     case Kind::kPermutation:
-      return std::make_unique<PermutationDest>(random_permutation(n, rng));
+      return std::make_unique<PermutationDest>(random_permutation(n, rng, self));
     case Kind::kHotspot:
-      return std::make_unique<HotspotDest>(n, /*hot=*/0, hot_fraction);
+      return std::make_unique<HotspotDest>(n, /*hot=*/0, hot_fraction, self);
     case Kind::kHotSenders:
-      return std::make_unique<HotSendersDest>(n, /*hot=*/0, hot_fraction);
+      return std::make_unique<HotSendersDest>(n, /*hot=*/0, hot_fraction, self);
     case Kind::kIncast: {
       const unsigned fan = fan_in == 0 ? n / 2 : (fan_in > n ? n : fan_in);
-      return std::make_unique<IncastDest>(n, /*sink=*/0, fan);
+      return std::make_unique<IncastDest>(n, /*sink=*/0, fan, self);
     }
     case Kind::kUniform:
     case Kind::kBursty:  // burstiness shapes arrivals, not destinations
     case Kind::kPareto:
-      return std::make_unique<UniformDest>(n);
+      return std::make_unique<UniformDest>(n, self);
   }
-  return std::make_unique<UniformDest>(n);
+  return std::make_unique<UniformDest>(n, self);
 }
 
 SlotTraffic GeneratorSpec::make_slot_traffic(unsigned n_inputs, double fallback_load,

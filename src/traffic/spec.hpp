@@ -16,6 +16,20 @@
 // load setting applies (GeneratorSpec::load_or). parse() throws
 // std::invalid_argument with a message naming the offending spec -- callers
 // that must not throw (config validation) wrap it.
+//
+// Fabrics run every destination kind through one arrival process
+// (traffic/arrivals.hpp: a Bernoulli trial per cycle, a lossless backlog) on
+// both transports. Bursty and pareto shape arrivals at slot level only
+// (make_slot_traffic), so fabrics reject them. Output 0 is the hot output
+// or the incast sink. A cell-fabric node cannot address itself, so its
+// patterns are built with SelfRule::kExcluded:
+//
+//   uniform      uniform over the other nodes
+//   permutation  a random single cycle (a bijection without fixed points)
+//   hotspot      the same hot draw; a miss, or the hot node's own hit, goes
+//                uniform over the other nodes
+//   hotsenders,  the fixed target unless it is the source; background is
+//   incast       uniform over the outputs other than the target and the source
 
 #pragma once
 
@@ -47,11 +61,13 @@ struct GeneratorSpec {
   /// The load to run at: the spec's own if present, else `fallback`.
   double load_or(double fallback) const { return load.has_value() ? *load : fallback; }
 
-  /// Destination pattern over `n` endpoints. Bursty/pareto shape arrivals,
-  /// not destinations, so they yield uniform destinations here. `rng` seeds
-  /// the permutation draw only; the returned pattern itself is stateless
-  /// per pick() and safe to share across router threads.
-  std::unique_ptr<DestPattern> make_dest(unsigned n, Rng& rng) const;
+  /// Destination pattern over `n` endpoints, under the transport's self
+  /// rule (see the table above). Bursty/pareto shape arrivals, not
+  /// destinations, so they yield uniform destinations here. `rng` seeds the
+  /// permutation draw only; the returned pattern itself is stateless per
+  /// pick() and safe to share across threads.
+  std::unique_ptr<DestPattern> make_dest(unsigned n, Rng& rng,
+                                         SelfRule self = SelfRule::kAllowed) const;
 
   /// Slot-level arrival process at `load_or(fallback_load)` (the only place
   /// the bursty/pareto shapes take effect; other kinds are Bernoulli).

@@ -333,6 +333,9 @@ TEST(WormFabric, ConfigCheckRejectsBadSettings) {
   rejects(Code::kBadLoad, [](auto& c) { c.load = 1.5; });
   rejects(Code::kBadLoad, [](auto& c) { c.traffic = "uniform:nan"; });
   rejects(Code::kBadLoad, [](auto& c) { c.traffic = "hotspot:nan,0.5"; });
+  // Fabrics run Bernoulli arrivals only; burst shapes are slot-level.
+  rejects(Code::kBadLoad, [](auto& c) { c.traffic = "bursty:0.5,12"; });
+  rejects(Code::kBadLoad, [](auto& c) { c.traffic = "pareto:0.6,1.4,10"; });
   rejects(Code::kBadTopology, [](auto& c) { c.fast_node = [](unsigned) { return true; }; });
   rejects(Code::kBadTopology, [](auto& c) { c.flight_recorder = true; });
   // The mesh runs the wormhole transport too: same cell-only options, and

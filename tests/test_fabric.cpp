@@ -233,8 +233,15 @@ TEST(FabricConfigCheck, RejectsBadGeometry) {
   cfg.load = 1.5;
   EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadLoad));
 
-  // Cell fabrics take uniform traffic only, with a finite embedded load.
-  for (const char* traffic : {"hotspot:0.5", "uniform:nan", "pareto:nan,1.4,16"}) {
+  // Cell fabrics take every destination kind with Bernoulli arrivals and a
+  // finite embedded load; the slot-level burst shapes are rejected.
+  for (const char* traffic : {"hotspot:0.5", "hotsenders:0.25,0.95", "permutation:0.5"}) {
+    cfg = small_torus(1);
+    cfg.traffic = traffic;
+    EXPECT_TRUE(cfg.check().ok()) << traffic;
+  }
+  for (const char* traffic :
+       {"uniform:nan", "pareto:nan,1.4,16", "bursty:0.5,12", "pareto:0.6,1.4,10"}) {
     cfg = small_torus(1);
     cfg.traffic = traffic;
     EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadLoad)) << traffic;
@@ -550,12 +557,13 @@ void run_checked_bridge(Corrupt&& corrupt) {
   const fabric::CellCodec codec{SwitchConfig::for_ports(4).cell_format(), bits_for(16)};
   fabric::Channel rx{8};
   WireLink link;
-  fabric::Injector injector;
-  injector.rng = Rng(5);
-  injector.cells_per_cycle = 0.02;
-  injector.n_nodes = 16;
+  UniformDest others(16, SelfRule::kExcluded);
+  traffic::Arrivals arrivals;
+  arrivals.per_cycle = 0.02;
+  arrivals.dests = &others;
+  arrivals.rng = Rng(5);
   fabric::Ejector ejector;
-  fabric::PortBridge bridge(&topo, &codec, 0, net::kWest, &rx, &link, &injector, &ejector);
+  fabric::PortBridge bridge(&topo, &codec, 0, net::kWest, &rx, &link, &arrivals, &ejector);
   // Transit cells for node 2 entering node 0 from the west, every 2L cycles.
   const std::vector<Word> cell = codec.build(net::kEast, 2, 3, 1, 0);
   const auto len = static_cast<Cycle>(cell.size());
@@ -567,7 +575,7 @@ void run_checked_bridge(Corrupt&& corrupt) {
     link.tick();
   };
   for (Cycle t = 0; t < 600; ++t) step(t);
-  if (bridge.relayed() == 0 || injector.generated == 0) std::exit(1);  // Pool unexercised.
+  if (bridge.relayed() == 0 || arrivals.generated == 0) std::exit(1);  // Pool unexercised.
   corrupt(bridge);
   step(600);
   std::exit(0);
@@ -716,6 +724,37 @@ TEST(FabricDataflow, MatchesBarrierAcrossThreadCounts) {
           << threads << " stage " << s;
       EXPECT_EQ(want_flight.stage(st).sum(), got_flight.stage(st).sum())
           << threads << " stage " << s;
+    }
+  }
+}
+
+// Cell fabrics run every destination kind through the arrival process the
+// wormhole fabrics use. Each kind keeps the fabric contract: exact
+// conservation, verified payloads, and the same results at 1 and 4 workers
+// and one node per task, with idle skipping on and off.
+TEST(FabricDataflow, EveryDestinationKindConservesAcrossPartitions) {
+  for (const char* traffic : {"hotsenders:0.25,0.95", "hotspot:0.3,0.5", "permutation:0.5"}) {
+    SCOPED_TRACE(traffic);
+    fabric::FabricConfig base = small_torus(1);
+    base.traffic = traffic;
+    base.idle_skip = 0;
+    const auto ref = make_fabric(base);
+    ref->run(2000);
+    const fabric::FabricStats want = ref->stats();
+    ASSERT_GT(want.delivered, 0u);
+    EXPECT_EQ(want.payload_errors, 0u);
+    EXPECT_EQ(want.injected, want.delivered + want.dropped() + want.backlog + want.in_network);
+    for (unsigned threads : {1u, 4u, base.topo.nodes()}) {
+      for (int idle_skip : {0, 1}) {
+        if (threads == 1 && idle_skip == 0) continue;  // The reference.
+        fabric::FabricConfig cfg = with_threads(base, threads);
+        cfg.idle_skip = idle_skip;
+        const auto fab = make_fabric(cfg);
+        fab->run(2000);
+        SCOPED_TRACE("threads " + std::to_string(threads) + " idle_skip " +
+                     std::to_string(idle_skip));
+        expect_same_stats(want, fab->stats());
+      }
     }
   }
 }

@@ -54,7 +54,6 @@ TEST(MetricsRegistry, CounterRecordMaxIsHighWater) {
 TEST(MetricsRegistry, DisabledRegistryIsInert) {
   obs::MetricsRegistry m(/*enabled=*/false);
   EXPECT_EQ(m.counter("x"), nullptr);
-  EXPECT_EQ(m.histogram("h", 16), nullptr);
   int pulls = 0;
   m.add_gauge("g", [&] {
     ++pulls;
@@ -94,27 +93,18 @@ TEST(MetricsRegistry, ResetClearsValuesButKeepsRegistrations) {
   obs::Counter* c = m.counter("n");
   c->inc(42);
   m.add_gauge("g", [] { return 1.0; });
-  Histogram* h = m.histogram("h", 8);
+  HdrHistogram* h = m.hdr_histogram("h");
   ASSERT_NE(h, nullptr);
   h->add(3);
   m.sample(5);
 
   m.reset();
   EXPECT_EQ(c->value(), 0u);  // Cached pointer still valid, value zeroed.
+  EXPECT_EQ(h->samples(), 0u);
   EXPECT_EQ(m.find_gauge("g")->samples, 0u);
   EXPECT_EQ(m.samples_taken(), 0u);
   c->inc();  // Still usable after reset.
   EXPECT_EQ(m.find_counter("n")->value(), 1u);
-}
-
-TEST(MetricsRegistryDeath, HistogramMaxValueMismatch) {
-  // Re-requesting a histogram under the same name with a different max_value
-  // used to silently hand back the existing histogram, so the second caller's
-  // samples were clamped to the first caller's range. Now it aborts.
-  obs::MetricsRegistry m;
-  ASSERT_NE(m.histogram("lat", 64), nullptr);
-  ASSERT_NE(m.histogram("lat", 64), nullptr);  // Same geometry: fine.
-  EXPECT_DEATH(m.histogram("lat", 128), "different max_value");
 }
 
 TEST(MetricsRegistry, HdrHistogramCreateOrGet) {

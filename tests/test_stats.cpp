@@ -9,66 +9,11 @@
 #include <vector>
 
 #include "stats/hdr_histogram.hpp"
-#include "stats/histogram.hpp"
 #include "stats/stats.hpp"
 #include "stats/table.hpp"
 
 namespace pmsb {
 namespace {
-
-TEST(Histogram, MeanAndCount) {
-  Histogram h(64);
-  h.add(2);
-  h.add(4);
-  h.add(6);
-  EXPECT_EQ(h.samples(), 3u);
-  EXPECT_DOUBLE_EQ(h.mean(), 4.0);
-}
-
-TEST(Histogram, Percentiles) {
-  Histogram h(128);
-  for (std::uint64_t v = 1; v <= 100; ++v) h.add(v);
-  EXPECT_EQ(h.percentile(0.0), 1u);
-  EXPECT_EQ(h.percentile(0.5), 50u);
-  EXPECT_EQ(h.percentile(0.99), 99u);
-  EXPECT_EQ(h.percentile(1.0), 100u);
-}
-
-TEST(Histogram, MinMax) {
-  Histogram h(64);
-  h.add(9);
-  h.add(3);
-  h.add(42);
-  EXPECT_EQ(h.min(), 3u);
-  EXPECT_EQ(h.max(), 42u);
-}
-
-TEST(Histogram, OverflowClampsBucketButNotMean) {
-  Histogram h(10);
-  h.add(1000);
-  EXPECT_EQ(h.max(), 10u);           // Clamped bucket.
-  EXPECT_DOUBLE_EQ(h.mean(), 1000);  // Exact sum retained.
-}
-
-TEST(Histogram, MergeAndClear) {
-  Histogram a(16), b(16);
-  a.add(1);
-  b.add(3);
-  a.merge(b);
-  EXPECT_EQ(a.samples(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  a.clear();
-  EXPECT_EQ(a.samples(), 0u);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(16);
-  h.add(5, 10);
-  EXPECT_EQ(h.samples(), 10u);
-  EXPECT_EQ(h.percentile(0.5), 5u);
-}
-
-// ---- HdrHistogram ----------------------------------------------------------
 
 TEST(HdrHistogram, ExactBelowSubBucketThreshold) {
   HdrHistogram h(7);  // Values < 128 are one bucket each.

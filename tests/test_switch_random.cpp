@@ -96,7 +96,7 @@ TEST_P(SwitchBursty, BurstTrainsSurviveVerification) {
   cfg.capacity_segments = 32;
   TrafficSpec spec;
   spec.load = 0.8;
-  spec.bursty = true;
+  spec.arrivals = ArrivalKind::kBursty;
   spec.mean_burst_cells = 6.0;
   spec.seed = GetParam();
   PipelinedTestbench tb(cfg, cfg.n_ports, cfg.cell_format(), spec);

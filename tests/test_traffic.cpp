@@ -6,8 +6,8 @@
 #include "core/testbench.hpp"
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
+#include "traffic/arrivals.hpp"
 #include "traffic/generators.hpp"
-#include "traffic/messages.hpp"
 #include "traffic/spec.hpp"
 
 namespace pmsb {
@@ -128,7 +128,7 @@ TEST(BurstySource, LoadMatchesAndBurstsShareDest) {
   WireLink link;
   UniformDest dests(8);
   CellFormat fmt{16, 3, 8};
-  BurstyCellSource src(0, &link, fmt, &dests, 0.6, 8.0, Rng(12));
+  CellSource src(0, &link, fmt, &dests, ArrivalKind::kBursty, 0.6, Rng(12), 8.0);
   std::vector<unsigned> dests_seen;
   src.set_on_inject(
       [&](const CellSource::Injection& i) { dests_seen.push_back(i.dest); });
@@ -275,7 +275,9 @@ TEST(GeneratorSpec, ParsesEveryKindAndRoundTrips) {
     const auto b = GeneratorSpec::parse(a.describe());
     EXPECT_EQ(a.kind, b.kind) << text;
     EXPECT_EQ(a.load.has_value(), b.load.has_value()) << text;
-    if (a.load.has_value()) EXPECT_DOUBLE_EQ(*a.load, *b.load) << text;
+    if (a.load.has_value()) {
+      EXPECT_DOUBLE_EQ(*a.load, *b.load) << text;
+    }
     EXPECT_DOUBLE_EQ(a.hot_fraction, b.hot_fraction) << text;
     EXPECT_EQ(a.fan_in, b.fan_in) << text;
     EXPECT_DOUBLE_EQ(a.mean_burst, b.mean_burst) << text;
@@ -302,6 +304,133 @@ TEST(GeneratorSpec, MakeDestMatchesKind) {
   const auto dest = hs.make_dest(16, rng);
   EXPECT_EQ(dest->pick(3, rng), 0u);   // aggressor input
   EXPECT_NE(dest->pick(0, rng), 0u);   // background input
+}
+
+// ---------------------------------------------------------------------------
+// traffic::Arrivals, the fabric endpoints' one arrival process.
+
+struct Draw {
+  Cycle cycle;
+  unsigned dest;
+  std::uint64_t seq;
+  bool operator==(const Draw&) const = default;
+};
+
+traffic::Arrivals make_arrivals(DestPattern* dests, unsigned src, double per_cycle,
+                                std::uint64_t seed) {
+  traffic::Arrivals a;
+  a.per_cycle = per_cycle;
+  a.src = src;
+  a.dests = dests;
+  a.rng = Rng(seed);
+  return a;
+}
+
+/// Move everything the backlog holds into `out`.
+void drain(traffic::Arrivals& a, std::vector<Draw>& out) {
+  for (const auto& p : a.backlog) out.push_back(Draw{p.created, p.dest, p.seq});
+  a.backlog.clear();
+}
+
+// Stepping every cycle and jumping from arrival to arrival (what idle
+// skipping does between arrivals) consume the RNG stream identically.
+TEST(Arrivals, SkippedStretchesReplayTheSteppedDraws) {
+  UniformDest dests(16);
+  traffic::Arrivals stepped = make_arrivals(&dests, 3, 0.01, 7);
+  traffic::Arrivals skipped = make_arrivals(&dests, 3, 0.01, 7);
+  std::vector<Draw> a, b;
+  constexpr Cycle kCycles = 50000;
+  for (Cycle t = 0; t < kCycles; ++t) {
+    stepped.step(t);
+    drain(stepped, a);
+  }
+  for (Cycle t = 0; t < kCycles; t = skipped.next_arrival) {
+    skipped.step(t);
+    drain(skipped, b);
+  }
+  ASSERT_GT(a.size(), 300u);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(stepped.generated, a.size());
+  for (std::size_t k = 0; k < a.size(); ++k) EXPECT_EQ(a[k].seq, k);
+}
+
+// The cell fabrics' uniform draw is pinned: per-cycle Bernoulli trials, then
+// next_below(n - 1) stepped past the source -- the formula every torus and
+// ring artifact was produced with.
+TEST(Arrivals, UniformExcludingSelfMatchesPinnedCellDraw) {
+  constexpr unsigned kNodes = 16, kSelf = 5;
+  constexpr double kRate = 0.05;
+  UniformDest others(kNodes, SelfRule::kExcluded);
+  traffic::Arrivals a = make_arrivals(&others, kSelf, kRate, 99);
+  std::vector<Draw> got;
+  for (Cycle t = 0; got.size() < 200; ++t) {
+    a.step(t);
+    drain(a, got);
+  }
+  Rng ref(99);
+  Cycle t = 0;
+  for (std::uint64_t k = 0; k < 200; ++k, ++t) {
+    while (!ref.next_bool(kRate)) ++t;
+    auto dest = static_cast<unsigned>(ref.next_below(kNodes - 1));
+    if (dest >= kSelf) ++dest;
+    EXPECT_EQ(got[k], (Draw{t, dest, k})) << k;
+  }
+}
+
+TEST(Arrivals, ZeroRateNeverArrives) {
+  UniformDest dests(4);
+  traffic::Arrivals a = make_arrivals(&dests, 0, 0.0, 1);
+  EXPECT_EQ(a.next_arrival, 0);  // Unprimed: a wake query must not skip.
+  a.step(0);
+  EXPECT_EQ(a.next_arrival, kNeverWake);
+  EXPECT_TRUE(a.backlog.empty());
+}
+
+// With self excluded, no kind ever addresses its source, down to n = 2.
+TEST(Patterns, SelfExcludedNeverPicksTheSource) {
+  using traffic::GeneratorSpec;
+  for (unsigned n : {2u, 3u, 16u}) {
+    for (const char* text : {"uniform", "permutation", "hotspot:0.3", "hotspot:1",
+                             "hotsenders:0.25", "hotsenders:1", "incast:1", "incast:16",
+                             "bursty:0.5", "pareto:0.5"}) {
+      Rng rng(n);
+      const auto dests = GeneratorSpec::parse(text).make_dest(n, rng, SelfRule::kExcluded);
+      for (unsigned src = 0; src < n; ++src) {
+        for (int k = 0; k < 10000; ++k) {
+          const unsigned d = dests->pick(src, rng);
+          ASSERT_LT(d, n) << text << " n=" << n;
+          ASSERT_NE(d, src) << text << " n=" << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(Patterns, SelfExcludedPermutationIsADerangement) {
+  for (unsigned n : {2u, 3u, 16u, 64u}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      Rng rng(seed);
+      const std::vector<unsigned> p = random_permutation(n, rng, SelfRule::kExcluded);
+      std::vector<bool> hit(n, false);
+      for (unsigned i = 0; i < n; ++i) {
+        ASSERT_LT(p[i], n);
+        EXPECT_NE(p[i], i) << "fixed point, n=" << n << " seed=" << seed;
+        EXPECT_FALSE(hit[p[i]]) << "not a bijection, n=" << n << " seed=" << seed;
+        hit[p[i]] = true;
+      }
+    }
+  }
+}
+
+// Background traffic with the source excluded is uniform over the outputs
+// other than the target and the source, through the shared skip helper.
+TEST(Patterns, UniformExceptSkipsExcludedValuesInOrder) {
+  Rng rng(3);
+  std::vector<unsigned> count(8, 0);
+  for (int k = 0; k < 60000; ++k) ++count[uniform_except(rng, 8, 5, 2)];
+  EXPECT_EQ(count[2], 0u);
+  EXPECT_EQ(count[5], 0u);
+  for (unsigned v : {0u, 1u, 3u, 4u, 6u, 7u}) EXPECT_NEAR(count[v], 10000, 500) << v;
 }
 
 }  // namespace
