@@ -98,6 +98,7 @@ class DualPipelinedSwitch : public Component {
   struct InFsm {
     bool receiving = false;
     unsigned phase = 0;
+    unsigned stage = 0;  ///< Input latch of word `phase`: phase mod S (wraps).
     unsigned dest = 0;
     Cycle a0 = 0;
   };

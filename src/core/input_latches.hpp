@@ -16,7 +16,8 @@
 // and tick() commits exactly that list, so the clock edge costs O(loads)
 // instead of a walk over the whole array. A latch may be loaded at most
 // once per cycle, like any other register, which also keeps the list free
-// of duplicates.
+// of duplicates. latch() and tick() are defined here so the switches' per-word
+// arrival loop and clock edge inline them.
 
 #pragma once
 
@@ -37,7 +38,23 @@ class InputLatches {
   Word read(unsigned input, unsigned s) const { return latches_[index(input, s)].q; }
 
   /// Stage a latch load at the end of the current cycle `t`.
-  void latch(unsigned input, unsigned s, Word data, Cycle t);
+  void latch(unsigned input, unsigned s, Word data, Cycle t) {
+    PMSB_CHECK((data & ~mask_) == 0, "latched word wider than the link");
+    const std::size_t i = index(input, s);
+    Latch& l = latches_[i];
+    PMSB_CHECK(!l.loaded, "input latch loaded twice in one cycle");
+    // The overwrite commits at the end of cycle t, so the old value is still
+    // readable during t itself; it is lost from cycle t+1 on. Two commits
+    // are legal while a wave is outstanding: the arriving word the wave
+    // expects (t == expected_commit) and anything at/after the consumption
+    // cycle.
+    PMSB_CHECK(t == l.expected_commit || t >= l.needed_until,
+               "input latch overwritten while a scheduled write wave still "
+               "needs it -- the no-double-buffering property is violated");
+    l.d = data;
+    l.loaded = true;
+    staged_.push_back(i);
+  }
 
   /// Declare that the write wave initiated at t0 (for the segment whose
   /// head word was latched at the end of a0) consumes IR[input][s] during
@@ -49,7 +66,14 @@ class InputLatches {
   void protect_for_wave(unsigned input, Cycle t0, Cycle a0);
 
   /// Clock edge at the end of cycle t: commit the latches loaded during t.
-  void tick(Cycle t);
+  void tick(Cycle) {
+    for (const std::size_t i : staged_) {
+      Latch& l = latches_[i];
+      l.q = l.d;
+      l.loaded = false;
+    }
+    staged_.clear();
+  }
 
  private:
   unsigned n_inputs_;

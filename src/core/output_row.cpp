@@ -8,8 +8,8 @@ OutputRow::OutputRow(unsigned stages, unsigned n_outputs, unsigned word_bits)
     : stages_(stages),
       n_outputs_(n_outputs),
       mask_(low_mask(word_bits)),
-      staged_(stages),
-      loaded_(stages),
+      staged_(stages + 1),
+      loaded_(stages + 1),
       audit_(check::env_enabled()) {
   PMSB_CHECK(stages > 0 && n_outputs > 0, "degenerate output row");
 }

@@ -17,6 +17,13 @@
 // memory loads in ascending stage order (its active-stage walk), so the
 // links are driven in the order a full scan would use. Under PMSB_CHECK=1
 // drive_links() recounts the list against the registers' valid flags.
+//
+// Every busy memory stage calls load_if() whatever its operation, so the
+// stage walk has no branch on read versus write: a stage that loads nothing
+// (a plain write) stores into one spare register past OR[S-1] and one spare
+// list entry, both never counted. It must not store into OR[s] itself:
+// DualPipelinedSwitch shares one row between two memories, and in one
+// cycle one memory may load OR[s] while the other writes at stage s.
 
 #pragma once
 
@@ -36,15 +43,23 @@ class OutputRow {
   /// Stage s captures `data` this cycle, to drive `out_link` next cycle.
   /// `sop` marks the head word of a cell (stage 0 of the head segment).
   void load(unsigned s, Word data, unsigned out_link, bool sop) {
+    load_if(true, s, data, out_link, sop);
+  }
+
+  /// load() if `enable`; otherwise store into the spare register, never into
+  /// OR[s], which another memory sharing this row may load this cycle.
+  void load_if(bool enable, unsigned s, Word data, unsigned out_link, bool sop) {
+    // Bitwise, not short-circuit, so that neither check branches on enable.
     PMSB_CHECK(s < stages_, "output-row stage out of range");
-    PMSB_CHECK(out_link < n_outputs_, "output link out of range");
-    PMSB_CHECK((data & ~mask_) == 0, "output word wider than the link");
-    Slot& slot = staged_[s];
+    PMSB_CHECK((out_link < n_outputs_) | !enable, "output link out of range");
+    PMSB_CHECK(((data & ~mask_) == 0) | !enable, "output word wider than the link");
+    Slot& slot = staged_[enable ? s : stages_];
     PMSB_CHECK(!slot.valid, "output register loaded twice in one cycle");
-    slot.valid = true;
+    slot.valid = enable;  // The spare register never becomes valid.
     slot.out_link = out_link;
     slot.flit = Flit{true, sop, data};
-    loaded_[n_loaded_++] = s;
+    loaded_[n_loaded_] = s;  // Listed only if enabled.
+    n_loaded_ += enable;
   }
 
   /// Put every value loaded this cycle onto its outgoing link for the next
@@ -80,8 +95,10 @@ class OutputRow {
     unsigned out_link = 0;
     Flit flit;
   };
-  std::vector<Slot> staged_;      ///< Loads performed this cycle.
-  std::vector<unsigned> loaded_;  ///< Stages loaded this cycle, first n_loaded_ entries.
+  std::vector<Slot> staged_;      ///< Loads performed this cycle; [stages_] is the spare.
+  /// Stages loaded this cycle, first n_loaded_ entries; one spare entry past
+  /// the S a cycle can load.
+  std::vector<unsigned> loaded_;
   unsigned n_loaded_ = 0;
   bool audit_;                    ///< check::env_enabled() at construction.
 };

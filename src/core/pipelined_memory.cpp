@@ -17,21 +17,13 @@ PipelinedMemory::PipelinedMemory(unsigned stages, std::size_t words_per_stage, u
 void PipelinedMemory::exec_cycle(const InputLatches& ir, OutputRow& orow) {
   if (audit_) audit();
   ctrl_.for_each_active([&](unsigned s, const StageCtrl& c) {
+    // An active stage's op is kWrite, kRead or kWriteSnoop: bit 0 writes the
+    // bank, bit 1 loads OR[s]. One bank access and one conditional load, no
+    // branch on the kind.
+    const auto op = static_cast<unsigned>(c.op);
     const auto addr = static_cast<std::size_t>(addr_path_.active_addr(s, c.addr, true));
-    switch (c.op) {
-      case StageOp::kNone:
-        break;
-      case StageOp::kWrite:
-        banks_[s].write(addr, ir.read(c.in_link, s));
-        break;
-      case StageOp::kRead:
-        orow.load(s, banks_[s].read(addr), c.out_link, c.head && s == 0);
-        break;
-      case StageOp::kWriteSnoop:
-        orow.load(s, banks_[s].write_snoop(addr, ir.read(c.in_link, s)), c.out_link,
-                  c.head && s == 0);
-        break;
-    }
+    const Word bus = banks_[s].access(addr, (op & 1) != 0, ir.read(c.in_link, s));
+    orow.load_if((op & 2) != 0, s, bus, c.out_link, c.head && s == 0);
   });
   // Every active stage found a valid word line above; equal counts leave no
   // valid word line on an idle stage (figure 7a/7b equivalence).

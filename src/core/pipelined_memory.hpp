@@ -17,6 +17,12 @@
 // PMSB_CHECK=1 every cycle also starts by recounting the control ring and
 // the word-line flags from the underlying arrays and by checking that the
 // sparse tick left no bank touched.
+//
+// Each visited stage costs a few loads and stores and no data-dependent
+// branch: the op's bits give the access kind (bit 0 writes the bank, bit 1
+// loads OR[s]), so the stage makes one SramBank::access and one
+// OutputRow::load_if whatever its operation, and its address comes from
+// its word-line register without a scan.
 
 #pragma once
 

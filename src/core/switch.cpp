@@ -247,6 +247,7 @@ void PipelinedSwitch::process_arrivals(Cycle t) {
       fsm.a0 = t;
       ir_.latch(i, 0, f.data, t);
       fsm.phase = 1;
+      fsm.stage = S_ > 1 ? 1 : 0;
       PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
       ++stats_.heads_seen;
       events_.head(i, t, fsm.dest);
@@ -267,7 +268,8 @@ void PipelinedSwitch::process_arrivals(Cycle t) {
       pending_[i] = Pending{true, t, fsm.dest, false};
     } else {
       PMSB_CHECK(f.valid && !f.sop, "gap or unexpected head inside a cell");
-      ir_.latch(i, fsm.phase % S_, f.data, t);
+      ir_.latch(i, fsm.stage, f.data, t);
+      fsm.stage = fsm.stage + 1 == S_ ? 0 : fsm.stage + 1;
       ++fsm.phase;
       if (fsm.phase == cfg_.cell_words) fsm.receiving = false;
     }

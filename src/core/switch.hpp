@@ -157,6 +157,7 @@ class PipelinedSwitch final : public Component {
   struct InFsm {
     bool receiving = false;
     unsigned phase = 0;   ///< Next word index to latch.
+    unsigned stage = 0;   ///< Its input latch, phase mod S (wraps, no division).
     unsigned dest = 0;
     Cycle a0 = 0;
   };

@@ -25,20 +25,20 @@ AddressPath::AddressPath(unsigned stages, std::size_t words, AddrPathMode mode)
     : stages_(stages),
       words_(words),
       mode_(mode),
-      blocks_((words + 63) / 64),
-      bits_(stages * ((words + 63) / 64), 0),
-      valid_(stages, 0) {
+      regs_(stages) {
   PMSB_CHECK(stages >= 1, "address path needs at least one stage");
   PMSB_CHECK(words >= 1, "address path needs at least one word line");
 }
 
 void AddressPath::audit() const {
   unsigned valid = 0;
-  for (unsigned p = 0; p < stages_; ++p) {
-    valid += valid_[p];
-    if (valid_[p]) continue;
-    for (std::size_t i = 0; i < blocks_; ++i)
-      PMSB_CHECK(bits_[p * blocks_ + i] == 0, "invalid word-line register holds a live line");
+  for (const LineReg& r : regs_) {
+    if (r.lines == 0) continue;
+    ++valid;
+    PMSB_CHECK((r.lines & (r.lines - 1)) == 0, "word-line vector is not one-hot");
+    PMSB_CHECK(std::size_t{r.block} * 64 + static_cast<std::size_t>(std::countr_zero(r.lines)) <
+                   words_,
+               "word-line register holds a line beyond the array");
   }
   PMSB_CHECK(valid == valid_count_, "word-line pipeline's running valid count diverged");
 }

@@ -13,25 +13,29 @@
 // *executes* the one-hot pipeline so tests can verify the functional
 // equivalence claim rather than assume it.
 //
-// Representation: the word-line registers are stored as 64-line blocks
-// (std::uint64_t) in one flat ring buffer. A clock edge rotates the ring
-// head instead of copying stages-1 D-bit vectors, and recovering an address
-// scans D/64 words instead of D bools -- the same datapath semantics
-// (genuine one-hot bits, checked on every read) at a fraction of the
-// simulation cost. This path sits inside the per-cycle kernel loop of every
-// cycle-accurate experiment, so it dominated bench_sim_speed before the
-// block rewrite. A running count of valid slots keeps the register-transfer
-// count exact without a per-stage loop at the clock edge, and lets the
-// memory replace the idle-stage checks with one comparison per cycle: it
-// asks only the stages the control pipeline drives (each must hold a valid
-// word line), then requires valid_slots() == the control pipeline's active
-// count, so no word line can be live on a stage the control leaves idle.
-// active_addr() and tick() are defined in this header so the per-cycle
-// calls inline into PipelinedMemory.
+// Representation: a one-hot word-line register holds exactly one of its D
+// lines, so each register is stored as the 64-line block that holds the
+// line plus that block's bits (the other D/64 - 1 blocks are all zero and
+// are not stored). The registers form one ring; a clock edge rotates the
+// ring head instead of copying stages-1 D-bit vectors. Recovering an address
+// is one load and one countr_zero -- the same datapath semantics (a genuine
+// one-hot line, checked on every use) at a fraction of the simulation cost,
+// which matters because this path sits inside the per-stage loop of every
+// cycle-accurate experiment. Decode checks that the staging register is
+// clear before it sets one line; every use checks that the register holds
+// exactly one line and that it names the address the control pipeline
+// carries; retirement clears one word. A register is valid iff its block
+// holds a line. A running count of valid registers keeps the
+// register-transfer count exact without a per-stage loop at the clock edge,
+// and lets the memory replace the idle-stage checks with one comparison per
+// cycle: it asks only the stages the control pipeline drives (each must
+// hold a valid word line), then requires valid_slots() == the control
+// pipeline's active count, so no word line can be live on a stage the
+// control leaves idle. active_addr() and tick() are defined in this header
+// so the per-cycle calls inline into PipelinedMemory.
 
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -72,14 +76,16 @@ class AddressPath {
   /// valid line this cycle. Always 0 in kPerStageDecoders mode.
   unsigned valid_slots() const { return valid_count_; }
 
-  /// Recount the valid flags and word lines (checked mode): aborts if the
-  /// running count or an invalid slot's lines diverged.
+  /// Recount the valid registers (checked mode): aborts if the running count
+  /// diverged or a register holds two lines or a line beyond the array.
   void audit() const;
 
   std::uint64_t decode_ops() const { return decode_ops_; }
   std::uint64_t one_hot_reg_transfers() const { return one_hot_transfers_; }
 
  private:
+  friend struct AddressPathPeer;  ///< Test access (corrupts registers in death tests).
+
   /// Physical ring slot of logical word-line register s. Slot phys(0) stages
   /// the stage-0 decoder output for the next shift; slots phys(1..stages-1)
   /// are the registers between stages. tick() rotates head_ so that the old
@@ -89,14 +95,19 @@ class AddressPath {
     return p < stages_ ? p : p - stages_;
   }
 
+  /// One word-line register: lines [64 * block, 64 * block + 64) are
+  /// `lines`, every other line is low. Valid iff lines != 0.
+  struct LineReg {
+    std::uint32_t block = 0;
+    std::uint64_t lines = 0;
+  };
+
   unsigned stages_;
   std::size_t words_;
   AddrPathMode mode_;
 
-  std::size_t blocks_;                ///< 64-line blocks per register.
-  std::vector<std::uint64_t> bits_;   ///< stages_ x blocks_ ring of word lines.
-  std::vector<std::uint8_t> valid_;   ///< Per-slot valid flag.
-  unsigned valid_count_ = 0;          ///< Set flags in valid_.
+  std::vector<LineReg> regs_;  ///< Ring of the stages_ word-line registers.
+  unsigned valid_count_ = 0;   ///< Registers holding a line.
   unsigned head_ = 0;
 
   std::uint64_t decode_ops_ = 0;
@@ -111,33 +122,26 @@ inline long AddressPath::active_addr(unsigned s, std::uint32_t ctrl_addr, bool s
     PMSB_CHECK(ctrl_addr < words_, "decode address out of range");
     return static_cast<long>(ctrl_addr);
   }
-  // Figure 7(b): stage 0 decodes; later stages use the registered one-hot
-  // vector shifted along the word lines.
-  if (s == 0) {
-    if (!stage_active) return -1;
+  // Figure 7(b): stage 0 decodes into the staging register; every stage,
+  // stage 0 included, then drives the line its register holds.
+  LineReg& r = regs_[phys(s)];
+  if (s == 0 && stage_active) {
     ++decode_ops_;
     PMSB_CHECK(ctrl_addr < words_, "decode address out of range");
-    const unsigned p = phys(0);  // Cleared by the previous tick().
-    if (!valid_[p]) ++valid_count_;
-    valid_[p] = 1;
-    bits_[p * blocks_ + ctrl_addr / 64] |= std::uint64_t{1} << (ctrl_addr % 64);
-    return static_cast<long>(ctrl_addr);
+    PMSB_CHECK(r.lines == 0, "decode into a word-line register that still holds a line");
+    r.block = ctrl_addr / 64;
+    r.lines = std::uint64_t{1} << (ctrl_addr % 64);
+    ++valid_count_;
   }
-  const unsigned p = phys(s);
-  if (!valid_[p]) {
+  const std::uint64_t b = r.lines;
+  if (b == 0) {
     PMSB_CHECK(!stage_active, "control pipeline active but word-line pipeline idle");
     return -1;
   }
   PMSB_CHECK(stage_active, "word-line pipeline active but control pipeline idle");
-  const std::uint64_t* blocks = &bits_[p * blocks_];
-  long found = -1;
-  for (std::size_t i = 0; i < blocks_; ++i) {
-    const std::uint64_t b = blocks[i];
-    if (b == 0) continue;
-    PMSB_CHECK(found < 0 && (b & (b - 1)) == 0, "word-line vector is not one-hot");
-    found = static_cast<long>(i * 64 + static_cast<std::size_t>(std::countr_zero(b)));
-  }
-  PMSB_CHECK(found >= 0, "word-line vector has no active line");
+  PMSB_CHECK((b & (b - 1)) == 0, "word-line vector is not one-hot");
+  const auto found = static_cast<long>(std::size_t{r.block} * 64 +
+                                       static_cast<std::size_t>(std::countr_zero(b)));
   PMSB_CHECK(static_cast<std::uint32_t>(found) == ctrl_addr,
              "decoded-address pipeline diverged from the address the control "
              "pipeline carries (figure 7b functional-equivalence violation)");
@@ -152,17 +156,13 @@ inline void AddressPath::tick() {
   // (its stage already fired) and are not transferred anywhere; with one
   // stage, the staging slot is the last slot and nothing transfers.
   const unsigned last = phys(stages_ - 1);
-  const unsigned retiring = valid_[last];
+  const unsigned retiring = regs_[last].lines != 0 ? 1 : 0;
   one_hot_transfers_ += valid_count_ - retiring;
+  valid_count_ -= retiring;
   // Rotate the ring: old phys(s-1) becomes new phys(s). The retiring last
-  // slot becomes the new staging slot and is wiped for the next decode (an
-  // invalid slot has no line set).
+  // register becomes the new staging register, cleared for the next decode.
+  regs_[last].lines = 0;
   head_ = last;
-  if (retiring) {
-    --valid_count_;
-    valid_[last] = 0;
-    std::fill_n(bits_.begin() + static_cast<std::ptrdiff_t>(last * blocks_), blocks_, 0);
-  }
 }
 
 }  // namespace pmsb

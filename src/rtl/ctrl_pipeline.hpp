@@ -47,6 +47,13 @@ enum class StageOp : std::uint8_t {
                 ///< out_link (same-cycle cut-through, section 3.3).
 };
 
+// PipelinedMemory::exec_cycle takes the access kind from these bits: bit 0
+// writes the stage's bank, bit 1 loads its output register.
+static_assert(static_cast<unsigned>(StageOp::kWrite) == 1 &&
+                  static_cast<unsigned>(StageOp::kRead) == 2 &&
+                  static_cast<unsigned>(StageOp::kWriteSnoop) == 3,
+              "StageOp values encode the write and load bits");
+
 const char* to_string(StageOp op);
 
 /// Control wires entering one stage during one cycle.

@@ -13,8 +13,15 @@
 // `write_snoop()`, which performs the single physical write access and also
 // returns the bus data for the snooper.
 //
-// The access functions are defined here so the per-stage loop of
-// PipelinedMemory::exec_cycle inlines them, port check included.
+// One access path: access(addr, is_write, data) serves reads, writes and
+// snoops alike without branching on the kind, so the per-stage loop of
+// PipelinedMemory::exec_cycle, which takes the kind from the op bits, pays
+// no mispredicted branch per stage. read(), write() and write_snoop() are
+// thin wrappers over it. The write a cycle stages is held as one
+// (address, data) pair; the array carries one spare word past its last
+// address, and "no write pending" is the pair naming that spare word, so
+// tick() commits unconditionally. The functions are defined here so
+// exec_cycle inlines them, port check included.
 
 #pragma once
 
@@ -30,48 +37,51 @@ class SramBank {
   /// `words` addressable words of `word_bits` bits each.
   SramBank(std::size_t words, unsigned word_bits);
 
-  std::size_t size() const { return array_.size(); }
+  std::size_t size() const { return spare_; }
   unsigned word_bits() const { return word_bits_; }
 
-  /// Single-port read access for this cycle.
-  Word read(std::size_t addr) {
-    PMSB_CHECK(addr < array_.size(), "SRAM read address out of range");
+  /// The single port's access for this cycle: a write (or snooped write)
+  /// if `is_write`, staging `data` to commit at tick(), else a read. Returns
+  /// what the bank drives out: the bus data for a write -- what a snooping
+  /// output register captures -- and the committed array word for a read.
+  /// `data` is ignored by a read.
+  Word access(std::size_t addr, bool is_write, Word data) {
+    // All ones for a write, zero for a read: the kind selects by masking, so
+    // the compiler has no branch to make of it.
+    const Word w = Word{0} - is_write;
+    PMSB_CHECK(addr < spare_, "SRAM access address out of range");
+    PMSB_CHECK((data & ~mask_ & w) == 0, "SRAM write data wider than the bank");
     claim_port();
-    ++total_reads_;
-    return array_[addr];
+    total_writes_ += is_write;
+    total_reads_ += !is_write;
+    pend_addr_ = spare_ ^ ((addr ^ spare_) & static_cast<std::size_t>(w));
+    pend_data_ = data;
+    return (data & w) | (array_[addr] & ~w);
   }
+
+  /// Single-port read access for this cycle.
+  Word read(std::size_t addr) { return access(addr, false, 0); }
 
   /// Single-port write access for this cycle; commits at tick().
-  void write(std::size_t addr, Word data) {
-    PMSB_CHECK(addr < array_.size(), "SRAM write address out of range");
-    PMSB_CHECK((data & ~mask_) == 0, "SRAM write data wider than the bank");
-    claim_port();
-    ++total_writes_;
-    write_pending_ = true;
-    pend_addr_ = addr;
-    pend_data_ = data;
-  }
+  void write(std::size_t addr, Word data) { access(addr, true, data); }
 
   /// Write access whose bus data is also captured by the output register row
-  /// (automatic cut-through, section 3.3). One physical access.
-  Word write_snoop(std::size_t addr, Word data) {
-    write(addr, data);
-    return data;  // The snooper sees the bus, not the array.
-  }
+  /// (automatic cut-through, section 3.3). One physical access; the snooper
+  /// sees the bus, not the array.
+  Word write_snoop(std::size_t addr, Word data) { return access(addr, true, data); }
 
-  /// Clock edge: commit a staged write, reopen the port.
+  /// Clock edge: commit the staged write (a cycle without one commits to
+  /// the spare word), reopen the port.
   void tick() {
-    if (write_pending_) {
-      array_[pend_addr_] = pend_data_;
-      write_pending_ = false;
-    }
+    array_[pend_addr_] = pend_data_;
+    pend_addr_ = spare_;
     port_used_ = false;
   }
 
   /// True between an access and the next clock edge: the bank must be
   /// ticked this cycle (PipelinedMemory ticks only the banks its waves
   /// touched, and checks with this that it missed none).
-  bool touched() const { return port_used_ || write_pending_; }
+  bool touched() const { return port_used_ || pend_addr_ != spare_; }
 
   /// Lifetime access statistics (for the ablation benches).
   std::uint64_t total_reads() const { return total_reads_; }
@@ -88,13 +98,13 @@ class SramBank {
     port_used_ = true;
   }
 
-  std::vector<Word> array_;
+  std::vector<Word> array_;  ///< The words, then the spare "no write" word.
+  std::size_t spare_;        ///< Index of the spare word = addressable words.
   unsigned word_bits_;
   Word mask_;
 
   bool port_used_ = false;
-  bool write_pending_ = false;
-  std::size_t pend_addr_ = 0;
+  std::size_t pend_addr_;    ///< Staged write's address; spare_ if none.
   Word pend_data_ = 0;
 
   std::uint64_t total_reads_ = 0;

@@ -195,6 +195,87 @@ TEST(PipelinedMemoryDeath, CheckedModeRecountsRunningState) {
                "loaded-register list");
 }
 
+/// Two memories over one output row and one latch array, executed in a
+/// fixed order each cycle, as in DualPipelinedSwitch.
+struct SharedRowRig {
+  PipelinedMemory mem[2]{{kStages, kWords, kWbits}, {kStages, kWords, kWbits}};
+  InputLatches ir{2, kStages, kWbits};
+  OutputRow orow{kStages, 2, kWbits};
+  std::vector<WireLink> outs{2};
+  Cycle t = 0;
+
+  void cycle(const StageCtrl* a = nullptr, const StageCtrl* b = nullptr) {
+    if (a) mem[0].initiate(*a);
+    if (b) mem[1].initiate(*b);
+    mem[0].exec_cycle(ir, orow);
+    mem[1].exec_cycle(ir, orow);
+    orow.drive_links(outs);
+    ir.tick(t);
+    mem[0].tick();
+    mem[1].tick();
+    orow.tick();
+    for (auto& l : outs) l.tick();
+    ++t;
+  }
+
+  void preload(unsigned input, Word base) {
+    for (unsigned s = 0; s < kStages; ++s) ir.latch(input, s, base + s, t);
+    ir.tick(t);
+  }
+};
+
+/// Memory `reader` reads a cell out to link 1 while the other memory runs a
+/// write-only wave in lockstep, so in every cycle one memory loads OR[s]
+/// and the other writes at the same stage s. The write must leave OR[s]
+/// alone: returns true iff link 1 carries exactly the read words, link 0
+/// stays silent, and the write landed.
+bool shared_row_read_beside_write(unsigned reader) {
+  SharedRowRig rig;
+  const unsigned writer = 1 - reader;
+  rig.preload(0, 0x10);
+  const StageCtrl seed = write_ctrl(5, 0);
+  if (reader == 0)
+    rig.cycle(&seed);
+  else
+    rig.cycle(nullptr, &seed);
+  for (unsigned k = 1; k < kStages; ++k) rig.cycle();
+
+  rig.preload(1, 0x60);
+  const StageCtrl r = read_ctrl(5, 1);
+  const StageCtrl w = write_ctrl(2, 1);
+  if (reader == 0)
+    rig.cycle(&r, &w);
+  else
+    rig.cycle(&w, &r);
+  bool ok = true;
+  for (unsigned s = 0; s < kStages; ++s) {
+    const Flit& f = rig.outs[1].now();
+    ok = ok && f.valid && f.sop == (s == 0) && f.data == 0x10u + s;
+    ok = ok && !rig.outs[0].now().valid;
+    rig.cycle();
+  }
+  ok = ok && !rig.outs[1].now().valid;
+  for (unsigned s = 0; s < kStages; ++s)
+    ok = ok && rig.mem[writer].bank(s).debug_peek(2) == 0x60u + s;
+  return ok;
+}
+
+TEST(PipelinedMemory, WriteStageLeavesSharedOutputRegisterAlone) {
+  // reader 0: the read executes first; reader 1: the write does.
+  for (unsigned reader = 0; reader < 2; ++reader) {
+    EXPECT_TRUE(shared_row_read_beside_write(reader)) << "reader " << reader;
+    // The same run under PMSB_CHECK=1: the memories' and the output row's
+    // recounts pass every cycle.
+    EXPECT_EXIT(
+        {
+          setenv("PMSB_CHECK", "1", 1);
+          std::exit(shared_row_read_beside_write(reader) ? 0 : 1);
+        },
+        testing::ExitedWithCode(0), "")
+        << "reader " << reader;
+  }
+}
+
 TEST(PipelinedMemory, BusyWhileAnyWaveInFlight) {
   Rig rig;
   rig.preload(0, 0);

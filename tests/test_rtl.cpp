@@ -14,6 +14,18 @@
 #include "rtl/sram_bank.hpp"
 
 namespace pmsb {
+
+// Test access to the word-line registers (corrupts one in a death test).
+struct AddressPathPeer {
+  /// Raise word line `line` of register s, which must share its 64-line
+  /// block with the line already there.
+  static void add_line(AddressPath& ap, unsigned s, unsigned line) {
+    auto& r = ap.regs_[ap.phys(s)];
+    ASSERT_EQ(r.block, line / 64);
+    r.lines |= std::uint64_t{1} << (line % 64);
+  }
+};
+
 namespace {
 
 TEST(Reg, HoldsWithoutLoad) {
@@ -38,11 +50,19 @@ TEST(Reg, LastWriteWinsWithinCycle) {
   EXPECT_EQ(r.q(), 2);
 }
 
+// read(), write() and write_snoop() are wrappers over access(), the one
+// path PipelinedMemory::exec_cycle uses; the semantics tests drive both.
 TEST(SramBank, WriteCommitsAtTick) {
   SramBank m(16, 8);
   m.write(3, 0xAB);
   m.tick();
   EXPECT_EQ(m.read(3), 0xABu);
+  m.tick();
+  EXPECT_EQ(m.access(4, /*is_write=*/true, 0xCD), 0xCDu);  // The bus data.
+  EXPECT_EQ(m.debug_peek(4), 0u);                          // Not yet committed.
+  m.tick();
+  EXPECT_EQ(m.debug_peek(4), 0xCDu);
+  EXPECT_EQ(m.size(), 16u);  // The spare "no write" word is not addressable.
 }
 
 TEST(SramBank, ReadBeforeWriteSemantics) {
@@ -54,6 +74,18 @@ TEST(SramBank, ReadBeforeWriteSemantics) {
   // violation; read after tick sees the new value.
   m.tick();
   EXPECT_EQ(m.read(3), 0x22u);
+  m.tick();
+  // The same through access(): a staged write leaves the committed word in
+  // place until the edge, and a read returns the array word, ignores its
+  // data and commits nothing.
+  EXPECT_EQ(m.access(3, /*is_write=*/true, 0x33), 0x33u);
+  EXPECT_EQ(m.debug_peek(3), 0x22u);
+  m.tick();
+  EXPECT_EQ(m.access(3, /*is_write=*/false, 0x44), 0x33u);
+  m.tick();
+  EXPECT_EQ(m.debug_peek(3), 0x33u);
+  EXPECT_EQ(m.total_writes(), 3u);
+  EXPECT_EQ(m.total_reads(), 2u);
 }
 
 TEST(SramBankDeath, TwoAccessesOneCycle) {
@@ -66,6 +98,19 @@ TEST(SramBankDeath, ReadPlusWriteOneCycle) {
   SramBank m(16, 8);
   m.write(0, 1);
   EXPECT_DEATH(m.read(0), "single-ported");
+}
+
+TEST(SramBankDeath, SecondAccessThroughTheOnePath) {
+  {
+    SramBank m(16, 8);
+    m.access(0, /*is_write=*/true, 1);
+    EXPECT_DEATH(m.access(1, /*is_write=*/false, 0), "single-ported");
+  }
+  {
+    SramBank m(16, 8);
+    m.access(0, /*is_write=*/false, 0);
+    EXPECT_DEATH(m.access(1, /*is_write=*/true, 1), "single-ported");
+  }
 }
 
 TEST(SramBankDeath, WideData) {
@@ -223,6 +268,23 @@ TEST_P(AddressPathTest, BackToBackWaves) {
 INSTANTIATE_TEST_SUITE_P(BothModes, AddressPathTest,
                          ::testing::Values(AddrPathMode::kPerStageDecoders,
                                            AddrPathMode::kDecodedPipeline));
+
+TEST(AddressPathDeath, DecodeIntoOccupiedStagingRegister) {
+  // A second decode before the clock edge would need a second line in the
+  // staging register.
+  AddressPath ap(4, 130, AddrPathMode::kDecodedPipeline);
+  EXPECT_EQ(ap.active_addr(0, 70, true), 70);
+  EXPECT_DEATH(ap.active_addr(0, 3, true), "still holds a line");
+}
+
+TEST(AddressPathDeath, RegisterHoldingTwoLines) {
+  AddressPath ap(4, 130, AddrPathMode::kDecodedPipeline);
+  ap.active_addr(0, 70, true);
+  ap.tick();
+  AddressPathPeer::add_line(ap, 1, 71);
+  EXPECT_DEATH(ap.active_addr(1, 70, true), "not one-hot");
+  EXPECT_DEATH(ap.audit(), "not one-hot");
+}
 
 TEST(AddressPath, DecodeOpCounts) {
   // Figure 7(a) pays one decode per stage per wave; figure 7(b) decodes once
