@@ -7,15 +7,14 @@
 namespace pmsb {
 
 CrosspointQueuedSwitch::CrosspointQueuedSwitch(const SwitchConfig& cfg, CqScheduler sched)
-    : cfg_((cfg.validate(), cfg)),
+    : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
+      cfg_(cfg),
       sched_(sched),
       L_(cfg.cell_words),
       xp_cap_(cfg.capacity_cells() /
               (static_cast<std::size_t>(cfg.n_ports) * cfg.n_ports)),
       xq_(static_cast<std::size_t>(cfg.n_ports) * cfg.n_ports),
-      in_links_(cfg.n_ports),
-      out_links_(cfg.n_ports),
-      in_(cfg.n_ports),
+      fill_(cfg.n_ports, std::vector<Word>(cfg.cell_words)),
       out_(cfg.n_ports) {
   if (xp_cap_ == 0)
     throw std::invalid_argument(
@@ -23,7 +22,6 @@ CrosspointQueuedSwitch::CrosspointQueuedSwitch(const SwitchConfig& cfg, CqSchedu
         "pool is statically split into one buffer per crosspoint");
   rr_.reserve(cfg.n_ports);
   for (unsigned o = 0; o < cfg.n_ports; ++o) rr_.emplace_back(cfg.n_ports);
-  for (auto& p : in_) p.fill.resize(L_);
   for (auto& p : out_) p.shift.resize(L_);
 }
 
@@ -78,38 +76,28 @@ void CrosspointQueuedSwitch::run_outputs(Cycle t) {
 void CrosspointQueuedSwitch::accept_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
-    InPort& p = in_[i];
-    if (!p.receiving) {
-      if (!f.valid) continue;
-      PMSB_CHECK(f.sop, "cell body word arrived while the input expected a head");
-      p.receiving = true;
-      p.phase = 0;
-      p.dest = decode_dest(f.data, cfg_.cell_format());
-      PMSB_CHECK(p.dest < cfg_.n_ports, "destination out of range");
-      p.a0 = t;
+    CellRx& rx = rx_[i];
+    const RxWord w = rx.take(f, t);
+    if (w == RxWord::kIdle) continue;
+    if (w == RxWord::kHead) {
       ++stats_.heads_seen;
-      events_.head(i, t, p.dest);
-    } else {
-      PMSB_CHECK(f.valid && !f.sop, "gap or unexpected head inside a cell");
+      events_.head(i, t, rx.dest());
     }
-
-    p.fill[p.phase] = f.data;
-    ++p.phase;
-    if (p.phase != L_) continue;
+    fill_[i][rx.phase()] = f.data;
+    if (!rx.ends_cell()) continue;
 
     // Cell complete: it either fits in its crosspoint or is lost. Only this
     // input writes crosspoint (i, dest), so one occupancy check suffices.
-    p.receiving = false;
-    if (xq(i, p.dest).size() >= xp_cap_) {
+    if (xq(i, rx.dest()).size() >= xp_cap_) {
       ++stats_.dropped_no_addr;
-      events_.drop(i, p.a0, DropReason::kNoAddress);
+      events_.drop(i, rx.a0(), DropReason::kNoAddress);
       continue;
     }
-    staged_.push_back(QueuedCell{p.fill, i, p.a0, t});
-    staged_dest_.push_back(p.dest);
+    staged_.push_back(QueuedCell{fill_[i], i, rx.a0(), t});
+    staged_dest_.push_back(rx.dest());
     ++stats_.accepted;
     ++stats_.write_initiations;
-    events_.accept(i, p.a0, t + 1);
+    events_.accept(i, rx.a0(), t + 1);
   }
 }
 
@@ -119,17 +107,13 @@ void CrosspointQueuedSwitch::commit(Cycle) {
   }
   staged_.clear();
   staged_dest_.clear();
-  for (auto& l : in_links_) l.tick();
-  for (auto& l : out_links_) l.tick();
+  tick_links();
 }
 
 bool CrosspointQueuedSwitch::drained() const {
-  if (!staged_.empty()) return false;
+  if (!staged_.empty() || any_mid_cell()) return false;
   for (const auto& q : xq_) {
     if (!q.empty()) return false;
-  }
-  for (const auto& p : in_) {
-    if (p.receiving) return false;
   }
   for (const auto& p : out_) {
     if (p.shifting) return false;

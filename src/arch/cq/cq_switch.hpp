@@ -18,11 +18,8 @@
 #include <vector>
 
 #include "core/arbiter.hpp"
+#include "core/cell_port.hpp"
 #include "core/config.hpp"
-#include "core/event_hub.hpp"
-#include "core/switch.hpp"  // SwitchEvents, DropReason, SwitchStats
-#include "sim/engine.hpp"
-#include "sim/wire.hpp"
 
 namespace pmsb {
 
@@ -39,7 +36,7 @@ struct CqConfig {
   CqScheduler sched = CqScheduler::kRoundRobin;
 };
 
-class CrosspointQueuedSwitch : public Component {
+class CrosspointQueuedSwitch : public CellSwitch {
  public:
   /// Uses the shared SwitchConfig geometry; the total buffer budget
   /// capacity_cells() is split evenly into n^2 crosspoints (throws if that
@@ -53,28 +50,13 @@ class CrosspointQueuedSwitch : public Component {
   CqScheduler scheduler() const { return sched_; }
   std::size_t crosspoint_capacity() const { return xp_cap_; }
 
-  WireLink& in_link(unsigned i) { return in_links_.at(i); }
-  WireLink& out_link(unsigned o) { return out_links_.at(o); }
-
-  /// Multi-subscriber event fan-out (see core/event_hub.hpp).
-  EventHub& events() { return events_; }
-  const EventHub& events() const { return events_; }
-
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   std::string name() const override { return "crosspoint_queued_switch"; }
 
-  const SwitchStats& stats() const { return stats_; }
   bool drained() const;
 
  private:
-  struct InPort {
-    bool receiving = false;
-    unsigned phase = 0;
-    unsigned dest = 0;
-    Cycle a0 = 0;
-    std::vector<Word> fill;
-  };
   struct OutPort {
     bool shifting = false;
     unsigned shift_idx = 0;
@@ -108,13 +90,8 @@ class CrosspointQueuedSwitch : public Component {
   std::vector<unsigned> staged_dest_;       ///< Crosspoint column per staged cell.
   std::vector<RoundRobin> rr_;              ///< Per-output rotating priority.
 
-  std::vector<WireLink> in_links_;
-  std::vector<WireLink> out_links_;
-  std::vector<InPort> in_;
+  std::vector<std::vector<Word>> fill_;      ///< Per input: the cell assembling.
   std::vector<OutPort> out_;
-
-  EventHub events_;
-  SwitchStats stats_;
 };
 
 }  // namespace pmsb

@@ -27,13 +27,12 @@ void PrizmaConfig::validate() const {
 }
 
 PrizmaSwitch::PrizmaSwitch(const PrizmaConfig& cfg)
-    : cfg_((cfg.validate(), cfg)),
+    : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
+      cfg_(cfg),
       L_(cfg.cell_words),
       banks_(cfg.n_banks, std::vector<Word>(cfg.cell_words, 0)),
       free_banks_(cfg.n_banks),
       oq_(cfg.n_ports),
-      in_links_(cfg.n_ports),
-      out_links_(cfg.n_ports),
       in_(cfg.n_ports),
       out_(cfg.n_ports) {}
 
@@ -79,17 +78,13 @@ void PrizmaSwitch::serve_outputs(Cycle t) {
 void PrizmaSwitch::accept_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
+    const RxWord w = rx_[i].take(f, t);
+    if (w == RxWord::kIdle) continue;
     InPort& p = in_[i];
-    if (!p.receiving) {
-      if (!f.valid) continue;
-      PMSB_CHECK(f.sop, "cell body word arrived while the input expected a head");
-      p.receiving = true;
-      p.phase = 0;
-      p.dest = decode_dest(f.data, cfg_.cell_format());
-      PMSB_CHECK(p.dest < cfg_.n_ports, "destination out of range");
-      p.a0 = t;
+    if (w == RxWord::kHead) {
+      const unsigned dest = rx_[i].dest();
       ++stats_.heads_seen;
-      events_.head(i, t, p.dest);
+      events_.head(i, t, dest);
       p.discarding = !free_banks_.can_alloc(1);
       if (p.discarding) {
         ++stats_.dropped_no_addr;
@@ -99,14 +94,10 @@ void PrizmaSwitch::accept_arrivals(Cycle t) {
         ++stats_.accepted;
         ++stats_.write_initiations;
         events_.accept(i, t, t + 1);
-        oq_staged_.push_back(QueuedCell{p.bank, i, p.dest, t});
+        oq_staged_.push_back(QueuedCell{p.bank, i, dest, t});
       }
-    } else {
-      PMSB_CHECK(f.valid && !f.sop, "gap or unexpected head inside a cell");
     }
-    if (!p.discarding) banks_[p.bank][p.phase] = f.data;
-    ++p.phase;
-    if (p.phase == L_) p.receiving = false;
+    if (!p.discarding) banks_[p.bank][rx_[i].phase()] = f.data;
   }
 }
 
@@ -114,17 +105,13 @@ void PrizmaSwitch::commit(Cycle) {
   free_banks_.tick();
   for (auto& c : oq_staged_) oq_[c.dest].push_back(c);
   oq_staged_.clear();
-  for (auto& l : in_links_) l.tick();
-  for (auto& l : out_links_) l.tick();
+  tick_links();
 }
 
 bool PrizmaSwitch::drained() const {
-  if (free_banks_.in_use() != 0 || !oq_staged_.empty()) return false;
+  if (free_banks_.in_use() != 0 || !oq_staged_.empty() || any_mid_cell()) return false;
   for (const auto& q : oq_) {
     if (!q.empty()) return false;
-  }
-  for (const auto& p : in_) {
-    if (p.receiving) return false;
   }
   for (const auto& p : out_) {
     if (p.streaming) return false;

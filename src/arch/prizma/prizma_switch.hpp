@@ -18,11 +18,9 @@
 #include <deque>
 #include <vector>
 
+#include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "core/free_list.hpp"
-#include "core/switch.hpp"  // SwitchEvents, DropReason, SwitchStats
-#include "sim/engine.hpp"
-#include "sim/wire.hpp"
 
 namespace pmsb {
 
@@ -41,33 +39,21 @@ struct PrizmaConfig {
   void validate() const;
 };
 
-class PrizmaSwitch : public Component {
+class PrizmaSwitch : public CellSwitch {
  public:
   explicit PrizmaSwitch(const PrizmaConfig& cfg);
 
   const PrizmaConfig& config() const { return cfg_; }
 
-  WireLink& in_link(unsigned i) { return in_links_.at(i); }
-  WireLink& out_link(unsigned o) { return out_links_.at(o); }
-
-  /// Multi-subscriber event fan-out (see core/event_hub.hpp).
-  EventHub& events() { return events_; }
-  const EventHub& events() const { return events_; }
-
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   std::string name() const override { return "prizma_switch"; }
 
-  const SwitchStats& stats() const { return stats_; }
   bool drained() const;
 
  private:
   struct InPort {
-    bool receiving = false;
     bool discarding = false;  ///< No bank was free: cell is being dropped.
-    unsigned phase = 0;
-    unsigned dest = 0;
-    Cycle a0 = 0;
     std::uint32_t bank = 0;
   };
   struct QueuedCell {
@@ -94,13 +80,8 @@ class PrizmaSwitch : public Component {
   std::vector<std::deque<QueuedCell>> oq_;
   std::vector<QueuedCell> oq_staged_;
 
-  std::vector<WireLink> in_links_;
-  std::vector<WireLink> out_links_;
   std::vector<InPort> in_;
   std::vector<OutPort> out_;
-
-  EventHub events_;
-  SwitchStats stats_;
 };
 
 }  // namespace pmsb

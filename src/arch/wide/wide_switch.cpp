@@ -5,15 +5,14 @@
 namespace pmsb {
 
 WideMemorySwitch::WideMemorySwitch(const SwitchConfig& cfg)
-    : cfg_((cfg.validate(), cfg)),
+    : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
+      cfg_(cfg),
       L_(cfg.cell_words),
       wide_ram_(cfg.capacity_cells(), std::vector<Word>(cfg.cell_words, 0)),
       free_(cfg.capacity_cells()),
       oq_(cfg.n_ports),
       rr_read_(cfg.n_ports),
       rr_write_(cfg.n_ports),
-      in_links_(cfg.n_ports),
-      out_links_(cfg.n_ports),
       in_(cfg.n_ports),
       out_(cfg.n_ports) {
   if (cfg.segments_per_cell() != 1)
@@ -103,70 +102,63 @@ void WideMemorySwitch::run_outputs(Cycle) {
 void WideMemorySwitch::accept_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
+    CellRx& rx = rx_[i];
+    const RxWord w = rx.take(f, t);
+    if (w == RxWord::kIdle) continue;
     InPort& p = in_[i];
-    if (!p.receiving) {
-      if (!f.valid) continue;
-      PMSB_CHECK(f.sop, "cell body word arrived while the input expected a head");
-      p.receiving = true;
-      p.phase = 0;
-      p.dest = decode_dest(f.data, cfg_.cell_format());
-      PMSB_CHECK(p.dest < cfg_.n_ports, "destination out of range");
-      p.a0 = t;
+    const unsigned dest = rx.dest();
+    if (w == RxWord::kHead) {
       ++stats_.heads_seen;
-      events_.head(i, t, p.dest);
+      events_.head(i, t, dest);
 
       // Cut-through decision -- only possible here, at head arrival, via the
       // dedicated bypass buses and output crossbar of figure 3.
-      OutPort& op = out_[p.dest];
-      const bool own_staged_same_dest = p.staged_valid && p.staged_dest == p.dest;
+      OutPort& op = out_[dest];
+      const bool own_staged_same_dest = p.staged_valid && p.staged_dest == dest;
       bool queued_this_cycle = false;
-      for (const auto& c : oq_staged_) queued_this_cycle |= (c.dest == p.dest);
+      for (const auto& c : oq_staged_) queued_this_cycle |= (c.dest == dest);
       p.bypassing = cfg_.cut_through && op.bypass_from < 0 && !op.bypass_reg.valid &&
-                    !op.shifting && !op.next_valid && oq_[p.dest].empty() &&
+                    !op.shifting && !op.next_valid && oq_[dest].empty() &&
                     !queued_this_cycle && !own_staged_same_dest;
       if (p.bypassing) {
         op.bypass_from = static_cast<int>(i);
         ++stats_.accepted;
         ++stats_.cut_through_cells;
         ++stats_.read_grants;
-        events_.accept(i, p.a0, t + 1);
-        events_.read_grant(p.dest, i, t + 1, t + 1, p.a0, true);
+        events_.accept(i, t, t + 1);
+        events_.read_grant(dest, i, t + 1, t + 1, t, true);
       }
-    } else {
-      PMSB_CHECK(f.valid && !f.sop, "gap or unexpected head inside a cell");
     }
 
-    p.fill[p.phase] = f.data;
+    p.fill[rx.phase()] = f.data;
     if (p.bypassing) {
       // One register stage through the bypass bus + crossbar: word on the
       // input wire at t is captured here and driven during t+1, appearing on
       // the output wire at t+2 -- same minimum head latency as the
       // pipelined memory's snoop path.
-      PMSB_CHECK(!out_[p.dest].bypass_reg.valid, "bypass crossbar register overwritten");
-      out_[p.dest].bypass_reg = Flit{true, p.phase == 0, f.data};
+      PMSB_CHECK(!out_[dest].bypass_reg.valid, "bypass crossbar register overwritten");
+      out_[dest].bypass_reg = Flit{true, rx.phase() == 0, f.data};
     }
-    ++p.phase;
-    if (p.phase != L_) continue;
+    if (!rx.ends_cell()) continue;
 
     // Cell complete.
-    p.receiving = false;
     if (p.bypassing) {
       p.bypassing = false;
-      out_[p.dest].bypass_from = -1;
+      out_[dest].bypass_from = -1;
       continue;
     }
     if (p.staged_valid) {
       // Double-buffer overrun: the staging row never got its memory cycle.
       ++stats_.dropped_no_slot;
-      events_.drop(i, p.a0, DropReason::kNoSlot);
+      events_.drop(i, rx.a0(), DropReason::kNoSlot);
       continue;
     }
     p.staged.swap(p.fill);
     p.staged_valid = true;
-    p.staged_dest = p.dest;
-    p.staged_a0 = p.a0;
+    p.staged_dest = dest;
+    p.staged_a0 = rx.a0();
     ++stats_.accepted;
-    events_.accept(i, p.a0, t + 1);
+    events_.accept(i, rx.a0(), t + 1);
   }
 }
 
@@ -174,17 +166,16 @@ void WideMemorySwitch::commit(Cycle) {
   free_.tick();
   for (auto& c : oq_staged_) oq_[c.dest].push_back(c);
   oq_staged_.clear();
-  for (auto& l : in_links_) l.tick();
-  for (auto& l : out_links_) l.tick();
+  tick_links();
 }
 
 bool WideMemorySwitch::drained() const {
-  if (free_.in_use() != 0 || !oq_staged_.empty()) return false;
+  if (free_.in_use() != 0 || !oq_staged_.empty() || any_mid_cell()) return false;
   for (const auto& q : oq_) {
     if (!q.empty()) return false;
   }
   for (const auto& p : in_) {
-    if (p.receiving || p.staged_valid) return false;
+    if (p.staged_valid) return false;
   }
   for (const auto& p : out_) {
     if (p.shifting || p.next_valid || p.bypass_from >= 0) return false;

@@ -28,15 +28,13 @@
 #include <vector>
 
 #include "core/arbiter.hpp"
+#include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "core/free_list.hpp"
-#include "core/switch.hpp"  // SwitchEvents, DropReason, SwitchStats
-#include "sim/engine.hpp"
-#include "sim/wire.hpp"
 
 namespace pmsb {
 
-class WideMemorySwitch : public Component {
+class WideMemorySwitch : public CellSwitch {
  public:
   /// Uses the same SwitchConfig geometry; cell_words must equal stages()
   /// (one cell per wide word -- the [KaSC91] arrangement).
@@ -44,18 +42,10 @@ class WideMemorySwitch : public Component {
 
   const SwitchConfig& config() const { return cfg_; }
 
-  WireLink& in_link(unsigned i) { return in_links_.at(i); }
-  WireLink& out_link(unsigned o) { return out_links_.at(o); }
-
-  /// Multi-subscriber event fan-out (see core/event_hub.hpp).
-  EventHub& events() { return events_; }
-  const EventHub& events() const { return events_; }
-
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   std::string name() const override { return "wide_memory_switch"; }
 
-  const SwitchStats& stats() const { return stats_; }
   bool drained() const;
 
   /// Cells that used the bypass (cut-through) crossbar.
@@ -64,10 +54,6 @@ class WideMemorySwitch : public Component {
  private:
   struct InPort {
     // Fill row (assembling from the link).
-    bool receiving = false;
-    unsigned phase = 0;
-    unsigned dest = 0;
-    Cycle a0 = 0;
     std::vector<Word> fill;
     bool bypassing = false;  ///< This arriving cell cuts through directly.
 
@@ -114,13 +100,8 @@ class WideMemorySwitch : public Component {
   RoundRobin rr_read_;
   RoundRobin rr_write_;
 
-  std::vector<WireLink> in_links_;
-  std::vector<WireLink> out_links_;
   std::vector<InPort> in_;
   std::vector<OutPort> out_;
-
-  EventHub events_;
-  SwitchStats stats_;
 };
 
 }  // namespace pmsb

@@ -166,14 +166,26 @@ struct CycleRunResult {
   std::uint64_t delivered = 0;
 };
 
+/// One word-level model over the schedule, with the same wire protocol,
+/// scoreboard and fixed run length for every model. The cycle-accurate
+/// switches also carry an invariant checker and an occupancy probe; the
+/// behavioural FastSwitch has neither (it has none of the checked
+/// structures, and its occupancy is slot-shaped by design), so `mode` and
+/// `fault` do not apply to it.
 template <typename SwitchT, typename ConfigT>
-CycleRunResult run_cycle_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSpec& spec,
-                               const std::vector<ScheduledCell>& cells, AddrPathMode mode,
-                               const FaultPlan& fault, const std::string& label) {
+CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSpec& spec,
+                         const std::vector<ScheduledCell>& cells, AddrPathMode mode,
+                         const FaultPlan& fault, const std::string& label) {
+  constexpr bool kChecked = !std::is_same_v<SwitchT, FastSwitch>;
   CycleRunResult res;
   res.per_output.resize(spec.n);
 
-  SwitchT sw(cfg, mode);
+  SwitchT sw = [&]() -> SwitchT {
+    if constexpr (kChecked)
+      return SwitchT(cfg, mode);
+    else
+      return SwitchT(cfg);
+  }();
   if constexpr (std::is_same_v<SwitchT, PipelinedSwitch>) {
     if (!fault.none()) sw.set_fault_plan(fault);
   }
@@ -200,15 +212,14 @@ CycleRunResult run_cycle_model(const ConfigT& cfg, const CellFormat& fmt, const 
       res.per_output.at(d.output).push_back(decode_tag(d.words[0], fmt));
     });
   }
-  SwitchEvents ev;
-  ev.on_accept = [&sb](unsigned i, Cycle a0, Cycle t0) { sb.on_accept(i, a0, t0); };
-  ev.on_drop = [&sb](unsigned i, Cycle a0, DropReason why) { sb.on_drop(i, a0, why); };
-  const Subscription sb_sub = sw.events().subscribe(std::move(ev));
+  sb.subscribe(sw.events());
 
   InvariantChecker checker;
-  checker.attach(sw, engine);  // Its own subscription; coexists with sb_sub.
   OccupancyProbe<SwitchT> probe(&sw);
-  engine.add_cycle_observer(&probe);
+  if constexpr (kChecked) {
+    checker.attach(sw, engine);  // Its own subscription; coexists with the scoreboard's.
+    engine.add_cycle_observer(&probe);
+  }
 
   for (auto& s : sources) engine.add(s.get());
   engine.add(&sw);
@@ -230,72 +241,6 @@ CycleRunResult run_cycle_model(const ConfigT& cfg, const CellFormat& fmt, const 
     res.issues.push_back("invariant: [" + label + "] " + to_string(v.invariant) + ": " +
                          v.message);
   }
-  for (const std::string& e : sb.errors()) {
-    res.issues.push_back("scoreboard: [" + label + "] " + e);
-  }
-  if (!sw.drained() || !sb.fully_drained()) {
-    res.issues.push_back("harness: [" + label + "] not drained after " +
-                         std::to_string(total) + " cycles");
-  }
-  for (const auto& s : sources) {
-    if (!s->done()) {
-      res.issues.push_back("harness: [" + label + "] source did not finish its schedule");
-      break;
-    }
-  }
-  return res;
-}
-
-/// The behavioural FastSwitch over the same schedule, with the same wire
-/// protocol, scoreboard, and fixed run length as the cycle-accurate runs --
-/// but no invariant checker or occupancy probe (the fast model has none of
-/// the checked structures; its occupancy is slot-shaped by design).
-CycleRunResult run_fast_model(const SwitchConfig& cfg, const CellFormat& fmt,
-                              const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
-  const std::string label = "fast";
-  CycleRunResult res;
-  res.per_output.resize(spec.n);
-
-  FastSwitch sw(cfg);
-  Engine engine;
-  Scoreboard sb(spec.n, spec.n, fmt);
-
-  const Cycle L = static_cast<Cycle>(fmt.length_words);
-  std::vector<std::unique_ptr<ReplaySource>> sources;
-  std::vector<std::unique_ptr<CellSink>> sinks;
-  for (unsigned i = 0; i < spec.n; ++i) {
-    sources.push_back(std::make_unique<ReplaySource>(i, &sw.in_link(i), fmt));
-    sources.back()->set_on_inject(
-        [&sb](const CellSource::Injection& inj) { sb.on_inject(inj); });
-  }
-  for (std::size_t k = 0; k < cells.size(); ++k) {
-    const ScheduledCell& c = cells[k];
-    sources.at(c.input)->add(static_cast<std::uint64_t>(k), c.dest,
-                             static_cast<Cycle>(c.slot) * L);
-  }
-  for (unsigned o = 0; o < spec.n; ++o) {
-    sinks.push_back(std::make_unique<CellSink>(o, &sw.out_link(o), fmt));
-    sinks.back()->set_on_deliver([&res, &sb, &fmt](const CellSink::Delivery& d) {
-      sb.on_deliver(d);
-      res.per_output.at(d.output).push_back(decode_tag(d.words[0], fmt));
-    });
-  }
-  SwitchEvents ev;
-  ev.on_accept = [&sb](unsigned i, Cycle a0, Cycle t0) { sb.on_accept(i, a0, t0); };
-  ev.on_drop = [&sb](unsigned i, Cycle a0, DropReason why) { sb.on_drop(i, a0, why); };
-  const Subscription sb_sub = sw.events().subscribe(std::move(ev));
-
-  for (auto& s : sources) engine.add(s.get());
-  engine.add(&sw);
-  for (auto& s : sinks) engine.add(s.get());
-
-  const Cycle total = static_cast<Cycle>(spec.slots) * L +
-                      static_cast<Cycle>(spec.capacity_cells + 2) * L + 4 * spec.n + 32;
-  engine.run(total);
-
-  res.stats = sw.stats();
-  res.injected = sb.injected();
-  res.delivered = sb.delivered();
   for (const std::string& e : sb.errors()) {
     res.issues.push_back("scoreboard: [" + label + "] " + e);
   }
@@ -383,6 +328,38 @@ std::vector<std::vector<std::uint64_t>> pair_sequences(
   return pairs;
 }
 
+/// Exact per-(input,output) FIFO equality of run `a` and run `b` when
+/// neither dropped a cell (drop timing is model-specific, so droppy runs
+/// are covered per model by their own scoreboard + invariant checks).
+void diff_fifo_pairs(const CycleRunResult& a, const CycleRunResult& b, const std::string& label,
+                     const std::vector<ScheduledCell>& cells, const CellFormat& fmt, unsigned n,
+                     std::vector<std::string>& issues) {
+  if (a.stats.dropped() != 0 || b.stats.dropped() != 0) return;
+  const auto pa = pair_sequences(a, cells, fmt, n);
+  const auto pb = pair_sequences(b, cells, fmt, n);
+  for (std::size_t p = 0; p < pa.size(); ++p) {
+    if (pa[p] != pb[p]) {
+      issues.push_back("diff: [" + label + "] (input " + std::to_string(p / n) + ", output " +
+                       std::to_string(p % n) + ") FIFO sequences differ on a drop-free run");
+    }
+  }
+}
+
+/// Statistical drop comparison of the cycle-accurate run against `model`:
+/// a gross divergence means one of them mis-accounts cells; a delta within
+/// max(16, a quarter of the arrivals) is abstraction noise.
+void diff_drop_counts(const std::string& model, std::uint64_t cyc, std::uint64_t other,
+                      std::uint64_t arrivals, std::vector<std::string>& issues) {
+  const std::uint64_t tol =
+      std::max<std::uint64_t>(16, static_cast<std::uint64_t>(0.25 * arrivals));
+  const std::uint64_t delta = cyc > other ? cyc - other : other - cyc;
+  if (delta > tol) {
+    issues.push_back("diff: [" + model + "] drop counts diverge beyond tolerance: cycle " +
+                     std::to_string(cyc) + " vs " + model + " " + std::to_string(other) +
+                     " (tol " + std::to_string(tol) + ")");
+  }
+}
+
 }  // namespace
 
 RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
@@ -406,16 +383,17 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
   fault.suppress_write_grant_period = spec.fault_suppress_write_period;
 
   // Run A carries the (optional) injected fault; B and D are reference runs.
-  CycleRunResult a = run_cycle_model<PipelinedSwitch>(cfg, fmt, spec, cells,
-                                                      AddrPathMode::kDecodedPipeline, fault,
-                                                      "pipelined-7b");
-  CycleRunResult b = run_cycle_model<PipelinedSwitch>(cfg, fmt, spec, cells,
-                                                      AddrPathMode::kPerStageDecoders,
-                                                      FaultPlan{}, "pipelined-7a");
-  CycleRunResult d = run_cycle_model<DualPipelinedSwitch>(dual_cfg, dual_fmt, spec, cells,
-                                                          AddrPathMode::kDecodedPipeline,
-                                                          FaultPlan{}, "dual");
-  CycleRunResult f = run_fast_model(cfg, fmt, spec, cells);
+  CycleRunResult a = run_model<PipelinedSwitch>(cfg, fmt, spec, cells,
+                                                AddrPathMode::kDecodedPipeline, fault,
+                                                "pipelined-7b");
+  CycleRunResult b = run_model<PipelinedSwitch>(cfg, fmt, spec, cells,
+                                                AddrPathMode::kPerStageDecoders, FaultPlan{},
+                                                "pipelined-7a");
+  CycleRunResult d = run_model<DualPipelinedSwitch>(dual_cfg, dual_fmt, spec, cells,
+                                                    AddrPathMode::kDecodedPipeline, FaultPlan{},
+                                                    "dual");
+  CycleRunResult f = run_model<FastSwitch>(cfg, fmt, spec, cells, AddrPathMode::kDecodedPipeline,
+                                           FaultPlan{}, "fast");
 
   for (auto* r : {&a, &b, &d, &f}) {
     for (std::string& s : r->issues) out.issues.push_back(std::move(s));
@@ -424,34 +402,11 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
   // Exact pair: the two address-path organizations of the same switch.
   diff_exact_pair(a, b, spec.n, out.issues);
 
-  // Pipelined vs dual: exact per-(input,output) FIFO equality on drop-free
-  // runs (drop timing is organization-specific, so droppy runs are covered
-  // per model by their own scoreboard + invariant checks).
-  if (fault.none() && a.stats.dropped() == 0 && d.stats.dropped() == 0) {
-    const auto pa = pair_sequences(a, cells, fmt, spec.n);
-    const auto pd = pair_sequences(d, cells, fmt, spec.n);
-    for (std::size_t p = 0; p < pa.size(); ++p) {
-      if (pa[p] != pd[p]) {
-        out.issues.push_back(
-            "diff: [pipelined-vs-dual] (input " + std::to_string(p / spec.n) + ", output " +
-            std::to_string(p % spec.n) + ") FIFO sequences differ on a drop-free run");
-      }
-    }
-  }
-
-  // Pipelined vs fast model: same pinning discipline as the dual switch --
-  // exact per-(input,output) FIFO equality whenever neither dropped (both
-  // preserve each pair's arrival order; drop *timing* is model-specific).
-  if (fault.none() && a.stats.dropped() == 0 && f.stats.dropped() == 0) {
-    const auto pa = pair_sequences(a, cells, fmt, spec.n);
-    const auto pf = pair_sequences(f, cells, fmt, spec.n);
-    for (std::size_t p = 0; p < pa.size(); ++p) {
-      if (pa[p] != pf[p]) {
-        out.issues.push_back(
-            "diff: [pipelined-vs-fast] (input " + std::to_string(p / spec.n) + ", output " +
-            std::to_string(p % spec.n) + ") FIFO sequences differ on a drop-free run");
-      }
-    }
+  // Pipelined vs dual, and pipelined vs the fast model: both preserve each
+  // pair's arrival order, so their FIFO sequences match on drop-free runs.
+  if (fault.none()) {
+    diff_fifo_pairs(a, d, "pipelined-vs-dual", cells, fmt, spec.n, out.issues);
+    diff_fifo_pairs(a, f, "pipelined-vs-fast", cells, fmt, spec.n, out.issues);
   }
   // The fast model admits at head arrival: the kNoSlot class (a latch-window
   // artifact of the pipelined datapath) must never appear.
@@ -462,18 +417,8 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
   // Droppy runs: statistical comparison under the same regime guard as the
   // slot model below (the fast model's buffer occupancy has no wave-level
   // address recycling, so the same two regimes are excluded).
-  if (fault.none() && spec.out_queue_limit == 0 && spec.capacity_cells >= spec.n) {
-    const std::uint64_t tol =
-        std::max<std::uint64_t>(16, static_cast<std::uint64_t>(0.25 * cells.size()));
-    const std::uint64_t cyc = a.stats.dropped();
-    const std::uint64_t fst = f.stats.dropped();
-    const std::uint64_t delta = cyc > fst ? cyc - fst : fst - cyc;
-    if (delta > tol) {
-      out.issues.push_back("diff: [fast] drop counts diverge beyond tolerance: cycle " +
-                           std::to_string(cyc) + " vs fast " + std::to_string(fst) +
-                           " (tol " + std::to_string(tol) + ")");
-    }
-  }
+  if (fault.none() && spec.out_queue_limit == 0 && spec.capacity_cells >= spec.n)
+    diff_drop_counts("fast", a.stats.dropped(), f.stats.dropped(), cells.size(), out.issues);
 
   // Slot-level shared-buffer model over the same schedule.
   SharedBufferModel slot_model(spec.n, spec.capacity_cells, spec.out_queue_limit);
@@ -522,17 +467,8 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
     //    addresses sustain a full-width same-slot burst at line rate (the
     //    paper's statistical multiplexing at word granularity), where the
     //    slot model holds every resident cell for whole slots and drops.
-    if (spec.out_queue_limit == 0 && spec.capacity_cells >= spec.n) {
-      const std::uint64_t tol =
-          std::max<std::uint64_t>(16, static_cast<std::uint64_t>(0.25 * sc.injected));
-      const std::uint64_t cyc = a.stats.dropped();
-      const std::uint64_t delta = cyc > sc.dropped ? cyc - sc.dropped : sc.dropped - cyc;
-      if (delta > tol) {
-        out.issues.push_back("diff: [slot] drop counts diverge beyond tolerance: cycle " +
-                             std::to_string(cyc) + " vs slot " + std::to_string(sc.dropped) +
-                             " (tol " + std::to_string(tol) + ")");
-      }
-    }
+    if (spec.out_queue_limit == 0 && spec.capacity_cells >= spec.n)
+      diff_drop_counts("slot", a.stats.dropped(), sc.dropped, sc.injected, out.issues);
   }
 
   out.summaries.push_back(ModelSummary{"pipelined-7b", a.injected, a.delivered,

@@ -28,7 +28,8 @@ void DualSwitchConfig::validate() const {
 }
 
 DualPipelinedSwitch::DualPipelinedSwitch(const DualSwitchConfig& cfg, AddrPathMode addr_mode)
-    : cfg_((cfg.validate(), cfg)),
+    : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
+      cfg_(cfg),
       S_(cfg.stages()),
       mem_{PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits, addr_mode),
            PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits, addr_mode)},
@@ -38,9 +39,7 @@ DualPipelinedSwitch::DualPipelinedSwitch(const DualSwitchConfig& cfg, AddrPathMo
       rr_read_(cfg.n_ports),
       rr_write_(cfg.n_ports),
       queues_(cfg.n_ports),
-      in_links_(cfg.n_ports),
-      out_links_(cfg.n_ports),
-      in_fsm_(cfg.n_ports),
+      latch_stage_(cfg.n_ports),
       pending_(cfg.n_ports),
       next_read_ok_(cfg.n_ports, 0) {}
 
@@ -162,28 +161,21 @@ void DualPipelinedSwitch::expire_pending(Cycle t) {
 void DualPipelinedSwitch::process_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
-    InFsm& fsm = in_fsm_[i];
-    if (!fsm.receiving) {
-      if (!f.valid) continue;
-      PMSB_CHECK(f.sop, "cell body word arrived while the input expected a head");
-      fsm.receiving = true;
-      fsm.dest = decode_dest(f.data, cfg_.cell_format());
-      PMSB_CHECK(fsm.dest < cfg_.n_ports, "destination out of range");
-      fsm.a0 = t;
-      ir_.latch(i, 0, f.data, t);
-      fsm.phase = 1;
-      fsm.stage = S_ > 1 ? 1 : 0;
-      PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
-      pending_[i] = Pending{true, t, fsm.dest, false};
-      ++stats_.heads_seen;
-      events_.head(i, t, fsm.dest);
-    } else {
-      PMSB_CHECK(f.valid && !f.sop, "gap or unexpected head inside a cell");
-      ir_.latch(i, fsm.stage, f.data, t);
-      fsm.stage = fsm.stage + 1 == S_ ? 0 : fsm.stage + 1;
-      ++fsm.phase;
-      if (fsm.phase == cfg_.cell_words()) fsm.receiving = false;
+    const RxWord w = rx_[i].take(f, t);
+    if (w == RxWord::kIdle) continue;
+    if (w == RxWord::kBody) {
+      unsigned& stage = latch_stage_[i];
+      ir_.latch(i, stage, f.data, t);
+      stage = stage + 1 == S_ ? 0 : stage + 1;
+      continue;
     }
+    const unsigned dest = rx_[i].dest();
+    ir_.latch(i, 0, f.data, t);
+    latch_stage_[i] = S_ > 1 ? 1 : 0;
+    PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
+    pending_[i] = Pending{true, t, dest, false};
+    ++stats_.heads_seen;
+    events_.head(i, t, dest);
   }
 }
 
@@ -196,18 +188,14 @@ void DualPipelinedSwitch::commit(Cycle t) {
   free_[1].tick();
   for (auto& c : staged_pushes_) queues_[c.dest].push_back(c);
   staged_pushes_.clear();
-  for (auto& l : in_links_) l.tick();
-  for (auto& l : out_links_) l.tick();
+  tick_links();
 }
 
 bool DualPipelinedSwitch::drained() const {
   if (mem_[0].busy() || mem_[1].busy()) return false;
-  if (free_[0].in_use() != 0 || free_[1].in_use() != 0) return false;
+  if (free_[0].in_use() != 0 || free_[1].in_use() != 0 || any_mid_cell()) return false;
   for (const auto& q : queues_) {
     if (!q.empty()) return false;
-  }
-  for (const auto& f : in_fsm_) {
-    if (f.receiving) return false;
   }
   for (const auto& p : pending_) {
     if (p.valid) return false;

@@ -23,17 +23,15 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "core/arbiter.hpp"
+#include "core/cell_port.hpp"
+#include "core/config.hpp"
 #include "core/free_list.hpp"
 #include "core/input_latches.hpp"
 #include "core/output_row.hpp"
 #include "core/pipelined_memory.hpp"
-#include "core/switch.hpp"  // SwitchEvents, DropReason, SwitchStats
-#include "sim/engine.hpp"
-#include "sim/wire.hpp"
 
 namespace pmsb {
 
@@ -54,25 +52,17 @@ struct DualSwitchConfig {
   void validate() const;
 };
 
-class DualPipelinedSwitch : public Component {
+class DualPipelinedSwitch : public CellSwitch {
  public:
   explicit DualPipelinedSwitch(const DualSwitchConfig& cfg,
                                AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);
 
   const DualSwitchConfig& config() const { return cfg_; }
 
-  WireLink& in_link(unsigned i) { return in_links_.at(i); }
-  WireLink& out_link(unsigned o) { return out_links_.at(o); }
-
-  /// Multi-subscriber event fan-out (see core/event_hub.hpp).
-  EventHub& events() { return events_; }
-  const EventHub& events() const { return events_; }
-
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   std::string name() const override { return "dual_pipelined_switch"; }
 
-  const SwitchStats& stats() const { return stats_; }
   std::uint32_t buffer_in_use() const { return free_[0].in_use() + free_[1].in_use(); }
   bool drained() const;
 
@@ -95,13 +85,6 @@ class DualPipelinedSwitch : public Component {
   std::uint64_t dual_initiation_cycles() const { return dual_cycles_; }
 
  private:
-  struct InFsm {
-    bool receiving = false;
-    unsigned phase = 0;
-    unsigned stage = 0;  ///< Input latch of word `phase`: phase mod S (wraps).
-    unsigned dest = 0;
-    Cycle a0 = 0;
-  };
   struct Pending {
     bool valid = false;
     Cycle a0 = 0;
@@ -136,14 +119,11 @@ class DualPipelinedSwitch : public Component {
   std::vector<std::deque<DualCell>> queues_;        ///< Committed, per output.
   std::vector<DualCell> staged_pushes_;
 
-  std::vector<WireLink> in_links_;
-  std::vector<WireLink> out_links_;
-  std::vector<InFsm> in_fsm_;
+  /// Per input: the latch of the next body word, its phase mod S (wraps).
+  std::vector<unsigned> latch_stage_;
   std::vector<Pending> pending_;
   std::vector<Cycle> next_read_ok_;
 
-  EventHub events_;
-  SwitchStats stats_;
   std::uint64_t dual_cycles_ = 0;
 };
 

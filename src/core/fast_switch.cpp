@@ -5,12 +5,9 @@
 namespace pmsb {
 
 FastSwitch::FastSwitch(const SwitchConfig& cfg)
-    : cfg_(cfg), fmt_(cfg.cell_format()), L_(cfg.cell_words), window_(cfg.stages()),
-      capacity_cells_(cfg.capacity_cells()), in_links_(cfg.n_ports),
-      out_links_(cfg.n_ports), rx_(cfg.n_ports), tx_(cfg.n_ports),
-      pending_(cfg.n_ports), oq_(cfg.n_ports) {
-  cfg.validate();
-}
+    : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()), cfg_(cfg),
+      L_(cfg.cell_words), window_(cfg.stages()), capacity_cells_(cfg.capacity_cells()),
+      filling_(cfg.n_ports), tx_(cfg.n_ports), pending_(cfg.n_ports), oq_(cfg.n_ports) {}
 
 void FastSwitch::register_metrics(obs::MetricsRegistry& m, const std::string& prefix) {
   m.add_gauge(prefix + ".buffer.in_use",
@@ -50,69 +47,58 @@ void FastSwitch::admit_or_expire_pending(Cycle t) {
       // (the fast model has no stage-0 slot, so kNoSlot cannot happen).
       ++stats_.dropped_no_addr;
       events_.drop(i, p.a0, DropReason::kNoAddress);
-      p = PendingCell{};  // The rx FSM keeps swallowing the dead cell's body.
+      p = PendingCell{};  // Its input keeps taking the dead cell's body.
     }
   }
 }
 
 void FastSwitch::process_arrival(unsigned i, Cycle t) {
-  RxFsm& rx = rx_[i];
   const Flit& f = in_links_[i].now();
-  if (!rx.receiving) {
-    if (!f.valid) return;
-    PMSB_CHECK(f.sop, "fast switch: body word with no head on input link");
-    PMSB_CHECK(!pending_[i].valid, "fast switch: new head while the previous cell is unresolved");
-    const unsigned dest = decode_dest(f.data, fmt_);
-    PMSB_CHECK(dest < cfg_.n_ports, "fast switch: destination out of range");
-    ++stats_.heads_seen;
-    events_.head(i, t, dest);
-    rx.receiving = true;
-    rx.phase = 1;
-    // Head-time admission: same classification and priority as the
-    // cycle-accurate switch (output cap first, then shared-buffer space);
-    // no latch-window deadline exists here, so kNoSlot never occurs.
-    if (cfg_.out_queue_limit > 0 && oq_[dest].size() >= cfg_.out_queue_limit) {
-      ++stats_.dropped_out_limit;
-      events_.drop(i, t, DropReason::kOutputLimit);
-      rx.cell.reset();
-    } else if (resident_ >= capacity_cells_) {
-      // Full buffer: not a drop yet. The cycle-accurate switch keeps the
-      // cell in its input latches through the window [a0+1, a0+2n] and
-      // grants it if an address frees; hold it pending the same way.
-      rx.cell = std::make_shared<Cell>();
-      rx.cell->input = i;
-      rx.cell->dest = dest;
-      rx.cell->a0 = t;
-      rx.cell->words.resize(L_);
-      rx.cell->words[0] = f.data;
-      rx.cell->filled = 1;
-      pending_[i] = PendingCell{true, t, dest, rx.cell};
-    } else {
-      ++stats_.accepted;
-      ++stats_.write_initiations;
-      ++resident_;
-      events_.accept(i, t, t + 1);
-      rx.cell = std::make_shared<Cell>();
-      rx.cell->input = i;
-      rx.cell->dest = dest;
-      rx.cell->a0 = t;
-      rx.cell->words.resize(L_);
-      rx.cell->words[0] = f.data;
-      rx.cell->filled = 1;
-      oq_[dest].push_back(rx.cell);
+  CellRx& rx = rx_[i];
+  const RxWord w = rx.take(f, t);
+  if (w == RxWord::kIdle) return;
+  CellPtr& cell = filling_[i];
+  if (w == RxWord::kBody) {
+    if (cell) {
+      cell->words[rx.phase()] = f.data;
+      cell->filled = rx.phase() + 1;
     }
-    return;  // L >= 2 always (validated), so the head never ends the cell.
+    if (rx.ends_cell()) cell.reset();
+    return;
   }
-  PMSB_CHECK(f.valid, "fast switch: gap inside a cell on an input link");
-  PMSB_CHECK(!f.sop, "fast switch: unexpected head inside a cell");
-  if (rx.cell) {
-    rx.cell->words[rx.phase] = f.data;
-    rx.cell->filled = rx.phase + 1;
+  PMSB_CHECK(!pending_[i].valid, "fast switch: new head while the previous cell is unresolved");
+  const unsigned dest = rx.dest();
+  ++stats_.heads_seen;
+  events_.head(i, t, dest);
+  // Head-time admission: same classification and priority as the
+  // cycle-accurate switch (output cap first, then shared-buffer space);
+  // no latch-window deadline exists here, so kNoSlot never occurs.
+  if (cfg_.out_queue_limit > 0 && oq_[dest].size() >= cfg_.out_queue_limit) {
+    ++stats_.dropped_out_limit;
+    events_.drop(i, t, DropReason::kOutputLimit);
+    cell.reset();
+    return;
   }
-  if (++rx.phase == L_) {
-    rx.receiving = false;
-    rx.cell.reset();
+  cell = std::make_shared<Cell>();
+  cell->input = i;
+  cell->dest = dest;
+  cell->a0 = t;
+  cell->words.resize(L_);
+  cell->words[0] = f.data;
+  cell->filled = 1;
+  if (resident_ >= capacity_cells_) {
+    // Full buffer: not a drop yet. The cycle-accurate switch keeps the
+    // cell in its input latches through the window [a0+1, a0+2n] and
+    // grants it if an address frees; hold it pending the same way.
+    pending_[i] = PendingCell{true, t, dest, cell};
+    return;
   }
+  ++stats_.accepted;
+  ++stats_.write_initiations;
+  ++resident_;
+  events_.accept(i, t, t + 1);
+  oq_[dest].push_back(cell);
+  // L >= 2 always (validated), so the head never ends the cell.
 }
 
 void FastSwitch::run_output(unsigned o, Cycle t) {
@@ -148,16 +134,10 @@ void FastSwitch::run_output(unsigned o, Cycle t) {
   }
 }
 
-void FastSwitch::commit(Cycle) {
-  for (auto& l : in_links_) l.tick();
-  for (auto& l : out_links_) l.tick();
-}
+void FastSwitch::commit(Cycle) { tick_links(); }
 
 bool FastSwitch::drained() const {
-  if (resident_ != 0) return false;
-  for (const auto& r : rx_) {
-    if (r.receiving) return false;
-  }
+  if (resident_ != 0 || any_mid_cell()) return false;
   for (const auto& p : pending_) {
     if (p.valid) return false;
   }
@@ -170,16 +150,7 @@ bool FastSwitch::drained() const {
   return true;
 }
 
-bool FastSwitch::is_quiescent(Cycle) const {
-  if (!drained()) return false;
-  for (const auto& l : in_links_) {
-    if (!l.idle()) return false;
-  }
-  for (const auto& l : out_links_) {
-    if (!l.idle()) return false;
-  }
-  return true;
-}
+bool FastSwitch::is_quiescent(Cycle) const { return drained() && links_idle(); }
 
 void FastSwitch::skip(Cycle, Cycle n) {
   stats_.cycles += static_cast<std::uint64_t>(n);

@@ -35,27 +35,17 @@
 #include <string>
 #include <vector>
 
+#include "core/cell_port.hpp"
 #include "core/config.hpp"
-#include "core/event_hub.hpp"
-#include "core/switch.hpp"  // SwitchStats
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
-#include "sim/wire.hpp"
 
 namespace pmsb {
 
-class FastSwitch final : public Component {
+class FastSwitch final : public CellSwitch {
  public:
   explicit FastSwitch(const SwitchConfig& cfg);
 
   const SwitchConfig& config() const { return cfg_; }
-
-  WireLink& in_link(unsigned i) { return in_links_.at(i); }
-  WireLink& out_link(unsigned o) { return out_links_.at(o); }
-
-  /// Multi-subscriber event fan-out (see core/event_hub.hpp).
-  EventHub& events() { return events_; }
-  const EventHub& events() const { return events_; }
 
   /// Register occupancy gauges under `prefix.`-qualified names.
   void register_metrics(obs::MetricsRegistry& m, const std::string& prefix = "fast_switch");
@@ -67,7 +57,6 @@ class FastSwitch final : public Component {
   void skip(Cycle t, Cycle n) override;
   std::string name() const override { return "fast_switch"; }
 
-  const SwitchStats& stats() const { return stats_; }
   /// Buffer occupancy in cells (the behavioural model has no segments).
   std::uint32_t buffer_in_use() const { return resident_; }
   std::size_t queued_cells() const {
@@ -80,8 +69,8 @@ class FastSwitch final : public Component {
   bool drained() const;
 
  private:
-  /// One buffered cell. Shared between the receive FSM (still filling it)
-  /// and the transmit FSM (already relaying it) during cut-through.
+  /// One buffered cell. Shared between its input (still filling it) and
+  /// the transmit FSM (already relaying it) during cut-through.
   struct Cell {
     unsigned input = 0;
     unsigned dest = 0;
@@ -91,11 +80,6 @@ class FastSwitch final : public Component {
   };
   using CellPtr = std::shared_ptr<Cell>;
 
-  struct RxFsm {
-    bool receiving = false;
-    unsigned phase = 0;  ///< Next word index to latch.
-    CellPtr cell;        ///< Null while swallowing a dropped cell's body.
-  };
   struct TxFsm {
     bool active = false;
     unsigned phase = 0;  ///< Next word index to drive.
@@ -117,21 +101,17 @@ class FastSwitch final : public Component {
   void run_output(unsigned o, Cycle t);
 
   SwitchConfig cfg_;
-  CellFormat fmt_;
   unsigned L_;               ///< Words per cell.
   unsigned window_;          ///< Latch-window length (2n, = cfg.stages()).
   unsigned capacity_cells_;  ///< Shared-buffer capacity in cells.
 
-  std::vector<WireLink> in_links_;
-  std::vector<WireLink> out_links_;
-  std::vector<RxFsm> rx_;
+  /// Per input: the cell its words fill; null while swallowing a dropped
+  /// cell's body.
+  std::vector<CellPtr> filling_;
   std::vector<TxFsm> tx_;
   std::vector<PendingCell> pending_;
   std::vector<std::deque<CellPtr>> oq_;  ///< Accepted cells awaiting relay.
   std::uint32_t resident_ = 0;           ///< Cells owning buffer space.
-
-  EventHub events_;
-  SwitchStats stats_;
 };
 
 }  // namespace pmsb

@@ -37,38 +37,29 @@ Word make_translated_head(Word head, const CellFormat& fmt, unsigned vc_bits,
 
 HeaderTranslator::HeaderTranslator(WireLink* from, WireLink* to, const CellFormat& fmt,
                                    const RoutingTable* table)
-    : from_(from), to_(to), fmt_(fmt), table_(table) {
+    : from_(from), to_(to), fmt_(fmt), table_(table), rx_(fmt) {
   PMSB_CHECK(from != nullptr && to != nullptr && table != nullptr,
              "translator needs links and a table");
   PMSB_CHECK(table->vc_bits() <= fmt.tag_bits(), "VC field wider than the header tag");
 }
 
-void HeaderTranslator::eval(Cycle) {
+void HeaderTranslator::eval(Cycle t) {
   const Flit& f = from_->now();
-  if (!f.valid) return;
-  if (f.sop) {
-    PMSB_CHECK(!forwarding_ && !discarding_, "head arrived inside a cell");
-    const std::uint32_t vc = head_vc(f.data, fmt_, table_->vc_bits());
-    const RoutingTable::Entry& e = table_->lookup(vc);
-    words_left_ = fmt_.length_words;
-    if (!e.valid) {
-      ++cells_unroutable_;
-      discarding_ = true;
-    } else {
-      ++cells_translated_;
-      forwarding_ = true;
-      to_->drive_next(Flit{true, true, make_translated_head(f.data, fmt_, table_->vc_bits(),
-                                                            e.out_port, e.next_vc)});
-    }
-  } else if (forwarding_) {
-    to_->drive_next(f);
+  const RxWord w = rx_.take(f, t);
+  if (w == RxWord::kIdle) return;
+  if (w == RxWord::kBody) {
+    if (forwarding_) to_->drive_next(f);
+    return;
   }
-  if (forwarding_ || discarding_) {
-    if (--words_left_ == 0) {
-      forwarding_ = false;
-      discarding_ = false;
-    }
+  const RoutingTable::Entry& e = table_->lookup(head_vc(f.data, fmt_, table_->vc_bits()));
+  forwarding_ = e.valid;
+  if (!e.valid) {
+    ++cells_unroutable_;
+    return;
   }
+  ++cells_translated_;
+  to_->drive_next(Flit{true, true, make_translated_head(f.data, fmt_, table_->vc_bits(),
+                                                        e.out_port, e.next_vc)});
 }
 
 void HeaderTranslator::commit(Cycle) {}

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/cell.hpp"
+#include "core/cell_port.hpp"
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
 
@@ -67,9 +68,8 @@ class HeaderTranslator : public Component {
   CellFormat fmt_;
   const RoutingTable* table_;
 
-  bool discarding_ = false;  ///< Mid-cell after an unroutable head.
-  bool forwarding_ = false;  ///< Mid-cell after a translated head.
-  unsigned words_left_ = 0;
+  CellRx rx_;
+  bool forwarding_ = false;  ///< The current cell's head was translated.
 
   std::uint64_t cells_translated_ = 0;
   std::uint64_t cells_unroutable_ = 0;

@@ -8,6 +8,22 @@ Scoreboard::Scoreboard(unsigned n_inputs, unsigned n_outputs, const CellFormat& 
     : n_in_(n_inputs), n_out_(n_outputs), fmt_(fmt), awaiting_decision_(n_inputs),
       in_flight_(static_cast<std::size_t>(n_inputs) * n_outputs) {}
 
+void Scoreboard::attach(CellSwitch& sw, std::vector<std::unique_ptr<CellSource>>& sources,
+                        std::vector<std::unique_ptr<CellSink>>& sinks) {
+  for (auto& src : sources)
+    src->set_on_inject([this](const CellSource::Injection& inj) { on_inject(inj); });
+  for (auto& snk : sinks)
+    snk->set_on_deliver([this](const CellSink::Delivery& d) { on_deliver(d); });
+  subscribe(sw.events());
+}
+
+void Scoreboard::subscribe(EventHub& events) {
+  SwitchEvents ev;
+  ev.on_accept = [this](unsigned i, Cycle a0, Cycle t0) { on_accept(i, a0, t0); };
+  ev.on_drop = [this](unsigned i, Cycle a0, DropReason why) { on_drop(i, a0, why); };
+  events_sub_ = events.subscribe(std::move(ev));
+}
+
 void Scoreboard::fail(std::string msg) {
   if (errors_.size() < 64) errors_.push_back(std::move(msg));
 }

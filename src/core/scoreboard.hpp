@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/cell.hpp"
-#include "core/switch.hpp"
+#include "core/cell_port.hpp"
 #include "stats/stats.hpp"
 #include "traffic/generators.hpp"
 
@@ -31,23 +31,16 @@ class Scoreboard {
  public:
   Scoreboard(unsigned n_inputs, unsigned n_outputs, const CellFormat& fmt);
 
-  /// Hook everything up. Works for any switch exposing events() (an
-  /// EventHub); the scoreboard subscribes additively, so other observers on
-  /// the same switch keep working.
-  template <typename SwitchT>
-  void attach(SwitchT& sw, std::vector<std::unique_ptr<CellSource>>& sources,
-              std::vector<std::unique_ptr<CellSink>>& sinks) {
-    for (auto& src : sources)
-      src->set_on_inject([this](const CellSource::Injection& inj) { on_inject(inj); });
-    for (auto& snk : sinks)
-      snk->set_on_deliver([this](const CellSink::Delivery& d) { on_deliver(d); });
-    SwitchEvents ev;
-    ev.on_accept = [this](unsigned i, Cycle a0, Cycle t0) { on_accept(i, a0, t0); };
-    ev.on_drop = [this](unsigned i, Cycle a0, DropReason why) { on_drop(i, a0, why); };
-    events_sub_ = sw.events().subscribe(std::move(ev));
-  }
+  /// Hook everything up: the sources' injections, the sinks' deliveries and
+  /// the switch's accept/drop decisions. The scoreboard subscribes
+  /// additively, so other observers on the same switch keep working.
+  void attach(CellSwitch& sw, std::vector<std::unique_ptr<CellSource>>& sources,
+              std::vector<std::unique_ptr<CellSink>>& sinks);
+  /// The accept/drop half of attach(), for harnesses that feed on_inject and
+  /// on_deliver themselves.
+  void subscribe(EventHub& events);
 
-  // Raw entry points (used directly by tests and by the dual switch).
+  // Raw entry points (used directly by tests).
   void on_inject(const CellSource::Injection& inj);
   void on_accept(unsigned input, Cycle a0, Cycle t0);
   void on_drop(unsigned input, Cycle a0, DropReason why);

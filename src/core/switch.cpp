@@ -3,7 +3,8 @@
 namespace pmsb {
 
 PipelinedSwitch::PipelinedSwitch(const SwitchConfig& cfg, AddrPathMode addr_mode)
-    : cfg_((cfg.validate(), cfg)),
+    : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
+      cfg_(cfg),
       S_(cfg.stages()),
       m_(cfg.segments_per_cell()),
       mem_(S_, cfg.capacity_segments, cfg.word_bits, addr_mode),
@@ -14,9 +15,7 @@ PipelinedSwitch::PipelinedSwitch(const SwitchConfig& cfg, AddrPathMode addr_mode
       resv_(static_cast<std::size_t>(m_) * S_ + S_ + 2),
       rr_read_(cfg.n_ports),
       rr_write_(cfg.n_ports),
-      in_links_(cfg.n_ports),
-      out_links_(cfg.n_ports),
-      in_fsm_(cfg.n_ports),
+      latch_stage_(cfg.n_ports),
       pending_(cfg.n_ports),
       next_read_ok_(cfg.n_ports, 0) {}
 
@@ -236,43 +235,36 @@ void PipelinedSwitch::expire_pending(Cycle t) {
 void PipelinedSwitch::process_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
-    InFsm& fsm = in_fsm_[i];
-    if (!fsm.receiving) {
-      if (!f.valid) continue;
-      PMSB_CHECK(f.sop, "cell body word arrived while the input expected a head");
-      fsm.receiving = true;
-      fsm.phase = 0;
-      fsm.dest = decode_dest(f.data, cfg_.cell_format());
-      PMSB_CHECK(fsm.dest < cfg_.n_ports, "destination out of range");
-      fsm.a0 = t;
-      ir_.latch(i, 0, f.data, t);
-      fsm.phase = 1;
-      fsm.stage = S_ > 1 ? 1 : 0;
-      PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
-      ++stats_.heads_seen;
-      events_.head(i, t, fsm.dest);
-      if (tracing())
-        trace_push({t, obs::TraceEvent::kHead, static_cast<std::uint16_t>(i),
-                    static_cast<std::uint16_t>(fsm.dest), 0, 0});
-      // Anti-hogging threshold (arrival-time discard): a saturated output is
-      // not allowed to absorb the whole shared pool.
-      if (cfg_.out_queue_limit != 0 && oq_.size(fsm.dest) >= cfg_.out_queue_limit) {
-        ++stats_.dropped_out_limit;
-        events_.drop(i, t, DropReason::kOutputLimit);
-        if (tracing())
-          trace_push({t, obs::TraceEvent::kDrop, static_cast<std::uint16_t>(i),
-                      static_cast<std::uint16_t>(fsm.dest), 0,
-                      static_cast<std::uint32_t>(DropReason::kOutputLimit)});
-        continue;
-      }
-      pending_[i] = Pending{true, t, fsm.dest, false};
-    } else {
-      PMSB_CHECK(f.valid && !f.sop, "gap or unexpected head inside a cell");
-      ir_.latch(i, fsm.stage, f.data, t);
-      fsm.stage = fsm.stage + 1 == S_ ? 0 : fsm.stage + 1;
-      ++fsm.phase;
-      if (fsm.phase == cfg_.cell_words) fsm.receiving = false;
+    CellRx& rx = rx_[i];
+    const RxWord w = rx.take(f, t);
+    if (w == RxWord::kIdle) continue;
+    if (w == RxWord::kBody) {
+      unsigned& stage = latch_stage_[i];
+      ir_.latch(i, stage, f.data, t);
+      stage = stage + 1 == S_ ? 0 : stage + 1;
+      continue;
     }
+    const unsigned dest = rx.dest();
+    ir_.latch(i, 0, f.data, t);
+    latch_stage_[i] = S_ > 1 ? 1 : 0;
+    PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
+    ++stats_.heads_seen;
+    events_.head(i, t, dest);
+    if (tracing())
+      trace_push({t, obs::TraceEvent::kHead, static_cast<std::uint16_t>(i),
+                  static_cast<std::uint16_t>(dest), 0, 0});
+    // Anti-hogging threshold (arrival-time discard): a saturated output is
+    // not allowed to absorb the whole shared pool.
+    if (cfg_.out_queue_limit != 0 && oq_.size(dest) >= cfg_.out_queue_limit) {
+      ++stats_.dropped_out_limit;
+      events_.drop(i, t, DropReason::kOutputLimit);
+      if (tracing())
+        trace_push({t, obs::TraceEvent::kDrop, static_cast<std::uint16_t>(i),
+                    static_cast<std::uint16_t>(dest), 0,
+                    static_cast<std::uint32_t>(DropReason::kOutputLimit)});
+      continue;
+    }
+    pending_[i] = Pending{true, t, dest, false};
   }
 }
 
@@ -282,15 +274,12 @@ void PipelinedSwitch::commit(Cycle t) {
   orow_.tick();
   free_.tick();
   oq_.tick();
-  for (auto& l : in_links_) l.tick();
-  for (auto& l : out_links_) l.tick();
+  tick_links();
 }
 
 bool PipelinedSwitch::drained() const {
-  if (oq_.total_size() != 0 || free_.in_use() != 0 || mem_.busy()) return false;
-  for (const auto& f : in_fsm_) {
-    if (f.receiving) return false;
-  }
+  if (oq_.total_size() != 0 || free_.in_use() != 0 || mem_.busy() || any_mid_cell())
+    return false;
   for (const auto& p : pending_) {
     if (p.valid) return false;
   }
@@ -304,14 +293,7 @@ bool PipelinedSwitch::is_quiescent(Cycle) const {
   // In this state eval() takes the empty-slot early exit (touching only the
   // cycles/idle_cycles counters, compensated by skip()) and commit() ticks
   // empty structures and idle wires.
-  if (!drained()) return false;
-  for (const auto& l : in_links_) {
-    if (!l.idle()) return false;
-  }
-  for (const auto& l : out_links_) {
-    if (!l.idle()) return false;
-  }
-  return true;
+  return drained() && links_idle();
 }
 
 void PipelinedSwitch::skip(Cycle, Cycle n) {

@@ -34,8 +34,8 @@
 #include <vector>
 
 #include "core/arbiter.hpp"
+#include "core/cell_port.hpp"
 #include "core/config.hpp"
-#include "core/event_hub.hpp"
 #include "core/free_list.hpp"
 #include "core/input_latches.hpp"
 #include "core/out_queues.hpp"
@@ -44,35 +44,8 @@
 #include "core/reservation.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_buffer.hpp"
-#include "sim/engine.hpp"
-#include "sim/trace.hpp"
-#include "sim/wire.hpp"
 
 namespace pmsb {
-
-// DropReason and SwitchEvents moved to core/event_hub.hpp (re-exported here).
-
-/// Aggregate run statistics of one switch instance.
-struct SwitchStats {
-  std::uint64_t heads_seen = 0;       ///< Cells whose head arrived.
-  std::uint64_t accepted = 0;         ///< Cells granted a write wave.
-  std::uint64_t dropped_no_addr = 0;
-  std::uint64_t dropped_no_slot = 0;
-  std::uint64_t dropped_out_limit = 0;
-  std::uint64_t read_grants = 0;      ///< Cells granted a read wave (departures).
-  std::uint64_t cut_through_cells = 0;///< Departure initiated before tail arrival.
-  std::uint64_t snoop_cells = 0;      ///< Same-cycle write+read co-grants.
-  std::uint64_t write_initiations = 0;
-  std::uint64_t read_initiations = 0;
-  std::uint64_t snoop_initiations = 0;
-  std::uint64_t idle_cycles = 0;      ///< Cycles with no stage-0 initiation.
-  std::uint64_t read_stall_cycles = 0;///< Cycles with queued cells but no read wave.
-  std::uint64_t cycles = 0;
-
-  std::uint64_t dropped() const {
-    return dropped_no_addr + dropped_no_slot + dropped_out_limit;
-  }
-};
 
 /// Test-only fault injection (src/check/): deliberately mis-arbitrate so the
 /// invariant checker, minimizer, and replay tool can be demonstrated against
@@ -86,34 +59,21 @@ struct FaultPlan {
   bool none() const { return suppress_write_grant_period == 0; }
 };
 
-class PipelinedSwitch final : public Component {
+class PipelinedSwitch final : public CellSwitch {
  public:
   explicit PipelinedSwitch(const SwitchConfig& cfg,
                            AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);
 
   const SwitchConfig& config() const { return cfg_; }
 
-  WireLink& in_link(unsigned i) { return in_links_.at(i); }
-  WireLink& out_link(unsigned o) { return out_links_.at(o); }
-
-  /// Multi-subscriber event fan-out: observers call
-  /// `events().subscribe(SwitchEvents{...})` and hold the returned
-  /// Subscription for as long as they want the callbacks.
-  EventHub& events() { return events_; }
-  const EventHub& events() const { return events_; }
-
   /// Inject arbitration faults (verification demos only; see FaultPlan).
   void set_fault_plan(const FaultPlan& f) { fault_ = f; }
   const FaultPlan& fault_plan() const { return fault_; }
 
-  /// Live formatting of every trace record to the tracer's sink. For the
-  /// bounded, allocation-free mechanism use set_trace() instead (and
-  /// optionally attach the Tracer as the buffer's live drain).
-  void set_tracer(Tracer* t) { tracer_ = t; }
-
   /// Attach a ring-buffer event trace: the switch pushes typed records
   /// (head, write-wave, read-grant, cut-through, snoop, drop, wave-init)
-  /// instead of formatting text on the hot path. Null detaches.
+  /// instead of formatting text on the hot path; a Tracer attached as the
+  /// buffer's live drain formats them as they land. Null detaches.
   void set_trace(obs::TraceBuffer* tb) { trace_ = tb; }
 
   /// Register this switch's counters and gauges into `m` under
@@ -129,7 +89,6 @@ class PipelinedSwitch final : public Component {
   void skip(Cycle t, Cycle n) override;
   std::string name() const override { return "pipelined_switch"; }
 
-  const SwitchStats& stats() const { return stats_; }
   const PipelinedMemory& memory() const { return mem_; }
   std::uint32_t buffer_in_use() const { return free_.in_use(); }
   std::uint32_t buffer_peak() const { return free_.peak_in_use(); }
@@ -154,13 +113,6 @@ class PipelinedSwitch final : public Component {
   bool drained() const;
 
  private:
-  struct InFsm {
-    bool receiving = false;
-    unsigned phase = 0;   ///< Next word index to latch.
-    unsigned stage = 0;   ///< Its input latch, phase mod S (wraps, no division).
-    unsigned dest = 0;
-    Cycle a0 = 0;
-  };
   struct Pending {
     bool valid = false;
     Cycle a0 = 0;
@@ -176,12 +128,9 @@ class PipelinedSwitch final : public Component {
   bool try_grant_write(Cycle t);
   void expire_pending(Cycle t);
 
-  /// True if any trace consumer is attached (guards record construction).
-  bool tracing() const { return trace_ != nullptr || tracer_ != nullptr; }
-  void trace_push(const obs::TraceRecord& r) {
-    if (trace_) trace_->push(r);
-    if (tracer_) tracer_->record(r);
-  }
+  /// True if a trace buffer is attached (guards record construction).
+  bool tracing() const { return trace_ != nullptr; }
+  void trace_push(const obs::TraceRecord& r) { trace_->push(r); }
 
   SwitchConfig cfg_;
   unsigned S_;  ///< Stages = 2n.
@@ -196,17 +145,14 @@ class PipelinedSwitch final : public Component {
   RoundRobin rr_read_;
   RoundRobin rr_write_;
 
-  std::vector<WireLink> in_links_;
-  std::vector<WireLink> out_links_;
-  std::vector<InFsm> in_fsm_;
+  /// Per input: the latch of the next body word, its phase mod S (a
+  /// wrapping counter, no division).
+  std::vector<unsigned> latch_stage_;
   std::vector<Pending> pending_;
   std::vector<Cycle> next_read_ok_;  ///< Earliest next read initiation per output.
 
-  EventHub events_;
-  SwitchStats stats_;
   FaultPlan fault_;
   std::uint64_t fault_write_grants_ = 0;  ///< Eligible write grants seen (fault pacing).
-  Tracer* tracer_ = nullptr;
   obs::TraceBuffer* trace_ = nullptr;
   // Cached registry counters (null = not registered = zero hot-path cost).
   obs::Counter* m_wave_init_ = nullptr;

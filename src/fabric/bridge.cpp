@@ -48,7 +48,8 @@ PortBridge::PortBridge(const net::Topology* topo, const CellCodec* codec, unsign
       ejector_(ejector),
       length_(codec->fmt.length_words),
       audit_(check::env_enabled()),
-      pool_(static_cast<std::size_t>(kPoolCells) * length_) {
+      pool_(static_cast<std::size_t>(kPoolCells) * length_),
+      cell_rx_(codec->fmt) {
   for (unsigned b = 0; b < kPoolCells; ++b) free_[b] = static_cast<std::uint8_t>(b);
 }
 
@@ -65,22 +66,11 @@ void PortBridge::eval(Cycle t) {
 
   // ---- Arrival side: the virtual wire from the upstream TxTap.
   const Flit& f = rx_->read(t);
-  if (f.valid) {
-    if (!rx_active_) {
-      PMSB_CHECK(f.sop, "fabric link: body word arrived while expecting a head");
-      rx_active_ = true;
-      rx_phase_ = 0;
-      rx_buf_ = take_buffer();
-    } else {
-      PMSB_CHECK(!f.sop, "fabric link: head word arrived inside a cell");
-    }
-    cell(rx_buf_)[rx_phase_] = f.data;
-    if (++rx_phase_ == length_) {
-      rx_active_ = false;
-      finish_cell(t);
-    }
-  } else {
-    PMSB_CHECK(!rx_active_, "fabric link: gap inside a cell");
+  const RxWord w = cell_rx_.take(f, t);
+  if (w != RxWord::kIdle) {
+    if (w == RxWord::kHead) rx_buf_ = take_buffer();
+    cell(rx_buf_)[cell_rx_.phase()] = f.data;
+    if (cell_rx_.ends_cell()) finish_cell(t);
   }
 
   // ---- Output side: transit first, then local injection.
@@ -151,7 +141,7 @@ void PortBridge::audit() const {
     ++owners[buf];
     ++in_use;
   };
-  if (rx_active_) held(rx_buf_);
+  if (cell_rx_.mid_cell()) held(rx_buf_);
   if (staged_valid_) held(staged_buf_);
   for (unsigned k = 0; k < fifo_size_; ++k) held(fifo_[(fifo_head_ + k) % kFifoCells]);
   if (tx_active_) held(tx_buf_);
@@ -162,19 +152,13 @@ void PortBridge::audit() const {
 }
 
 CellNode::CellNode(const SwitchConfig& cfg, bool use_fast) {
-  if (use_fast)
+  if (use_fast) {
     fast = std::make_unique<FastSwitch>(cfg);
-  else
+    switch_ = fast.get();
+  } else {
     sw = std::make_unique<PipelinedSwitch>(cfg);
-  SwitchEvents ev;
-  ev.on_drop = [this](unsigned, Cycle, DropReason why) {
-    switch (why) {
-      case DropReason::kNoAddress: ++drop_no_addr; break;
-      case DropReason::kNoSlot: ++drop_no_slot; break;
-      case DropReason::kOutputLimit: ++drop_out_limit; break;
-    }
-  };
-  drop_sub_ = events().subscribe(std::move(ev));
+    switch_ = sw.get();
+  }
 }
 
 void CellNode::attach(Engine& eng) {
@@ -234,7 +218,7 @@ NodeCounts CellNode::counts() const {
   c.generated = arrivals.generated;
   c.backlog = arrivals.backlog.size();
   c.delivered = ejector.delivered;
-  c.dropped = drop_no_addr + drop_no_slot + drop_out_limit;
+  c.dropped = switch_->stats().dropped();
   c.lat_sum = ejector.lat_sum;
   for (const PortBridge& b : bridges) c.relayed += b.relayed();
   return c;
@@ -242,9 +226,10 @@ NodeCounts CellNode::counts() const {
 
 void CellNode::fold(FabricStats& st) const {
   st.payload_errors += ejector.payload_errors;
-  st.dropped_no_addr += drop_no_addr;
-  st.dropped_no_slot += drop_no_slot;
-  st.dropped_out_limit += drop_out_limit;
+  const SwitchStats& s = switch_->stats();
+  st.dropped_no_addr += s.dropped_no_addr;
+  st.dropped_no_slot += s.dropped_no_slot;
+  st.dropped_out_limit += s.dropped_out_limit;
   st.uid_digest = mix64(st.uid_digest ^ ejector.digest);
   st.latency.merge(ejector.lat_hist);
   if (ejector.delivered) {

@@ -51,6 +51,7 @@
 #include "common/cell.hpp"
 #include "common/rng.hpp"
 #include "common/util.hpp"
+#include "core/cell_port.hpp"
 #include "core/fast_switch.hpp"
 #include "core/switch.hpp"
 #include "fabric/channel.hpp"
@@ -159,7 +160,7 @@ class PortBridge final : public Component {
   /// ring its nodes read before skipping (engine-local skipping stays
   /// disabled in fabric nodes, so these hooks are only consulted there).
   bool is_quiescent(Cycle) const override {
-    return !rx_active_ && !tx_active_ && !staged_valid_ && fifo_size_ == 0 &&
+    return !cell_rx_.mid_cell() && !tx_active_ && !staged_valid_ && fifo_size_ == 0 &&
            (arrivals_ == nullptr || arrivals_->backlog.empty());
   }
   Cycle next_wake(Cycle) const override {
@@ -210,8 +211,7 @@ class PortBridge final : public Component {
   unsigned n_free_ = kPoolCells;
 
   // Arrival reassembly.
-  bool rx_active_ = false;
-  unsigned rx_phase_ = 0;
+  CellRx cell_rx_;
   std::uint8_t rx_buf_ = 0;
 
   // Transit store-and-forward: a cell completed during eval is staged and
@@ -231,21 +231,19 @@ class PortBridge final : public Component {
 };
 
 /// One node of a cell fabric: a cycle-accurate PipelinedSwitch or a
-/// behavioural FastSwitch, its Arrivals/Ejector endpoints and drop counters,
-/// one PortBridge per incoming link and one TxTap per outgoing link, plus an
+/// behavioural FastSwitch, its Arrivals/Ejector endpoints, one PortBridge per incoming link and one TxTap per outgoing link, plus an
 /// optional flight recorder and (under PMSB_CHECK, cycle-accurate switches
 /// only) a structural invariant checker. The node is its engine's single
 /// component (see file comment).
 class CellNode final : public FabricNode, private Component {
  public:
-  /// Builds the switch (`fast` picks the FastSwitch model) and subscribes
-  /// the node's own drop counting to its event hub, which leaves room for
-  /// checkers, scoreboards and user taps on the same switch.
+  /// Builds the switch (`fast` picks the FastSwitch model).
   CellNode(const SwitchConfig& cfg, bool fast);
 
-  EventHub& events() { return sw ? sw->events() : fast->events(); }
-  WireLink& in_link(unsigned port) { return sw ? sw->in_link(port) : fast->in_link(port); }
-  WireLink& out_link(unsigned port) { return sw ? sw->out_link(port) : fast->out_link(port); }
+  /// The node's switch, whichever model it runs: its links, events and
+  /// stats (drops included).
+  CellSwitch& cell_switch() { return *switch_; }
+  const CellSwitch& cell_switch() const { return *switch_; }
 
   /// The node as one component; then the checker as a cycle observer.
   void attach(Engine& eng) override;
@@ -256,9 +254,6 @@ class CellNode final : public FabricNode, private Component {
   std::unique_ptr<FastSwitch> fast;
   traffic::Arrivals arrivals;
   Ejector ejector;
-  std::uint64_t drop_no_addr = 0;
-  std::uint64_t drop_no_slot = 0;
-  std::uint64_t drop_out_limit = 0;
   std::unique_ptr<check::InvariantChecker> checker;
   /// Per-stage latency breakdown (FabricConfig::flight_recorder).
   std::unique_ptr<obs::FlightRecorder> flight;
@@ -274,7 +269,7 @@ class CellNode final : public FabricNode, private Component {
   void skip(Cycle t, Cycle n) override;
   std::string name() const override { return "cell_node"; }
 
-  Subscription drop_sub_;
+  CellSwitch* switch_;  ///< *sw or *fast.
 };
 
 }  // namespace pmsb::fabric

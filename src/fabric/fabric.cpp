@@ -444,7 +444,7 @@ void Fabric::build_cells() {
       fr.warmup = cfg_.flight_warmup;
       node->flight = std::make_unique<obs::FlightRecorder>(cfg_.node.n_ports,
                                                            cfg_.node.cell_words, fr);
-      node->flight->attach(node->events());
+      node->flight->attach(node->cell_switch().events());
     }
     // One bridge per incoming link; the first doubles as the node's
     // injection point.
@@ -455,11 +455,11 @@ void Fabric::build_cells() {
       const auto u = static_cast<unsigned>(topo.neighbor(v, port));
       Channel* rx = tx[u * ports + net::opposite(port)];
       traffic::Arrivals* arrivals = q == 0 ? &node->arrivals : nullptr;
-      node->bridges.emplace_back(&cfg_.topo, &codec_, v, port, rx, &node->in_link(q),
-                                 arrivals, &node->ejector);
+      node->bridges.emplace_back(&cfg_.topo, &codec_, v, port, rx,
+                                 &node->cell_switch().in_link(q), arrivals, &node->ejector);
     }
     for (unsigned p = 0; p < ports; ++p)
-      node->taps.emplace_back(&node->out_link(p), tx[v * ports + p]);
+      node->taps.emplace_back(&node->cell_switch().out_link(p), tx[v * ports + p]);
     nodes_.push_back(std::move(node));
   }
 }

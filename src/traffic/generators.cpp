@@ -131,30 +131,17 @@ void CellSource::skip(Cycle, Cycle n) {
 // ---------------------------------------------------------------------------
 
 CellSink::CellSink(unsigned output, WireLink* link, const CellFormat& fmt)
-    : output_(output), link_(link), fmt_(fmt) {
+    : output_(output), link_(link), rx_(fmt), words_(fmt.length_words) {
   PMSB_CHECK(link != nullptr, "sink needs a link");
-  words_.reserve(fmt.length_words);
 }
 
 void CellSink::eval(Cycle t) {
   const Flit& f = link_->now();
-  if (!receiving_) {
-    if (!f.valid) return;
-    PMSB_CHECK(f.sop, "output link emitted a body word with no head");
-    receiving_ = true;
-    words_.clear();
-    head_cycle_ = t;
-    words_.push_back(f.data);
-  } else {
-    PMSB_CHECK(f.valid, "gap inside a cell on an output link (underrun)");
-    PMSB_CHECK(!f.sop, "unexpected head inside a cell on an output link");
-    words_.push_back(f.data);
-  }
-  if (words_.size() == fmt_.length_words) {
-    receiving_ = false;
-    ++cells_delivered_;
-    if (on_deliver_) on_deliver_(Delivery{output_, words_, head_cycle_, t});
-  }
+  if (rx_.take(f, t) == RxWord::kIdle) return;
+  words_[rx_.phase()] = f.data;
+  if (!rx_.ends_cell()) return;
+  ++cells_delivered_;
+  if (on_deliver_) on_deliver_(Delivery{output_, words_, rx_.a0(), t});
 }
 
 void CellSink::commit(Cycle) {}

@@ -20,6 +20,7 @@
 
 #include "common/cell.hpp"
 #include "common/rng.hpp"
+#include "core/cell_port.hpp"
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
 #include "stats/stats.hpp"
@@ -252,17 +253,14 @@ class CellSink : public Component {
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   bool has_commit() const override { return false; }
-  bool is_quiescent(Cycle) const override { return !receiving_ && !link_->now().valid; }
+  bool is_quiescent(Cycle) const override { return !rx_.mid_cell() && !link_->now().valid; }
   std::string name() const override { return "cell_sink"; }
 
  private:
   unsigned output_;
   WireLink* link_;
-  CellFormat fmt_;
-
-  bool receiving_ = false;
+  CellRx rx_;
   std::vector<Word> words_;
-  Cycle head_cycle_ = 0;
 
   std::uint64_t cells_delivered_ = 0;
   std::function<void(const Delivery&)> on_deliver_;

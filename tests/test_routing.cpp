@@ -90,6 +90,19 @@ TEST(HeaderTranslator, TranslatesHeadAndPassesBody) {
   EXPECT_EQ(rig.tr.cells_unroutable(), 0u);
 }
 
+/// A stray body word (no head before it) violates the link contract: the
+/// translator aborts on it like every other receiver.
+TEST(HeaderTranslatorDeath, StrayBodyWordAborts) {
+  EXPECT_DEATH(
+      {
+        TranslatorRig rig;
+        rig.in.drive_next(Flit{true, false, 5});
+        rig.eng.step();
+        rig.eng.step();
+      },
+      CellRx::kBodyWithoutHead);
+}
+
 TEST(HeaderTranslator, UnroutableVcDiscardsWholeCell) {
   TranslatorRig rig;  // Table empty: everything unroutable.
   const auto seen = rig.send_and_capture(9, 1);

@@ -435,7 +435,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          AddrPathMode::kDecodedPipeline)),
     [](const auto& param_info) {
       const bool decoded = std::get<1>(param_info.param) == AddrPathMode::kDecodedPipeline;
-      return "S" + std::to_string(std::get<0>(param_info.param)) +
+      return std::string("S") + std::to_string(std::get<0>(param_info.param)) +
              (decoded ? "_DecodedPipeline" : "_PerStageDecoders");
     });
 
