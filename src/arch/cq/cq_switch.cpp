@@ -10,19 +10,17 @@ CrosspointQueuedSwitch::CrosspointQueuedSwitch(const SwitchConfig& cfg, CqSchedu
     : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
       cfg_(cfg),
       sched_(sched),
-      L_(cfg.cell_words),
       xp_cap_(cfg.capacity_cells() /
               (static_cast<std::size_t>(cfg.n_ports) * cfg.n_ports)),
-      xq_(static_cast<std::size_t>(cfg.n_ports) * cfg.n_ports),
+      xq_(cfg.n_ports * cfg.n_ports),
       fill_(cfg.n_ports, std::vector<Word>(cfg.cell_words)),
-      out_(cfg.n_ports) {
+      out_(cfg.n_ports, OutPort{std::vector<Word>(cfg.cell_words), CellTx(cfg.cell_words)}) {
   if (xp_cap_ == 0)
     throw std::invalid_argument(
         "crosspoint-queued switch needs capacity_cells() >= n_ports^2: the "
         "pool is statically split into one buffer per crosspoint");
   rr_.reserve(cfg.n_ports);
   for (unsigned o = 0; o < cfg.n_ports; ++o) rr_.emplace_back(cfg.n_ports);
-  for (auto& p : out_) p.shift.resize(L_);
 }
 
 void CrosspointQueuedSwitch::eval(Cycle t) {
@@ -33,13 +31,13 @@ void CrosspointQueuedSwitch::eval(Cycle t) {
 
 int CrosspointQueuedSwitch::pick_input(unsigned output) {
   if (sched_ == CqScheduler::kRoundRobin) {
-    return rr_[output].pick([&](unsigned i) { return !xq(i, output).empty(); });
+    return rr_[output].pick([&](unsigned i) { return !xq_.empty(crosspoint(i, output)); });
   }
   // Longest queue first; lowest input index breaks ties, deterministically.
   int best = -1;
   std::size_t best_len = 0;
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    const std::size_t len = xq(i, output).size();
+    const std::size_t len = xq_.size(crosspoint(i, output));
     if (len > best_len) {
       best = static_cast<int>(i);
       best_len = len;
@@ -51,25 +49,18 @@ int CrosspointQueuedSwitch::pick_input(unsigned output) {
 void CrosspointQueuedSwitch::run_outputs(Cycle t) {
   for (unsigned o = 0; o < cfg_.n_ports; ++o) {
     OutPort& p = out_[o];
-    if (!p.shifting) {
+    if (!p.tx.busy()) {
       const int i = pick_input(o);
       if (i >= 0) {
-        auto& q = xq(static_cast<unsigned>(i), o);
-        QueuedCell& c = q.front();
+        QueuedCell c = xq_.pop(crosspoint(static_cast<unsigned>(i), o));
         p.shift.swap(c.words);
-        p.shifting = true;
-        p.shift_idx = 0;
+        p.tx.start(p.shift.data());
         ++stats_.read_initiations;
         ++stats_.read_grants;
         events_.read_grant(o, c.input, t, c.stored_at, c.a0, false);
-        q.pop_front();
       }
     }
-    if (p.shifting) {
-      out_links_[o].drive_next(Flit{true, p.shift_idx == 0, p.shift[p.shift_idx]});
-      ++p.shift_idx;
-      if (p.shift_idx == L_) p.shifting = false;
-    }
+    if (p.tx.busy()) p.tx.drive(out_links_[o]);
   }
 }
 
@@ -88,13 +79,13 @@ void CrosspointQueuedSwitch::accept_arrivals(Cycle t) {
 
     // Cell complete: it either fits in its crosspoint or is lost. Only this
     // input writes crosspoint (i, dest), so one occupancy check suffices.
-    if (xq(i, rx.dest()).size() >= xp_cap_) {
+    const unsigned q = crosspoint(i, rx.dest());
+    if (xq_.size(q) >= xp_cap_) {
       ++stats_.dropped_no_addr;
       events_.drop(i, rx.a0(), DropReason::kNoAddress);
       continue;
     }
-    staged_.push_back(QueuedCell{fill_[i], i, rx.a0(), t});
-    staged_dest_.push_back(rx.dest());
+    xq_.push(q, QueuedCell{fill_[i], i, rx.a0(), t});
     ++stats_.accepted;
     ++stats_.write_initiations;
     events_.accept(i, rx.a0(), t + 1);
@@ -102,21 +93,14 @@ void CrosspointQueuedSwitch::accept_arrivals(Cycle t) {
 }
 
 void CrosspointQueuedSwitch::commit(Cycle) {
-  for (std::size_t k = 0; k < staged_.size(); ++k) {
-    xq(staged_[k].input, staged_dest_[k]).push_back(std::move(staged_[k]));
-  }
-  staged_.clear();
-  staged_dest_.clear();
+  xq_.tick();
   tick_links();
 }
 
 bool CrosspointQueuedSwitch::drained() const {
-  if (!staged_.empty() || any_mid_cell()) return false;
-  for (const auto& q : xq_) {
-    if (!q.empty()) return false;
-  }
+  if (!xq_.idle() || any_mid_cell()) return false;
   for (const auto& p : out_) {
-    if (p.shifting) return false;
+    if (p.tx.busy()) return false;
   }
   return true;
 }

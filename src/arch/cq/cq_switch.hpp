@@ -14,12 +14,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/arbiter.hpp"
 #include "core/cell_port.hpp"
 #include "core/config.hpp"
+#include "core/out_queues.hpp"
 
 namespace pmsb {
 
@@ -58,9 +58,8 @@ class CrosspointQueuedSwitch : public CellSwitch {
 
  private:
   struct OutPort {
-    bool shifting = false;
-    unsigned shift_idx = 0;
-    std::vector<Word> shift;
+    std::vector<Word> shift;  ///< The cell driving the link.
+    CellTx tx;
   };
   struct QueuedCell {
     std::vector<Word> words;
@@ -69,11 +68,9 @@ class CrosspointQueuedSwitch : public CellSwitch {
     Cycle stored_at;
   };
 
-  std::deque<QueuedCell>& xq(unsigned input, unsigned output) {
-    return xq_[static_cast<std::size_t>(input) * cfg_.n_ports + output];
-  }
-  const std::deque<QueuedCell>& xq(unsigned input, unsigned output) const {
-    return xq_[static_cast<std::size_t>(input) * cfg_.n_ports + output];
+  /// Queue of crosspoint (input, output).
+  unsigned crosspoint(unsigned input, unsigned output) const {
+    return input * cfg_.n_ports + output;
   }
 
   void run_outputs(Cycle t);
@@ -82,13 +79,10 @@ class CrosspointQueuedSwitch : public CellSwitch {
 
   SwitchConfig cfg_;
   CqScheduler sched_;
-  unsigned L_;          ///< Words per cell.
   std::size_t xp_cap_;  ///< Cells per crosspoint buffer.
 
-  std::vector<std::deque<QueuedCell>> xq_;  ///< [input * n + output]
-  std::vector<QueuedCell> staged_;          ///< Completed this cycle; queued in commit().
-  std::vector<unsigned> staged_dest_;       ///< Crosspoint column per staged cell.
-  std::vector<RoundRobin> rr_;              ///< Per-output rotating priority.
+  OutQueues<QueuedCell> xq_;    ///< One queue per crosspoint.
+  std::vector<RoundRobin> rr_;  ///< Per-output rotating priority.
 
   std::vector<std::vector<Word>> fill_;      ///< Per input: the cell assembling.
   std::vector<OutPort> out_;

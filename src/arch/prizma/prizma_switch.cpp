@@ -34,7 +34,7 @@ PrizmaSwitch::PrizmaSwitch(const PrizmaConfig& cfg)
       free_banks_(cfg.n_banks),
       oq_(cfg.n_ports),
       in_(cfg.n_ports),
-      out_(cfg.n_ports) {}
+      out_(cfg.n_ports, OutPort{CellTx(cfg.cell_words)}) {}
 
 void PrizmaSwitch::eval(Cycle t) {
   ++stats_.cycles;
@@ -47,12 +47,10 @@ void PrizmaSwitch::serve_outputs(Cycle t) {
   // concurrently, each from a different bank (no shared-port contention).
   for (unsigned o = 0; o < cfg_.n_ports; ++o) {
     OutPort& p = out_[o];
-    if (!p.streaming && !oq_[o].empty()) {
-      const QueuedCell c = oq_[o].front();
-      oq_[o].pop_front();
-      p.streaming = true;
+    if (!p.tx.busy() && !oq_.empty(o)) {
+      const QueuedCell c = oq_.pop(o);
+      p.tx.start(banks_[c.bank].data());
       p.bank = c.bank;
-      p.idx = 0;
       p.a0 = c.a0;
       ++stats_.read_grants;
       ++stats_.read_initiations;
@@ -60,17 +58,12 @@ void PrizmaSwitch::serve_outputs(Cycle t) {
       if (cut) ++stats_.cut_through_cells;
       events_.read_grant(o, c.input, t, c.a0 + 1, c.a0, cut);
     }
-    if (p.streaming) {
-      // Word idx was written to the bank at the end of cycle a0 + idx; we
-      // read it at t + ... here directly: t >= a0 + idx + 1 holds because
-      // the stream started at t >= a0 + 1 and advances one word per cycle.
-      PMSB_CHECK(t > p.a0 + static_cast<Cycle>(p.idx), "PRIZMA read overtook its write");
-      out_links_[o].drive_next(Flit{true, p.idx == 0, banks_[p.bank][p.idx]});
-      ++p.idx;
-      if (p.idx == L_) {
-        p.streaming = false;
-        free_banks_.release(p.bank);
-      }
+    if (p.tx.busy()) {
+      // Word k was written to the bank at the end of cycle a0 + k, and the
+      // stream reads it during t: t >= a0 + k + 1 holds because the stream
+      // started at t >= a0 + 1 and advances one word per cycle.
+      PMSB_CHECK(t > p.a0 + static_cast<Cycle>(p.tx.phase()), "PRIZMA read overtook its write");
+      if (p.tx.drive(out_links_[o])) free_banks_.release(p.bank);
     }
   }
 }
@@ -94,7 +87,7 @@ void PrizmaSwitch::accept_arrivals(Cycle t) {
         ++stats_.accepted;
         ++stats_.write_initiations;
         events_.accept(i, t, t + 1);
-        oq_staged_.push_back(QueuedCell{p.bank, i, dest, t});
+        oq_.push(dest, QueuedCell{p.bank, i, t});
       }
     }
     if (!p.discarding) banks_[p.bank][rx_[i].phase()] = f.data;
@@ -103,20 +96,13 @@ void PrizmaSwitch::accept_arrivals(Cycle t) {
 
 void PrizmaSwitch::commit(Cycle) {
   free_banks_.tick();
-  for (auto& c : oq_staged_) oq_[c.dest].push_back(c);
-  oq_staged_.clear();
+  oq_.tick();
   tick_links();
 }
 
 bool PrizmaSwitch::drained() const {
-  if (free_banks_.in_use() != 0 || !oq_staged_.empty() || any_mid_cell()) return false;
-  for (const auto& q : oq_) {
-    if (!q.empty()) return false;
-  }
-  for (const auto& p : out_) {
-    if (p.streaming) return false;
-  }
-  return true;
+  // A streaming output still holds its bank, so it counts as in use.
+  return free_banks_.in_use() == 0 && oq_.idle() && !any_mid_cell();
 }
 
 }  // namespace pmsb

@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "core/free_list.hpp"
+#include "core/out_queues.hpp"
 
 namespace pmsb {
 
@@ -59,14 +59,12 @@ class PrizmaSwitch : public CellSwitch {
   struct QueuedCell {
     std::uint32_t bank;
     unsigned input;
-    unsigned dest;
     Cycle a0;
   };
   struct OutPort {
-    bool streaming = false;
+    CellTx tx;  ///< Streams one bank through the selector crossbar.
     std::uint32_t bank = 0;
-    unsigned idx = 0;
-    Cycle a0 = 0;  ///< For latency/cut-through accounting.
+    Cycle a0 = 0;  ///< Head arrival of the cell streaming.
   };
 
   void serve_outputs(Cycle t);
@@ -77,8 +75,7 @@ class PrizmaSwitch : public CellSwitch {
 
   std::vector<std::vector<Word>> banks_;  ///< [bank][word]
   FreeList free_banks_;
-  std::vector<std::deque<QueuedCell>> oq_;
-  std::vector<QueuedCell> oq_staged_;
+  OutQueues<QueuedCell> oq_;  ///< Per output.
 
   std::vector<InPort> in_;
   std::vector<OutPort> out_;

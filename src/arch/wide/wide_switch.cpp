@@ -7,26 +7,20 @@ namespace pmsb {
 WideMemorySwitch::WideMemorySwitch(const SwitchConfig& cfg)
     : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
       cfg_(cfg),
-      L_(cfg.cell_words),
       wide_ram_(cfg.capacity_cells(), std::vector<Word>(cfg.cell_words, 0)),
       free_(cfg.capacity_cells()),
       oq_(cfg.n_ports),
       rr_read_(cfg.n_ports),
       rr_write_(cfg.n_ports),
-      in_(cfg.n_ports),
-      out_(cfg.n_ports) {
+      in_(cfg.n_ports, InPort{.fill = std::vector<Word>(cfg.cell_words),
+                              .staged = std::vector<Word>(cfg.cell_words)}),
+      out_(cfg.n_ports, OutPort{.shift = std::vector<Word>(cfg.cell_words),
+                                .tx = CellTx(cfg.cell_words),
+                                .next = std::vector<Word>(cfg.cell_words)}) {
   if (cfg.segments_per_cell() != 1)
     throw std::invalid_argument(
         "wide-memory switch stores one cell per wide word: cell_words must "
         "equal 2*n_ports");
-  for (auto& p : in_) {
-    p.fill.resize(L_);
-    p.staged.resize(L_);
-  }
-  for (auto& p : out_) {
-    p.shift.resize(L_);
-    p.next.resize(L_);
-  }
 }
 
 void WideMemorySwitch::eval(Cycle t) {
@@ -42,15 +36,13 @@ void WideMemorySwitch::arbitrate_memory(Cycle t) {
   // One wide-word access per cycle; reads (outputs) have priority, exactly
   // as in the pipelined organization, for a like-for-like comparison.
   const int o = rr_read_.pick([&](unsigned out) {
-    return !out_[out].next_valid && !oq_[out].empty();
+    return !out_[out].next_valid && !oq_.empty(out);
   });
   if (o >= 0) {
     OutPort& p = out_[o];
-    const QueuedCell c = oq_[o].front();
-    oq_[o].pop_front();
+    const QueuedCell c = oq_.pop(static_cast<unsigned>(o));
     p.next = wide_ram_[c.addr];
     p.next_valid = true;
-    p.next_a0 = c.a0;
     free_.release(c.addr);
     ram_port_used_ = true;
     ++stats_.read_initiations;
@@ -64,8 +56,7 @@ void WideMemorySwitch::arbitrate_memory(Cycle t) {
     InPort& p = in_[i];
     const std::uint32_t addr = free_.alloc(1)[0];
     wide_ram_[addr] = p.staged;
-    oq_staged_.push_back(
-        QueuedCell{addr, static_cast<unsigned>(i), p.staged_dest, p.staged_a0, t});
+    oq_.push(p.staged_dest, QueuedCell{addr, static_cast<unsigned>(i), p.staged_a0, t});
     // The queue entry becomes readable next cycle (committed), matching a
     // registered "ready to depart" list.
     p.staged_valid = false;
@@ -84,18 +75,12 @@ void WideMemorySwitch::run_outputs(Cycle) {
       continue;  // The link is spoken for this cycle.
     }
     if (p.bypass_from >= 0) continue;  // Link owned by the bypass stream.
-    if (!p.shifting && p.next_valid) {
+    if (!p.tx.busy() && p.next_valid) {
       p.shift.swap(p.next);
-      p.inject_a0 = p.next_a0;
       p.next_valid = false;
-      p.shifting = true;
-      p.shift_idx = 0;
+      p.tx.start(p.shift.data());
     }
-    if (p.shifting) {
-      out_links_[o].drive_next(Flit{true, p.shift_idx == 0, p.shift[p.shift_idx]});
-      ++p.shift_idx;
-      if (p.shift_idx == L_) p.shifting = false;
-    }
+    if (p.tx.busy()) p.tx.drive(out_links_[o]);
   }
 }
 
@@ -116,9 +101,9 @@ void WideMemorySwitch::accept_arrivals(Cycle t) {
       OutPort& op = out_[dest];
       const bool own_staged_same_dest = p.staged_valid && p.staged_dest == dest;
       bool queued_this_cycle = false;
-      for (const auto& c : oq_staged_) queued_this_cycle |= (c.dest == dest);
+      for (const auto& s : oq_.staged()) queued_this_cycle |= s.queue == dest;
       p.bypassing = cfg_.cut_through && op.bypass_from < 0 && !op.bypass_reg.valid &&
-                    !op.shifting && !op.next_valid && oq_[dest].empty() &&
+                    !op.tx.busy() && !op.next_valid && oq_.empty(dest) &&
                     !queued_this_cycle && !own_staged_same_dest;
       if (p.bypassing) {
         op.bypass_from = static_cast<int>(i);
@@ -164,21 +149,17 @@ void WideMemorySwitch::accept_arrivals(Cycle t) {
 
 void WideMemorySwitch::commit(Cycle) {
   free_.tick();
-  for (auto& c : oq_staged_) oq_[c.dest].push_back(c);
-  oq_staged_.clear();
+  oq_.tick();
   tick_links();
 }
 
 bool WideMemorySwitch::drained() const {
-  if (free_.in_use() != 0 || !oq_staged_.empty() || any_mid_cell()) return false;
-  for (const auto& q : oq_) {
-    if (!q.empty()) return false;
-  }
+  if (free_.in_use() != 0 || !oq_.idle() || any_mid_cell()) return false;
   for (const auto& p : in_) {
     if (p.staged_valid) return false;
   }
   for (const auto& p : out_) {
-    if (p.shifting || p.next_valid || p.bypass_from >= 0) return false;
+    if (p.tx.busy() || p.next_valid || p.bypass_from >= 0) return false;
   }
   return true;
 }

@@ -24,13 +24,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/arbiter.hpp"
 #include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "core/free_list.hpp"
+#include "core/out_queues.hpp"
 
 namespace pmsb {
 
@@ -64,23 +64,19 @@ class WideMemorySwitch : public CellSwitch {
     std::vector<Word> staged;
   };
   struct OutPort {
-    // Shift row currently driving the link.
-    bool shifting = false;
-    unsigned shift_idx = 0;
+    // Shift row currently driving the link, through the transmitter.
     std::vector<Word> shift;
-    Cycle inject_a0 = 0;
+    CellTx tx;
     // Second row: the next cell, already read from memory.
     bool next_valid = false;
     std::vector<Word> next;
-    Cycle next_a0 = 0;
     // Bypass (cut-through) stream feeding this output directly.
     int bypass_from = -1;  ///< Input index, or -1.
-    Flit bypass_reg;       ///< Crossbar register stage of the bypass path.
+    Flit bypass_reg{};     ///< Crossbar register stage of the bypass path.
   };
   struct QueuedCell {
     std::uint32_t addr;
     unsigned input;
-    unsigned dest;
     Cycle a0;
     Cycle stored_at;
   };
@@ -90,13 +86,11 @@ class WideMemorySwitch : public CellSwitch {
   void accept_arrivals(Cycle t);
 
   SwitchConfig cfg_;
-  unsigned L_;  ///< Words per cell = wide-word width in link words.
 
   std::vector<std::vector<Word>> wide_ram_;  ///< [addr][0..L-1]
   bool ram_port_used_ = false;               ///< One access per cycle.
   FreeList free_;
-  std::vector<std::deque<QueuedCell>> oq_;
-  std::vector<QueuedCell> oq_staged_;
+  OutQueues<QueuedCell> oq_;  ///< Per output.
   RoundRobin rr_read_;
   RoundRobin rr_write_;
 

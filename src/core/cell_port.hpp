@@ -6,7 +6,14 @@
 // one receiver of that contract: every switch input, every CellSink,
 // fabric::PortBridge and HeaderTranslator run their link through one, so
 // the three framing checks -- a body word with no head, a head inside a
-// cell, a gap inside a cell -- are made here and nowhere else.
+// cell, a gap inside a cell -- are made here and nowhere else. CellTx is
+// the one transmitter of a stored cell: the switch outputs that relay
+// buffered words (WideMemorySwitch, PrizmaSwitch, CrosspointQueuedSwitch,
+// FastSwitch) and PortBridge drive their link through one, so a cell always
+// leaves as a head plus L-1 body words with no gap. (PipelinedSwitch and
+// DualPipelinedSwitch drive their links from the output register row,
+// CellSource computes its words as it sends them, and HeaderTranslator
+// forwards each word the cycle it arrives.)
 //
 // CellSwitch is the shell shared by the six word-level switch models
 // (PipelinedSwitch, DualPipelinedSwitch, FastSwitch, WideMemorySwitch,
@@ -15,7 +22,9 @@
 // what differs -- where word k of a cell goes and what a head decides -- so
 // harnesses (Scoreboard, fabric::CellNode) can hold any of them as a
 // CellSwitch&. It declares no virtual function of its own: a model's
-// per-word path calls the inline CellRx::take directly.
+// per-word path calls the inline CellRx::take directly. The other shared
+// parts sit beside it: the ready-to-depart lists in core/out_queues.hpp and
+// the input-latch write window in core/latch_window.hpp.
 
 #pragma once
 
@@ -109,6 +118,44 @@ class CellRx {
   unsigned phase_ = 0;
   unsigned dest_ = 0;
   Cycle a0_ = 0;
+};
+
+/// Transmitter of one link: sends a stored cell's L words on consecutive
+/// cycles, sop on the head only. Each word is read from the cell when it is
+/// driven, so the cell may still be filling behind the transmitter
+/// (cut-through); it must stay in place until the last word is out.
+class CellTx {
+ public:
+  static constexpr const char* kStartWhileBusy = "cell transmitter started mid-cell";
+
+  explicit CellTx(unsigned length_words) : length_(length_words) {}
+
+  /// Send the L words at `cell`, the first on the next drive().
+  void start(const Word* cell) {
+    PMSB_CHECK(!busy(), kStartWhileBusy);
+    cell_ = cell;
+    phase_ = 0;
+  }
+
+  /// Drive this cycle's word onto `link`. Returns true if it was the last
+  /// word of the cell; the transmitter is then idle.
+  bool drive(WireLink& link) {
+    PMSB_CHECK(busy(), "cell transmitter driven while idle");
+    link.drive_next(Flit{true, phase_ == 0, cell_[phase_]});
+    if (++phase_ != length_) return false;
+    cell_ = nullptr;
+    return true;
+  }
+
+  /// A cell is in progress.
+  bool busy() const { return cell_ != nullptr; }
+  /// Index in its cell of the word the next drive() sends.
+  unsigned phase() const { return phase_; }
+
+ private:
+  const Word* cell_ = nullptr;
+  unsigned length_;
+  unsigned phase_ = 0;
 };
 
 /// The shell of an n x n word-level cell switch (see file comment).

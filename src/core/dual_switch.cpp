@@ -33,14 +33,12 @@ DualPipelinedSwitch::DualPipelinedSwitch(const DualSwitchConfig& cfg, AddrPathMo
       S_(cfg.stages()),
       mem_{PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits, addr_mode),
            PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits, addr_mode)},
-      ir_(cfg.n_ports, S_, cfg.word_bits),
+      window_(cfg.n_ports, S_, cfg.word_bits),
       orow_(S_, cfg.n_ports, cfg.word_bits),
       free_{FreeList(cfg.capacity_segments_per_group), FreeList(cfg.capacity_segments_per_group)},
       rr_read_(cfg.n_ports),
       rr_write_(cfg.n_ports),
       queues_(cfg.n_ports),
-      latch_stage_(cfg.n_ports),
-      pending_(cfg.n_ports),
       next_read_ok_(cfg.n_ports, 0) {}
 
 void DualPipelinedSwitch::eval(Cycle t) {
@@ -52,25 +50,20 @@ void DualPipelinedSwitch::eval(Cycle t) {
   // its window guarantee.
   const bool space0 = read_group != 0 && free_[0].can_alloc(1);
   const bool space1 = read_group != 1 && free_[1].can_alloc(1);
-  if (!space0 && !space1) {
-    for (auto& p : pending_) {
-      if (p.valid) p.addr_starved = true;
-    }
-  }
-  expire_pending(t);
-  mem_[0].exec_cycle(ir_, orow_);
-  mem_[1].exec_cycle(ir_, orow_);
+  if (!space0 && !space1) window_.starve();
+  window_.expire(t, stats_, events_, [](unsigned, DropReason) {});
+  mem_[0].exec_cycle(window_.latches(), orow_);
+  mem_[1].exec_cycle(window_.latches(), orow_);
   orow_.drive_links(out_links_);
   process_arrivals(t);
 }
 
 int DualPipelinedSwitch::grant_read(Cycle t) {
   const int o = rr_read_.pick([&](unsigned out) {
-    return next_read_ok_[out] <= t && !queues_[out].empty();
+    return next_read_ok_[out] <= t && !queues_.empty(out);
   });
   if (o < 0) return -1;
-  DualCell cell = queues_[o].front();
-  queues_[o].pop_front();
+  const DualCell cell = queues_.pop(static_cast<unsigned>(o));
   next_read_ok_[o] = t + static_cast<Cycle>(S_);
 
   StageCtrl c;
@@ -95,7 +88,7 @@ void DualPipelinedSwitch::grant_write(Cycle t, int read_group) {
     return static_cast<int>(g) != read_group && free_[g].can_alloc(1);
   };
   const int i = rr_write_.pick([&](unsigned in) {
-    return pending_[in].valid && (group_allowed(0) || group_allowed(1));
+    return window_.pending(in).valid && (group_allowed(0) || group_allowed(1));
   });
   if (i < 0) return;
 
@@ -106,9 +99,9 @@ void DualPipelinedSwitch::grant_write(Cycle t, int read_group) {
   else
     g = group_allowed(0) ? 0 : 1;
 
-  Pending& p = pending_[i];
+  const LatchWindow::Pending& p = window_.pending(i);
   const std::uint32_t addr = free_[g].alloc(1)[0];
-  ir_.protect_for_wave(static_cast<unsigned>(i), t, p.a0);
+  window_.latches().protect_for_wave(static_cast<unsigned>(i), t, p.a0);
   ++stats_.accepted;
   events_.accept(static_cast<unsigned>(i), p.a0, t);
 
@@ -119,7 +112,7 @@ void DualPipelinedSwitch::grant_write(Cycle t, int read_group) {
 
   const unsigned dest = p.dest;
   const bool can_snoop = cfg_.cut_through && read_group < 0 && next_read_ok_[dest] <= t &&
-                         queues_[dest].empty();
+                         queues_.empty(dest);
   if (can_snoop) {
     c.op = StageOp::kWriteSnoop;
     c.out_link = static_cast<std::uint16_t>(dest);
@@ -134,73 +127,39 @@ void DualPipelinedSwitch::grant_write(Cycle t, int read_group) {
   } else {
     c.op = StageOp::kWrite;
     ++stats_.write_initiations;
-    staged_pushes_.push_back(DualCell{static_cast<unsigned>(i), dest, g, addr, p.a0, t});
+    queues_.push(dest, DualCell{static_cast<unsigned>(i), g, addr, p.a0, t});
   }
   mem_[g].initiate(c);
   if (read_group >= 0) ++dual_cycles_;
-  p.valid = false;
-}
-
-void DualPipelinedSwitch::expire_pending(Cycle t) {
-  for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    Pending& p = pending_[i];
-    if (!p.valid) continue;
-    const Cycle deadline = p.a0 + static_cast<Cycle>(S_);
-    PMSB_CHECK(t <= deadline, "pending write survived past its latch window");
-    if (t < deadline) continue;
-    if (p.addr_starved)
-      ++stats_.dropped_no_addr;
-    else
-      ++stats_.dropped_no_slot;
-    events_.drop(i, p.a0,
-                 p.addr_starved ? DropReason::kNoAddress : DropReason::kNoSlot);
-    p.valid = false;
-  }
+  window_.close(static_cast<unsigned>(i));
 }
 
 void DualPipelinedSwitch::process_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
-    const RxWord w = rx_[i].take(f, t);
-    if (w == RxWord::kIdle) continue;
-    if (w == RxWord::kBody) {
-      unsigned& stage = latch_stage_[i];
-      ir_.latch(i, stage, f.data, t);
-      stage = stage + 1 == S_ ? 0 : stage + 1;
-      continue;
-    }
+    if (!window_.latch(i, rx_[i].take(f, t), f.data, t)) continue;
     const unsigned dest = rx_[i].dest();
-    ir_.latch(i, 0, f.data, t);
-    latch_stage_[i] = S_ > 1 ? 1 : 0;
-    PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
-    pending_[i] = Pending{true, t, dest, false};
     ++stats_.heads_seen;
     events_.head(i, t, dest);
+    window_.open(i, t, dest);
   }
 }
 
 void DualPipelinedSwitch::commit(Cycle t) {
-  ir_.tick(t);
+  window_.latches().tick(t);
   mem_[0].tick();
   mem_[1].tick();
   orow_.tick();
   free_[0].tick();
   free_[1].tick();
-  for (auto& c : staged_pushes_) queues_[c.dest].push_back(c);
-  staged_pushes_.clear();
+  queues_.tick();
   tick_links();
 }
 
 bool DualPipelinedSwitch::drained() const {
   if (mem_[0].busy() || mem_[1].busy()) return false;
-  if (free_[0].in_use() != 0 || free_[1].in_use() != 0 || any_mid_cell()) return false;
-  for (const auto& q : queues_) {
-    if (!q.empty()) return false;
-  }
-  for (const auto& p : pending_) {
-    if (p.valid) return false;
-  }
-  return true;
+  return free_[0].in_use() == 0 && free_[1].in_use() == 0 && !any_mid_cell() &&
+         queues_.idle() && window_.pending_cells() == 0;
 }
 
 }  // namespace pmsb

@@ -22,14 +22,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "core/arbiter.hpp"
 #include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "core/free_list.hpp"
-#include "core/input_latches.hpp"
+#include "core/latch_window.hpp"
+#include "core/out_queues.hpp"
 #include "core/output_row.hpp"
 #include "core/pipelined_memory.hpp"
 
@@ -67,33 +67,18 @@ class DualPipelinedSwitch : public CellSwitch {
   bool drained() const;
 
   /// Committed cells across all per-output lists (verification).
-  std::size_t queued_cells() const {
-    std::size_t n = 0;
-    for (const auto& q : queues_) n += q.size();
-    return n;
-  }
+  std::size_t queued_cells() const { return queues_.total_size(); }
 
   /// Cells latched but not yet accepted or dropped (at most one per input).
-  unsigned pending_cells() const {
-    unsigned c = 0;
-    for (const auto& p : pending_) c += p.valid ? 1 : 0;
-    return c;
-  }
+  unsigned pending_cells() const { return window_.pending_cells(); }
 
   /// Cycles in which BOTH a read and a write wave were initiated (the
   /// section 3.5 claim: the organization supports 1 + 1 per cycle).
   std::uint64_t dual_initiation_cycles() const { return dual_cycles_; }
 
  private:
-  struct Pending {
-    bool valid = false;
-    Cycle a0 = 0;
-    unsigned dest = 0;
-    bool addr_starved = false;  ///< No allowed group had space at some cycle.
-  };
   struct DualCell {
     unsigned input;
-    unsigned dest;
     unsigned group;
     std::uint32_t addr;
     Cycle a0;
@@ -103,25 +88,19 @@ class DualPipelinedSwitch : public CellSwitch {
   /// Returns the group read from, or -1.
   int grant_read(Cycle t);
   void grant_write(Cycle t, int read_group);
-  void expire_pending(Cycle t);
   void process_arrivals(Cycle t);
 
   DualSwitchConfig cfg_;
   unsigned S_;  ///< Stages per group = n.
 
   PipelinedMemory mem_[2];
-  InputLatches ir_;
+  LatchWindow window_;  ///< Input latch rows and pending heads.
   OutputRow orow_;
   FreeList free_[2];
   RoundRobin rr_read_;
   RoundRobin rr_write_;
 
-  std::vector<std::deque<DualCell>> queues_;        ///< Committed, per output.
-  std::vector<DualCell> staged_pushes_;
-
-  /// Per input: the latch of the next body word, its phase mod S (wraps).
-  std::vector<unsigned> latch_stage_;
-  std::vector<Pending> pending_;
+  OutQueues<DualCell> queues_;  ///< Per output.
   std::vector<Cycle> next_read_ok_;
 
   std::uint64_t dual_cycles_ = 0;

@@ -7,7 +7,19 @@ namespace pmsb {
 FastSwitch::FastSwitch(const SwitchConfig& cfg)
     : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()), cfg_(cfg),
       L_(cfg.cell_words), window_(cfg.stages()), capacity_cells_(cfg.capacity_cells()),
-      filling_(cfg.n_ports), tx_(cfg.n_ports), pending_(cfg.n_ports), oq_(cfg.n_ports) {}
+      filling_(cfg.n_ports, kNoCell), pending_(cfg.n_ports, kNoCell), oq_(cfg.n_ports),
+      tx_(cfg.n_ports, CellTx(cfg.cell_words)), tx_cell_(cfg.n_ports, kNoCell) {}
+
+std::uint32_t FastSwitch::take_cell() {
+  if (free_cells_.empty()) {
+    free_cells_.push_back(static_cast<std::uint32_t>(cells_.size()));
+    cells_.emplace_back().words.resize(L_);
+  }
+  const std::uint32_t c = free_cells_.back();
+  free_cells_.pop_back();
+  cells_[c].refs = 2;
+  return c;
+}
 
 void FastSwitch::register_metrics(obs::MetricsRegistry& m, const std::string& prefix) {
   m.add_gauge(prefix + ".buffer.in_use",
@@ -26,28 +38,29 @@ void FastSwitch::eval(Cycle t) {
   bool drove = false;
   for (unsigned o = 0; o < cfg_.n_ports; ++o) {
     run_output(o, t);
-    drove = drove || tx_[o].active || out_links_[o].now().valid;
+    drove = drove || tx_[o].busy() || out_links_[o].now().valid;
   }
   if (!drove) ++stats_.idle_cycles;
 }
 
 void FastSwitch::admit_or_expire_pending(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    PendingCell& p = pending_[i];
-    if (!p.valid) continue;
+    std::uint32_t& c = pending_[i];
+    if (c == kNoCell) continue;
+    const Cell& cell = cells_[c];
     if (resident_ < capacity_cells_) {
       ++stats_.accepted;
       ++stats_.write_initiations;
       ++resident_;
-      events_.accept(i, p.a0, t);
-      oq_[p.dest].push_back(p.cell);
-      p = PendingCell{};
-    } else if (t >= p.a0 + static_cast<Cycle>(window_)) {
+      events_.accept(i, cell.a0, t);
+      oq_[cell.dest].push_back(c);
+      c = kNoCell;
+    } else if (t >= cell.a0 + static_cast<Cycle>(window_)) {
       // Window over with the buffer still full: the addr-starved loss class
       // (the fast model has no stage-0 slot, so kNoSlot cannot happen).
       ++stats_.dropped_no_addr;
-      events_.drop(i, p.a0, DropReason::kNoAddress);
-      p = PendingCell{};  // Its input keeps taking the dead cell's body.
+      events_.drop(i, cell.a0, DropReason::kNoAddress);
+      release_cell(c);  // Its input keeps taking the dead cell's body.
     }
   }
 }
@@ -57,16 +70,17 @@ void FastSwitch::process_arrival(unsigned i, Cycle t) {
   CellRx& rx = rx_[i];
   const RxWord w = rx.take(f, t);
   if (w == RxWord::kIdle) return;
-  CellPtr& cell = filling_[i];
+  std::uint32_t& c = filling_[i];
   if (w == RxWord::kBody) {
-    if (cell) {
-      cell->words[rx.phase()] = f.data;
-      cell->filled = rx.phase() + 1;
-    }
-    if (rx.ends_cell()) cell.reset();
+    if (c == kNoCell) return;
+    Cell& cell = cells_[c];
+    cell.words[rx.phase()] = f.data;
+    cell.filled = rx.phase() + 1;
+    if (rx.ends_cell()) release_cell(c);
     return;
   }
-  PMSB_CHECK(!pending_[i].valid, "fast switch: new head while the previous cell is unresolved");
+  PMSB_CHECK(pending_[i] == kNoCell,
+             "fast switch: new head while the previous cell is unresolved");
   const unsigned dest = rx.dest();
   ++stats_.heads_seen;
   events_.head(i, t, dest);
@@ -76,61 +90,57 @@ void FastSwitch::process_arrival(unsigned i, Cycle t) {
   if (cfg_.out_queue_limit > 0 && oq_[dest].size() >= cfg_.out_queue_limit) {
     ++stats_.dropped_out_limit;
     events_.drop(i, t, DropReason::kOutputLimit);
-    cell.reset();
     return;
   }
-  cell = std::make_shared<Cell>();
-  cell->input = i;
-  cell->dest = dest;
-  cell->a0 = t;
-  cell->words.resize(L_);
-  cell->words[0] = f.data;
-  cell->filled = 1;
+  // L >= 2 always (validated), so the head never ends the cell: the input
+  // holds the buffer until the tail.
+  c = take_cell();
+  Cell& cell = cells_[c];
+  cell.input = i;
+  cell.dest = dest;
+  cell.a0 = t;
+  cell.words[0] = f.data;
+  cell.filled = 1;
   if (resident_ >= capacity_cells_) {
     // Full buffer: not a drop yet. The cycle-accurate switch keeps the
     // cell in its input latches through the window [a0+1, a0+2n] and
     // grants it if an address frees; hold it pending the same way.
-    pending_[i] = PendingCell{true, t, dest, cell};
+    pending_[i] = c;
     return;
   }
   ++stats_.accepted;
   ++stats_.write_initiations;
   ++resident_;
   events_.accept(i, t, t + 1);
-  oq_[dest].push_back(cell);
-  // L >= 2 always (validated), so the head never ends the cell.
+  oq_[dest].push_back(c);
 }
 
 void FastSwitch::run_output(unsigned o, Cycle t) {
-  TxFsm& tx = tx_[o];
-  if (!tx.active && !oq_[o].empty()) {
-    const CellPtr& head = oq_[o].front();
+  CellTx& tx = tx_[o];
+  std::uint32_t& c = tx_cell_[o];
+  if (!tx.busy() && !oq_[o].empty()) {
+    const Cell& head = cells_[oq_[o].front()];
     // With cut-through the relay starts the cycle after the head arrived
     // (head on the output wire at a0 + 2, the paper's best case); without
     // it the whole cell must have arrived first.
-    const Cycle ready = cfg_.cut_through ? head->a0 + 1 : head->a0 + static_cast<Cycle>(L_);
+    const Cycle ready = cfg_.cut_through ? head.a0 + 1 : head.a0 + static_cast<Cycle>(L_);
     if (t >= ready) {
-      tx.cell = head;
+      c = oq_[o].front();
       oq_[o].pop_front();
-      tx.active = true;
-      tx.phase = 0;
+      tx.start(head.words.data());
       PMSB_CHECK(resident_ > 0, "fast switch: transmit from an empty buffer");
       --resident_;  // Buffer space frees at departure start, as in the
                     // cycle-accurate switch's read initiation.
       ++stats_.read_grants;
       ++stats_.read_initiations;
-      const bool cut = t < tx.cell->a0 + static_cast<Cycle>(L_) - 1;
+      const bool cut = t < head.a0 + static_cast<Cycle>(L_) - 1;
       if (cut) ++stats_.cut_through_cells;
-      events_.read_grant(o, tx.cell->input, t, tx.cell->a0 + 1, tx.cell->a0, cut);
+      events_.read_grant(o, head.input, t, head.a0 + 1, head.a0, cut);
     }
   }
-  if (tx.active) {
-    PMSB_CHECK(tx.phase < tx.cell->filled, "fast switch: relay ran ahead of arrival");
-    out_links_[o].drive_next(Flit{true, tx.phase == 0, tx.cell->words[tx.phase]});
-    if (++tx.phase == L_) {
-      tx.active = false;
-      tx.cell.reset();
-    }
+  if (tx.busy()) {
+    PMSB_CHECK(tx.phase() < cells_[c].filled, "fast switch: relay ran ahead of arrival");
+    if (tx.drive(out_links_[o])) release_cell(c);
   }
 }
 
@@ -138,11 +148,11 @@ void FastSwitch::commit(Cycle) { tick_links(); }
 
 bool FastSwitch::drained() const {
   if (resident_ != 0 || any_mid_cell()) return false;
-  for (const auto& p : pending_) {
-    if (p.valid) return false;
+  for (const std::uint32_t c : pending_) {
+    if (c != kNoCell) return false;
   }
-  for (const auto& x : tx_) {
-    if (x.active) return false;
+  for (const CellTx& x : tx_) {
+    if (x.busy()) return false;
   }
   for (const auto& q : oq_) {
     if (!q.empty()) return false;

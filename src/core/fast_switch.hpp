@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -69,49 +68,52 @@ class FastSwitch final : public CellSwitch {
   bool drained() const;
 
  private:
-  /// One buffered cell. Shared between its input (still filling it) and
-  /// the transmit FSM (already relaying it) during cut-through.
+  static constexpr std::uint32_t kNoCell = ~0u;
+
+  /// One cell buffer. Shared between its input (still filling it) and its
+  /// pending slot, output queue or transmitter (relaying it) during
+  /// cut-through; it returns to the free list when both have let go.
   struct Cell {
     unsigned input = 0;
     unsigned dest = 0;
-    Cycle a0 = 0;          ///< Head-arrival cycle.
-    unsigned filled = 0;   ///< Words latched so far.
+    Cycle a0 = 0;         ///< Head-arrival cycle.
+    unsigned filled = 0;  ///< Words latched so far.
+    unsigned refs = 0;    ///< Holders: the filling input, and the cell's owner.
     std::vector<Word> words;
-  };
-  using CellPtr = std::shared_ptr<Cell>;
-
-  struct TxFsm {
-    bool active = false;
-    unsigned phase = 0;  ///< Next word index to drive.
-    CellPtr cell;
-  };
-
-  /// A head that saw a full buffer, waiting out its latch window
-  /// [a0+1, a0+window_] for space to free (admitted then) or expiry
-  /// (dropped kNoAddress, like the cycle-accurate addr-starved case).
-  struct PendingCell {
-    bool valid = false;
-    Cycle a0 = 0;
-    unsigned dest = 0;
-    CellPtr cell;
   };
 
   void admit_or_expire_pending(Cycle t);
   void process_arrival(unsigned i, Cycle t);
   void run_output(unsigned o, Cycle t);
+  /// A free buffer, held by its filling input and its owner (see Cell).
+  std::uint32_t take_cell();
+  /// Drop the holder's reference `c` and clear it.
+  void release_cell(std::uint32_t& c) {
+    if (--cells_[c].refs == 0) free_cells_.push_back(c);
+    c = kNoCell;
+  }
 
   SwitchConfig cfg_;
   unsigned L_;               ///< Words per cell.
   unsigned window_;          ///< Latch-window length (2n, = cfg.stages()).
   unsigned capacity_cells_;  ///< Shared-buffer capacity in cells.
 
-  /// Per input: the cell its words fill; null while swallowing a dropped
+  /// Cell buffers, grown on demand; a deque so a buffer stays in place (a
+  /// transmitter reads its words) while the pool grows.
+  std::deque<Cell> cells_;
+  std::vector<std::uint32_t> free_cells_;
+  /// Per input: the cell its words fill; kNoCell while swallowing a dropped
   /// cell's body.
-  std::vector<CellPtr> filling_;
-  std::vector<TxFsm> tx_;
-  std::vector<PendingCell> pending_;
-  std::vector<std::deque<CellPtr>> oq_;  ///< Accepted cells awaiting relay.
-  std::uint32_t resident_ = 0;           ///< Cells owning buffer space.
+  std::vector<std::uint32_t> filling_;
+  /// Per input: a head that saw a full buffer, waiting out its latch window
+  /// [a0+1, a0+window_] for space to free (admitted then) or expiry
+  /// (dropped kNoAddress, like the cycle-accurate addr-starved case); or
+  /// kNoCell.
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::deque<std::uint32_t>> oq_;  ///< Accepted cells awaiting relay.
+  std::vector<CellTx> tx_;
+  std::vector<std::uint32_t> tx_cell_;  ///< Per output: the cell tx_ sends.
+  std::uint32_t resident_ = 0;          ///< Cells owning buffer space.
 };
 
 }  // namespace pmsb

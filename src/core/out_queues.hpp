@@ -1,15 +1,21 @@
-// Per-output "ready to depart" lists (the paper's outgoing-link logic keeps
-// "the list of ready to depart packets", section 4.2).
+// "Ready to depart" lists (the paper's outgoing-link logic keeps "the list
+// of ready to depart packets", section 4.2).
 //
-// One FIFO per outgoing link, holding references to buffered cells (their
-// segment addresses in the shared buffer). A cell is pushed when its write
-// wave is granted (it is then readable from that cycle on, including during
-// its own storing via cut-through) and popped when its read wave initiates.
+// OutQueues<T> is a set of FIFOs indexed by queue number, each entry a T
+// describing a stored cell. Every word-level switch with such lists keeps
+// them in one: PipelinedSwitch and DualPipelinedSwitch (one queue per
+// output, entries naming buffer addresses), WideMemorySwitch (wide-word
+// addresses) and PrizmaSwitch (banks), and CrosspointQueuedSwitch, whose n^2
+// crosspoint buffers are queues input * n + output. The lists are a
+// registered structure: push() is staged and becomes visible to front(),
+// empty() and size() at tick(), the clock edge; pop() takes effect at once.
+// Header-only so the per-cycle arbitration inlines it.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/small_vec.hpp"
@@ -17,54 +23,82 @@
 
 namespace pmsb {
 
-/// A cell resident in (or streaming through) the shared buffer.
+/// A cell resident in (or streaming through) the pipelined shared buffer.
 struct BufferedCell {
   unsigned input = 0;                   ///< Arrival link.
-  unsigned dest = 0;                    ///< Departure link.
   Cycle head_arrival = 0;               ///< a0: head word latched at end of this cycle.
   Cycle write_start = 0;                ///< t0: write-wave initiation cycle.
   SegAddrs seg_addrs;                   ///< One buffer address per segment.
 };
 
+template <typename T>
 class OutQueues {
  public:
-  explicit OutQueues(unsigned n_outputs);
+  /// An entry pushed this cycle, not yet visible in its queue.
+  struct Staged {
+    unsigned queue;
+    T entry;
+  };
 
-  /// Stage a cell for output `dest`; visible to front()/empty() after tick().
-  void push(BufferedCell cell);
+  explicit OutQueues(unsigned n_queues) : queues_(n_queues) {
+    PMSB_CHECK(n_queues > 0, "need at least one queue");
+  }
 
-  bool empty(unsigned output) const;
-  const BufferedCell& front(unsigned output) const;
+  /// Stage `entry` for queue `q`; visible to front()/empty() after tick().
+  void push(unsigned q, T entry) {
+    PMSB_CHECK(q < queues_.size(), "queue index out of range");
+    staged_.push_back(Staged{q, std::move(entry)});
+  }
 
-  /// Remove the head-of-line cell of `output` (effective immediately; the
-  /// arbiter pops at most one queue per cycle).
-  BufferedCell pop(unsigned output);
+  /// This cycle's pushes, in push order.
+  const std::vector<Staged>& staged() const { return staged_; }
 
-  /// Clock edge: commit staged pushes.
-  void tick();
+  bool empty(unsigned q) const { return queues_[q].empty(); }
+  std::size_t size(unsigned q) const { return queues_[q].size(); }
 
-  /// Cells queued (committed) across all outputs. O(1): a running count is
+  const T& front(unsigned q) const {
+    PMSB_CHECK(!empty(q), "front() of empty queue");
+    return queues_[q].front();
+  }
+
+  /// Remove the head-of-line entry of queue `q` (effective immediately).
+  T pop(unsigned q) {
+    PMSB_CHECK(!empty(q), "pop() of empty queue");
+    T e = std::move(queues_[q].front());
+    queues_[q].pop_front();
+    --committed_;
+    return e;
+  }
+
+  /// Clock edge: commit the staged pushes.
+  void tick() {
+    for (Staged& s : staged_) queues_[s.queue].push_back(std::move(s.entry));
+    committed_ += staged_.size();
+    staged_.clear();
+    if (committed_ > peak_total_) peak_total_ = committed_;
+  }
+
+  /// Entries queued (committed) across all queues. O(1): a running count is
   /// maintained so per-cycle instrumentation can read it for free.
   std::size_t total_size() const { return committed_; }
-  std::size_t size(unsigned output) const { return queues_.at(output).size(); }
-  unsigned outputs() const { return static_cast<unsigned>(queues_.size()); }
-
   /// Lifetime high-water mark of total_size() (updated at tick()).
   std::size_t peak_total_size() const { return peak_total_; }
+  /// Nothing queued and nothing staged.
+  bool idle() const { return committed_ == 0 && staged_.empty(); }
 
-  /// Invoke fn(output, cell) on every committed queued cell, head-of-line
-  /// first per output. Verification only (the invariant checker walks the
-  /// queues to prove per-address exclusivity).
+  /// Invoke fn(queue, entry) on every committed entry, head-of-line first
+  /// per queue. Verification only (the invariant checker walks the queues
+  /// to prove per-address exclusivity).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (unsigned o = 0; o < queues_.size(); ++o) {
-      for (const BufferedCell& c : queues_[o]) fn(o, c);
+    for (unsigned q = 0; q < queues_.size(); ++q) {
+      for (const T& e : queues_[q]) fn(q, e);
     }
   }
 
  private:
-  std::vector<std::deque<BufferedCell>> queues_;
-  std::vector<BufferedCell> staged_;
+  std::vector<std::deque<T>> queues_;
+  std::vector<Staged> staged_;
   std::size_t committed_ = 0;
   std::size_t peak_total_ = 0;
 };

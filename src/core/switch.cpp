@@ -8,15 +8,13 @@ PipelinedSwitch::PipelinedSwitch(const SwitchConfig& cfg, AddrPathMode addr_mode
       S_(cfg.stages()),
       m_(cfg.segments_per_cell()),
       mem_(S_, cfg.capacity_segments, cfg.word_bits, addr_mode),
-      ir_(cfg.n_ports, S_, cfg.word_bits),
+      window_(cfg.n_ports, S_, cfg.word_bits),
       orow_(S_, cfg.n_ports, cfg.word_bits),
       free_(cfg.capacity_segments),
       oq_(cfg.n_ports),
       resv_(static_cast<std::size_t>(m_) * S_ + S_ + 2),
       rr_read_(cfg.n_ports),
       rr_write_(cfg.n_ports),
-      latch_stage_(cfg.n_ports),
-      pending_(cfg.n_ports),
       next_read_ok_(cfg.n_ports, 0) {}
 
 void PipelinedSwitch::register_metrics(obs::MetricsRegistry& m, const std::string& prefix) {
@@ -53,7 +51,7 @@ void PipelinedSwitch::eval(Cycle t) {
   //     arbitration so a pending head becomes eligible the cycle *after*
   //     its arrival cycle (window [a0+1, a0+S]).
   arbitrate_and_initiate(t);
-  mem_.exec_cycle(ir_, orow_);
+  mem_.exec_cycle(window_.latches(), orow_);
   orow_.drive_links(out_links_);
   process_arrivals(t);
 }
@@ -75,12 +73,12 @@ void PipelinedSwitch::arbitrate_and_initiate(Cycle t) {
   }
   // Pending cells that see a full buffer this cycle lose their window
   // guarantee; record it so an eventual drop is attributed correctly.
-  if (!free_.can_alloc(m_)) {
-    for (auto& p : pending_) {
-      if (p.valid) p.addr_starved = true;
-    }
-  }
-  expire_pending(t);
+  if (!free_.can_alloc(m_)) window_.starve();
+  window_.expire(t, stats_, events_, [&](unsigned i, DropReason why) {
+    if (tracing())
+      trace_push({t, obs::TraceEvent::kDrop, static_cast<std::uint16_t>(i), 0, 0,
+                  static_cast<std::uint32_t>(why)});
+  });
 
   const SlotOp op = resv_.take(t);
   if (op.empty()) {
@@ -107,7 +105,7 @@ void PipelinedSwitch::arbitrate_and_initiate(Cycle t) {
 
   if (op.has_write) {
     // The wave consumes IR[in][s] at cycle t+s; forbid earlier overwrites.
-    ir_.protect_for_wave(op.in_link, t, op.w_a0);
+    window_.latches().protect_for_wave(op.in_link, t, op.w_a0);
   }
   if (op.has_read) {
     // The segment's buffer address is recycled once its read wave has been
@@ -159,7 +157,7 @@ bool PipelinedSwitch::try_grant_write(Cycle t) {
   // No room for a cell: no input can be eligible (the pick would find none).
   if (!free_.can_alloc(m_) || !resv_.progression_free(t, S_, m_)) return false;
   const int i = rr_write_.pick([&](unsigned in) {
-    return pending_[in].valid && free_.can_alloc(m_);
+    return window_.pending(in).valid && free_.can_alloc(m_);
   });
   if (i < 0) return false;
   if (fault_.suppress_write_grant_period != 0 &&
@@ -169,7 +167,7 @@ bool PipelinedSwitch::try_grant_write(Cycle t) {
     return false;
   }
 
-  Pending& p = pending_[i];
+  const LatchWindow::Pending& p = window_.pending(i);
   const SegAddrs addrs = free_.alloc(m_);
   resv_.reserve_writes(t, S_, addrs, static_cast<unsigned>(i), p.a0);
   ++stats_.accepted;
@@ -201,53 +199,17 @@ bool PipelinedSwitch::try_grant_write(Cycle t) {
     }
     events_.read_grant(dest, static_cast<unsigned>(i), t, t, p.a0, cut);
   } else {
-    oq_.push(BufferedCell{static_cast<unsigned>(i), dest, p.a0, t, addrs});
+    oq_.push(dest, BufferedCell{static_cast<unsigned>(i), p.a0, t, addrs});
   }
-  p.valid = false;
+  window_.close(static_cast<unsigned>(i));
   return true;
-}
-
-void PipelinedSwitch::expire_pending(Cycle t) {
-  for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    Pending& p = pending_[i];
-    if (!p.valid) continue;
-    const Cycle deadline = p.a0 + static_cast<Cycle>(S_);
-    PMSB_CHECK(t <= deadline, "pending write survived past its latch window");
-    if (t < deadline) continue;
-    // Last chance was this cycle and it was not granted: the latches will be
-    // reused, the cell is lost. A cell that was ever blocked on buffer space
-    // during its window is a buffer-full loss; only a cell that had space
-    // available throughout yet never got a stage-0 slot is a slot-miss
-    // (impossible for single-segment cells -- DESIGN.md invariant 2).
-    const DropReason why = p.addr_starved ? DropReason::kNoAddress : DropReason::kNoSlot;
-    if (why == DropReason::kNoAddress)
-      ++stats_.dropped_no_addr;
-    else
-      ++stats_.dropped_no_slot;
-    events_.drop(i, p.a0, why);
-    if (tracing())
-      trace_push({t, obs::TraceEvent::kDrop, static_cast<std::uint16_t>(i), 0, 0,
-                  static_cast<std::uint32_t>(why)});
-    p.valid = false;
-  }
 }
 
 void PipelinedSwitch::process_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
     const Flit& f = in_links_[i].now();
-    CellRx& rx = rx_[i];
-    const RxWord w = rx.take(f, t);
-    if (w == RxWord::kIdle) continue;
-    if (w == RxWord::kBody) {
-      unsigned& stage = latch_stage_[i];
-      ir_.latch(i, stage, f.data, t);
-      stage = stage + 1 == S_ ? 0 : stage + 1;
-      continue;
-    }
-    const unsigned dest = rx.dest();
-    ir_.latch(i, 0, f.data, t);
-    latch_stage_[i] = S_ > 1 ? 1 : 0;
-    PMSB_CHECK(!pending_[i].valid, "new head while the previous cell is unresolved");
+    if (!window_.latch(i, rx_[i].take(f, t), f.data, t)) continue;
+    const unsigned dest = rx_[i].dest();
     ++stats_.heads_seen;
     events_.head(i, t, dest);
     if (tracing())
@@ -264,12 +226,12 @@ void PipelinedSwitch::process_arrivals(Cycle t) {
                     static_cast<std::uint32_t>(DropReason::kOutputLimit)});
       continue;
     }
-    pending_[i] = Pending{true, t, dest, false};
+    window_.open(i, t, dest);
   }
 }
 
 void PipelinedSwitch::commit(Cycle t) {
-  ir_.tick(t);
+  window_.latches().tick(t);
   mem_.tick();
   orow_.tick();
   free_.tick();
@@ -278,12 +240,8 @@ void PipelinedSwitch::commit(Cycle t) {
 }
 
 bool PipelinedSwitch::drained() const {
-  if (oq_.total_size() != 0 || free_.in_use() != 0 || mem_.busy() || any_mid_cell())
-    return false;
-  for (const auto& p : pending_) {
-    if (p.valid) return false;
-  }
-  return true;
+  return oq_.total_size() == 0 && free_.in_use() == 0 && !mem_.busy() && !any_mid_cell() &&
+         window_.pending_cells() == 0;
 }
 
 bool PipelinedSwitch::is_quiescent(Cycle) const {

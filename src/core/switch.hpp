@@ -37,7 +37,7 @@
 #include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "core/free_list.hpp"
-#include "core/input_latches.hpp"
+#include "core/latch_window.hpp"
 #include "core/out_queues.hpp"
 #include "core/output_row.hpp"
 #include "core/pipelined_memory.hpp"
@@ -98,35 +98,21 @@ class PipelinedSwitch final : public CellSwitch {
   // it cross-references the free list, reservation table, and output queues
   // to prove per-address exclusivity and cell conservation every cycle.
   const FreeList& free_list() const { return free_; }
-  const OutQueues& out_queues() const { return oq_; }
+  const OutQueues<BufferedCell>& out_queues() const { return oq_; }
   const ReservationTable& reservations() const { return resv_; }
 
   /// Cells whose head has been latched but whose accept/drop decision is
   /// still pending (at most one per input).
-  unsigned pending_cells() const {
-    unsigned c = 0;
-    for (const auto& p : pending_) c += p.valid ? 1 : 0;
-    return c;
-  }
+  unsigned pending_cells() const { return window_.pending_cells(); }
 
   /// True once no cell is arriving, buffered, queued, or in flight.
   bool drained() const;
 
  private:
-  struct Pending {
-    bool valid = false;
-    Cycle a0 = 0;
-    unsigned dest = 0;
-    /// The shared buffer was full during at least one cycle of this cell's
-    /// acceptance window (drop classification: buffer-full, not slot-miss).
-    bool addr_starved = false;
-  };
-
   void arbitrate_and_initiate(Cycle t);
   void process_arrivals(Cycle t);
   bool try_grant_read(Cycle t);
   bool try_grant_write(Cycle t);
-  void expire_pending(Cycle t);
 
   /// True if a trace buffer is attached (guards record construction).
   bool tracing() const { return trace_ != nullptr; }
@@ -137,18 +123,14 @@ class PipelinedSwitch final : public CellSwitch {
   unsigned m_;  ///< Segments per cell.
 
   PipelinedMemory mem_;
-  InputLatches ir_;
+  LatchWindow window_;  ///< Input latch rows and pending heads.
   OutputRow orow_;
   FreeList free_;
-  OutQueues oq_;
+  OutQueues<BufferedCell> oq_;
   ReservationTable resv_;
   RoundRobin rr_read_;
   RoundRobin rr_write_;
 
-  /// Per input: the latch of the next body word, its phase mod S (a
-  /// wrapping counter, no division).
-  std::vector<unsigned> latch_stage_;
-  std::vector<Pending> pending_;
   std::vector<Cycle> next_read_ok_;  ///< Earliest next read initiation per output.
 
   FaultPlan fault_;

@@ -49,7 +49,8 @@ PortBridge::PortBridge(const net::Topology* topo, const CellCodec* codec, unsign
       length_(codec->fmt.length_words),
       audit_(check::env_enabled()),
       pool_(static_cast<std::size_t>(kPoolCells) * length_),
-      cell_rx_(codec->fmt) {
+      cell_rx_(codec->fmt),
+      tx_(codec->fmt.length_words) {
   for (unsigned b = 0; b < kPoolCells; ++b) free_[b] = static_cast<std::uint8_t>(b);
 }
 
@@ -74,7 +75,7 @@ void PortBridge::eval(Cycle t) {
   }
 
   // ---- Output side: transit first, then local injection.
-  if (!tx_active_) {
+  if (!tx_.busy()) {
     if (fifo_size_ != 0) {
       tx_buf_ = fifo_[fifo_head_];
       fifo_head_ = (fifo_head_ + 1) % kFifoCells;
@@ -89,14 +90,9 @@ void PortBridge::eval(Cycle t) {
     } else {
       return;  // Nothing to send.
     }
-    tx_active_ = true;
-    tx_phase_ = 0;
+    tx_.start(cell(tx_buf_));
   }
-  in_link_->drive_next(Flit{true, tx_phase_ == 0, cell(tx_buf_)[tx_phase_]});
-  if (++tx_phase_ == length_) {
-    tx_active_ = false;
-    give_buffer(tx_buf_);
-  }
+  if (tx_.drive(*in_link_)) give_buffer(tx_buf_);
 }
 
 void PortBridge::finish_cell(Cycle t) {
@@ -144,7 +140,7 @@ void PortBridge::audit() const {
   if (cell_rx_.mid_cell()) held(rx_buf_);
   if (staged_valid_) held(staged_buf_);
   for (unsigned k = 0; k < fifo_size_; ++k) held(fifo_[(fifo_head_ + k) % kFifoCells]);
-  if (tx_active_) held(tx_buf_);
+  if (tx_.busy()) held(tx_buf_);
   PMSB_CHECK(n_free_ + in_use == kPoolCells,
              "fabric bridge cell pool accounting diverged (free + in use != pool)");
   for (unsigned b = 0; b < kPoolCells; ++b)

@@ -160,7 +160,7 @@ class PortBridge final : public Component {
   /// ring its nodes read before skipping (engine-local skipping stays
   /// disabled in fabric nodes, so these hooks are only consulted there).
   bool is_quiescent(Cycle) const override {
-    return !cell_rx_.mid_cell() && !tx_active_ && !staged_valid_ && fifo_size_ == 0 &&
+    return !cell_rx_.mid_cell() && !tx_.busy() && !staged_valid_ && fifo_size_ == 0 &&
            (arrivals_ == nullptr || arrivals_->backlog.empty());
   }
   Cycle next_wake(Cycle) const override {
@@ -223,9 +223,8 @@ class PortBridge final : public Component {
   unsigned fifo_size_ = 0;
 
   // Transmission onto the node's in-wire.
-  bool tx_active_ = false;
-  unsigned tx_phase_ = 0;
-  std::uint8_t tx_buf_ = 0;
+  CellTx tx_;
+  std::uint8_t tx_buf_ = 0;  ///< The pool buffer tx_ sends.
 
   std::uint64_t relayed_ = 0;  ///< Transit cells accepted for relay.
 };

@@ -131,17 +131,20 @@ void CellSource::skip(Cycle, Cycle n) {
 // ---------------------------------------------------------------------------
 
 CellSink::CellSink(unsigned output, WireLink* link, const CellFormat& fmt)
-    : output_(output), link_(link), rx_(fmt), words_(fmt.length_words) {
+    : link_(link), rx_(fmt), delivery_{output, std::vector<Word>(fmt.length_words), 0, 0} {
   PMSB_CHECK(link != nullptr, "sink needs a link");
 }
 
 void CellSink::eval(Cycle t) {
   const Flit& f = link_->now();
   if (rx_.take(f, t) == RxWord::kIdle) return;
-  words_[rx_.phase()] = f.data;
+  delivery_.words[rx_.phase()] = f.data;
   if (!rx_.ends_cell()) return;
   ++cells_delivered_;
-  if (on_deliver_) on_deliver_(Delivery{output_, words_, rx_.a0(), t});
+  if (!on_deliver_) return;
+  delivery_.head_cycle = rx_.a0();
+  delivery_.tail_cycle = t;
+  on_deliver_(delivery_);
 }
 
 void CellSink::commit(Cycle) {}

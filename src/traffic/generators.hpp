@@ -246,6 +246,7 @@ class CellSink : public Component {
 
   CellSink(unsigned output, WireLink* link, const CellFormat& fmt);
 
+  /// The Delivery passed to `cb` is the sink's own, valid during the call.
   void set_on_deliver(std::function<void(const Delivery&)> cb) { on_deliver_ = std::move(cb); }
 
   std::uint64_t cells_delivered() const { return cells_delivered_; }
@@ -257,10 +258,9 @@ class CellSink : public Component {
   std::string name() const override { return "cell_sink"; }
 
  private:
-  unsigned output_;
   WireLink* link_;
   CellRx rx_;
-  std::vector<Word> words_;
+  Delivery delivery_;  ///< Its words are the receive buffer; handed out by reference.
 
   std::uint64_t cells_delivered_ = 0;
   std::function<void(const Delivery&)> on_deliver_;

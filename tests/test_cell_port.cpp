@@ -2,11 +2,13 @@
 // link's words into cells and makes the three framing checks, and every
 // word-level receiver -- the six switch models and CellSink -- runs its
 // links through it, so a framing violation aborts each of them the same way.
+// CellTx sends a stored cell as a head plus L-1 body words with no gap.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "arch/cq/cq_switch.hpp"
 #include "arch/prizma/prizma_switch.hpp"
@@ -80,6 +82,61 @@ TEST(CellRxDeath, GapInsideCell) {
 TEST(CellRxDeath, DestinationOutOfRange) {
   CellRx rx(kFmt, 3);
   EXPECT_DEATH(rx.take(head(3), 0), "destination out of range");
+}
+
+// ---------------------------------------------------------------------------
+// CellTx: the transmitter half of the contract.
+
+TEST(CellTx, RoundTripThroughCellRx) {
+  std::vector<Word> cell(kFmt.length_words);
+  for (unsigned k = 0; k < kFmt.length_words; ++k) cell[k] = cell_word(9, 2, k, kFmt);
+  CellTx tx(kFmt.length_words);
+  CellRx rx(kFmt, 4);
+  WireLink wire;
+  EXPECT_FALSE(tx.busy());
+  tx.start(cell.data());
+  // Two cells back to back: the second starts the cycle after the first's
+  // last word, with no gap on the wire.
+  for (Cycle t = 0; t < 2 * static_cast<Cycle>(kFmt.length_words); ++t) {
+    const unsigned k = static_cast<unsigned>(t) % kFmt.length_words;
+    if (!tx.busy()) tx.start(cell.data());
+    ASSERT_TRUE(tx.busy());
+    EXPECT_EQ(tx.phase(), k);
+    EXPECT_EQ(tx.drive(wire), k + 1 == kFmt.length_words);
+    EXPECT_EQ(tx.busy(), k + 1 != kFmt.length_words);
+    wire.tick();
+    EXPECT_TRUE(wire.now().valid);
+    EXPECT_EQ(wire.now().sop, k == 0);
+    EXPECT_EQ(wire.now().data, cell[k]);
+    EXPECT_EQ(rx.take(wire.now(), t), k == 0 ? RxWord::kHead : RxWord::kBody);
+    EXPECT_EQ(rx.phase(), k);
+    EXPECT_EQ(rx.ends_cell(), k + 1 == kFmt.length_words);
+  }
+  EXPECT_EQ(rx.dest(), 2u);
+  EXPECT_EQ(rx.a0(), static_cast<Cycle>(kFmt.length_words));
+}
+
+TEST(CellTx, ReadsEachWordWhenItIsDriven) {
+  // Cut-through: the words behind the transmitter may still be arriving.
+  std::vector<Word> cell(kFmt.length_words, 0);
+  CellTx tx(kFmt.length_words);
+  WireLink wire;
+  tx.start(cell.data());
+  for (unsigned k = 0; k < kFmt.length_words; ++k) {
+    cell[k] = 100 + k;
+    tx.drive(wire);
+    wire.tick();
+    EXPECT_EQ(wire.now().data, 100u + k);
+  }
+}
+
+TEST(CellTxDeath, StartWhileBusy) {
+  std::vector<Word> cell(kFmt.length_words);
+  CellTx tx(kFmt.length_words);
+  WireLink wire;
+  tx.start(cell.data());
+  tx.drive(wire);
+  EXPECT_DEATH(tx.start(cell.data()), CellTx::kStartWhileBusy);
 }
 
 // ---------------------------------------------------------------------------

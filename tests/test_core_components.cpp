@@ -1,13 +1,15 @@
-// Unit tests: free list, output queues, input latches, output row,
-// reservation table, round-robin arbiter.
+// Unit tests: free list, output queues, input latches and their write
+// window, output row, reservation table, round-robin arbiter.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/arbiter.hpp"
 #include "core/free_list.hpp"
 #include "core/input_latches.hpp"
+#include "core/latch_window.hpp"
 #include "core/out_queues.hpp"
 #include "core/output_row.hpp"
 #include "core/reservation.hpp"
@@ -91,43 +93,93 @@ TEST(FreeList, RecycleStress) {
 
 // --- OutQueues ---------------------------------------------------------------
 
-BufferedCell make_cell(unsigned input, unsigned dest, Cycle a0) {
-  return BufferedCell{input, dest, a0, a0 + 1, {0}};
+BufferedCell make_cell(unsigned input, Cycle a0) {
+  return BufferedCell{input, a0, a0 + 1, {0}};
 }
 
 TEST(OutQueues, PushVisibleAfterTick) {
-  OutQueues q(4);
-  q.push(make_cell(0, 2, 10));
+  OutQueues<BufferedCell> q(4);
+  q.push(2, make_cell(0, 10));
   EXPECT_TRUE(q.empty(2));
+  EXPECT_EQ(q.size(2), 0u);
+  EXPECT_EQ(q.total_size(), 0u);
+  EXPECT_FALSE(q.idle());  // Staged, so not idle.
+  // This cycle's pushes are visible only through the staged view.
+  ASSERT_EQ(q.staged().size(), 1u);
+  EXPECT_EQ(q.staged()[0].queue, 2u);
+  EXPECT_EQ(q.staged()[0].entry.head_arrival, 10);
   q.tick();
+  EXPECT_TRUE(q.staged().empty());
   EXPECT_FALSE(q.empty(2));
   EXPECT_EQ(q.front(2).head_arrival, 10);
 }
 
 TEST(OutQueues, FifoPerOutput) {
-  OutQueues q(4);
-  q.push(make_cell(0, 1, 10));
-  q.push(make_cell(1, 1, 11));
+  OutQueues<BufferedCell> q(4);
+  q.push(1, make_cell(0, 10));
+  q.push(1, make_cell(1, 11));
   q.tick();
   EXPECT_EQ(q.pop(1).head_arrival, 10);
   EXPECT_EQ(q.pop(1).head_arrival, 11);
   EXPECT_TRUE(q.empty(1));
+  EXPECT_TRUE(q.idle());
 }
 
 TEST(OutQueues, IndependentOutputs) {
-  OutQueues q(3);
-  q.push(make_cell(0, 0, 1));
-  q.push(make_cell(0, 2, 2));
+  OutQueues<BufferedCell> q(3);
+  q.push(0, make_cell(0, 1));
+  q.push(2, make_cell(0, 2));
   q.tick();
   EXPECT_FALSE(q.empty(0));
   EXPECT_TRUE(q.empty(1));
   EXPECT_FALSE(q.empty(2));
   EXPECT_EQ(q.total_size(), 2u);
+  q.pop(0);
+  EXPECT_EQ(q.total_size(), 1u);
+  EXPECT_EQ(q.peak_total_size(), 2u);
+}
+
+// A second entry type (owning its words, as a crosspoint buffer's cells do)
+// under n^2 keys, input * n + output, the crosspoint-queued switch's layout.
+TEST(OutQueues, CrosspointKeysWithOwningEntries) {
+  constexpr unsigned n = 3;
+  struct Entry {
+    std::vector<Word> words;
+    unsigned input;
+  };
+  OutQueues<Entry> q(n * n);
+  for (unsigned i = 0; i < n; ++i)
+    for (unsigned o = 0; o < n; ++o) q.push(i * n + o, Entry{std::vector<Word>(4, i * 10 + o), i});
+  EXPECT_EQ(q.staged().size(), n * n);
+  EXPECT_EQ(q.total_size(), 0u);
+  q.tick();
+  EXPECT_EQ(q.total_size(), n * n);
+  q.push(2 * n + 1, Entry{{7}, 2});
+  EXPECT_EQ(q.size(2 * n + 1), 1u);  // The second entry is still staged.
+  q.tick();
+  EXPECT_EQ(q.size(2 * n + 1), 2u);
+
+  std::vector<unsigned> keys;
+  q.for_each([&](unsigned k, const Entry& e) {
+    keys.push_back(k);
+    EXPECT_EQ(e.input, k / n);
+  });
+  EXPECT_EQ(keys, (std::vector<unsigned>{0, 1, 2, 3, 4, 5, 6, 7, 7, 8}));
+
+  EXPECT_EQ(q.pop(2 * n + 1).words, std::vector<Word>(4, 21));
+  EXPECT_EQ(q.front(2 * n + 1).words, std::vector<Word>{7});
+  EXPECT_EQ(q.total_size(), n * n);
+  EXPECT_EQ(q.peak_total_size(), n * n + 1);
 }
 
 TEST(OutQueuesDeath, PopEmpty) {
-  OutQueues q(2);
+  OutQueues<BufferedCell> q(2);
   EXPECT_DEATH(q.pop(0), "empty");
+}
+
+TEST(OutQueuesDeath, PushBeyondLastQueue) {
+  OutQueues<BufferedCell> q(2);
+  EXPECT_DEATH(q.push(2, make_cell(0, 0)), "out of range");
 }
 
 // --- InputLatches ------------------------------------------------------------
@@ -212,6 +264,51 @@ TEST(InputLatchesDeath, LoadedTwiceInOneCycle) {
   InputLatches ir(2, 4, 8);
   ir.latch(1, 2, 0x11, 0);
   EXPECT_DEATH(ir.latch(1, 2, 0x22, 0), "loaded twice in one cycle");
+}
+
+// --- LatchWindow -------------------------------------------------------------
+
+TEST(LatchWindow, ExpiresAtTheDeadlineWithItsLossClass) {
+  // Two inputs, S = 4: heads at cycle 0 stay pending through [1, 4].
+  LatchWindow w(2, 4, 8);
+  SwitchStats st;
+  EventHub ev;
+  std::vector<std::pair<unsigned, DropReason>> dropped;
+  const auto on_drop = [&](unsigned i, DropReason why) { dropped.emplace_back(i, why); };
+  EXPECT_FALSE(w.latch(0, RxWord::kIdle, 0, 0));
+  ASSERT_TRUE(w.latch(0, RxWord::kHead, 0x11, 0));
+  ASSERT_TRUE(w.latch(1, RxWord::kHead, 0x22, 0));
+  w.latches().tick(0);
+  w.open(0, 0, 1);
+  w.open(1, 0, 0);
+  EXPECT_EQ(w.pending_cells(), 2u);
+  EXPECT_EQ(w.pending(0).dest, 1u);
+  w.starve();  // The buffer was full at some cycle of both windows ...
+  w.close(1);  // ... but input 1 was granted.
+  for (Cycle t = 1; t < 4; ++t) {
+    w.expire(t, st, ev, on_drop);
+    EXPECT_EQ(w.pending_cells(), 1u);
+  }
+  w.expire(4, st, ev, on_drop);  // The last cycle of input 0's window.
+  EXPECT_EQ(w.pending_cells(), 0u);
+  EXPECT_EQ(dropped, (std::vector<std::pair<unsigned, DropReason>>{{0, DropReason::kNoAddress}}));
+  EXPECT_EQ(st.dropped_no_addr, 1u);
+  EXPECT_EQ(st.dropped_no_slot, 0u);
+
+  // Never starved: a missed window is a slot miss.
+  ASSERT_TRUE(w.latch(0, RxWord::kHead, 0x33, 5));
+  w.open(0, 5, 1);
+  w.expire(9, st, ev, on_drop);
+  EXPECT_EQ(dropped.back(), std::make_pair(0u, DropReason::kNoSlot));
+  EXPECT_EQ(st.dropped_no_slot, 1u);
+}
+
+TEST(LatchWindowDeath, HeadWhileTheLastCellIsPending) {
+  LatchWindow w(1, 4, 8);
+  ASSERT_TRUE(w.latch(0, RxWord::kHead, 0x11, 0));
+  w.open(0, 0, 0);
+  w.latches().tick(0);
+  EXPECT_DEATH(w.latch(0, RxWord::kHead, 0x22, 1), "previous cell is unresolved");
 }
 
 // --- OutputRow ---------------------------------------------------------------
