@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
     std::printf("\nSimulator cross-check at Telegraphos III (16 stages x 16 b, 62.5 MHz\n"
                 "worst-case): measured aggregate buffer throughput at saturation =\n"
                 "(write + read + 2 x snoop initiations) x 256 bits x clock:\n\n");
-    const SwitchConfig cfg = telegraphos3();
+    const SwitchConfig cfg = SwitchConfig::telegraphos3();
     TrafficSpec spec;
     spec.arrivals = ArrivalKind::kSaturated;
     spec.load = 1.0;

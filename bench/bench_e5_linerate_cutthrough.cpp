@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
       [](pmsb::bench::BenchContext& ctx) {
         BenchJson& bj = ctx.json;
     exp::SweepRunner runner;
-    const SwitchConfig cfg = telegraphos3();
+    const SwitchConfig cfg = SwitchConfig::telegraphos3();
     std::printf("\nDevice: %s\n", cfg.describe().c_str());
 
     std::printf("\nSaturated traffic (offered 1.0). 'init/cycle' counts physical M0\n"

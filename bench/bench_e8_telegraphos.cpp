@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
       const char* paper_rate;
     };
     const std::vector<Proto> protos = {
-        {"Telegraphos I (FPGA)", telegraphos1(), "107 Mb/s"},
-        {"Telegraphos II (std-cell ASIC)", telegraphos2(), "400 Mb/s"},
-        {"Telegraphos III (full-custom)", telegraphos3(), "1000 Mb/s worst"},
+        {"Telegraphos I (FPGA)", SwitchConfig::telegraphos1(), "107 Mb/s"},
+        {"Telegraphos II (std-cell ASIC)", SwitchConfig::telegraphos2(), "400 Mb/s"},
+        {"Telegraphos III (full-custom)", SwitchConfig::telegraphos3(), "1000 Mb/s worst"},
     };
 
     std::printf("\nEach prototype at saturation (uniform destinations) on the\n"

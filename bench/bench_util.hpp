@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -462,24 +463,13 @@ class BenchJson {
 };
 
 /// Everything a bench body gets from Main: the artifact under construction,
-/// the resolved seed, the resolved skip/topology knobs, and the argv
-/// remainder (common flags consumed).
+/// the resolved seed, and the arguments left for google-benchmark (argv[0]
+/// plus every --benchmark_* flag; bench_sim_speed forwards them).
 struct BenchContext {
   BenchJson json;
   std::uint64_t seed = 1;
   int argc = 0;
   char** argv = nullptr;
-
-  /// Resolved idle-skip switch (0/1): --idle-skip flag, else
-  /// PMSB_IDLE_SKIP, else on. Installed process-wide before the body runs.
-  int idle_skip = 1;
-  /// --fast-nodes N (else $PMSB_FAST_NODES): how many fabric nodes a bench
-  /// should mark fast (validated-model substitution), -1 = bench default.
-  /// Interpretation is per-bench; Main only resolves the value.
-  int fast_nodes = -1;
-  /// --lanes N (else $PMSB_LANES): virtual-channel count override for
-  /// wormhole benches, 0 = bench default (sweep or config value).
-  unsigned lanes = 0;
 };
 
 /// Banner + artifact identity of one bench binary.
@@ -487,16 +477,17 @@ struct BenchSpec {
   const char* banner_id;     ///< Table banner id, e.g. "E1".
   const char* banner_title;  ///< Table banner title line.
   const char* json_name;     ///< BENCH_<json_name>.json artifact name.
-  std::uint64_t default_seed = 1;  ///< ctx.seed when --seed is absent.
 };
 
 /// Shared entry point for every bench binary: parses the common flags
 /// (--threads N for the sweep width, --json-out DIR for the artifact
 /// directory, --trace-out DIR for Chrome/Perfetto trace files, --seed N),
-/// prints the banner, runs `body`, then stamps the
-/// runtime block and writes the artifact. Flags are consumed; the remainder
-/// is handed to the body as ctx.argc/ctx.argv (bench_sim_speed forwards it
-/// to google-benchmark). A non-zero return from the body skips the artifact.
+/// prints the banner, runs `body`, then stamps the runtime block and writes
+/// the artifact. --benchmark_* arguments are handed to the body as
+/// ctx.argc/ctx.argv (bench_sim_speed forwards them to google-benchmark).
+/// Any other argument, or a malformed value for a known flag, is an error:
+/// Main names it, lists the accepted flags and returns 2 without running
+/// the body. A non-zero return from the body skips the artifact.
 ///
 ///   int main(int argc, char** argv) {
 ///     return bench::Main(argc, argv, {"E1", "saturation ...", "e1_saturation"},
@@ -509,9 +500,16 @@ struct BenchSpec {
 inline int Main(int argc, char** argv, const BenchSpec& spec,
                 const std::function<int(BenchContext&)>& body) {
   const exp::WallTimer timer;
-  BenchContext ctx{BenchJson(spec.json_name), spec.default_seed, 0, nullptr,
-                   /*idle_skip=*/1, /*fast_nodes=*/-1, /*lanes=*/0};
+  BenchContext ctx{BenchJson(spec.json_name)};
 
+  const char* prog = argc > 0 ? argv[0] : spec.json_name;
+  const auto reject = [prog](const char* what, const char* arg) {
+    std::fprintf(stderr,
+                 "%s: %s '%s' (accepted flags: --threads N, --seed N, --json-out DIR, "
+                 "--trace-out DIR, --benchmark_*)\n",
+                 prog, what, arg != nullptr ? arg : "");
+    return 2;
+  };
   std::vector<char*> rest;
   if (argc > 0) rest.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
@@ -529,64 +527,43 @@ inline int Main(int argc, char** argv, const BenchSpec& spec,
       }
       return false;
     };
-    const auto parse_long = [&](long lo, long hi, long* out) {
-      if (val == nullptr) return false;
+    const auto parse_ull = [&](unsigned long long hi, unsigned long long* out) {
+      if (val == nullptr || *val < '0' || *val > '9') return false;
       char* end = nullptr;
-      const long v = std::strtol(val, &end, 10);
-      if (end == val || *end != '\0' || v < lo || v > hi) return false;
+      errno = 0;
+      const unsigned long long v = std::strtoull(val, &end, 10);
+      if (*end != '\0' || errno == ERANGE || v > hi) return false;
       *out = v;
       return true;
     };
-    long v = 0;
+    unsigned long long v = 0;
     if (match("--threads")) {
-      if (parse_long(1, 1 << 20, &v)) exp::set_thread_override(static_cast<unsigned>(v));
-    } else if (match("--json-out")) {
-      if (val != nullptr) BenchJson::out_dir_override() = val;
-    } else if (match("--trace-out")) {
-      if (val != nullptr) BenchJson::trace_dir_override() = val;
+      if (!parse_ull(1 << 20, &v) || v == 0) return reject("bad value for --threads:", val);
+      exp::set_thread_override(static_cast<unsigned>(v));
     } else if (match("--seed")) {
-      if (val != nullptr) {
-        char* end = nullptr;
-        const unsigned long long s = std::strtoull(val, &end, 10);
-        if (end != val && *end == '\0') ctx.seed = s;
-      }
-    } else if (match("--idle-skip")) {
-      if (parse_long(0, 1, &v)) Engine::set_idle_skip_override(static_cast<int>(v));
-    } else if (match("--fast-nodes")) {
-      if (parse_long(0, 1L << 30, &v)) ctx.fast_nodes = static_cast<int>(v);
-    } else if (match("--lanes")) {
-      if (parse_long(1, 32, &v)) ctx.lanes = static_cast<unsigned>(v);
-    } else {
+      if (!parse_ull(~0ull, &v)) return reject("bad value for --seed:", val);
+      ctx.seed = v;
+    } else if (match("--json-out")) {
+      if (val == nullptr || *val == '\0') return reject("missing directory for", a);
+      BenchJson::out_dir_override() = val;
+    } else if (match("--trace-out")) {
+      if (val == nullptr || *val == '\0') return reject("missing directory for", a);
+      BenchJson::trace_dir_override() = val;
+    } else if (std::strncmp(a, "--benchmark_", 12) == 0) {
       rest.push_back(argv[i]);
+    } else {
+      return reject("unknown argument", a);
     }
   }
   ctx.argc = static_cast<int>(rest.size());
   ctx.argv = rest.data();
 
-  // Environment fallbacks for flags that stayed at their "unset" value.
-  const auto env_long = [](const char* name, long lo, long hi, long* out) {
-    const char* e = std::getenv(name);
-    if (e == nullptr) return false;
-    char* end = nullptr;
-    const long v = std::strtol(e, &end, 10);
-    if (end == e || *end != '\0' || v < lo || v > hi) return false;
-    *out = v;
-    return true;
-  };
-  long ev = 0;
-  if (ctx.fast_nodes < 0 && env_long("PMSB_FAST_NODES", 0, 1L << 30, &ev))
-    ctx.fast_nodes = static_cast<int>(ev);
-  if (ctx.lanes == 0 && env_long("PMSB_LANES", 1, 32, &ev))
-    ctx.lanes = static_cast<unsigned>(ev);
-
-  // Resolve (flag beats env beats default) and echo the effective config.
-  // STDERR, not stdout: the determinism CI diffs stdout across thread
-  // counts, and --threads would otherwise perturb the byte stream.
-  ctx.idle_skip = Engine::idle_skip_env_default() ? 1 : 0;
-  std::fprintf(stderr,
-               "[bench-config] threads=%u idle_skip=%d fast_nodes=%d lanes=%u seed=%llu\n",
-               exp::thread_count(), ctx.idle_skip, ctx.fast_nodes,
-               ctx.lanes, static_cast<unsigned long long>(ctx.seed));
+  // Echo the effective config on STDERR, not stdout: the determinism CI
+  // diffs stdout across thread counts, and --threads would otherwise
+  // perturb the byte stream.
+  std::fprintf(stderr, "[bench-config] threads=%u idle_skip=%d seed=%llu\n",
+               exp::thread_count(), Engine::idle_skip_env_default() ? 1 : 0,
+               static_cast<unsigned long long>(ctx.seed));
 
   print_banner(spec.banner_id, spec.banner_title);
   const int rc = body(ctx);

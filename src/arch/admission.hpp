@@ -163,7 +163,6 @@ class QueueDelayPolicy final : public AdmissionPolicy {
     return static_cast<std::size_t>(max_delay_) + 1;
   }
 
-  Cycle max_delay_slots() const { return max_delay_; }
   unsigned window() const { return window_; }
 
  private:

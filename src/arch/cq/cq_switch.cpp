@@ -1,6 +1,7 @@
 #include "arch/cq/cq_switch.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/cell.hpp"
 
@@ -54,6 +55,7 @@ void CrosspointQueuedSwitch::run_outputs(Cycle t) {
       if (i >= 0) {
         QueuedCell c = xq_.pop(crosspoint(static_cast<unsigned>(i), o));
         p.shift.swap(c.words);
+        spare_rows_.push_back(std::move(c.words));
         p.tx.start(p.shift.data());
         ++stats_.read_initiations;
         ++stats_.read_grants;
@@ -85,7 +87,15 @@ void CrosspointQueuedSwitch::accept_arrivals(Cycle t) {
       events_.drop(i, rx.a0(), DropReason::kNoAddress);
       continue;
     }
-    xq_.push(q, QueuedCell{fill_[i], i, rx.a0(), t});
+    // The complete row moves into the queue; the next cell fills a spare
+    // (every word of it is overwritten before that cell can complete).
+    xq_.push(q, QueuedCell{std::move(fill_[i]), i, rx.a0(), t});
+    if (spare_rows_.empty()) {
+      fill_[i].assign(cfg_.cell_words, 0);
+    } else {
+      fill_[i] = std::move(spare_rows_.back());
+      spare_rows_.pop_back();
+    }
     ++stats_.accepted;
     ++stats_.write_initiations;
     events_.accept(i, rx.a0(), t + 1);

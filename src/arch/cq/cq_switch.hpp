@@ -86,6 +86,11 @@ class CrosspointQueuedSwitch : public CellSwitch {
 
   std::vector<std::vector<Word>> fill_;      ///< Per input: the cell assembling.
   std::vector<OutPort> out_;
+  /// L-word rows no cell holds: an accepted cell's fill row moves into its
+  /// crosspoint queue and a spare takes its place; a departing cell hands
+  /// back the output's previous shift row. Rows are allocated only while
+  /// this list is empty.
+  std::vector<std::vector<Word>> spare_rows_;
 };
 
 }  // namespace pmsb

@@ -29,7 +29,6 @@ struct PrizmaConfig {
   unsigned word_bits = 16;
   unsigned cell_words = 8;
   unsigned n_banks = 64;  ///< M: shared-buffer capacity in cells.
-  bool cut_through = true;
 
   unsigned dest_bits() const { return bits_for(n_ports); }
   CellFormat cell_format() const { return CellFormat{word_bits, dest_bits(), cell_words}; }

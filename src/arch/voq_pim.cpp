@@ -58,14 +58,12 @@ void VoqPim::do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Ar
   }
 
   // Transfer matched head-of-queue cells.
-  ++slots_;
   for (unsigned i = 0; i < n_; ++i) {
     if (match_out_[i] < 0) continue;
     auto& q = voq(i, static_cast<unsigned>(match_out_[i]));
     on_delivered(slot, q.front());
     q.pop_front();
     --input_occupancy_[i];
-    ++matched_total_;
   }
 }
 

@@ -26,11 +26,6 @@ class VoqPim : public SlotModel {
   std::uint64_t resident() const override;
   const char* kind() const override { return "VOQ + PIM"; }
 
-  /// Matching quality stat: matched pairs per slot on average.
-  double mean_match_size() const {
-    return slots_ == 0 ? 0.0 : static_cast<double>(matched_total_) / static_cast<double>(slots_);
-  }
-
  private:
   std::deque<SlotCell>& voq(unsigned i, unsigned o) {
     return voqs_[static_cast<std::size_t>(i) * n_ + o];
@@ -47,9 +42,6 @@ class VoqPim : public SlotModel {
   std::vector<int> match_out_;   ///< Per input: matched output or -1.
   std::vector<bool> out_taken_;
   std::vector<std::vector<unsigned>> grants_;  ///< Per input: granting outputs.
-
-  std::uint64_t matched_total_ = 0;
-  std::uint64_t slots_ = 0;
 };
 
 }  // namespace pmsb

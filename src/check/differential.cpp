@@ -170,8 +170,8 @@ struct CycleRunResult {
 /// scoreboard and fixed run length for every model. The cycle-accurate
 /// switches also carry an invariant checker and an occupancy probe; the
 /// behavioural FastSwitch has neither (it has none of the checked
-/// structures, and its occupancy is slot-shaped by design), so `mode` and
-/// `fault` do not apply to it.
+/// structures, and its occupancy is slot-shaped by design). `mode` (the
+/// address path) and `fault` apply to PipelinedSwitch only.
 template <typename SwitchT, typename ConfigT>
 CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSpec& spec,
                          const std::vector<ScheduledCell>& cells, AddrPathMode mode,
@@ -181,7 +181,7 @@ CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSp
   res.per_output.resize(spec.n);
 
   SwitchT sw = [&]() -> SwitchT {
-    if constexpr (kChecked)
+    if constexpr (std::is_same_v<SwitchT, PipelinedSwitch>)
       return SwitchT(cfg, mode);
     else
       return SwitchT(cfg);

@@ -119,18 +119,14 @@ SwitchConfig SwitchConfig::telegraphos3() {
   return c;
 }
 
-SwitchConfig SwitchConfig::for_ports(unsigned n, unsigned segments_per_cell) {
+SwitchConfig SwitchConfig::for_ports(unsigned n) {
   SwitchConfig c;
   c.n_ports = n;
   c.word_bits = 16;
-  c.cell_words = 2 * n * segments_per_cell;
-  c.capacity_segments = 32 * n * segments_per_cell;  // 32 cells per port.
+  c.cell_words = 2 * n;
+  c.capacity_segments = 32 * n;  // 32 cells per port.
   c.validate();
   return c;
 }
-
-SwitchConfig telegraphos1() { return SwitchConfig::telegraphos1(); }
-SwitchConfig telegraphos2() { return SwitchConfig::telegraphos2(); }
-SwitchConfig telegraphos3() { return SwitchConfig::telegraphos3(); }
 
 }  // namespace pmsb

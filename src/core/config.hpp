@@ -67,11 +67,6 @@ struct SwitchConfig {
   /// output from monopolizing the shared pool -- the per-output limits real
   /// shared-buffer switches add (cf. [DeEI95], [KVES95]).
   unsigned out_queue_limit = 0;
-  /// Section 4.3 option: extra pipeline stages on the long input/output link
-  /// wires ("split in two or more pipeline stages each ... the logic of the
-  /// switch operation remains unaffected"). Modelled outside the switch by
-  /// sim/link_pipeline.hpp; recorded here so testbenches can apply it.
-  unsigned link_pipe_stages = 0;
 
   unsigned stages() const { return 2 * n_ports; }
   unsigned segments_per_cell() const { return cell_words / stages(); }
@@ -109,15 +104,10 @@ struct SwitchConfig {
   /// 16 stages, 256 cells of 256 bits; 62.5 MHz worst case = 1 Gb/s/link.
   static SwitchConfig telegraphos3();
   /// Generic valid geometry for an n x n switch: 16-bit words, the minimum
-  /// legal cell (`segments_per_cell` quanta of 2n words), and a shared
-  /// buffer of 32 cells per port. The go-to for tests, fabrics, and sweeps
-  /// that just need "some n-port switch".
-  static SwitchConfig for_ports(unsigned n, unsigned segments_per_cell = 1);
+  /// legal cell (one quantum of 2n words), and a shared buffer of 32 cells
+  /// per port. The go-to for tests, fabrics, and sweeps that just need
+  /// "some n-port switch".
+  static SwitchConfig for_ports(unsigned n);
 };
-
-// Deprecated free-function spellings of the presets (older call sites).
-SwitchConfig telegraphos1();
-SwitchConfig telegraphos2();
-SwitchConfig telegraphos3();
 
 }  // namespace pmsb

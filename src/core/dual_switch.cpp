@@ -18,7 +18,6 @@ ConfigValidation DualSwitchConfig::check() const {
           "head word too narrow for the destination field");
   if (capacity_segments_per_group == 0)
     issue(ConfigIssue::Code::kBadCapacity, "capacity must be >= 1 cell per group");
-  if (clock_mhz <= 0) issue(ConfigIssue::Code::kBadClock, "clock_mhz must be positive");
   return v;
 }
 
@@ -27,12 +26,12 @@ void DualSwitchConfig::validate() const {
   if (!v.ok()) throw std::invalid_argument(v.summary());
 }
 
-DualPipelinedSwitch::DualPipelinedSwitch(const DualSwitchConfig& cfg, AddrPathMode addr_mode)
+DualPipelinedSwitch::DualPipelinedSwitch(const DualSwitchConfig& cfg)
     : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
       cfg_(cfg),
       S_(cfg.stages()),
-      mem_{PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits, addr_mode),
-           PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits, addr_mode)},
+      mem_{PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits),
+           PipelinedMemory(S_, cfg.capacity_segments_per_group, cfg.word_bits)},
       window_(cfg.n_ports, S_, cfg.word_bits),
       orow_(S_, cfg.n_ports, cfg.word_bits),
       free_{FreeList(cfg.capacity_segments_per_group), FreeList(cfg.capacity_segments_per_group)},

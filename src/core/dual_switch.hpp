@@ -40,7 +40,6 @@ struct DualSwitchConfig {
   unsigned word_bits = 16;
   unsigned capacity_segments_per_group = 128;  ///< Cells per memory group.
   bool cut_through = true;
-  double clock_mhz = 62.5;
 
   unsigned stages() const { return n_ports; }          ///< Per group.
   unsigned cell_words() const { return n_ports; }      ///< Half quantum.
@@ -54,8 +53,7 @@ struct DualSwitchConfig {
 
 class DualPipelinedSwitch : public CellSwitch {
  public:
-  explicit DualPipelinedSwitch(const DualSwitchConfig& cfg,
-                               AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);
+  explicit DualPipelinedSwitch(const DualSwitchConfig& cfg);
 
   const DualSwitchConfig& config() const { return cfg_; }
 

@@ -1,42 +1,14 @@
 #include "exp/thread_pool.hpp"
 
-#include <cstdlib>
 #include <utility>
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace pmsb::exp {
 
-bool pin_current_thread(unsigned cpu) {
-#if defined(__linux__)
-  const unsigned n = std::thread::hardware_concurrency();
-  if (n == 0) return false;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu % n, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
-
-bool pin_threads_env() {
-  static const bool on = [] {
-    const char* v = std::getenv("PMSB_PIN_THREADS");
-    return v != nullptr && v[0] == '1' && v[1] == '\0';
-  }();
-  return on;
-}
-
-ThreadPool::ThreadPool(unsigned threads, ThreadPoolOptions opts) : opts_(std::move(opts)) {
+ThreadPool::ThreadPool(unsigned threads) {
   PMSB_CHECK(threads >= 1, "thread pool needs at least one worker");
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -64,8 +36,7 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lk, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void ThreadPool::worker_loop(unsigned index) {
-  if (opts_.on_worker_start) opts_.on_worker_start(index);
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {

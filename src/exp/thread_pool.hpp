@@ -7,11 +7,6 @@
 // silently dropped -- determinism of the bench output depends on every
 // submitted point running exactly once). Completion/ordering/exception
 // semantics live one level up in SweepRunner, which is what the benches use.
-//
-// The optional on_worker_start hook runs once in each worker thread before
-// it takes any task, with the worker's index -- the place for CPU affinity
-// or NUMA placement (see pin_current_thread / pin_threads_env). Placement is
-// a wall-clock concern only; simulation results never depend on it.
 
 #pragma once
 
@@ -26,17 +21,10 @@
 
 namespace pmsb::exp {
 
-struct ThreadPoolOptions {
-  /// Called in each worker thread, with its index in [0, threads), before
-  /// the worker takes any task.
-  std::function<void(unsigned worker)> on_worker_start;
-};
-
 class ThreadPool {
  public:
   /// Spawns exactly `threads` workers (>= 1).
-  explicit ThreadPool(unsigned threads) : ThreadPool(threads, ThreadPoolOptions{}) {}
-  ThreadPool(unsigned threads, ThreadPoolOptions opts);
+  explicit ThreadPool(unsigned threads);
 
   /// Drains the queue (queued tasks still run), then joins all workers.
   ~ThreadPool();
@@ -54,9 +42,8 @@ class ThreadPool {
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
  private:
-  void worker_loop(unsigned index);
+  void worker_loop();
 
-  ThreadPoolOptions opts_;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
@@ -65,16 +52,5 @@ class ThreadPool {
   unsigned active_ = 0;              ///< Tasks currently executing.
   bool shutdown_ = false;
 };
-
-/// Pin the calling thread to CPU `cpu % hardware_concurrency`. Returns false
-/// (and changes nothing) on platforms without an affinity API or when the
-/// kernel rejects the mask. Topology-aware placement for long-lived workers:
-/// the fabric pins worker i to CPU i so neighboring tasks keep their cache
-/// affinity across rounds.
-bool pin_current_thread(unsigned cpu);
-
-/// Process-wide opt-in for worker pinning (PMSB_PIN_THREADS=1, read once).
-/// Off by default: pinning helps dedicated machines and hurts shared ones.
-bool pin_threads_env();
 
 }  // namespace pmsb::exp

@@ -168,10 +168,6 @@ class PortBridge final : public Component {
   }
   std::string name() const override;
 
-  /// Transit cells accepted but not yet re-transmitted (store-and-forward
-  /// queue; bounded by the output stagger of the upstream switch).
-  std::size_t transit_depth() const { return fifo_size_ + (staged_valid_ ? 1 : 0); }
-
   /// Transit cells this bridge relayed toward their next hop (total).
   std::uint64_t relayed() const { return relayed_; }
 

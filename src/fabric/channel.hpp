@@ -74,11 +74,6 @@ class ChannelBase {
     return last_valid_.load(std::memory_order_relaxed) + static_cast<Cycle>(delay_) < t;
   }
 
-  /// Cycle of the newest valid entry written (-1 before the first). Only
-  /// meaningful to a reader that has already synchronized with the
-  /// producer's progress (see idle_at / the task skip predicate).
-  Cycle last_valid() const { return last_valid_.load(std::memory_order_relaxed); }
-
   /// Idle-skip compensation: stand in for the producer's suppressed
   /// write(t, invalid) calls for every cycle in [from, to), so old entries
   /// at (t mod size) cannot resurface after the jump.

@@ -647,12 +647,7 @@ void Fabric::run(Cycle cycles) {
   if (workers_ == 1) {
     rt.scheduler->run(tasks, rt.wake_lists, rt.placement);
   } else {
-    if (!pool_) {
-      exp::ThreadPoolOptions po;
-      if (exp::pin_threads_env())
-        po.on_worker_start = [](unsigned w) { exp::pin_current_thread(w); };
-      pool_ = std::make_unique<exp::ThreadPool>(workers_, std::move(po));
-    }
+    if (!pool_) pool_ = std::make_unique<exp::ThreadPool>(workers_);
     rt.scheduler->run(*pool_, tasks, rt.wake_lists, rt.placement);
   }
 

@@ -183,7 +183,6 @@ class WormRouter : public Component, public FabricNode {
   };
 
   bool has_source(unsigned in_port) const { return sources_[in_port] != nullptr; }
-  bool has_sink(unsigned out_port) const { return sinks_[out_port] != nullptr; }
   SourceStats source_stats(unsigned in_port) const;
   SinkStats sink_stats(unsigned out_port) const;
 

@@ -16,11 +16,9 @@ FlightRecorder::FlightRecorder(unsigned n_ports, unsigned cell_words,
                                FlightRecorderConfig cfg)
     : n_ports_(n_ports), cell_words_(cell_words), cfg_(cfg) {
   PMSB_CHECK(n_ports_ > 0 && cell_words_ > 0, "flight recorder needs a real geometry");
-  stages_.assign(kFlightStageCount, HdrHistogram(cfg_.precision_bits));
-  if (cfg_.per_pair) {
-    pairs_.assign(static_cast<std::size_t>(n_ports_) * n_ports_,
-                  HdrHistogram(cfg_.precision_bits));
-  }
+  stages_.assign(kFlightStageCount, HdrHistogram());
+  if (cfg_.per_pair)
+    pairs_.assign(static_cast<std::size_t>(n_ports_) * n_ports_, HdrHistogram());
 }
 
 void FlightRecorder::attach(EventHub& hub) {
@@ -76,8 +74,7 @@ void FlightRecorder::on_read_grant(unsigned output, unsigned input, Cycle tr, Cy
 void FlightRecorder::merge(const FlightRecorder& other) {
   PMSB_CHECK(n_ports_ == other.n_ports_ && cell_words_ == other.cell_words_,
              "flight recorder merge with mismatched geometry");
-  PMSB_CHECK(cfg_.per_pair == other.cfg_.per_pair &&
-                 cfg_.precision_bits == other.cfg_.precision_bits,
+  PMSB_CHECK(cfg_.per_pair == other.cfg_.per_pair,
              "flight recorder merge with mismatched config");
   for (unsigned s = 0; s < kFlightStageCount; ++s) stages_[s].merge(other.stages_[s]);
   for (std::size_t i = 0; i < pairs_.size(); ++i) pairs_[i].merge(other.pairs_[i]);

@@ -55,7 +55,6 @@ struct FlightRecorderConfig {
   /// Also keep one total-latency histogram per (input, output) pair
   /// (n_ports^2 histograms -- enable for benches, not for every fabric node).
   bool per_pair = false;
-  unsigned precision_bits = HdrHistogram::kDefaultPrecisionBits;
 };
 
 class FlightRecorder {
@@ -69,7 +68,7 @@ class FlightRecorder {
   void attach(EventHub& hub);
   void detach() { sub_.reset(); }
 
-  /// Optional live counters (null-pointer fast path when `m` is disabled).
+  /// Optional live counters (null-pointer fast path until this is called).
   void register_metrics(MetricsRegistry& m, const std::string& prefix = "flight");
 
   const HdrHistogram& stage(FlightStage s) const {

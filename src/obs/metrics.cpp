@@ -3,7 +3,6 @@
 namespace pmsb::obs {
 
 Counter* MetricsRegistry::counter(const std::string& name) {
-  if (!enabled_) return nullptr;
   for (auto& e : counters_) {
     if (e.name == name) return e.counter.get();
   }
@@ -12,27 +11,19 @@ Counter* MetricsRegistry::counter(const std::string& name) {
 }
 
 void MetricsRegistry::add_gauge(const std::string& name, std::function<double()> fn) {
-  if (!enabled_) return;
   PMSB_CHECK(fn != nullptr, "gauge needs a sampling callback");
   gauges_.push_back(GaugeEntry{name, std::move(fn), GaugeStats{}});
 }
 
-HdrHistogram* MetricsRegistry::hdr_histogram(const std::string& name,
-                                             unsigned precision_bits) {
-  if (!enabled_) return nullptr;
+HdrHistogram* MetricsRegistry::hdr_histogram(const std::string& name) {
   for (auto& e : hdr_hists_) {
-    if (e.name == name) {
-      PMSB_CHECK(e.hist->precision_bits() == precision_bits,
-                 "hdr_histogram re-requested with a different precision");
-      return e.hist.get();
-    }
+    if (e.name == name) return e.hist.get();
   }
-  hdr_hists_.push_back(HdrEntry{name, std::make_unique<HdrHistogram>(precision_bits)});
+  hdr_hists_.push_back(HdrEntry{name, std::make_unique<HdrHistogram>()});
   return hdr_hists_.back().hist.get();
 }
 
 void MetricsRegistry::sample(Cycle t) {
-  if (!enabled_) return;
   for (auto& g : gauges_) {
     const double v = g.fn();
     GaugeStats& s = g.stats;
@@ -52,7 +43,6 @@ void MetricsRegistry::sample(Cycle t) {
 }
 
 std::uint64_t MetricsRegistry::add_sample_hook(std::function<void(Cycle)> fn) {
-  if (!enabled_) return 0;
   PMSB_CHECK(fn != nullptr, "sample hook needs a callback");
   const std::uint64_t id = next_hook_id_++;
   hooks_.push_back(HookEntry{id, std::move(fn)});
@@ -60,7 +50,6 @@ std::uint64_t MetricsRegistry::add_sample_hook(std::function<void(Cycle)> fn) {
 }
 
 void MetricsRegistry::remove_sample_hook(std::uint64_t id) {
-  if (id == 0) return;
   for (std::size_t i = 0; i < hooks_.size(); ++i) {
     if (hooks_[i].id == id) {
       hooks_.erase(hooks_.begin() + static_cast<std::ptrdiff_t>(i));

@@ -2,10 +2,10 @@
 // gauges, and histograms that components register into once and update from
 // their hot paths at the cost of a pointer test plus an increment.
 //
-// Design rules (the zero-cost-when-disabled contract):
+// Design rules (the zero-cost-when-detached contract):
 //  * A component caches raw Counter* pointers at register_metrics() time.
-//    With no registry attached (or a disabled one) those pointers are null
-//    and the hot path pays exactly one predictable branch.
+//    With no registry attached those pointers are null and the hot path
+//    pays exactly one predictable branch.
 //  * Gauges are pull-based: the registry stores a callback and only invokes
 //    it when sample() runs (the Engine calls sample() every `period` cycles
 //    -- see Engine::set_metrics). Components pay nothing between samples.
@@ -30,10 +30,6 @@ namespace pmsb::obs {
 class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
-  /// High-water style update: raise to `v` if larger.
-  void record_max(std::uint64_t v) {
-    if (v > value_) value_ = v;
-  }
   std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
 
@@ -54,25 +50,15 @@ struct GaugeStats {
 
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
-
-  /// Disabling makes counter() return nullptr and add_gauge()/hdr_histogram()
-  /// no-ops, so instrumented components stay on their null-pointer fast
-  /// path. Flip before registering components.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  /// Create-or-get a counter. Returns nullptr when disabled.
+  /// Create-or-get a counter.
   Counter* counter(const std::string& name);
 
-  /// Register a gauge sampled on every sample() call. No-op when disabled.
+  /// Register a gauge sampled on every sample() call.
   void add_gauge(const std::string& name, std::function<double()> fn);
 
   /// Create-or-get a constant-memory log-bucketed histogram for unbounded
-  /// (latency-like) values. Returns nullptr when disabled. Re-requesting an
-  /// existing name with a different precision is a PMSB_CHECK failure.
-  HdrHistogram* hdr_histogram(const std::string& name,
-                              unsigned precision_bits = HdrHistogram::kDefaultPrecisionBits);
+  /// (latency-like) values, at the default HDR precision.
+  HdrHistogram* hdr_histogram(const std::string& name);
 
   /// Pull every gauge once. The Engine calls this on its sampling period.
   /// Sample hooks (e.g. the TimeSeriesSampler) fire after gauges update, so
@@ -80,7 +66,7 @@ class MetricsRegistry {
   void sample(Cycle t);
 
   /// Register a callback invoked at the end of every sample(). Returns an
-  /// id for remove_sample_hook(); returns 0 (no-op) when disabled.
+  /// id for remove_sample_hook().
   std::uint64_t add_sample_hook(std::function<void(Cycle)> fn);
   void remove_sample_hook(std::uint64_t id);
 
@@ -143,7 +129,6 @@ class MetricsRegistry {
     std::function<void(Cycle)> fn;
   };
 
-  bool enabled_;
   std::vector<CounterEntry> counters_;
   std::vector<GaugeEntry> gauges_;
   std::vector<HdrEntry> hdr_hists_;

@@ -7,17 +7,15 @@ namespace pmsb::obs {
 TimeSeriesSampler::TimeSeriesSampler(MetricsRegistry* m, std::size_t capacity)
     : reg_(m), capacity_(capacity) {
   PMSB_CHECK(capacity_ > 0, "time-series ring needs capacity >= 1");
-  if (reg_ != nullptr && reg_->enabled()) {
-    hook_id_ = reg_->add_sample_hook([this](Cycle t) { snapshot(t); });
-  }
+  if (reg_ != nullptr) hook_id_ = reg_->add_sample_hook([this](Cycle t) { snapshot(t); });
 }
 
 TimeSeriesSampler::~TimeSeriesSampler() {
-  if (reg_ != nullptr && hook_id_ != 0) reg_->remove_sample_hook(hook_id_);
+  if (reg_ != nullptr) reg_->remove_sample_hook(hook_id_);
 }
 
 void TimeSeriesSampler::snapshot(Cycle t) {
-  if (reg_ == nullptr || !reg_->enabled()) return;
+  if (reg_ == nullptr) return;
   const std::size_t nc = reg_->counter_count();
   const std::size_t ng = reg_->gauge_count();
   if (prev_counters_.size() < nc) prev_counters_.resize(nc, 0);
@@ -50,7 +48,7 @@ const TimeSeriesSampler::Row& TimeSeriesSampler::at(std::size_t i) const {
 TimeSeriesSampler::Series TimeSeriesSampler::series() const {
   Series s;
   s.dropped = dropped();
-  if (reg_ != nullptr && reg_->enabled()) {
+  if (reg_ != nullptr) {
     for (std::size_t i = 0; i < reg_->counter_count(); ++i)
       s.counter_columns.push_back(reg_->counter_name(i));
     for (std::size_t i = 0; i < reg_->gauge_count(); ++i)

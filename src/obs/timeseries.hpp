@@ -48,8 +48,8 @@ class TimeSeriesSampler {
     std::uint64_t dropped = 0;    ///< Rows lost to ring wrap.
   };
 
-  /// Hooks into `m` (no-op if null or disabled; the sampler then stays
-  /// empty, preserving the zero-cost-when-disabled contract).
+  /// Hooks into `m` (no-op if null; the sampler then stays empty,
+  /// preserving the zero-cost-when-detached contract).
   explicit TimeSeriesSampler(MetricsRegistry* m, std::size_t capacity = 512);
   ~TimeSeriesSampler();
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;

@@ -3,14 +3,8 @@
 #include <cstdlib>
 
 namespace pmsb {
-namespace {
-int g_idle_skip_override = -1;  // -1 = defer to PMSB_IDLE_SKIP.
-}  // namespace
-
-void Engine::set_idle_skip_override(int v) { g_idle_skip_override = v; }
 
 bool Engine::idle_skip_env_default() {
-  if (g_idle_skip_override >= 0) return g_idle_skip_override != 0;
   static const bool on = [] {
     const char* v = std::getenv("PMSB_IDLE_SKIP");
     return v == nullptr || !(v[0] == '0' && v[1] == '\0');

@@ -209,12 +209,6 @@ class Engine {
   /// Process-wide default for idle skipping (PMSB_IDLE_SKIP, read once).
   static bool idle_skip_env_default();
 
-  /// Process-wide override for the default above (bench --idle-skip flag):
-  /// 0 = force off, 1 = force on, -1 = defer to the environment again. Only
-  /// affects engines constructed after the call. Not thread-safe; call it
-  /// from startup code before any simulation threads exist.
-  static void set_idle_skip_override(int v);
-
   /// True when skipping is structurally permitted: no attached observer
   /// needs to see every cycle (each is skips_ok()).
   bool can_skip() const { return pinning_observers_ == 0; }

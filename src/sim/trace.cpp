@@ -1,33 +1,13 @@
 #include "sim/trace.hpp"
 
-#include <cstdarg>
-
 namespace pmsb {
 
-void Tracer::event(Cycle t, const char* fmt, ...) {
-  if (!enabled_ || sink_ == nullptr) return;
-  std::fprintf(sink_, "[%6lld] ", static_cast<long long>(t));
-  std::va_list ap;
-  va_start(ap, fmt);
-  std::vfprintf(sink_, fmt, ap);
-  va_end(ap);
-  std::fputc('\n', sink_);
-}
-
-void Tracer::line(const std::string& s) {
-  if (!enabled_ || sink_ == nullptr) return;
-  std::fputs(s.c_str(), sink_);
-  std::fputc('\n', sink_);
-}
-
 void Tracer::record(const obs::TraceRecord& r) {
-  if (!enabled_ || sink_ == nullptr) return;
   std::fprintf(sink_, "[%6lld] %s\n", static_cast<long long>(r.t),
                obs::format(r).c_str());
 }
 
 void Tracer::drain(const obs::TraceBuffer& buf) {
-  if (!enabled_ || sink_ == nullptr) return;
   if (buf.overwritten() > 0) {
     std::fprintf(sink_, "... %llu older trace records overwritten ...\n",
                  static_cast<unsigned long long>(buf.overwritten()));

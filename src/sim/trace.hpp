@@ -2,17 +2,11 @@
 // obs::TraceBuffer (typed records, no formatting); a Tracer is the
 // formatting *drain* over it: attach one as a live drain to watch a run
 // cycle by cycle (the quickstart example), or call drain() after the run to
-// render whatever the ring buffer retained.
-//
-// The printf-style event()/line() API remains for ad-hoc diagnostics. A
-// Tracer is optional everywhere: a null Tracer pointer means "no tracing"
-// and costs one branch; a Tracer with a null sink swallows output instead of
-// crashing.
+// render whatever the ring buffer retained. "No tracing" is no Tracer.
 
 #pragma once
 
 #include <cstdio>
-#include <string>
 
 #include "common/util.hpp"
 #include "obs/trace_buffer.hpp"
@@ -21,19 +15,10 @@ namespace pmsb {
 
 class Tracer {
  public:
-  /// Sink defaults to stdout. The Tracer does not own `sink`; a null sink
-  /// discards all output.
-  explicit Tracer(std::FILE* sink = stdout, bool enabled = true)
-      : sink_(sink), enabled_(enabled) {}
-
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  /// printf-style event record, prefixed with the cycle number.
-  void event(Cycle t, const char* fmt, ...) __attribute__((format(printf, 3, 4)));
-
-  /// Raw line (no cycle prefix).
-  void line(const std::string& s);
+  /// Writes to `sink` (non-null; the Tracer does not own it).
+  explicit Tracer(std::FILE* sink) : sink_(sink) {
+    PMSB_CHECK(sink_ != nullptr, "tracer needs a sink");
+  }
 
   /// Format one typed trace record (cycle prefix + obs::format rendering).
   void record(const obs::TraceRecord& r);
@@ -48,7 +33,6 @@ class Tracer {
 
  private:
   std::FILE* sink_;
-  bool enabled_;
 };
 
 }  // namespace pmsb

@@ -32,14 +32,12 @@ class RunningStats {
 /// Latency statistics with a warmup horizon: samples with an injection time
 /// before `warmup_until` are discarded so transients do not pollute
 /// steady-state measurements. Backed by a constant-memory HdrHistogram, so
-/// tails are never clamped: p50/p90/p99/p99.9 are exact below
-/// 2^precision_bits cycles and within 2^-precision_bits relative error
-/// above, regardless of how long the run gets.
+/// tails are never clamped: p50/p90/p99/p99.9 are exact below 128 cycles
+/// and within 2^-7 relative error above (HdrHistogram's default
+/// precision), regardless of how long the run gets.
 class LatencyStats {
  public:
-  explicit LatencyStats(Cycle warmup_until = 0,
-                        unsigned precision_bits = HdrHistogram::kDefaultPrecisionBits)
-      : warmup_until_(warmup_until), hist_(precision_bits) {}
+  explicit LatencyStats(Cycle warmup_until = 0) : warmup_until_(warmup_until) {}
 
   void set_warmup(Cycle until) { warmup_until_ = until; }
 
@@ -57,7 +55,7 @@ class LatencyStats {
   const HdrHistogram& histogram() const { return hist_; }
 
   /// Fold another tracker's samples in (warmup filtering already applied by
-  /// the donor); precisions must match.
+  /// the donor).
   void merge(const LatencyStats& other) { hist_.merge(other.hist_); }
 
  private:

@@ -74,7 +74,6 @@ void CellSource::eval(Cycle t) {
   link_->drive_next(Flit{true, true, cell_word(uid_, dest_, 0, fmt_)});
   if (on_inject_) on_inject_(Injection{uid_, input_, dest_, t + 1});
   ++word_idx_;
-  if (word_idx_ == fmt_.length_words) end_cell();  // unreachable for L >= 2, kept for safety
 }
 
 void CellSource::commit(Cycle) {}

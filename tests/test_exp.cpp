@@ -72,34 +72,6 @@ TEST(ThreadPool, DestructorDrainsQueuedWork) {
   EXPECT_EQ(ran.load(), 64);
 }
 
-TEST(ThreadPool, OnWorkerStartRunsOncePerWorkerBeforeTasks) {
-  std::mutex mu;
-  std::vector<unsigned> started;
-  std::atomic<int> tasks_seen_all_hooks{0};
-  exp::ThreadPoolOptions opts;
-  opts.on_worker_start = [&](unsigned worker) {
-    std::lock_guard<std::mutex> lock(mu);
-    started.push_back(worker);
-  };
-  {
-    exp::ThreadPool pool(3, std::move(opts));
-    for (int i = 0; i < 12; ++i)
-      pool.submit([&] {
-        // Any task's worker ran its hook first (hooks precede the task loop).
-        std::lock_guard<std::mutex> lock(mu);
-        if (started.size() >= 1) tasks_seen_all_hooks.fetch_add(1);
-      });
-    pool.wait_idle();
-    // A worker that took no task may still be starting when wait_idle
-    // returns; the destructor joins every worker, hook included.
-  }
-  EXPECT_EQ(tasks_seen_all_hooks.load(), 12);
-  std::lock_guard<std::mutex> lock(mu);
-  std::sort(started.begin(), started.end());
-  // Exactly one hook call per worker, with the worker's own index.
-  EXPECT_EQ(started, (std::vector<unsigned>{0, 1, 2}));
-}
-
 TEST(ThreadPool, WaitIdleWaitsForExecutingTasks) {
   std::atomic<bool> done{false};
   exp::ThreadPool pool(2);

@@ -693,7 +693,7 @@ std::vector<unsigned> finer_partitions(const fabric::FabricConfig& cfg) {
   return {0u, cfg.topo.nodes()};
 }
 
-TEST(FabricDataflow, MatchesBarrierAcrossThreadCounts) {
+TEST(FabricDataflow, MatchesOneTaskAcrossPartitions) {
   fabric::FabricConfig base = small_torus(1);
   base.flight_recorder = true;
   base.flight_warmup = 200;
@@ -785,7 +785,7 @@ void expect_same_worm_stats(const fabric::FabricStats& a, const fabric::FabricSt
 // contributions while other tasks run on. The oracle is a one-task fabric
 // advanced one round per run() call, with stats() read at each boundary:
 // a 4-worker run must give the same six series, on both transports.
-TEST(FabricDataflow, MetricsSamplingMatchesBarrier) {
+TEST(FabricDataflow, MetricsSamplingMatchesOneTask) {
   const fabric::FabricConfig inputs[] = {
       small_torus(1),
       worm_banyan(1, 4, "hotsenders:0.25,0.95"),
@@ -902,7 +902,7 @@ TEST(FabricDataflow, IdleSkipEquivalentAcrossPartitionsAndSplits) {
   }
 }
 
-TEST(FabricDataflow, MixedModelMatchesBarrier) {
+TEST(FabricDataflow, MixedModelMatchesOneTask) {
   const auto ref = make_fabric(mixed_model_torus(1));
   ref->run(2000);
   for (unsigned threads : finer_partitions(mixed_model_torus(1))) {
@@ -985,7 +985,7 @@ TEST(FabricDataflow, SchedulerStatsAndTelemetryShape) {
 // The fabric's two former engines are the extreme partitions: one task
 // (lockstep rounds) and one node per task (per-node dataflow).
 
-TEST(WormDeterminism, ThreadCountsTimesEnginesTimesLanes) {
+TEST(WormDeterminism, PartitionsTimesLanes) {
   for (const unsigned lanes : {1u, 4u}) {
     const auto ref = make_fabric(worm_banyan(1, lanes));
     ref->run(3000);
@@ -1017,7 +1017,7 @@ TEST(WormDeterminism, SplitRunMatchesSingleRun) {
 /// fabric (low load, long idle stretches) run with skipping forced on
 /// reproduces the stepped run bit for bit, under both former engines'
 /// partitions (one task, one node per task) and the default.
-TEST(WormDeterminism, IdleSkipEquivalentOnBothEngines) {
+TEST(WormDeterminism, IdleSkipEquivalentAcrossPartitions) {
   fabric::FabricConfig stepped_cfg = worm_banyan(1, 2, "uniform:0.002");
   stepped_cfg.idle_skip = 0;
   const auto stepped = make_fabric(stepped_cfg);

@@ -412,18 +412,21 @@ TEST(EngineMetrics, PeriodChangeTakesEffectOnNewGrid) {
 TEST(Tracer, WritesEventsWhenEnabled) {
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
-  Tracer tr(f, true);
-  tr.event(42, "hello %d", 7);
-  tr.line("raw");
-  tr.set_enabled(false);
-  tr.event(43, "suppressed");
+  Tracer tr(f);
+  obs::TraceRecord r;
+  r.t = 42;
+  r.input = 3;
+  tr.record(r);  // Directly...
+  obs::TraceBuffer buf(4);
+  tr.attach_live(buf);
+  r.t = 43;
+  buf.push(r);    // ...as the buffer's live drain...
+  tr.drain(buf);  // ...and replaying what the buffer retained.
   std::rewind(f);
   std::string all(512, '\0');
   all.resize(std::fread(all.data(), 1, all.size(), f));
-  EXPECT_NE(all.find("42"), std::string::npos);
-  EXPECT_NE(all.find("hello 7"), std::string::npos);
-  EXPECT_NE(all.find("raw"), std::string::npos);
-  EXPECT_EQ(all.find("suppressed"), std::string::npos);
+  const std::string body = obs::format(r);
+  EXPECT_EQ(all, "[    42] " + body + "\n[    43] " + body + "\n[    43] " + body + "\n");
   std::fclose(f);
 }
 

@@ -193,7 +193,7 @@ TEST(SwitchProperties, LatencyLowerBoundHolds) {
 }
 
 TEST(SwitchProperties, Telegraphos3ConfigRunsCleanly) {
-  const SwitchConfig cfg = telegraphos3();
+  const SwitchConfig cfg = SwitchConfig::telegraphos3();
   TrafficSpec spec;
   spec.load = 0.9;
   spec.seed = 45;
@@ -338,7 +338,7 @@ TEST(SwitchProperties, StaggerPenaltyMatchesSection34Formula) {
 }
 
 TEST(SwitchProperties, Telegraphos1And2ConfigsRunCleanly) {
-  for (const SwitchConfig& cfg : {telegraphos1(), telegraphos2()}) {
+  for (const SwitchConfig& cfg : {SwitchConfig::telegraphos1(), SwitchConfig::telegraphos2()}) {
     TrafficSpec spec;
     spec.load = 0.8;
     spec.seed = 46;
