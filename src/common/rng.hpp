@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 #include "common/util.hpp"
@@ -28,22 +29,45 @@ constexpr std::uint64_t mix64(std::uint64_t x) {
   return splitmix64(s);
 }
 
-/// xoshiro256** generator.
+/// xoshiro256** generator. The per-draw members are inline: they sit on
+/// every simulator's hot path.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x5eed5eed5eed5eedULL);
 
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform in [0, bound). bound must be > 0. Uses rejection sampling, so
   /// the result is exactly uniform.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    PMSB_CHECK(bound > 0, "next_below(0)");
+    // Lemire-style rejection to avoid modulo bias.
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+      const std::uint64_t r = next_u64();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Bernoulli trial with probability p (clamped to [0,1]).
-  bool next_bool(double p);
+  bool next_bool(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Geometric number of failures before first success, success prob p in
   /// (0, 1]. Mean (1-p)/p.

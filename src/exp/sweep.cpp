@@ -1,7 +1,6 @@
 #include "exp/sweep.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 namespace pmsb::exp {
@@ -27,18 +26,6 @@ unsigned thread_count() {
   if (const unsigned env = parse_count(std::getenv("PMSB_THREADS")); env >= 1) return env;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? hw : 1;
-}
-
-unsigned parse_threads_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--threads") == 0 && i + 1 < argc) {
-      if (const unsigned v = parse_count(argv[i + 1]); v >= 1) set_thread_override(v);
-    } else if (std::strncmp(a, "--threads=", 10) == 0) {
-      if (const unsigned v = parse_count(a + 10); v >= 1) set_thread_override(v);
-    }
-  }
-  return thread_count();
 }
 
 }  // namespace pmsb::exp

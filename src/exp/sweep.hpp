@@ -43,11 +43,6 @@ unsigned thread_count();
 /// from main before the first sweep.
 void set_thread_override(unsigned threads);
 
-/// Scan argv for "--threads N" / "--threads=N", apply it as the override,
-/// and return the resolved thread_count(). Unrelated arguments are ignored
-/// (benches also receive google-benchmark-style flags in CI wrappers).
-unsigned parse_threads_arg(int argc, char** argv);
-
 /// Wall-clock stopwatch for the BenchJson runtime block.
 class WallTimer {
  public:

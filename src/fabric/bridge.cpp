@@ -80,9 +80,9 @@ void PortBridge::eval(Cycle t) {
       tx_buf_ = fifo_[fifo_head_];
       fifo_head_ = (fifo_head_ + 1) % kFifoCells;
       --fifo_size_;
-    } else if (arrivals_ && !arrivals_->backlog.empty()) {
-      const traffic::Arrivals::Pending p = arrivals_->backlog.front();
-      arrivals_->backlog.pop_front();
+    } else if (arrivals_ && !arrivals_->empty()) {
+      const traffic::Arrivals::Pending p = arrivals_->front();
+      arrivals_->pop();
       const net::Port out = topo_->route_xy(node_, p.dest);
       PMSB_CHECK(out != net::kLocal, "injected cell addressed to its own node");
       tx_buf_ = take_buffer();
@@ -212,7 +212,7 @@ void CellNode::skip(Cycle t, Cycle n) {
 NodeCounts CellNode::counts() const {
   NodeCounts c;
   c.generated = arrivals.generated;
-  c.backlog = arrivals.backlog.size();
+  c.backlog = arrivals.pending();
   c.delivered = ejector.delivered;
   c.dropped = switch_->stats().dropped();
   c.lat_sum = ejector.lat_sum;

@@ -161,7 +161,7 @@ class PortBridge final : public Component {
   /// disabled in fabric nodes, so these hooks are only consulted there).
   bool is_quiescent(Cycle) const override {
     return !cell_rx_.mid_cell() && !tx_.busy() && !staged_valid_ && fifo_size_ == 0 &&
-           (arrivals_ == nullptr || arrivals_->backlog.empty());
+           (arrivals_ == nullptr || arrivals_->empty());
   }
   Cycle next_wake(Cycle) const override {
     return arrivals_ != nullptr ? arrivals_->next_arrival : kNeverWake;

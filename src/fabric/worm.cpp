@@ -130,14 +130,14 @@ void WormRouter::source_step(Source& s, Cycle t) {
   // Start pending messages on idle lanes, round-robin. Each
   // lane streams one message head..tail at a time, so the per-lane
   // contiguity invariant holds by construction.
-  while (!s.arrivals.backlog.empty() && s.active != lane_bits_) {
+  while (!s.arrivals.empty() && s.active != lane_bits_) {
     const unsigned pick = first_from(lane_bits_ & ~s.active, s.start_rr);
     s.start_rr = next_mod(pick, params_.lanes);
-    const traffic::Arrivals::Pending& p = s.arrivals.backlog.front();
+    const traffic::Arrivals::Pending& p = s.arrivals.front();
     const std::uint64_t msg = (static_cast<std::uint64_t>(s.arrivals.src) << 32) | p.seq;
     s.worms[pick] = Source::Worm{0, p.dest, msg, p.created};
     s.active |= 1u << pick;
-    s.arrivals.backlog.pop_front();
+    s.arrivals.pop();
   }
   // Emit at most one flit this cycle (the injection link rate), rotating
   // across lanes whose worm is active and whose FIFO has room.
@@ -336,7 +336,7 @@ bool WormRouter::is_quiescent(Cycle) const {
   for (const Out& o : out_)
     if (o.owned != 0) return false;
   for (const auto& s : sources_)
-    if (s != nullptr && (!s->arrivals.backlog.empty() || s->active != 0)) return false;
+    if (s != nullptr && (!s->arrivals.empty() || s->active != 0)) return false;
   return true;
 }
 
@@ -358,8 +358,8 @@ std::string WormRouter::name() const {
 WormRouter::SourceStats WormRouter::source_stats(unsigned in_port) const {
   PMSB_CHECK(sources_[in_port] != nullptr, "no worm source on this input");
   const Source& s = *sources_[in_port];
-  return SourceStats{s.arrivals.generated, s.arrivals.backlog.size() +
-                                               static_cast<std::size_t>(std::popcount(s.active))};
+  return SourceStats{s.arrivals.generated,
+                     s.arrivals.pending() + static_cast<std::size_t>(std::popcount(s.active))};
 }
 
 WormRouter::SinkStats WormRouter::sink_stats(unsigned out_port) const {

@@ -150,25 +150,6 @@ TEST(ThreadCount, OverrideBeatsEnvironment) {
   EXPECT_GE(exp::thread_count(), 1u);
 }
 
-TEST(ThreadCount, ParseThreadsArgBothSpellings) {
-  char prog[] = "bench";
-  char flag_eq[] = "--threads=2";
-  char* argv_eq[] = {prog, flag_eq};
-  EXPECT_EQ(exp::parse_threads_arg(2, argv_eq), 2u);
-
-  char flag[] = "--threads";
-  char five[] = "5";
-  char* argv_sp[] = {prog, flag, five};
-  EXPECT_EQ(exp::parse_threads_arg(3, argv_sp), 5u);
-
-  char other[] = "--benchmark_min_time=0.1";
-  char* argv_other[] = {prog, other};
-  exp::set_thread_override(0);
-  const unsigned resolved = exp::parse_threads_arg(2, argv_other);
-  EXPECT_GE(resolved, 1u);  // Unrelated flags are ignored.
-  exp::set_thread_override(0);
-}
-
 // ---- determinism: identical results at any thread count --------------------
 
 std::vector<SlotRun> slot_sweep(unsigned threads) {

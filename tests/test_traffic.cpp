@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+
 #include "core/testbench.hpp"
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
@@ -326,10 +329,10 @@ traffic::Arrivals make_arrivals(DestPattern* dests, unsigned src, double per_cyc
   return a;
 }
 
-/// Move everything the backlog holds into `out`.
+/// Take every pending arrival into `out`.
 void drain(traffic::Arrivals& a, std::vector<Draw>& out) {
-  for (const auto& p : a.backlog) out.push_back(Draw{p.created, p.dest, p.seq});
-  a.backlog.clear();
+  for (; !a.empty(); a.pop())
+    out.push_back(Draw{a.front().created, a.front().dest, a.front().seq});
 }
 
 // Stepping every cycle and jumping from arrival to arrival (what idle
@@ -383,7 +386,73 @@ TEST(Arrivals, ZeroRateNeverArrives) {
   EXPECT_EQ(a.next_arrival, 0);  // Unprimed: a wake query must not skip.
   a.step(0);
   EXPECT_EQ(a.next_arrival, kNeverWake);
-  EXPECT_TRUE(a.backlog.empty());
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.pending(), 0u);
+}
+
+// The pending arrivals are replayed from a trailing copy of the stream, not
+// stored: whatever the transport takes, and whenever, must equal a queue of
+// the generator's own draws. Every fabric destination kind under both self
+// rules; rates from sparse to every cycle; pops at random cycles, long
+// skipped stretches, backlogs left to grow and then emptied and refilled, so
+// both the head's snapshot (an arrival finds nothing pending) and its replay
+// (a pop leaves arrivals pending) run many times.
+TEST(Arrivals, ReplayCursorMatchesQueuedDraws) {
+  using traffic::GeneratorSpec;
+  using Pending = traffic::Arrivals::Pending;
+  constexpr unsigned kNodes = 16;
+  std::uint64_t snapshots = 0, replays = 0;
+  for (const char* text : {"uniform", "permutation", "hotspot:0.3", "hotsenders:0.25,0.95",
+                           "incast:4"}) {
+    for (const SelfRule self : {SelfRule::kAllowed, SelfRule::kExcluded}) {
+      for (const unsigned src : {0u, 3u, 7u}) {
+        for (const double rate : {0.02, 0.3, 1.0}) {
+          SCOPED_TRACE(std::string(text) + (self == SelfRule::kAllowed ? " self" : " noself") +
+                       " src " + std::to_string(src) + " rate " + std::to_string(rate));
+          Rng build(src + 1);
+          const auto dests = GeneratorSpec::parse(text).make_dest(kNodes, build, self);
+          traffic::Arrivals a = make_arrivals(dests.get(), src, rate, 1000 + src);
+          Rng sched(77 + src);
+          std::deque<Pending> queued;
+          std::uint64_t seq = 0;
+          a.prime(0);  // What the first step() does; lets the loop read the draw first.
+          for (Cycle t = 0; t < 4000;) {
+            if (t == a.next_arrival) {
+              if (queued.empty()) ++snapshots;
+              queued.push_back(Pending{a.next_dest, seq++, t});
+            }
+            a.step(t);
+            // Phases of 250 cycles: drain at every visit, take nothing, or
+            // take a random few.
+            const std::uint64_t phase = (t / 250) % 3;
+            std::uint64_t take = phase == 0   ? queued.size()
+                                 : phase == 1 ? 0
+                                              : sched.next_below(3);
+            for (; take > 0 && !queued.empty(); --take) {
+              ASSERT_FALSE(a.empty());
+              const Pending& got = a.front();
+              const Pending& want = queued.front();
+              ASSERT_EQ(got.dest, want.dest);
+              ASSERT_EQ(got.seq, want.seq);
+              ASSERT_EQ(got.created, want.created);
+              a.pop();
+              queued.pop_front();
+              if (!queued.empty()) ++replays;
+            }
+            ASSERT_EQ(a.pending(), queued.size());
+            ASSERT_EQ(a.empty(), queued.empty());
+            ASSERT_EQ(a.generated, seq);
+            // Visit every cycle, or skip straight to the next arrival (or a
+            // random cycle short of it) as an idle fabric task would.
+            const Cycle stride = static_cast<Cycle>(sched.next_below(40));
+            t = sched.next_bool(0.5) ? t + 1 : std::min(a.next_arrival, t + 1 + stride);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(snapshots, 1000u);
+  EXPECT_GT(replays, 10000u);
 }
 
 // With self excluded, no kind ever addresses its source, down to n = 2.

@@ -18,10 +18,12 @@
 // replay loop end to end.
 //
 // Exit status: 0 = all runs clean, 1 = at least one failure (repro files
-// written to --out), 2 = usage error.
+// written to --out), 2 = usage error (an unknown flag, or a value that is
+// not a whole number in range: --jobs takes 1..1024).
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +33,7 @@
 #include <system_error>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "check/differential.hpp"
@@ -101,29 +104,46 @@ int main(int argc, char** argv) {
   unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
   unsigned fault = 0;
 
+  const auto reject = [](const char* what, const char* arg) {
+    std::fprintf(stderr,
+                 "fuzz_differential: %s '%s' (usage: fuzz_differential [--runs N] "
+                 "[--seconds S] [--seed X] [--out DIR] [--jobs J] [--fault K])\n",
+                 what, arg != nullptr ? arg : "");
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "fuzz_differential: %s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
+    const char* a = argv[i];
+    const char* val = ++i < argc ? argv[i] : nullptr;  // Every flag takes a value.
+    // A whole number in [lo, hi]; anything else is a usage error, so a typo
+    // never runs an empty corpus. --seed also takes 0x-prefixed hex.
+    const auto parse = [&](int base, unsigned long long lo, unsigned long long hi,
+                           auto* out) {
+      if (val == nullptr || *val < '0' || *val > '9') return false;
+      char* end = nullptr;
+      errno = 0;
+      const unsigned long long v = std::strtoull(val, &end, base);
+      if (*end != '\0' || errno == ERANGE || v < lo || v > hi) return false;
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(v);
+      return true;
     };
-    if (std::strcmp(argv[i], "--runs") == 0) runs = static_cast<unsigned>(std::atoi(next("--runs")));
-    else if (std::strcmp(argv[i], "--seconds") == 0) seconds = static_cast<unsigned>(std::atoi(next("--seconds")));
-    else if (std::strcmp(argv[i], "--seed") == 0) seed = std::strtoull(next("--seed"), nullptr, 0);
-    else if (std::strcmp(argv[i], "--out") == 0) {
-      out_dir = next("--out");
+    constexpr unsigned long long kUnsignedMax = ~0u;
+    if (std::strcmp(a, "--runs") == 0) {
+      if (!parse(10, 0, kUnsignedMax, &runs)) return reject("bad value for --runs:", val);
+    } else if (std::strcmp(a, "--seconds") == 0) {
+      if (!parse(10, 0, kUnsignedMax, &seconds)) return reject("bad value for --seconds:", val);
+    } else if (std::strcmp(a, "--seed") == 0) {
+      if (!parse(0, 0, ~0ull, &seed)) return reject("bad value for --seed:", val);
+    } else if (std::strcmp(a, "--jobs") == 0) {
+      if (!parse(10, 1, 1024, &jobs)) return reject("bad value for --jobs:", val);
+    } else if (std::strcmp(a, "--fault") == 0) {
+      if (!parse(10, 0, kUnsignedMax, &fault)) return reject("bad value for --fault:", val);
+    } else if (std::strcmp(a, "--out") == 0) {
+      if (val == nullptr || *val == '\0') return reject("missing directory for", a);
+      out_dir = val;
       std::error_code ec;
       std::filesystem::create_directories(out_dir, ec);  // Best effort; writes report errors.
-    }
-    else if (std::strcmp(argv[i], "--jobs") == 0) jobs = std::max(1, std::atoi(next("--jobs")));
-    else if (std::strcmp(argv[i], "--fault") == 0) fault = static_cast<unsigned>(std::atoi(next("--fault")));
-    else {
-      std::fprintf(stderr,
-                   "usage: fuzz_differential [--runs N] [--seconds S] [--seed X] "
-                   "[--out DIR] [--jobs J] [--fault K]\n");
-      return 2;
+    } else {
+      return reject("unknown argument", a);
     }
   }
 
