@@ -12,6 +12,7 @@
 // (Cao & Panwar) next to the pipelined shared buffer at equal total memory.
 
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>

@@ -22,7 +22,7 @@ void BlockCrosspoint::do_step(Cycle slot,
       on_dropped();
       continue;
     }
-    b.per_output[o].push_back(SlotCell{slot, i, o});
+    b.per_output[o].push(SlotCell{slot, i, o});
     ++b.resident;
   }
   for (unsigned o = 0; o < n_; ++o) {
@@ -32,7 +32,7 @@ void BlockCrosspoint::do_step(Cycle slot,
     if (gi < 0) continue;
     Block& b = block(static_cast<unsigned>(gi), go);
     on_delivered(slot, b.per_output[o].front());
-    b.per_output[o].pop_front();
+    b.per_output[o].pop();
     --b.resident;
   }
 }

@@ -26,7 +26,7 @@ class BlockCrosspoint : public SlotModel {
 
  private:
   struct Block {
-    std::vector<std::deque<SlotCell>> per_output;  ///< Indexed by global output.
+    std::vector<Fifo<SlotCell>> per_output;  ///< Indexed by global output.
     std::size_t resident = 0;
   };
 

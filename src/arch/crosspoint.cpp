@@ -18,14 +18,14 @@ void CrosspointQueueing::do_step(Cycle slot,
       on_dropped();
       continue;
     }
-    queue.push_back(SlotCell{slot, i, arrivals[i]->dest});
+    queue.push(SlotCell{slot, i, arrivals[i]->dest});
   }
   for (unsigned o = 0; o < n_; ++o) {
     const int i = column_rr_[o].pick([&](unsigned in) { return !q(in, o).empty(); });
     if (i < 0) continue;
     auto& queue = q(static_cast<unsigned>(i), o);
     on_delivered(slot, queue.front());
-    queue.pop_front();
+    queue.pop();
   }
 }
 

@@ -20,13 +20,13 @@ class CrosspointQueueing : public SlotModel {
   const char* kind() const override { return "crosspoint queueing"; }
 
  private:
-  std::deque<SlotCell>& q(unsigned i, unsigned o) {
+  Fifo<SlotCell>& q(unsigned i, unsigned o) {
     return queues_[static_cast<std::size_t>(i) * n_ + o];
   }
 
   std::size_t capacity_;
-  std::vector<std::deque<SlotCell>> queues_;   ///< [i * n + o]
-  std::vector<RoundRobin> column_rr_;          ///< Per-output service pointer.
+  std::vector<Fifo<SlotCell>> queues_;  ///< [i * n + o]
+  std::vector<RoundRobin> column_rr_;   ///< Per-output service pointer.
 };
 
 }  // namespace pmsb

@@ -15,7 +15,7 @@ void InputQueueingFifo::do_step(Cycle slot,
       on_dropped();
       continue;
     }
-    queues_[i].push_back(SlotCell{slot, i, arrivals[i]->dest});
+    queues_[i].push(SlotCell{slot, i, arrivals[i]->dest});
   }
   // Head-of-line contention: every output picks uniformly at random among
   // the inputs whose HOL cell wants it [KaHM87]. The HOL snapshot is taken
@@ -34,7 +34,7 @@ void InputQueueingFifo::do_step(Cycle slot,
     const unsigned winner =
         contenders_[static_cast<std::size_t>(rng_.next_below(contenders_.size()))];
     on_delivered(slot, queues_[winner].front());
-    queues_[winner].pop_front();
+    queues_[winner].pop();
   }
 }
 

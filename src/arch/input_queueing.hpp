@@ -21,7 +21,7 @@ class InputQueueingFifo : public SlotModel {
  private:
   std::size_t capacity_;
   Rng rng_;
-  std::vector<std::deque<SlotCell>> queues_;
+  std::vector<Fifo<SlotCell>> queues_;
   std::vector<unsigned> contenders_;  // scratch
   std::vector<int> hol_snapshot_;     // scratch: HOL dest per input, -1 if idle
 };

@@ -5,7 +5,7 @@
 namespace pmsb {
 
 InputSmoothing::InputSmoothing(unsigned n, std::size_t frame, Rng rng)
-    : SlotModel(n), frame_(frame), rng_(rng), smoothing_(n), out_(n) {
+    : SlotModel(n), frame_(frame), rng_(rng), smoothing_(n), out_(n), per_output_(n) {
   PMSB_CHECK(frame >= 1, "frame must be at least one slot");
 }
 
@@ -25,7 +25,7 @@ void InputSmoothing::do_step(Cycle slot,
   for (unsigned o = 0; o < n_; ++o) {
     if (out_[o].empty()) continue;
     on_delivered(slot, out_[o].front());
-    out_[o].pop_front();
+    out_[o].pop();
   }
   if (++slot_in_frame_ == static_cast<Cycle>(frame_)) {
     slot_in_frame_ = 0;
@@ -37,13 +37,13 @@ void InputSmoothing::launch_frame(Cycle) {
   // Collect all smoothed cells per output; accept at most `frame_` each,
   // chosen fairly at random among the contenders (the space-division stage
   // has no memory); the rest are knocked out.
-  std::vector<std::vector<SlotCell>> per_output(n_);
+  for (auto& v : per_output_) v.clear();
   for (auto& buf : smoothing_) {
-    for (auto& c : buf) per_output[c.dest].push_back(c);
+    for (auto& c : buf) per_output_[c.dest].push_back(c);
     buf.clear();
   }
   for (unsigned o = 0; o < n_; ++o) {
-    auto& cand = per_output[o];
+    auto& cand = per_output_[o];
     // Fisher-Yates: a uniformly random subset of `frame_` survives.
     for (std::size_t k = cand.size(); k > 1; --k) {
       const auto j = static_cast<std::size_t>(rng_.next_below(k));
@@ -51,7 +51,7 @@ void InputSmoothing::launch_frame(Cycle) {
     }
     for (std::size_t k = 0; k < cand.size(); ++k) {
       if (k < frame_)
-        out_[o].push_back(cand[k]);
+        out_[o].push(cand[k]);
       else
         on_dropped();
     }

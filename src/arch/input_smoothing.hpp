@@ -31,8 +31,9 @@ class InputSmoothing : public SlotModel {
   std::size_t frame_;
   Rng rng_;
   Cycle slot_in_frame_ = 0;
-  std::vector<std::vector<SlotCell>> smoothing_;  ///< Per input, current frame.
-  std::vector<std::deque<SlotCell>> out_;         ///< Per output, being transmitted.
+  std::vector<std::vector<SlotCell>> smoothing_;   ///< Per input, current frame.
+  std::vector<Fifo<SlotCell>> out_;                ///< Per output, being transmitted.
+  std::vector<std::vector<SlotCell>> per_output_;  // scratch
 };
 
 }  // namespace pmsb

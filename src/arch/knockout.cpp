@@ -34,11 +34,11 @@ void KnockoutSwitch::do_step(Cycle slot,
         on_dropped();
         continue;
       }
-      queues_[o].push_back(cand[k]);
+      queues_[o].push(cand[k]);
     }
     if (!queues_[o].empty()) {
       on_delivered(slot, queues_[o].front());
-      queues_[o].pop_front();
+      queues_[o].pop();
     }
   }
 }

@@ -29,7 +29,7 @@ class KnockoutSwitch : public SlotModel {
   unsigned l_;
   std::size_t capacity_;
   Rng rng_;
-  std::vector<std::deque<SlotCell>> queues_;
+  std::vector<Fifo<SlotCell>> queues_;
   std::vector<std::vector<SlotCell>> per_output_;  // scratch
   std::uint64_t knockout_losses_ = 0;
 };

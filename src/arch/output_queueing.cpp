@@ -16,12 +16,12 @@ void OutputQueueing::do_step(Cycle slot,
       on_dropped();
       continue;
     }
-    q.push_back(SlotCell{slot, i, arrivals[i]->dest});
+    q.push(SlotCell{slot, i, arrivals[i]->dest});
   }
   for (unsigned o = 0; o < n_; ++o) {
     if (queues_[o].empty()) continue;
     on_delivered(slot, queues_[o].front());
-    queues_[o].pop_front();
+    queues_[o].pop();
   }
 }
 

@@ -20,7 +20,7 @@ class OutputQueueing : public SlotModel {
 
  private:
   std::size_t capacity_;
-  std::vector<std::deque<SlotCell>> queues_;
+  std::vector<Fifo<SlotCell>> queues_;
 };
 
 }  // namespace pmsb

@@ -42,14 +42,14 @@ void SharedBufferModel::do_step(Cycle slot,
       ++drops_by_output_[dest];
       continue;
     }
-    queues_[dest].push_back(SlotCell{slot, i, dest});
+    queues_[dest].push(SlotCell{slot, i, dest});
     ++resident_;
     peak_ = std::max(peak_, resident_);
   }
   for (unsigned o = 0; o < n_; ++o) {
     if (queues_[o].empty()) continue;
     on_delivered(slot, queues_[o].front());
-    queues_[o].pop_front();
+    queues_[o].pop();
     --resident_;
     policy_->on_delivered(o, slot);
   }

@@ -62,7 +62,7 @@ class SharedBufferModel : public SlotModel {
  private:
   std::size_t capacity_;
   std::unique_ptr<AdmissionPolicy> policy_;
-  std::vector<std::deque<SlotCell>> queues_;  ///< Logical per-output queues.
+  std::vector<Fifo<SlotCell>> queues_;  ///< Logical per-output queues.
   std::uint64_t resident_ = 0;
   std::uint64_t peak_ = 0;
   DropSplit drop_split_;

@@ -13,10 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "common/util.hpp"
 #include "stats/stats.hpp"

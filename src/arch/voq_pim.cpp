@@ -21,7 +21,7 @@ void VoqPim::do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Ar
       on_dropped();
       continue;
     }
-    q.push_back(SlotCell{slot, i, arrivals[i]->dest});
+    q.push(SlotCell{slot, i, arrivals[i]->dest});
     ++input_occupancy_[i];
   }
 
@@ -62,7 +62,7 @@ void VoqPim::do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Ar
     if (match_out_[i] < 0) continue;
     auto& q = voq(i, static_cast<unsigned>(match_out_[i]));
     on_delivered(slot, q.front());
-    q.pop_front();
+    q.pop();
     --input_occupancy_[i];
   }
 }

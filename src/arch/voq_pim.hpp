@@ -27,7 +27,7 @@ class VoqPim : public SlotModel {
   const char* kind() const override { return "VOQ + PIM"; }
 
  private:
-  std::deque<SlotCell>& voq(unsigned i, unsigned o) {
+  Fifo<SlotCell>& voq(unsigned i, unsigned o) {
     return voqs_[static_cast<std::size_t>(i) * n_ + o];
   }
 
@@ -35,7 +35,7 @@ class VoqPim : public SlotModel {
   std::size_t per_input_capacity_;
   unsigned iterations_;
   Rng rng_;
-  std::vector<std::deque<SlotCell>> voqs_;  ///< [i * n + o]
+  std::vector<Fifo<SlotCell>> voqs_;  ///< [i * n + o]
   std::vector<std::size_t> input_occupancy_;
 
   // Scratch for the matcher.

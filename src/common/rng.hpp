@@ -51,6 +51,10 @@ class Rng {
   /// the result is exactly uniform.
   std::uint64_t next_below(std::uint64_t bound) {
     PMSB_CHECK(bound > 0, "next_below(0)");
+    // A power of two has threshold -bound % bound == 0, so the first draw
+    // always passes and r % bound is its low bits: the same value, without
+    // the two divisions.
+    if (is_pow2(bound)) return next_u64() & (bound - 1);
     // Lemire-style rejection to avoid modulo bias.
     const std::uint64_t threshold = -bound % bound;
     for (;;) {

@@ -10,11 +10,18 @@ FastSwitch::FastSwitch(const SwitchConfig& cfg)
       filling_(cfg.n_ports, kNoCell), pending_(cfg.n_ports, kNoCell), oq_(cfg.n_ports),
       tx_(cfg.n_ports, CellTx(cfg.cell_words)), tx_cell_(cfg.n_ports, kNoCell) {}
 
-std::uint32_t FastSwitch::take_cell() {
-  if (free_cells_.empty()) {
+void FastSwitch::grow_pool() {
+  word_blocks_.push_back(std::make_unique<Word[]>(std::size_t{kPoolChunk} * L_));
+  Word* words = word_blocks_.back().get();
+  for (unsigned k = 0; k < kPoolChunk; ++k, words += L_) {
     free_cells_.push_back(static_cast<std::uint32_t>(cells_.size()));
-    cells_.emplace_back().words.resize(L_);
+    cells_.push_back(Cell{});
+    cells_.back().words = words;
   }
+}
+
+std::uint32_t FastSwitch::take_cell() {
+  if (free_cells_.empty()) grow_pool();
   const std::uint32_t c = free_cells_.back();
   free_cells_.pop_back();
   cells_[c].refs = 2;
@@ -53,7 +60,7 @@ void FastSwitch::admit_or_expire_pending(Cycle t) {
       ++stats_.write_initiations;
       ++resident_;
       events_.accept(i, cell.a0, t);
-      oq_[cell.dest].push_back(c);
+      oq_[cell.dest].push(c);
       c = kNoCell;
     } else if (t >= cell.a0 + static_cast<Cycle>(window_)) {
       // Window over with the buffer still full: the addr-starved loss class
@@ -112,7 +119,7 @@ void FastSwitch::process_arrival(unsigned i, Cycle t) {
   ++stats_.write_initiations;
   ++resident_;
   events_.accept(i, t, t + 1);
-  oq_[dest].push_back(c);
+  oq_[dest].push(c);
 }
 
 void FastSwitch::run_output(unsigned o, Cycle t) {
@@ -126,8 +133,8 @@ void FastSwitch::run_output(unsigned o, Cycle t) {
     const Cycle ready = cfg_.cut_through ? head.a0 + 1 : head.a0 + static_cast<Cycle>(L_);
     if (t >= ready) {
       c = oq_[o].front();
-      oq_[o].pop_front();
-      tx.start(head.words.data());
+      oq_[o].pop();
+      tx.start(head.words);
       PMSB_CHECK(resident_ > 0, "fast switch: transmit from an empty buffer");
       --resident_;  // Buffer space frees at departure start, as in the
                     // cycle-accurate switch's read initiation.

@@ -30,10 +30,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "core/cell_port.hpp"
 #include "core/config.hpp"
 #include "obs/metrics.hpp"
@@ -76,17 +77,21 @@ class FastSwitch final : public CellSwitch {
   struct Cell {
     unsigned input = 0;
     unsigned dest = 0;
-    Cycle a0 = 0;         ///< Head-arrival cycle.
-    unsigned filled = 0;  ///< Words latched so far.
-    unsigned refs = 0;    ///< Holders: the filling input, and the cell's owner.
-    std::vector<Word> words;
+    Cycle a0 = 0;           ///< Head-arrival cycle.
+    unsigned filled = 0;    ///< Words latched so far.
+    unsigned refs = 0;      ///< Holders: the filling input, and the cell's owner.
+    Word* words = nullptr;  ///< L_ words in a block of word_blocks_.
   };
+  /// Cells added to the pool per growth step.
+  static constexpr unsigned kPoolChunk = 8;
 
   void admit_or_expire_pending(Cycle t);
   void process_arrival(unsigned i, Cycle t);
   void run_output(unsigned o, Cycle t);
   /// A free buffer, held by its filling input and its owner (see Cell).
   std::uint32_t take_cell();
+  /// Add kPoolChunk free cells to the pool.
+  void grow_pool();
   /// Drop the holder's reference `c` and clear it.
   void release_cell(std::uint32_t& c) {
     if (--cells_[c].refs == 0) free_cells_.push_back(c);
@@ -98,9 +103,11 @@ class FastSwitch final : public CellSwitch {
   unsigned window_;          ///< Latch-window length (2n, = cfg.stages()).
   unsigned capacity_cells_;  ///< Shared-buffer capacity in cells.
 
-  /// Cell buffers, grown on demand; a deque so a buffer stays in place (a
-  /// transmitter reads its words) while the pool grows.
-  std::deque<Cell> cells_;
+  /// Cell buffers, grown kPoolChunk at a time to the peak number in use.
+  /// Their words live in word_blocks_, which never move, so growing cells_
+  /// leaves the words a transmitter is reading in place.
+  std::vector<Cell> cells_;
+  std::vector<std::unique_ptr<Word[]>> word_blocks_;  ///< kPoolChunk cells' words each.
   std::vector<std::uint32_t> free_cells_;
   /// Per input: the cell its words fill; kNoCell while swallowing a dropped
   /// cell's body.
@@ -110,7 +117,7 @@ class FastSwitch final : public CellSwitch {
   /// (dropped kNoAddress, like the cycle-accurate addr-starved case); or
   /// kNoCell.
   std::vector<std::uint32_t> pending_;
-  std::vector<std::deque<std::uint32_t>> oq_;  ///< Accepted cells awaiting relay.
+  std::vector<Fifo<std::uint32_t>> oq_;  ///< Accepted cells awaiting relay.
   std::vector<CellTx> tx_;
   std::vector<std::uint32_t> tx_cell_;  ///< Per output: the cell tx_ sends.
   std::uint32_t resident_ = 0;          ///< Cells owning buffer space.

@@ -9,15 +9,22 @@
 // crosspoint buffers are queues input * n + output. The lists are a
 // registered structure: push() is staged and becomes visible to front(),
 // empty() and size() at tick(), the clock edge; pop() takes effect at once.
-// Header-only so the per-cycle arbitration inlines it.
+// Each list is a Fifo ring (common/fifo.hpp) of 4-byte slot numbers; the
+// entries themselves sit in one slot pool shared by all the lists, as the
+// paper's lists share one pointer memory. The pool grows to the peak number
+// of cells queued at once, which the buffer's capacity bounds; a ring per
+// list holding whole entries would grow each list to its own peak, and in
+// a saturated 16-port switch their sum is several times the buffer. A warm
+// switch queues and dequeues without allocating. Header-only so the
+// per-cycle arbitration inlines it.
 
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
+#include "common/fifo.hpp"
 #include "common/small_vec.hpp"
 #include "common/util.hpp"
 
@@ -56,23 +63,24 @@ class OutQueues {
   bool empty(unsigned q) const { return queues_[q].empty(); }
   std::size_t size(unsigned q) const { return queues_[q].size(); }
 
-  const T& front(unsigned q) const {
-    PMSB_CHECK(!empty(q), "front() of empty queue");
-    return queues_[q].front();
-  }
+  const T& front(unsigned q) const { return slots_[queues_[q].front()]; }
 
   /// Remove the head-of-line entry of queue `q` (effective immediately).
   T pop(unsigned q) {
-    PMSB_CHECK(!empty(q), "pop() of empty queue");
-    T e = std::move(queues_[q].front());
-    queues_[q].pop_front();
+    const std::uint32_t slot = queues_[q].front();
+    queues_[q].pop();
+    free_slots_.push_back(slot);
     --committed_;
-    return e;
+    return std::move(slots_[slot]);
   }
 
   /// Clock edge: commit the staged pushes.
   void tick() {
-    for (Staged& s : staged_) queues_[s.queue].push_back(std::move(s.entry));
+    for (Staged& s : staged_) {
+      const std::uint32_t slot = take_slot();
+      slots_[slot] = std::move(s.entry);
+      queues_[s.queue].push(slot);
+    }
     committed_ += staged_.size();
     staged_.clear();
     if (committed_ > peak_total_) peak_total_ = committed_;
@@ -92,12 +100,31 @@ class OutQueues {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (unsigned q = 0; q < queues_.size(); ++q) {
-      for (const T& e : queues_[q]) fn(q, e);
+      for (std::size_t k = 0; k < queues_[q].size(); ++k) fn(q, slots_[queues_[q][k]]);
     }
   }
 
  private:
-  std::vector<std::deque<T>> queues_;
+  /// Pool slots allocated first; the pool doubles when none is free.
+  static constexpr std::size_t kMinSlots = 16;
+
+  std::uint32_t take_slot() {
+    if (free_slots_.empty()) {
+      const std::size_t old = slots_.size();
+      const std::size_t grown = old == 0 ? kMinSlots : 2 * old;
+      slots_.resize(grown);
+      free_slots_.reserve(grown);
+      for (std::size_t i = grown; i > old; --i)
+        free_slots_.push_back(static_cast<std::uint32_t>(i - 1));
+    }
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+
+  std::vector<Fifo<std::uint32_t>> queues_;  ///< Per list: slots_ indices, head first.
+  std::vector<T> slots_;                     ///< Entries, grown to the peak queued.
+  std::vector<std::uint32_t> free_slots_;    ///< slots_ not in any list.
   std::vector<Staged> staged_;
   std::size_t committed_ = 0;
   std::size_t peak_total_ = 0;

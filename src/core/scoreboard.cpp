@@ -34,7 +34,7 @@ void Scoreboard::on_inject(const CellSource::Injection& inj) {
     fail("injection with out-of-range ports");
     return;
   }
-  awaiting_decision_[inj.input].push_back(Record{inj.uid, inj.input, inj.dest, inj.head_on_wire});
+  awaiting_decision_[inj.input].push(Record{inj.uid, inj.input, inj.dest, inj.head_on_wire});
 }
 
 void Scoreboard::on_accept(unsigned input, Cycle a0, Cycle t0) {
@@ -43,12 +43,12 @@ void Scoreboard::on_accept(unsigned input, Cycle a0, Cycle t0) {
     return;
   }
   Record r = awaiting_decision_[input].front();
-  awaiting_decision_[input].pop_front();
+  awaiting_decision_[input].pop();
   if (r.head_on_wire + input_delay_ != a0)
     fail("accept event cycle mismatch: expected a0=" +
          std::to_string(r.head_on_wire + input_delay_) + " got " + std::to_string(a0));
   if (t0 <= a0) fail("write wave granted before the head word was latched");
-  in_flight_[static_cast<std::size_t>(input) * n_out_ + r.dest].push_back(r);
+  in_flight_[static_cast<std::size_t>(input) * n_out_ + r.dest].push(r);
 }
 
 void Scoreboard::on_drop(unsigned input, Cycle a0, DropReason) {
@@ -58,7 +58,7 @@ void Scoreboard::on_drop(unsigned input, Cycle a0, DropReason) {
     return;
   }
   Record r = awaiting_decision_[input].front();
-  awaiting_decision_[input].pop_front();
+  awaiting_decision_[input].pop();
   if (r.head_on_wire + input_delay_ != a0) fail("drop event cycle mismatch");
 }
 
@@ -80,7 +80,7 @@ void Scoreboard::on_deliver(const CellSink::Delivery& d) {
     const Record& r = q.front();
     if (cell_matches(d.words, r.uid, r.dest, fmt_)) {
       latency_.record(r.head_on_wire, d.head_cycle);
-      q.pop_front();
+      q.pop();
       return;
     }
   }

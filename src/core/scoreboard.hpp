@@ -15,12 +15,12 @@
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cell.hpp"
+#include "common/fifo.hpp"
 #include "core/cell_port.hpp"
 #include "stats/stats.hpp"
 #include "traffic/generators.hpp"
@@ -81,9 +81,9 @@ class Scoreboard {
   CellFormat fmt_;
 
   /// Injected, awaiting the switch's accept/drop decision (per input, FIFO).
-  std::vector<std::deque<Record>> awaiting_decision_;
+  std::vector<Fifo<Record>> awaiting_decision_;
   /// Accepted, awaiting delivery (per input x output, FIFO).
-  std::vector<std::deque<Record>> in_flight_;  // [input * n_out_ + dest]
+  std::vector<Fifo<Record>> in_flight_;  // [input * n_out_ + dest]
 
   std::uint64_t injected_ = 0;
   std::uint64_t delivered_ = 0;

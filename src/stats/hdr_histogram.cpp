@@ -1,5 +1,6 @@
 #include "stats/hdr_histogram.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -10,8 +11,18 @@ HdrHistogram::HdrHistogram(unsigned precision_bits) : p_(precision_bits) {
   sub_ = std::uint64_t{1} << p_;
   half_ = sub_ / 2;
   // Highest index is reached at value 2^64 - 1 (shift = 64 - p_):
-  // (64 - p_) * half_ + sub_ - 1, so the vector needs one more slot.
-  counts_.assign(static_cast<std::size_t>(64 - p_) * half_ + sub_, 0);
+  // (64 - p_) * half_ + sub_ - 1, so the range needs one more bucket.
+  buckets_ = static_cast<std::size_t>(64 - p_) * half_ + sub_;
+}
+
+void HdrHistogram::store_through(std::size_t i) {
+  // A power of four buckets. Each growth quadruples the octaves stored, so
+  // a latency that rises for the whole run (a fabric past saturation)
+  // reallocates only a handful of times: at p = 7, 256 buckets hold values
+  // below 512 and 1024 buckets values below 2^21.
+  std::size_t n = std::max<std::size_t>(counts_.size(), 1);
+  while (n <= i) n *= 4;
+  counts_.resize(std::min(n, buckets_), 0);
 }
 
 std::size_t HdrHistogram::index_of(std::uint64_t value) const {
@@ -42,7 +53,9 @@ std::uint64_t HdrHistogram::bucket_high(std::size_t i) const {
 
 void HdrHistogram::add(std::uint64_t value, std::uint64_t count) {
   if (count == 0) return;
-  counts_[index_of(value)] += count;
+  const std::size_t i = index_of(value);
+  if (i >= counts_.size()) store_through(i);
+  counts_[i] += count;
   if (samples_ == 0 || value < min_) min_ = value;
   if (samples_ == 0 || value > max_) max_ = value;
   samples_ += count;
@@ -78,7 +91,11 @@ std::uint64_t HdrHistogram::percentile(double q) const {
 void HdrHistogram::merge(const HdrHistogram& other) {
   PMSB_CHECK(p_ == other.p_, "HdrHistogram merge with mismatched precision");
   if (other.samples_ == 0) return;
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  // Nothing is recorded above other's max, so its buckets through
+  // index_of(other.max_) carry every count (and are all stored).
+  const std::size_t top = other.index_of(other.max_);
+  if (top >= counts_.size()) store_through(top);
+  for (std::size_t i = 0; i <= top; ++i) counts_[i] += other.counts_[i];
   if (samples_ == 0 || other.min_ < min_) min_ = other.min_;
   if (samples_ == 0 || other.max_ > max_) max_ = other.max_;
   samples_ += other.samples_;

@@ -31,10 +31,11 @@ class RunningStats {
 
 /// Latency statistics with a warmup horizon: samples with an injection time
 /// before `warmup_until` are discarded so transients do not pollute
-/// steady-state measurements. Backed by a constant-memory HdrHistogram, so
-/// tails are never clamped: p50/p90/p99/p99.9 are exact below 128 cycles
-/// and within 2^-7 relative error above (HdrHistogram's default
-/// precision), regardless of how long the run gets.
+/// steady-state measurements. Backed by an HdrHistogram, so tails are never
+/// clamped: p50/p90/p99/p99.9 are exact below 128 cycles and within 2^-7
+/// relative error above (HdrHistogram's default precision), regardless of
+/// how long the run gets. A tracker allocates nothing until its first
+/// sample, and then memory in proportion to the log of its largest one.
 class LatencyStats {
  public:
   explicit LatencyStats(Cycle warmup_until = 0) : warmup_until_(warmup_until) {}

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 
 #include "arch/admission.hpp"

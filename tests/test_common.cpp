@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <set>
+#include <string>
 
 #include "common/cell.hpp"
+#include "common/fifo.hpp"
 #include "common/rng.hpp"
 #include "common/util.hpp"
 
@@ -65,6 +68,29 @@ TEST(Rng, NextBelowUniform) {
   for (int i = 0; i < kTrials; ++i) ++counts[r.next_below(8)];
   for (int c : counts) {
     EXPECT_NEAR(c, kTrials / 8, 5 * std::sqrt(kTrials / 8.0));
+  }
+}
+
+// next_below's power-of-two fast path must draw exactly what the rejection
+// formula draws, and every other bound must still take the formula.
+TEST(Rng, NextBelowMatchesRejectionFormula) {
+  const auto reference = [](Rng& r, std::uint64_t bound) {
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+      const std::uint64_t v = r.next_u64();
+      if (v >= threshold) return v % bound;
+    }
+  };
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 63;
+  const std::uint64_t bounds[] = {1,  2,  3,    4,    5,    7,        8,
+                                  12, 16, 31,   32,   1000, 1024,     kTop,
+                                  kTop + 1, ~std::uint64_t{0}};
+  for (const std::uint64_t bound : bounds) {
+    Rng fast(bound * 31 + 5), ref(bound * 31 + 5);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(fast.next_below(bound), reference(ref, bound)) << "bound " << bound;
+    }
+    EXPECT_EQ(fast.next_u64(), ref.next_u64()) << "streams diverged, bound " << bound;
   }
 }
 
@@ -192,6 +218,85 @@ TEST_F(CellCodec, NarrowWordWidth) {
 TEST(FlitStruct, Equality) {
   EXPECT_EQ((Flit{true, false, 7}), (Flit{true, false, 7}));
   EXPECT_FALSE((Flit{true, false, 7}) == (Flit{true, true, 7}));
+}
+
+// --- Fifo ---------------------------------------------------------------------
+
+// Random interleavings of push and pop, checked element by element against
+// std::deque: across every doubling, with the head wrapped round the ring,
+// and through front() and indexing.
+TEST(Fifo, MatchesDequeUnderRandomPushPop) {
+  Rng rng(2024);
+  Fifo<std::string> q;
+  std::deque<std::string> ref;
+  std::size_t max_capacity = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Phases that drift the size up, hold it, and drain it, so the ring
+    // grows from non-zero heads and wraps at every capacity it reaches.
+    const std::uint64_t phase = (static_cast<std::uint64_t>(step) / 1000) % 3;
+    const std::uint64_t push_odds = phase == 0 ? 6 : phase == 1 ? 4 : 2;
+    if (ref.empty() || rng.next_below(8) < push_odds) {
+      const std::string v = std::to_string(rng.next_u64());
+      q.push(v);
+      ref.push_back(v);
+    } else {
+      ASSERT_EQ(q.front(), ref.front());
+      q.pop();
+      ref.pop_front();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    if (!ref.empty()) {
+      ASSERT_EQ(q.front(), ref.front());
+      const std::size_t i = static_cast<std::size_t>(rng.next_below(ref.size()));
+      ASSERT_EQ(q[i], ref[i]);
+    }
+    if (step % 97 == 0) {
+      for (std::size_t k = 0; k < ref.size(); ++k) ASSERT_EQ(q[k], ref[k]);
+    }
+    ASSERT_TRUE(is_pow2(q.capacity()));
+    ASSERT_GE(q.capacity(), q.size());
+    ASSERT_GE(q.capacity(), max_capacity) << "a ring never shrinks";
+    max_capacity = q.capacity();
+  }
+  EXPECT_GE(max_capacity, 64u) << "the walk should have grown the ring several times";
+}
+
+TEST(Fifo, AllocatesOnFirstPushAndDoublesWhenFull) {
+  constexpr int kMin = static_cast<int>(Fifo<int>::kMinCapacity);
+  Fifo<int> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  q.push(0);
+  EXPECT_EQ(q.capacity(), Fifo<int>::kMinCapacity);
+  for (int i = 1; i < kMin; ++i) q.push(i);
+  EXPECT_EQ(q.capacity(), Fifo<int>::kMinCapacity);  // Full, not grown.
+  q.push(kMin);
+  EXPECT_EQ(q.capacity(), 2 * Fifo<int>::kMinCapacity);
+  // Steady push/pop at a constant depth stays in the ring it has.
+  for (int i = kMin + 1; i < 1000; ++i) {
+    q.pop();
+    q.push(i);
+  }
+  EXPECT_EQ(q.capacity(), 2 * Fifo<int>::kMinCapacity);
+  EXPECT_EQ(q.front(), 1000 - kMin - 1);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 2 * Fifo<int>::kMinCapacity);
+  q.push(7);
+  EXPECT_EQ(q.front(), 7);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(FifoDeath, EmptyFrontPopAndOutOfRangeIndexAbort) {
+  Fifo<int> q;
+  EXPECT_DEATH(q.front(), "front\\(\\) of empty queue");
+  EXPECT_DEATH(q.pop(), "pop\\(\\) of empty queue");
+  q.push(1);
+  q.pop();  // Empty again, with an allocated ring.
+  EXPECT_DEATH(q.front(), "front\\(\\) of empty queue");
+  EXPECT_DEATH(q.pop(), "pop\\(\\) of empty queue");
+  q.push(2);
+  EXPECT_DEATH(q[1], "queue index out of range");
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -109,6 +110,81 @@ TEST(HdrHistogram, ClearEmptiesEverything) {
   EXPECT_EQ(h.percentile(0.99), 0u);
   h.add(7);  // Usable after clear.
   EXPECT_EQ(h.p50(), 7u);
+}
+
+// Counts are stored only up to the highest bucket recorded, growing
+// geometrically; the logical range and every bucket's meaning stay fixed.
+TEST(HdrHistogram, StorageGrowsOnlyToLargestRecordedBucket) {
+  HdrHistogram h(7);
+  EXPECT_EQ(h.stored_buckets(), 0u);
+  EXPECT_EQ(h.bucket_count(), 3776u);  // (64 - 7) * 64 + 128.
+  EXPECT_EQ(h.count_at(0), 0u);
+  EXPECT_EQ(h.count_at(h.bucket_count() - 1), 0u);
+  EXPECT_EQ(h.percentile(0.5), 0u);
+  std::size_t grows = 0;
+  std::size_t last = 0;
+  for (std::uint64_t v = 1; v < 5000; v += 1 + v / 16) {
+    h.add(v);
+    const std::size_t top = h.index_of(v);
+    ASSERT_GT(h.stored_buckets(), top);
+    ASSERT_LE(h.stored_buckets(), 4 * (top + 1)) << "storage past 4x the largest bucket";
+    if (h.stored_buckets() != last) ++grows;
+    last = h.stored_buckets();
+  }
+  EXPECT_LT(last, h.bucket_count() / 2);  // 5000 cycles is far from 2^64.
+  EXPECT_LE(grows, static_cast<std::size_t>(std::bit_width(last)))
+      << "growth must be geometric";
+  for (std::size_t i = last; i < h.bucket_count(); ++i) ASSERT_EQ(h.count_at(i), 0u);
+  EXPECT_EQ(h.bucket_count(), 3776u);
+  h.add(~std::uint64_t{0});  // The top of the range is still recordable.
+  EXPECT_EQ(h.stored_buckets(), h.bucket_count());
+  EXPECT_EQ(h.count_at(h.bucket_count() - 1), 1u);
+  EXPECT_EQ(h.max(), ~std::uint64_t{0});
+}
+
+TEST(HdrHistogram, MergeOfUnequalStorageMatchesFullySizedReference) {
+  HdrHistogram small(7), large(7), fresh(7), both(7);
+  std::vector<std::uint64_t> dense(small.bucket_count(), 0);  // Every bucket stored.
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 4000; ++i) {
+    const bool in_small = i % 3 != 0;
+    const std::uint64_t v = in_small ? rng() % 90 : 50 + rng() % 2000000;
+    (in_small ? small : large).add(v);
+    both.add(v);
+    ++dense[small.index_of(v)];
+  }
+  ASSERT_LT(small.stored_buckets(), large.stored_buckets());
+  HdrHistogram up = small;  // Grows to take the larger storage.
+  up.merge(large);
+  HdrHistogram down = large;
+  down.merge(small);
+  fresh.merge(large);  // A histogram with nothing stored.
+  fresh.merge(small);
+  HdrHistogram cleared = large;
+  cleared.clear();
+  up.merge(cleared);  // A cleared donor adds nothing.
+  for (const HdrHistogram* h : {&up, &down, &fresh}) {
+    for (std::size_t i = 0; i < dense.size(); ++i) ASSERT_EQ(h->count_at(i), dense[i]) << i;
+    EXPECT_EQ(h->samples(), both.samples());
+    EXPECT_EQ(h->sum(), both.sum());
+    EXPECT_EQ(h->min(), both.min());
+    EXPECT_EQ(h->max(), both.max());
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
+      EXPECT_EQ(h->percentile(q), both.percentile(q)) << "q=" << q;
+  }
+}
+
+TEST(HdrHistogram, ClearKeepsStorageAndZeroesEveryBucket) {
+  HdrHistogram h(7);
+  for (std::uint64_t v = 0; v < 3000; v += 7) h.add(v);
+  const std::size_t stored = h.stored_buckets();
+  h.clear();
+  EXPECT_EQ(h.stored_buckets(), stored);
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) ASSERT_EQ(h.count_at(i), 0u) << i;
+  EXPECT_EQ(h.max(), 0u);
+  h.add(5);
+  EXPECT_EQ(h.count_at(5), 1u);
+  EXPECT_EQ(h.p99(), 5u);
 }
 
 TEST(HdrHistogramDeath, RejectsBadPrecisionAndMixedMerge) {
