@@ -113,7 +113,8 @@ std::unique_ptr<AdmissionPolicy> make_policy(const std::string& name, double par
 }
 
 // ---------------------------------------------------------------------------
-// Static-cap equivalence: the seed SharedBufferModel::step, verbatim.
+// Static-cap equivalence: the seed SharedBufferModel::step, verbatim but
+// for walking the arrival list instead of testing every input.
 // ---------------------------------------------------------------------------
 
 class SeedSharedBuffer : public SlotModel {
@@ -124,12 +125,9 @@ class SeedSharedBuffer : public SlotModel {
   const char* kind() const override { return "seed shared buffer"; }
 
  protected:
-  void do_step(Cycle slot,
-               const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override {
-    for (unsigned i = 0; i < n_; ++i) {
-      if (!arrivals[i]) continue;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override {
+    for (const auto& [i, dest] : arrivals) {
       on_injected();
-      const unsigned dest = arrivals[i]->dest;
       if ((capacity_ != 0 && resident_ >= capacity_) ||
           (out_queue_limit_ != 0 && queues_[dest].size() >= out_queue_limit_)) {
         on_dropped();

@@ -10,13 +10,9 @@ BlockCrosspoint::BlockCrosspoint(unsigned n, unsigned groups, std::size_t capaci
   for (auto& b : blocks_) b.per_output.resize(n);
 }
 
-void BlockCrosspoint::do_step(Cycle slot,
-                           const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+void BlockCrosspoint::do_step(Cycle slot, const SlotArrivals& arrivals) {
+  for (const auto& [i, o] : arrivals) {
     on_injected();
-    const unsigned o = arrivals[i]->dest;
     Block& b = block(group_of(i), group_of(o));
     if (capacity_ != 0 && b.resident >= capacity_) {
       on_dropped();

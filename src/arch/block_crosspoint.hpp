@@ -18,7 +18,7 @@ class BlockCrosspoint : public SlotModel {
   /// `groups` must divide n; capacity = cells per block (0 = unbounded).
   BlockCrosspoint(unsigned n, unsigned groups, std::size_t capacity);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "block-crosspoint"; }
 

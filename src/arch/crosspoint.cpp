@@ -7,18 +7,15 @@ CrosspointQueueing::CrosspointQueueing(unsigned n, std::size_t capacity)
       queues_(static_cast<std::size_t>(n) * n),
       column_rr_(n, RoundRobin(n)) {}
 
-void CrosspointQueueing::do_step(Cycle slot,
-                              const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+void CrosspointQueueing::do_step(Cycle slot, const SlotArrivals& arrivals) {
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
-    auto& queue = q(i, arrivals[i]->dest);
+    auto& queue = q(i, dest);
     if (capacity_ != 0 && queue.size() >= capacity_) {
       on_dropped();
       continue;
     }
-    queue.push(SlotCell{slot, i, arrivals[i]->dest});
+    queue.push(SlotCell{slot, i, dest});
   }
   for (unsigned o = 0; o < n_; ++o) {
     const int i = column_rr_[o].pick([&](unsigned in) { return !q(in, o).empty(); });

@@ -15,7 +15,7 @@ class CrosspointQueueing : public SlotModel {
   /// capacity = cells per crosspoint queue; 0 = unbounded.
   CrosspointQueueing(unsigned n, std::size_t capacity);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "crosspoint queueing"; }
 

@@ -3,36 +3,40 @@
 namespace pmsb {
 
 InputQueueingFifo::InputQueueingFifo(unsigned n, std::size_t capacity, Rng rng)
-    : SlotModel(n), capacity_(capacity), rng_(rng), queues_(n) {}
+    : SlotModel(n), capacity_(capacity), rng_(rng), queues_(n), contenders_(n),
+      bucket_end_(n + 1) {}
 
-void InputQueueingFifo::do_step(Cycle slot,
-                             const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+void InputQueueingFifo::do_step(Cycle slot, const SlotArrivals& arrivals) {
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
     if (capacity_ != 0 && queues_[i].size() >= capacity_) {
       on_dropped();
       continue;
     }
-    queues_[i].push(SlotCell{slot, i, arrivals[i]->dest});
+    queues_[i].push(SlotCell{slot, i, dest});
   }
   // Head-of-line contention: every output picks uniformly at random among
-  // the inputs whose HOL cell wants it [KaHM87]. The HOL snapshot is taken
-  // before any service: an input port transmits at most one cell per slot,
-  // even if its next cell targets an output served later in the loop.
-  hol_snapshot_.assign(n_, -1);
+  // the inputs whose HOL cell wants it [KaHM87]. The HOL cells are bucketed
+  // by destination before any service -- an input port transmits at most
+  // one cell per slot, even if its next cell targets an output served later
+  // in the loop -- by a counting sort that keeps each output's contenders in
+  // ascending input order. Placing input i advances bucket_end_[dest] from
+  // its bucket's start to its end, so afterwards output o's contenders are
+  // contenders_[bucket_end_[o - 1], bucket_end_[o]), from 0 for o = 0.
+  std::fill(bucket_end_.begin(), bucket_end_.end(), 0u);
   for (unsigned i = 0; i < n_; ++i) {
-    if (!queues_[i].empty()) hol_snapshot_[i] = static_cast<int>(queues_[i].front().dest);
+    if (!queues_[i].empty()) ++bucket_end_[queues_[i].front().dest + 1];
   }
+  for (unsigned o = 1; o < n_; ++o) bucket_end_[o] += bucket_end_[o - 1];
+  for (unsigned i = 0; i < n_; ++i) {
+    if (!queues_[i].empty()) contenders_[bucket_end_[queues_[i].front().dest]++] = i;
+  }
+  unsigned begin = 0;
   for (unsigned o = 0; o < n_; ++o) {
-    contenders_.clear();
-    for (unsigned i = 0; i < n_; ++i) {
-      if (hol_snapshot_[i] == static_cast<int>(o)) contenders_.push_back(i);
-    }
-    if (contenders_.empty()) continue;
-    const unsigned winner =
-        contenders_[static_cast<std::size_t>(rng_.next_below(contenders_.size()))];
+    const unsigned end = bucket_end_[o];
+    if (end == begin) continue;
+    const unsigned winner = contenders_[begin + rng_.next_below(end - begin)];
+    begin = end;
     on_delivered(slot, queues_[winner].front());
     queues_[winner].pop();
   }

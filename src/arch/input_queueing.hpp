@@ -14,7 +14,7 @@ class InputQueueingFifo : public SlotModel {
   /// capacity = cells per input FIFO; 0 = unbounded.
   InputQueueingFifo(unsigned n, std::size_t capacity, Rng rng);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "input-queueing (FIFO)"; }
 
@@ -22,8 +22,9 @@ class InputQueueingFifo : public SlotModel {
   std::size_t capacity_;
   Rng rng_;
   std::vector<Fifo<SlotCell>> queues_;
-  std::vector<unsigned> contenders_;  // scratch
-  std::vector<int> hol_snapshot_;     // scratch: HOL dest per input, -1 if idle
+  // Scratch: the inputs with a HOL cell, grouped by its destination.
+  std::vector<unsigned> contenders_;
+  std::vector<unsigned> bucket_end_;  ///< n + 1 entries; see do_step().
 };
 
 }  // namespace pmsb

@@ -9,17 +9,14 @@ InputSmoothing::InputSmoothing(unsigned n, std::size_t frame, Rng rng)
   PMSB_CHECK(frame >= 1, "frame must be at least one slot");
 }
 
-void InputSmoothing::do_step(Cycle slot,
-                          const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+void InputSmoothing::do_step(Cycle slot, const SlotArrivals& arrivals) {
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
     if (smoothing_[i].size() >= frame_) {  // Smoothing buffer overflow.
       on_dropped();
       continue;
     }
-    smoothing_[i].push_back(SlotCell{slot, i, arrivals[i]->dest});
+    smoothing_[i].push_back(SlotCell{slot, i, dest});
   }
   // Transmit one cell per output from the frame being played out.
   for (unsigned o = 0; o < n_; ++o) {

@@ -21,7 +21,7 @@ class InputSmoothing : public SlotModel {
   /// per-frame acceptance limit (all equal in the [HlKa88] construction).
   InputSmoothing(unsigned n, std::size_t frame, Rng rng);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "input smoothing"; }
 

@@ -8,14 +8,11 @@ KnockoutSwitch::KnockoutSwitch(unsigned n, unsigned concentration, std::size_t c
   PMSB_CHECK(concentration >= 1 && concentration <= n, "concentration L must be in [1, n]");
 }
 
-void KnockoutSwitch::do_step(Cycle slot,
-                          const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
+void KnockoutSwitch::do_step(Cycle slot, const SlotArrivals& arrivals) {
   for (auto& v : per_output_) v.clear();
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
-    per_output_[arrivals[i]->dest].push_back(SlotCell{slot, i, arrivals[i]->dest});
+    per_output_[dest].push_back(SlotCell{slot, i, dest});
   }
   for (unsigned o = 0; o < n_; ++o) {
     auto& cand = per_output_[o];

@@ -19,7 +19,7 @@ class KnockoutSwitch : public SlotModel {
   /// (0 = unbounded).
   KnockoutSwitch(unsigned n, unsigned concentration, std::size_t capacity, Rng rng);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "knockout"; }
 

@@ -3,26 +3,25 @@
 namespace pmsb {
 
 OutputQueueing::OutputQueueing(unsigned n, std::size_t capacity)
-    : SlotModel(n), capacity_(capacity), queues_(n) {}
+    : SlotModel(n), capacity_(capacity), queues_(n), backlogged_(n) {}
 
-void OutputQueueing::do_step(Cycle slot,
-                          const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+void OutputQueueing::do_step(Cycle slot, const SlotArrivals& arrivals) {
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
-    auto& q = queues_[arrivals[i]->dest];
+    auto& q = queues_[dest];
     if (capacity_ != 0 && q.size() >= capacity_) {
       on_dropped();
       continue;
     }
-    q.push(SlotCell{slot, i, arrivals[i]->dest});
+    q.push(SlotCell{slot, i, dest});
+    backlogged_.insert(dest);
   }
-  for (unsigned o = 0; o < n_; ++o) {
-    if (queues_[o].empty()) continue;
-    on_delivered(slot, queues_[o].front());
-    queues_[o].pop();
-  }
+  backlogged_.for_each([&](unsigned o) {
+    Fifo<SlotCell>& q = queues_[o];
+    on_delivered(slot, q.front());
+    q.pop();
+    backlogged_.set(o, !q.empty());
+  });
 }
 
 std::uint64_t OutputQueueing::resident() const {

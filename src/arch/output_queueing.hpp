@@ -14,13 +14,14 @@ class OutputQueueing : public SlotModel {
   /// capacity = cells per output FIFO; 0 = unbounded.
   OutputQueueing(unsigned n, std::size_t capacity);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "output queueing"; }
 
  private:
   std::size_t capacity_;
   std::vector<Fifo<SlotCell>> queues_;
+  PortSet backlogged_;  ///< Outputs whose queue is non-empty.
 };
 
 }  // namespace pmsb

@@ -12,19 +12,16 @@ SharedBufferModel::SharedBufferModel(unsigned n, std::size_t capacity,
       capacity_(capacity),
       policy_(std::move(policy)),
       queues_(n),
+      backlogged_(n),
       drops_by_output_(n, 0) {
   PMSB_CHECK(policy_ != nullptr, "shared buffer needs an admission policy");
   policy_->bind(n, capacity);
 }
 
-void SharedBufferModel::do_step(Cycle slot,
-                                const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
+void SharedBufferModel::do_step(Cycle slot, const SlotArrivals& arrivals) {
   policy_->on_slot(slot);
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
-    const unsigned dest = arrivals[i]->dest;
     PMSB_CHECK(dest < n_, "arrival destination out of range");
     if (capacity_ != 0 && resident_ >= capacity_) {
       on_dropped();
@@ -43,16 +40,18 @@ void SharedBufferModel::do_step(Cycle slot,
       continue;
     }
     queues_[dest].push(SlotCell{slot, i, dest});
+    backlogged_.insert(dest);
     ++resident_;
     peak_ = std::max(peak_, resident_);
   }
-  for (unsigned o = 0; o < n_; ++o) {
-    if (queues_[o].empty()) continue;
-    on_delivered(slot, queues_[o].front());
-    queues_[o].pop();
+  backlogged_.for_each([&](unsigned o) {
+    Fifo<SlotCell>& q = queues_[o];
+    on_delivered(slot, q.front());
+    q.pop();
+    backlogged_.set(o, !q.empty());
     --resident_;
     policy_->on_delivered(o, slot);
-  }
+  });
 }
 
 }  // namespace pmsb

@@ -56,13 +56,13 @@ class SharedBufferModel : public SlotModel {
   const std::vector<std::uint64_t>& drops_by_output() const { return drops_by_output_; }
 
  protected:
-  void do_step(Cycle slot,
-               const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
 
  private:
   std::size_t capacity_;
   std::unique_ptr<AdmissionPolicy> policy_;
   std::vector<Fifo<SlotCell>> queues_;  ///< Logical per-output queues.
+  PortSet backlogged_;                  ///< Outputs whose queue is non-empty.
   std::uint64_t resident_ = 0;
   std::uint64_t peak_ = 0;
   DropSplit drop_split_;

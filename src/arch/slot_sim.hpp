@@ -9,11 +9,18 @@
 // most one cell. A cell arriving at an idle, uncontended path therefore has
 // latency 0 slots; reported latencies are relative, which is what the
 // paper's factor-of-two claims are about.
+//
+// A slot's arrivals reach a model as a SlotArrivals list
+// (traffic/generators.hpp): one {input, dest} entry per arriving input, at
+// most one per input, in strictly ascending input order. SlotTraffic::step()
+// makes exactly the draws a per-input loop would and lists only the inputs
+// that drew a cell, so a model that walks the list enqueues the same cells
+// in the same order as one that tests every input.
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/fifo.hpp"
@@ -31,6 +38,33 @@ struct SlotCell {
   unsigned dest = 0;
 };
 
+/// A set of ports as 64-bit words: the outputs whose queue holds a cell.
+/// for_each() visits the members in ascending port order, one countr_zero
+/// per member, so a model delivers without testing every output.
+class PortSet {
+ public:
+  explicit PortSet(unsigned n) : words_((n + 63) / 64, 0) {}
+
+  void insert(unsigned p) { words_[p >> 6] |= std::uint64_t{1} << (p & 63); }
+  /// Make p a member or not without a branch on `member`.
+  void set(unsigned p, bool member) {
+    std::uint64_t& w = words_[p >> 6];
+    w = (w & ~(std::uint64_t{1} << (p & 63))) | (std::uint64_t{member} << (p & 63));
+  }
+
+  /// Calls f(p) for every member p in ascending order; f may set() p.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        f(static_cast<unsigned>(w * 64 + static_cast<unsigned>(std::countr_zero(bits))));
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
 class SlotModel {
  public:
   explicit SlotModel(unsigned n) : n_(n), latency_(0) {
@@ -40,11 +74,12 @@ class SlotModel {
 
   unsigned ports() const { return n_; }
 
-  /// Process one slot. arrivals[i] is input i's arriving cell, if any.
-  /// Non-virtual: snapshots the flow counters the first time `slot` crosses
-  /// the warmup horizon so measured_counts() can window them, then delegates
-  /// to the model-specific do_step().
-  void step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
+  /// Process one slot with its arrivals (one entry per arriving input, in
+  /// ascending input order). Non-virtual: snapshots the flow counters the
+  /// first time `slot` crosses the warmup horizon so measured_counts() can
+  /// window them, then delegates to the model-specific do_step().
+  void step(Cycle slot, const SlotArrivals& arrivals) {
+    PMSB_CHECK(arrivals.ports() == n_, "arrival list sized for another port count");
     if (!warmup_latched_ && slot >= warmup_until_) {
       counts_at_warmup_ = counts_;
       warmup_latched_ = true;
@@ -82,8 +117,7 @@ class SlotModel {
 
  protected:
   /// Model-specific slot processing; called via the public step() wrapper.
-  virtual void do_step(Cycle slot,
-                       const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) = 0;
+  virtual void do_step(Cycle slot, const SlotArrivals& arrivals) = 0;
 
   void on_injected() { ++counts_.injected; }
   void on_dropped() { ++counts_.dropped; }

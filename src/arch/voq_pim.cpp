@@ -10,18 +10,16 @@ VoqPim::VoqPim(unsigned n, std::size_t capacity, unsigned iterations, Rng rng,
   PMSB_CHECK(iterations >= 1, "PIM needs at least one iteration");
 }
 
-void VoqPim::do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) {
-  PMSB_CHECK(arrivals.size() == n_, "arrival vector size mismatch");
-  for (unsigned i = 0; i < n_; ++i) {
-    if (!arrivals[i]) continue;
+void VoqPim::do_step(Cycle slot, const SlotArrivals& arrivals) {
+  for (const auto& [i, dest] : arrivals) {
     on_injected();
-    auto& q = voq(i, arrivals[i]->dest);
+    auto& q = voq(i, dest);
     if ((capacity_ != 0 && q.size() >= capacity_) ||
         (per_input_capacity_ != 0 && input_occupancy_[i] >= per_input_capacity_)) {
       on_dropped();
       continue;
     }
-    q.push(SlotCell{slot, i, arrivals[i]->dest});
+    q.push(SlotCell{slot, i, dest});
     ++input_occupancy_[i];
   }
 

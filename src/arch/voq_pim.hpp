@@ -22,7 +22,7 @@ class VoqPim : public SlotModel {
   VoqPim(unsigned n, std::size_t capacity, unsigned iterations, Rng rng,
          std::size_t per_input_capacity = 0);
 
-  void do_step(Cycle slot, const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override;
   std::uint64_t resident() const override;
   const char* kind() const override { return "VOQ + PIM"; }
 

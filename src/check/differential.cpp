@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <type_traits>
 
@@ -423,15 +422,24 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
   // Slot-level shared-buffer model over the same schedule.
   SharedBufferModel slot_model(spec.n, spec.capacity_cells, spec.out_queue_limit);
   {
-    std::vector<std::optional<SlotTraffic::Arrival>> arrivals(spec.n);
+    // A slot's cells enter the list in ascending input order, as
+    // SlotTraffic lists them. A schedule with two cells on one input in one
+    // slot fails SlotArrivals::add's check (as it fails ReplaySource::add's)
+    // instead of losing a cell.
+    SlotArrivals arrivals(spec.n);
+    std::vector<ScheduledCell> in_slot;
     std::size_t k = 0;
     const Cycle drain_slots = static_cast<Cycle>(spec.capacity_cells) + 4;
     for (Cycle s = 0; s < static_cast<Cycle>(spec.slots) + drain_slots; ++s) {
-      std::fill(arrivals.begin(), arrivals.end(), std::nullopt);
-      while (k < cells.size() && cells[k].slot == static_cast<unsigned>(s)) {
-        arrivals[cells[k].input] = SlotTraffic::Arrival{cells[k].dest};
-        ++k;
-      }
+      in_slot.clear();
+      while (k < cells.size() && cells[k].slot == static_cast<unsigned>(s))
+        in_slot.push_back(cells[k++]);
+      std::sort(in_slot.begin(), in_slot.end(),
+                [](const ScheduledCell& x, const ScheduledCell& y) {
+                  return x.input < y.input;
+                });
+      arrivals.clear();
+      for (const ScheduledCell& c : in_slot) arrivals.add(c.input, c.dest);
       slot_model.step(s, arrivals);
     }
   }

@@ -262,6 +262,18 @@ struct Fabric::Runtime {
   /// registry's sample() calls in boundary order).
   std::atomic<Cycle> sample_turn{0};
 
+  /// A candidate task of the rebalance plan: its nodes and last run's cost.
+  struct Part {
+    std::vector<unsigned> ids;
+    double cost = 0;
+  };
+
+  // Scratch kept across runs so a warm run() allocates nothing: the
+  // scheduler's task list and plan_rebalance()'s per-task costs and parts.
+  std::vector<SchedTask*> sched_tasks;
+  std::vector<std::uint64_t> delta;
+  std::vector<Part> parts;
+
   // Rebalancing (planned at run end, applied at next run start).
   std::vector<std::vector<unsigned>> pending_parts;
   std::uint64_t splits = 0;
@@ -638,8 +650,8 @@ void Fabric::run(Cycle cycles) {
       rt.frames[j]->arm(k < rt.n_boundaries ? k : -1, static_cast<unsigned>(rt.tasks.size()));
     }
   }
-  std::vector<SchedTask*> tasks;
-  tasks.reserve(rt.tasks.size());
+  std::vector<SchedTask*>& tasks = rt.sched_tasks;
+  tasks.clear();
   for (auto& t : rt.tasks) {
     t->active_snapshot = t->active_ns.load(std::memory_order_relaxed);
     tasks.push_back(t.get());
@@ -693,7 +705,8 @@ void Fabric::contribute_sample(const Task& task, Cycle k) {
 void Fabric::plan_rebalance() {
   Runtime& rt = *rt_;
   const std::size_t ntasks = rt.tasks.size();
-  std::vector<std::uint64_t> delta(ntasks, 0);
+  std::vector<std::uint64_t>& delta = rt.delta;
+  delta.resize(ntasks);
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < ntasks; ++i) {
     delta[i] = rt.tasks[i]->active_ns.load(std::memory_order_relaxed) -
@@ -703,53 +716,58 @@ void Fabric::plan_rebalance() {
   if (total == 0) return;
   const double mean = static_cast<double>(total) / static_cast<double>(ntasks);
 
-  struct Part {
-    std::vector<unsigned> ids;
-    double cost;
+  // The plan is built in rt.parts[0, nparts), whose id vectors keep their
+  // capacity from run to run.
+  std::vector<Runtime::Part>& parts = rt.parts;
+  std::size_t nparts = 0;
+  auto add_part = [&](auto first, auto last, double cost) {
+    if (nparts == parts.size()) parts.emplace_back();
+    Runtime::Part& p = parts[nparts++];
+    p.ids.assign(first, last);
+    p.cost = cost;
   };
   bool changed = false;
   // Split pass: halve tasks that dominated the last run.
-  std::vector<Part> parts;
-  parts.reserve(ntasks + 4);
   for (std::size_t i = 0; i < ntasks; ++i) {
     const auto& ids = rt.tasks[i]->node_ids;
     const double cost = static_cast<double>(delta[i]);
     if (cost > 1.6 * mean && ids.size() >= 2) {
-      const std::size_t mid = ids.size() / 2;
-      parts.push_back(Part{{ids.begin(), ids.begin() + static_cast<long>(mid)}, cost / 2});
-      parts.push_back(Part{{ids.begin() + static_cast<long>(mid), ids.end()}, cost / 2});
+      const auto mid = ids.begin() + static_cast<long>(ids.size() / 2);
+      add_part(ids.begin(), mid, cost / 2);
+      add_part(mid, ids.end(), cost / 2);
       rt.log.push_back("split task " + std::to_string(i) + " (" +
                        std::to_string(ids.size()) + " nodes, " +
                        std::to_string(cost / mean) + "x mean active_ns)");
       ++rt.splits;
       changed = true;
     } else {
-      parts.push_back(Part{ids, cost});
+      add_part(ids.begin(), ids.end(), cost);
     }
   }
-  // Merge pass: coalesce adjacent starved tasks, keeping at least one task
-  // per worker so nobody idles by construction.
-  std::vector<Part> merged;
-  merged.reserve(parts.size());
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const std::size_t projected = merged.size() + (parts.size() - i);
-    if (!merged.empty() && projected - 1 >= workers_ && merged.back().cost < 0.4 * mean &&
+  // Merge pass, in place: coalesce adjacent starved tasks, keeping at least
+  // one task per worker so nobody idles by construction. parts[0, kept) is
+  // the merged plan so far.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < nparts; ++i) {
+    const std::size_t projected = kept + (nparts - i);
+    if (kept != 0 && projected - 1 >= workers_ && parts[kept - 1].cost < 0.4 * mean &&
         parts[i].cost < 0.4 * mean) {
-      rt.log.push_back("merge tasks at node " + std::to_string(merged.back().ids.front()) +
-                       " + " + std::to_string(parts[i].ids.front()) + " (both < 0.4x mean)");
-      merged.back().ids.insert(merged.back().ids.end(), parts[i].ids.begin(),
-                               parts[i].ids.end());
-      merged.back().cost += parts[i].cost;
+      Runtime::Part& back = parts[kept - 1];
+      rt.log.push_back("merge tasks at node " + std::to_string(back.ids.front()) + " + " +
+                       std::to_string(parts[i].ids.front()) + " (both < 0.4x mean)");
+      back.ids.insert(back.ids.end(), parts[i].ids.begin(), parts[i].ids.end());
+      back.cost += parts[i].cost;
       ++rt.merges;
       changed = true;
     } else {
-      merged.push_back(std::move(parts[i]));
+      if (kept != i) std::swap(parts[kept], parts[i]);
+      ++kept;
     }
   }
   if (!changed) return;
   rt.pending_parts.clear();
-  rt.pending_parts.reserve(merged.size());
-  for (Part& p : merged) rt.pending_parts.push_back(std::move(p.ids));
+  rt.pending_parts.reserve(kept);
+  for (std::size_t k = 0; k < kept; ++k) rt.pending_parts.push_back(std::move(parts[k].ids));
 }
 
 FabricStats Fabric::stats() const {

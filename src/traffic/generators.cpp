@@ -206,46 +206,46 @@ std::uint64_t SlotTraffic::draw_pareto_len() {
   return static_cast<std::uint64_t>(std::ceil(len));
 }
 
-const std::vector<std::optional<SlotTraffic::Arrival>>& SlotTraffic::step() {
-  for (unsigned i = 0; i < n_; ++i) {
-    slot_[i].reset();
-    if (mode_ == Burstiness::kNone) {
-      if (rng_.next_bool(load_)) {
-        slot_[i] = Arrival{dests_->pick(i, rng_)};
-        ++arrivals_;
+const SlotArrivals& SlotTraffic::step() {
+  slot_.clear();
+  switch (mode_) {
+    case Burstiness::kNone:
+      for (unsigned i = 0; i < n_; ++i) {
+        if (rng_.next_bool(load_)) slot_.add(i, dests_->pick(i, rng_));
       }
-      continue;
-    }
-    if (mode_ == Burstiness::kPareto) {
-      ParetoState& st = pareto_[i];
-      if (st.gap_left > 0) {
-        --st.gap_left;
-        continue;
+      break;
+    case Burstiness::kPareto:
+      for (unsigned i = 0; i < n_; ++i) {
+        ParetoState& st = pareto_[i];
+        if (st.gap_left > 0) {
+          --st.gap_left;
+          continue;
+        }
+        if (st.burst_left == 0) {
+          st.burst_left = draw_pareto_len();
+          st.dest = dests_->pick(i, rng_);
+        }
+        slot_.add(i, st.dest);
+        if (--st.burst_left == 0) {
+          st.gap_left = static_cast<Cycle>(rng_.next_geometric(p_gap_));
+        }
       }
-      if (st.burst_left == 0) {
-        st.burst_left = draw_pareto_len();
-        st.dest = dests_->pick(i, rng_);
+      break;
+    case Burstiness::kGeometric:
+      for (unsigned i = 0; i < n_; ++i) {
+        BurstState& b = burst_[i];
+        if (!b.in_burst && rng_.next_bool(p_start_)) {
+          b.in_burst = true;
+          b.dest = dests_->pick(i, rng_);
+        }
+        if (b.in_burst) {
+          slot_.add(i, b.dest);
+          if (rng_.next_bool(p_stop_)) b.in_burst = false;
+        }
       }
-      slot_[i] = Arrival{st.dest};
-      ++arrivals_;
-      if (--st.burst_left == 0) {
-        st.gap_left = static_cast<Cycle>(rng_.next_geometric(p_gap_));
-      }
-      continue;
-    }
-    BurstState& b = burst_[i];
-    if (!b.in_burst) {
-      if (rng_.next_bool(p_start_)) {
-        b.in_burst = true;
-        b.dest = dests_->pick(i, rng_);
-      }
-    }
-    if (b.in_burst) {
-      slot_[i] = Arrival{b.dest};
-      ++arrivals_;
-      if (rng_.next_bool(p_stop_)) b.in_burst = false;
-    }
+      break;
   }
+  arrivals_ += slot_.size();
   return slot_;
 }
 

@@ -13,13 +13,14 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/cell.hpp"
 #include "common/rng.hpp"
+#include "common/util.hpp"
 #include "core/cell_port.hpp"
 #include "sim/engine.hpp"
 #include "sim/wire.hpp"
@@ -270,14 +271,53 @@ class CellSink : public Component {
 // Slot-level arrivals for the behavioural models
 // ---------------------------------------------------------------------------
 
-/// One arrival decision per input per slot: Bernoulli(p) with a destination
-/// pattern, or bursty on/off (geometric burst lengths, all cells of a burst
-/// to one destination -- the classic bursty-traffic model).
-class SlotTraffic {
+/// One slot's arrivals at an n-input switch, as a list: one {input, dest}
+/// entry per arriving input, at most one per input, in strictly ascending
+/// input order (add() checks both). A model walks the list instead of
+/// testing every input, so its per-slot work follows the cells, not the
+/// ports.
+class SlotArrivals {
  public:
-  struct Arrival {
+  struct Entry {
+    unsigned input;
     unsigned dest;
   };
+
+  explicit SlotArrivals(unsigned n) : n_(n), entries_(n) {}
+
+  unsigned ports() const { return n_; }
+
+  void clear() { size_ = 0; }
+  void add(unsigned input, unsigned dest) {
+    PMSB_CHECK(input < n_, "arrival input out of range");
+    PMSB_CHECK(size_ == 0 || input > entries_[size_ - 1].input,
+               "arrivals must come in strictly ascending input order");
+    entries_[size_++] = Entry{input, dest};
+  }
+
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  const Entry& operator[](std::size_t k) const {
+    PMSB_CHECK(k < size_, "arrival index past the list");
+    return entries_[k];
+  }
+  const Entry* begin() const { return entries_.data(); }
+  const Entry* end() const { return entries_.data() + size_; }
+
+ private:
+  unsigned n_;
+  std::vector<Entry> entries_;  ///< n slots; the first size_ are this slot's.
+  std::size_t size_ = 0;
+};
+
+/// One arrival decision per input per slot: Bernoulli(p) with a destination
+/// pattern, or bursty on/off (geometric burst lengths, all cells of a burst
+/// to one destination -- the classic bursty-traffic model). step() visits
+/// the inputs in ascending order and makes each input's draws in the same
+/// order whatever the other inputs drew, so the arrival list it returns
+/// is the per-input decisions with the idle inputs left out.
+class SlotTraffic {
+ public:
 
   /// Bernoulli arrivals at rate `load`.
   SlotTraffic(unsigned n_inputs, double load, DestPattern* dests, Rng rng);
@@ -294,8 +334,9 @@ class SlotTraffic {
   static SlotTraffic bursty_pareto(unsigned n_inputs, double load, double mean_burst,
                                    double shape, DestPattern* dests, Rng rng);
 
-  /// Arrivals for this slot, indexed by input (nullopt = no arrival).
-  const std::vector<std::optional<Arrival>>& step();
+  /// Arrivals for this slot, in ascending input order. The list is the
+  /// generator's own and is overwritten by the next step().
+  const SlotArrivals& step();
 
   double offered_load() const { return load_; }
   std::uint64_t arrivals_so_far() const { return arrivals_; }
@@ -333,7 +374,7 @@ class SlotTraffic {
   Rng rng_;
   std::vector<BurstState> burst_;
   std::vector<ParetoState> pareto_;
-  std::vector<std::optional<Arrival>> slot_;
+  SlotArrivals slot_;
   std::uint64_t arrivals_ = 0;
 };
 

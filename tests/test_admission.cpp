@@ -18,8 +18,9 @@ namespace pmsb {
 namespace {
 
 // The seed SharedBufferModel::step, reproduced verbatim (modulo the
-// step/do_step rename): the reference the default policy must match
-// bit-for-bit -- same decisions, same counters, same latency samples.
+// step/do_step rename and walking the arrival list instead of testing
+// every input): the reference the default policy must match bit-for-bit --
+// same decisions, same counters, same latency samples.
 class SeedSharedBuffer : public SlotModel {
  public:
   SeedSharedBuffer(unsigned n, std::size_t capacity, std::size_t out_queue_limit = 0)
@@ -30,12 +31,9 @@ class SeedSharedBuffer : public SlotModel {
   std::uint64_t peak_occupancy() const { return peak_; }
 
  protected:
-  void do_step(Cycle slot,
-               const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override {
-    for (unsigned i = 0; i < n_; ++i) {
-      if (!arrivals[i]) continue;
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override {
+    for (const auto& [i, dest] : arrivals) {
       on_injected();
-      const unsigned dest = arrivals[i]->dest;
       if ((capacity_ != 0 && resident_ >= capacity_) ||
           (out_queue_limit_ != 0 && queues_[dest].size() >= out_queue_limit_)) {
         on_dropped();
@@ -180,8 +178,8 @@ TEST(AdmissionQueueDelay, IdleOutputStillAdmits) {
   // An empty queue admits regardless of drain-rate history (a never-used
   // output has no measured drain rate at all).
   SharedBufferModel m(4, 16, std::make_unique<QueueDelayPolicy>(4));
-  std::vector<std::optional<SlotTraffic::Arrival>> arr(4);
-  arr[0] = SlotTraffic::Arrival{2};
+  SlotArrivals arr(4);
+  arr.add(0, 2);
   m.step(0, arr);
   EXPECT_EQ(m.counts().dropped, 0u);
   EXPECT_EQ(m.counts().delivered, 1u);
@@ -227,8 +225,8 @@ TEST(AdmissionPolicies, PoolFullAttributedSeparately) {
   // An uncapped pool that overflows attributes every drop to pool_full;
   // the policy never rejected anything.
   SharedBufferModel m(4, 8, std::make_unique<StaticCapPolicy>(0));
-  std::vector<std::optional<SlotTraffic::Arrival>> arr(4);
-  for (unsigned i = 0; i < 4; ++i) arr[i] = SlotTraffic::Arrival{0};
+  SlotArrivals arr(4);
+  for (unsigned i = 0; i < 4; ++i) arr.add(i, 0);
   for (Cycle s = 0; s < 10; ++s) m.step(s, arr);
   EXPECT_GT(m.counts().dropped, 0u);
   EXPECT_EQ(m.drop_split().pool_full, m.counts().dropped);
@@ -243,8 +241,8 @@ TEST(SlotModel, MeasuredThroughputExcludesWarmup) {
   // 100 warmup deliveries by all 200 slots and reported 0.5.
   SharedBufferModel m(1, 0);
   m.set_warmup(100);
-  std::vector<std::optional<SlotTraffic::Arrival>> arrival(1), silence(1);
-  arrival[0] = SlotTraffic::Arrival{0};
+  SlotArrivals arrival(1), silence(1);
+  arrival.add(0, 0);
   for (Cycle s = 0; s < 100; ++s) m.step(s, arrival);
   for (Cycle s = 100; s < 200; ++s) m.step(s, silence);
   EXPECT_EQ(m.counts().delivered, 100u);  // Whole-run counter still totals.
@@ -300,14 +298,16 @@ TEST(ParetoTraffic, BurstsDwarfGeometricTail) {
     bool prev = false;
     unsigned prev_dest = 0;
     for (Cycle s = 0; s < slots; ++s) {
-      const auto& arr = t.step();
-      if (arr[0] && (!prev || arr[0]->dest == prev_dest)) {
+      // Input 0's arrival, if any, is the list's first entry.
+      const SlotArrivals& arr = t.step();
+      const bool now = !arr.empty() && arr[0].input == 0;
+      if (now && (!prev || arr[0].dest == prev_dest)) {
         ++run;
       } else {
-        run = arr[0] ? 1 : 0;
+        run = now ? 1 : 0;
       }
-      if (arr[0]) prev_dest = arr[0]->dest;
-      prev = arr[0].has_value();
+      if (now) prev_dest = arr[0].dest;
+      prev = now;
       longest = std::max(longest, run);
     }
     return longest;

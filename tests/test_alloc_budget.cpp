@@ -155,8 +155,9 @@ TEST_F(AllocBudget, BanyanPastSaturationDoesNotGrow) {
   const fabric::FabricStats st = fab->stats();
   ASSERT_GT(st.backlog, 10000u) << "the run must be past saturation to test the backlog";
   EXPECT_LE(w.second, w.first);
-  // Measured 5 per window (0.42 per 1000 cycles); a queued backlog took 183.
-  EXPECT_LE(w.first, budget(0.5));
+  // Measured 0 per window. A queued backlog took 183; a run() that rebuilt
+  // its scheduler list and rebalance plan took 5.
+  EXPECT_LE(w.first, budget(0));
 }
 
 // The 8x8 torus of bench/perf's torus8_uniform, below saturation.
@@ -164,10 +165,11 @@ TEST_F(AllocBudget, TorusUniform) {
   const fabric::FabricConfig cfg = torus_config();
   auto fab = fabric::Fabric::build(cfg.topo, cfg);
   const Windows w = count_windows([&](Cycle n) { fab->run(n); });
-  // Measured 8 and 5 per window (0.67 and 0.42 per 1000 cycles); std::deque
-  // output queues took 698 and 703 per 1000 cycles.
-  EXPECT_LE(w.first, budget(0.75));
-  EXPECT_LE(w.second, budget(0.75));
+  // Measured 3 and 0 per window (0.25 and 0 per 1000 cycles); a run() that
+  // rebuilt its scheduler list and rebalance plan took 8 and 5, std::deque
+  // output queues 698 and 703 per 1000 cycles.
+  EXPECT_LE(w.first, budget(0.25));
+  EXPECT_LE(w.second, budget(0.25));
 }
 
 // bench/perf's torus8_hotquad: the same torus with FastSwitch outside the
@@ -177,10 +179,10 @@ TEST_F(AllocBudget, TorusHotQuad) {
   cfg.fast_node = [](unsigned node) { return !(node % 8 < 4 && node / 8 < 4); };
   auto fab = fabric::Fabric::build(cfg.topo, cfg);
   const Windows w = count_windows([&](Cycle n) { fab->run(n); });
-  // Measured 32 and 13 per window (2.7 and 1.1 per 1000 cycles): FastSwitch's
+  // Measured 27 and 8 per window (2.25 and 0.67 per 1000 cycles): FastSwitch's
   // pool and queues still reach new peaks.
-  EXPECT_LE(w.first, budget(2.75));
-  EXPECT_LE(w.second, budget(2.75));
+  EXPECT_LE(w.first, budget(2.25));
+  EXPECT_LE(w.second, budget(2.25));
 }
 
 // One saturated 16-port PipelinedSwitch under the reference Scoreboard, as

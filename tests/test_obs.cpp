@@ -610,13 +610,10 @@ class StallUntilWarmup : public SlotModel {
     SlotModel::set_warmup(until);
   }
 
-  void do_step(Cycle slot,
-               const std::vector<std::optional<SlotTraffic::Arrival>>& arrivals) override {
-    for (unsigned i = 0; i < n_; ++i) {
-      if (arrivals[i]) {
-        on_injected();
-        q_.push_back(SlotCell{slot, i, arrivals[i]->dest});
-      }
+  void do_step(Cycle slot, const SlotArrivals& arrivals) override {
+    for (const auto& [i, dest] : arrivals) {
+      on_injected();
+      q_.push_back(SlotCell{slot, i, dest});
     }
     if (slot >= stall_until_) {
       for (unsigned k = 0; k < n_ && !q_.empty(); ++k) {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <deque>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/testbench.hpp"
 #include "sim/engine.hpp"
@@ -157,7 +160,7 @@ TEST(SlotTraffic, BernoulliRateMatches) {
   std::uint64_t arrivals = 0;
   const Cycle slots = 100000;
   for (Cycle s = 0; s < slots; ++s) {
-    for (const auto& a : t.step()) arrivals += a.has_value();
+    arrivals += t.step().size();
   }
   EXPECT_NEAR(arrivals / (8.0 * slots), 0.7, 0.01);
 }
@@ -168,7 +171,7 @@ TEST(SlotTraffic, BurstyRateMatches) {
   std::uint64_t arrivals = 0;
   const Cycle slots = 200000;
   for (Cycle s = 0; s < slots; ++s) {
-    for (const auto& a : t.step()) arrivals += a.has_value();
+    arrivals += t.step().size();
   }
   EXPECT_NEAR(arrivals / (8.0 * slots), 0.5, 0.02);
 }
@@ -180,13 +183,171 @@ TEST(SlotTraffic, BurstyRunsAreLong) {
   std::uint64_t runs = 0, busy = 0;
   bool prev = false;
   for (Cycle s = 0; s < 200000; ++s) {
-    const bool now = t.step()[0].has_value();
+    const bool now = !t.step().empty();
     busy += now;
     runs += (now && !prev);
     prev = now;
   }
   ASSERT_GT(runs, 0u);
   EXPECT_NEAR(static_cast<double>(busy) / runs, 16.0, 2.0);
+}
+
+// The per-input loop SlotTraffic::step() ran when it returned one optional
+// arrival per input: the same state machines and the same draws, in the
+// same order, copied here so the arrival list can be checked against it.
+class PerInputReference {
+ public:
+  enum class Mode { kBernoulli, kGeometric, kPareto };
+
+  PerInputReference(unsigned n, double load, double mean_burst, double shape, Mode mode,
+                    DestPattern* dests, Rng rng)
+      : n_(n), load_(load), mode_(mode), dests_(dests), rng_(rng), burst_(n), pareto_(n),
+        slot_(n) {
+    p_stop_ = 1.0 / mean_burst;
+    p_start_ = load >= 1.0 ? 1.0 : load * p_stop_ / (1.0 - load);
+    if (p_start_ > 1.0) p_start_ = 1.0;
+    if (mode_ == Mode::kPareto) {
+      shape_ = shape;
+      xm_ = mean_burst * (shape - 1.0) / shape;
+      const double mean_gap = load >= 1.0 ? 0.0 : mean_burst * (1.0 - load) / load;
+      p_gap_ = 1.0 / (1.0 + mean_gap);
+      for (Pareto& st : pareto_) st.gap_left = static_cast<Cycle>(rng_.next_geometric(p_gap_));
+    }
+  }
+
+  /// Destination of input i's arrival this slot, if any.
+  const std::vector<std::optional<unsigned>>& step() {
+    for (unsigned i = 0; i < n_; ++i) {
+      slot_[i].reset();
+      if (mode_ == Mode::kBernoulli) {
+        if (rng_.next_bool(load_)) slot_[i] = dests_->pick(i, rng_);
+        continue;
+      }
+      if (mode_ == Mode::kPareto) {
+        Pareto& st = pareto_[i];
+        if (st.gap_left > 0) {
+          --st.gap_left;
+          continue;
+        }
+        if (st.burst_left == 0) {
+          st.burst_left = pareto_len();
+          st.dest = dests_->pick(i, rng_);
+        }
+        slot_[i] = st.dest;
+        if (--st.burst_left == 0) st.gap_left = static_cast<Cycle>(rng_.next_geometric(p_gap_));
+        continue;
+      }
+      Burst& b = burst_[i];
+      if (!b.in_burst && rng_.next_bool(p_start_)) {
+        b.in_burst = true;
+        b.dest = dests_->pick(i, rng_);
+      }
+      if (b.in_burst) {
+        slot_[i] = b.dest;
+        if (rng_.next_bool(p_stop_)) b.in_burst = false;
+      }
+    }
+    return slot_;
+  }
+
+ private:
+  struct Burst {
+    bool in_burst = false;
+    unsigned dest = 0;
+  };
+  struct Pareto {
+    Cycle gap_left = 0;
+    std::uint64_t burst_left = 0;
+    unsigned dest = 0;
+  };
+
+  std::uint64_t pareto_len() {
+    constexpr std::uint64_t kMaxBurst = 1u << 16;
+    const double len = xm_ * std::pow(1.0 - rng_.next_double(), -1.0 / shape_);
+    if (!(len >= 1.0)) return 1;
+    if (len >= static_cast<double>(kMaxBurst)) return kMaxBurst;
+    return static_cast<std::uint64_t>(std::ceil(len));
+  }
+
+  unsigned n_;
+  double load_;
+  Mode mode_;
+  DestPattern* dests_;
+  Rng rng_;
+  double p_start_ = 0, p_stop_ = 0, xm_ = 0, shape_ = 0, p_gap_ = 0;
+  std::vector<Burst> burst_;
+  std::vector<Pareto> pareto_;
+  std::vector<std::optional<unsigned>> slot_;
+};
+
+/// True iff `list` is exactly the arriving inputs of `per_input`, in
+/// ascending input order, with their destinations.
+bool same_arrivals(const std::vector<std::optional<unsigned>>& per_input,
+                   const std::vector<SlotArrivals::Entry>& list) {
+  std::size_t k = 0;
+  for (unsigned i = 0; i < per_input.size(); ++i) {
+    if (!per_input[i]) continue;
+    if (k == list.size() || list[k].input != i || list[k].dest != *per_input[i]) return false;
+    ++k;
+  }
+  return k == list.size();
+}
+
+TEST(SlotTraffic, ArrivalListMatchesPerInputDraws) {
+  using Mode = PerInputReference::Mode;
+  const double load = 0.6, mean_burst = 8.0, shape = 1.5;
+  const Cycle slots = 20000;
+  for (unsigned n : {1u, 16u, 72u}) {
+    for (Mode mode : {Mode::kBernoulli, Mode::kGeometric, Mode::kPareto}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " mode=" + std::to_string(static_cast<int>(mode)));
+      UniformDest ref_dests(n), dests(n);
+      const Rng rng(500 + n);
+      PerInputReference ref(n, load, mean_burst, shape, mode, &ref_dests, rng);
+      SlotTraffic traffic =
+          mode == Mode::kBernoulli   ? SlotTraffic(n, load, &dests, rng)
+          : mode == Mode::kGeometric ? SlotTraffic::bursty(n, load, mean_burst, &dests, rng)
+                                     : SlotTraffic::bursty_pareto(n, load, mean_burst, shape,
+                                                                  &dests, rng);
+      std::uint64_t total = 0;
+      bool mutants_checked = false;
+      for (Cycle s = 0; s < slots; ++s) {
+        const auto& want = ref.step();
+        const SlotArrivals& got = traffic.step();
+        EXPECT_EQ(got.ports(), n);
+        const std::vector<SlotArrivals::Entry> list(got.begin(), got.end());
+        total += list.size();
+        ASSERT_TRUE(same_arrivals(want, list)) << "slot " << s;
+        // The comparison itself must see a lost entry and a swapped pair.
+        if (!mutants_checked && list.size() >= 2) {
+          std::vector<SlotArrivals::Entry> dropped = list;
+          dropped.erase(dropped.begin() + 1);
+          EXPECT_FALSE(same_arrivals(want, dropped));
+          std::vector<SlotArrivals::Entry> swapped = list;
+          std::swap(swapped[0], swapped[1]);
+          EXPECT_FALSE(same_arrivals(want, swapped));
+          mutants_checked = true;
+        }
+      }
+      EXPECT_EQ(traffic.arrivals_so_far(), total);
+      EXPECT_GT(total, slots * n / 2);
+      if (n > 1) {
+        EXPECT_TRUE(mutants_checked);
+      }
+    }
+  }
+}
+
+TEST(SlotArrivalsDeath, OutOfRangeUnorderedAndPastEndAbort) {
+  SlotArrivals a(4);
+  EXPECT_DEATH(a.add(4, 0), "arrival input out of range");
+  a.add(2, 1);
+  EXPECT_DEATH(a.add(2, 3), "strictly ascending");
+  EXPECT_DEATH(a.add(1, 3), "strictly ascending");
+  EXPECT_DEATH((void)a[1], "arrival index past the list");
+  a.clear();
+  a.add(1, 3);
+  EXPECT_EQ(a.size(), 1u);
 }
 
 TEST(Patterns, PermutationIsBijective) {
