@@ -1,7 +1,8 @@
 // A2 -- Ablation for section 4.3 / figure 7: per-stage address decoders
 // (7a) versus the novel decoded-address pipeline (7b). Functionally
-// identical (asserted continuously inside AddressPath); what changes is the
-// hardware exercised per wave: S decode operations versus 1 decode plus
+// identical (under PMSB_CHECK=1 the stage-walk oracle executes the chosen
+// AddressPath beside the memory and checks every word line); what changes
+// is the hardware exercised per wave: S decode operations versus 1 decode plus
 // (S-1) one-hot register transfers -- and the area charged per stage
 // ("a decoded address pipeline register is 2.3 times smaller than the
 // normal address decoder").

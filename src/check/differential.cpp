@@ -167,10 +167,11 @@ struct CycleRunResult {
 
 /// One word-level model over the schedule, with the same wire protocol,
 /// scoreboard and fixed run length for every model. The cycle-accurate
-/// switches also carry an invariant checker and an occupancy probe; the
-/// behavioural FastSwitch has neither (it has none of the checked
-/// structures, and its occupancy is slot-shaped by design). `mode` (the
-/// address path) and `fault` apply to PipelinedSwitch only.
+/// switches also carry an invariant checker, an occupancy probe and the
+/// stage-walk oracle beside each pipelined memory; the behavioural
+/// FastSwitch has none of them (it has none of the checked structures, and
+/// its occupancy is slot-shaped by design). `mode` (the address path) and
+/// `fault` apply to PipelinedSwitch only.
 template <typename SwitchT, typename ConfigT>
 CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSpec& spec,
                          const std::vector<ScheduledCell>& cells, AddrPathMode mode,
@@ -188,6 +189,7 @@ CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSp
   if constexpr (std::is_same_v<SwitchT, PipelinedSwitch>) {
     if (!fault.none()) sw.set_fault_plan(fault);
   }
+  if constexpr (kChecked) sw.attach_memory_oracle();
   Engine engine;
   Scoreboard sb(spec.n, spec.n, fmt);
 

@@ -25,8 +25,10 @@
 //
 // Every cycle-accurate run carries a Scoreboard (end-to-end integrity) and
 // an InvariantChecker (src/check/invariants.hpp); their findings are folded
-// into the outcome. Any issue makes the run a failure that the minimizer
-// (check/minimize.hpp) can shrink into a .repro.json.
+// into the outcome. Its pipelined memories also run beside the stage-walk
+// oracle (check/stage_walk.hpp), which aborts on the first divergence. Any
+// issue makes the run a failure that the minimizer (check/minimize.hpp) can
+// shrink into a .repro.json.
 
 #pragma once
 

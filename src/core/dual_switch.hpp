@@ -64,6 +64,12 @@ class DualPipelinedSwitch : public CellSwitch {
   std::uint32_t buffer_in_use() const { return free_[0].in_use() + free_[1].in_use(); }
   bool drained() const;
 
+  /// Check both memories against their stage-walk oracles every cycle.
+  void attach_memory_oracle() {
+    mem_[0].attach_oracle();
+    mem_[1].attach_oracle();
+  }
+
   /// Committed cells across all per-output lists (verification).
   std::size_t queued_cells() const { return queues_.total_size(); }
 

@@ -14,14 +14,14 @@
 //
 // Only the registers loaded this cycle are listed, in load order, so
 // drive_links() and tick() cost one step per loaded register. A single
-// memory loads in ascending stage order (its active-stage walk), so the
+// memory loads in ascending stage order (its in-flight waves), so the
 // links are driven in the order a full scan would use. Under PMSB_CHECK=1
 // drive_links() recounts the list against the registers' valid flags.
 //
-// Every busy memory stage calls load_if() whatever its operation, so the
-// stage walk has no branch on read versus write: a stage that loads nothing
-// (a plain write) stores into one spare register past OR[S-1] and one spare
-// list entry, both never counted. It must not store into OR[s] itself:
+// Every in-flight wave calls load_if() whatever its operation, so the
+// memory's wave loop has no branch on read versus write: a wave that loads
+// nothing (a plain write) stores into one spare register past OR[S-1] and
+// one spare list entry, both never counted. It must not store into OR[s] itself:
 // DualPipelinedSwitch shares one row between two memories, and in one
 // cycle one memory may load OR[s] while the other writes at stage s.
 
@@ -80,6 +80,19 @@ class OutputRow {
     n_loaded_ = 0;
   }
 
+  /// One output register as loaded this cycle.
+  struct Slot {
+    bool valid = false;
+    unsigned out_link = 0;
+    Flit flit;
+  };
+
+  /// OR[s] as loaded this cycle (the memory's oracle compares it).
+  const Slot& staged(unsigned s) const {
+    PMSB_CHECK(s < stages_, "output-row stage out of range");
+    return staged_[s];
+  }
+
  private:
   friend struct OutputRowPeer;  ///< Test access (corrupts the list in death tests).
 
@@ -90,11 +103,6 @@ class OutputRow {
   unsigned n_outputs_;
   Word mask_;
 
-  struct Slot {
-    bool valid = false;
-    unsigned out_link = 0;
-    Flit flit;
-  };
   std::vector<Slot> staged_;      ///< Loads performed this cycle; [stages_] is the spare.
   /// Stages loaded this cycle, first n_loaded_ entries; one spare entry past
   /// the S a cycle can load.

@@ -1,50 +1,88 @@
 #include "core/pipelined_memory.hpp"
 
 #include "check/invariants.hpp"
+#include "check/stage_walk.hpp"
 
 namespace pmsb {
 
 PipelinedMemory::PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits,
                                  AddrPathMode addr_mode)
-    : ctrl_(stages),
-      addr_path_(stages, words_per_stage, addr_mode),
-      audit_(check::env_enabled()) {
+    : S_(stages),
+      words_(words_per_stage),
+      word_bits_(word_bits),
+      mode_(addr_mode),
+      ctrl_(stages) {
   PMSB_CHECK(stages >= 1, "pipelined memory needs at least one stage");
-  banks_.reserve(stages);
-  for (unsigned s = 0; s < stages; ++s) banks_.emplace_back(words_per_stage, word_bits);
+  PMSB_CHECK(words_per_stage > 0, "SRAM bank needs at least one word");
+  PMSB_CHECK(word_bits >= 1 && word_bits <= 64, "SRAM word width out of range");
+  cells_.assign(words_per_stage * stages, 0);
+  if (check::env_enabled()) attach_oracle();
 }
 
+PipelinedMemory::~PipelinedMemory() = default;
+
 void PipelinedMemory::exec_cycle(const InputLatches& ir, OutputRow& orow) {
-  if (audit_) audit();
+  if (oracle_) oracle_->audit(ctrl_);
   ctrl_.for_each_active([&](unsigned s, const StageCtrl& c) {
-    // An active stage's op is kWrite, kRead or kWriteSnoop: bit 0 writes the
-    // bank, bit 1 loads OR[s]. One bank access and one conditional load, no
-    // branch on the kind.
+    // An active stage's op is kWrite, kRead or kWriteSnoop: bit 0 stores the
+    // latch into the cell, bit 1 loads OR[s] from it. The store selects
+    // rather than branches on the kind.
     const auto op = static_cast<unsigned>(c.op);
-    const auto addr = static_cast<std::size_t>(addr_path_.active_addr(s, c.addr, true));
-    const Word bus = banks_[s].access(addr, (op & 1) != 0, ir.read(c.in_link, s));
-    orow.load_if((op & 2) != 0, s, bus, c.out_link, c.head && s == 0);
+    Word& cell = cells_[std::size_t{c.addr} * S_ + s];
+    const Word in = ir.read(c.in_link, s);
+    cell = (op & 1) != 0 ? in : cell;
+    orow.load_if((op & 2) != 0, s, cell, c.out_link, c.head && s == 0);
   });
-  // Every active stage found a valid word line above; equal counts leave no
-  // valid word line on an idle stage (figure 7a/7b equivalence).
-  PMSB_CHECK(addr_path_.mode() != AddrPathMode::kDecodedPipeline ||
-                 addr_path_.valid_slots() == ctrl_.active(),
-             "word-line pipeline active but control pipeline idle");
+  executed_ = true;
+  if (oracle_) oracle_->exec_and_compare(*this, ir, orow);
 }
 
 void PipelinedMemory::tick() {
-  ctrl_.for_each_active([&](unsigned s, const StageCtrl&) { banks_[s].tick(); });
+  if (oracle_) oracle_->tick(ctrl_);
   ctrl_.tick();
-  addr_path_.tick();
+  executed_ = false;
 }
 
-void PipelinedMemory::audit() const {
-  ctrl_.audit();
-  addr_path_.audit();
-  // tick() clocked only the active stages' banks: any bank still holding a
-  // claimed port or a staged write was touched outside them.
-  for (const SramBank& b : banks_)
-    PMSB_CHECK(!b.touched(), "an SRAM bank touched outside the active stages was never ticked");
+BankAccesses PipelinedMemory::bank(unsigned s) const {
+  PMSB_CHECK(s < S_, "stage index out of range");
+  // An in-flight wave at stage st has accessed stages [0, st] once this
+  // cycle's exec_cycle() ran, [0, st) before it.
+  const unsigned e = executed_ ? 1 : 0;
+  BankAccesses b{read_waves_, write_waves_};
+  ctrl_.for_each_active([&](unsigned st, const StageCtrl& c) {
+    if (st + e > s) return;
+    const auto op = static_cast<unsigned>(c.op);
+    b.writes -= op & 1;
+    b.reads -= op == static_cast<unsigned>(StageOp::kRead) ? 1 : 0;
+  });
+  return b;
+}
+
+AddrPathCounts PipelinedMemory::addr_path() const {
+  const unsigned e = executed_ ? 1 : 0;
+  const std::uint64_t waves = read_waves_ + write_waves_;
+  if (mode_ == AddrPathMode::kDecodedPipeline) {
+    // One decode per wave, at stage 0; the one-hot line then moves beside
+    // the control bundle, register for register.
+    unsigned undecoded = 0;
+    ctrl_.for_each_active([&](unsigned st, const StageCtrl&) { undecoded += st + e == 0; });
+    return {waves - undecoded, ctrl_.ctrl_reg_transfers()};
+  }
+  // Figure 7a: a decode per stage access.
+  std::uint64_t accesses = waves * S_;
+  ctrl_.for_each_active([&](unsigned st, const StageCtrl&) { accesses -= S_ - (st + e); });
+  return {accesses, 0};
+}
+
+Word PipelinedMemory::peek(std::size_t addr, unsigned s) const {
+  PMSB_CHECK(addr < words_ && s < S_, "peek address out of range");
+  return cells_[addr * S_ + s];
+}
+
+void PipelinedMemory::attach_oracle() {
+  if (oracle_) return;
+  PMSB_CHECK(initiations_ == 0, "stage-walk oracle attached after the first wave");
+  oracle_ = std::make_unique<check::StageWalkOracle>(S_, words_, word_bits_, mode_);
 }
 
 }  // namespace pmsb

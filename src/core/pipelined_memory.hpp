@@ -2,85 +2,135 @@
 // stages, the control-signal pipeline, and the address path (per-stage
 // decoders or the decoded-address pipeline of figure 7b).
 //
-// One wave is initiated per cycle at stage 0; exec_cycle() then performs, at
-// every stage s, whatever the control pipeline presents to it -- which is by
-// construction the operation stage s-1 performed in the previous cycle.
+// Wave datapath. One wave is initiated per cycle at stage 0, and its whole
+// path is fixed from then on (sections 3.2-3.3): word k meets stage k at
+// t0+k; one initiation per cycle keeps two waves off one stage in a cycle;
+// and waves on one address keep their initiation order at every stage,
+// since a later wave trails an earlier one by at least a cycle everywhere.
+// So the memory is modelled per wave, not per bank. Each buffer address owns
+// one contiguous row of S words, cells_[addr * S + s], and the waves in
+// flight are the control ring CtrlPipeline already keeps. exec_cycle()
+// moves each in-flight wave's one word for this cycle: a write stores
+// IR[in][s] into its cell, and a read or snoop loads OR[s] from the cell
+// (after the write, so a snoop sees the bus). A write goes straight into
+// the cell with no staged commit: the only access that could observe the
+// difference is another wave at the same stage in the same cycle, and
+// there is none. A read followed by a re-allocating write to the same
+// address (the release at read initiation, DESIGN.md section 4) reaches
+// every stage a cycle ahead of the write, so it still loads the old word.
 //
-// Activity-proportional cycle: a stage is busy only while a wave passes
-// through it, so exec_cycle() visits only the stages the control pipeline
-// lists as in flight (CtrlPipeline::for_each_active, ascending stage order)
-// and tick() clocks only the banks those stages accessed. An idle stage costs
-// nothing. The figure-7a/7b idle-stage check keeps its full strength as a
-// count: every visited stage must hold a valid word line (active is a subset
-// of valid), and after the walk the number of valid word-line registers must
-// equal the number of active stages, so the two sets are equal. Under
-// PMSB_CHECK=1 every cycle also starts by recounting the control ring and
-// the word-line flags from the underlying arrays and by checking that the
-// sparse tick left no bank touched.
+// The figure-7 counters are derived per wave instead of being counted per
+// stage access. bank(s) counts the waves of each kind, less the in-flight
+// ones that have not yet accessed stage s; a figure-7b decode is one per
+// wave, a figure-7a decode one per stage access, and a one-hot register
+// transfer follows every control-register transfer.
 //
-// Each visited stage costs a few loads and stores and no data-dependent
-// branch: the op's bits give the access kind (bit 0 writes the bank, bit 1
-// loads OR[s]), so the stage makes one SramBank::access and one
-// OutputRow::load_if whatever its operation, and its address comes from
-// its word-line register without a scan.
+// The stage walk this replaced -- S SramBanks, the AddressPath and their
+// audit -- is check::StageWalkOracle (check/stage_walk.hpp). It is built
+// only when checking is on (PMSB_CHECK=1, or attach_oracle(), which
+// check::differential calls); it then runs beside the wave model every
+// cycle and compares each output-row load, each word a wave moved and
+// every counter. There is one datapath: the oracle only checks it.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/input_latches.hpp"
 #include "core/output_row.hpp"
 #include "rtl/addr_decoder.hpp"
 #include "rtl/ctrl_pipeline.hpp"
-#include "rtl/sram_bank.hpp"
 
 namespace pmsb {
+
+namespace check {
+class StageWalkOracle;
+}
+
+/// Accesses one memory stage's bank has made (the ablation benches' count).
+struct BankAccesses {
+  std::uint64_t reads = 0;
+  std::uint64_t writes = 0;  ///< Snooped writes included.
+
+  std::uint64_t total_reads() const { return reads; }
+  std::uint64_t total_writes() const { return writes; }
+};
+
+/// The address path's hardware activity (figure 7a versus 7b).
+struct AddrPathCounts {
+  std::uint64_t decodes = 0;
+  std::uint64_t transfers = 0;
+
+  std::uint64_t decode_ops() const { return decodes; }
+  std::uint64_t one_hot_reg_transfers() const { return transfers; }
+};
 
 class PipelinedMemory {
  public:
   PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits,
                   AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);
+  ~PipelinedMemory();
 
-  unsigned stages() const { return static_cast<unsigned>(banks_.size()); }
+  unsigned stages() const { return S_; }
 
   /// Initiate a wave at stage 0 for the current cycle (at most one/cycle).
   void initiate(const StageCtrl& c) {
+    PMSB_CHECK(c.idle() || c.addr < words_, "SRAM access address out of range");
+    PMSB_CHECK(!executed_, "wave initiated after the stages executed");
     ++initiations_;
+    const auto op = static_cast<unsigned>(c.op);
+    write_waves_ += op & 1;
+    read_waves_ += op == static_cast<unsigned>(StageOp::kRead);
     ctrl_.initiate(c);
   }
 
   /// Lifetime count of stage-0 wave initiations (observability).
   std::uint64_t initiations() const { return initiations_; }
 
-  /// Execute every active stage for the current cycle: writes take their
-  /// data from the input latches; reads (and write snoops) load the output
-  /// row, in ascending stage order.
+  /// Move every in-flight wave's word for the current cycle: writes take
+  /// their data from the input latches; reads (and write snoops) load the
+  /// output row, in ascending stage order.
   void exec_cycle(const InputLatches& ir, OutputRow& orow);
 
-  /// Clock edge: commit and reopen the banks this cycle's waves touched,
-  /// then shift the control and word-line pipelines.
+  /// Clock edge: shift the control pipeline.
   void tick();
 
   /// Any wave still travelling down the pipeline?
   bool busy() const { return ctrl_.busy(); }
 
-  const SramBank& bank(unsigned s) const { return banks_.at(s); }
+  /// Accesses stage s's bank has made so far.
+  BankAccesses bank(unsigned s) const;
   const CtrlPipeline& ctrl() const { return ctrl_; }
-  const AddressPath& addr_path() const { return addr_path_; }
+  AddrPathCounts addr_path() const;
+
+  /// The word stage s holds at `addr` (testbench/debug only).
+  Word peek(std::size_t addr, unsigned s) const;
+
+  /// Run the stage-walk oracle beside this memory from now on (a no-op if it
+  /// already runs). Only before the first initiation: the oracle starts
+  /// from an empty memory.
+  void attach_oracle();
+  /// The oracle, or null when checking is off.
+  const check::StageWalkOracle* oracle() const { return oracle_.get(); }
 
  private:
-  friend struct PipelinedMemoryPeer;  ///< Test access (touches banks in death tests).
+  friend struct PipelinedMemoryPeer;  ///< Test access (corrupts state in death tests).
 
-  /// Checked mode, at the start of a cycle: recount the running state from
-  /// the underlying arrays; every bank must be untouched.
-  void audit() const;
-
-  std::vector<SramBank> banks_;
+  unsigned S_;
+  std::size_t words_;
+  unsigned word_bits_;
+  AddrPathMode mode_;
+  std::vector<Word> cells_;  ///< cells_[addr * S_ + s]: stage s's word at addr.
   CtrlPipeline ctrl_;
-  AddressPath addr_path_;
   std::uint64_t initiations_ = 0;
-  bool audit_;  ///< check::env_enabled() at construction.
+  std::uint64_t write_waves_ = 0;  ///< kWrite and kWriteSnoop initiations.
+  std::uint64_t read_waves_ = 0;   ///< kRead initiations.
+  /// exec_cycle() ran this cycle: each in-flight wave has accessed its
+  /// current stage. Cleared by tick().
+  bool executed_ = false;
+  std::unique_ptr<check::StageWalkOracle> oracle_;
 };
 
 }  // namespace pmsb

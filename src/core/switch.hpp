@@ -90,6 +90,9 @@ class PipelinedSwitch final : public CellSwitch {
   std::string name() const override { return "pipelined_switch"; }
 
   const PipelinedMemory& memory() const { return mem_; }
+  /// Check the memory against its stage-walk oracle every cycle (see
+  /// PipelinedMemory::attach_oracle()).
+  void attach_memory_oracle() { mem_.attach_oracle(); }
   std::uint32_t buffer_in_use() const { return free_.in_use(); }
   std::uint32_t buffer_peak() const { return free_.peak_in_use(); }
   std::size_t queued_cells() const { return oq_.total_size(); }

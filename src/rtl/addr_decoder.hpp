@@ -19,20 +19,22 @@
 // are not stored). The registers form one ring; a clock edge rotates the
 // ring head instead of copying stages-1 D-bit vectors. Recovering an address
 // is one load and one countr_zero -- the same datapath semantics (a genuine
-// one-hot line, checked on every use) at a fraction of the simulation cost,
-// which matters because this path sits inside the per-stage loop of every
-// cycle-accurate experiment. Decode checks that the staging register is
+// one-hot line, checked on every use) at a fraction of the simulation cost.
+// Decode checks that the staging register is
 // clear before it sets one line; every use checks that the register holds
 // exactly one line and that it names the address the control pipeline
 // carries; retirement clears one word. A register is valid iff its block
 // holds a line. A running count of valid registers keeps the
 // register-transfer count exact without a per-stage loop at the clock edge,
-// and lets the memory replace the idle-stage checks with one comparison per
-// cycle: it asks only the stages the control pipeline drives (each must
+// and replaces the idle-stage checks with one comparison per cycle: the
+// stage walk asks only the stages the control pipeline drives (each must
 // hold a valid word line), then requires valid_slots() == the control
 // pipeline's active count, so no word line can be live on a stage the
-// control leaves idle. active_addr() and tick() are defined in this header
-// so the per-cycle calls inline into PipelinedMemory.
+// control leaves idle.
+//
+// The production memory (core/pipelined_memory.hpp) derives these counts
+// per wave and runs no AddressPath; the stage-walk oracle
+// (check/stage_walk.hpp) executes this one beside it when checking is on.
 
 #pragma once
 

@@ -48,7 +48,7 @@ enum class StageOp : std::uint8_t {
 };
 
 // PipelinedMemory::exec_cycle takes the access kind from these bits: bit 0
-// writes the stage's bank, bit 1 loads its output register.
+// stores the stage's word, bit 1 loads its output register.
 static_assert(static_cast<unsigned>(StageOp::kWrite) == 1 &&
                   static_cast<unsigned>(StageOp::kRead) == 2 &&
                   static_cast<unsigned>(StageOp::kWriteSnoop) == 3,

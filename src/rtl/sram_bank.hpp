@@ -14,14 +14,15 @@
 // returns the bus data for the snooper.
 //
 // One access path: access(addr, is_write, data) serves reads, writes and
-// snoops alike without branching on the kind, so the per-stage loop of
-// PipelinedMemory::exec_cycle, which takes the kind from the op bits, pays
-// no mispredicted branch per stage. read(), write() and write_snoop() are
-// thin wrappers over it. The write a cycle stages is held as one
-// (address, data) pair; the array carries one spare word past its last
-// address, and "no write pending" is the pair naming that spare word, so
-// tick() commits unconditionally. The functions are defined here so
-// exec_cycle inlines them, port check included.
+// snoops alike without branching on the kind. read(), write() and
+// write_snoop() are thin wrappers over it. The write a cycle stages is held
+// as one (address, data) pair; the array carries one spare word past its
+// last address, and "no write pending" is the pair naming that spare word,
+// so tick() commits unconditionally.
+//
+// The production memory (core/pipelined_memory.hpp) moves words per wave
+// and runs no SramBank; the stage-walk oracle (check/stage_walk.hpp) runs S
+// of them beside it when checking is on.
 
 #pragma once
 
@@ -79,7 +80,7 @@ class SramBank {
   }
 
   /// True between an access and the next clock edge: the bank must be
-  /// ticked this cycle (PipelinedMemory ticks only the banks its waves
+  /// ticked this cycle (the stage walk ticks only the banks its waves
   /// touched, and checks with this that it missed none).
   bool touched() const { return port_used_ || pend_addr_ != spare_; }
 

@@ -189,9 +189,11 @@ SlotTraffic::SlotTraffic(unsigned n_inputs, double load, double mean_burst, Burs
   }
   if (mode_ == Burstiness::kGeometric) {
     p_stop_ = 1.0 / mean_burst;
-    // Stationary on-fraction p_start/(p_start + p_stop) must equal `load`.
-    p_start_ = load >= 1.0 ? 1.0 : load * p_stop_ / (1.0 - load);
-    if (p_start_ > 1.0) p_start_ = 1.0;
+    // step() turns an idle input on and emits in the same slot, so a burst
+    // of mean b cells is followed by a gap of mean (1 - p_start) / p_start
+    // idle slots. The offered load b / (b + gap) equals `load` when
+    // p_start = load / (load + b (1 - load)), which is at most 1.
+    p_start_ = load / (load + mean_burst * (1.0 - load));
   }
 }
 

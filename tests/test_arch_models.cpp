@@ -306,64 +306,64 @@ std::string format_row(const PinnedRow& r) {
 // clang-format off
 const PinnedRow kPinned[] = {
     {"shared-static/uniform/16", 51306, 49173, 2119, 14, 1, 3, 41685, {32, 22, 2097, 0}},
-    {"shared-static/bursty/16", 56928, 41163, 15745, 20, 2, 3, 56929, {32, 1143, 14602, 0}},
+    {"shared-static/bursty/16", 51476, 38546, 12914, 16, 2, 3, 50990, {32, 299, 12615, 0}},
     {"shared-static/pareto/16", 51711, 38323, 13371, 17, 3, 3, 53152, {32, 419, 12952, 0}},
     {"shared-dt/uniform/16", 51306, 49502, 1788, 16, 1, 6, 49501, {32, 40, 0, 1748}},
-    {"shared-dt/bursty/16", 56928, 40760, 16147, 21, 1, 8, 65848, {32, 1215, 0, 14932}},
+    {"shared-dt/bursty/16", 51476, 38600, 12856, 20, 1, 9, 65422, {32, 419, 0, 12437}},
     {"shared-dt/pareto/16", 51711, 38308, 13387, 16, 1, 8, 66111, {32, 560, 0, 12827}},
     {"shared-delay/uniform/16", 51306, 49151, 2137, 18, 1, 6, 55519, {32, 1892, 0, 245}},
-    {"shared-delay/bursty/16", 56928, 37058, 19846, 24, 2, 8, 71455, {32, 13177, 0, 6669}},
+    {"shared-delay/bursty/16", 51476, 36572, 14881, 23, 2, 8, 69163, {32, 7676, 0, 7205}},
     {"shared-delay/pareto/16", 51711, 34647, 17045, 19, 2, 8, 72995, {32, 10839, 0, 6206}},
     {"output/uniform/16", 51306, 50928, 357, 21, 1, 7, 65980, {0, 0, 0, 0}},
-    {"output/bursty/16", 56928, 44406, 12483, 39, 4, 7, 133298, {0, 0, 0, 0}},
+    {"output/bursty/16", 51476, 41298, 10146, 32, 3, 7, 116429, {0, 0, 0, 0}},
     {"output/pareto/16", 51711, 40484, 11188, 39, 4, 7, 120027, {0, 0, 0, 0}},
     {"input-fifo/uniform/16", 51306, 38621, 12581, 104, 11, 23, 339642, {0, 0, 0, 0}},
-    {"input-fifo/bursty/16", 56928, 34284, 22533, 111, 11, 39, 353702, {0, 0, 0, 0}},
+    {"input-fifo/bursty/16", 51476, 33630, 17736, 110, 10, 41, 315135, {0, 0, 0, 0}},
     {"input-fifo/pareto/16", 51711, 33538, 18078, 95, 10, 38, 322544, {0, 0, 0, 0}},
     {"voq-pim/uniform/16", 51306, 51215, 44, 47, 2, 25, 153964, {0, 0, 0, 0}},
-    {"voq-pim/bursty/16", 56928, 42838, 14036, 54, 4, 30, 194269, {0, 0, 0, 0}},
+    {"voq-pim/bursty/16", 51476, 40135, 11288, 53, 3, 26, 155515, {0, 0, 0, 0}},
     {"voq-pim/pareto/16", 51711, 39912, 11751, 48, 3, 27, 160429, {0, 0, 0, 0}},
     {"crosspoint/uniform/16", 51306, 50932, 352, 22, 1, 12, 69488, {0, 0, 0, 0}},
-    {"crosspoint/bursty/16", 56928, 40432, 16477, 19, 1, 9, 58235, {0, 0, 0, 0}},
+    {"crosspoint/bursty/16", 51476, 37648, 13814, 14, 1, 8, 48863, {0, 0, 0, 0}},
     {"crosspoint/pareto/16", 51711, 37808, 13892, 11, 1, 8, 51574, {0, 0, 0, 0}},
     {"block-crosspoint/uniform/16", 51306, 51282, 0, 24, 1, 15, 79295, {0, 0, 0, 0}},
-    {"block-crosspoint/bursty/16", 56928, 47399, 9416, 113, 6, 51, 392487, {0, 0, 0, 0}},
+    {"block-crosspoint/bursty/16", 51476, 44484, 6884, 108, 5, 47, 330501, {0, 0, 0, 0}},
     {"block-crosspoint/pareto/16", 51711, 41097, 10521, 93, 4, 52, 307155, {0, 0, 0, 0}},
     {"knockout/uniform/16", 51306, 50886, 399, 21, 1, 7, 65362, {63, 0, 0, 0}},
-    {"knockout/bursty/16", 56928, 44406, 12483, 39, 4, 7, 133298, {143, 0, 0, 0}},
+    {"knockout/bursty/16", 51476, 41298, 10146, 32, 3, 7, 116429, {116, 0, 0, 0}},
     {"knockout/pareto/16", 51711, 40484, 11188, 39, 4, 7, 120026, {42, 0, 0, 0}},
     {"input-smoothing/uniform/16", 51306, 45230, 6033, 43, 4, 7, 132753, {0, 0, 0, 0}},
-    {"input-smoothing/bursty/16", 56928, 38664, 18228, 36, 4, 7, 118405, {0, 0, 0, 0}},
+    {"input-smoothing/bursty/16", 51476, 36029, 15407, 40, 4, 7, 110587, {0, 0, 0, 0}},
     {"input-smoothing/pareto/16", 51711, 36133, 15533, 45, 4, 7, 110793, {0, 0, 0, 0}},
     {"shared-static/uniform/72", 230576, 220341, 10148, 87, 1, 8, 278533, {144, 10146, 2, 0}},
-    {"shared-static/bursty/72", 255901, 123508, 132277, 116, 1, 17, 361311, {144, 128808, 3469, 0}},
+    {"shared-static/bursty/72", 231079, 123808, 107156, 115, 1, 17, 361015, {144, 103599, 3557, 0}},
     {"shared-static/pareto/72", 231995, 111767, 120109, 119, 1, 17, 369952, {144, 114407, 5702, 0}},
     {"shared-dt/uniform/72", 230576, 223861, 6631, 84, 1, 7, 268936, {144, 1340, 0, 5291}},
-    {"shared-dt/bursty/72", 255901, 141416, 114374, 111, 1, 19, 347374, {144, 94340, 0, 20034}},
+    {"shared-dt/bursty/72", 231079, 141215, 89754, 110, 1, 19, 347281, {144, 69381, 0, 20373}},
     {"shared-dt/pareto/72", 231995, 131058, 100824, 113, 1, 21, 354369, {144, 80729, 0, 20095}},
     {"shared-delay/uniform/72", 230576, 223016, 7474, 86, 1, 7, 272466, {144, 6149, 0, 1325}},
-    {"shared-delay/bursty/72", 255901, 165036, 90758, 107, 2, 8, 328024, {144, 56743, 0, 34015}},
+    {"shared-delay/bursty/72", 231079, 164555, 66420, 104, 2, 8, 326771, {144, 30847, 0, 35573}},
     {"shared-delay/pareto/72", 231995, 153202, 78681, 112, 2, 8, 336917, {144, 46704, 0, 31977}},
     {"output/uniform/72", 230576, 228980, 1500, 96, 1, 7, 312148, {0, 0, 0, 0}},
-    {"output/bursty/72", 255901, 198945, 56785, 171, 4, 7, 597095, {0, 0, 0, 0}},
+    {"output/bursty/72", 231079, 184987, 45931, 161, 3, 7, 514510, {0, 0, 0, 0}},
     {"output/pareto/72", 231995, 183495, 48331, 169, 4, 7, 538567, {0, 0, 0, 0}},
     {"input-fifo/uniform/72", 230576, 170057, 60032, 487, 11, 24, 1545555, {0, 0, 0, 0}},
-    {"input-fifo/bursty/72", 255901, 152296, 103102, 503, 11, 42, 1598405, {0, 0, 0, 0}},
+    {"input-fifo/bursty/72", 231079, 150046, 80585, 448, 10, 41, 1429196, {0, 0, 0, 0}},
     {"input-fifo/pareto/72", 231995, 150714, 80811, 470, 10, 42, 1430970, {0, 0, 0, 0}},
     {"voq-pim/uniform/72", 230576, 230352, 3, 221, 2, 26, 700342, {0, 0, 0, 0}},
-    {"voq-pim/bursty/72", 255901, 192852, 62767, 282, 4, 32, 913560, {0, 0, 0, 0}},
+    {"voq-pim/bursty/72", 231079, 180250, 50606, 223, 3, 29, 733097, {0, 0, 0, 0}},
     {"voq-pim/pareto/72", 231995, 181134, 50609, 252, 3, 31, 769684, {0, 0, 0, 0}},
     {"crosspoint/uniform/72", 230576, 230335, 132, 109, 1, 13, 356020, {0, 0, 0, 0}},
-    {"crosspoint/bursty/72", 255901, 181342, 74468, 91, 1, 9, 265374, {0, 0, 0, 0}},
+    {"crosspoint/bursty/72", 231079, 168199, 62812, 68, 1, 9, 224549, {0, 0, 0, 0}},
     {"crosspoint/pareto/72", 231995, 170480, 61447, 68, 1, 9, 236207, {0, 0, 0, 0}},
     {"block-crosspoint/uniform/72", 230576, 227203, 3268, 105, 1, 12, 326753, {0, 0, 0, 0}},
-    {"block-crosspoint/bursty/72", 255901, 163197, 92508, 196, 2, 31, 599678, {0, 0, 0, 0}},
+    {"block-crosspoint/bursty/72", 231079, 154997, 75892, 190, 2, 34, 574819, {0, 0, 0, 0}},
     {"block-crosspoint/pareto/72", 231995, 144064, 87742, 189, 1, 37, 579208, {0, 0, 0, 0}},
     {"knockout/uniform/72", 230576, 228717, 1763, 96, 1, 7, 307925, {420, 0, 0, 0}},
-    {"knockout/bursty/72", 255901, 198945, 56785, 171, 4, 7, 597092, {614, 0, 0, 0}},
+    {"knockout/bursty/72", 231079, 184987, 45931, 161, 3, 7, 514509, {417, 0, 0, 0}},
     {"knockout/pareto/72", 231995, 183495, 48331, 169, 4, 7, 538564, {461, 0, 0, 0}},
     {"input-smoothing/uniform/72", 230576, 202534, 27832, 210, 4, 7, 593542, {0, 0, 0, 0}},
-    {"input-smoothing/bursty/72", 255901, 173372, 82382, 147, 4, 7, 534306, {0, 0, 0, 0}},
+    {"input-smoothing/bursty/72", 231079, 160844, 70063, 172, 4, 7, 494763, {0, 0, 0, 0}},
     {"input-smoothing/pareto/72", 231995, 162547, 69276, 172, 4, 7, 500507, {0, 0, 0, 0}},
 };
 // clang-format on

@@ -1,11 +1,14 @@
 // Direct RTL-level tests of PipelinedMemory: wave propagation through the
-// banks, write/read/snoop operations, and the exact cycle each bank is
-// touched -- the figure 4/5 mechanics in isolation (no arbiter, no links).
+// stages, write/read/snoop operations, and the exact cycle each stage is
+// touched -- the figure 4/5 mechanics in isolation (no arbiter, no links) --
+// and the wave model checked against its stage-walk oracle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
+#include "check/stage_walk.hpp"
 #include "core/input_latches.hpp"
 #include "core/output_row.hpp"
 #include "core/pipelined_memory.hpp"
@@ -19,7 +22,10 @@ struct CtrlPipelinePeer {
 };
 struct PipelinedMemoryPeer {
   static CtrlPipeline& ctrl(PipelinedMemory& m) { return m.ctrl_; }
-  static void touch_bank(PipelinedMemory& m, unsigned s) { (void)m.banks_[s].read(0); }
+  static void touch_bank(PipelinedMemory& m, unsigned s) { (void)m.oracle_->bank(s).read(0); }
+  static void corrupt_cell(PipelinedMemory& m, std::size_t addr, unsigned s) {
+    m.cells_[addr * m.S_ + s] ^= 1;
+  }
 };
 struct OutputRowPeer {
   static void phantom_load(OutputRow& r) { r.loaded_[r.n_loaded_++] = 0; }
@@ -32,7 +38,10 @@ constexpr unsigned kWords = 8;
 constexpr unsigned kWbits = 8;
 
 struct Rig {
-  PipelinedMemory mem{kStages, kWords, kWbits};
+  explicit Rig(AddrPathMode mode = AddrPathMode::kDecodedPipeline)
+      : mem{kStages, kWords, kWbits, mode} {}
+
+  PipelinedMemory mem;
   InputLatches ir{2, kStages, kWbits};
   OutputRow orow{kStages, 2, kWbits};
   std::vector<WireLink> outs{2};
@@ -79,14 +88,14 @@ TEST(PipelinedMemory, WriteWaveLandsOneBankPerCycle) {
   rig.preload(0, 0x10);
   const StageCtrl w = write_ctrl(3, 0);
   rig.cycle(&w);  // Stage 0 writes this cycle (commits at its end).
-  EXPECT_EQ(rig.mem.bank(0).debug_peek(3), 0x10u);
-  EXPECT_EQ(rig.mem.bank(1).debug_peek(3), 0u);  // Not yet.
+  EXPECT_EQ(rig.mem.peek(3, 0), 0x10u);
+  EXPECT_EQ(rig.mem.peek(3, 1), 0u);  // Not yet.
   rig.cycle();
-  EXPECT_EQ(rig.mem.bank(1).debug_peek(3), 0x11u);
+  EXPECT_EQ(rig.mem.peek(3, 1), 0x11u);
   rig.cycle();
   rig.cycle();
   for (unsigned s = 0; s < kStages; ++s)
-    EXPECT_EQ(rig.mem.bank(s).debug_peek(3), 0x10u + s) << "stage " << s;
+    EXPECT_EQ(rig.mem.peek(3, s), 0x10u + s) << "stage " << s;
   EXPECT_FALSE(rig.mem.busy());
 }
 
@@ -123,16 +132,15 @@ TEST(PipelinedMemory, SnoopForwardsWriteDataSameWave) {
     ASSERT_TRUE(f.valid);
     EXPECT_EQ(f.sop, s == 0);
     EXPECT_EQ(f.data, 0x30u + s);
-    // And the data also landed in the bank (it is a real write).
-    EXPECT_EQ(rig.mem.bank(s).debug_peek(2), 0x30u + s);
+    // And the data also landed in the stage (it is a real write).
+    EXPECT_EQ(rig.mem.peek(2, s), 0x30u + s);
     rig.cycle();
   }
 }
 
 TEST(PipelinedMemory, BackToBackWavesInterleaveWithoutConflicts) {
   // A write wave immediately followed by a read wave of another address:
-  // each bank serves one wave per cycle (the single-port assert would abort
-  // otherwise), one cycle apart.
+  // each stage serves one wave per cycle, one cycle apart.
   Rig rig;
   rig.preload(0, 0x40);
   // Seed address 7 with known data first.
@@ -147,8 +155,8 @@ TEST(PipelinedMemory, BackToBackWavesInterleaveWithoutConflicts) {
   rig.cycle(&r7);  // One cycle behind the write wave: no bank conflicts.
   for (int k = 0; k < 5; ++k) rig.cycle();
   for (unsigned s = 0; s < kStages; ++s) {
-    EXPECT_EQ(rig.mem.bank(s).debug_peek(1), 0x50u + s);
-    EXPECT_EQ(rig.mem.bank(s).debug_peek(7), 0x40u + s);
+    EXPECT_EQ(rig.mem.peek(1, s), 0x50u + s);
+    EXPECT_EQ(rig.mem.peek(7, s), 0x40u + s);
   }
 }
 
@@ -179,10 +187,10 @@ void run_checked_memory(Corrupt&& corrupt) {
   std::exit(0);
 }
 
-/// Under PMSB_CHECK=1 the memory recounts its active stages and word lines
-/// and checks that no bank escaped the sparse tick, and the output row
-/// recounts its loaded registers: an honest run passes, a corrupted running
-/// state aborts.
+/// Under PMSB_CHECK=1 the memory's oracle recounts the active stages and
+/// word lines and checks that no bank escaped the sparse tick, and the
+/// output row recounts its loaded registers: an honest run passes, a
+/// corrupted running state aborts.
 TEST(PipelinedMemoryDeath, CheckedModeRecountsRunningState) {
   EXPECT_EXIT(run_checked_memory([](Rig&) {}), testing::ExitedWithCode(0), "");
   EXPECT_DEATH(run_checked_memory([](Rig& r) {
@@ -193,6 +201,105 @@ TEST(PipelinedMemoryDeath, CheckedModeRecountsRunningState) {
                "never ticked");
   EXPECT_DEATH(run_checked_memory([](Rig& r) { OutputRowPeer::phantom_load(r.orow); }),
                "loaded-register list");
+}
+
+/// Under PMSB_CHECK=1 a word of the wave model's cell buffer that no longer
+/// matches the stage walk's bank aborts at the oracle's next comparison of
+/// it: the cycle a read wave loads it.
+TEST(PipelinedMemoryDeath, OracleCatchesCorruptedCell) {
+  const auto run = [](bool corrupt) {
+    setenv("PMSB_CHECK", "1", 1);
+    Rig rig;
+    rig.preload(0, 0x10);
+    const StageCtrl w = write_ctrl(5, 0);
+    rig.cycle(&w);
+    for (unsigned k = 1; k < kStages; ++k) rig.cycle();
+    const StageCtrl r = read_ctrl(5, 1);
+    rig.cycle(&r);  // Stage 0 read; stage 1 reads in the next cycle.
+    if (corrupt) PipelinedMemoryPeer::corrupt_cell(rig.mem, 5, 1);
+    for (unsigned k = 1; k < kStages; ++k) rig.cycle();
+    std::exit(0);
+  };
+  EXPECT_EXIT(run(false), testing::ExitedWithCode(0), "");
+  EXPECT_DEATH(run(true), "cell diverged from the stage walk");
+}
+
+/// One write, one read and one snoop wave in flight at once: after every
+/// clock edge the per-wave counters equal the stage walk's per-access ones,
+/// in both address modes. The in-flight waves are the part of the
+/// derivation an end-of-run count never sees.
+TEST(PipelinedMemory, CountersMatchOracleWhileWavesInFlight) {
+  for (AddrPathMode mode : {AddrPathMode::kPerStageDecoders, AddrPathMode::kDecodedPipeline}) {
+    SCOPED_TRACE(mode == AddrPathMode::kDecodedPipeline ? "fig 7b" : "fig 7a");
+    Rig rig(mode);
+    rig.mem.attach_oracle();
+    const check::StageWalkOracle& oracle = *rig.mem.oracle();
+    rig.preload(0, 0x10);
+    // Wave k is initiated in cycle k; after the edge ending cycle t it has
+    // made min(t - k + 1, S - 1) control-register transfers.
+    std::vector<StageCtrl> waves{write_ctrl(1, 0), read_ctrl(6, 1), write_ctrl(2, 0)};
+    waves[2].op = StageOp::kWriteSnoop;
+    waves[2].out_link = 0;
+    const auto expect_counts = [&](Cycle t) {
+      for (unsigned s = 0; s < kStages; ++s) {
+        EXPECT_EQ(rig.mem.bank(s).total_reads(), oracle.bank(s).total_reads())
+            << "cycle " << t << " stage " << s;
+        EXPECT_EQ(rig.mem.bank(s).total_writes(), oracle.bank(s).total_writes())
+            << "cycle " << t << " stage " << s;
+      }
+      EXPECT_EQ(rig.mem.addr_path().decode_ops(), oracle.addr_path().decode_ops())
+          << "cycle " << t;
+      EXPECT_EQ(rig.mem.addr_path().one_hot_reg_transfers(),
+                oracle.addr_path().one_hot_reg_transfers())
+          << "cycle " << t;
+      std::uint64_t transfers = 0;
+      for (Cycle k = 0; k < static_cast<Cycle>(waves.size()) && k <= t; ++k)
+        transfers += static_cast<std::uint64_t>(std::min<Cycle>(t - k + 1, kStages - 1));
+      EXPECT_EQ(rig.mem.ctrl().ctrl_reg_transfers(), transfers) << "cycle " << t;
+    };
+    for (const StageCtrl& c : waves) {
+      rig.cycle(&c);
+      expect_counts(rig.t - 1);
+    }
+    for (unsigned k = 0; k <= kStages; ++k) {
+      rig.cycle();
+      expect_counts(rig.t - 1);
+    }
+    EXPECT_FALSE(rig.mem.busy());
+    // Two write waves and one read wave crossed every stage.
+    EXPECT_EQ(rig.mem.bank(kStages - 1).total_writes(), 2u);
+    EXPECT_EQ(rig.mem.bank(kStages - 1).total_reads(), 1u);
+  }
+}
+
+/// A read wave on address a, then a write wave re-allocating a in the very
+/// next cycle (the release at read initiation allows it): the write trails
+/// the read by a cycle at every stage, so every stage of the read returns
+/// the old word, and the new word lands.
+TEST(PipelinedMemory, ReadThenRewriteSameAddressNextCycle) {
+  for (bool checked : {false, true}) {
+    SCOPED_TRACE(checked ? "oracle attached" : "wave model alone");
+    Rig rig;
+    if (checked) rig.mem.attach_oracle();
+    rig.preload(0, 0x10);
+    const StageCtrl seed = write_ctrl(4, 0);
+    rig.cycle(&seed);
+    for (unsigned k = 1; k < kStages; ++k) rig.cycle();
+
+    rig.preload(0, 0x70);
+    const StageCtrl r = read_ctrl(4, 1);
+    rig.cycle(&r);
+    const StageCtrl w = write_ctrl(4, 0);
+    for (unsigned s = 0; s < kStages; ++s) {
+      const Flit& f = rig.outs[1].now();
+      ASSERT_TRUE(f.valid) << "word " << s;
+      EXPECT_EQ(f.data, 0x10u + s) << "word " << s;
+      rig.cycle(s == 0 ? &w : nullptr);
+    }
+    EXPECT_FALSE(rig.outs[1].now().valid);
+    EXPECT_FALSE(rig.mem.busy());
+    for (unsigned s = 0; s < kStages; ++s) EXPECT_EQ(rig.mem.peek(4, s), 0x70u + s) << s;
+  }
 }
 
 /// Two memories over one output row and one latch array, executed in a
@@ -256,7 +363,7 @@ bool shared_row_read_beside_write(unsigned reader) {
   }
   ok = ok && !rig.outs[1].now().valid;
   for (unsigned s = 0; s < kStages; ++s)
-    ok = ok && rig.mem[writer].bank(s).debug_peek(2) == 0x60u + s;
+    ok = ok && rig.mem[writer].peek(2, s) == 0x60u + s;
   return ok;
 }
 

@@ -51,7 +51,8 @@ TEST(Reg, LastWriteWinsWithinCycle) {
 }
 
 // read(), write() and write_snoop() are wrappers over access(), the one
-// path PipelinedMemory::exec_cycle uses; the semantics tests drive both.
+// path the stage-walk oracle (check/stage_walk.hpp) uses; the semantics
+// tests drive both.
 TEST(SramBank, WriteCommitsAtTick) {
   SramBank m(16, 8);
   m.write(3, 0xAB);
