@@ -8,9 +8,9 @@
 // Each node's hosts statistically share the node's injection point: cells
 // board idle slots on the ring, carry their destination node in the head
 // word's tag bits, and every PortBridge rewrites the hop field on the fly
-// (hop-by-hop translation, as the Telegraphos RT block does at each
-// ingress). The fabric verifies payload integrity end to end and accounts
-// latency per route length.
+// by a lookup in its node's routing table (hop-by-hop translation, the
+// Telegraphos RT block of figure 6). The fabric verifies payload integrity
+// end to end and accounts latency per route length.
 //
 // Because the whole LAN runs on the fabric engine, it also demonstrates the
 // engine's determinism contract for free: the run is repeated sharded

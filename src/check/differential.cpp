@@ -141,23 +141,8 @@ class ReplaySource : public Component {
   std::function<void(const CellSource::Injection&)> on_inject_;
 };
 
-/// Per-cycle buffer-occupancy sampler (the exact-trajectory half of the
-/// figure 7a/7b equivalence check).
-template <typename SwitchT>
-class OccupancyProbe : public CycleObserver {
- public:
-  explicit OccupancyProbe(const SwitchT* sw) : sw_(sw) {}
-  void on_cycle_end(Cycle) override { trace_.push_back(sw_->buffer_in_use()); }
-  const std::vector<std::uint32_t>& trace() const { return trace_; }
-
- private:
-  const SwitchT* sw_;
-  std::vector<std::uint32_t> trace_;
-};
-
 struct CycleRunResult {
   std::vector<std::vector<std::uint64_t>> per_output;  ///< Delivered uids, in order.
-  std::vector<std::uint32_t> occupancy;
   SwitchStats stats;
   std::vector<std::string> issues;
   std::uint64_t violations = 0;
@@ -167,25 +152,18 @@ struct CycleRunResult {
 
 /// One word-level model over the schedule, with the same wire protocol,
 /// scoreboard and fixed run length for every model. The cycle-accurate
-/// switches also carry an invariant checker, an occupancy probe and the
-/// stage-walk oracle beside each pipelined memory; the behavioural
-/// FastSwitch has none of them (it has none of the checked structures, and
-/// its occupancy is slot-shaped by design). `mode` (the address path) and
-/// `fault` apply to PipelinedSwitch only.
+/// switches also carry an invariant checker and the stage-walk oracle beside
+/// each pipelined memory; the behavioural FastSwitch has neither (it has
+/// none of the checked structures). `fault` applies to PipelinedSwitch only.
 template <typename SwitchT, typename ConfigT>
 CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSpec& spec,
-                         const std::vector<ScheduledCell>& cells, AddrPathMode mode,
-                         const FaultPlan& fault, const std::string& label) {
+                         const std::vector<ScheduledCell>& cells, const FaultPlan& fault,
+                         const std::string& label) {
   constexpr bool kChecked = !std::is_same_v<SwitchT, FastSwitch>;
   CycleRunResult res;
   res.per_output.resize(spec.n);
 
-  SwitchT sw = [&]() -> SwitchT {
-    if constexpr (std::is_same_v<SwitchT, PipelinedSwitch>)
-      return SwitchT(cfg, mode);
-    else
-      return SwitchT(cfg);
-  }();
+  SwitchT sw(cfg);
   if constexpr (std::is_same_v<SwitchT, PipelinedSwitch>) {
     if (!fault.none()) sw.set_fault_plan(fault);
   }
@@ -216,25 +194,20 @@ CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSp
   sb.subscribe(sw.events());
 
   InvariantChecker checker;
-  OccupancyProbe<SwitchT> probe(&sw);
-  if constexpr (kChecked) {
+  if constexpr (kChecked)
     checker.attach(sw, engine);  // Its own subscription; coexists with the scoreboard's.
-    engine.add_cycle_observer(&probe);
-  }
 
   for (auto& s : sources) engine.add(s.get());
   engine.add(&sw);
   for (auto& s : sinks) engine.add(s.get());
 
   // Fixed-length run: schedule + worst-case drain (a full buffer serves one
-  // cell per output per L cycles) + wire/sink flush. Fixed length keeps the
-  // occupancy trajectories of compared runs index-aligned.
+  // cell per output per L cycles) + wire/sink flush.
   const Cycle total = static_cast<Cycle>(spec.slots) * L +
                       static_cast<Cycle>(spec.capacity_cells + 2) * L + 4 * spec.n + 32;
   engine.run(total);
 
   res.stats = sw.stats();
-  res.occupancy = probe.trace();
   res.violations = checker.total_violations();
   res.injected = sb.injected();
   res.delivered = sb.delivered();
@@ -256,48 +229,6 @@ CycleRunResult run_model(const ConfigT& cfg, const CellFormat& fmt, const FuzzSp
     }
   }
   return res;
-}
-
-void diff_exact_pair(const CycleRunResult& a, const CycleRunResult& b, unsigned n,
-                     std::vector<std::string>& issues) {
-  for (unsigned o = 0; o < n; ++o) {
-    const auto& sa = a.per_output[o];
-    const auto& sb = b.per_output[o];
-    const std::size_t len = std::min(sa.size(), sb.size());
-    for (std::size_t i = 0; i < len; ++i) {
-      if (sa[i] != sb[i]) {
-        issues.push_back("diff: [7a-vs-7b] output " + std::to_string(o) + " delivery " +
-                         std::to_string(i) + " differs: uid " + std::to_string(sa[i]) +
-                         " vs " + std::to_string(sb[i]));
-        break;
-      }
-    }
-    if (sa.size() != sb.size()) {
-      issues.push_back("diff: [7a-vs-7b] output " + std::to_string(o) + " delivered " +
-                       std::to_string(sa.size()) + " vs " + std::to_string(sb.size()) +
-                       " cells");
-    }
-  }
-  if (a.stats.dropped_no_addr != b.stats.dropped_no_addr ||
-      a.stats.dropped_no_slot != b.stats.dropped_no_slot ||
-      a.stats.dropped_out_limit != b.stats.dropped_out_limit) {
-    issues.push_back("diff: [7a-vs-7b] per-reason drop counts differ: (" +
-                     std::to_string(a.stats.dropped_no_addr) + "," +
-                     std::to_string(a.stats.dropped_no_slot) + "," +
-                     std::to_string(a.stats.dropped_out_limit) + ") vs (" +
-                     std::to_string(b.stats.dropped_no_addr) + "," +
-                     std::to_string(b.stats.dropped_no_slot) + "," +
-                     std::to_string(b.stats.dropped_out_limit) + ")");
-  }
-  const std::size_t len = std::min(a.occupancy.size(), b.occupancy.size());
-  for (std::size_t t = 0; t < len; ++t) {
-    if (a.occupancy[t] != b.occupancy[t]) {
-      issues.push_back("diff: [7a-vs-7b] occupancy trajectories diverge at cycle " +
-                       std::to_string(t) + ": " + std::to_string(a.occupancy[t]) + " vs " +
-                       std::to_string(b.occupancy[t]));
-      break;
-    }
-  }
 }
 
 /// Per-(input,output) FIFO sequences from per-output delivery order.
@@ -383,25 +314,15 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
   FaultPlan fault;
   fault.suppress_write_grant_period = spec.fault_suppress_write_period;
 
-  // Run A carries the (optional) injected fault; B and D are reference runs.
-  CycleRunResult a = run_model<PipelinedSwitch>(cfg, fmt, spec, cells,
-                                                AddrPathMode::kDecodedPipeline, fault,
-                                                "pipelined-7b");
-  CycleRunResult b = run_model<PipelinedSwitch>(cfg, fmt, spec, cells,
-                                                AddrPathMode::kPerStageDecoders, FaultPlan{},
-                                                "pipelined-7a");
-  CycleRunResult d = run_model<DualPipelinedSwitch>(dual_cfg, dual_fmt, spec, cells,
-                                                    AddrPathMode::kDecodedPipeline, FaultPlan{},
-                                                    "dual");
-  CycleRunResult f = run_model<FastSwitch>(cfg, fmt, spec, cells, AddrPathMode::kDecodedPipeline,
-                                           FaultPlan{}, "fast");
+  // Run A carries the (optional) injected fault; D and F are reference runs.
+  CycleRunResult a = run_model<PipelinedSwitch>(cfg, fmt, spec, cells, fault, "pipelined");
+  CycleRunResult d =
+      run_model<DualPipelinedSwitch>(dual_cfg, dual_fmt, spec, cells, FaultPlan{}, "dual");
+  CycleRunResult f = run_model<FastSwitch>(cfg, fmt, spec, cells, FaultPlan{}, "fast");
 
-  for (auto* r : {&a, &b, &d, &f}) {
+  for (auto* r : {&a, &d, &f}) {
     for (std::string& s : r->issues) out.issues.push_back(std::move(s));
   }
-
-  // Exact pair: the two address-path organizations of the same switch.
-  diff_exact_pair(a, b, spec.n, out.issues);
 
   // Pipelined vs dual, and pipelined vs the fast model: both preserve each
   // pair's arrival order, so their FIFO sequences match on drop-free runs.
@@ -467,8 +388,8 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
     // runs are compared statistically: gross divergence means one of the
     // models mis-accounts cells, small deltas are abstraction noise. Two
     // spec regimes make the comparison meaningless rather than noisy, so
-    // they are skipped (drops there stay covered bit-exactly by the
-    // 7a-vs-7b diff above):
+    // they are skipped (drops there stay covered by each cycle model's own
+    // scoreboard and invariant checker):
     //  * a binding out_queue_limit -- the slot model sees a same-slot burst
     //    at full queue depth and drops it, while the cycle switch staggers
     //    the arrivals and starts draining immediately;
@@ -481,10 +402,8 @@ RunOutcome run(const FuzzSpec& spec, const std::vector<ScheduledCell>& cells) {
       diff_drop_counts("slot", a.stats.dropped(), sc.dropped, sc.injected, out.issues);
   }
 
-  out.summaries.push_back(ModelSummary{"pipelined-7b", a.injected, a.delivered,
+  out.summaries.push_back(ModelSummary{"pipelined", a.injected, a.delivered,
                                        a.stats.dropped(), a.violations});
-  out.summaries.push_back(ModelSummary{"pipelined-7a", b.injected, b.delivered,
-                                       b.stats.dropped(), b.violations});
   out.summaries.push_back(ModelSummary{"dual", d.injected, d.delivered, d.stats.dropped(),
                                        d.violations});
   out.summaries.push_back(ModelSummary{"fast", f.injected, f.delivered, f.stats.dropped(), 0});

@@ -2,15 +2,11 @@
 // implementations of the same switching semantics.
 //
 // The paper gives three views of the shared-buffer switch that must agree:
-// the word-level pipelined switch with either address-path organization
-// (figures 7a/7b are "logically equivalent" circuits, section 3.3), the
-// half-quantum dual organization (section 3.5), and the slot-level
-// shared-buffer behavioural model of the section 2 comparison. The harness
-// drives all of them from ONE deterministic cell schedule and compares:
+// the word-level pipelined switch, the half-quantum dual organization
+// (section 3.5), and the slot-level shared-buffer behavioural model of the
+// section 2 comparison. The harness drives all of them, plus the
+// behavioural FastSwitch, from ONE deterministic cell schedule and compares:
 //
-//   * PipelinedSwitch(kPerStageDecoders) vs PipelinedSwitch(kDecodedPipeline)
-//     -- bit-exact: per-output delivered-cell sequences, per-reason drop
-//     counts, and the full per-cycle buffer-occupancy trajectory must match.
 //   * PipelinedSwitch vs DualPipelinedSwitch -- same cells, different cell
 //     quantum; per-(input,output) FIFO delivery sequences must match exactly
 //     whenever no model dropped anything (drops depend on timing, so droppy
@@ -26,9 +22,12 @@
 // Every cycle-accurate run carries a Scoreboard (end-to-end integrity) and
 // an InvariantChecker (src/check/invariants.hpp); their findings are folded
 // into the outcome. Its pipelined memories also run beside the stage-walk
-// oracle (check/stage_walk.hpp), which aborts on the first divergence. Any
-// issue makes the run a failure that the minimizer (check/minimize.hpp) can
-// shrink into a .repro.json.
+// oracle (check/stage_walk.hpp), which executes both address-path
+// organizations of figure 7 (per-stage decoders and the decoded-address
+// pipeline, "logically equivalent" circuits, section 3.3), checks that they
+// select the same word line on every stage access, and aborts on the first
+// divergence. Any issue makes the run a failure that the minimizer
+// (check/minimize.hpp) can shrink into a .repro.json.
 
 #pragma once
 

@@ -1,7 +1,9 @@
 #include "check/repro.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -61,13 +63,14 @@ bool write_repro_file(const Repro& r, const std::string& path, std::string* err)
 
 namespace {
 
-/// JSON value tree. Numbers are kept as doubles (repro integers are small
-/// enough for exact double representation).
+/// JSON value tree. A number keeps its text beside its double value, so an
+/// integer field is read from the digits exactly (a 64-bit seed does not fit
+/// a double).
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = Kind::kNull;
   bool b = false;
   double num = 0.0;
-  std::string str;
+  std::string str;  ///< A string's contents, or a number's text.
   std::vector<JsonValue> arr;
   std::map<std::string, JsonValue> obj;
 };
@@ -165,11 +168,14 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) return fail("expected number");
+    out->str = s_.substr(start, pos_ - start);
+    std::size_t used = 0;
     try {
-      out->num = std::stod(s_.substr(start, pos_ - start));
+      out->num = std::stod(out->str, &used);
     } catch (...) {
       return fail("malformed number");
     }
+    if (used != out->str.size()) return fail("malformed number");
     out->kind = JsonValue::Kind::kNumber;
     return true;
   }
@@ -238,26 +244,43 @@ class JsonParser {
   std::string* err_ = nullptr;
 };
 
-bool get_number(const JsonValue& obj, const char* key, double* out, std::string* err) {
+/// obj[key] if it is a number; else null and an error naming the field.
+const JsonValue* find_number(const JsonValue& obj, const char* key, std::string* err) {
   const auto it = obj.obj.find(key);
   if (it == obj.obj.end() || it->second.kind != JsonValue::Kind::kNumber) {
     if (err) *err = std::string("missing or non-numeric field \"") + key + "\"";
+    return nullptr;
+  }
+  return &it->second;
+}
+
+bool get_number(const JsonValue& obj, const char* key, double* out, std::string* err) {
+  const JsonValue* v = find_number(obj, key, err);
+  if (v) *out = v->num;
+  return v != nullptr;
+}
+
+/// Number `v` as a T, if its text is a plain decimal integer no larger than
+/// T's maximum; else false and an error naming `what`. A fraction, a sign,
+/// an exponent or a value past the field's range is rejected rather than
+/// cast.
+template <typename T>
+bool to_uint(const JsonValue& v, const std::string& what, T* out, std::string* err) {
+  std::uint64_t u = 0;
+  const char* end = v.str.data() + v.str.size();
+  const auto [ptr, ec] = std::from_chars(v.str.data(), end, u);
+  if (ec != std::errc{} || ptr != end || u > std::numeric_limits<T>::max()) {
+    if (err) *err = what + " is not a non-negative integer that fits its field";
     return false;
   }
-  *out = it->second.num;
+  *out = static_cast<T>(u);
   return true;
 }
 
 template <typename T>
 bool get_uint(const JsonValue& obj, const char* key, T* out, std::string* err) {
-  double d = 0.0;
-  if (!get_number(obj, key, &d, err)) return false;
-  if (d < 0 || d != static_cast<double>(static_cast<std::uint64_t>(d))) {
-    if (err) *err = std::string("field \"") + key + "\" is not a non-negative integer";
-    return false;
-  }
-  *out = static_cast<T>(d);
-  return true;
+  const JsonValue* v = find_number(obj, key, err);
+  return v && to_uint(*v, std::string("field \"") + key + "\"", out, err);
 }
 
 }  // namespace
@@ -330,10 +353,13 @@ bool parse_repro(const std::string& json, Repro* out, std::string* err) {
       if (err) *err = "cell entries must be [input, slot, dest] number triples";
       return false;
     }
+    const std::string at = "cell " + std::to_string(out->cells.size()) + "'s ";
     ScheduledCell cell;
-    cell.input = static_cast<unsigned>(c.arr[0].num);
-    cell.slot = static_cast<unsigned>(c.arr[1].num);
-    cell.dest = static_cast<unsigned>(c.arr[2].num);
+    if (!to_uint(c.arr[0], at + "input", &cell.input, err) ||
+        !to_uint(c.arr[1], at + "slot", &cell.slot, err) ||
+        !to_uint(c.arr[2], at + "dest", &cell.dest, err)) {
+      return false;
+    }
     if (cell.input >= out->spec.n || cell.dest >= out->spec.n ||
         cell.slot >= out->spec.slots) {
       if (err) *err = "cell entry out of range for the spec";

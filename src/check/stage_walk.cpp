@@ -2,16 +2,17 @@
 
 namespace pmsb::check {
 
-StageWalkOracle::StageWalkOracle(unsigned stages, std::size_t words, unsigned word_bits,
-                                 AddrPathMode mode)
-    : addr_path_(stages, words, mode) {
+StageWalkOracle::StageWalkOracle(unsigned stages, std::size_t words, unsigned word_bits)
+    : path_7a_(stages, words, AddrPathMode::kPerStageDecoders),
+      path_7b_(stages, words, AddrPathMode::kDecodedPipeline) {
   banks_.reserve(stages);
   for (unsigned s = 0; s < stages; ++s) banks_.emplace_back(words, word_bits);
 }
 
 void StageWalkOracle::audit(const CtrlPipeline& ctrl) const {
   ctrl.audit();
-  addr_path_.audit();
+  path_7a_.audit();
+  path_7b_.audit();
   // tick() clocked only the active stages' banks: any bank still holding a
   // claimed port or a staged write was touched outside them.
   for (const SramBank& b : banks_)
@@ -23,7 +24,10 @@ void StageWalkOracle::exec_and_compare(const PipelinedMemory& mem, const InputLa
   const CtrlPipeline& ctrl = mem.ctrl();
   ctrl.for_each_active([&](unsigned s, const StageCtrl& c) {
     const auto op = static_cast<unsigned>(c.op);
-    const auto addr = static_cast<std::size_t>(addr_path_.active_addr(s, c.addr, true));
+    const long line_7a = path_7a_.active_addr(s, c.addr, true);
+    const long line_7b = path_7b_.active_addr(s, c.addr, true);
+    PMSB_CHECK(line_7a == line_7b, "figure 7a and 7b address paths selected different word lines");
+    const auto addr = static_cast<std::size_t>(line_7b);
     const Word bus = banks_[s].access(addr, (op & 1) != 0, ir.read(c.in_link, s));
     PMSB_CHECK(mem.peek(addr, s) == bus,
                "wave model's cell diverged from the stage walk's bank word");
@@ -35,8 +39,7 @@ void StageWalkOracle::exec_and_compare(const PipelinedMemory& mem, const InputLa
   });
   // Every active stage found a valid word line above; equal counts leave no
   // valid word line on an idle stage (figure 7a/7b equivalence).
-  PMSB_CHECK(addr_path_.mode() != AddrPathMode::kDecodedPipeline ||
-                 addr_path_.valid_slots() == ctrl.active(),
+  PMSB_CHECK(path_7b_.valid_slots() == ctrl.active(),
              "word-line pipeline active but control pipeline idle");
   for (unsigned s = 0; s < banks_.size(); ++s) {
     const BankAccesses b = mem.bank(s);
@@ -45,14 +48,15 @@ void StageWalkOracle::exec_and_compare(const PipelinedMemory& mem, const InputLa
                "wave model's per-bank access counts diverged from the stage walk's");
   }
   const AddrPathCounts a = mem.addr_path();
-  PMSB_CHECK(a.decode_ops() == addr_path_.decode_ops() &&
-                 a.one_hot_reg_transfers() == addr_path_.one_hot_reg_transfers(),
+  PMSB_CHECK(a.decodes_7a == path_7a_.decode_ops() && a.decodes_7b == path_7b_.decode_ops() &&
+                 a.one_hot_reg_transfers == path_7b_.one_hot_reg_transfers(),
              "wave model's address-path counts diverged from the stage walk's");
 }
 
 void StageWalkOracle::tick(const CtrlPipeline& ctrl) {
   ctrl.for_each_active([&](unsigned s, const StageCtrl&) { banks_[s].tick(); });
-  addr_path_.tick();
+  path_7a_.tick();
+  path_7b_.tick();
 }
 
 }  // namespace pmsb::check

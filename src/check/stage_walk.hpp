@@ -3,18 +3,20 @@
 // PipelinedMemory moves each wave's words straight between the latches, one
 // cell row per address and the output row (core/pipelined_memory.hpp). This
 // is the model it replaced, kept as its checker: S single-ported SramBanks
-// with staged writes that commit at the clock edge, and the figure-7
-// AddressPath that decodes, pipelines and re-checks every word line. Every
-// cycle it walks the stages the control pipeline drives, in ascending
-// order, makes each stage's one bank access, and compares with what the
-// wave model did:
+// with staged writes that commit at the clock edge, and one AddressPath of
+// each figure-7 organization -- per-stage decoders (7a) and the decoded-
+// address pipeline (7b), which decodes, pipelines and re-checks every word
+// line. Both paths see every wave; the banks are addressed by 7b's line.
+// Every cycle it walks the stages the control pipeline drives, in
+// ascending order, makes each stage's one bank access, and compares with
+// what the wave model did:
 //
 //   * each output-row load: OR[s] must hold the bank's bus word, for the
 //     wave's link, with sop on the head segment's stage 0;
 //   * each word a wave moved: the wave model's cell must equal the bus word
 //     (the written data for a write, the stored word for a read);
-//   * every counter: each bank's reads and writes, the decode operations and
-//     the one-hot register transfers.
+//   * every counter: each bank's reads and writes, and both figures' decode
+//     operations and one-hot register transfers.
 //
 // It also keeps the stage walk's own checks: the single port per bank, a
 // write width, a valid one-hot word line naming the control's address on
@@ -42,7 +44,7 @@ namespace pmsb::check {
 
 class StageWalkOracle {
  public:
-  StageWalkOracle(unsigned stages, std::size_t words, unsigned word_bits, AddrPathMode mode);
+  StageWalkOracle(unsigned stages, std::size_t words, unsigned word_bits);
 
   /// Start of a cycle: recount the control ring and the word-line registers
   /// from their arrays; every bank must have been reopened by the last tick.
@@ -59,11 +61,14 @@ class StageWalkOracle {
 
   const SramBank& bank(unsigned s) const { return banks_.at(s); }
   SramBank& bank(unsigned s) { return banks_.at(s); }
-  const AddressPath& addr_path() const { return addr_path_; }
+  /// Figure 7(a)'s per-stage decoders and 7(b)'s decoded-address pipeline.
+  const AddressPath& path_7a() const { return path_7a_; }
+  const AddressPath& path_7b() const { return path_7b_; }
 
  private:
   std::vector<SramBank> banks_;
-  AddressPath addr_path_;
+  AddressPath path_7a_;
+  AddressPath path_7b_;
 };
 
 }  // namespace pmsb::check

@@ -3,17 +3,16 @@
 // A link carries one Flit per cycle (sim/wire.hpp). A cell is a head word
 // (sop) followed by its L-1 body words in consecutive cycles, with no gap
 // (common/cell.hpp; DESIGN.md section 2, "Real link PHYs"). CellRx is the
-// one receiver of that contract: every switch input, every CellSink,
-// fabric::PortBridge and HeaderTranslator run their link through one, so
-// the three framing checks -- a body word with no head, a head inside a
-// cell, a gap inside a cell -- are made here and nowhere else. CellTx is
+// one receiver of that contract: every switch input, every CellSink and
+// fabric::PortBridge run their link through one, so the three framing
+// checks -- a body word with no head, a head inside a cell, a gap inside a
+// cell -- are made here and nowhere else. CellTx is
 // the one transmitter of a stored cell: the switch outputs that relay
 // buffered words (WideMemorySwitch, PrizmaSwitch, CrosspointQueuedSwitch,
 // FastSwitch) and PortBridge drive their link through one, so a cell always
 // leaves as a head plus L-1 body words with no gap. (PipelinedSwitch and
-// DualPipelinedSwitch drive their links from the output register row,
-// CellSource computes its words as it sends them, and HeaderTranslator
-// forwards each word the cycle it arrives.)
+// DualPipelinedSwitch drive their links from the output register row, and
+// CellSource computes its words as it sends them.)
 //
 // CellSwitch is the shell shared by the six word-level switch models
 // (PipelinedSwitch, DualPipelinedSwitch, FastSwitch, WideMemorySwitch,

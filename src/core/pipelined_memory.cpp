@@ -5,13 +5,8 @@
 
 namespace pmsb {
 
-PipelinedMemory::PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits,
-                                 AddrPathMode addr_mode)
-    : S_(stages),
-      words_(words_per_stage),
-      word_bits_(word_bits),
-      mode_(addr_mode),
-      ctrl_(stages) {
+PipelinedMemory::PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits)
+    : S_(stages), words_(words_per_stage), word_bits_(word_bits), ctrl_(stages) {
   PMSB_CHECK(stages >= 1, "pipelined memory needs at least one stage");
   PMSB_CHECK(words_per_stage > 0, "SRAM bank needs at least one word");
   PMSB_CHECK(word_bits >= 1 && word_bits <= 64, "SRAM word width out of range");
@@ -61,17 +56,16 @@ BankAccesses PipelinedMemory::bank(unsigned s) const {
 AddrPathCounts PipelinedMemory::addr_path() const {
   const unsigned e = executed_ ? 1 : 0;
   const std::uint64_t waves = read_waves_ + write_waves_;
-  if (mode_ == AddrPathMode::kDecodedPipeline) {
-    // One decode per wave, at stage 0; the one-hot line then moves beside
-    // the control bundle, register for register.
-    unsigned undecoded = 0;
-    ctrl_.for_each_active([&](unsigned st, const StageCtrl&) { undecoded += st + e == 0; });
-    return {waves - undecoded, ctrl_.ctrl_reg_transfers()};
-  }
-  // Figure 7a: a decode per stage access.
+  // Figure 7a decodes at every stage access; 7b decodes once per wave, at
+  // stage 0, and its one-hot line then moves beside the control bundle,
+  // register for register.
   std::uint64_t accesses = waves * S_;
-  ctrl_.for_each_active([&](unsigned st, const StageCtrl&) { accesses -= S_ - (st + e); });
-  return {accesses, 0};
+  unsigned undecoded = 0;
+  ctrl_.for_each_active([&](unsigned st, const StageCtrl&) {
+    accesses -= S_ - (st + e);
+    undecoded += st + e == 0;
+  });
+  return {accesses, waves - undecoded, ctrl_.ctrl_reg_transfers()};
 }
 
 Word PipelinedMemory::peek(std::size_t addr, unsigned s) const {
@@ -82,7 +76,7 @@ Word PipelinedMemory::peek(std::size_t addr, unsigned s) const {
 void PipelinedMemory::attach_oracle() {
   if (oracle_) return;
   PMSB_CHECK(initiations_ == 0, "stage-walk oracle attached after the first wave");
-  oracle_ = std::make_unique<check::StageWalkOracle>(S_, words_, word_bits_, mode_);
+  oracle_ = std::make_unique<check::StageWalkOracle>(S_, words_, word_bits_);
 }
 
 }  // namespace pmsb

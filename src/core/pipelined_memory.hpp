@@ -1,6 +1,7 @@
 // The pipelined memory proper (figures 4, 5, 7): S single-ported SRAM
-// stages, the control-signal pipeline, and the address path (per-stage
-// decoders or the decoded-address pipeline of figure 7b).
+// stages, the control-signal pipeline, and the address path's activity
+// under both organizations of figure 7 (per-stage decoders, and the
+// decoded-address pipeline of figure 7b).
 //
 // Wave datapath. One wave is initiated per cycle at stage 0, and its whole
 // path is fixed from then on (sections 3.2-3.3): word k meets stage k at
@@ -21,12 +22,14 @@
 //
 // The figure-7 counters are derived per wave instead of being counted per
 // stage access. bank(s) counts the waves of each kind, less the in-flight
-// ones that have not yet accessed stage s; a figure-7b decode is one per
-// wave, a figure-7a decode one per stage access, and a one-hot register
-// transfer follows every control-register transfer.
+// ones that have not yet accessed stage s. The two address-path
+// organizations are functionally identical (section 4.3), so one run counts
+// both: a figure-7a decode is one per stage access, a figure-7b decode one
+// per wave, and a 7b one-hot register transfer follows every
+// control-register transfer.
 //
-// The stage walk this replaced -- S SramBanks, the AddressPath and their
-// audit -- is check::StageWalkOracle (check/stage_walk.hpp). It is built
+// The stage walk this replaced -- S SramBanks, an AddressPath of each
+// figure-7 organization and their audit -- is check::StageWalkOracle (check/stage_walk.hpp). It is built
 // only when checking is on (PMSB_CHECK=1, or attach_oracle(), which
 // check::differential calls); it then runs beside the wave model every
 // cycle and compares each output-row load, each word a wave moved and
@@ -40,7 +43,6 @@
 
 #include "core/input_latches.hpp"
 #include "core/output_row.hpp"
-#include "rtl/addr_decoder.hpp"
 #include "rtl/ctrl_pipeline.hpp"
 
 namespace pmsb {
@@ -58,19 +60,18 @@ struct BankAccesses {
   std::uint64_t total_writes() const { return writes; }
 };
 
-/// The address path's hardware activity (figure 7a versus 7b).
+/// The address path's hardware activity under both figure-7 organizations,
+/// counted from the same waves.
 struct AddrPathCounts {
-  std::uint64_t decodes = 0;
-  std::uint64_t transfers = 0;
-
-  std::uint64_t decode_ops() const { return decodes; }
-  std::uint64_t one_hot_reg_transfers() const { return transfers; }
+  std::uint64_t decodes_7a = 0;  ///< Figure 7(a): a decode per stage access.
+  std::uint64_t decodes_7b = 0;  ///< Figure 7(b): one decode per wave, at stage 0.
+  /// Figure 7(b)'s one-hot word-line register transfers (7a has none).
+  std::uint64_t one_hot_reg_transfers = 0;
 };
 
 class PipelinedMemory {
  public:
-  PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits,
-                  AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);
+  PipelinedMemory(unsigned stages, std::size_t words_per_stage, unsigned word_bits);
   ~PipelinedMemory();
 
   unsigned stages() const { return S_; }
@@ -121,7 +122,6 @@ class PipelinedMemory {
   unsigned S_;
   std::size_t words_;
   unsigned word_bits_;
-  AddrPathMode mode_;
   std::vector<Word> cells_;  ///< cells_[addr * S_ + s]: stage s's word at addr.
   CtrlPipeline ctrl_;
   std::uint64_t initiations_ = 0;

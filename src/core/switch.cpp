@@ -2,12 +2,12 @@
 
 namespace pmsb {
 
-PipelinedSwitch::PipelinedSwitch(const SwitchConfig& cfg, AddrPathMode addr_mode)
+PipelinedSwitch::PipelinedSwitch(const SwitchConfig& cfg)
     : CellSwitch((cfg.validate(), cfg.n_ports), cfg.cell_format()),
       cfg_(cfg),
       S_(cfg.stages()),
       m_(cfg.segments_per_cell()),
-      mem_(S_, cfg.capacity_segments, cfg.word_bits, addr_mode),
+      mem_(S_, cfg.capacity_segments, cfg.word_bits),
       window_(cfg.n_ports, S_, cfg.word_bits),
       orow_(S_, cfg.n_ports, cfg.word_bits),
       free_(cfg.capacity_segments),

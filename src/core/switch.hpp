@@ -61,8 +61,7 @@ struct FaultPlan {
 
 class PipelinedSwitch final : public CellSwitch {
  public:
-  explicit PipelinedSwitch(const SwitchConfig& cfg,
-                           AddrPathMode addr_mode = AddrPathMode::kDecodedPipeline);
+  explicit PipelinedSwitch(const SwitchConfig& cfg);
 
   const SwitchConfig& config() const { return cfg_; }
 

@@ -37,9 +37,12 @@ void Ejector::deliver(std::uint64_t uid, Cycle latency, unsigned hops, bool payl
 
 PortBridge::PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
                        net::Port port, const Channel* rx, WireLink* in_link,
-                       traffic::Arrivals* arrivals, Ejector* ejector)
+                       traffic::Arrivals* arrivals, Ejector* ejector,
+                       const RoutingTable* routes)
     : topo_(topo),
       codec_(codec),
+      own_routes_(routes ? nullptr : std::make_unique<RoutingTable>(xy_routes(*topo, node))),
+      routes_(routes ? routes : own_routes_.get()),
       node_(node),
       port_(port),
       rx_(rx),
@@ -83,10 +86,10 @@ void PortBridge::eval(Cycle t) {
     } else if (arrivals_ && !arrivals_->empty()) {
       const traffic::Arrivals::Pending p = arrivals_->front();
       arrivals_->pop();
-      const net::Port out = topo_->route_xy(node_, p.dest);
-      PMSB_CHECK(out != net::kLocal, "injected cell addressed to its own node");
+      const RoutingTable::Entry& e = routes_->lookup(p.dest);
+      PMSB_CHECK(e.valid, "injected cell addressed to its own node");
       tx_buf_ = take_buffer();
-      codec_->fill(cell(tx_buf_), out, p.dest, node_, p.seq, p.created);
+      codec_->fill(cell(tx_buf_), e.out_port, e.next_vc, node_, p.seq, p.created);
     } else {
       return;  // Nothing to send.
     }
@@ -110,10 +113,10 @@ void PortBridge::finish_cell(Cycle t) {
     give_buffer(rx_buf_);
     return;
   }
-  // Transit: rewrite the hop field for this node's switch, keep the rest.
-  const net::Port out = topo_->route_xy(node_, dest_node);
-  PMSB_CHECK(out != net::kLocal, "transit cell routed to kLocal");
-  w[0] = codec_->head(out, dest_node);
+  // Transit: rewrite the head word for this node's switch, keep the rest.
+  const RoutingTable::Entry& e = routes_->lookup(dest_node);
+  PMSB_CHECK(e.valid, "transit cell has no route at this node");
+  w[0] = codec_->head(e.out_port, e.next_vc);
   PMSB_CHECK(!staged_valid_, "two cells completed in one cycle on one bridge");
   staged_buf_ = rx_buf_;
   staged_valid_ = true;
@@ -147,7 +150,8 @@ void PortBridge::audit() const {
     PMSB_CHECK(owners[b] == 1, "fabric bridge cell buffer lost or shared");
 }
 
-CellNode::CellNode(const SwitchConfig& cfg, bool use_fast) {
+CellNode::CellNode(const SwitchConfig& cfg, bool use_fast, RoutingTable rt)
+    : routes(std::move(rt)) {
   if (use_fast) {
     fast = std::make_unique<FastSwitch>(cfg);
     switch_ = fast.get();

@@ -10,11 +10,20 @@
 //   PortBridge (consumer node)   reassembles arriving cells from the
 //                                channel, ejects the ones addressed to this
 //                                node, rewrites the head word of transit
-//                                cells for their next hop (dimension-order
-//                                routing), and time-multiplexes transit
-//                                traffic with locally injected cells onto
-//                                the node's in-wire. Transit has priority;
-//                                injection only fills idle cell slots.
+//                                cells for their next hop (a lookup in the
+//                                node's routing table), and time-multiplexes
+//                                transit traffic with locally injected cells
+//                                onto the node's in-wire. Transit has
+//                                priority; injection only fills idle cell
+//                                slots.
+//
+// Routing is figure 6's RT block (core/routing_table.hpp), one table per
+// node shared by its bridges. The VC is the destination node, carried in the
+// head word's tag field; each entry holds the dimension-order out-port
+// (net::Topology::route_xy, X then Y) and the same VC. Both an injected
+// cell's first head word and every transit rewrite are that lookup. The
+// node's own entry is invalid, so injecting a cell for the node itself
+// aborts.
 //
 // Each node's traffic source is a traffic::Arrivals (src/traffic/arrivals.hpp),
 // the arrival process the wormhole routers own too. The node's first bridge
@@ -53,6 +62,7 @@
 #include "common/util.hpp"
 #include "core/cell_port.hpp"
 #include "core/fast_switch.hpp"
+#include "core/routing_table.hpp"
 #include "core/switch.hpp"
 #include "fabric/channel.hpp"
 #include "fabric/node.hpp"
@@ -138,6 +148,11 @@ class TxTap final : public Component {
   Channel* ch_;
 };
 
+/// Node `node`'s routing table (see file comment): VC = destination node,
+/// entry = (route_xy out-port, same VC) for every other node. Defined beside
+/// Fabric::build_cells, which programs one per cell node.
+RoutingTable xy_routes(const net::Topology& topo, unsigned node);
+
 /// Consumer-side link endpoint (see file comment).
 ///
 /// Cells live in a fixed pool of kPoolCells L-word buffers owned by the
@@ -148,9 +163,12 @@ class TxTap final : public Component {
 /// Under PMSB_CHECK=1 every eval recounts the pool (free + in use = pool).
 class PortBridge final : public Component {
  public:
+  /// `routes` is the node's routing table, shared by its bridges; a bridge
+  /// built without one (a standalone bridge) programs its own, xy_routes().
   PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
              net::Port port, const Channel* rx, WireLink* in_link,
-             traffic::Arrivals* arrivals, Ejector* ejector);
+             traffic::Arrivals* arrivals, Ejector* ejector,
+             const RoutingTable* routes = nullptr);
 
   void eval(Cycle t) override;
   void commit(Cycle t) override;
@@ -193,6 +211,8 @@ class PortBridge final : public Component {
 
   const net::Topology* topo_;
   const CellCodec* codec_;
+  std::unique_ptr<RoutingTable> own_routes_;  ///< Set only on a standalone bridge.
+  const RoutingTable* routes_;
   unsigned node_;
   net::Port port_;
   const Channel* rx_;
@@ -232,8 +252,9 @@ class PortBridge final : public Component {
 /// component (see file comment).
 class CellNode final : public FabricNode, private Component {
  public:
-  /// Builds the switch (`fast` picks the FastSwitch model).
-  CellNode(const SwitchConfig& cfg, bool fast);
+  /// Builds the switch (`fast` picks the FastSwitch model); `routes` is the
+  /// node's routing table, which its bridges share.
+  CellNode(const SwitchConfig& cfg, bool fast, RoutingTable routes);
 
   /// The node's switch, whichever model it runs: its links, events and
   /// stats (drops included).
@@ -247,6 +268,7 @@ class CellNode final : public FabricNode, private Component {
 
   std::unique_ptr<PipelinedSwitch> sw;  ///< Exactly one of sw / fast is set.
   std::unique_ptr<FastSwitch> fast;
+  RoutingTable routes;  ///< Figure 6's RT block, shared by the bridges.
   traffic::Arrivals arrivals;
   Ejector ejector;
   std::unique_ptr<check::InvariantChecker> checker;

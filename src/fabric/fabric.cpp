@@ -421,6 +421,14 @@ unsigned Fabric::link_diameter() const {
   return graph_diameter(adj);
 }
 
+RoutingTable xy_routes(const net::Topology& topo, unsigned node) {
+  const unsigned n = topo.nodes();
+  RoutingTable rt(bits_for(n));
+  for (unsigned d = 0; d < n; ++d)
+    if (d != node) rt.program(d, static_cast<std::uint16_t>(topo.route_xy(node, d)), d);
+  return rt;
+}
+
 void Fabric::build_cells() {
   const net::Topology& topo = cfg_.topo;
   const unsigned n = topo.nodes();
@@ -446,7 +454,8 @@ void Fabric::build_cells() {
 
   nodes_.reserve(n);
   for (unsigned v = 0; v < n; ++v) {
-    auto node = std::make_unique<CellNode>(cfg_.node, cfg_.fast_node && cfg_.fast_node(v));
+    auto node = std::make_unique<CellNode>(cfg_.node, cfg_.fast_node && cfg_.fast_node(v),
+                                           xy_routes(topo, v));
     node->arrivals.per_cycle = cells_per_cycle;
     node->arrivals.src = v;
     node->arrivals.dests = dests_.get();
@@ -468,7 +477,8 @@ void Fabric::build_cells() {
       Channel* rx = tx[u * ports + net::opposite(port)];
       traffic::Arrivals* arrivals = q == 0 ? &node->arrivals : nullptr;
       node->bridges.emplace_back(&cfg_.topo, &codec_, v, port, rx,
-                                 &node->cell_switch().in_link(q), arrivals, &node->ejector);
+                                 &node->cell_switch().in_link(q), arrivals, &node->ejector,
+                                 &node->routes);
     }
     for (unsigned p = 0; p < ports; ++p)
       node->taps.emplace_back(&node->cell_switch().out_link(p), tx[v * ports + p]);

@@ -32,9 +32,10 @@
 // pipeline's active count, so no word line can be live on a stage the
 // control leaves idle.
 //
-// The production memory (core/pipelined_memory.hpp) derives these counts
-// per wave and runs no AddressPath; the stage-walk oracle
-// (check/stage_walk.hpp) executes this one beside it when checking is on.
+// The production memory (core/pipelined_memory.hpp) derives both
+// organizations' counts per wave and runs no AddressPath; the stage-walk
+// oracle (check/stage_walk.hpp) executes one of each beside it when
+// checking is on.
 
 #pragma once
 

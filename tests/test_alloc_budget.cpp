@@ -283,9 +283,9 @@ TEST_F(AllocBudget, ConstructionBytes) {
     tb = std::make_unique<PipelinedTestbench>(cfg, cfg.n_ports, cfg.cell_format(), t,
                                               /*with_scoreboard=*/true);
   });
-  // Measured 1 278 032, 255 530 and 189 548 bytes; with whole-range
-  // histograms and std::deque queues they were 3 363 408, 1 221 930 and
-  // 394 804.
+  // Measured 1 258 136, 255 602 and 185 940 bytes; the torus's 64 routing
+  // tables are 38 912 of them. With whole-range histograms and std::deque
+  // queues they were 3 363 408, 1 221 930 and 394 804.
   EXPECT_LE(torus_bytes, 1300000u);
   EXPECT_LE(banyan_bytes, 260000u);
   EXPECT_LE(tb_bytes, 192000u);

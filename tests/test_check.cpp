@@ -162,7 +162,7 @@ TEST(Differential, CleanSpecPasses) {
   spec.seed = 42;
   const check::RunOutcome out = check::run(spec);
   EXPECT_TRUE(out.ok) << out.issues.front();
-  ASSERT_EQ(out.summaries.size(), 5u);
+  ASSERT_EQ(out.summaries.size(), 4u);
   EXPECT_GT(out.summaries[0].injected, 0u);
   // All models saw the identical schedule.
   for (const auto& s : out.summaries) {
@@ -318,6 +318,55 @@ TEST(Repro, RejectsMalformedDocuments) {
       R"("cells":[[5,0,0]]})",
       &r, &err));
   EXPECT_NE(err.find("out of range"), std::string::npos);
+}
+
+// Every integer of a repro document must be a non-negative integer that fits
+// its field. Each bad value is rejected with a message naming its field; a
+// cast without the check read 1.5 as input 1, and a value out of the
+// target type's range was undefined behaviour. A 64-bit seed is read
+// exactly, not through a double, and a number with trailing characters
+// ("0.5.5", read as 0.5) is malformed.
+TEST(Repro, RejectsMalformedAndOutOfRangeNumbers) {
+  const auto doc = [](const std::string& n, const std::string& seed, const std::string& cell) {
+    return R"({"pmsb_repro":1,"spec":{"n":)" + n +
+           R"(,"segments":1,"capacity_cells":4,"out_queue_limit":0,"cut_through":true,)"
+           R"("pattern":0,"load":0.5,"hot_fraction":0.5,"slots":4,"seed":)" +
+           seed + R"(,"fault_suppress_write_period":0},"cells":[[0,0,1],)" + cell + "]}";
+  };
+  check::Repro r;
+  std::string err;
+  ASSERT_TRUE(check::parse_repro(doc("2", "18446744073709551557", "[1,1,0]"), &r, &err)) << err;
+  EXPECT_EQ(r.spec.seed, 18446744073709551557ULL);  // No double holds it.
+  ASSERT_EQ(r.cells.size(), 2u);
+  EXPECT_EQ(r.cells[1].slot, 1u);
+  struct Bad {
+    std::string n, seed, cell, field;
+  };
+  const Bad bad[] = {
+      {"2", "1", "[1.5,0,0]", "cell 1's input"},
+      {"2", "1", "[-1,0,0]", "cell 1's input"},
+      {"2", "1", "[4294967296,0,0]", "cell 1's input"},
+      {"2", "1", "[1,2.5,0]", "cell 1's slot"},
+      {"2", "1", "[1,1e0,0]", "cell 1's slot"},
+      {"2", "1", "[1,1e300,0]", "cell 1's slot"},
+      {"2", "1", "[1,1,-0.5]", "cell 1's dest"},
+      {"2.5", "1", "[1,1,0]", "field \"n\""},
+      {"-2", "1", "[1,1,0]", "field \"n\""},
+      {"4294967298", "1", "[1,1,0]", "field \"n\""},
+      {"2", "18446744073709551616", "[1,1,0]", "field \"seed\""},
+      {"2", "1e30", "[1,1,0]", "field \"seed\""},
+  };
+  for (const Bad& b : bad) {
+    SCOPED_TRACE(b.n + " " + b.seed + " " + b.cell);
+    err.clear();
+    EXPECT_FALSE(check::parse_repro(doc(b.n, b.seed, b.cell), &r, &err));
+    EXPECT_NE(err.find(b.field + " is not a non-negative integer"), std::string::npos) << err;
+  }
+  // A number is read whole: a trailing run of number characters is
+  // malformed, not ignored.
+  err.clear();
+  EXPECT_FALSE(check::parse_repro(doc("2", "1", "[1,1,0-1]"), &r, &err));
+  EXPECT_NE(err.find("malformed number"), std::string::npos) << err;
 }
 
 // ---------------------------------------------------------------------------

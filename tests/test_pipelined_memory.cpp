@@ -38,10 +38,7 @@ constexpr unsigned kWords = 8;
 constexpr unsigned kWbits = 8;
 
 struct Rig {
-  explicit Rig(AddrPathMode mode = AddrPathMode::kDecodedPipeline)
-      : mem{kStages, kWords, kWbits, mode} {}
-
-  PipelinedMemory mem;
+  PipelinedMemory mem{kStages, kWords, kWbits};
   InputLatches ir{2, kStages, kWbits};
   OutputRow orow{kStages, 2, kWbits};
   std::vector<WireLink> outs{2};
@@ -226,50 +223,47 @@ TEST(PipelinedMemoryDeath, OracleCatchesCorruptedCell) {
 
 /// One write, one read and one snoop wave in flight at once: after every
 /// clock edge the per-wave counters equal the stage walk's per-access ones,
-/// in both address modes. The in-flight waves are the part of the
+/// for both figure-7 address paths. The in-flight waves are the part of the
 /// derivation an end-of-run count never sees.
 TEST(PipelinedMemory, CountersMatchOracleWhileWavesInFlight) {
-  for (AddrPathMode mode : {AddrPathMode::kPerStageDecoders, AddrPathMode::kDecodedPipeline}) {
-    SCOPED_TRACE(mode == AddrPathMode::kDecodedPipeline ? "fig 7b" : "fig 7a");
-    Rig rig(mode);
-    rig.mem.attach_oracle();
-    const check::StageWalkOracle& oracle = *rig.mem.oracle();
-    rig.preload(0, 0x10);
-    // Wave k is initiated in cycle k; after the edge ending cycle t it has
-    // made min(t - k + 1, S - 1) control-register transfers.
-    std::vector<StageCtrl> waves{write_ctrl(1, 0), read_ctrl(6, 1), write_ctrl(2, 0)};
-    waves[2].op = StageOp::kWriteSnoop;
-    waves[2].out_link = 0;
-    const auto expect_counts = [&](Cycle t) {
-      for (unsigned s = 0; s < kStages; ++s) {
-        EXPECT_EQ(rig.mem.bank(s).total_reads(), oracle.bank(s).total_reads())
-            << "cycle " << t << " stage " << s;
-        EXPECT_EQ(rig.mem.bank(s).total_writes(), oracle.bank(s).total_writes())
-            << "cycle " << t << " stage " << s;
-      }
-      EXPECT_EQ(rig.mem.addr_path().decode_ops(), oracle.addr_path().decode_ops())
-          << "cycle " << t;
-      EXPECT_EQ(rig.mem.addr_path().one_hot_reg_transfers(),
-                oracle.addr_path().one_hot_reg_transfers())
-          << "cycle " << t;
-      std::uint64_t transfers = 0;
-      for (Cycle k = 0; k < static_cast<Cycle>(waves.size()) && k <= t; ++k)
-        transfers += static_cast<std::uint64_t>(std::min<Cycle>(t - k + 1, kStages - 1));
-      EXPECT_EQ(rig.mem.ctrl().ctrl_reg_transfers(), transfers) << "cycle " << t;
-    };
-    for (const StageCtrl& c : waves) {
-      rig.cycle(&c);
-      expect_counts(rig.t - 1);
+  Rig rig;
+  rig.mem.attach_oracle();
+  const check::StageWalkOracle& oracle = *rig.mem.oracle();
+  rig.preload(0, 0x10);
+  // Wave k is initiated in cycle k; after the edge ending cycle t it has
+  // made min(t - k + 1, S - 1) control-register transfers.
+  std::vector<StageCtrl> waves{write_ctrl(1, 0), read_ctrl(6, 1), write_ctrl(2, 0)};
+  waves[2].op = StageOp::kWriteSnoop;
+  waves[2].out_link = 0;
+  const auto expect_counts = [&](Cycle t) {
+    for (unsigned s = 0; s < kStages; ++s) {
+      EXPECT_EQ(rig.mem.bank(s).total_reads(), oracle.bank(s).total_reads())
+          << "cycle " << t << " stage " << s;
+      EXPECT_EQ(rig.mem.bank(s).total_writes(), oracle.bank(s).total_writes())
+          << "cycle " << t << " stage " << s;
     }
-    for (unsigned k = 0; k <= kStages; ++k) {
-      rig.cycle();
-      expect_counts(rig.t - 1);
-    }
-    EXPECT_FALSE(rig.mem.busy());
-    // Two write waves and one read wave crossed every stage.
-    EXPECT_EQ(rig.mem.bank(kStages - 1).total_writes(), 2u);
-    EXPECT_EQ(rig.mem.bank(kStages - 1).total_reads(), 1u);
+    const AddrPathCounts a = rig.mem.addr_path();
+    EXPECT_EQ(a.decodes_7a, oracle.path_7a().decode_ops()) << "cycle " << t;
+    EXPECT_EQ(a.decodes_7b, oracle.path_7b().decode_ops()) << "cycle " << t;
+    EXPECT_EQ(a.one_hot_reg_transfers, oracle.path_7b().one_hot_reg_transfers())
+        << "cycle " << t;
+    std::uint64_t transfers = 0;
+    for (Cycle k = 0; k < static_cast<Cycle>(waves.size()) && k <= t; ++k)
+      transfers += static_cast<std::uint64_t>(std::min<Cycle>(t - k + 1, kStages - 1));
+    EXPECT_EQ(rig.mem.ctrl().ctrl_reg_transfers(), transfers) << "cycle " << t;
+  };
+  for (const StageCtrl& c : waves) {
+    rig.cycle(&c);
+    expect_counts(rig.t - 1);
   }
+  for (unsigned k = 0; k <= kStages; ++k) {
+    rig.cycle();
+    expect_counts(rig.t - 1);
+  }
+  EXPECT_FALSE(rig.mem.busy());
+  // Two write waves and one read wave crossed every stage.
+  EXPECT_EQ(rig.mem.bank(kStages - 1).total_writes(), 2u);
+  EXPECT_EQ(rig.mem.bank(kStages - 1).total_reads(), 1u);
 }
 
 /// A read wave on address a, then a write wave re-allocating a in the very

@@ -1,5 +1,5 @@
-// Unit tests: RTL primitives -- registers, the single-ported SRAM bank, the
-// figure-5 control pipeline, and the figure-7 address-path models.
+// Unit tests: RTL primitives -- the single-ported SRAM bank, the figure-5
+// control pipeline, and the figure-7 address-path models.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 
 #include "rtl/addr_decoder.hpp"
 #include "rtl/ctrl_pipeline.hpp"
-#include "rtl/reg.hpp"
 #include "rtl/sram_bank.hpp"
 
 namespace pmsb {
@@ -27,28 +26,6 @@ struct AddressPathPeer {
 };
 
 namespace {
-
-TEST(Reg, HoldsWithoutLoad) {
-  Reg<int> r(5);
-  r.tick();
-  EXPECT_EQ(r.q(), 5);
-}
-
-TEST(Reg, LoadVisibleAfterTick) {
-  Reg<int> r(0);
-  r.set_d(7);
-  EXPECT_EQ(r.q(), 0);  // Not yet clocked.
-  r.tick();
-  EXPECT_EQ(r.q(), 7);
-}
-
-TEST(Reg, LastWriteWinsWithinCycle) {
-  Reg<int> r(0);
-  r.set_d(1);
-  r.set_d(2);
-  r.tick();
-  EXPECT_EQ(r.q(), 2);
-}
 
 // read(), write() and write_snoop() are wrappers over access(), the one
 // path the stage-walk oracle (check/stage_walk.hpp) uses; the semantics

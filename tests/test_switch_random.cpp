@@ -108,47 +108,12 @@ TEST_P(SwitchBursty, BurstTrainsSurviveVerification) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SwitchBursty, ::testing::Values(1, 2, 3, 4, 5));
 
-// The figure-7a address path must behave identically to the default 7b.
-TEST(SwitchAddrPath, PerStageDecodersEquivalent) {
-  SwitchConfig cfg;
-  cfg.n_ports = 4;
-  cfg.word_bits = 16;
-  cfg.cell_words = 8;
-  cfg.capacity_segments = 32;
-
-  auto run = [&](AddrPathMode mode) {
-    PipelinedSwitch sw(cfg, mode);
-    Engine eng;
-    UniformDest dests(4);
-    std::vector<std::unique_ptr<CellSource>> sources;
-    std::vector<std::unique_ptr<CellSink>> sinks;
-    std::vector<std::vector<Word>> delivered;
-    Rng seeder(77);
-    for (unsigned i = 0; i < 4; ++i) {
-      sources.push_back(std::make_unique<CellSource>(i, &sw.in_link(i), cfg.cell_format(),
-                                                     &dests, ArrivalKind::kGeometric, 0.8,
-                                                     seeder.split()));
-      eng.add(sources.back().get());
-    }
-    eng.add(&sw);
-    for (unsigned o = 0; o < 4; ++o) {
-      sinks.push_back(std::make_unique<CellSink>(o, &sw.out_link(o), cfg.cell_format()));
-      sinks.back()->set_on_deliver(
-          [&delivered](const CellSink::Delivery& d) { delivered.push_back(d.words); });
-      eng.add(sinks.back().get());
-    }
-    eng.run(10000);
-    return delivered;
-  };
-  // Identical seeds => identical traffic => identical delivered sequences.
-  EXPECT_EQ(run(AddrPathMode::kDecodedPipeline), run(AddrPathMode::kPerStageDecoders));
-}
-
 // The figure-7 ablation counters and the switch's own statistics, pinned on
-// fixed schedules for both address paths. Values were captured before the
-// memory walked only its active stages; they prove the activity-proportional
-// cycle performs exactly the same decodes, register transfers and bank
-// accesses, including at 40 ports (S = 80, beyond one 64-bit stage word).
+// fixed schedules. One run per pin counts both address paths. Values were
+// captured before the memory walked only its active stages, when each path
+// ran as a switch of its own; they prove the activity-proportional cycle
+// performs exactly the same decodes, register transfers and bank accesses,
+// including at 40 ports (S = 80, beyond one 64-bit stage word).
 TEST(SwitchAddrPath, PinnedAblationCountersAcrossSizes) {
   struct Pin {
     unsigned ports;
@@ -168,54 +133,51 @@ TEST(SwitchAddrPath, PinnedAblationCountersAcrossSizes) {
        1024, 1021, 970, 512, 264, 757, 706, 264, 773, 1780},
   };
   for (const Pin& pin : pins) {
-    for (AddrPathMode mode :
-         {AddrPathMode::kPerStageDecoders, AddrPathMode::kDecodedPipeline}) {
-      SCOPED_TRACE(testing::Message() << "p" << pin.ports << " mode "
-                                      << static_cast<int>(mode));
-      const SwitchConfig cfg = SwitchConfig::for_ports(pin.ports);
-      PipelinedSwitch sw(cfg, mode);
-      Engine eng;
-      UniformDest dests(pin.ports);
-      Rng seeder(pin.ports * 101 + 7);
-      std::vector<std::unique_ptr<CellSource>> sources;
-      for (unsigned i = 0; i < pin.ports; ++i) {
-        sources.push_back(std::make_unique<CellSource>(i, &sw.in_link(i), cfg.cell_format(),
-                                                       &dests, ArrivalKind::kGeometric, 0.8,
-                                                       seeder.split()));
-        eng.add(sources.back().get());
-      }
-      eng.add(&sw);
-      eng.run(pin.cycles);
-
-      const PipelinedMemory& mem = sw.memory();
-      const bool decoded = mode == AddrPathMode::kDecodedPipeline;
-      EXPECT_EQ(mem.addr_path().decode_ops(), decoded ? pin.decodes_7b : pin.decodes_7a);
-      EXPECT_EQ(mem.addr_path().one_hot_reg_transfers(), decoded ? pin.transfers : 0u);
-      EXPECT_EQ(mem.ctrl().ctrl_reg_transfers(), pin.transfers);
-      std::uint64_t reads = 0, writes = 0, digest = 0;
-      for (unsigned s = 0; s < mem.stages(); ++s) {
-        reads += mem.bank(s).total_reads();
-        writes += mem.bank(s).total_writes();
-        digest = mix64(digest ^ (mem.bank(s).total_reads() << 32 | mem.bank(s).total_writes()));
-      }
-      EXPECT_EQ(reads, pin.reads);
-      EXPECT_EQ(writes, pin.writes);
-      EXPECT_EQ(digest, pin.bank_digest);
-
-      const SwitchStats& st = sw.stats();
-      EXPECT_EQ(st.heads_seen, pin.heads);
-      EXPECT_EQ(st.accepted, pin.accepted);
-      EXPECT_EQ(st.dropped(), 0u);
-      EXPECT_EQ(st.read_grants, pin.read_grants);
-      EXPECT_EQ(st.cut_through_cells, pin.cut_through);
-      EXPECT_EQ(st.snoop_cells, pin.snoop_cells);
-      EXPECT_EQ(st.write_initiations, pin.write_inits);
-      EXPECT_EQ(st.read_initiations, pin.read_inits);
-      EXPECT_EQ(st.snoop_initiations, pin.snoop_inits);
-      EXPECT_EQ(st.idle_cycles, pin.idle);
-      EXPECT_EQ(st.read_stall_cycles, pin.read_stalls);
-      EXPECT_EQ(st.cycles, static_cast<std::uint64_t>(pin.cycles));
+    SCOPED_TRACE(testing::Message() << "p" << pin.ports);
+    const SwitchConfig cfg = SwitchConfig::for_ports(pin.ports);
+    PipelinedSwitch sw(cfg);
+    Engine eng;
+    UniformDest dests(pin.ports);
+    Rng seeder(pin.ports * 101 + 7);
+    std::vector<std::unique_ptr<CellSource>> sources;
+    for (unsigned i = 0; i < pin.ports; ++i) {
+      sources.push_back(std::make_unique<CellSource>(i, &sw.in_link(i), cfg.cell_format(),
+                                                     &dests, ArrivalKind::kGeometric, 0.8,
+                                                     seeder.split()));
+      eng.add(sources.back().get());
     }
+    eng.add(&sw);
+    eng.run(pin.cycles);
+
+    const PipelinedMemory& mem = sw.memory();
+    const AddrPathCounts a = mem.addr_path();
+    EXPECT_EQ(a.decodes_7a, pin.decodes_7a);
+    EXPECT_EQ(a.decodes_7b, pin.decodes_7b);
+    EXPECT_EQ(a.one_hot_reg_transfers, pin.transfers);
+    EXPECT_EQ(mem.ctrl().ctrl_reg_transfers(), pin.transfers);
+    std::uint64_t reads = 0, writes = 0, digest = 0;
+    for (unsigned s = 0; s < mem.stages(); ++s) {
+      reads += mem.bank(s).total_reads();
+      writes += mem.bank(s).total_writes();
+      digest = mix64(digest ^ (mem.bank(s).total_reads() << 32 | mem.bank(s).total_writes()));
+    }
+    EXPECT_EQ(reads, pin.reads);
+    EXPECT_EQ(writes, pin.writes);
+    EXPECT_EQ(digest, pin.bank_digest);
+
+    const SwitchStats& st = sw.stats();
+    EXPECT_EQ(st.heads_seen, pin.heads);
+    EXPECT_EQ(st.accepted, pin.accepted);
+    EXPECT_EQ(st.dropped(), 0u);
+    EXPECT_EQ(st.read_grants, pin.read_grants);
+    EXPECT_EQ(st.cut_through_cells, pin.cut_through);
+    EXPECT_EQ(st.snoop_cells, pin.snoop_cells);
+    EXPECT_EQ(st.write_initiations, pin.write_inits);
+    EXPECT_EQ(st.read_initiations, pin.read_inits);
+    EXPECT_EQ(st.snoop_initiations, pin.snoop_inits);
+    EXPECT_EQ(st.idle_cycles, pin.idle);
+    EXPECT_EQ(st.read_stall_cycles, pin.read_stalls);
+    EXPECT_EQ(st.cycles, static_cast<std::uint64_t>(pin.cycles));
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <optional>
@@ -635,6 +636,120 @@ TEST(Arrivals, ReplayCursorMatchesQueuedDraws) {
   }
   EXPECT_GT(snapshots, 1000u);
   EXPECT_GT(replays, 10000u);
+}
+
+// Offered load of the fabric arrival process, for every destination kind
+// the fabrics accept and both self rules: the arrivals per cycle at an
+// endpoint are within four standard errors of `per_cycle`, estimated from 20
+// batch means. An arrival must not cost the cycle after it a trial: a
+// generator that re-primed from t + 2 would offer p / (1 + p), 0.31 at 0.45.
+TEST(Arrivals, OfferedLoadMatchesPerCycleRate) {
+  using traffic::GeneratorSpec;
+  constexpr unsigned kNodes = 16, kBatches = 20, kSrc = 3;
+  constexpr Cycle kBatchCycles = 20000;
+  std::uint64_t seed = 300;
+  for (const char* text : {"uniform", "permutation", "hotspot:0.3", "hotsenders:0.25",
+                           "incast:4"}) {
+    for (const SelfRule self : {SelfRule::kAllowed, SelfRule::kExcluded}) {
+      for (const double rate : {0.05, 0.2, 0.45}) {
+        SCOPED_TRACE(std::string(text) + (self == SelfRule::kAllowed ? " self" : " noself") +
+                     " rate " + std::to_string(rate));
+        Rng build(++seed);
+        const auto dests = GeneratorSpec::parse(text).make_dest(kNodes, build, self);
+        traffic::Arrivals a = make_arrivals(dests.get(), kSrc, rate, seed);
+        std::vector<double> means;
+        Cycle t = 0;
+        for (unsigned b = 0; b < kBatches; ++b) {
+          const std::uint64_t before = a.generated;
+          for (const Cycle end = t + kBatchCycles; t < end; ++t) {
+            a.step(t);
+            while (!a.empty()) a.pop();
+          }
+          means.push_back(static_cast<double>(a.generated - before) / kBatchCycles);
+        }
+        double mean = 0.0;
+        for (double m : means) mean += m / kBatches;
+        double var = 0.0;
+        for (double m : means) var += (m - mean) * (m - mean) / (kBatches - 1);
+        const double std_err = std::sqrt(var / kBatches);
+        EXPECT_LE(std::abs(mean - rate), 4.0 * std_err) << "offered " << mean << " +- "
+                                                        << std_err;
+      }
+    }
+  }
+}
+
+/// The destinations of `draws` consecutive arrivals at endpoint `src`,
+/// counted per destination (one arrival per cycle).
+std::vector<std::uint64_t> dest_counts(DestPattern* dests, unsigned n, unsigned src,
+                                       std::uint64_t draws, std::uint64_t seed) {
+  traffic::Arrivals a = make_arrivals(dests, src, 1.0, seed);
+  std::vector<std::uint64_t> count(n, 0);
+  for (Cycle t = 0; a.generated < draws; ++t) {
+    a.step(t);
+    for (; !a.empty(); a.pop()) ++count.at(a.front().dest);
+  }
+  return count;
+}
+
+// The destination marginals of the fabric patterns, drawn through Arrivals
+// under both self rules: hotspot sends its hot fraction to the hot node (a
+// miss goes uniform, the hot node included unless it is excluded), the
+// hot senders are a `frac` share of the nodes and send only to the hot
+// node, incast sources below fan_in reach only the sink, and the
+// permutation is a bijection -- a derangement when self is excluded.
+TEST(Arrivals, DestinationMarginalsMatchTheirPattern) {
+  using traffic::GeneratorSpec;
+  constexpr unsigned kNodes = 16;
+  constexpr std::uint64_t kDraws = 100000;
+  for (const SelfRule self : {SelfRule::kAllowed, SelfRule::kExcluded}) {
+    const bool excluded = self == SelfRule::kExcluded;
+    SCOPED_TRACE(excluded ? "noself" : "self");
+    Rng build(11);
+
+    const auto hotspot = GeneratorSpec::parse("hotspot:0.3").make_dest(kNodes, build, self);
+    for (unsigned src : {0u, 5u}) {
+      const auto count = dest_counts(hotspot.get(), kNodes, src, kDraws, 40 + src);
+      const unsigned others = excluded ? kNodes - 1 : kNodes;
+      const double p = excluded && src == 0 ? 0.0 : 0.3 + 0.7 / others;
+      const double got = static_cast<double>(count[0]) / kDraws;
+      EXPECT_LE(std::abs(got - p), 4.0 * std::sqrt(p * (1 - p) / kDraws) + 1e-12)
+          << "src " << src << ": hot share " << got << ", expected " << p;
+    }
+
+    const auto senders = GeneratorSpec::parse("hotsenders:0.25").make_dest(kNodes, build, self);
+    unsigned hot_senders = 0;
+    for (unsigned src = 0; src < kNodes; ++src) {
+      const auto count = dest_counts(senders.get(), kNodes, src, 2000, 60 + src);
+      const bool hot = count[0] == 2000;
+      hot_senders += hot;
+      EXPECT_TRUE(hot || count[0] == 0) << "src " << src << " mixes hot and background";
+    }
+    EXPECT_EQ(hot_senders, kNodes / 4);
+
+    const auto incast = GeneratorSpec::parse("incast:4").make_dest(kNodes, build, self);
+    for (unsigned src = 0; src < kNodes; ++src) {
+      const auto count = dest_counts(incast.get(), kNodes, src, 2000, 80 + src);
+      const bool to_sink = src < 4 && !(excluded && src == 0);
+      EXPECT_EQ(count[0], to_sink ? 2000u : 0u) << "src " << src;
+    }
+
+    const auto perm = GeneratorSpec::parse("permutation").make_dest(kNodes, build, self);
+    std::vector<bool> hit(kNodes, false);
+    unsigned fixed_points = 0;
+    for (unsigned src = 0; src < kNodes; ++src) {
+      const auto count = dest_counts(perm.get(), kNodes, src, 200, 100 + src);
+      const auto to = static_cast<unsigned>(
+          std::find(count.begin(), count.end(), 200u) - count.begin());
+      ASSERT_LT(to, kNodes) << "src " << src << " has more than one destination";
+      EXPECT_FALSE(hit[to]) << "two sources send to " << to;
+      hit[to] = true;
+      fixed_points += to == src;
+    }
+    if (excluded) {
+      EXPECT_EQ(fixed_points, 0u);
+    }
+  }
 }
 
 // With self excluded, no kind ever addresses its source, down to n = 2.
