@@ -20,7 +20,8 @@ using namespace pmsb;
 namespace {
 
 /// Drive the words of one cell onto an input link, one per cycle, stepping
-/// the engine as we go (like a link transmitter would).
+/// the engine as we go (like a link transmitter would). A word driven while
+/// the engine is about to run cycle t is on the wire during t+1.
 void send_cell(Engine& eng, PipelinedSwitch& sw, unsigned input, std::uint64_t uid,
                unsigned dest) {
   const CellFormat fmt = sw.config().cell_format();
@@ -28,7 +29,7 @@ void send_cell(Engine& eng, PipelinedSwitch& sw, unsigned input, std::uint64_t u
               static_cast<unsigned long long>(uid), input, dest,
               static_cast<long long>(eng.now() + 1));
   for (unsigned k = 0; k < fmt.length_words; ++k) {
-    sw.in_link(input).drive_next(Flit{true, k == 0, cell_word(uid, dest, k, fmt)});
+    sw.in_link(input).drive_next(eng.now(), Flit{true, k == 0, cell_word(uid, dest, k, fmt)});
     eng.step();
   }
 }
@@ -83,10 +84,10 @@ int main() {
   eng.add(&sw);
   eng.set_metrics(&metrics, /*period=*/4);
 
-  // Watch the output links.
+  // Watch the output links during the cycle the engine runs next.
   auto show_outputs = [&] {
     for (unsigned o = 0; o < cfg.n_ports; ++o) {
-      const Flit& f = sw.out_link(o).now();
+      const Flit& f = sw.out_link(o).now(eng.now());
       if (f.valid)
         std::printf("          [wire] output %u carries %s word 0x%02llx\n", o,
                     f.sop ? "HEAD" : "body", static_cast<unsigned long long>(f.data));
@@ -105,8 +106,8 @@ int main() {
   std::printf("\n-- sending two simultaneous cells, both to output 1\n");
   const CellFormat fmt = cfg.cell_format();
   for (unsigned k = 0; k < fmt.length_words; ++k) {
-    sw.in_link(1).drive_next(Flit{true, k == 0, cell_word(2, 1, k, fmt)});
-    sw.in_link(3).drive_next(Flit{true, k == 0, cell_word(3, 1, k, fmt)});
+    sw.in_link(1).drive_next(eng.now(), Flit{true, k == 0, cell_word(2, 1, k, fmt)});
+    sw.in_link(3).drive_next(eng.now(), Flit{true, k == 0, cell_word(3, 1, k, fmt)});
     eng.step();
   }
   for (int k = 0; k < 20; ++k) eng.step();

@@ -62,13 +62,13 @@ void CrosspointQueuedSwitch::run_outputs(Cycle t) {
         events_.read_grant(o, c.input, t, c.stored_at, c.a0, false);
       }
     }
-    if (p.tx.busy()) p.tx.drive(out_links_[o]);
+    if (p.tx.busy()) p.tx.drive(out_links_[o], t);
   }
 }
 
 void CrosspointQueuedSwitch::accept_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    const Flit& f = in_links_[i].now();
+    const Flit& f = in_links_[i].now(t);
     CellRx& rx = rx_[i];
     const RxWord w = rx.take(f, t);
     if (w == RxWord::kIdle) continue;
@@ -104,7 +104,6 @@ void CrosspointQueuedSwitch::accept_arrivals(Cycle t) {
 
 void CrosspointQueuedSwitch::commit(Cycle) {
   xq_.tick();
-  tick_links();
 }
 
 bool CrosspointQueuedSwitch::drained() const {

@@ -63,14 +63,14 @@ void PrizmaSwitch::serve_outputs(Cycle t) {
       // stream reads it during t: t >= a0 + k + 1 holds because the stream
       // started at t >= a0 + 1 and advances one word per cycle.
       PMSB_CHECK(t > p.a0 + static_cast<Cycle>(p.tx.phase()), "PRIZMA read overtook its write");
-      if (p.tx.drive(out_links_[o])) free_banks_.release(p.bank);
+      if (p.tx.drive(out_links_[o], t)) free_banks_.release(p.bank);
     }
   }
 }
 
 void PrizmaSwitch::accept_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    const Flit& f = in_links_[i].now();
+    const Flit& f = in_links_[i].now(t);
     const RxWord w = rx_[i].take(f, t);
     if (w == RxWord::kIdle) continue;
     InPort& p = in_[i];
@@ -97,7 +97,6 @@ void PrizmaSwitch::accept_arrivals(Cycle t) {
 void PrizmaSwitch::commit(Cycle) {
   free_banks_.tick();
   oq_.tick();
-  tick_links();
 }
 
 bool PrizmaSwitch::drained() const {

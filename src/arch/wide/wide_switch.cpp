@@ -65,12 +65,12 @@ void WideMemorySwitch::arbitrate_memory(Cycle t) {
   }
 }
 
-void WideMemorySwitch::run_outputs(Cycle) {
+void WideMemorySwitch::run_outputs(Cycle t) {
   for (unsigned o = 0; o < cfg_.n_ports; ++o) {
     OutPort& p = out_[o];
     if (p.bypass_reg.valid) {
       // Word captured from the bypass bus last cycle drives the link now.
-      out_links_[o].drive_next(p.bypass_reg);
+      out_links_[o].drive_next(t, p.bypass_reg);
       p.bypass_reg = Flit{};
       continue;  // The link is spoken for this cycle.
     }
@@ -80,13 +80,13 @@ void WideMemorySwitch::run_outputs(Cycle) {
       p.next_valid = false;
       p.tx.start(p.shift.data());
     }
-    if (p.tx.busy()) p.tx.drive(out_links_[o]);
+    if (p.tx.busy()) p.tx.drive(out_links_[o], t);
   }
 }
 
 void WideMemorySwitch::accept_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    const Flit& f = in_links_[i].now();
+    const Flit& f = in_links_[i].now(t);
     CellRx& rx = rx_[i];
     const RxWord w = rx.take(f, t);
     if (w == RxWord::kIdle) continue;
@@ -150,7 +150,6 @@ void WideMemorySwitch::accept_arrivals(Cycle t) {
 void WideMemorySwitch::commit(Cycle) {
   free_.tick();
   oq_.tick();
-  tick_links();
 }
 
 bool WideMemorySwitch::drained() const {

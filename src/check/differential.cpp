@@ -109,7 +109,7 @@ class ReplaySource : public Component {
 
   void eval(Cycle t) override {
     if (sending_) {
-      link_->drive_next(Flit{true, false, cell_word(uid_, dest_, word_idx_, fmt_)});
+      link_->drive_next(t, Flit{true, false, cell_word(uid_, dest_, word_idx_, fmt_)});
       if (++word_idx_ == fmt_.length_words) sending_ = false;
       return;
     }
@@ -119,7 +119,7 @@ class ReplaySource : public Component {
       dest_ = e.dest;
       word_idx_ = 1;
       sending_ = fmt_.length_words > 1;
-      link_->drive_next(Flit{true, true, cell_word(uid_, dest_, 0, fmt_)});
+      link_->drive_next(t, Flit{true, true, cell_word(uid_, dest_, 0, fmt_)});
       if (on_inject_) on_inject_(CellSource::Injection{uid_, input_, dest_, t + 1});
     }
   }

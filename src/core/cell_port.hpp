@@ -136,11 +136,11 @@ class CellTx {
     phase_ = 0;
   }
 
-  /// Drive this cycle's word onto `link`. Returns true if it was the last
+  /// Drive cycle t's word onto `link`. Returns true if it was the last
   /// word of the cell; the transmitter is then idle.
-  bool drive(WireLink& link) {
+  bool drive(WireLink& link, Cycle t) {
     PMSB_CHECK(busy(), "cell transmitter driven while idle");
-    link.drive_next(Flit{true, phase_ == 0, cell_[phase_]});
+    link.drive_next(t, Flit{true, phase_ == 0, cell_[phase_]});
     if (++phase_ != length_) return false;
     cell_ = nullptr;
     return true;
@@ -177,17 +177,12 @@ class CellSwitch : public Component {
   CellSwitch(unsigned n_ports, const CellFormat& fmt)
       : in_links_(n_ports), out_links_(n_ports), rx_(n_ports, CellRx(fmt, n_ports)) {}
 
-  /// Clock edge of every input and output wire.
-  void tick_links() {
-    for (WireLink& l : in_links_) l.tick();
-    for (WireLink& l : out_links_) l.tick();
-  }
-  /// No wire carries or has staged a word.
-  bool links_idle() const {
+  /// No wire carries a word during cycle t or has one driven for t+1.
+  bool links_idle(Cycle t) const {
     for (const WireLink& l : in_links_)
-      if (!l.idle()) return false;
+      if (!l.idle(t)) return false;
     for (const WireLink& l : out_links_)
-      if (!l.idle()) return false;
+      if (!l.idle(t)) return false;
     return true;
   }
   /// Some input is between the head and the tail of a cell.

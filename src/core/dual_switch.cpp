@@ -51,9 +51,11 @@ void DualPipelinedSwitch::eval(Cycle t) {
   const bool space1 = read_group != 1 && free_[1].can_alloc(1);
   if (!space0 && !space1) window_.starve();
   window_.expire(t, stats_, events_, [](unsigned, DropReason) {});
+  // Both memories read the input latches before process_arrivals() loads
+  // this cycle's words into them (as in PipelinedSwitch::eval).
   mem_[0].exec_cycle(window_.latches(), orow_);
   mem_[1].exec_cycle(window_.latches(), orow_);
-  orow_.drive_links(out_links_);
+  orow_.drive_links(out_links_, t);
   process_arrivals(t);
 }
 
@@ -135,7 +137,7 @@ void DualPipelinedSwitch::grant_write(Cycle t, int read_group) {
 
 void DualPipelinedSwitch::process_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    const Flit& f = in_links_[i].now();
+    const Flit& f = in_links_[i].now(t);
     if (!window_.latch(i, rx_[i].take(f, t), f.data, t)) continue;
     const unsigned dest = rx_[i].dest();
     ++stats_.heads_seen;
@@ -144,15 +146,13 @@ void DualPipelinedSwitch::process_arrivals(Cycle t) {
   }
 }
 
-void DualPipelinedSwitch::commit(Cycle t) {
-  window_.latches().tick(t);
+void DualPipelinedSwitch::commit(Cycle) {
   mem_[0].tick();
   mem_[1].tick();
   orow_.tick();
   free_[0].tick();
   free_[1].tick();
   queues_.tick();
-  tick_links();
 }
 
 bool DualPipelinedSwitch::drained() const {

@@ -45,7 +45,7 @@ void FastSwitch::eval(Cycle t) {
   bool drove = false;
   for (unsigned o = 0; o < cfg_.n_ports; ++o) {
     run_output(o, t);
-    drove = drove || tx_[o].busy() || out_links_[o].now().valid;
+    drove = drove || tx_[o].busy() || out_links_[o].now(t).valid;
   }
   if (!drove) ++stats_.idle_cycles;
 }
@@ -73,7 +73,7 @@ void FastSwitch::admit_or_expire_pending(Cycle t) {
 }
 
 void FastSwitch::process_arrival(unsigned i, Cycle t) {
-  const Flit& f = in_links_[i].now();
+  const Flit& f = in_links_[i].now(t);
   CellRx& rx = rx_[i];
   const RxWord w = rx.take(f, t);
   if (w == RxWord::kIdle) return;
@@ -147,11 +147,9 @@ void FastSwitch::run_output(unsigned o, Cycle t) {
   }
   if (tx.busy()) {
     PMSB_CHECK(tx.phase() < cells_[c].filled, "fast switch: relay ran ahead of arrival");
-    if (tx.drive(out_links_[o])) release_cell(c);
+    if (tx.drive(out_links_[o], t)) release_cell(c);
   }
 }
-
-void FastSwitch::commit(Cycle) { tick_links(); }
 
 bool FastSwitch::drained() const {
   if (resident_ != 0 || any_mid_cell()) return false;
@@ -167,7 +165,7 @@ bool FastSwitch::drained() const {
   return true;
 }
 
-bool FastSwitch::is_quiescent(Cycle) const { return drained() && links_idle(); }
+bool FastSwitch::is_quiescent(Cycle t) const { return drained() && links_idle(t); }
 
 void FastSwitch::skip(Cycle, Cycle n) {
   stats_.cycles += static_cast<std::uint64_t>(n);

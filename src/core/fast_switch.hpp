@@ -52,7 +52,9 @@ class FastSwitch final : public CellSwitch {
 
   // Component interface.
   void eval(Cycle t) override;
-  void commit(Cycle t) override;
+  /// Every state change happens in eval(), and the wires carry no edge.
+  void commit(Cycle) override {}
+  bool has_commit() const override { return false; }
   bool is_quiescent(Cycle t) const override;
   void skip(Cycle t, Cycle n) override;
   std::string name() const override { return "fast_switch"; }

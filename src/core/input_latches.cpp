@@ -6,7 +6,6 @@ InputLatches::InputLatches(unsigned n_inputs, unsigned stages, unsigned word_bit
     : n_inputs_(n_inputs), stages_(stages), mask_(low_mask(word_bits)),
       latches_(static_cast<std::size_t>(n_inputs) * stages) {
   PMSB_CHECK(n_inputs > 0 && stages > 0, "degenerate latch array");
-  staged_.reserve(n_inputs);  // One word per incoming link per cycle.
 }
 
 void InputLatches::protect_for_wave(unsigned input, Cycle t0, Cycle a0) {

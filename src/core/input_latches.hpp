@@ -11,13 +11,13 @@
 // scheduled). Any arbitration bug that would need the wide-memory-style
 // second register row trips the check.
 //
-// Each incoming link loads one word per cycle, so a cycle writes at most n
-// of the n*S latches. latch() appends the latch it loads to a staged list
-// and tick() commits exactly that list, so the clock edge costs O(loads)
-// instead of a walk over the whole array. A latch may be loaded at most
-// once per cycle, like any other register, which also keeps the list free
-// of duplicates. latch() and tick() are defined here so the switches' per-word
-// arrival loop and clock edge inline them.
+// The latches carry no clock edge: latch() writes the latch word at once.
+// That is cycle-exact because the switches' eval reads every latch (the
+// memory stages, PipelinedMemory::exec_cycle, and its stage-walk oracle)
+// before it latches the cycle's arriving words, so a word loaded during t is
+// first read during t+1, as if it had committed at the end of t. A latch
+// may be loaded at most once per cycle, like any other register. latch() is
+// defined here so the switches' per-word arrival loop inlines it.
 
 #pragma once
 
@@ -34,26 +34,25 @@ class InputLatches {
 
   unsigned stages() const { return stages_; }
 
-  /// Committed latch content (for the stage-s write this cycle).
+  /// Latch content (for the stage-s write this cycle). Read during cycle t
+  /// before any latch() of t, it is the value loaded up to the end of t-1.
   Word read(unsigned input, unsigned s) const { return latches_[index(input, s)].q; }
 
-  /// Stage a latch load at the end of the current cycle `t`.
+  /// Load a latch during cycle `t`, after every read of cycle t.
   void latch(unsigned input, unsigned s, Word data, Cycle t) {
     PMSB_CHECK((data & ~mask_) == 0, "latched word wider than the link");
-    const std::size_t i = index(input, s);
-    Latch& l = latches_[i];
-    PMSB_CHECK(!l.loaded, "input latch loaded twice in one cycle");
-    // The overwrite commits at the end of cycle t, so the old value is still
-    // readable during t itself; it is lost from cycle t+1 on. Two commits
+    Latch& l = latches_[index(input, s)];
+    PMSB_CHECK(l.loaded_at != t, "input latch loaded twice in one cycle");
+    // The load takes effect at the end of cycle t, so the old value is still
+    // readable during t itself; it is lost from cycle t+1 on. Two loads
     // are legal while a wave is outstanding: the arriving word the wave
     // expects (t == expected_commit) and anything at/after the consumption
     // cycle.
     PMSB_CHECK(t == l.expected_commit || t >= l.needed_until,
                "input latch overwritten while a scheduled write wave still "
                "needs it -- the no-double-buffering property is violated");
-    l.d = data;
-    l.loaded = true;
-    staged_.push_back(i);
+    l.q = data;
+    l.loaded_at = t;
   }
 
   /// Declare that the write wave initiated at t0 (for the segment whose
@@ -65,16 +64,6 @@ class InputLatches {
   /// avoids only by double buffering).
   void protect_for_wave(unsigned input, Cycle t0, Cycle a0);
 
-  /// Clock edge at the end of cycle t: commit the latches loaded during t.
-  void tick(Cycle) {
-    for (const std::size_t i : staged_) {
-      Latch& l = latches_[i];
-      l.q = l.d;
-      l.loaded = false;
-    }
-    staged_.clear();
-  }
-
  private:
   unsigned n_inputs_;
   unsigned stages_;
@@ -82,13 +71,11 @@ class InputLatches {
 
   struct Latch {
     Word q = 0;
-    Word d = 0;
-    bool loaded = false;
+    Cycle loaded_at = -1;        ///< Cycle of the last load.
     Cycle needed_until = -1;     ///< Consumption cycle of the protected value.
     Cycle expected_commit = -1;  ///< Arrival commit the protection expects.
   };
-  std::vector<Latch> latches_;         ///< [input * stages_ + s]
-  std::vector<std::size_t> staged_;    ///< Latches loaded this cycle.
+  std::vector<Latch> latches_;  ///< [input * stages_ + s]
 
   std::size_t index(unsigned input, unsigned s) const {
     PMSB_CHECK(input < n_inputs_ && s < stages_, "latch index out of range");

@@ -62,15 +62,15 @@ class OutputRow {
     n_loaded_ += enable;
   }
 
-  /// Put every value loaded this cycle onto its outgoing link for the next
-  /// cycle (the register -> link-driver path). Call once per eval, after the
+  /// Put every value loaded this cycle t onto its outgoing link for cycle
+  /// t+1 (the register -> link-driver path). Call once per eval, after the
   /// memory stages executed.
-  void drive_links(std::vector<WireLink>& out_links) {
+  void drive_links(std::vector<WireLink>& out_links, Cycle t) {
     PMSB_CHECK(out_links.size() == n_outputs_, "output link count mismatch");
     if (audit_) audit();
     for (unsigned k = 0; k < n_loaded_; ++k) {
       const Slot& slot = staged_[loaded_[k]];
-      out_links[slot.out_link].drive_next(slot.flit);
+      out_links[slot.out_link].drive_next(t, slot.flit);
     }
   }
 

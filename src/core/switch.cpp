@@ -49,10 +49,12 @@ void PipelinedSwitch::eval(Cycle t) {
   //     (register -> pad driver path: value appears on the wire at t+1).
   //  4. Latch arriving words; register new pending cells. This runs after
   //     arbitration so a pending head becomes eligible the cycle *after*
-  //     its arrival cycle (window [a0+1, a0+S]).
+  //     its arrival cycle (window [a0+1, a0+S]), and after step 2, the
+  //     only reader of the input latches, so the words it loads are first
+  //     read in cycle t+1 (the latches need no staged copy).
   arbitrate_and_initiate(t);
   mem_.exec_cycle(window_.latches(), orow_);
-  orow_.drive_links(out_links_);
+  orow_.drive_links(out_links_, t);
   process_arrivals(t);
 }
 
@@ -207,7 +209,7 @@ bool PipelinedSwitch::try_grant_write(Cycle t) {
 
 void PipelinedSwitch::process_arrivals(Cycle t) {
   for (unsigned i = 0; i < cfg_.n_ports; ++i) {
-    const Flit& f = in_links_[i].now();
+    const Flit& f = in_links_[i].now(t);
     if (!window_.latch(i, rx_[i].take(f, t), f.data, t)) continue;
     const unsigned dest = rx_[i].dest();
     ++stats_.heads_seen;
@@ -230,13 +232,11 @@ void PipelinedSwitch::process_arrivals(Cycle t) {
   }
 }
 
-void PipelinedSwitch::commit(Cycle t) {
-  window_.latches().tick(t);
+void PipelinedSwitch::commit(Cycle) {
   mem_.tick();
   orow_.tick();
   free_.tick();
   oq_.tick();
-  tick_links();
 }
 
 bool PipelinedSwitch::drained() const {
@@ -244,14 +244,14 @@ bool PipelinedSwitch::drained() const {
          window_.pending_cells() == 0;
 }
 
-bool PipelinedSwitch::is_quiescent(Cycle) const {
+bool PipelinedSwitch::is_quiescent(Cycle t) const {
   // Fully drained AND the link wires carry nothing: a drained switch may
   // still be shifting a departed cell's tail words onto an output link, and
   // an arriving head on an input link would be consumed by the next eval.
   // In this state eval() takes the empty-slot early exit (touching only the
   // cycles/idle_cycles counters, compensated by skip()) and commit() ticks
-  // empty structures and idle wires.
-  return drained() && links_idle();
+  // empty structures.
+  return drained() && links_idle(t);
 }
 
 void PipelinedSwitch::skip(Cycle, Cycle n) {

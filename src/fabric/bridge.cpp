@@ -62,6 +62,14 @@ std::string PortBridge::name() const {
 }
 
 void PortBridge::eval(Cycle t) {
+  // The transit cell finished in an earlier cycle joins the queue, where
+  // this cycle's output side may already take it.
+  if (staged_valid_) {
+    PMSB_CHECK(staged_at_ < t, "fabric bridge evaluated twice in one cycle");
+    PMSB_CHECK(fifo_size_ < kFifoCells, "fabric transit queue grew beyond its bound");
+    fifo_[(fifo_head_ + fifo_size_++) % kFifoCells] = staged_buf_;
+    staged_valid_ = false;
+  }
   if (audit_) audit();
   // Traffic generation first, so a cell created this cycle can board an idle
   // slot immediately (cycle-exact regardless of sharding: per-node rng, one
@@ -95,7 +103,7 @@ void PortBridge::eval(Cycle t) {
     }
     tx_.start(cell(tx_buf_));
   }
-  if (tx_.drive(*in_link_)) give_buffer(tx_buf_);
+  if (tx_.drive(*in_link_, t)) give_buffer(tx_buf_);
 }
 
 void PortBridge::finish_cell(Cycle t) {
@@ -119,16 +127,9 @@ void PortBridge::finish_cell(Cycle t) {
   w[0] = codec_->head(e.out_port, e.next_vc);
   PMSB_CHECK(!staged_valid_, "two cells completed in one cycle on one bridge");
   staged_buf_ = rx_buf_;
+  staged_at_ = t;
   staged_valid_ = true;
   ++relayed_;
-}
-
-void PortBridge::commit(Cycle) {
-  if (staged_valid_) {
-    PMSB_CHECK(fifo_size_ < kFifoCells, "fabric transit queue grew beyond its bound");
-    fifo_[(fifo_head_ + fifo_size_++) % kFifoCells] = staged_buf_;
-    staged_valid_ = false;
-  }
 }
 
 void PortBridge::audit() const {
@@ -178,14 +179,6 @@ void CellNode::eval(Cycle t) {
     fast->eval(t);
   for (PortBridge& b : bridges) b.eval(t);
   for (TxTap& tap : taps) tap.eval(t);
-}
-
-void CellNode::commit(Cycle t) {
-  if (sw)
-    sw->commit(t);
-  else
-    fast->commit(t);
-  for (PortBridge& b : bridges) b.commit(t);
 }
 
 bool CellNode::is_quiescent(Cycle t) const {

@@ -32,9 +32,11 @@
 //
 // Bridges and taps are parts of one engine component, not components of
 // their own: CellNode registers itself as the node's single Component and
-// steps its switch, then its bridges, then its taps (commit: the switch,
-// then the bridges), calling the final classes directly. Quiescence, wake
-// and skip are the AND / min / forward over the same parts.
+// steps its switch, then its bridges, then its taps, calling the final
+// classes directly. Bridges, taps and wires carry no clock edge, so the
+// node's commit is its switch's, and a FastSwitch node has none at all
+// (it stays out of the engine's commit sweep). Quiescence, wake and skip
+// are the AND / min / forward over the same parts.
 //
 // Fabric cell wire format (CellCodec), riding inside the node switches'
 // ordinary L-word cells:
@@ -135,12 +137,12 @@ class TxTap final : public Component {
  public:
   TxTap(WireLink* from, Channel* ch) : from_(from), ch_(ch) {}
 
-  void eval(Cycle t) override { ch_->write(t, from_->now()); }
+  void eval(Cycle t) override { ch_->write(t, from_->now(t)); }
   void commit(Cycle) override {}
   bool has_commit() const override { return false; }
   /// Skipping suppresses the per-cycle write of an invalid flit; the fabric
   /// compensates by clearing the skipped window (Channel::clear_range).
-  bool is_quiescent(Cycle) const override { return !from_->now().valid; }
+  bool is_quiescent(Cycle t) const override { return !from_->now(t).valid; }
   std::string name() const override { return "fabric_tx_tap"; }
 
  private:
@@ -150,8 +152,11 @@ class TxTap final : public Component {
 
 /// Node `node`'s routing table (see file comment): VC = destination node,
 /// entry = (route_xy out-port, same VC) for every other node. Defined beside
-/// Fabric::build_cells, which programs one per cell node.
+/// Fabric::build_cells, which builds one per cell node.
 RoutingTable xy_routes(const net::Topology& topo, unsigned node);
+/// The same, relabelled from node 0's table `origin`: on the torus and the
+/// ring, route_xy depends only on the destination's offset from the node.
+RoutingTable xy_routes(const net::Topology& topo, unsigned node, const RoutingTable& origin);
 
 /// Consumer-side link endpoint (see file comment).
 ///
@@ -171,7 +176,10 @@ class PortBridge final : public Component {
              const RoutingTable* routes = nullptr);
 
   void eval(Cycle t) override;
-  void commit(Cycle t) override;
+  /// No-op, kept for bench/perf/layers.cpp, which calls it and changes only
+  /// with the benchmark.
+  void commit(Cycle) override {}
+  bool has_commit() const override { return false; }
   /// Quiescent when no cell is being reassembled, staged, queued, or
   /// transmitted and no injection is pending. The rx channel is NOT checked
   /// here -- the owning fabric task verifies Channel::idle_at() on every
@@ -230,10 +238,11 @@ class PortBridge final : public Component {
   CellRx cell_rx_;
   std::uint8_t rx_buf_ = 0;
 
-  // Transit store-and-forward: a cell completed during eval is staged and
-  // becomes eligible for retransmission only after the clock edge.
+  // Transit store-and-forward: a cell completed during eval(staged_at_)
+  // joins the queue at the start of the next eval, so it leaves next cycle.
   bool staged_valid_ = false;
   std::uint8_t staged_buf_ = 0;
+  Cycle staged_at_ = 0;
   std::uint8_t fifo_[kFifoCells] = {};  ///< Ring of queued buffers, oldest at fifo_head_.
   unsigned fifo_head_ = 0;
   unsigned fifo_size_ = 0;
@@ -280,7 +289,8 @@ class CellNode final : public FabricNode, private Component {
  private:
   // Component: switch, then bridges, then taps.
   void eval(Cycle t) override;
-  void commit(Cycle t) override;
+  void commit(Cycle t) override { sw->commit(t); }
+  bool has_commit() const override { return sw != nullptr; }
   bool is_quiescent(Cycle t) const override;
   Cycle next_wake(Cycle t) const override;
   void skip(Cycle t, Cycle n) override;

@@ -422,10 +422,29 @@ unsigned Fabric::link_diameter() const {
 }
 
 RoutingTable xy_routes(const net::Topology& topo, unsigned node) {
+  PMSB_CHECK(topo.kind == net::TopologyKind::kTorus2D || topo.kind == net::TopologyKind::kRing,
+             "XY routing tables are for the torus and the ring");
   const unsigned n = topo.nodes();
-  RoutingTable rt(bits_for(n));
-  for (unsigned d = 0; d < n; ++d)
-    if (d != node) rt.program(d, static_cast<std::uint16_t>(topo.route_xy(node, d)), d);
+  RoutingTable origin(bits_for(n));
+  for (unsigned d = 1; d < n; ++d)
+    origin.program(d, static_cast<std::uint16_t>(topo.route_xy(0, d)), d);
+  return node == 0 ? origin : xy_routes(topo, node, origin);
+}
+
+RoutingTable xy_routes(const net::Topology& topo, unsigned node, const RoutingTable& origin) {
+  // Node 0's entry at offset (ox, oy) is this node's entry for the node at
+  // (x + ox, y + oy), wrapped by compare instead of division.
+  RoutingTable rt(origin.vc_bits());
+  unsigned dy = topo.y_of(node);
+  for (unsigned oy = 0; oy < topo.height; ++oy) {
+    unsigned dx = topo.x_of(node);
+    for (unsigned ox = 0; ox < topo.width; ++ox) {
+      const unsigned d = topo.node_at(dx, dy);
+      if (d != node) rt.program(d, origin.lookup(topo.node_at(ox, oy)).out_port, d);
+      if (++dx == topo.width) dx = 0;
+    }
+    if (++dy == topo.height) dy = 0;
+  }
   return rt;
 }
 
@@ -453,9 +472,10 @@ void Fabric::build_cells() {
   }
 
   nodes_.reserve(n);
+  const RoutingTable origin = xy_routes(topo, 0);
   for (unsigned v = 0; v < n; ++v) {
     auto node = std::make_unique<CellNode>(cfg_.node, cfg_.fast_node && cfg_.fast_node(v),
-                                           xy_routes(topo, v));
+                                           xy_routes(topo, v, origin));
     node->arrivals.per_cycle = cells_per_cycle;
     node->arrivals.src = v;
     node->arrivals.dests = dests_.get();

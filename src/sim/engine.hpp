@@ -13,6 +13,10 @@
 // may be combinationally chained as long as the component evaluates them in
 // dataflow order itself.
 //
+// Wires (sim/wire.hpp) and input latches (core/input_latches.hpp) keep this
+// timing with no clock edge: a wire stamps each value with its cycle, and a
+// switch reads its latches before it loads them.
+//
 // Kernel-loop notes: step()/run()/run_until() are header-inline so the
 // per-cycle loop flattens into the caller; components that declare an empty
 // clock edge (has_commit() == false) are skipped in the commit sweep; and

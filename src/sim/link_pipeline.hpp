@@ -31,12 +31,12 @@ class LinkPipeline : public Component {
     PMSB_CHECK(stages >= 1, "a zero-stage pipeline is just a wire");
   }
 
-  void eval(Cycle) override {
+  void eval(Cycle t) override {
     // Drive the downstream wire from the last register, and sample the
     // upstream wire (two-phase: reads happen in eval, the shift commits at
     // the clock edge).
-    if (regs_.back().valid) to_->drive_next(regs_.back());
-    sampled_ = from_->now();
+    if (regs_.back().valid) to_->drive_next(t, regs_.back());
+    sampled_ = from_->now(t);
   }
 
   void commit(Cycle) override {
@@ -44,12 +44,12 @@ class LinkPipeline : public Component {
     regs_[0] = sampled_;
   }
 
-  bool is_quiescent(Cycle) const override {
+  bool is_quiescent(Cycle t) const override {
     // Empty pipe and nothing arriving: eval would drive nothing and commit
     // would shift invalid flits into invalid slots. (sampled_ cannot hold a
     // stale valid flit here -- any valid sample was committed into regs_[0]
     // and would fail the register scan.)
-    if (from_->now().valid) return false;
+    if (from_->now(t).valid) return false;
     for (const Flit& f : regs_) {
       if (f.valid) return false;
     }

@@ -2,66 +2,57 @@
 //
 // Two-phase semantics: the driver stages the value for the *next* cycle
 // during its eval (the driver's output register is loaded at the clock
-// edge); consumers read `now()` during eval. An undriven cycle yields an
+// edge); consumers read `now(t)` during eval. An undriven cycle yields an
 // invalid flit -- a wire, not a holding register.
+//
+// The wire carries no clock edge. It holds two slots indexed by cycle
+// parity, each stamped with the cycle it is valid for: drive_next(t, f)
+// writes slot (t+1)&1 and stamps it t+1, and now(t) returns slot t&1 only
+// when its stamp is t. Readers of cycle t and drivers for cycle t+1 thus
+// touch different slots, and a stale slot (a cycle that was never driven,
+// or a stretch the engine skipped) can never match the cycle asked for.
+// An idle link costs nothing per cycle.
 
 #pragma once
 
-#include <vector>
-
 #include "common/cell.hpp"
 #include "common/util.hpp"
-#include "sim/engine.hpp"
 
 namespace pmsb {
 
 class WireLink {
  public:
-  /// Value on the wire during the current cycle.
-  const Flit& now() const { return now_; }
-
-  /// Drive the wire for the next cycle. At most one driver per cycle.
-  void drive_next(const Flit& f) {
-    PMSB_CHECK(!driven_, "two drivers on one link in one cycle");
-    next_ = f;
-    driven_ = true;
+  /// Value on the wire during cycle t.
+  const Flit& now(Cycle t) const {
+    const Slot& s = slots_[t & 1];
+    return s.at == t ? s.flit : kUndriven;
   }
 
-  /// Clock edge.
-  void tick() {
-    now_ = driven_ ? next_ : Flit{};
-    driven_ = false;
+  /// Drive the wire during cycle t, for cycle t+1. At most one driver per
+  /// cycle.
+  void drive_next(Cycle t, const Flit& f) {
+    Slot& s = slots_[(t + 1) & 1];
+    PMSB_CHECK(s.at != t + 1, "two drivers on one link in one cycle");
+    s.flit = f;
+    s.at = t + 1;
   }
 
-  /// True when the wire carries nothing now and nothing is staged for the
-  /// next cycle -- ticking it would change nothing (quiescence predicate).
-  bool idle() const { return !now_.valid && !driven_; }
+  /// True when the wire carries nothing during cycle t and nothing has been
+  /// driven for t+1 (quiescence predicate).
+  bool idle(Cycle t) const { return !now(t).valid && slots_[(t + 1) & 1].at != t + 1; }
+
+  /// No-op, kept for bench/perf/layers.cpp, which calls it and changes only
+  /// with the benchmark.
+  void tick() {}
 
  private:
-  Flit now_;
-  Flit next_;
-  bool driven_ = false;
-};
+  struct Slot {
+    Flit flit;
+    Cycle at = -1;  ///< The cycle this slot's flit is on the wire.
+  };
+  static constexpr Flit kUndriven{};
 
-/// Clocks a set of free-standing wires that no other component owns
-/// (testbench glue for wires between a source and a LinkPipeline, etc.).
-class WireTicker : public Component {
- public:
-  void add(WireLink* w) { wires_.push_back(w); }
-  void eval(Cycle) override {}
-  void commit(Cycle) override {
-    for (WireLink* w : wires_) w->tick();
-  }
-  bool is_quiescent(Cycle) const override {
-    for (const WireLink* w : wires_) {
-      if (!w->idle()) return false;
-    }
-    return true;
-  }
-  std::string name() const override { return "wire_ticker"; }
-
- private:
-  std::vector<WireLink*> wires_;
+  Slot slots_[2];
 };
 
 }  // namespace pmsb

@@ -38,7 +38,7 @@ void CellSource::end_cell() {
 
 void CellSource::eval(Cycle t) {
   if (sending_) {
-    link_->drive_next(Flit{true, false, cell_word(uid_, dest_, word_idx_, fmt_)});
+    link_->drive_next(t, Flit{true, false, cell_word(uid_, dest_, word_idx_, fmt_)});
     ++word_idx_;
     if (word_idx_ == fmt_.length_words) end_cell();
     return;
@@ -71,7 +71,7 @@ void CellSource::eval(Cycle t) {
   word_idx_ = 0;
   sending_ = true;
   ++cells_injected_;
-  link_->drive_next(Flit{true, true, cell_word(uid_, dest_, 0, fmt_)});
+  link_->drive_next(t, Flit{true, true, cell_word(uid_, dest_, 0, fmt_)});
   if (on_inject_) on_inject_(Injection{uid_, input_, dest_, t + 1});
   ++word_idx_;
 }
@@ -135,7 +135,7 @@ CellSink::CellSink(unsigned output, WireLink* link, const CellFormat& fmt)
 }
 
 void CellSink::eval(Cycle t) {
-  const Flit& f = link_->now();
+  const Flit& f = link_->now(t);
   if (rx_.take(f, t) == RxWord::kIdle) return;
   delivery_.words[rx_.phase()] = f.data;
   if (!rx_.ends_cell()) return;

@@ -255,7 +255,7 @@ class CellSink : public Component {
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   bool has_commit() const override { return false; }
-  bool is_quiescent(Cycle) const override { return !rx_.mid_cell() && !link_->now().valid; }
+  bool is_quiescent(Cycle t) const override { return !rx_.mid_cell() && !link_->now(t).valid; }
   std::string name() const override { return "cell_sink"; }
 
  private:

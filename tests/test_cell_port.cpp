@@ -102,13 +102,13 @@ TEST(CellTx, RoundTripThroughCellRx) {
     if (!tx.busy()) tx.start(cell.data());
     ASSERT_TRUE(tx.busy());
     EXPECT_EQ(tx.phase(), k);
-    EXPECT_EQ(tx.drive(wire), k + 1 == kFmt.length_words);
+    EXPECT_EQ(tx.drive(wire, t), k + 1 == kFmt.length_words);
     EXPECT_EQ(tx.busy(), k + 1 != kFmt.length_words);
-    wire.tick();
-    EXPECT_TRUE(wire.now().valid);
-    EXPECT_EQ(wire.now().sop, k == 0);
-    EXPECT_EQ(wire.now().data, cell[k]);
-    EXPECT_EQ(rx.take(wire.now(), t), k == 0 ? RxWord::kHead : RxWord::kBody);
+    const Flit& f = wire.now(t + 1);
+    EXPECT_TRUE(f.valid);
+    EXPECT_EQ(f.sop, k == 0);
+    EXPECT_EQ(f.data, cell[k]);
+    EXPECT_EQ(rx.take(f, t), k == 0 ? RxWord::kHead : RxWord::kBody);
     EXPECT_EQ(rx.phase(), k);
     EXPECT_EQ(rx.ends_cell(), k + 1 == kFmt.length_words);
   }
@@ -124,9 +124,8 @@ TEST(CellTx, ReadsEachWordWhenItIsDriven) {
   tx.start(cell.data());
   for (unsigned k = 0; k < kFmt.length_words; ++k) {
     cell[k] = 100 + k;
-    tx.drive(wire);
-    wire.tick();
-    EXPECT_EQ(wire.now().data, 100u + k);
+    tx.drive(wire, k);
+    EXPECT_EQ(wire.now(k + 1).data, 100u + k);
   }
 }
 
@@ -135,7 +134,7 @@ TEST(CellTxDeath, StartWhileBusy) {
   CellTx tx(kFmt.length_words);
   WireLink wire;
   tx.start(cell.data());
-  tx.drive(wire);
+  tx.drive(wire, 0);
   EXPECT_DEATH(tx.start(cell.data()), CellTx::kStartWhileBusy);
 }
 
@@ -159,7 +158,7 @@ auto small_config() {
   }
 }
 
-/// The receiver under test, its input link and an engine that clocks both.
+/// The receiver under test, its input link and an engine that clocks it.
 template <typename T>
 struct Rig {
   T dut{small_config<T>()};
@@ -172,13 +171,8 @@ template <>
 struct Rig<CellSink> {
   WireLink wire;
   CellSink dut{0, &wire, kFmt};
-  WireTicker ticker;
   Engine eng;
-  Rig() {
-    ticker.add(&wire);
-    eng.add(&dut);
-    eng.add(&ticker);
-  }
+  Rig() { eng.add(&dut); }
   WireLink& link() { return wire; }
 };
 
@@ -199,9 +193,9 @@ TYPED_TEST(MidCellGap, Aborts) {
   EXPECT_DEATH(
       {
         Rig<TypeParam> rig;
-        rig.link().drive_next(Flit{true, true, 0});  // A head for output 0 ...
-        rig.eng.step();  // ... on the wire from the clock edge,
-        rig.eng.step();  // taken here; nothing follows it:
+        rig.link().drive_next(0, Flit{true, true, 0});  // A head for output 0 ...
+        rig.eng.step();  // ... driven during cycle 0,
+        rig.eng.step();  // on the wire and taken in cycle 1; nothing follows:
         rig.eng.step();  // the gap.
       },
       CellRx::kGapInsideCell);

@@ -184,31 +184,31 @@ TEST(OutQueuesDeath, PushBeyondLastQueue) {
 
 // --- InputLatches ------------------------------------------------------------
 
-TEST(InputLatches, LatchCommitsAtTick) {
+TEST(InputLatches, LatchHoldsTheLoadedWord) {
+  // The latches carry no clock edge: a load is readable at once, and the
+  // switches read every latch of cycle t before they load any.
   InputLatches ir(2, 4, 8);
-  ir.latch(1, 2, 0xAA, 0);
   EXPECT_EQ(ir.read(1, 2), 0u);
-  ir.tick(0);
+  ir.latch(1, 2, 0xAA, 0);
   EXPECT_EQ(ir.read(1, 2), 0xAAu);
+  EXPECT_EQ(ir.read(0, 2), 0u);
 }
 
 TEST(InputLatches, OverwriteAfterWavePassesIsFine) {
   InputLatches ir(1, 4, 8);
   ir.latch(0, 0, 0x11, 0);
-  ir.tick(0);
   ir.protect_for_wave(0, 1, 0);  // Wave consumes IR[0][s] at cycle 1+s.
   // Overwrite latch 0 at cycle 4 (> 1): allowed.
   ir.latch(0, 0, 0x22, 4);
-  ir.tick(4);
   EXPECT_EQ(ir.read(0, 0), 0x22u);
 }
 
 TEST(InputLatchesDeath, OverwriteBeforeWaveReads) {
   InputLatches ir(1, 4, 8);
   ir.latch(0, 3, 0x11, 0);
-  ir.tick(0);
   ir.protect_for_wave(0, 5, 0);  // Stage 3 consumed at cycle 5+3 = 8.
   EXPECT_DEATH(ir.latch(0, 3, 0x22, 6), "no-double-buffering");
+  EXPECT_DEATH(ir.latch(0, 3, 0x22, 7), "no-double-buffering");
 }
 
 TEST(InputLatches, BoundaryOverwriteExactlyAtConsumption) {
@@ -216,25 +216,20 @@ TEST(InputLatches, BoundaryOverwriteExactlyAtConsumption) {
   // very cycle the wave reads it.
   InputLatches ir(1, 4, 8);
   ir.latch(0, 2, 0x11, 0);
-  ir.tick(0);
   ir.protect_for_wave(0, 3, 0);     // Stage 2 consumed during cycle 5.
-  ir.latch(0, 2, 0x22, 5);          // Commits at END of 5: legal.
-  EXPECT_EQ(ir.read(0, 2), 0x11u);  // During cycle 5 the old value reads.
-  ir.tick(5);
+  EXPECT_EQ(ir.read(0, 2), 0x11u);  // The wave reads the old value in 5 ...
+  ir.latch(0, 2, 0x22, 5);          // ... before the cycle's load: legal.
   EXPECT_EQ(ir.read(0, 2), 0x22u);
 }
 
 TEST(InputLatches, CommitsEveryLatchLoadedInOneCycle) {
-  // Several inputs and stages load in the same cycle: each commits at the
-  // edge, and every latch not loaded keeps its value.
+  // Several inputs and stages load in the same cycle: each holds its word,
+  // and every latch not loaded keeps its value.
   InputLatches ir(3, 4, 8);
   ir.latch(0, 1, 0x01, 0);
   ir.latch(1, 3, 0x13, 0);
   ir.latch(2, 0, 0x20, 0);
   ir.latch(0, 2, 0x02, 0);
-  for (unsigned i = 0; i < 3; ++i)
-    for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(ir.read(i, s), 0u) << i << "," << s;
-  ir.tick(0);
   const auto expect_row = [&](unsigned i, std::vector<Word> want) {
     for (unsigned s = 0; s < 4; ++s) EXPECT_EQ(ir.read(i, s), want[s]) << i << "," << s;
   };
@@ -242,28 +237,24 @@ TEST(InputLatches, CommitsEveryLatchLoadedInOneCycle) {
   expect_row(1, {0, 0, 0, 0x13});
   expect_row(2, {0x20, 0, 0, 0});
 
-  // Ticks with nothing staged change nothing.
-  for (Cycle t = 1; t < 50; ++t) ir.tick(t);
-  expect_row(0, {0, 0x01, 0x02, 0});
-  expect_row(1, {0, 0, 0, 0x13});
-  expect_row(2, {0x20, 0, 0, 0});
-
-  // A later load commits only its own latch; the same latch may load again
+  // A later load changes only its own latch; the same latch may load again
   // in the next cycle.
   ir.latch(1, 3, 0x33, 50);
-  ir.tick(50);
   ir.latch(1, 3, 0x34, 51);
   ir.latch(2, 1, 0x21, 51);
-  ir.tick(51);
   expect_row(0, {0, 0x01, 0x02, 0});
   expect_row(1, {0, 0, 0, 0x34});
   expect_row(2, {0x20, 0x21, 0, 0});
 }
 
 TEST(InputLatchesDeath, LoadedTwiceInOneCycle) {
+  // The stamp of the last load stands in for a staged flag: a second load
+  // in the same cycle aborts, whether or not cycles passed before it.
   InputLatches ir(2, 4, 8);
   ir.latch(1, 2, 0x11, 0);
   EXPECT_DEATH(ir.latch(1, 2, 0x22, 0), "loaded twice in one cycle");
+  ir.latch(1, 2, 0x33, 9);
+  EXPECT_DEATH(ir.latch(1, 2, 0x44, 9), "loaded twice in one cycle");
 }
 
 // --- LatchWindow -------------------------------------------------------------
@@ -278,7 +269,6 @@ TEST(LatchWindow, ExpiresAtTheDeadlineWithItsLossClass) {
   EXPECT_FALSE(w.latch(0, RxWord::kIdle, 0, 0));
   ASSERT_TRUE(w.latch(0, RxWord::kHead, 0x11, 0));
   ASSERT_TRUE(w.latch(1, RxWord::kHead, 0x22, 0));
-  w.latches().tick(0);
   w.open(0, 0, 1);
   w.open(1, 0, 0);
   EXPECT_EQ(w.pending_cells(), 2u);
@@ -307,7 +297,6 @@ TEST(LatchWindowDeath, HeadWhileTheLastCellIsPending) {
   LatchWindow w(1, 4, 8);
   ASSERT_TRUE(w.latch(0, RxWord::kHead, 0x11, 0));
   w.open(0, 0, 0);
-  w.latches().tick(0);
   EXPECT_DEATH(w.latch(0, RxWord::kHead, 0x22, 1), "previous cell is unresolved");
 }
 
@@ -317,12 +306,12 @@ TEST(OutputRow, DrivesLinkNextCycle) {
   OutputRow row(4, 2, 8);
   std::vector<WireLink> links(2);
   row.load(0, 0x5A, 1, true);
-  row.drive_links(links);
-  for (auto& l : links) l.tick();
-  EXPECT_FALSE(links[0].now().valid);
-  EXPECT_TRUE(links[1].now().valid);
-  EXPECT_TRUE(links[1].now().sop);
-  EXPECT_EQ(links[1].now().data, 0x5Au);
+  row.drive_links(links, 0);
+  EXPECT_FALSE(links[1].now(0).valid);
+  EXPECT_FALSE(links[0].now(1).valid);
+  EXPECT_TRUE(links[1].now(1).valid);
+  EXPECT_TRUE(links[1].now(1).sop);
+  EXPECT_EQ(links[1].now(1).data, 0x5Au);
 }
 
 TEST(OutputRowDeath, DoubleLoadOneStage) {
@@ -336,20 +325,19 @@ TEST(OutputRowDeath, TwoStagesOneLink) {
   std::vector<WireLink> links(2);
   row.load(0, 1, 1, false);
   row.load(1, 2, 1, false);
-  EXPECT_DEATH(row.drive_links(links), "two drivers");
+  EXPECT_DEATH(row.drive_links(links, 0), "two drivers");
 }
 
 TEST(OutputRow, ClearsAfterTick) {
   OutputRow row(4, 2, 8);
   std::vector<WireLink> links(2);
   row.load(2, 9, 0, false);
-  row.drive_links(links);
+  row.drive_links(links, 0);
   row.tick();
-  for (auto& l : links) l.tick();
   row.load(2, 10, 0, false);  // Same stage reusable next cycle.
-  row.drive_links(links);
-  for (auto& l : links) l.tick();
-  EXPECT_EQ(links[0].now().data, 10u);
+  row.drive_links(links, 1);
+  EXPECT_EQ(links[0].now(1).data, 9u);
+  EXPECT_EQ(links[0].now(2).data, 10u);
 }
 
 // --- ReservationTable --------------------------------------------------------
@@ -471,17 +459,23 @@ TEST(RoundRobin, StarvationBound) {
 
 TEST(WireLink, UndrivenCycleIsInvalid) {
   WireLink l;
-  l.drive_next(Flit{true, true, 5});
-  l.tick();
-  EXPECT_TRUE(l.now().valid);
-  l.tick();
-  EXPECT_FALSE(l.now().valid);
+  l.drive_next(0, Flit{true, true, 5});
+  EXPECT_TRUE(l.now(1).valid);
+  EXPECT_FALSE(l.now(2).valid);
+  l.drive_next(2, Flit{true, true, 6});  // Cycle 2 undriven, cycle 3 driven.
+  EXPECT_FALSE(l.now(2).valid);
+  EXPECT_EQ(l.now(3).data, 6u);
 }
 
 TEST(WireLinkDeath, TwoDrivers) {
+  // The stamp of the slot being driven is the driver check: a second drive
+  // for the same cycle aborts, while the other slot is free.
   WireLink l;
-  l.drive_next(Flit{true, false, 1});
-  EXPECT_DEATH(l.drive_next(Flit{true, false, 2}), "two drivers");
+  l.drive_next(0, Flit{true, false, 1});
+  EXPECT_DEATH(l.drive_next(0, Flit{true, false, 2}), "two drivers");
+  l.drive_next(1, Flit{true, false, 3});
+  l.drive_next(4, Flit{true, false, 4});
+  EXPECT_DEATH(l.drive_next(4, Flit{true, false, 5}), "two drivers");
 }
 
 }  // namespace

@@ -47,9 +47,9 @@ TEST(CqSwitch, StoreAndForwardDelivery) {
   std::vector<Flit> out_trace;
   for (unsigned k = 0; k < 3 * fmt.length_words; ++k) {
     if (k < fmt.length_words)
-      sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(9, 1, k, fmt)});
+      sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(9, 1, k, fmt)});
     eng.step();
-    out_trace.push_back(sw.out_link(1).now());
+    out_trace.push_back(sw.out_link(1).now(eng.now()));
   }
   unsigned head_at = 0;
   for (unsigned k = 0; k < out_trace.size(); ++k) {

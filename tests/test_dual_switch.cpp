@@ -35,9 +35,9 @@ TEST(DualSwitch, SingleCellCutThroughLatencyIsTwo) {
   std::vector<Flit> out_trace;
   for (unsigned k = 0; k < fmt.length_words + 4; ++k) {
     if (k < fmt.length_words)
-      sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(3, 2, k, fmt)});
+      sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(3, 2, k, fmt)});
     eng.step();
-    out_trace.push_back(sw.out_link(2).now());
+    out_trace.push_back(sw.out_link(2).now(eng.now()));
   }
   const Flit& head = out_trace[a0 + 1];  // Wire during cycle a0 + 2.
   EXPECT_TRUE(head.valid);

@@ -571,8 +571,6 @@ void run_checked_bridge(Corrupt&& corrupt) {
     const Cycle k = t % (2 * len);
     rx.write(t, k < len ? Flit{true, k == 0, cell[static_cast<std::size_t>(k)]} : Flit{});
     bridge.eval(t);
-    bridge.commit(t);
-    link.tick();
   };
   for (Cycle t = 0; t < 600; ++t) step(t);
   if (bridge.relayed() == 0 || arrivals.generated == 0) std::exit(1);  // Pool unexercised.
@@ -589,6 +587,38 @@ TEST(Fabric, CheckedModeRecountsBridgeCellPool) {
                  fabric::PortBridgePeer::leak_buffer(b);
                }),
                "free \\+ in use");
+}
+
+/// A transit cell finished during cycle f is queued behind no clock edge:
+/// the bridge retransmits it from cycle f + 1 (its head is on the in-wire
+/// during f + 2), and a second cell finished while the first is still
+/// going out follows it with no gap.
+TEST(Fabric, BridgeRetransmitsTransitCellTheCycleAfterItFinishes) {
+  const net::Topology topo{net::TopologyKind::kTorus2D, 4, 4};
+  const fabric::CellCodec codec{SwitchConfig::for_ports(4).cell_format(), bits_for(16)};
+  fabric::Channel rx{1};
+  WireLink link;
+  fabric::Ejector ejector;
+  fabric::PortBridge bridge(&topo, &codec, 0, net::kWest, &rx, &link, nullptr, &ejector);
+  // Two back-to-back transit cells for node 2 entering node 0 from the west.
+  const std::vector<Word> cell = codec.build(net::kEast, 2, 3, 1, 0);
+  const auto len = static_cast<Cycle>(cell.size());
+  const Cycle first_done = len;  // Tail written at len - 1, read one cycle later.
+  std::vector<Cycle> heads;
+  std::vector<Cycle> words;
+  for (Cycle t = 0; t < 4 * len; ++t) {
+    const Cycle k = t % len;
+    rx.write(t, t < 2 * len ? Flit{true, k == 0, cell[static_cast<std::size_t>(k)]} : Flit{});
+    bridge.eval(t);
+    const Flit& f = link.now(t);
+    if (!f.valid) continue;
+    words.push_back(t);
+    if (f.sop) heads.push_back(t);
+  }
+  ASSERT_EQ(bridge.relayed(), 2u);
+  EXPECT_EQ(heads, (std::vector<Cycle>{first_done + 2, first_done + len + 2}));
+  ASSERT_EQ(words.size(), static_cast<std::size_t>(2 * len));
+  EXPECT_EQ(words.back() - words.front() + 1, 2 * len);  // No gap between the cells.
 }
 
 TEST(Fabric, ShardTelemetryAccountsRoundsAndRelays) {

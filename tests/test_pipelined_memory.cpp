@@ -47,18 +47,15 @@ struct Rig {
   void cycle(const StageCtrl* initiate = nullptr) {
     if (initiate) mem.initiate(*initiate);
     mem.exec_cycle(ir, orow);
-    orow.drive_links(outs);
-    ir.tick(t);
+    orow.drive_links(outs, t);
     mem.tick();
     orow.tick();
-    for (auto& l : outs) l.tick();
     ++t;
   }
 
-  /// Preload IR[input][s] = base + s (committed).
+  /// Preload IR[input][s] = base + s.
   void preload(unsigned input, Word base) {
     for (unsigned s = 0; s < kStages; ++s) ir.latch(input, s, base + s, t);
-    ir.tick(t);
   }
 };
 
@@ -105,16 +102,16 @@ TEST(PipelinedMemory, ReadWaveDrivesTheLinkWithOneCycleLag) {
 
   const StageCtrl r = read_ctrl(5, 1);
   rig.cycle(&r);  // Stage 0 read; OR[0] drives the wire for the next cycle,
-                  // which rig.cycle() has already clocked in: outs.now() is
-                  // the wire value one cycle after the stage-0 read.
+                  // which is rig.t once rig.cycle() returns: outs.now(rig.t)
+                  // is the wire value one cycle after the stage-0 read.
   for (unsigned s = 0; s < kStages; ++s) {
-    const Flit& f = rig.outs[1].now();
+    const Flit& f = rig.outs[1].now(rig.t);
     ASSERT_TRUE(f.valid) << "word " << s;
     EXPECT_EQ(f.sop, s == 0);
     EXPECT_EQ(f.data, 0x20u + s);
     rig.cycle();
   }
-  EXPECT_FALSE(rig.outs[1].now().valid);  // Exactly kStages words.
+  EXPECT_FALSE(rig.outs[1].now(rig.t).valid);  // Exactly kStages words.
 }
 
 TEST(PipelinedMemory, SnoopForwardsWriteDataSameWave) {
@@ -125,7 +122,7 @@ TEST(PipelinedMemory, SnoopForwardsWriteDataSameWave) {
   c.out_link = 0;
   rig.cycle(&c);
   for (unsigned s = 0; s < kStages; ++s) {
-    const Flit& f = rig.outs[0].now();
+    const Flit& f = rig.outs[0].now(rig.t);
     ASSERT_TRUE(f.valid);
     EXPECT_EQ(f.sop, s == 0);
     EXPECT_EQ(f.data, 0x30u + s);
@@ -285,12 +282,12 @@ TEST(PipelinedMemory, ReadThenRewriteSameAddressNextCycle) {
     rig.cycle(&r);
     const StageCtrl w = write_ctrl(4, 0);
     for (unsigned s = 0; s < kStages; ++s) {
-      const Flit& f = rig.outs[1].now();
+      const Flit& f = rig.outs[1].now(rig.t);
       ASSERT_TRUE(f.valid) << "word " << s;
       EXPECT_EQ(f.data, 0x10u + s) << "word " << s;
       rig.cycle(s == 0 ? &w : nullptr);
     }
-    EXPECT_FALSE(rig.outs[1].now().valid);
+    EXPECT_FALSE(rig.outs[1].now(rig.t).valid);
     EXPECT_FALSE(rig.mem.busy());
     for (unsigned s = 0; s < kStages; ++s) EXPECT_EQ(rig.mem.peek(4, s), 0x70u + s) << s;
   }
@@ -310,18 +307,15 @@ struct SharedRowRig {
     if (b) mem[1].initiate(*b);
     mem[0].exec_cycle(ir, orow);
     mem[1].exec_cycle(ir, orow);
-    orow.drive_links(outs);
-    ir.tick(t);
+    orow.drive_links(outs, t);
     mem[0].tick();
     mem[1].tick();
     orow.tick();
-    for (auto& l : outs) l.tick();
     ++t;
   }
 
   void preload(unsigned input, Word base) {
     for (unsigned s = 0; s < kStages; ++s) ir.latch(input, s, base + s, t);
-    ir.tick(t);
   }
 };
 
@@ -350,12 +344,12 @@ bool shared_row_read_beside_write(unsigned reader) {
     rig.cycle(&w, &r);
   bool ok = true;
   for (unsigned s = 0; s < kStages; ++s) {
-    const Flit& f = rig.outs[1].now();
+    const Flit& f = rig.outs[1].now(rig.t);
     ok = ok && f.valid && f.sop == (s == 0) && f.data == 0x10u + s;
-    ok = ok && !rig.outs[0].now().valid;
+    ok = ok && !rig.outs[0].now(rig.t).valid;
     rig.cycle();
   }
-  ok = ok && !rig.outs[1].now().valid;
+  ok = ok && !rig.outs[1].now(rig.t).valid;
   for (unsigned s = 0; s < kStages; ++s)
     ok = ok && rig.mem[writer].peek(2, s) == 0x60u + s;
   return ok;

@@ -31,9 +31,9 @@ TEST(PrizmaSwitch, SingleCellCutsThrough) {
   std::vector<Flit> out_trace;
   for (unsigned k = 0; k < fmt.length_words + 6; ++k) {
     if (k < fmt.length_words)
-      sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(4, 3, k, fmt)});
+      sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(4, 3, k, fmt)});
     eng.step();
-    out_trace.push_back(sw.out_link(3).now());
+    out_trace.push_back(sw.out_link(3).now(eng.now()));
   }
   // Read starts at a0+1 (queue committed), head on the wire at a0+2.
   const Flit& head = out_trace[a0 + 1];

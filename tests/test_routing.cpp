@@ -33,12 +33,15 @@ TEST(RoutingTableDeath, OutOfRange) {
 // A node's table is dimension-order routing written down: the VC is the
 // destination node, and every other node's entry holds route_xy's out-port
 // with the VC unchanged. The node's own entry, and every VC past the last
-// node, stay invalid.
+// node, stay invalid. Every table but node 0's is relabelled from node 0's,
+// so the cases cover even and odd widths and heights, and odd rings.
 TEST(RoutingTable, XyRoutesMatchDimensionOrder) {
   for (const net::Topology& topo :
        {net::Topology{net::TopologyKind::kTorus2D, 8, 8},
         net::Topology{net::TopologyKind::kTorus2D, 3, 5},
-        net::Topology{net::TopologyKind::kRing, 6, 1}}) {
+        net::Topology{net::TopologyKind::kTorus2D, 5, 4},
+        net::Topology{net::TopologyKind::kRing, 6, 1},
+        net::Topology{net::TopologyKind::kRing, 7, 1}}) {
     for (unsigned v = 0; v < topo.nodes(); ++v) {
       const RoutingTable rt = fabric::xy_routes(topo, v);
       ASSERT_EQ(rt.size(), std::size_t{1} << bits_for(topo.nodes()));

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,18 +87,14 @@ TEST(LinkPipeline, AddsExactlyStagesPlusOneCycles) {
   for (unsigned k : {1u, 2u, 5u}) {
     WireLink a, b;
     LinkPipeline pipe(&a, &b, k);
-    WireTicker ticker;
-    ticker.add(&a);
-    ticker.add(&b);
     Engine eng;
     eng.add(&pipe);
-    eng.add(&ticker);
     // Drive a marker onto `a` for cycle 1.
-    a.drive_next(Flit{true, true, 0x5A});
+    a.drive_next(0, Flit{true, true, 0x5A});
     Cycle seen_at = -1;
     for (Cycle c = 0; c < 20; ++c) {
       eng.step();
-      if (b.now().valid && seen_at < 0) seen_at = eng.now();  // Wire cycle.
+      if (b.now(eng.now()).valid && seen_at < 0) seen_at = eng.now();  // Wire cycle.
     }
     // On `a` during cycle 1; on `b` during cycle 1 + (k + 1).
     EXPECT_EQ(seen_at, 1 + static_cast<Cycle>(k) + 1) << "k = " << k;
@@ -107,19 +104,15 @@ TEST(LinkPipeline, AddsExactlyStagesPlusOneCycles) {
 TEST(LinkPipeline, PreservesFlitContentAndGaps) {
   WireLink a, b;
   LinkPipeline pipe(&a, &b, 2);
-  WireTicker ticker;
-  ticker.add(&a);
-  ticker.add(&b);
   Engine eng;
   eng.add(&pipe);
-  eng.add(&ticker);
   // Pattern: valid, gap, valid.
   std::vector<Flit> sent = {Flit{true, true, 1}, Flit{}, Flit{true, false, 2}};
   std::vector<Flit> got;
   for (Cycle c = 0; c < 12; ++c) {
-    if (c < static_cast<Cycle>(sent.size()) && sent[c].valid) a.drive_next(sent[c]);
+    if (c < static_cast<Cycle>(sent.size()) && sent[c].valid) a.drive_next(c, sent[c]);
     eng.step();
-    got.push_back(b.now());
+    got.push_back(b.now(eng.now()));
   }
   // Shifted by 3 cycles, content identical (including the gap).
   EXPECT_EQ(got[3], sent[0]);
@@ -127,17 +120,83 @@ TEST(LinkPipeline, PreservesFlitContentAndGaps) {
   EXPECT_EQ(got[5], sent[2]);
 }
 
-TEST(WireTicker, ClocksFreeStandingWires) {
+// ---------------------------------------------------------------------------
+// WireLink: two cycle-stamped slots, no clock edge.
+
+TEST(WireLink, ValidExactlyOneCycleAfterDrive) {
+  // Driven during t, the word is on the wire during t + 1 only; nothing
+  // ticks the wire in between.
+  for (const Cycle t : {Cycle{0}, Cycle{7}, Cycle{1000}}) {
+    WireLink w;
+    EXPECT_TRUE(w.idle(t));
+    w.drive_next(t, Flit{true, false, 9});
+    EXPECT_FALSE(w.now(t).valid) << t;
+    EXPECT_FALSE(w.idle(t)) << t;  // Driven for t + 1.
+    EXPECT_TRUE(w.now(t + 1).valid) << t;
+    EXPECT_EQ(w.now(t + 1).data, 9u) << t;
+    EXPECT_FALSE(w.idle(t + 1)) << t;  // Carries the word.
+    EXPECT_FALSE(w.now(t + 2).valid) << t;
+    EXPECT_TRUE(w.idle(t + 2)) << t;
+    // The slot of t + 1 is reused by t + 3 and reads idle there.
+    EXPECT_FALSE(w.now(t + 3).valid) << t;
+    EXPECT_TRUE(w.idle(t + 3)) << t;
+  }
+}
+
+TEST(WireLink, EveryCycleOfAStreamReadsItsOwnWord) {
   WireLink w;
-  WireTicker ticker;
-  ticker.add(&w);
-  Engine eng;
-  eng.add(&ticker);
-  w.drive_next(Flit{true, false, 9});
-  eng.step();
-  EXPECT_TRUE(w.now().valid);
-  eng.step();
-  EXPECT_FALSE(w.now().valid);
+  for (Cycle t = 0; t < 10; ++t) {
+    w.drive_next(t, Flit{true, t == 0, static_cast<Word>(t)});
+    EXPECT_EQ(w.now(t + 1).data, static_cast<Word>(t));
+    if (t > 0) {
+      EXPECT_EQ(w.now(t).data, static_cast<Word>(t - 1));
+    }
+  }
+  EXPECT_FALSE(w.now(11).valid);
+}
+
+/// Records the cycles in which a wire carried a word; quiescent whenever
+/// the wire is idle, so an engine may skip it.
+class WireReader final : public Component {
+ public:
+  explicit WireReader(const WireLink* w) : w_(w) {}
+  void eval(Cycle t) override {
+    if (w_->now(t).valid) valid_at.push_back(t);
+  }
+  void commit(Cycle) override {}
+  bool has_commit() const override { return false; }
+  bool is_quiescent(Cycle t) const override { return w_->idle(t); }
+
+  std::vector<Cycle> valid_at;
+
+ private:
+  const WireLink* w_;
+};
+
+TEST(WireLink, StaleSlotsReadIdleAfterSkip) {
+  // Two words leave a stale stamp in each slot (cycles 1 and 2). However far
+  // the engine jumps -- an odd or an even span -- neither stamp matches a
+  // later cycle of its parity, so the reader sees no word again.
+  for (const Cycle span : {Cycle{5}, Cycle{6}}) {
+    SCOPED_TRACE("span " + std::to_string(span));
+    WireLink w;
+    WireReader r(&w);
+    Engine eng;
+    eng.add(&r);
+    w.drive_next(0, Flit{true, true, 1});
+    eng.step();
+    w.drive_next(1, Flit{true, false, 2});
+    eng.step();
+    eng.step();
+    ASSERT_EQ(r.valid_at, (std::vector<Cycle>{1, 2}));
+    ASSERT_TRUE(w.idle(eng.now()));
+    eng.skip_to(eng.now() + span);
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_TRUE(w.idle(eng.now())) << eng.now();
+      eng.step();
+    }
+    EXPECT_EQ(r.valid_at, (std::vector<Cycle>{1, 2}));
+  }
 }
 
 // ---------------------------------------------------------------------------

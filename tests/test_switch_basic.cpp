@@ -25,7 +25,7 @@ Cycle feed_cell(Engine& eng, PipelinedSwitch& sw, unsigned i, std::uint64_t uid,
   const CellFormat fmt = sw.config().cell_format();
   const Cycle a0 = eng.now() + 1;
   for (unsigned k = 0; k < fmt.length_words; ++k) {
-    sw.in_link(i).drive_next(Flit{true, k == 0, cell_word(uid, dest, k, fmt)});
+    sw.in_link(i).drive_next(eng.now(), Flit{true, k == 0, cell_word(uid, dest, k, fmt)});
     eng.step();
   }
   return a0;
@@ -52,9 +52,9 @@ TEST(SwitchBasic, SingleCellCutThroughHeadLatencyIsTwo) {
   const CellFormat fmt = cfg.cell_format();
   for (unsigned k = 0; k < fmt.length_words + 4; ++k) {
     if (k < fmt.length_words)
-      sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(7, 1, k, fmt)});
+      sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(7, 1, k, fmt)});
     eng.step();
-    out_trace.push_back(sw.out_link(1).now());  // Wire value during cycle k+1.
+    out_trace.push_back(sw.out_link(1).now(eng.now()));  // Wire value during cycle k+1.
   }
   // Write wave granted in the first window cycle, with a co-initiated snoop.
   EXPECT_EQ(accept_t0, a0 + 1);
@@ -86,7 +86,7 @@ TEST(SwitchBasic, CellGoesToCorrectOutput) {
   bool out1_active = false;
   for (int k = 0; k < 12; ++k) {
     eng.step();
-    out1_active |= sw.out_link(1).now().valid;
+    out1_active |= sw.out_link(1).now(eng.now()).valid;
   }
   EXPECT_FALSE(out1_active);
   EXPECT_EQ(sw.stats().read_grants, 1u);
@@ -111,8 +111,8 @@ TEST(SwitchBasic, SimultaneousHeadsAreStaggeredByOneCycle) {
   const CellFormat fmt = cfg.cell_format();
   const Cycle a0 = eng.now() + 1;
   for (unsigned k = 0; k < fmt.length_words; ++k) {
-    sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(1, 0, k, fmt)});
-    sw.in_link(1).drive_next(Flit{true, k == 0, cell_word(2, 1, k, fmt)});
+    sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(1, 0, k, fmt)});
+    sw.in_link(1).drive_next(eng.now(), Flit{true, k == 0, cell_word(2, 1, k, fmt)});
     eng.step();
   }
   for (int k = 0; k < 12; ++k) eng.step();
@@ -138,8 +138,8 @@ TEST(SwitchBasic, SecondCellToSameOutputWaitsForTheFirst) {
   const CellFormat fmt = cfg.cell_format();
   const Cycle a0 = eng.now() + 1;
   for (unsigned k = 0; k < fmt.length_words; ++k) {
-    sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(1, 1, k, fmt)});
-    sw.in_link(1).drive_next(Flit{true, k == 0, cell_word(2, 1, k, fmt)});
+    sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(1, 1, k, fmt)});
+    sw.in_link(1).drive_next(eng.now(), Flit{true, k == 0, cell_word(2, 1, k, fmt)});
     eng.step();
   }
   for (int k = 0; k < 20; ++k) eng.step();

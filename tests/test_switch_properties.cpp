@@ -73,7 +73,7 @@ TEST(SwitchProperties, IdleSwitchStaysIdle) {
   eng.run(1000);
   EXPECT_EQ(sw.stats().idle_cycles, 1000u);
   EXPECT_TRUE(sw.drained());
-  for (unsigned o = 0; o < 4; ++o) EXPECT_FALSE(sw.out_link(o).now().valid);
+  for (unsigned o = 0; o < 4; ++o) EXPECT_FALSE(sw.out_link(o).now(eng.now()).valid);
 }
 
 TEST(SwitchProperties, PeakOccupancyNeverExceedsCapacity) {
@@ -267,7 +267,6 @@ TEST(SwitchProperties, LinkPipeliningShiftsLatencyUniformly) {
     cfg.capacity_segments = 16;
     PipelinedSwitch sw(cfg);
     Engine eng;
-    WireTicker ticker;
     std::vector<WireLink> gen_wires(2), sink_wires(2);
     std::vector<std::unique_ptr<LinkPipeline>> pipes;
     UniformDest dests(2);
@@ -282,8 +281,6 @@ TEST(SwitchProperties, LinkPipeliningShiftsLatencyUniformly) {
       pipes.push_back(std::make_unique<LinkPipeline>(&gen_wires[i], &sw.in_link(i), k));
       pipes.push_back(std::make_unique<LinkPipeline>(&sw.out_link(i), &sink_wires[i], k));
       sinks.push_back(std::make_unique<CellSink>(i, &sink_wires[i], cfg.cell_format()));
-      ticker.add(&gen_wires[i]);
-      ticker.add(&sink_wires[i]);
     }
     sb.set_input_wire_delay(k + 1);
     sb.attach(sw, sources, sinks);
@@ -291,7 +288,6 @@ TEST(SwitchProperties, LinkPipeliningShiftsLatencyUniformly) {
     for (auto& p : pipes) eng.add(p.get());
     eng.add(&sw);
     for (auto& s : sinks) eng.add(s.get());
-    eng.add(&ticker);
     eng.run(30000);
     ASSERT_GT(sb.latency().samples(), 100u);
     // Scoreboard a0 is the generator-side wire cycle; the head crosses two

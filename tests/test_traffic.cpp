@@ -20,26 +20,45 @@
 namespace pmsb {
 namespace {
 
-/// Count valid cycles / sop cycles on a link driven by `src` for `cycles`.
+/// Offered-load conformance: the mean of `batches` batch means lies within
+/// four standard errors of `want`. Batches much longer than a burst are
+/// nearly independent even when neighbouring cycles are not, so the spread
+/// of their means estimates the standard error honestly.
+void expect_batch_mean_near(const std::vector<double>& batches, double want,
+                            const std::string& what) {
+  const auto k = static_cast<double>(batches.size());
+  ASSERT_GE(batches.size(), 20u) << what;
+  double mean = 0.0;
+  for (double m : batches) mean += m / k;
+  double var = 0.0;
+  for (double m : batches) var += (m - mean) * (m - mean) / (k - 1);
+  const double std_err = std::sqrt(var / k);
+  EXPECT_LE(std::abs(mean - want), 4.0 * std_err + 1e-12)
+      << what << ": measured " << mean << " +- " << std_err << ", want " << want;
+}
+
+constexpr unsigned kBatches = 20;
+
+/// What a CellSource put on its link over one batch of cycles.
 struct LinkProbe {
   std::uint64_t valid = 0;
   std::uint64_t sops = 0;
   std::uint64_t gaps_inside_cell = 0;
+  std::uint64_t runs = 0;  ///< Maximal stretches of back-to-back cells.
 };
 
-template <typename SourceT>
-LinkProbe probe(SourceT& src, WireLink& link, Cycle cycles) {
-  Engine eng;
-  eng.add(&src);
+/// Steps `eng` (which clocks the source driving `link`) for `cycles`,
+/// reading the link every cycle. `in_cell` and `prev_valid` carry the
+/// framing state across batches.
+LinkProbe probe(Engine& eng, const WireLink& link, Cycle cycles, unsigned L,
+                unsigned& in_cell, bool& prev_valid) {
   LinkProbe p;
-  unsigned in_cell = 0;
-  const unsigned L = 8;
   for (Cycle c = 0; c < cycles; ++c) {
     eng.step();
-    link.tick();  // The probe owns the link clock (no switch attached).
-    const Flit& f = link.now();
+    const Flit& f = link.now(eng.now());
     if (f.valid) {
       ++p.valid;
+      p.runs += !prev_valid;
       if (f.sop) {
         EXPECT_EQ(in_cell, 0u) << "head inside a cell";
         ++p.sops;
@@ -51,20 +70,58 @@ LinkProbe probe(SourceT& src, WireLink& link, Cycle cycles) {
     } else if (in_cell != 0) {
       ++p.gaps_inside_cell;
     }
+    prev_valid = f.valid;
   }
   return p;
 }
 
+/// Runs `src` for kBatches batches of `batch` cycles each.
+std::vector<LinkProbe> probe_batches(CellSource& src, const WireLink& link, Cycle batch,
+                                     unsigned L) {
+  Engine eng;
+  eng.add(&src);
+  unsigned in_cell = 0;
+  bool prev_valid = false;
+  std::vector<LinkProbe> out;
+  for (unsigned b = 0; b < kBatches; ++b)
+    out.push_back(probe(eng, link, batch, L, in_cell, prev_valid));
+  return out;
+}
+
+/// Fraction of cycles with a word on the link, per batch.
+std::vector<double> link_loads(const std::vector<LinkProbe>& batches, Cycle batch) {
+  std::vector<double> loads;
+  for (const LinkProbe& p : batches)
+    loads.push_back(static_cast<double>(p.valid) / static_cast<double>(batch));
+  return loads;
+}
+
 CellFormat fmt8() { return CellFormat{16, 2, 8}; }
 
+/// Mutant killed: an off-by-one gap counter (one extra idle cycle after
+/// every cell) offers 0.471 at 0.5 and 0.809 at 0.9.
 TEST(CellSource, GeometricLoadMatches) {
+  constexpr Cycle kBatch = 20000;
   for (double load : {0.2, 0.5, 0.9}) {
     WireLink link;
     UniformDest dests(4);
     CellSource src(0, &link, fmt8(), &dests, ArrivalKind::kGeometric, load, Rng(7));
-    const LinkProbe p = probe(src, link, 200000);
-    EXPECT_NEAR(p.valid / 200000.0, load, 0.02) << "load " << load;
-    EXPECT_EQ(p.gaps_inside_cell, 0u);
+    const std::vector<LinkProbe> b = probe_batches(src, link, kBatch, 8);
+    expect_batch_mean_near(link_loads(b, kBatch), load, "geometric " + std::to_string(load));
+    for (const LinkProbe& p : b) EXPECT_EQ(p.gaps_inside_cell, 0u);
+  }
+}
+
+/// Mutant killed: each slot-boundary trial drawn at 1.04 x load.
+TEST(CellSource, SlottedLoadMatches) {
+  constexpr Cycle kBatch = 20000;
+  for (double load : {0.2, 0.5, 0.9}) {
+    WireLink link;
+    UniformDest dests(4);
+    CellSource src(0, &link, fmt8(), &dests, ArrivalKind::kSlotted, load, Rng(16));
+    const std::vector<LinkProbe> b = probe_batches(src, link, kBatch, 8);
+    expect_batch_mean_near(link_loads(b, kBatch), load, "slotted " + std::to_string(load));
+    for (const LinkProbe& p : b) EXPECT_EQ(p.gaps_inside_cell, 0u);
   }
 }
 
@@ -76,8 +133,7 @@ TEST(CellSource, SlottedStartsOnBoundariesOnly) {
   eng.add(&src);
   for (Cycle c = 0; c < 20000; ++c) {
     eng.step();
-    link.tick();
-    if (link.now().sop) {
+    if (link.now(eng.now()).sop) {
       EXPECT_EQ((c + 1) % 8, 0u) << "cell started off-slot";
     }
   }
@@ -87,8 +143,12 @@ TEST(CellSource, SaturatedIsBackToBack) {
   WireLink link;
   UniformDest dests(4);
   CellSource src(0, &link, fmt8(), &dests, ArrivalKind::kSaturated, 1.0, Rng(9));
-  const LinkProbe p = probe(src, link, 8000);
-  EXPECT_EQ(p.valid, 8000u - 0u);  // Every cycle busy once started... from cycle 1.
+  std::uint64_t runs = 0;
+  for (const LinkProbe& p : probe_batches(src, link, 400, 8)) {
+    EXPECT_EQ(p.valid, 400u);  // The head is on the wire from cycle 1 on.
+    runs += p.runs;
+  }
+  EXPECT_EQ(runs, 1u);
 }
 
 TEST(CellSource, InjectionCallbackMatchesWire) {
@@ -102,8 +162,7 @@ TEST(CellSource, InjectionCallbackMatchesWire) {
   std::vector<Cycle> sop_cycles;
   for (Cycle c = 0; c < 5000; ++c) {
     eng.step();
-    link.tick();
-    if (link.now().sop) sop_cycles.push_back(c + 1);  // Wire cycle = c+1.
+    if (link.now(eng.now()).sop) sop_cycles.push_back(eng.now());  // Wire cycle = c+1.
   }
   ASSERT_EQ(injections.size(), sop_cycles.size());
   for (std::size_t k = 0; k < sop_cycles.size(); ++k) {
@@ -117,53 +176,86 @@ TEST(CellSource, DisableStopsNewCells) {
   CellSource src(0, &link, fmt8(), &dests, ArrivalKind::kSaturated, 1.0, Rng(11));
   Engine eng;
   eng.add(&src);
-  for (int c = 0; c < 100; ++c) {
-    eng.step();
-    link.tick();
-  }
+  eng.run(100);
   src.set_enabled(false);
   const std::uint64_t at_disable = src.cells_injected();
-  for (int c = 0; c < 100; ++c) {
-    eng.step();
-    link.tick();
-  }
+  eng.run(100);
   // At most the in-flight cell finishes; no new cells start.
   EXPECT_LE(src.cells_injected(), at_disable + 1);
 }
 
-TEST(BurstySource, LoadMatchesAndBurstsShareDest) {
-  WireLink link;
-  UniformDest dests(8);
-  CellFormat fmt{16, 3, 8};
-  CellSource src(0, &link, fmt, &dests, ArrivalKind::kBursty, 0.6, Rng(12), 8.0);
-  std::vector<unsigned> dests_seen;
-  src.set_on_inject(
-      [&](const CellSource::Injection& i) { dests_seen.push_back(i.dest); });
-  Engine eng;
-  eng.add(&src);
-  std::uint64_t valid = 0;
-  for (Cycle c = 0; c < 200000; ++c) {
-    eng.step();
-    link.tick();
-    valid += link.now().valid;
-  }
-  EXPECT_NEAR(valid / 200000.0, 0.6, 0.03);
-  // Consecutive cells repeat destinations far more often than uniform (1/8).
-  std::size_t repeats = 0;
-  for (std::size_t k = 1; k < dests_seen.size(); ++k)
-    repeats += (dests_seen[k] == dests_seen[k - 1]);
-  EXPECT_GT(static_cast<double>(repeats) / dests_seen.size(), 0.5);
+struct BurstCase {
+  double load, mean_burst;
+};
+constexpr BurstCase kBurstCases[] = {{0.3, 4.0}, {0.6, 8.0}, {0.85, 8.0}};
+constexpr Cycle kBurstBatch = 40000;
+const CellFormat kBurstFmt{16, 3, 8};
+
+std::string burst_case_name(const BurstCase& c) {
+  return "bursty " + std::to_string(c.load) + " burst " + std::to_string(c.mean_burst);
 }
 
-TEST(SlotTraffic, BernoulliRateMatches) {
-  UniformDest dests(8);
-  SlotTraffic t(8, 0.7, &dests, Rng(13));
-  std::uint64_t arrivals = 0;
-  const Cycle slots = 100000;
-  for (Cycle s = 0; s < slots; ++s) {
-    arrivals += t.step().size();
+/// Mutant killed: the off-by-one gap counter, which offers 0.594 at 0.6
+/// and 0.842 at 0.85 with 8-cell bursts.
+TEST(BurstySource, LoadMatchesAndBurstsShareDest) {
+  for (const BurstCase& c : kBurstCases) {
+    WireLink link;
+    UniformDest dests(8);
+    CellSource src(0, &link, kBurstFmt, &dests, ArrivalKind::kBursty, c.load, Rng(12),
+                   c.mean_burst);
+    std::vector<unsigned> dests_seen;
+    src.set_on_inject(
+        [&](const CellSource::Injection& i) { dests_seen.push_back(i.dest); });
+    const std::vector<LinkProbe> b =
+        probe_batches(src, link, kBurstBatch, kBurstFmt.length_words);
+    expect_batch_mean_near(link_loads(b, kBurstBatch), c.load, burst_case_name(c));
+    // Consecutive cells repeat destinations far more often than uniform (1/8).
+    std::size_t repeats = 0;
+    for (std::size_t k = 1; k < dests_seen.size(); ++k)
+      repeats += (dests_seen[k] == dests_seen[k - 1]);
+    EXPECT_GT(static_cast<double>(repeats) / dests_seen.size(), 0.5) << burst_case_name(c);
   }
-  EXPECT_NEAR(arrivals / (8.0 * slots), 0.7, 0.01);
+}
+
+/// A burst is followed by a zero-cycle gap with probability
+/// q = 1 / (1 + mean gap), so a run of back-to-back cells holds 1 / (1 - q)
+/// bursts on average and its mean length is B / (1 - q) cells. Mutant
+/// killed: a stop probability of 1 / (B + 1), whose runs average about one
+/// cell too many while the offered load stays right (the gap is sized from
+/// the same probability).
+TEST(BurstySource, MeanBurstLengthMatches) {
+  for (const BurstCase& c : kBurstCases) {
+    WireLink link;
+    UniformDest dests(8);
+    CellSource src(0, &link, kBurstFmt, &dests, ArrivalKind::kBursty, c.load, Rng(17),
+                   c.mean_burst);
+    const std::vector<LinkProbe> b =
+        probe_batches(src, link, kBurstBatch, kBurstFmt.length_words);
+    std::vector<double> run_cells;
+    for (const LinkProbe& p : b)
+      run_cells.push_back(static_cast<double>(p.sops) / static_cast<double>(p.runs));
+    const double on = kBurstFmt.length_words * c.mean_burst;
+    const double q = 1.0 / (1.0 + on * (1.0 - c.load) / c.load);
+    expect_batch_mean_near(run_cells, c.mean_burst / (1.0 - q), burst_case_name(c));
+  }
+}
+
+/// Mutant killed: each per-input trial drawn at 1.04 x load.
+TEST(SlotTraffic, BernoulliRateMatches) {
+  constexpr unsigned kInputs = 8;
+  constexpr Cycle kBatchSlots = 5000;
+  for (double load : {0.2, 0.7, 0.95}) {
+    UniformDest dests(kInputs);
+    SlotTraffic t(kInputs, load, &dests, Rng(13));
+    std::vector<double> means;
+    for (unsigned b = 0; b < kBatches; ++b) {
+      std::uint64_t arrivals = 0;
+      for (Cycle s = 0; s < kBatchSlots; ++s) arrivals += t.step().size();
+      means.push_back(static_cast<double>(arrivals) /
+                      (kInputs * static_cast<double>(kBatchSlots)));
+    }
+    expect_batch_mean_near(means, load, "bernoulli " + std::to_string(load));
+  }
 }
 
 /// The offered load of geometric on/off bursts equals the configured load
@@ -176,10 +268,9 @@ TEST(SlotTraffic, BurstyRateMatches) {
   struct Case {
     double load, mean_burst;
   };
-  constexpr unsigned kInputs = 8, kBatches = 20;
+  constexpr unsigned kInputs = 8;
   constexpr Cycle kBatchSlots = 10000;
   for (const Case c : {Case{0.5, 16.0}, Case{0.8, 8.0}, Case{0.9, 8.0}}) {
-    SCOPED_TRACE("load " + std::to_string(c.load) + " burst " + std::to_string(c.mean_burst));
     UniformDest dests(kInputs);
     auto t = SlotTraffic::bursty(kInputs, c.load, c.mean_burst, &dests, Rng(14));
     std::vector<double> means;
@@ -189,13 +280,9 @@ TEST(SlotTraffic, BurstyRateMatches) {
       means.push_back(static_cast<double>(arrivals) /
                       (kInputs * static_cast<double>(kBatchSlots)));
     }
-    double mean = 0.0;
-    for (double m : means) mean += m / kBatches;
-    double var = 0.0;
-    for (double m : means) var += (m - mean) * (m - mean) / (kBatches - 1);
-    const double std_err = std::sqrt(var / kBatches);
-    EXPECT_LE(std::abs(mean - c.load), 4.0 * std_err + 1e-12)
-        << "offered " << mean << " +- " << std_err;
+    expect_batch_mean_near(
+        means, c.load,
+        "load " + std::to_string(c.load) + " burst " + std::to_string(c.mean_burst));
   }
 }
 
@@ -645,7 +732,7 @@ TEST(Arrivals, ReplayCursorMatchesQueuedDraws) {
 // generator that re-primed from t + 2 would offer p / (1 + p), 0.31 at 0.45.
 TEST(Arrivals, OfferedLoadMatchesPerCycleRate) {
   using traffic::GeneratorSpec;
-  constexpr unsigned kNodes = 16, kBatches = 20, kSrc = 3;
+  constexpr unsigned kNodes = 16, kSrc = 3;
   constexpr Cycle kBatchCycles = 20000;
   std::uint64_t seed = 300;
   for (const char* text : {"uniform", "permutation", "hotspot:0.3", "hotsenders:0.25",
@@ -667,13 +754,7 @@ TEST(Arrivals, OfferedLoadMatchesPerCycleRate) {
           }
           means.push_back(static_cast<double>(a.generated - before) / kBatchCycles);
         }
-        double mean = 0.0;
-        for (double m : means) mean += m / kBatches;
-        double var = 0.0;
-        for (double m : means) var += (m - mean) * (m - mean) / (kBatches - 1);
-        const double std_err = std::sqrt(var / kBatches);
-        EXPECT_LE(std::abs(mean - rate), 4.0 * std_err) << "offered " << mean << " +- "
-                                                        << std_err;
+        expect_batch_mean_near(means, rate, "offered load");
       }
     }
   }

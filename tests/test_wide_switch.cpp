@@ -38,9 +38,9 @@ TEST(WideSwitch, BypassCutThroughLatencyIsTwo) {
   std::vector<Flit> out_trace;
   for (unsigned k = 0; k < fmt.length_words + 4; ++k) {
     if (k < fmt.length_words)
-      sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(9, 1, k, fmt)});
+      sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(9, 1, k, fmt)});
     eng.step();
-    out_trace.push_back(sw.out_link(1).now());
+    out_trace.push_back(sw.out_link(1).now(eng.now()));
   }
   const Flit& head = out_trace[a0 + 1];
   EXPECT_TRUE(head.valid && head.sop);
@@ -58,8 +58,8 @@ TEST(WideSwitch, StoreAndForwardWhenOutputBusy) {
   eng.add(&sw);
   const CellFormat fmt = cfg.cell_format();
   for (unsigned k = 0; k < fmt.length_words; ++k) {
-    sw.in_link(0).drive_next(Flit{true, k == 0, cell_word(1, 1, k, fmt)});
-    sw.in_link(2).drive_next(Flit{true, k == 0, cell_word(2, 1, k, fmt)});
+    sw.in_link(0).drive_next(eng.now(), Flit{true, k == 0, cell_word(1, 1, k, fmt)});
+    sw.in_link(2).drive_next(eng.now(), Flit{true, k == 0, cell_word(2, 1, k, fmt)});
     eng.step();
   }
   for (int k = 0; k < 40; ++k) eng.step();
